@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build vet test race lint cover bench-smoke bench bench-core bench-compiled bench-delta scale-ceiling bench-scale serve-bench fuzz-smoke chaos ci
+.PHONY: build vet test race lint cover bench-smoke bench scale-ceiling fuzz-smoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Static analysis: go vet, the repo's own audit-discipline vet pass
+# Static analysis: go vet, gofmt, the repo's own audit-discipline vet pass
 # (plavet: PV001/PV002), plalint over every shipped PLA document and the
 # full healthcare deployment (error severity gates the build; the
 # scenario's intentionally blocked report stays a warning), and pladiff:
@@ -27,6 +27,8 @@ race:
 # hospital allow-* expansion (must exit 1 with PD001 — proves the
 # expansion detector works, and pins that the bundle stays expansive).
 lint: vet
+	@out=$$(gofmt -l . | grep -v /testdata/ || true); \
+	if [ -n "$$out" ]; then echo "lint: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/plavet .
 	$(GO) run ./cmd/plalint docs/sample.pla
 	for f in examples/*/policy.pla; do $(GO) run ./cmd/plalint $$f || exit 1; done
@@ -42,37 +44,19 @@ lint: vet
 cover:
 	bash scripts/cover.sh
 
-# One-iteration pass over EVERY benchmark family: catches bitrot in the
-# bench harnesses without paying for a full measurement run. BENCH_OBS
-# makes the render benchmarks dump the engine's metrics snapshot.
+# One-iteration pass over every root benchmark (paper experiments E1–E11,
+# render/cache benches): catches bitrot in the bench harnesses without
+# paying for a measurement run. BENCH_OBS makes the render benchmarks
+# dump the engine's metrics snapshot.
 bench-smoke:
 	BENCH_OBS=BENCH_obs.json $(GO) test -run '^$$' -bench . -benchtime=1x .
 
+# The benchmark (BENCHMARK.json): five fixed-work workloads, each in a
+# fresh process; writes bench/out/result.json. Gate a change with
+# `go run ./bench/cmd/plabibench -compare base.json head.json` (exit 1 on
+# a regression or a higher failed share) — see bench/README.md.
 bench:
-	BENCH_OBS=BENCH_obs.json $(GO) test -run '^$$' -bench . -benchtime=2s .
-
-# Full core-kernel measurement run: vectorized vs row-at-a-time vs
-# nested-loop vs compiled at 1k/10k/100k, converted to BENCH_core.json
-# with the >=5x vectorized and >=1.5x compiled speedup floors enforced.
-# The out-of-core families (RenderSegment/JoinSegment/ScanPruned) are
-# excluded here — they have their own scale lane below.
-bench-core:
-	$(GO) test -run '^$$' -bench '^BenchmarkCore(Join(Nested)?|Render(Compiled)?|ETL|Rewrite)$$' -benchtime=5x -benchmem . | tee bench_core.txt
-	$(GO) run ./cmd/benchjson -in bench_core.txt -out BENCH_core.json -check -min-compiled 1.5
-
-# Compiled-render family only: the residual-program render against the
-# vectorized baseline at all three scales, with the >=1.5x floor at 100k.
-bench-compiled:
-	$(GO) test -run '^$$' -bench '^BenchmarkCoreRender(Compiled)?$$' -benchtime=5x -benchmem . | tee bench_compiled.txt
-	$(GO) run ./cmd/benchjson -in bench_compiled.txt -out BENCH_compiled.json -check-compiled -min-compiled 1.5
-
-# Incremental-refresh lane: stream delta batches through the warehouse
-# under background render traffic, in both refresh modes at 1k/10k/100k,
-# converted to BENCH_delta.json with the >=5x delta-over-rebuild floor
-# and the >=50% plan-cache retention floor enforced at 100k.
-bench-delta:
-	$(GO) test -run '^$$' -bench '^BenchmarkDeltaRefresh$$' -benchtime=5x -benchmem . | tee bench_delta.txt
-	$(GO) run ./cmd/benchjson -in bench_delta.txt -out BENCH_delta.json -suite delta -check-delta
+	$(GO) run ./bench/cmd/plabibench
 
 # Memory-ceiling check: stream 1M rows through a SegmentWriter and scan
 # them back (pruned select, full scan, aggregation) with the runtime's
@@ -81,23 +65,6 @@ bench-delta:
 # the 10M-row variant.
 scale-ceiling:
 	PLABI_SCALE=1 $(GO) test -run '^TestScaleMemoryCeiling$$' -count=1 -v .
-
-# Out-of-core scale lane: the segment-backed render and join against
-# their in-memory twins plus the zone-map pruning scan, at 1M rows,
-# converted to BENCH_scale.json with the >=50% pruned-segment floor
-# enforced. Two iterations per benchmark keep the 1M lane under a few
-# minutes; the numbers feed the README trajectory, not benchstat.
-bench-scale:
-	PLABI_SCALE=1 $(GO) test -run '^$$' -bench '^BenchmarkCore(RenderSegment|JoinSegment|ScanPruned)$$' -benchtime=2x -benchmem -timeout 40m . | tee bench_scale.txt
-	$(GO) run ./cmd/benchjson -in bench_scale.txt -out BENCH_scale.json -suite scale -check-scale -min-prune 0.5
-
-# Serving benchmark: the load harness self-hosts a two-tenant plabid,
-# drives a mixed render/check workload and writes BENCH_serve.json.
-# Exits non-zero when the (generous) SLO floors are violated — total p99
-# above 500ms or error rate above 1%.
-serve-bench:
-	$(GO) run ./cmd/plabid-load -duration 5s -concurrency 8 \
-		-out BENCH_serve.json -slo-p99-ms 500 -slo-error-rate 0.01
 
 # Chaos suite: the healthcare scenario under deterministic fault
 # schedules (fixed seed matrix, override with CHAOS_SEEDS=1,2,3) with the
@@ -114,4 +81,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
 
-ci: lint build race chaos bench-smoke scale-ceiling bench-scale cover
+ci: lint build race chaos bench-smoke scale-ceiling cover

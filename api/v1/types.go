@@ -1,9 +1,9 @@
 // Package apiv1 is the versioned wire contract of the plabid
 // policy-decision server: the JSON request/response types of every /v1
 // endpoint and the typed error envelope with stable machine codes. The
-// server (internal/serve), the client (package api) and the load harness
-// (cmd/plabid-load) all speak exactly these types — the schema lives
-// here once, not as ad-hoc structs in each consumer.
+// server (internal/serve), the client (package api) and the benchmark
+// harness (bench) all speak exactly these types — the schema lives here
+// once, not as ad-hoc structs in each consumer.
 //
 // Compatibility contract: within /v1, fields are only ever added, never
 // renamed, retyped or removed; error codes are append-only. A breaking

@@ -1,20 +1,9 @@
-// Scale benchmarks for the out-of-core storage layer: the flagship
-// render and the prescriptions join run side-by-side fully in-memory and
-// segment-backed (storage=memory vs storage=segment in the same run),
-// plus a zone-map pruning benchmark over a selective filter and a
-// memory-ceiling test that streams rows through a SegmentWriter and
-// asserts the scan working set stays under a budget far below the
-// table's in-memory footprint.
+// Memory-ceiling test for the out-of-core storage layer: stream rows
+// through a SegmentWriter and assert the scan working set stays under a
+// budget far below the table's in-memory footprint.
 //
-// Scales: 50k rows by default (so the suite is cheap enough for the
-// ordinary test lane), 1M with PLABI_SCALE=1 (the CI scale-bench lane),
-// 10M with PLABI_SCALE_10M=1 (opt-in, for the README trajectory).
-// cmd/benchjson parses the output of
-//
-//	go test -run '^$' -bench '^BenchmarkCore(RenderSegment|JoinSegment|ScanPruned)' -benchmem
-//
-// into BENCH_scale.json; -check-scale enforces the pruning floor and the
-// segment-vs-memory peak-heap ordering.
+// Scales: 1M rows with PLABI_SCALE=1 (the CI scale-ceiling lane), 10M
+// with PLABI_SCALE_10M=1 (opt-in); skipped otherwise.
 package plabi
 
 import (
@@ -22,27 +11,19 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
-	"plabi/internal/core"
-	"plabi/internal/obs"
 	"plabi/internal/relation"
-	"plabi/internal/report"
-	"plabi/internal/workload"
 )
 
-// scaleRows picks the row count for the scale suite.
+// scaleRows picks the row count of the memory-ceiling test.
 func scaleRows() int {
 	if os.Getenv("PLABI_SCALE_10M") == "1" {
 		return 10_000_000
 	}
-	if os.Getenv("PLABI_SCALE") == "1" {
-		return 1_000_000
-	}
-	return 50_000
+	return 1_000_000
 }
 
 // heapWatcher samples runtime.ReadMemStats in the background and records
@@ -85,140 +66,8 @@ func (w *heapWatcher) Peak() uint64 {
 	return w.peak
 }
 
-// storageModes pairs the sub-benchmark label with the segment-store hook
-// it applies. storage=memory is measured in the same run as
-// storage=segment so the BENCH_scale.json ratios never compare across
-// machines or commits.
-var storageModes = []struct {
-	name    string
-	segment bool
-}{
-	{"memory", false},
-	{"segment", true},
-}
-
-// scaleEngines caches the expensive 1M-row engines across benchmark
-// re-invocations: go test re-runs the leaf function for the warmup and
-// every measured b.N, and a full ETL build at scale costs minutes.
-// Sharing one engine means the measured renders are steady-state
-// (plan/provenance caches warm) for both storage modes alike. Segment
-// directories go to os.MkdirTemp because b.TempDir is cleaned between
-// invocations; the OS temp dir reclaims them.
-var scaleEngines sync.Map // "n/storage" -> *core.Engine
-
-func scaleEngineFor(b *testing.B, n int, segment bool) *core.Engine {
-	b.Helper()
-	key := fmt.Sprintf("%d/%v", n, segment)
-	// Drop engines of other configurations first: leaf benchmarks run to
-	// completion one after another, and a cached sibling engine resident
-	// in the heap would inflate this one's peak_alloc_bytes sample.
-	scaleEngines.Range(func(k, v any) bool {
-		if k.(string) != key {
-			scaleEngines.Delete(k)
-		}
-		return true
-	})
-	if v, ok := scaleEngines.Load(key); ok {
-		return v.(*core.Engine)
-	}
-	cfg := workload.DefaultConfig(42)
-	cfg.Prescriptions = n
-	cfg.Patients = n / 10
-	cfg.LabResults = n / 10
-	e, _, err := core.BuildHealthcareEngineWith(cfg, func(e *core.Engine) {
-		if segment {
-			dir, err := os.MkdirTemp("", "plabi-scale-")
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.SetSegmentStore(dir)
-			e.SetSpillThreshold(1)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scaleEngines.Store(key, e)
-	return e
-}
-
-// BenchmarkCoreRenderSegment measures the full enforced render of the
-// flagship drug-consumption report with every ETL staging table spilled
-// to on-disk columnar segments, against the identical fully in-memory
-// engine. Both sides report peak_alloc_bytes; at scale the segment side
-// must peak below the in-memory side (enforced by benchjson
-// -check-scale).
-func BenchmarkCoreRenderSegment(b *testing.B) {
-	n := scaleRows()
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		for _, st := range storageModes {
-			b.Run("storage="+st.name, func(b *testing.B) {
-				prev := relation.SetExecMode(relation.ExecVectorized)
-				defer relation.SetExecMode(prev)
-				e := scaleEngineFor(b, n, st.segment)
-				consumer := report.Consumer{Name: "bench", Role: "analyst", Purpose: "quality"}
-				runtime.GC()
-				w := watchHeap()
-				b.ResetTimer()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					enf, err := e.Render("drug-consumption", consumer)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if enf.Table.NumRows() == 0 {
-						b.Fatal("all rows suppressed")
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(w.Peak()), "peak_alloc_bytes")
-			})
-		}
-	})
-}
-
-// BenchmarkCoreJoinSegment measures the prescriptions ⋈ drugcost hash
-// join with the probe side segment-backed (streamed partition-wise
-// through the scan path) against the fully in-memory join.
-func BenchmarkCoreJoinSegment(b *testing.B) {
-	n := scaleRows()
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		ds := benchDataset(b, n)
-		for _, st := range storageModes {
-			b.Run("storage="+st.name, func(b *testing.B) {
-				prev := relation.SetExecMode(relation.ExecVectorized)
-				defer relation.SetExecMode(prev)
-				left := ds.Prescriptions
-				if st.segment {
-					s := relation.NewSegmentStore(b.TempDir())
-					spilled, err := s.Spill(left)
-					if err != nil {
-						b.Fatal(err)
-					}
-					left = spilled
-				}
-				l := relation.Rename(left, "p")
-				r := relation.Rename(ds.DrugCost, "c")
-				pred := relation.Eq(relation.ColRefExpr("p.drug"), relation.ColRefExpr("c.drug"))
-				b.ResetTimer()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := relation.Join(l, r, pred, relation.InnerJoin)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out.NumRows() == 0 {
-						b.Fatal("empty join")
-					}
-				}
-			})
-		}
-	})
-}
-
-// scaleSchema is the synthetic wide-ish fact table used by the pruning
-// benchmark and the memory-ceiling test: a monotone int key plus string
-// and float payload.
+// scaleSchema is the synthetic wide-ish fact table of the memory-ceiling
+// test: a monotone int key plus string and float payload.
 func scaleSchema() *relation.Schema {
 	return relation.NewSchema(
 		relation.Col("id", relation.TInt),
@@ -258,50 +107,6 @@ func streamScaleTable(tb testing.TB, s *relation.SegmentStore, n int) *relation.
 	return t
 }
 
-// BenchmarkCoreScanPruned measures a selective filter (id < n/4) over a
-// segment-backed table cut into 64 partitions: the monotone key gives
-// every partition a tight zone map, so ~3/4 of the segments are skipped
-// without touching disk. Reports pruned_segments / segments_total /
-// pruned_frac per op; benchjson -check-scale enforces the ≥50% floor.
-func BenchmarkCoreScanPruned(b *testing.B) {
-	n := scaleRows()
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		prev := relation.SetExecMode(relation.ExecVectorized)
-		defer relation.SetExecMode(prev)
-		m := obs.New()
-		s := relation.NewSegmentStore(b.TempDir())
-		s.SetMetrics(m)
-		s.SetPartitionRows((n + 63) / 64)
-		tab := streamScaleTable(b, s, n)
-		pred := relation.Bin(relation.OpLt, relation.ColRefExpr("id"), relation.Lit(relation.Int(int64(n/4))))
-		segs := m.Counter("segment.read.segments")
-		pruned := m.Counter("segment.read.pruned")
-		segs0, pruned0 := segs.Value(), pruned.Value()
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := relation.Select(tab, pred)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := out.NumRows(); got != n/4 {
-				b.Fatalf("selected %d rows, want %d", got, n/4)
-			}
-		}
-		b.StopTimer()
-		// segment.read.segments counts scanned (surviving) segments only;
-		// the partition total is scanned + pruned.
-		scannedPerOp := float64(segs.Value()-segs0) / float64(b.N)
-		prunedPerOp := float64(pruned.Value()-pruned0) / float64(b.N)
-		totalPerOp := scannedPerOp + prunedPerOp
-		b.ReportMetric(prunedPerOp, "pruned_segments")
-		b.ReportMetric(totalPerOp, "segments_total")
-		if totalPerOp > 0 {
-			b.ReportMetric(prunedPerOp/totalPerOp, "pruned_frac")
-		}
-	})
-}
-
 // TestScaleMemoryCeiling streams a 1M-row (10M with PLABI_SCALE_10M=1)
 // table through a SegmentWriter and scans it back — a selective pruned
 // filter plus a full unpruned pass — while sampling peak HeapAlloc. The
@@ -309,7 +114,7 @@ func BenchmarkCoreScanPruned(b *testing.B) {
 // footprint, with the Go runtime's soft memory limit pinned to the
 // budget for the duration: out-of-core means the working set is bounded
 // by partitions in flight, not by table size. Skipped unless
-// PLABI_SCALE=1 (the CI scale-bench lane) so the ordinary test lane
+// PLABI_SCALE=1 (the CI scale-ceiling lane) so the ordinary test lane
 // stays fast.
 func TestScaleMemoryCeiling(t *testing.T) {
 	if os.Getenv("PLABI_SCALE") != "1" && os.Getenv("PLABI_SCALE_10M") != "1" {

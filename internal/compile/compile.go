@@ -134,7 +134,7 @@ type PrunedRule struct {
 // Program is the residual render program for one (report, role, purpose)
 // triple: the complete output of partial evaluation, inspectable via
 // Explain. The enforcement layer stores programs in its generation-keyed
-// plan cache and executes them in compiled mode.
+// plan cache and executes them on every render.
 type Program struct {
 	Report  string
 	Role    string

@@ -259,8 +259,9 @@ func (e *Engine) SetCacheSize(n int) { e.enforcer.SetCacheSize(n) }
 // CacheStats snapshots the render decision-cache counters.
 func (e *Engine) CacheStats() enforce.CacheStats { return e.enforcer.CacheStats() }
 
-// SetCompiledRenders forces this engine's renders through the residual
-// compiled programs regardless of the process-wide execution mode.
+// SetCompiledRenders turns whole-result folding on or off for this
+// engine's renders (off by default): a render's enforced output is
+// memoized on its plan and replayed until the tables it reads move.
 func (e *Engine) SetCompiledRenders(on bool) { e.enforcer.SetCompiledRenders(on) }
 
 // ProgramGeneration counts the residual programs compiled over this

@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"plabi/internal/enforce"
-	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/workload"
 )
 
 // scenarioRun captures everything observable about one full scenario run:
 // rendered tables, enforcement decisions, intervention counters, and the
-// audit trail. The vectorized, row-at-a-time and compiled execution modes
-// must produce identical runs — the acceptance bar for the batch kernel
-// layer and for the residual-program compiler above it.
+// audit trail. Folded and unfolded renders, and segment-backed and
+// in-memory storage, must produce identical runs — the acceptance bar
+// for the fold memo and for the out-of-core storage layer.
 type scenarioRun struct {
 	tables     map[string]string
 	decisions  map[string][]string
@@ -24,21 +23,14 @@ type scenarioRun struct {
 	etlTables  map[string]string
 }
 
-func runScenario(t *testing.T, mode relation.ExecMode) scenarioRun {
-	return runScenarioWith(t, mode, nil)
-}
-
-// runScenarioWith is runScenario with an engine-configuration hook
-// applied before the scenario ETL runs (the segment-backed equivalence
-// test uses it to reroute staging tables through a spill store).
-func runScenarioWith(t *testing.T, mode relation.ExecMode, configure func(*Engine)) scenarioRun {
+// runScenario runs the scenario on an engine set up by the configuration
+// hook (nil keeps the defaults), applied before the scenario ETL runs:
+// turn folding on, reroute staging tables through a spill store.
+func runScenario(t *testing.T, configure func(*Engine)) scenarioRun {
 	t.Helper()
-	prev := relation.SetExecMode(mode)
-	defer relation.SetExecMode(prev)
-
 	e, _, err := BuildHealthcareEngineWith(workload.DefaultConfig(7), configure)
 	if err != nil {
-		t.Fatalf("mode %v: build: %v", mode, err)
+		t.Fatalf("build: %v", err)
 	}
 	run := scenarioRun{
 		tables:     map[string]string{},
@@ -51,7 +43,7 @@ func runScenarioWith(t *testing.T, mode relation.ExecMode, configure func(*Engin
 	for _, name := range []string{"rx_cost", "rx_wide", "familydoctor_resolved"} {
 		tab, ok := e.Table(name)
 		if !ok {
-			t.Fatalf("mode %v: warehouse table %s missing", mode, name)
+			t.Fatalf("warehouse table %s missing", name)
 		}
 		run.etlTables[name] = tab.String()
 	}
@@ -63,7 +55,7 @@ func runScenarioWith(t *testing.T, mode relation.ExecMode, configure func(*Engin
 	for _, d := range StandardReports() {
 		for _, c := range consumers {
 			key := d.ID + "/" + c.Role + "/" + c.Purpose
-			// Render every triple twice: in compiled mode the first render
+			// Render every triple twice: with folding on the first render
 			// folds the result and the second replays the fold, so the
 			// equivalence bar covers both the cold and the replay path.
 			for pass := 0; pass < 2; pass++ {
@@ -95,12 +87,12 @@ func compareRuns(t *testing.T, aName, bName string, a, b scenarioRun) {
 	t.Helper()
 	for name, as := range a.etlTables {
 		if bs := b.etlTables[name]; as != bs {
-			t.Errorf("ETL table %s diverged between modes:\n%s:\n%s\n%s:\n%s", name, aName, as, bName, bs)
+			t.Errorf("ETL table %s diverged:\n%s:\n%s\n%s:\n%s", name, aName, as, bName, bs)
 		}
 	}
 	for key, as := range a.tables {
 		if bs, ok := b.tables[key]; !ok || as != bs {
-			t.Errorf("report %s diverged between modes:\n%s:\n%s\n%s:\n%s", key, aName, as, bName, b.tables[key])
+			t.Errorf("report %s diverged:\n%s:\n%s\n%s:\n%s", key, aName, as, bName, b.tables[key])
 		}
 	}
 	if len(a.tables) != len(b.tables) {
@@ -131,44 +123,32 @@ func compareRuns(t *testing.T, aName, bName string, a, b scenarioRun) {
 	}
 }
 
+// folded turns whole-result folding on.
+func folded(e *Engine) { e.SetCompiledRenders(true) }
+
 // TestScenarioModeEquivalence runs the complete healthcare scenario —
 // synthetic workload, guarded ETL with entity resolution, every standard
-// report for three consumers, each rendered twice — under all three
-// execution modes and requires byte-identical tables, identical decision
-// streams, identical mask/suppression counters and identical audit event
-// counts. The vectorized run is the pivot: row-at-a-time is the seed
-// reference, compiled is the residual-program fold/replay path.
+// report for three consumers, each rendered twice — unfolded (the
+// default) and folded, and requires byte-identical tables, identical
+// decision streams, identical mask/suppression counters and identical
+// audit event counts.
 func TestScenarioModeEquivalence(t *testing.T) {
-	vec := runScenario(t, relation.ExecVectorized)
-	row := runScenario(t, relation.ExecRowAtATime)
-	compiled := runScenario(t, relation.ExecCompiled)
-
-	compareRuns(t, "vectorized", "row", vec, row)
-	compareRuns(t, "vectorized", "compiled", vec, compiled)
+	compareRuns(t, "unfolded", "folded", runScenario(t, nil), runScenario(t, folded))
 }
 
 // TestSegmentModeEquivalence is the storage-mode analogue: the complete
 // scenario with every ETL staging table spilled to on-disk columnar
 // segments (tiny partitions, so reports cross many partition boundaries)
 // must be byte-identical — tables, decisions, counters, audit kinds — to
-// the fully in-memory run, at every execution mode. The in-memory run is
-// the semantic oracle for the out-of-core storage layer.
+// the fully in-memory run, folded or not. The in-memory run is the
+// semantic oracle for the out-of-core storage layer.
 func TestSegmentModeEquivalence(t *testing.T) {
-	modes := []struct {
-		name string
-		m    relation.ExecMode
-	}{
-		{"row", relation.ExecRowAtATime},
-		{"vectorized", relation.ExecVectorized},
-		{"compiled", relation.ExecCompiled},
+	spilled := func(e *Engine) {
+		s := e.SetSegmentStore(t.TempDir())
+		s.SetPartitionRows(16)
+		e.SetSpillThreshold(1) // spill every staging table
 	}
-	for _, mode := range modes {
-		mem := runScenario(t, mode.m)
-		seg := runScenarioWith(t, mode.m, func(e *Engine) {
-			s := e.SetSegmentStore(t.TempDir())
-			s.SetPartitionRows(16)
-			e.SetSpillThreshold(1) // spill every staging table
-		})
-		compareRuns(t, mode.name+"/in-memory", mode.name+"/segment", mem, seg)
-	}
+	compareRuns(t, "unfolded/in-memory", "unfolded/segment", runScenario(t, nil), runScenario(t, spilled))
+	compareRuns(t, "folded/in-memory", "folded/segment", runScenario(t, folded),
+		runScenario(t, func(e *Engine) { folded(e); spilled(e) }))
 }

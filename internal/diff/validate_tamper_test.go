@@ -75,8 +75,8 @@ func tamperValidator(t *testing.T, s *State, prog *compile.Program) *validator {
 		}
 	}
 	return &validator{
-		t:    triple{report: def.ID, role: "analyst", purpose: def.Purpose},
-		s:    s, comp: comp, prof: prof, sel: sel, prog: prog,
+		t: triple{report: def.ID, role: "analyst", purpose: def.Purpose},
+		s: s, comp: comp, prof: prof, sel: sel, prog: prog,
 		role: "analyst", purpose: def.Purpose,
 	}
 }

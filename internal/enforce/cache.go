@@ -95,15 +95,13 @@ type renderPlan struct {
 	aggPLAs    []string
 	filterPLAs []string
 
-	// prog is the residual program this plan was specialized into; it is
-	// built in every execution mode (the decision cache stores compiled
-	// programs) and executed in compiled mode.
+	// prog is the residual program this plan was specialized into.
 	prog *compile.Program
 
 	colOnce sync.Once
 	cols    []colPlan // per output-column index; nil until first render
 
-	// fold is the constant-folded render result (compiled mode): the
+	// fold is the constant-folded render result (SetCompiledRenders): the
 	// plan generations include the catalog generation and registered
 	// relations are immutable between catalog generations, so within a
 	// valid plan the enforced result is a constant — computed once,
@@ -114,7 +112,7 @@ type renderPlan struct {
 
 // foldedRender is the memoized constant a residual program folds to: a
 // private deep copy of the enforced output, replayed (deep-copied back
-// out) on every compiled render at the same generations.
+// out) on every folded render at the same generations.
 type foldedRender struct {
 	static     bool
 	table      *relation.Table

@@ -50,8 +50,8 @@ type ReportEnforcer struct {
 	metrics atomic.Pointer[obs.Metrics]
 	faults  atomic.Pointer[fault.Injector]
 
-	// compiled forces residual-program execution for this enforcer
-	// regardless of the process-wide exec mode.
+	// compiled turns on whole-result folding: a render memoizes its
+	// enforced output on the plan and replays it until the data moves.
 	compiled atomic.Bool
 	// programGen counts residual programs compiled by this enforcer; it
 	// bumps on every plan build, so hot reloads and policy changes are
@@ -126,8 +126,8 @@ func (e *ReportEnforcer) CacheStats() CacheStats {
 	return e.cache.Load().stats()
 }
 
-// SetCompiledRenders forces (or releases) residual-program execution for
-// this enforcer independent of the process-wide exec mode.
+// SetCompiledRenders turns whole-result folding on or off for this
+// enforcer (off by default): see renderFolded.
 func (e *ReportEnforcer) SetCompiledRenders(on bool) { e.compiled.Store(on) }
 
 // ProgramGeneration returns the number of residual programs this
@@ -252,9 +252,8 @@ func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (
 // the data: parse, profile, compose the governing PLAs, run the static
 // check, and partially evaluate the composite into a residual program
 // (thresholds baked and sorted, row filters pre-bound, constant verdicts
-// folded, dead rules pruned). Programs compile in every execution mode —
-// the decision cache stores compiled programs — and execute in compiled
-// mode.
+// folded, dead rules pruned). The decision cache stores the compiled
+// program with the plan; every render executes it.
 func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string, at gens) (*renderPlan, error) {
 	comp, prof, err := e.CompositeFor(def)
 	if err != nil {
@@ -519,8 +518,8 @@ const cancelCheckRows = 64
 
 // RenderContext executes the report and enforces the PLAs on the result,
 // honouring ctx cancellation between row chunks. Safe to call from many
-// goroutines at once. In compiled mode (process-wide ExecCompiled or
-// SetCompiledRenders) the render executes the plan's residual program.
+// goroutines at once. With SetCompiledRenders on, the enforced result is
+// folded onto the plan and replayed.
 func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definition, consumer report.Consumer) (*Enforced, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -529,15 +528,15 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	if err != nil {
 		return nil, err
 	}
-	if e.compiled.Load() || relation.CurrentExecMode() == relation.ExecCompiled {
-		return e.renderCompiled(ctx, def, consumer, plan, hit)
+	if e.compiled.Load() {
+		return e.renderFolded(ctx, def, consumer, plan, hit)
 	}
-	return e.renderInterpreted(ctx, def, consumer, plan, hit)
+	return e.render(ctx, def, consumer, plan, hit)
 }
 
-// renderInterpreted is the uncompiled render body: execute the query and
-// run enforcement over the result.
-func (e *ReportEnforcer) renderInterpreted(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
+// render is the render body: execute the query and run the plan's
+// enforcement over the result.
+func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
 	raw, err := e.Catalog.Exec(plan.sel)
@@ -611,15 +610,14 @@ func (e *ReportEnforcer) renderInterpreted(ctx context.Context, def *report.Defi
 	return enf, nil
 }
 
-// renderCompiled executes the plan's residual program. The program's
-// pinned generations include the catalog generation and registered
-// relations are immutable between catalog generations, so within a valid
-// plan the enforced result is a constant: the first execution runs the
-// full pipeline through the program's baked thresholds and pre-bound
-// predicates and folds the result; every subsequent render replays the
-// fold — zero query execution, zero policy interpretation — re-emitting
-// the same decisions into the audit trail.
-func (e *ReportEnforcer) renderCompiled(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
+// renderFolded is render behind a fold memo. The plan's pinned
+// generations include the catalog generation and registered relations
+// are immutable between catalog generations, so within a valid plan the
+// enforced result is a constant: the first execution runs render and
+// folds the result; every subsequent render replays the fold — zero
+// query execution, zero policy interpretation — re-emitting the same
+// decisions into the audit trail.
+func (e *ReportEnforcer) renderFolded(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	// Epoch check: the fold is a constant of the plan's *data*, not only
 	// its generations. An incremental refresh (Catalog.Refresh) moves the
@@ -639,7 +637,7 @@ func (e *ReportEnforcer) renderCompiled(ctx context.Context, def *report.Definit
 	plan.foldMu.Unlock()
 	if fold == nil {
 		m.Counter("compile.fold.misses").Inc()
-		enf, err := e.renderInterpreted(ctx, def, consumer, plan, hit)
+		enf, err := e.render(ctx, def, consumer, plan, hit)
 		if err != nil {
 			return nil, err
 		}
@@ -661,7 +659,7 @@ func (e *ReportEnforcer) renderCompiled(ctx context.Context, def *report.Definit
 	}
 	// Replay path. Faults still apply: a replayed render consults the
 	// render.worker site once under panic isolation, so chaos schedules
-	// exercise compiled renders too.
+	// exercise folded renders too.
 	fi := e.faults.Load()
 	if err := fault.Safely(fault.SiteRenderWorker, m, func() error {
 		return fi.Hit(ctx, fault.SiteRenderWorker)
@@ -680,8 +678,8 @@ func (e *ReportEnforcer) renderCompiled(ctx context.Context, def *report.Definit
 		SuppressedRows: fold.suppressed,
 		CacheHit:       hit,
 	}
-	// Replayed renders maintain the same per-render counters the
-	// interpreted path emits.
+	// Replayed renders maintain the same per-render counters render
+	// emits.
 	if fold.static {
 		m.Counter("enforce.static_blocks").Inc()
 	} else {

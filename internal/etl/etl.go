@@ -236,7 +236,7 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	done := make([]bool, n)    // step recorded (success, violation or skip)
+	done := make([]bool, n) // step recorded (success, violation or skip)
 	// blockedOut marks staging relations whose producer was blocked by a
 	// violation (or skipped downstream of one) without leaving any output.
 	// A ready step reading such a relation cannot run — its Get would fail

@@ -68,21 +68,23 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the current counts. Concurrent Observe calls may land
-// between bucket reads; the snapshot is still internally plausible
-// (every counted observation is in some bucket it was added to).
+// between bucket reads; the snapshot is still internally plausible:
+// Observe bumps its bucket before the total and Snapshot reads the total
+// after the buckets, so the buckets never sum to more than Count plus
+// the observations in flight at that read.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
 	s := HistogramSnapshot{
-		Count:    h.count.Load(),
-		Sum:      time.Duration(h.sum.Load()),
 		Buckets:  make([]Bucket, len(h.bounds)),
 		Overflow: h.counts[len(h.bounds)].Load(),
 	}
 	for i, b := range h.bounds {
 		s.Buckets[i] = Bucket{UpperBound: b, Count: h.counts[i].Load()}
 	}
+	s.Count = h.count.Load()
+	s.Sum = time.Duration(h.sum.Load())
 	return s
 }
 

@@ -53,12 +53,12 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram(time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)
 	// Boundary values land in the bucket they bound (le semantics).
-	h.Observe(time.Millisecond)        // bucket 0
-	h.Observe(500 * time.Microsecond)  // bucket 0
-	h.Observe(2 * time.Millisecond)    // bucket 1
-	h.Observe(10 * time.Millisecond)   // bucket 1
-	h.Observe(99 * time.Millisecond)   // bucket 2
-	h.Observe(time.Second)             // overflow
+	h.Observe(time.Millisecond)       // bucket 0
+	h.Observe(500 * time.Microsecond) // bucket 0
+	h.Observe(2 * time.Millisecond)   // bucket 1
+	h.Observe(10 * time.Millisecond)  // bucket 1
+	h.Observe(99 * time.Millisecond)  // bucket 2
+	h.Observe(time.Second)            // overflow
 	s := h.Snapshot()
 	if s.Count != 6 {
 		t.Fatalf("count = %d, want 6", s.Count)

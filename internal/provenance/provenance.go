@@ -68,11 +68,8 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 	if ci < 0 {
 		return 0
 	}
-	if relation.CurrentExecMode() == relation.ExecRowAtATime {
-		return t.distinctSupportRows(rt, base, table, ci)
-	}
-	// Vectorized path: dictionary-encode the column once per (table,
-	// column) — relation.MapKey partitions values into exactly Value.Key's
+	// Dictionary-encode the column once per (table, column) —
+	// relation.MapKey partitions values into exactly Value.Key's
 	// equivalence classes, so dense codes count the same distincts — and
 	// every subsequent threshold check is a branch-free array scan over a
 	// seen-bitmap instead of one hash probe per supporting row.
@@ -96,7 +93,7 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 	return n
 }
 
-// distinctSupportRows is the reference distinct count: canonical string
+// distinctSupportRows is the fallback distinct count: canonical string
 // keys, one lookup per supporting ref. ValueAt streams segment-backed
 // bases one partition at a time; an unreadable cell is skipped, which
 // can only lower the count — the fail-closed direction for thresholds.
@@ -155,23 +152,26 @@ func (d *colDict) extend(base *relation.Table, ci, from int) (*colDict, bool) {
 	return &colDict{codes: codes, card: len(ids), ids: ids}, true
 }
 
-// colDict returns (building and caching on first use) the dictionary
-// encoding of column ci of the registered base table. The cache is
-// invalidated when RegisterBase replaces the table. The returned dict is
-// immutable, so concurrent enforcement workers share it safely.
+// colDict returns the dictionary encoding of column ci of base, the
+// caller's view of the registered table. The cache holds encodings of the
+// currently registered version only: RegisterBase drops them, RefreshBase
+// extends them. A caller whose base has been swapped out since it read it
+// neither uses nor fills the cache — it gets a private dictionary of its
+// own base — so a cached dictionary always covers every row of the
+// table it is cached beside. The returned dict is immutable, so
+// concurrent enforcement workers share it safely.
 func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 	key := strings.ToLower(table)
 	t.mu.RLock()
-	if cols, ok := t.dicts[key]; ok {
-		if d, ok := cols[ci]; ok {
-			t.mu.RUnlock()
-			return d
-		}
-	}
+	d, ok := t.dicts[key][ci]
+	current := t.bases[key] == base
 	t.mu.RUnlock()
+	if ok && current {
+		return d
+	}
 	n := base.NumRows()
 	ids := make(map[relation.ValKey]int32, n)
-	d := &colDict{codes: make([]int32, n), ids: ids}
+	d = &colDict{codes: make([]int32, n), ids: ids}
 	// ValueAt walks a segment-backed base sequentially, keeping one
 	// decoded partition resident; an in-memory base reads its rows
 	// directly. First-seen code order is identical either way.
@@ -190,6 +190,10 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 	}
 	d.card = len(ids)
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.bases[key] != base {
+		return d // swapped while encoding: d describes base, not the registered table
+	}
 	if t.dicts == nil {
 		t.dicts = map[string]map[int]*colDict{}
 	}
@@ -197,15 +201,14 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 		t.dicts[key] = map[int]*colDict{}
 	}
 	t.dicts[key][ci] = d
-	t.mu.Unlock()
 	return d
 }
 
 // Tracer resolves lineage references against registered base tables.
 // It is safe for concurrent use.
 type Tracer struct {
-	mu     sync.RWMutex
-	bases  map[string]*relation.Table
+	mu    sync.RWMutex
+	bases map[string]*relation.Table
 	dicts map[string]map[int]*colDict // table -> column index -> encoding
 }
 

@@ -1,7 +1,9 @@
 package provenance
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"plabi/internal/relation"
@@ -139,4 +141,67 @@ func TestGraphUpstreamPartial(t *testing.T) {
 	if got := g.Explain("unknown"); !strings.Contains(got, "base relation") {
 		t.Errorf("explain unknown = %s", got)
 	}
+}
+
+// TestDistinctSupportDuringAppendRefresh interleaves first-use dictionary
+// builds with append-only RefreshBase swaps. A dictionary encoded from a
+// base that was swapped out mid-encode covers fewer rows than the table
+// now registered; cached beside it, the next DistinctSupport indexes past
+// its codes and the next RefreshBase slices past them in extend.
+func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
+	const nCols, nRows = 16, 5000
+	cols := make([]relation.Column, nCols)
+	for c := range cols {
+		cols[c] = relation.Col(fmt.Sprintf("c%d", c), relation.TInt)
+	}
+	schema := relation.NewSchema(cols...)
+	// Column c cycles through c+2 values, so every version of the table
+	// has exactly c+2 distinct values in it.
+	rowAt := func(r int) relation.Row {
+		row := make(relation.Row, nCols)
+		for c := range row {
+			row[c] = relation.Int(int64(r % (c + 2)))
+		}
+		return row
+	}
+	base := relation.NewBase("facts", schema)
+	for r := 0; r < nRows; r++ {
+		base.Rows = append(base.Rows, rowAt(r))
+	}
+	tr := NewTracer()
+	tr.RegisterBase(base)
+
+	// The trace names more rows than any version holds; DistinctSupport
+	// counts the ones its base has.
+	var rt RowTrace
+	for r := 0; r < 2*nRows; r++ {
+		rt.Rows = append(rt.Rows, relation.RowRef{Table: "facts", Row: r})
+	}
+
+	readerDone := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer: append one row, swap, repeat until the reader is through
+		defer wg.Done()
+		for cur := base; cur.NumRows() < 2*nRows; {
+			select {
+			case <-readerDone:
+				return
+			default:
+			}
+			next := relation.NewBase("facts", schema)
+			next.Rows = append(cur.Rows[:len(cur.Rows):len(cur.Rows)], rowAt(cur.NumRows()))
+			tr.RefreshBase(next, cur.NumRows())
+			cur = next
+		}
+	}()
+	for pass := 0; pass < 2; pass++ { // pass 0 builds each dictionary, pass 1 reads it back extended
+		for c := 0; c < nCols; c++ {
+			if n := tr.DistinctSupport(rt, "facts", cols[c].Name); n != c+2 {
+				t.Errorf("pass %d: distinct support of %s = %d, want %d", pass, cols[c].Name, n, c+2)
+			}
+		}
+	}
+	close(readerDone)
+	wg.Wait()
 }

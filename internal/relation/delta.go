@@ -13,7 +13,7 @@ import (
 // while a delta is being applied.
 
 // GroupByState is a retained row-at-a-time GroupBy accumulator. It is
-// the core behind groupByStream (the one-shot reference path) and the
+// the core behind groupByStream (the one-shot segment path) and the
 // incremental-aggregate path of the ETL delta propagation: feed it rows
 // with Add/AddTable, then Result emits the grouped table. After an
 // append-only delta, feeding only the new rows and re-emitting is

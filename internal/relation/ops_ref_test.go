@@ -1,0 +1,221 @@
+package relation
+
+import (
+	"fmt"
+	"strings"
+)
+
+// The row-at-a-time reference implementations of the relational
+// operators. Production code runs only the vectorized kernels
+// (ops_vec.go) and their segment-backed wrappers (ops_seg.go); the
+// bodies below are the executable specification those kernels must match
+// byte for byte — same rows in the same order, same lineage sets, same
+// column origins, same errors. vec_equiv_test.go and segment_test.go call
+// each reference directly beside its production twin.
+
+// selectRows is the row-at-a-time reference implementation of Select.
+func selectRows(t *Table, pred Expr) (*Table, error) {
+	out := t.derived(t.Name + "_sel")
+	for i, r := range t.Rows {
+		ok, err := EvalPredicate(pred, r, t.Schema)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.Rows = append(out.Rows, r)
+			out.Lineage = append(out.Lineage, t.RowLineage(i))
+		}
+	}
+	return out, nil
+}
+
+// projectRows is the row-at-a-time reference implementation of Project.
+func projectRows(t *Table, cols ...ProjCol) (*Table, error) {
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("relation: empty projection")
+	}
+	out := &Table{Name: t.Name + "_proj"}
+	schemaCols := make([]Column, len(cols))
+	out.ColOrigin = make([]ColRefSet, len(cols))
+	for i, p := range cols {
+		schemaCols[i] = Column{Name: p.outName(), Type: InferType(p.Expr, t.Schema)}
+		var origin ColRefSet
+		for _, ref := range ColumnsOf(p.Expr) {
+			ci := t.Schema.Index(ref)
+			if ci < 0 {
+				return nil, fmt.Errorf("relation: projection references unknown column %q", ref)
+			}
+			origin = append(origin, t.ColumnOrigin(ci)...)
+		}
+		out.ColOrigin[i] = origin.normalize()
+	}
+	out.Schema = &Schema{Columns: schemaCols}
+	for i, r := range t.Rows {
+		nr := make(Row, len(cols))
+		for j, p := range cols {
+			v, err := p.Expr.Eval(r, t.Schema)
+			if err != nil {
+				return nil, err
+			}
+			nr[j] = v
+			if out.Schema.Columns[j].Type == TNull && !v.IsNull() {
+				out.Schema.Columns[j].Type = v.Kind
+			}
+		}
+		out.Rows = append(out.Rows, nr)
+		out.Lineage = append(out.Lineage, t.RowLineage(i))
+	}
+	return out, nil
+}
+
+// extendRows is the row-at-a-time reference implementation of Extend.
+func extendRows(t *Table, name string, e Expr) (*Table, error) {
+	out := t.derived(t.Name + "_ext")
+	out.Schema.Columns = append(out.Schema.Columns, Column{Name: name, Type: InferType(e, t.Schema)})
+	var origin ColRefSet
+	for _, ref := range ColumnsOf(e) {
+		ci := t.Schema.Index(ref)
+		if ci < 0 {
+			return nil, fmt.Errorf("relation: extend references unknown column %q", ref)
+		}
+		origin = append(origin, t.ColumnOrigin(ci)...)
+	}
+	out.ColOrigin = append(out.ColOrigin, origin.normalize())
+	for i, r := range t.Rows {
+		v, err := e.Eval(r, t.Schema)
+		if err != nil {
+			return nil, err
+		}
+		nr := make(Row, len(r)+1)
+		copy(nr, r)
+		nr[len(r)] = v
+		out.Rows = append(out.Rows, nr)
+		out.Lineage = append(out.Lineage, t.RowLineage(i))
+	}
+	return out, nil
+}
+
+// NestedLoopJoin joins l and r by evaluating pred on every row pair, with
+// no hash fast path. It is the semantic reference the hash joins must
+// match and the baseline the benchmark suite measures them against.
+func NestedLoopJoin(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
+	lm, err := l.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	rm, err := r.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	return nestedLoopInto(newJoinShell(lm, rm), lm, rm, pred, kind)
+}
+
+// joinRows is the row-at-a-time reference implementation of Join.
+func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
+	out := &Table{Name: l.Name + "_join_" + r.Name}
+	cols := make([]Column, 0, l.Schema.Len()+r.Schema.Len())
+	cols = append(cols, l.Schema.Columns...)
+	cols = append(cols, r.Schema.Columns...)
+	out.Schema = &Schema{Columns: cols}
+	out.ColOrigin = make([]ColRefSet, 0, len(cols))
+	for c := range l.Schema.Columns {
+		out.ColOrigin = append(out.ColOrigin, l.ColumnOrigin(c))
+	}
+	for c := range r.Schema.Columns {
+		out.ColOrigin = append(out.ColOrigin, r.ColumnOrigin(c))
+	}
+
+	joined := out.Schema
+	// Fast path: equi-join on a simple column pair.
+	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
+		idx := make(map[string][]int, len(r.Rows))
+		for j, rr := range r.Rows {
+			if rr[rc].IsNull() {
+				continue
+			}
+			k := rr[rc].Key()
+			idx[k] = append(idx[k], j)
+		}
+		for i, lr := range l.Rows {
+			matched := false
+			if !lr[lc].IsNull() {
+				for _, j := range idx[lr[lc].Key()] {
+					nr := make(Row, 0, len(cols))
+					nr = append(nr, lr...)
+					nr = append(nr, r.Rows[j]...)
+					out.Rows = append(out.Rows, nr)
+					out.Lineage = append(out.Lineage, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
+					matched = true
+				}
+			}
+			if !matched && kind == LeftJoin {
+				nr := make(Row, len(cols))
+				copy(nr, lr)
+				out.Rows = append(out.Rows, nr)
+				out.Lineage = append(out.Lineage, l.RowLineage(i))
+			}
+		}
+		return out, nil
+	}
+
+	// General nested-loop join.
+	for i, lr := range l.Rows {
+		matched := false
+		for j, rr := range r.Rows {
+			nr := make(Row, 0, len(cols))
+			nr = append(nr, lr...)
+			nr = append(nr, rr...)
+			ok, err := EvalPredicate(pred, nr, joined)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out.Rows = append(out.Rows, nr)
+				out.Lineage = append(out.Lineage, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
+				matched = true
+			}
+		}
+		if !matched && kind == LeftJoin {
+			nr := make(Row, len(cols))
+			copy(nr, lr)
+			out.Rows = append(out.Rows, nr)
+			out.Lineage = append(out.Lineage, l.RowLineage(i))
+		}
+	}
+	return out, nil
+}
+
+// groupByRows is the row-at-a-time reference implementation of GroupBy.
+func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
+	return groupByStream(t, keys, aggs, func(visit func(Row, LineageSet)) error {
+		for ri, r := range t.Rows {
+			visit(r, t.RowLineage(ri))
+		}
+		return nil
+	})
+}
+
+// distinctRows is the row-at-a-time reference implementation of Distinct.
+func distinctRows(t *Table) *Table {
+	out := t.derived(t.Name + "_dist")
+	index := map[string]int{}
+	for i, r := range t.Rows {
+		var kb strings.Builder
+		for _, v := range r {
+			kb.WriteString(v.Key())
+			kb.WriteByte('|')
+		}
+		k := kb.String()
+		if j, ok := index[k]; ok {
+			out.Lineage[j] = append(out.Lineage[j], t.RowLineage(i)...)
+			continue
+		}
+		index[k] = len(out.Rows)
+		out.Rows = append(out.Rows, r)
+		out.Lineage = append(out.Lineage, append(LineageSet(nil), t.RowLineage(i)...))
+	}
+	for j := range out.Lineage {
+		out.Lineage[j] = out.Lineage[j].normalize()
+	}
+	return out
+}

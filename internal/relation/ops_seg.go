@@ -2,15 +2,15 @@ package relation
 
 // ops_seg.go holds the segment-backed operator paths. The strategy is
 // partition-wise delegation: stream each surviving partition as an
-// in-memory sub-table (segtable.go) and run the regular mode-dispatched
-// operator on it, so every execution mode produces byte-identical rows,
-// lineage and errors to the fully in-memory run — the mode-equivalence
-// suite pins this. Operators that inherently need the whole relation at
-// once (Project, Sort, Union, ...) materialize first in ops.go.
+// in-memory sub-table (segtable.go) and run the regular operator on it,
+// so a segment-backed run produces byte-identical rows, lineage and
+// errors to the fully in-memory run — TestSegmentOpsEquivalence pins
+// this. Operators that inherently need the whole relation at once
+// (Project, Sort, Union, ...) materialize first in ops.go.
 
 // selectSeg filters a segment-backed table: zone maps prune whole
-// partitions before decode, surviving partitions are filtered by the
-// current execution mode's Select and concatenated in partition order.
+// partitions before decode, surviving partitions are filtered by Select
+// and concatenated in partition order.
 func selectSeg(t *Table, pred Expr) (*Table, error) {
 	out := t.derived(t.Name + "_sel")
 	sc := newSegScan(t, pred)
@@ -33,9 +33,9 @@ func selectSeg(t *Table, pred Expr) (*Table, error) {
 }
 
 // groupBySeg aggregates a segment-backed table by streaming partitions
-// through the shared row-at-a-time accumulator core (groupByStream).
-// The core is the one the reference GroupBy uses, so grouping order,
-// aggregate values and group lineage come out byte-identical.
+// through the row-at-a-time accumulator core (groupByStream) — the one
+// the test reference GroupBy uses, so grouping order, aggregate values
+// and group lineage come out byte-identical.
 func groupBySeg(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 	return groupByStream(t, keys, aggs, func(visit func(Row, LineageSet)) error {
 		sc := newSegScan(t, nil)
@@ -57,9 +57,9 @@ func groupBySeg(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 
 // joinSeg joins when either side is segment-backed. The right side is
 // materialized (it is the hash-build side in every fast path); a
-// segment-backed left side streams partition sub-tables through the
-// mode-dispatched Join, concatenating in partition order — the same
-// output order as the in-memory join, which streams the left side.
+// segment-backed left side streams partition sub-tables through Join,
+// concatenating in partition order — the same output order as the
+// in-memory join, which streams the left side.
 func joinSeg(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	rm, err := r.Materialize()
 	if err != nil {

@@ -7,12 +7,12 @@ import (
 	"sort"
 )
 
-// This file holds the vectorized implementations behind the public
-// operators (see ops.go for the dispatch and the row-at-a-time reference
-// bodies). Every function here must be observationally identical to its
-// row-at-a-time counterpart: same rows in the same order, same lineage
-// sets, same column origins, same errors. The equivalence property tests
-// in vec_equiv_test.go enforce this on randomized inputs.
+// This file holds the vectorized kernels behind the public operators
+// (ops.go dispatches on storage only). Every function here must be
+// observationally identical to its row-at-a-time reference in
+// ops_ref_test.go: same rows in the same order, same lineage sets, same
+// column origins, same errors. The equivalence property tests in
+// vec_equiv_test.go enforce this on randomized and workload-shaped inputs.
 
 // selectVec is the vectorized Select: kernel filtering over column
 // vectors when the predicate shape supports it, compiled (index-bound)
@@ -514,8 +514,8 @@ func hashJoinMulti(out *Table, l, r *Table, pairs []joinPair, residual compiledP
 	}
 }
 
-// nestedLoopInto is the reference general join body, shared by the
-// row-at-a-time mode and the exported NestedLoopJoin baseline.
+// nestedLoopInto is the general join body: the fallback of joinVec for
+// predicates no hash plan covers, and the test suite's nested-loop oracle.
 func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	cols := out.Schema.Len()
 	joined := out.Schema

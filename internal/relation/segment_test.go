@@ -145,13 +145,9 @@ func TestSegmentSpillPreservesProvenance(t *testing.T) {
 
 // TestSegmentOpsEquivalence is the load-bearing property: every operator
 // over a segment-backed table must be byte-identical — rows, lineage,
-// origins, errors — to the same operator over the in-memory original, at
-// every execution mode.
+// origins, errors — to the same operator over the in-memory original,
+// and, where the operator has a row-at-a-time reference, to that too.
 func TestSegmentOpsEquivalence(t *testing.T) {
-	modes := []struct {
-		name string
-		m    ExecMode
-	}{{"row", ExecRowAtATime}, {"vec", ExecVectorized}, {"compiled", ExecCompiled}}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed + 9000))
 		mem := randTable(rng, "t", 2+rng.Intn(3), rng.Intn(50))
@@ -166,37 +162,44 @@ func TestSegmentOpsEquivalence(t *testing.T) {
 			{Kind: AggCountDistinct, Col: mem.Schema.Columns[1].Name},
 		}
 		keys := []string{mem.Schema.Columns[0].Name}
+		type op func(*Table) (*Table, error)
 		ops := []struct {
 			name string
-			run  func(*Table) (*Table, error)
+			run  op
+			ref  op // nil: the operator has no separate reference
 		}{
-			{"select", func(x *Table) (*Table, error) { return Select(x, pred) }},
-			{"project", func(x *Table) (*Table, error) { return ProjectCols(x, mem.Schema.Columns[0].Name) }},
-			{"extend", func(x *Table) (*Table, error) { return Extend(x, "x", pred) }},
-			{"groupby", func(x *Table) (*Table, error) { return GroupBy(x, keys, aggs) }},
-			{"join-left", func(x *Table) (*Table, error) { return Join(x, other, joinPred, InnerJoin) }},
-			{"leftjoin", func(x *Table) (*Table, error) { return Join(x, other, joinPred, LeftJoin) }},
+			{"select", func(x *Table) (*Table, error) { return Select(x, pred) },
+				func(x *Table) (*Table, error) { return selectRows(x, pred) }},
+			{"project", func(x *Table) (*Table, error) { return ProjectCols(x, mem.Schema.Columns[0].Name) },
+				func(x *Table) (*Table, error) { return projectRows(x, P(mem.Schema.Columns[0].Name)) }},
+			{"extend", func(x *Table) (*Table, error) { return Extend(x, "x", pred) },
+				func(x *Table) (*Table, error) { return extendRows(x, "x", pred) }},
+			{"groupby", func(x *Table) (*Table, error) { return GroupBy(x, keys, aggs) },
+				func(x *Table) (*Table, error) { return groupByRows(x, keys, aggs) }},
+			{"join-left", func(x *Table) (*Table, error) { return Join(x, other, joinPred, InnerJoin) },
+				func(x *Table) (*Table, error) { return joinRows(x, other, joinPred, InnerJoin) }},
+			{"leftjoin", func(x *Table) (*Table, error) { return Join(x, other, joinPred, LeftJoin) },
+				func(x *Table) (*Table, error) { return joinRows(x, other, joinPred, LeftJoin) }},
+			// Segment table on the build (right) side of a join.
+			{"join-right", func(x *Table) (*Table, error) { return Join(other, x, joinPred, InnerJoin) },
+				func(x *Table) (*Table, error) { return joinRows(other, x, joinPred, InnerJoin) }},
 			{"sort", func(x *Table) (*Table, error) {
 				return Sort(x, SortKey{Col: mem.Schema.Columns[0].Name}, SortKey{Col: mem.Schema.Columns[1].Name, Desc: true})
-			}},
-			{"distinct", func(x *Table) (*Table, error) { return Distinct(x), nil }},
-			{"limit", func(x *Table) (*Table, error) { return Limit(x, 5), nil }},
-			{"union", func(x *Table) (*Table, error) { return Union(x, mem) }},
-			{"rename", func(x *Table) (*Table, error) { return Rename(x, "rn").Materialize() }},
+			}, nil},
+			{"distinct", func(x *Table) (*Table, error) { return Distinct(x), nil },
+				func(x *Table) (*Table, error) { return distinctRows(x), nil }},
+			{"limit", func(x *Table) (*Table, error) { return Limit(x, 5), nil }, nil},
+			{"union", func(x *Table) (*Table, error) { return Union(x, mem) }, nil},
+			{"rename", func(x *Table) (*Table, error) { return Rename(x, "rn").Materialize() }, nil},
 		}
-		for _, mode := range modes {
-			prev := SetExecMode(mode.m)
-			for _, op := range ops {
-				want, wantErr := op.run(mem)
-				got, gotErr := op.run(seg)
-				label := fmt.Sprintf("%s/%s seed=%d", op.name, mode.name, seed)
-				requireSameOutcome(t, label, got, want, gotErr, wantErr)
+		for _, op := range ops {
+			want, wantErr := op.run(mem)
+			got, gotErr := op.run(seg)
+			requireSameOutcome(t, fmt.Sprintf("%s seed=%d", op.name, seed), got, want, gotErr, wantErr)
+			if op.ref != nil {
+				ref, refErr := op.ref(mem)
+				requireSameOutcome(t, fmt.Sprintf("%s-vs-reference seed=%d", op.name, seed), got, ref, gotErr, refErr)
 			}
-			// Segment table on the probe (right) side of a join.
-			want, wantErr := Join(other, mem, joinPred, InnerJoin)
-			got, gotErr := Join(other, seg, joinPred, InnerJoin)
-			requireSameOutcome(t, fmt.Sprintf("join-right/%s seed=%d", mode.name, seed), got, want, gotErr, wantErr)
-			SetExecMode(prev)
 		}
 	}
 }
@@ -440,12 +443,12 @@ func TestSegmentCorruptionFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptions := map[string]func([]byte) []byte{
-		"bad magic":    func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"header flip":  func(b []byte) []byte { c := append([]byte(nil), b...); c[14] ^= 0x01; return c },
-		"body flip":    func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-3] ^= 0x01; return c },
-		"trailing":     func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
-		"empty":        func([]byte) []byte { return nil },
+		"bad magic":   func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
+		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
+		"header flip": func(b []byte) []byte { c := append([]byte(nil), b...); c[14] ^= 0x01; return c },
+		"body flip":   func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-3] ^= 0x01; return c },
+		"trailing":    func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
+		"empty":       func([]byte) []byte { return nil },
 	}
 	for name, mut := range corruptions {
 		if err := os.WriteFile(path, mut(orig), 0o644); err != nil {

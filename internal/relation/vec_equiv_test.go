@@ -10,28 +10,25 @@ import (
 )
 
 // The vectorized kernels must be observationally identical to the
-// row-at-a-time reference implementations: same rows in the same order,
-// same lineage sets, same column origins, same schema types, same errors.
-// These property tests compare both paths on randomized tables and
-// predicates. The compiled mode is checked alongside: inside the
-// relational kernels ExecCompiled must behave exactly as ExecVectorized
-// (residual-program specialization lives in the enforcement layer above).
+// row-at-a-time reference implementations (ops_ref_test.go): same rows in
+// the same order, same lineage sets, same column origins, same schema
+// types, same errors. These property tests run each production operator
+// beside its reference on randomized tables and predicates, and once more
+// on workload-shaped inputs large enough to cross the kernels' arena
+// boundaries.
 
-// withBothModes runs op under each execution mode and returns the
-// vectorized and row-at-a-time results; the compiled-mode run is
-// asserted identical to the vectorized one in place.
-func withBothModes(t *testing.T, op func() (*Table, error)) (vec, row *Table, vecErr, rowErr error) {
-	t.Helper()
-	prev := SetExecMode(ExecVectorized)
-	vec, vecErr = op()
-	SetExecMode(ExecCompiled)
-	compiled, compiledErr := op()
-	SetExecMode(ExecRowAtATime)
-	row, rowErr = op()
-	SetExecMode(prev)
-	requireSameOutcome(t, "compiled-vs-vectorized", vec, compiled, vecErr, compiledErr)
-	return vec, row, vecErr, rowErr
+// relOps is one implementation of the operators a pipeline composes.
+type relOps struct {
+	sel      func(*Table, Expr) (*Table, error)
+	join     func(l, r *Table, pred Expr, kind JoinKind) (*Table, error)
+	groupBy  func(*Table, []string, []AggSpec) (*Table, error)
+	distinct func(*Table) *Table
 }
+
+var (
+	prodOps = relOps{Select, Join, GroupBy, Distinct}
+	refOps  = relOps{selectRows, joinRows, groupByRows, distinctRows}
+)
 
 // requireSameOutcome fails the test unless the two paths produced the
 // same table (or the same error).
@@ -235,7 +232,8 @@ func TestSelectEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randTable(rng, "t", 2+rng.Intn(3), rng.Intn(40))
 		pred := randPredicate(rng, tab.Schema, rng.Intn(3))
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return Select(tab, pred) })
+		vec, ve := Select(tab, pred)
+		row, re := selectRows(tab, pred)
 		requireSameOutcome(t, fmt.Sprintf("select seed=%d pred=%s", seed, pred), vec, row, ve, re)
 	}
 }
@@ -252,11 +250,13 @@ func TestProjectExtendEquivalence(t *testing.T) {
 		if rng.Intn(6) == 0 {
 			cols = append(cols, P("missing"))
 		}
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return Project(tab, cols...) })
+		vec, ve := Project(tab, cols...)
+		row, re := projectRows(tab, cols...)
 		requireSameOutcome(t, fmt.Sprintf("project seed=%d", seed), vec, row, ve, re)
 
 		ext := randPredicate(rng, tab.Schema, 1)
-		vec, row, ve, re = withBothModes(t, func() (*Table, error) { return Extend(tab, "x", ext) })
+		vec, ve = Extend(tab, "x", ext)
+		row, re = extendRows(tab, "x", ext)
 		requireSameOutcome(t, fmt.Sprintf("extend seed=%d expr=%s", seed, ext), vec, row, ve, re)
 	}
 }
@@ -288,7 +288,8 @@ func TestJoinEquivalence(t *testing.T) {
 			pred = And(Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0")),
 				Eq(ColRefExpr("l.zzz"), Lit(Int(1))))
 		}
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return Join(lq, rq, pred, kind) })
+		vec, ve := Join(lq, rq, pred, kind)
+		row, re := joinRows(lq, rq, pred, kind)
 		requireSameOutcome(t, fmt.Sprintf("join seed=%d kind=%d pred=%s", seed, kind, pred), vec, row, ve, re)
 
 		// The hash paths must also agree with the nested-loop baseline
@@ -329,7 +330,8 @@ func TestGroupByEquivalence(t *testing.T) {
 		if rng.Intn(8) == 0 {
 			aggs = append(aggs, AggSpec{Kind: AggSum, Col: "missing"})
 		}
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return GroupBy(tab, keys, aggs) })
+		vec, ve := GroupBy(tab, keys, aggs)
+		row, re := groupByRows(tab, keys, aggs)
 		requireSameOutcome(t, fmt.Sprintf("groupby seed=%d keys=%v", seed, keys), vec, row, ve, re)
 	}
 }
@@ -338,8 +340,7 @@ func TestDistinctEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed + 4000))
 		tab := randTable(rng, "t", 1+rng.Intn(3), rng.Intn(60))
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return Distinct(tab), nil })
-		requireSameOutcome(t, fmt.Sprintf("distinct seed=%d", seed), vec, row, ve, re)
+		requireSameTable(t, fmt.Sprintf("distinct seed=%d", seed), Distinct(tab), distinctRows(tab))
 	}
 }
 
@@ -350,26 +351,173 @@ func TestPipelineEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 5000))
 		l := randTable(rng, "lhs", 3, 5+rng.Intn(30))
 		r := randTable(rng, "rhs", 3, 5+rng.Intn(15))
-		run := func() (*Table, error) {
-			j, err := Join(Rename(l, "l"), Rename(r, "r"),
+		run := func(o relOps) (*Table, error) {
+			j, err := o.join(Rename(l, "l"), Rename(r, "r"),
 				Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0")), InnerJoin)
 			if err != nil {
 				return nil, err
 			}
-			f, err := Select(j, IsNotNull(ColRefExpr("l.c1")))
+			f, err := o.sel(j, IsNotNull(ColRefExpr("l.c1")))
 			if err != nil {
 				return nil, err
 			}
-			g, err := GroupBy(f, []string{"l.c0"}, []AggSpec{
+			g, err := o.groupBy(f, []string{"l.c0"}, []AggSpec{
 				{Kind: AggCount, As: "n"}, {Kind: AggMin, Col: "l.c2", As: "lo"}})
 			if err != nil {
 				return nil, err
 			}
-			d := Distinct(g)
-			return Sort(d, SortKey{Col: "n", Desc: true}, SortKey{Col: "c0"})
+			return Sort(o.distinct(g), SortKey{Col: "n", Desc: true}, SortKey{Col: "c0"})
 		}
-		vec, row, ve, re := withBothModes(t, func() (*Table, error) { return run() })
+		vec, ve := run(prodOps)
+		row, re := run(refOps)
 		requireSameOutcome(t, fmt.Sprintf("pipeline seed=%d", seed), vec, row, ve, re)
+	}
+}
+
+// workloadTables generates scenario-shaped inputs: a prescription fact
+// table of n rows, a patient dimension of n/4 rows it references 1:N with
+// a skewed fan-out, and a small drug dimension. Keys are what a warehouse
+// has — Zipf-skewed strings, narrow ints, nullable foreign keys — and a
+// float column carries NaNs so it can serve as a NaN join/group key.
+func workloadTables(rng *rand.Rand, n int) (rx, patient, drug *Table) {
+	const nDrugs = 40
+	nPatients := n / 4
+	drugZipf := rand.NewZipf(rng, 1.3, 2, nDrugs-1)
+	patientZipf := rand.NewZipf(rng, 1.1, 8, uint64(nPatients-1))
+	regions := []string{"north", "north", "north", "south", "south", "east", "west", ""}
+
+	drug = NewBase("drug", NewSchema(Col("name", TString), Col("class", TString), Col("price", TFloat), Col("pack", TInt)))
+	for d := 0; d < nDrugs; d++ {
+		drug.AppendVals(Str(fmt.Sprintf("drug%02d", d)), Str(fmt.Sprintf("class%d", d%5)), Float(float64(1+d%9)*1.25), Int(int64(1+d%6)))
+	}
+	patient = NewBase("patient", NewSchema(Col("pid", TInt), Col("age", TInt), Col("region", TString), Col("doctor", TInt)))
+	for i := 0; i < nPatients; i++ {
+		doctor := Null()
+		if rng.Intn(10) != 0 {
+			doctor = Int(int64(rng.Intn(25)))
+		}
+		patient.AppendVals(Int(int64(i)), Int(int64(20+rng.Intn(60))), Str(regions[rng.Intn(len(regions))]), doctor)
+	}
+	rx = NewBase("rx", NewSchema(Col("id", TInt), Col("patient", TInt), Col("drug", TString),
+		Col("year", TInt), Col("qty", TInt), Col("cost", TFloat), Col("day", TDate)))
+	for i := 0; i < n; i++ {
+		fk, name, cost := Int(int64(patientZipf.Uint64())), Str(fmt.Sprintf("drug%02d", drugZipf.Uint64())), Float(float64(rng.Intn(12))*2.5)
+		if rng.Intn(20) == 0 {
+			fk = Null()
+		}
+		if rng.Intn(50) == 0 {
+			name = Null()
+		}
+		if rng.Intn(25) == 0 {
+			cost = Float(math.NaN())
+		}
+		rx.AppendVals(Int(int64(i)), fk, name, Int(int64(2005+rng.Intn(4))), Int(int64(1+rng.Intn(6))), cost,
+			DateYMD(2007, time.Month(1+rng.Intn(12)), 1+rng.Intn(28)))
+	}
+	return rx, patient, drug
+}
+
+// TestWorkloadShapedEquivalence runs the kernels beside the references on
+// inputs the size and shape of a scenario warehouse rather than a ≤60-row
+// random table: the 1:N joins emit more values and lineage refs than one
+// join arena chunk holds (maxFlatChunk, maxLinChunk), the group-bys cross
+// the key-index capacity hint and group multi-table lineage, and float
+// keys include NaN.
+func TestWorkloadShapedEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed + 6000))
+		rx, patient, drug := workloadTables(rng, 5000)
+		rxq, pq, dq := Rename(rx, "rx"), Rename(patient, "p"), Rename(drug, "d")
+		label := func(what string) string { return fmt.Sprintf("workload %s seed=%d", what, seed) }
+
+		for i, pred := range []Expr{
+			And(ColEqStr("drug", "drug00"), Bin(OpGe, ColRefExpr("year"), Lit(Int(2006)))), // kernel
+			Or(IsNull(ColRefExpr("patient")), Bin(OpLike, ColRefExpr("drug"), Lit(Str("drug1%")))),
+			Bin(OpGt, Bin(OpMul, ColRefExpr("qty"), ColRefExpr("cost")), Lit(Float(20))), // row fallback
+			Bin(OpLe, ColRefExpr("cost"), Lit(Float(10))),                                // NaN cells
+		} {
+			vec, ve := Select(rx, pred)
+			row, re := selectRows(rx, pred)
+			requireSameOutcome(t, label(fmt.Sprintf("select[%d]", i)), vec, row, ve, re)
+		}
+
+		fk := Eq(ColRefExpr("rx.patient"), ColRefExpr("p.pid"))
+		joins := []struct {
+			name string
+			l, r *Table
+			pred Expr
+			kind JoinKind
+		}{
+			{"fact-dim inner", rxq, pq, fk, InnerJoin},
+			{"fact-dim left", rxq, pq, fk, LeftJoin}, // null FKs null-extend
+			{"dim-fact 1:N left", pq, rxq, fk, LeftJoin},
+			{"string key + residual", rxq, dq, And(Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name")),
+				Bin(OpGt, ColRefExpr("rx.qty"), Lit(Int(2)))), InnerJoin},
+			{"two pairs", rxq, dq, And(Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name")),
+				Eq(ColRefExpr("rx.qty"), ColRefExpr("d.pack"))), LeftJoin},
+			{"NaN key", rxq, dq, Eq(ColRefExpr("rx.cost"), ColRefExpr("d.price")), InnerJoin},
+			// NaN under a multi-pair predicate sends the kernel to its
+			// nested loop.
+			{"NaN in two pairs", rxq, dq, And(Eq(ColRefExpr("rx.cost"), ColRefExpr("d.price")),
+				Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name"))), LeftJoin},
+		}
+		for _, j := range joins {
+			vec, ve := Join(j.l, j.r, j.pred, j.kind)
+			row, re := joinRows(j.l, j.r, j.pred, j.kind)
+			requireSameOutcome(t, label("join "+j.name), vec, row, ve, re)
+		}
+		wide, err := Join(pq, rxq, fk, InnerJoin) // multi-table lineage per row
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs := []AggSpec{
+			{Kind: AggCount}, {Kind: AggSum, Col: "rx.qty"}, {Kind: AggAvg, Col: "rx.cost"},
+			{Kind: AggMin, Col: "rx.day"}, {Kind: AggMax, Col: "rx.drug"},
+			{Kind: AggCountDistinct, Col: "rx.patient", As: "patients"},
+		}
+		for _, keys := range [][]string{
+			{"rx.drug"},                       // skewed string key
+			{"rx.year", "p.region"},           // narrow int + string, packed key
+			{"p.pid"},                         // > 1024 groups
+			{"p.region", "rx.year", "rx.qty"}, // composite key
+			{"rx.cost"},                       // NaN key
+			nil,                               // one group holding every ref
+		} {
+			vec, ve := GroupBy(wide, keys, aggs)
+			row, re := groupByRows(wide, keys, aggs)
+			requireSameOutcome(t, label(fmt.Sprintf("groupby %v", keys)), vec, row, ve, re)
+		}
+
+		lowCard, err := ProjectCols(wide, "rx.drug", "rx.year", "p.region", "rx.cost")
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, label("distinct"), Distinct(lowCard), distinctRows(lowCard))
+
+		run := func(o relOps) (*Table, error) {
+			j, err := o.join(pq, rxq, fk, InnerJoin)
+			if err != nil {
+				return nil, err
+			}
+			j, err = o.join(j, dq, Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name")), LeftJoin)
+			if err != nil {
+				return nil, err
+			}
+			f, err := o.sel(j, Bin(OpGe, ColRefExpr("p.age"), Lit(Int(30))))
+			if err != nil {
+				return nil, err
+			}
+			g, err := o.groupBy(f, []string{"d.class", "rx.year"}, []AggSpec{
+				{Kind: AggCount, As: "n"}, {Kind: AggCountDistinct, Col: "p.pid", As: "patients"},
+				{Kind: AggSum, Col: "rx.cost", As: "spend"}})
+			if err != nil {
+				return nil, err
+			}
+			return Sort(o.distinct(g), SortKey{Col: "n", Desc: true}, SortKey{Col: "class"})
+		}
+		vec, ve := run(prodOps)
+		row, re := run(refOps)
+		requireSameOutcome(t, label("pipeline"), vec, row, ve, re)
 	}
 }
 

@@ -406,11 +406,11 @@ func WithFailClosed() Option {
 	return func(o *options) { o.failClosed = true }
 }
 
-// WithCompiledRenders makes this engine execute every render through its
-// residual compiled program (see CompileReport), independent of the
-// process-wide execution mode. Outputs are byte-identical to the other
-// modes; repeated renders at unchanged policy/catalog generations replay
-// the constant-folded result.
+// WithCompiledRenders makes this engine fold every render: the enforced
+// result of a (report, role, purpose) triple is memoized beside its
+// residual compiled program (see CompileReport) and repeated renders at
+// unchanged policy, catalog and table generations replay it. Outputs and
+// audit records are byte-identical to the unfolded default.
 func WithCompiledRenders() Option {
 	return func(o *options) { o.compiled = true }
 }
@@ -616,10 +616,6 @@ func (e *Engine) Precompile() (int, error) { return e.core.Precompile() }
 // ProgramGeneration counts residual programs compiled over the engine's
 // lifetime; a bump after AddPLAs or a reload proves recompilation.
 func (e *Engine) ProgramGeneration() uint64 { return e.core.ProgramGeneration() }
-
-// SetCompiledRenders toggles compiled-program execution at runtime (see
-// WithCompiledRenders).
-func (e *Engine) SetCompiledRenders(on bool) { e.core.SetCompiledRenders(on) }
 
 // ComplianceSuite generates the PLA-derived test suite for one report
 // and consumer.
