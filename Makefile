@@ -18,18 +18,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Static analysis: go vet, gofmt, the repo's own audit-discipline vet pass
-# (plavet: PV001/PV002), plalint over every shipped PLA document and the
-# full healthcare deployment (error severity gates the build; the
-# scenario's intentionally blocked report stays a warning), and pladiff:
+# Static analysis — the one command list (CI's lint job runs this target):
+# go vet, gofmt, plalint over every shipped PLA document and the full
+# healthcare deployment (error severity gates the build; the scenario's
+# intentionally blocked report stays a warning), and pladiff:
 # translation validation (PD000) of every compiled residual program, a
 # silent identity diff, and detection of the audit example's known
 # hospital allow-* expansion (must exit 1 with PD001 — proves the
 # expansion detector works, and pins that the bundle stays expansive).
+# The repo's own audit-write discipline (PV001/PV002) is a test —
+# internal/analysis/plavet TestRepoClean — so `make test`/`race` gate it.
 lint: vet
 	@out=$$(gofmt -l . | grep -v /testdata/ || true); \
 	if [ -n "$$out" ]; then echo "lint: gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/plavet .
 	$(GO) run ./cmd/plalint docs/sample.pla
 	for f in examples/*/policy.pla; do $(GO) run ./cmd/plalint $$f || exit 1; done
 	$(GO) run ./cmd/plalint -severity error -healthcare

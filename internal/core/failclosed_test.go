@@ -2,11 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"plabi/internal/audit"
+	"plabi/internal/etl"
 	"plabi/internal/fault"
+	"plabi/internal/relation"
 	"plabi/internal/report"
 )
 
@@ -68,4 +74,96 @@ func TestRenderFailOpenByDefaultWhenAuditDown(t *testing.T) {
 	if e.MetricsSnapshot().Counters["audit.sink_drops"] == 0 {
 		t.Fatal("sink drop not counted")
 	}
+}
+
+// unreadableBaseEngine builds the smallest deployment whose intensional
+// condition is decided by reading a segment-backed base table: base
+// prescriptions(patient, drug, disease) spilled two rows per partition,
+// rx_wide a filter step over it, and a report releasing patient and drug
+// under `allow attribute patient ... when disease <> 'HIV'`. It returns
+// the engine, the segment directory and the masked-cell count of the
+// intact render.
+func unreadableBaseEngine(t *testing.T) (e *Engine, dir string, masked int) {
+	t.Helper()
+	rx := relation.NewBase("prescriptions", relation.NewSchema(
+		relation.Col("patient", relation.TString), relation.Col("drug", relation.TString), relation.Col("disease", relation.TString)))
+	for i, disease := range []string{"HIV", "asthma", "flu", "HIV", "diabetes", "HIV", "flu"} {
+		name := fmt.Sprintf("patient-%d", i)
+		if disease == "HIV" {
+			name = fmt.Sprintf("hiv-patient-%d", i)
+		}
+		_ = rx.AppendVals(relation.Str(name), relation.Str("drug"), relation.Str(disease))
+	}
+	e = New()
+	dir = t.TempDir()
+	e.SetSegmentStore(dir).SetPartitionRows(2)
+	e.SetSpillThreshold(1)
+	e.SetRetryPolicy(fastRetry())
+	e.AddSource(etl.NewSource("hospital", "hospital", rx))
+	if err := e.AddPLAs(`pla "rx" { owner "hospital"; level source; scope "prescriptions";
+		allow attribute drug;
+		allow attribute patient to roles analyst when disease <> 'HIV'; }`); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := e.Source("hospital")
+	p := &etl.Pipeline{Name: "p", Steps: []etl.Step{
+		etl.NewExtract("ext", src, "prescriptions", ""),
+		etl.NewFilter("wide", "prescriptions", "rx_wide", relation.IsNotNull(relation.ColRefExpr("patient"))),
+	}}
+	if _, err := e.RunETL(p, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DefineReport(&report.Definition{ID: "rx-list", Query: "SELECT patient, drug FROM rx_wide"}); err != nil {
+		t.Fatal(err)
+	}
+	enf, err := e.Render("rx-list", report.Consumer{Name: "ana", Role: "analyst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enf.MaskedCells != 3 || strings.Contains(enf.Table.String(), "hiv-patient") {
+		t.Fatalf("intact render: masked=%d\n%s", enf.MaskedCells, enf.Table)
+	}
+	return e, dir, enf.MaskedCells
+}
+
+// requireNoRelease renders again after the base table became unreadable:
+// the render may fail, but a render that succeeds must mask at least what
+// the intact one masked and release no HIV patient.
+func requireNoRelease(t *testing.T, e *Engine, intactMasked int) {
+	t.Helper()
+	enf, err := e.Render("rx-list", report.Consumer{Name: "ana", Role: "analyst"})
+	if err != nil {
+		return
+	}
+	if enf.MaskedCells < intactMasked || strings.Contains(enf.Table.String(), "hiv-patient") {
+		t.Fatalf("unreadable base cells failed open: masked=%d (intact %d)\n%s", enf.MaskedCells, intactMasked, enf.Table)
+	}
+}
+
+// TestConditionFailsClosedOnUnreadableBase pins that an intensional
+// condition whose supporting base cell cannot be read never passes: once
+// with the base table's partition files gone, once with every segment
+// read failing permanently at the fault site (rx_wide itself stays
+// readable from its materialization cache).
+func TestConditionFailsClosedOnUnreadableBase(t *testing.T) {
+	t.Run("files removed", func(t *testing.T) {
+		e, dir, masked := unreadableBaseEngine(t)
+		parts, err := filepath.Glob(filepath.Join(dir, "prescriptions-*", "*"))
+		if err != nil || len(parts) == 0 {
+			t.Fatalf("no prescriptions partitions under %s (%v)", dir, err)
+		}
+		for _, p := range parts {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireNoRelease(t, e, masked)
+	})
+	t.Run("injected read fault", func(t *testing.T) {
+		e, _, masked := unreadableBaseEngine(t)
+		fi := fault.NewInjector(1)
+		fi.Enable(fault.SiteSegmentRead, fault.SiteConfig{ErrorRate: 1})
+		e.SetFaults(fi)
+		requireNoRelease(t, e, masked)
+	})
 }

@@ -1,6 +1,7 @@
 package enforce
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -750,5 +751,41 @@ func TestViewManager(t *testing.T) {
 	}
 	if _, _, err := m.CreateRoleView("ghost", "analyst", ""); err == nil {
 		t.Error("unknown table must fail")
+	}
+}
+
+// Conditions and row filters are decided on base cells read through the
+// tracer. When those cells cannot be read, the render fails instead of
+// treating the condition as not applicable to the row.
+func TestReportUnreadableSupportFailsRender(t *testing.T) {
+	for name, rules := range map[string]string{
+		"condition":  `allow attribute drug; allow attribute patient to roles analyst when disease <> 'HIV';`,
+		"row filter": `allow attribute *; filter when disease <> 'HIV';`,
+	} {
+		rx := workload.PrescriptionsFixture()
+		cat, tr := sql.NewCatalog(), provenance.NewTracer()
+		cat.Register(rx) // the query itself stays executable
+		dir := t.TempDir()
+		store := relation.NewSegmentStore(dir)
+		store.SetPartitionRows(2) // three partitions; at most one stays cached
+		seg, err := store.Spill(rx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.RegisterBase(seg)
+		def := &report.Definition{ID: "rx-list", Query: "SELECT patient, drug FROM prescriptions"}
+		e := NewReportEnforcer(registryWith(t, `pla "s" { owner "hospital"; level source; scope "prescriptions"; `+rules+` }`), cat, tr)
+		intact, err := e.Render(def, report.Consumer{Role: "analyst"})
+		if err != nil || intact.MaskedCells+intact.SuppressedRows != 2 {
+			t.Fatalf("%s: intact render: %v, %+v", name, err, intact)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		tr.RegisterBase(seg.Clone()) // same segments, nothing cached...
+		_, err = e.Render(def, report.Consumer{Role: "analyst"})
+		if err == nil || !strings.Contains(err.Error(), "provenance: reading prescriptions#") {
+			t.Errorf("%s: render over unreadable support = %v, want a read error", name, err)
+		}
 	}
 }

@@ -868,7 +868,10 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 	// Row filters (non-aggregated reports): every supporting source row
 	// must satisfy every filter.
 	if !plan.aggregated && len(plan.filters) > 0 {
-		ok, evidence := e.supportSatisfies(rt, plan.filters)
+		ok, evidence, err := e.supportSatisfies(rt, plan.filters)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressRow, Rule: "row-filter",
@@ -891,7 +894,10 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 		if len(cols[ci].conditions) == 0 {
 			continue
 		}
-		ok, evidence := e.supportSatisfies(rt, cols[ci].conditions)
+		ok, evidence, err := e.supportSatisfies(rt, cols[ci].conditions)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			row[ci] = MaskValue
 			res.masked++
@@ -912,16 +918,20 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 // supporting an output row. A condition only applies to base rows whose
 // table carries all referenced columns; rows failing any applicable
 // condition make the whole support fail, and their provenance is
-// returned as evidence. The predicates arrive bound (columns resolved,
-// expression compiled) from the residual program, so per-row evaluation
-// performs no name lookups.
-func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []compile.BoundPredicate) (bool, []string) {
+// returned as evidence. A supporting cell that cannot be read decides
+// nothing — the error fails the render rather than letting the row pass.
+// The predicates arrive bound (columns resolved, expression compiled) from
+// the residual program, so per-row evaluation performs no name lookups.
+func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []compile.BoundPredicate) (bool, []string, error) {
 	for _, cond := range conds {
 		for _, ref := range rt.Rows {
 			vals := make(relation.Row, len(cond.Cols))
 			applicable := true
 			for i, col := range cond.Cols {
-				v, ok := e.Tracer.BaseValue(ref, col)
+				v, ok, err := e.Tracer.BaseValue(ref, col)
+				if err != nil {
+					return false, nil, err
+				}
 				if !ok {
 					applicable = false
 					break
@@ -933,11 +943,11 @@ func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []compil
 			}
 			ok, err := cond.Pred.Selected(vals)
 			if err != nil || !ok {
-				return false, []string{fmt.Sprintf("%s fails %s", ref, cond.Expr)}
+				return false, []string{fmt.Sprintf("%s fails %s", ref, cond.Expr)}, nil
 			}
 		}
 	}
-	return true, nil
+	return true, nil, nil
 }
 
 func lineageEvidence(rt provenance.RowTrace) []string {

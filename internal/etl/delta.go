@@ -280,7 +280,7 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 	case *JoinStep:
 		return p.joinDelta(c, st, rerun, changes)
 	case *EntityResolution:
-		return p.erDelta(ctx, c, st, rerun, changes)
+		return p.erDelta(c, st, rerun, changes)
 	case *AggregateStep:
 		return p.aggDelta(c, st, changes)
 	default:
@@ -291,11 +291,7 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 // appendedIdx lists the indices of the appended window of t under ch.
 func appendedIdx(t *relation.Table, ch Change) []int {
 	n := t.NumRows()
-	idx := make([]int, 0, ch.Appended)
-	for i := n - ch.Appended; i < n; i++ {
-		idx = append(idx, i)
-	}
-	return idx
+	return seq(n-ch.Appended, n)
 }
 
 // seq returns [from, to).
@@ -391,7 +387,9 @@ func (p *Pipeline) transformDelta(ctx context.Context, c *Context, t *Transform,
 // with positional stability: a pure append on the left with an
 // untouched right side. Join output is left-major (for each left row in
 // order, its matches in right order), so joining only the appended left
-// rows and concatenating reproduces the full join byte-for-byte.
+// rows and concatenating reproduces the full join byte-for-byte. The step
+// body re-checks the join permission: the appended rows derive from the
+// same base tables, but the PLAs may have moved since the full run.
 func (p *Pipeline) joinDelta(c *Context, j *JoinStep, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
 	lch, lok := changes[strings.ToLower(j.Left)]
 	_, rok := changes[strings.ToLower(j.Right)]
@@ -403,35 +401,10 @@ func (p *Pipeline) joinDelta(c *Context, j *JoinStep, rerun func() (Change, bool
 	if err != nil {
 		return Change{}, false, err
 	}
-	r, err := c.Get(j.Right)
+	dout, err := j.join(c, appendedIdx(l, lch))
 	if err != nil {
 		return Change{}, false, err
 	}
-	// Re-check the join permission: the appended rows derive from the
-	// same base tables, but the PLAs may have moved since the full run.
-	for _, lb := range baseTablesOf(l) {
-		for _, rb := range baseTablesOf(r) {
-			if lb == rb {
-				continue
-			}
-			if err := c.Guard.CheckJoin(lb, rb); err != nil {
-				return Change{}, false, &ViolationError{Step: j.name, Rule: "join-permission",
-					Detail: fmt.Sprintf("%s join %s: %v", lb, rb, err), Cause: err}
-			}
-		}
-	}
-	dl, err := relation.SliceRows(l, appendedIdx(l, lch))
-	if err != nil {
-		return Change{}, false, err
-	}
-	dout, err := relation.Join(relation.Rename(dl, "l"), relation.Rename(r, "r"), j.On, j.Kind)
-	if err != nil {
-		return Change{}, false, err
-	}
-	if unq, uerr := dout.Schema.Unqualify(); uerr == nil {
-		dout.Schema = unq
-	}
-	dout.Name = j.Out
 	out, err := relation.ConcatRows(oldOut, dout)
 	if err != nil {
 		return Change{}, false, err
@@ -442,7 +415,9 @@ func (p *Pipeline) joinDelta(c *Context, j *JoinStep, rerun func() (Change, bool
 
 // erDelta re-resolves only the changed input rows against an unchanged
 // canonical table (a canon change invalidates every match and reruns).
-func (p *Pipeline) erDelta(ctx context.Context, c *Context, e *EntityResolution, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
+// Stats accumulate across incremental refreshes (a full rerun resets
+// them).
+func (p *Pipeline) erDelta(c *Context, e *EntityResolution, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
 	ich, iok := changes[strings.ToLower(e.Input)]
 	_, cok := changes[strings.ToLower(e.Canon)]
 	oldOut, oerr := c.Get(e.Out)
@@ -453,54 +428,7 @@ func (p *Pipeline) erDelta(ctx context.Context, c *Context, e *EntityResolution,
 	if err != nil {
 		return Change{}, false, err
 	}
-	canon, err := c.Get(e.Canon)
-	if err != nil {
-		return Change{}, false, err
-	}
-	for _, donor := range baseTablesOf(canon) {
-		if err := c.Guard.CheckIntegration(donor, e.Beneficiary); err != nil {
-			return Change{}, false, &ViolationError{Step: e.name, Rule: "integration-permission",
-				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
-		}
-	}
-	ci := canon.Schema.Index(e.CanonColumn)
-	if ci < 0 {
-		return Change{}, false, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
-	}
-	canon, err = canon.Materialize()
-	if err != nil {
-		return Change{}, false, err
-	}
-	matcher := newMatcher()
-	for _, r := range canon.Rows {
-		if v := r[ci]; v.Kind == relation.TString {
-			matcher.add(v.S)
-		}
-	}
-	ti := in.Schema.Index(e.Column)
-	if ti < 0 {
-		return Change{}, false, fmt.Errorf("entity-resolution: column %q not found", e.Column)
-	}
-	dirty := append(append([]int(nil), ich.Updated...), appendedIdx(in, ich)...)
-	sub, err := relation.SliceRows(in, dirty)
-	if err != nil {
-		return Change{}, false, err
-	}
-	resolved, unmatched := 0, 0
-	subOut, err := mapCol(ctx, sub, ti, func(v relation.Value) relation.Value {
-		if v.Kind != relation.TString {
-			return v
-		}
-		best, ok := matcher.match(v.S, e.Threshold)
-		if !ok {
-			unmatched++
-			return v
-		}
-		if best != v.S {
-			resolved++
-		}
-		return relation.Str(best)
-	})
+	subOut, err := e.resolve(c, append(append([]int(nil), ich.Updated...), appendedIdx(in, ich)...))
 	if err != nil {
 		return Change{}, false, err
 	}
@@ -510,10 +438,6 @@ func (p *Pipeline) erDelta(ctx context.Context, c *Context, e *EntityResolution,
 	}
 	out.Name = e.Out
 	c.Put(e.Out, out)
-	// Stats accumulate across incremental refreshes (a full rerun
-	// resets them).
-	e.Resolved += resolved
-	e.Unmatched += unmatched
 	return Change{Appended: ich.Appended, Updated: append([]int(nil), ich.Updated...)}, true, nil
 }
 
@@ -529,26 +453,22 @@ func (p *Pipeline) aggDelta(c *Context, a *AggregateStep, changes map[string]Cha
 	if err != nil {
 		return Change{}, false, err
 	}
-	oldLen := in.NumRows() - ch.Appended
-	if ch.AppendOnly() && a.state != nil && a.state.SourceRows() == oldLen {
-		if err := a.state.AddTable(in, oldLen); err != nil {
-			return Change{}, false, err
-		}
-		out := a.state.Result()
-		out.Name = a.Out
-		c.Put(a.Out, out)
-		return Change{Rebuilt: true}, true, nil
+	st, feed := a.state, in
+	incremental := ch.AppendOnly() && st != nil && st.SourceRows() == in.NumRows()-ch.Appended
+	if incremental {
+		feed, err = relation.SliceRows(in, appendedIdx(in, ch))
+	} else {
+		st, err = relation.NewGroupByState(in, a.Keys, a.Aggs)
 	}
-	st, err := relation.NewGroupByState(in, a.Keys, a.Aggs)
 	if err != nil {
 		return Change{}, false, err
 	}
-	if err := st.AddTable(in, 0); err != nil {
+	if err := st.AddTable(feed); err != nil {
 		return Change{}, false, err
 	}
 	a.state = st
 	out := st.Result()
 	out.Name = a.Out
 	c.Put(a.Out, out)
-	return Change{Rebuilt: true}, false, nil
+	return Change{Rebuilt: true}, incremental, nil
 }

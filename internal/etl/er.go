@@ -56,27 +56,41 @@ func (e *EntityResolution) Output() string { return e.Out }
 
 // Run implements Step.
 func (e *EntityResolution) Run(c *Context) error {
-	in, err := c.Get(e.Input)
+	e.Resolved, e.Unmatched = 0, 0
+	out, err := e.resolve(c, nil)
 	if err != nil {
 		return err
+	}
+	c.Put(e.Out, out)
+	return nil
+}
+
+// resolve is the step body: the guard check, the matcher built from the
+// canon, and the column rewritten over the input rows at the indices in
+// dirty (nil = the whole input — a full Run; the delta path passes the
+// changed rows). Stats accumulate; Run resets them first.
+func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, error) {
+	in, err := c.Get(e.Input)
+	if err != nil {
+		return nil, err
 	}
 	canon, err := c.Get(e.Canon)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, donor := range baseTablesOf(canon) {
 		if err := c.Guard.CheckIntegration(donor, e.Beneficiary); err != nil {
-			return &ViolationError{Step: e.name, Rule: "integration-permission",
+			return nil, &ViolationError{Step: e.name, Rule: "integration-permission",
 				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
 		}
 	}
 	ci := canon.Schema.Index(e.CanonColumn)
 	if ci < 0 {
-		return fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
+		return nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
 	}
 	canon, err = canon.Materialize()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	matcher := newMatcher()
 	for _, r := range canon.Rows {
@@ -86,29 +100,35 @@ func (e *EntityResolution) Run(c *Context) error {
 	}
 	ti := in.Schema.Index(e.Column)
 	if ti < 0 {
-		return fmt.Errorf("entity-resolution: column %q not found", e.Column)
+		return nil, fmt.Errorf("entity-resolution: column %q not found", e.Column)
 	}
-	e.Resolved, e.Unmatched = 0, 0
+	if dirty != nil {
+		if in, err = relation.SliceRows(in, dirty); err != nil {
+			return nil, err
+		}
+	}
+	resolved, unmatched := 0, 0
 	out, err := mapCol(c.Ctx(), in, ti, func(v relation.Value) relation.Value {
 		if v.Kind != relation.TString {
 			return v
 		}
 		best, ok := matcher.match(v.S, e.Threshold)
 		if !ok {
-			e.Unmatched++
+			unmatched++
 			return v
 		}
 		if best != v.S {
-			e.Resolved++
+			resolved++
 		}
 		return relation.Str(best)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	e.Resolved += resolved
+	e.Unmatched += unmatched
 	out.Name = e.Out
-	c.Put(e.Out, out)
-	return nil
+	return out, nil
 }
 
 // matcher indexes canonical strings with cheap blocking (first letter of

@@ -214,13 +214,26 @@ func (j *JoinStep) Output() string { return j.Out }
 
 // Run implements Step.
 func (j *JoinStep) Run(c *Context) error {
-	l, err := c.Get(j.Left)
+	out, err := j.join(c, nil)
 	if err != nil {
 		return err
 	}
+	c.Put(j.Out, out)
+	return nil
+}
+
+// join is the step body: the join-permission check over the base tables
+// of both sides, then the left rows at the indices in leftRows (nil = the
+// whole left input — a full Run; the delta path passes the appended rows)
+// joined with the right input.
+func (j *JoinStep) join(c *Context, leftRows []int) (*relation.Table, error) {
+	l, err := c.Get(j.Left)
+	if err != nil {
+		return nil, err
+	}
 	r, err := c.Get(j.Right)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, lb := range baseTablesOf(l) {
 		for _, rb := range baseTablesOf(r) {
@@ -228,21 +241,25 @@ func (j *JoinStep) Run(c *Context) error {
 				continue
 			}
 			if err := c.Guard.CheckJoin(lb, rb); err != nil {
-				return &ViolationError{Step: j.name, Rule: "join-permission",
+				return nil, &ViolationError{Step: j.name, Rule: "join-permission",
 					Detail: fmt.Sprintf("%s join %s: %v", lb, rb, err), Cause: err}
 			}
 		}
 	}
+	if leftRows != nil {
+		if l, err = relation.SliceRows(l, leftRows); err != nil {
+			return nil, err
+		}
+	}
 	out, err := relation.Join(relation.Rename(l, "l"), relation.Rename(r, "r"), j.On, j.Kind)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if unq, uerr := out.Schema.Unqualify(); uerr == nil {
 		out.Schema = unq
 	}
 	out.Name = j.Out
-	c.Put(j.Out, out)
-	return nil
+	return out, nil
 }
 
 // baseTablesOf returns the base tables a relation derives from; for base

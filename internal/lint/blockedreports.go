@@ -75,3 +75,29 @@ func alwaysBlocked(p *Pass, def *report.Definition) (Finding, bool) {
 		PLAs: sample.PLAs,
 	}, true
 }
+
+// CheckQuery statically checks one report definition for one consumer
+// with the decision logic a render runs first, over the pass's agreements
+// and catalog. Every static decision becomes a PL004 finding: error
+// severity when it blocks the render, info when the render proceeds with
+// the subject masked.
+func CheckQuery(p *Pass, def *report.Definition, role, purpose string) ([]Finding, error) {
+	p.prepare()
+	decs, err := p.enforcer().StaticCheck(def, role, purpose)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Finding, len(decs))
+	for i, d := range decs {
+		sev := SevInfo
+		if d.Outcome == enforce.Block {
+			sev = SevError
+		}
+		out[i] = Finding{
+			Code: "PL004", Severity: sev, Level: policy.LevelReport,
+			Pos: p.plaPos(d.PLAs), Subject: d.Subject, PLAs: d.PLAs,
+			Message: fmt.Sprintf("query for role %q: %s", role, d),
+		}
+	}
+	return out, nil
+}

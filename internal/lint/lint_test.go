@@ -249,6 +249,45 @@ func TestShippedPoliciesClean(t *testing.T) {
 	}
 }
 
+// TestCheckQuery: the ad-hoc static check behind `plalint -query` reports
+// a blocking decision as an error finding positioned at the agreement, a
+// masking one as info, and a compliant query as nothing at all.
+func TestCheckQuery(t *testing.T) {
+	src, err := os.ReadFile("../../docs/sample.pla")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plas, err := policy.ParseFileNamed("sample.pla", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := sql.NewCatalog()
+	cat.Register(relation.NewBase("prescriptions", relation.NewSchema(
+		relation.Col("patient", relation.TString), relation.Col("drug", relation.TString), relation.Col("disease", relation.TString))))
+	check := func(query string) []lint.Finding {
+		fs, err := lint.CheckQuery(&lint.Pass{PLAs: plas, Catalog: cat}, &report.Definition{ID: "q", Query: query}, "analyst", "quality")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	fs := check("SELECT patient, disease FROM prescriptions")
+	if sev, _ := lint.MaxSeverity(fs); len(fs) != 2 || sev != lint.SevError {
+		t.Fatalf("raw patient list: %v", fs)
+	}
+	for _, f := range fs {
+		if f.Code != "PL004" || (f.Severity == lint.SevError) != strings.Contains(f.Message, "block") {
+			t.Errorf("unexpected finding %v", f)
+		}
+		if f.Severity == lint.SevError && (f.Pos.File != "sample.pla" || len(f.PLAs) == 0) {
+			t.Errorf("blocking finding not attributed: %+v", f)
+		}
+	}
+	if fs := check("SELECT drug, COUNT(*) AS n FROM prescriptions GROUP BY drug"); len(fs) != 0 {
+		t.Errorf("aggregated drug counts must be statically compliant: %v", fs)
+	}
+}
+
 // TestHealthcareEngineLint: the full scenario deployment carries no
 // error-severity findings, and the intentionally non-aggregated
 // patient-activity report is flagged as always blocked.

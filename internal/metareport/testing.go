@@ -268,7 +268,10 @@ func supportSatisfies(tr *provenance.Tracer, produced *relation.Table, ri int, c
 			vals := make(relation.Row, len(refs))
 			applicable := true
 			for i, col := range refs {
-				v, ok := tr.BaseValue(ref, col)
+				v, ok, err := tr.BaseValue(ref, col)
+				if err != nil {
+					return false, err.Error()
+				}
 				if !ok {
 					applicable = false
 					break

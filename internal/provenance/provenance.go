@@ -323,21 +323,25 @@ func (t *Tracer) TraceRow(tab *relation.Table, i int) (RowTrace, error) {
 }
 
 // BaseValue fetches a registered base cell's current value; ok reports
-// whether the reference resolved.
-func (t *Tracer) BaseValue(ref relation.RowRef, col string) (relation.Value, bool) {
+// whether the reference resolved (the table is registered, carries col
+// and has the row). A cell that resolves but cannot be read — a
+// segment-backed base whose partition is gone or corrupt — is an error,
+// never "not applicable": callers deciding a release on the value must
+// fail closed.
+func (t *Tracer) BaseValue(ref relation.RowRef, col string) (v relation.Value, ok bool, err error) {
 	base, ok := t.base(ref.Table)
 	if !ok {
-		return relation.Null(), false
+		return relation.Null(), false, nil
 	}
 	ci := base.Schema.Index(col)
 	if ci < 0 || ref.Row < 0 || ref.Row >= base.NumRows() {
-		return relation.Null(), false
+		return relation.Null(), false, nil
 	}
-	v, err := base.ValueAt(ref.Row, ci)
+	v, err = base.ValueAt(ref.Row, ci)
 	if err != nil {
-		return relation.Null(), false
+		return relation.Null(), false, fmt.Errorf("provenance: reading %s.%s: %w", ref, col, err)
 	}
-	return v, true
+	return v, true, nil
 }
 
 // Step records one transformation in the ETL/reporting pipeline: an

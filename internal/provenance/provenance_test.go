@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -99,12 +100,33 @@ func TestTraceErrors(t *testing.T) {
 
 func TestBaseValue(t *testing.T) {
 	_, _, tr := fixtures()
-	v, ok := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 1}, "patient")
-	if !ok || v.S != "Bob" {
-		t.Errorf("BaseValue = %v, %v", v, ok)
+	v, ok, err := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 1}, "patient")
+	if !ok || err != nil || v.S != "Bob" {
+		t.Errorf("BaseValue = %v, %v, %v", v, ok, err)
 	}
-	if _, ok := tr.BaseValue(relation.RowRef{Table: "nope", Row: 0}, "x"); ok {
-		t.Error("unknown table must not resolve")
+	if _, ok, err := tr.BaseValue(relation.RowRef{Table: "nope", Row: 0}, "x"); ok || err != nil {
+		t.Errorf("unknown table must not resolve, nor error (%v)", err)
+	}
+}
+
+// An unreadable cell of a registered base is an error, distinct from a
+// reference that does not apply.
+func TestBaseValueReadError(t *testing.T) {
+	p, _, tr := fixtures()
+	dir := t.TempDir()
+	seg, err := relation.NewSegmentStore(dir).Spill(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.RegisterBase(seg)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 1}, "patient"); ok || err == nil {
+		t.Errorf("unreadable cell: ok=%v err=%v, want an error", ok, err)
+	}
+	if _, ok, err := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 1}, "nope"); ok || err != nil {
+		t.Errorf("missing column: ok=%v err=%v, want not-applicable", ok, err)
 	}
 }
 

@@ -7,12 +7,31 @@ import (
 )
 
 // Select returns the rows of t satisfying pred, preserving lineage and
-// column origins.
+// column origins. Each scanned batch is filtered by the kernel and the
+// results concatenated in scan order; a single-batch scan (every in-memory
+// table) returns the kernel's table as is.
 func Select(t *Table, pred Expr) (*Table, error) {
-	if t.seg != nil {
-		return selectSeg(t, pred)
+	var out *Table
+	err := eachBatch(t, pred, func(b *Batch) error {
+		sub, err := selectVec(b, pred)
+		if err != nil {
+			return err
+		}
+		if out == nil {
+			out = sub
+			return nil
+		}
+		out.Rows = append(out.Rows, sub.Rows...)
+		out.Lineage = append(out.Lineage, sub.Lineage...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return selectVec(t, pred)
+	if out == nil { // no batch survived pruning
+		out = t.derived(t.Name + "_sel")
+	}
+	return out, nil
 }
 
 // ProjCol describes one output column of a projection: an expression and an
@@ -43,12 +62,9 @@ func (p ProjCol) outName() string {
 // each output column are the union of origins of every input column the
 // expression references; row lineage is preserved.
 func Project(t *Table, cols ...ProjCol) (*Table, error) {
-	if t.seg != nil {
-		mt, err := t.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		t = mt
+	t, err := t.Materialize()
+	if err != nil {
+		return nil, err
 	}
 	return projectVec(t, cols...)
 }
@@ -64,12 +80,9 @@ func ProjectCols(t *Table, names ...string) (*Table, error) {
 
 // Extend appends one computed column to every row.
 func Extend(t *Table, name string, e Expr) (*Table, error) {
-	if t.seg != nil {
-		mt, err := t.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		t = mt
+	t, err := t.Materialize()
+	if err != nil {
+		return nil, err
 	}
 	return extendVec(t, name, e)
 }
@@ -77,20 +90,13 @@ func Extend(t *Table, name string, e Expr) (*Table, error) {
 // Rename returns t with the table renamed and columns qualified by the new
 // name; lineage and origins are preserved.
 func Rename(t *Table, name string) *Table {
-	if t.seg != nil {
-		return renameSeg(t, name)
-	}
 	out := t.derived(name)
 	out.Schema = t.Schema.Qualify(name)
-	out.Rows = t.Rows
-	if t.Base || t.Lineage == nil {
-		out.Lineage = make([]LineageSet, len(t.Rows))
-		for i := range t.Rows {
-			out.Lineage[i] = t.RowLineage(i)
-		}
-	} else {
-		out.Lineage = t.Lineage
+	if t.shareBacking(out) {
+		return out
 	}
+	out.Rows = t.Rows
+	out.Lineage = t.lineage()
 	return out
 }
 
@@ -105,12 +111,21 @@ const (
 
 // Join performs a (hash-partitioned when possible) join of l and r on pred.
 // Output columns are l's columns followed by r's; lineage of each output
-// row is the union of the matched input rows' lineage.
+// row is the union of the matched input rows' lineage. The right side is
+// materialized and indexed once (it is the build side of every hash
+// plan); the left side is scanned and probes that index batch by batch,
+// so output order is left-major whatever the storage.
 func Join(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
-	if l.seg != nil || r.seg != nil {
-		return joinSeg(l, r, pred, kind)
+	r, err := r.Materialize()
+	if err != nil {
+		return nil, err
 	}
-	return joinVec(l, r, pred, kind)
+	out := newJoinShell(l, r)
+	probe := joinProber(out, l, r, pred, kind)
+	if err := eachBatch(l, nil, func(b *Batch) error { return probe(b.src) }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // equiJoinCols recognizes predicates of the form lcol = rcol where lcol is
@@ -192,22 +207,9 @@ type aggState struct {
 	sumInt   int64
 	allInt   bool
 	min, max Value
-	distinct map[string]bool // streaming accumulator: Value.Key()-keyed
-	vdist    map[ValKey]bool // vectorized kernel: interned, same classes
-}
-
-// vkDistinct records v for COUNT(DISTINCT) through the interned key space
-// (ValKey classes coincide with Value.Key() classes, so the count matches
-// the streaming accumulator exactly).
-func (st *aggState) vkDistinct(v Value) { st.vdist[MapKey(v)] = true }
-
-// distinctCount returns the number of distinct values seen, whichever key
-// space was used.
-func (st *aggState) distinctCount() int {
-	if st.vdist != nil {
-		return len(st.vdist)
-	}
-	return len(st.distinct)
+	// distinct holds the COUNT(DISTINCT) value classes seen (ValKey
+	// classes coincide with Value.Key() classes); allocated on first use.
+	distinct map[ValKey]bool
 }
 
 // result finalizes one aggregate value from the accumulated state.
@@ -233,7 +235,7 @@ func (st *aggState) result(kind AggKind) Value {
 	case AggMax:
 		return st.max
 	case AggCountDistinct:
-		return Int(int64(st.distinctCount()))
+		return Int(int64(len(st.distinct)))
 	default:
 		return Null()
 	}
@@ -245,22 +247,11 @@ func (st *aggState) result(kind AggKind) Value {
 // aggregation-threshold enforcement (a group's base-row support is exactly
 // the size of its patient-level lineage).
 func GroupBy(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
-	if t.seg != nil {
-		return groupBySeg(t, keys, aggs)
-	}
-	return groupByVec(t, keys, aggs)
-}
-
-// groupByStream is the row-at-a-time GroupBy core over an arbitrary row
-// stream: the segment-backed path streams decoded partitions through it
-// one at a time, the test reference iterates t.Rows. t supplies schema,
-// name and provenance only — rows always come from iterate.
-func groupByStream(t *Table, keys []string, aggs []AggSpec, iterate func(visit func(Row, LineageSet)) error) (*Table, error) {
 	st, err := NewGroupByState(t, keys, aggs)
 	if err != nil {
 		return nil, err
 	}
-	if err := iterate(st.Add); err != nil {
+	if err := st.AddTable(t); err != nil {
 		return nil, err
 	}
 	return st.Result(), nil
@@ -269,25 +260,19 @@ func groupByStream(t *Table, keys []string, aggs []AggSpec, iterate func(visit f
 // Distinct removes duplicate rows; the surviving row's lineage is the union
 // of all duplicates' lineage (the duplicates all "support" the output row).
 func Distinct(t *Table) *Table {
-	if t.seg != nil {
-		t = t.mustMaterialize()
-	}
-	return distinctVec(t)
+	return distinctVec(t.mustMaterialize())
 }
 
 // Union appends the rows of b to a (schemas must be compatible), keeping
 // duplicates (UNION ALL semantics); wrap with Distinct for set union.
 func Union(a, b *Table) (*Table, error) {
-	if a.seg != nil || b.seg != nil {
-		am, err := a.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		bm, err := b.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		a, b = am, bm
+	a, err := a.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	b, err = b.Materialize()
+	if err != nil {
+		return nil, err
 	}
 	if a.Schema.Len() != b.Schema.Len() {
 		return nil, fmt.Errorf("relation: union arity mismatch: %s vs %s", a.Schema, b.Schema)
@@ -296,14 +281,8 @@ func Union(a, b *Table) (*Table, error) {
 	for c := range out.ColOrigin {
 		out.ColOrigin[c] = out.ColOrigin[c].Union(b.ColumnOrigin(c))
 	}
-	for i, r := range a.Rows {
-		out.Rows = append(out.Rows, r)
-		out.Lineage = append(out.Lineage, a.RowLineage(i))
-	}
-	for i, r := range b.Rows {
-		out.Rows = append(out.Rows, r)
-		out.Lineage = append(out.Lineage, b.RowLineage(i))
-	}
+	out.Rows = append(append(out.Rows, a.Rows...), b.Rows...)
+	out.Lineage = append(append(out.Lineage, a.lineage()...), b.lineage()...)
 	return out, nil
 }
 
@@ -315,12 +294,9 @@ type SortKey struct {
 
 // Sort orders the table by the given keys (stable).
 func Sort(t *Table, keys ...SortKey) (*Table, error) {
-	if t.seg != nil {
-		mt, err := t.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		t = mt
+	t, err := t.Materialize()
+	if err != nil {
+		return nil, err
 	}
 	idx := make([]int, len(keys))
 	for i, k := range keys {
@@ -369,9 +345,7 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 
 // Limit returns the first n rows.
 func Limit(t *Table, n int) *Table {
-	if t.seg != nil {
-		t = t.mustMaterialize()
-	}
+	t = t.mustMaterialize()
 	out := t.derived(t.Name + "_lim")
 	if n > len(t.Rows) {
 		n = len(t.Rows)

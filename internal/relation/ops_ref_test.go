@@ -7,8 +7,8 @@ import (
 
 // The row-at-a-time reference implementations of the relational
 // operators. Production code runs only the vectorized kernels
-// (ops_vec.go) and their segment-backed wrappers (ops_seg.go); the
-// bodies below are the executable specification those kernels must match
+// (ops_vec.go), fed by a Scanner whatever the storage; the bodies
+// below are the executable specification those kernels must match
 // byte for byte — same rows in the same order, same lineage sets, same
 // column origins, same errors. vec_equiv_test.go and segment_test.go call
 // each reference directly beside its production twin.
@@ -107,7 +107,11 @@ func NestedLoopJoin(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return nestedLoopInto(newJoinShell(lm, rm), lm, rm, pred, kind)
+	out := newJoinShell(lm, rm)
+	if err := nestedLoopInto(out, lm, rm, pred, kind); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // joinRows is the row-at-a-time reference implementation of Join.
@@ -185,14 +189,154 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	return out, nil
 }
 
-// groupByRows is the row-at-a-time reference implementation of GroupBy.
+// groupByRows is the row-at-a-time reference implementation of GroupBy:
+// string-keyed groups, one Value per cell, Value.Key()-keyed distincts,
+// generic lineage normalization. It shares nothing with the production
+// accumulator (GroupByState) beyond the AggSpec naming helpers.
 func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
-	return groupByStream(t, keys, aggs, func(visit func(Row, LineageSet)) error {
-		for ri, r := range t.Rows {
-			visit(r, t.RowLineage(ri))
+	keyIdx := make([]int, len(keys))
+	for i, k := range keys {
+		idx := t.Schema.Index(k)
+		if idx < 0 {
+			return nil, fmt.Errorf("relation: group key %q not in %s", k, t.Schema)
 		}
-		return nil
-	})
+		keyIdx[i] = idx
+	}
+	aggIdx := make([]int, len(aggs))
+	for i, a := range aggs {
+		if a.Col == "" {
+			if a.Kind != AggCount {
+				return nil, fmt.Errorf("relation: aggregate %s requires a column", a.Kind)
+			}
+			aggIdx[i] = -1
+			continue
+		}
+		idx := t.Schema.Index(a.Col)
+		if idx < 0 {
+			return nil, fmt.Errorf("relation: aggregate column %q not in %s", a.Col, t.Schema)
+		}
+		aggIdx[i] = idx
+	}
+
+	type refAgg struct {
+		n        int64
+		sum      float64
+		sumInt   int64
+		allInt   bool
+		min, max Value
+		distinct map[string]bool
+	}
+	type refGroup struct {
+		key     Row
+		states  []*refAgg
+		lineage LineageSet
+	}
+	groups := map[string]*refGroup{}
+	var order []string
+	for ri, r := range t.Rows {
+		var kb strings.Builder
+		keyVals := make(Row, len(keyIdx))
+		for i, ki := range keyIdx {
+			keyVals[i] = r[ki]
+			kb.WriteString(r[ki].Key())
+			kb.WriteByte('|')
+		}
+		gk := kb.String()
+		g, ok := groups[gk]
+		if !ok {
+			g = &refGroup{key: keyVals, states: make([]*refAgg, len(aggs))}
+			for i := range aggs {
+				g.states[i] = &refAgg{allInt: true, distinct: map[string]bool{}}
+			}
+			groups[gk] = g
+			order = append(order, gk)
+		}
+		g.lineage = append(g.lineage, t.RowLineage(ri)...)
+		for i, a := range aggs {
+			st := g.states[i]
+			if aggIdx[i] < 0 { // COUNT(*)
+				st.n++
+				continue
+			}
+			v := r[aggIdx[i]]
+			if v.IsNull() {
+				continue
+			}
+			st.n++
+			switch a.Kind {
+			case AggSum, AggAvg:
+				if v.Kind == TInt {
+					st.sumInt += v.I
+					st.sum += float64(v.I)
+				} else if f, ok := v.AsFloat(); ok {
+					st.allInt = false
+					st.sum += f
+				}
+			case AggMin:
+				if st.min.IsNull() {
+					st.min = v
+				} else if c, ok := v.Compare(st.min); ok && c < 0 {
+					st.min = v
+				}
+			case AggMax:
+				if st.max.IsNull() {
+					st.max = v
+				} else if c, ok := v.Compare(st.max); ok && c > 0 {
+					st.max = v
+				}
+			case AggCountDistinct:
+				st.distinct[v.Key()] = true
+			}
+		}
+	}
+
+	out := &Table{Name: t.Name + "_grp"}
+	var cols []Column
+	for i, k := range keys {
+		cols = append(cols, Column{Name: baseName(k), Type: t.Schema.Columns[keyIdx[i]].Type})
+		out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(keyIdx[i]))
+	}
+	for i, a := range aggs {
+		cols = append(cols, Column{Name: a.outName(), Type: a.outType(t.Schema)})
+		if aggIdx[i] >= 0 {
+			out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(aggIdx[i]))
+		} else {
+			out.ColOrigin = append(out.ColOrigin, t.AllColumnOrigins())
+		}
+	}
+	out.Schema = &Schema{Columns: cols}
+	for _, gk := range order {
+		g := groups[gk]
+		nr := append(Row(nil), g.key...)
+		for i, a := range aggs {
+			st := g.states[i]
+			var v Value // NULL: SUM/AVG/MIN/MAX over no non-null cell
+			switch a.Kind {
+			case AggCount:
+				v = Int(st.n)
+			case AggSum:
+				if st.n > 0 && st.allInt {
+					v = Int(st.sumInt)
+				} else if st.n > 0 {
+					v = Float(st.sum)
+				}
+			case AggAvg:
+				if st.n > 0 {
+					v = Float(st.sum / float64(st.n))
+				}
+			case AggMin:
+				v = st.min
+			case AggMax:
+				v = st.max
+			case AggCountDistinct:
+				v = Int(int64(len(st.distinct)))
+			}
+			nr = append(nr, v)
+		}
+		out.Rows = append(out.Rows, nr)
+		out.Lineage = append(out.Lineage, g.lineage.normalize())
+	}
+	return out, nil
 }
 
 // distinctRows is the row-at-a-time reference implementation of Distinct.

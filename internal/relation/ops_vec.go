@@ -8,17 +8,18 @@ import (
 )
 
 // This file holds the vectorized kernels behind the public operators
-// (ops.go dispatches on storage only). Every function here must be
-// observationally identical to its row-at-a-time reference in
-// ops_ref_test.go: same rows in the same order, same lineage sets, same
-// column origins, same errors. The equivalence property tests in
-// vec_equiv_test.go enforce this on randomized and workload-shaped inputs.
+// (ops.go feeds them the batches of a Scanner, or a materialized table).
+// Every function here must be observationally identical to its
+// row-at-a-time reference in ops_ref_test.go: same rows in the same order,
+// same lineage sets, same column origins, same errors. The equivalence
+// property tests in vec_equiv_test.go enforce this on randomized and
+// workload-shaped inputs.
 
-// selectVec is the vectorized Select: kernel filtering over column
-// vectors when the predicate shape supports it, compiled (index-bound)
-// row evaluation otherwise.
-func selectVec(t *Table, pred Expr) (*Table, error) {
-	b := NewBatch(t)
+// selectVec is the vectorized Select over one batch: kernel filtering over
+// column vectors when the predicate shape supports it, compiled
+// (index-bound) row evaluation otherwise.
+func selectVec(b *Batch, pred Expr) (*Table, error) {
+	t := b.src
 	if sel, ok := b.Filter(pred); ok {
 		return b.ToTable(t.Name+"_sel", sel), nil
 	}
@@ -156,14 +157,15 @@ func joinMapKey(v Value) ValKey {
 // all previously emitted rows untouched.
 type joinEmitter struct {
 	out       *Table
-	l, r      *Table
+	l, r      *Table // l is the left batch being probed
 	lw, rw    int
+	leftRows  int // rows of the whole left input: the output-size estimate
 	flatChunk int // value-arena chunk size, scaled to the expected output
 	linChunk  int
 	flat      []Value
 	lin       []RowRef
-	lBase     []RowRef // base-row refs arena when l is a lineage origin
-	rBase     []RowRef
+	lLin      []LineageSet // per-row lineage of l and r
+	rLin      []LineageSet
 }
 
 // Arena chunk-size ceilings (elements). Large enough to amortize
@@ -203,53 +205,34 @@ func (e *joinEmitter) ensureLin(n int) {
 	}
 }
 
+// newJoinEmitter sizes the arenas for l ⋈ r from l's total row count; the
+// batches of l are then probed one at a time through setLeft.
 func newJoinEmitter(out *Table, l, r *Table) *joinEmitter {
-	e := &joinEmitter{out: out, l: l, r: r, lw: l.Schema.Len(), rw: r.Schema.Len()}
-	e.flatChunk = len(l.Rows) * (e.lw + e.rw)
+	e := &joinEmitter{out: out, r: r, rLin: r.lineage(), lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows()}
+	e.flatChunk = e.leftRows * (e.lw + e.rw)
 	if e.flatChunk > maxFlatChunk {
 		e.flatChunk = maxFlatChunk
 	} else if e.flatChunk < 64 {
 		e.flatChunk = 64
 	}
-	e.linChunk = len(l.Rows) * 2
+	e.linChunk = e.leftRows * 2
 	if e.linChunk > maxLinChunk {
 		e.linChunk = maxLinChunk
 	} else if e.linChunk < 64 {
 		e.linChunk = 64
 	}
-	if out.Rows == nil {
-		// Foreign-key-shaped joins emit about one row per probe row; header
-		// doubling from zero would re-copy the slice headers several times.
-		out.Rows = make([]Row, 0, len(l.Rows))
-		out.Lineage = make([]LineageSet, 0, len(l.Rows))
-	}
-	if l.Base || l.Lineage == nil {
-		e.lBase = make([]RowRef, len(l.Rows))
-		for i := range e.lBase {
-			e.lBase[i] = RowRef{Table: l.Name, Row: i}
-		}
-	}
-	if r.Base || r.Lineage == nil {
-		e.rBase = make([]RowRef, len(r.Rows))
-		for j := range e.rBase {
-			e.rBase[j] = RowRef{Table: r.Name, Row: j}
-		}
-	}
 	return e
 }
 
-func (e *joinEmitter) lLin(i int) LineageSet {
-	if e.lBase != nil {
-		return LineageSet(e.lBase[i : i+1 : i+1])
+// setLeft points the emitter at the next left batch.
+func (e *joinEmitter) setLeft(l *Table) {
+	if e.out.Rows == nil {
+		// Foreign-key-shaped joins emit about one row per probe row; header
+		// doubling from zero would re-copy the slice headers several times.
+		e.out.Rows = make([]Row, 0, e.leftRows)
+		e.out.Lineage = make([]LineageSet, 0, e.leftRows)
 	}
-	return e.l.Lineage[i]
-}
-
-func (e *joinEmitter) rLin(j int) LineageSet {
-	if e.rBase != nil {
-		return LineageSet(e.rBase[j : j+1 : j+1])
-	}
-	return e.r.Lineage[j]
+	e.l, e.lLin = l, l.lineage()
 }
 
 // mergeLin merges two sorted lineage sets into the shared arena.
@@ -288,16 +271,7 @@ func (e *joinEmitter) emit(i, j int) {
 	nr = append(nr, e.l.Rows[i]...)
 	nr = append(nr, e.r.Rows[j]...)
 	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.out.Lineage = append(e.out.Lineage, e.mergeLin(e.lLin(i), e.rLin(j)))
-}
-
-// emitRow appends a prebuilt joined row (already width lw+rw), copying it
-// into the arena.
-func (e *joinEmitter) emitRow(i, j int, row Row) {
-	nr := e.rowSlot(len(row))
-	nr = append(nr, row...)
-	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.out.Lineage = append(e.out.Lineage, e.mergeLin(e.lLin(i), e.rLin(j)))
+	e.out.Lineage = append(e.out.Lineage, e.mergeLin(e.lLin[i], e.rLin[j]))
 }
 
 // emitLeftNull appends l[i] null-extended on the right (LEFT JOIN miss).
@@ -306,17 +280,17 @@ func (e *joinEmitter) emitLeftNull(i int) {
 	nr = append(nr, e.l.Rows[i]...)
 	nr = nr[:e.lw+e.rw] // the null extension: fresh arena cells are zero Values
 	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.out.Lineage = append(e.out.Lineage, e.lLin(i))
+	e.out.Lineage = append(e.out.Lineage, e.lLin[i])
 }
 
-// joinVec is the vectorized Join. Single-column equi-joins hash on
-// interned keys (the reference fast path's Key()-string semantics, minus
-// the string allocations); conjunctions containing equality pairs hash on
-// all pairs with Compare verification plus a compiled residual; anything
-// else falls back to the nested-loop reference.
-func joinVec(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
-	out := newJoinShell(l, r)
-
+// joinProber chooses the join plan from the predicate, builds its index
+// over the materialized right table once, and returns the function that
+// probes it with one left batch, appending to out. Single-column
+// equi-joins hash on interned keys (the reference fast path's Key()-string
+// semantics, minus the string allocations); conjunctions containing
+// equality pairs hash on all pairs with Compare verification plus a
+// compiled residual; anything else runs the nested-loop reference.
+func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind) func(batch *Table) error {
 	// Single equi pair: exactly the reference fast path, interned.
 	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
 		idx := make(map[ValKey][]int32, len(r.Rows))
@@ -328,48 +302,56 @@ func joinVec(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 			idx[k] = append(idx[k], int32(j))
 		}
 		em := newJoinEmitter(out, l, r)
-		for i, lr := range l.Rows {
-			matched := false
-			if !lr[lc].IsNull() {
-				for _, j := range idx[MapKey(lr[lc])] {
-					em.emit(i, int(j))
-					matched = true
+		return func(batch *Table) error {
+			em.setLeft(batch)
+			for i, lr := range batch.Rows {
+				matched := false
+				if !lr[lc].IsNull() {
+					for _, j := range idx[MapKey(lr[lc])] {
+						em.emit(i, int(j))
+						matched = true
+					}
+				}
+				if !matched && kind == LeftJoin {
+					em.emitLeftNull(i)
 				}
 			}
-			if !matched && kind == LeftJoin {
-				em.emitLeftNull(i)
-			}
+			return nil
 		}
-		return out, nil
 	}
 
+	nested := func(batch *Table) error { return nestedLoopInto(out, batch, r, pred, kind) }
 	// Conjunction with equality pairs: multi-key hash join with
 	// verification, as long as the residual can never error (otherwise
 	// the hash plan could skip rows the reference would have errored on).
 	if pairs, residual := extractJoinPairs(pred, l.Schema, r.Schema); len(pairs) > 0 {
 		res := compilePred(residual, out.Schema)
-		if res.safe && !nanInKeys(l, r, pairs) {
-			hashJoinMulti(out, l, r, pairs, res, kind)
-			return out, nil
-		}
-	}
-
-	return nestedLoopInto(out, l, r, pred, kind)
-}
-
-// nanInKeys reports whether any join-key cell is NaN. Compare treats NaN
-// as equal to every number, an equivalence no hash key can express, so
-// such joins (pathological in practice) take the nested-loop reference.
-func nanInKeys(l, r *Table, pairs []joinPair) bool {
-	isNaN := func(v Value) bool { return v.Kind == TFloat && math.IsNaN(v.F) }
-	for _, pr := range pairs {
-		for _, row := range l.Rows {
-			if isNaN(row[pr.lc]) {
-				return true
+		if res.safe && !nanInKeys(r.Rows, pairs, true) {
+			hashProbe := hashJoinMulti(newJoinEmitter(out, l, r), r, pairs, res, kind)
+			return func(batch *Table) error {
+				if nanInKeys(batch.Rows, pairs, false) {
+					return nested(batch)
+				}
+				hashProbe(batch)
+				return nil
 			}
 		}
-		for _, row := range r.Rows {
-			if isNaN(row[pr.rc]) {
+	}
+	return nested
+}
+
+// nanInKeys reports whether any join-key cell of rows (the right side's
+// when right is set) is NaN. Compare treats NaN as equal to every number,
+// an equivalence no hash key can express, so such joins (pathological in
+// practice) take the nested-loop reference.
+func nanInKeys(rows []Row, pairs []joinPair, right bool) bool {
+	for _, pr := range pairs {
+		ci := pr.lc
+		if right {
+			ci = pr.rc
+		}
+		for _, row := range rows {
+			if v := row[ci]; v.Kind == TFloat && math.IsNaN(v.F) {
 				return true
 			}
 		}
@@ -432,17 +414,19 @@ func extractJoinPairs(pred Expr, ls, rs *Schema) ([]joinPair, Expr) {
 	return pairs, residual
 }
 
-// hashJoinMulti hash-joins on every equality pair at once. Keys are
-// canonicalized with joinMapKey (over-merge only) and every candidate is
-// re-verified with Value.Equal, so the match set is exactly the
-// nested-loop reference's.
-func hashJoinMulti(out *Table, l, r *Table, pairs []joinPair, residual compiledPred, kind JoinKind) {
+// hashJoinMulti indexes r on every equality pair at once and returns the
+// probe for one left batch. Keys are canonicalized with joinMapKey
+// (over-merge only) and every candidate is re-verified with Value.Equal,
+// so the match set is exactly the nested-loop reference's.
+func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compiledPred, kind JoinKind) func(l *Table) {
 	type rkey struct{ a, b uint64 }
 	ins := make([]map[ValKey]uint32, len(pairs))
 	for p := range ins {
 		ins[p] = make(map[ValKey]uint32, 1024)
 	}
-	buildKey := func(row Row, right bool, intern bool) (rkey, bool) {
+	// A right (build) row interns unseen key values; a left (probe) row
+	// with an unseen or NULL value has no match.
+	buildKey := func(row Row, right bool) (rkey, bool) {
 		var k rkey
 		for p, pr := range pairs {
 			ci := pr.lc
@@ -456,7 +440,7 @@ func hashJoinMulti(out *Table, l, r *Table, pairs []joinPair, residual compiledP
 			vk := joinMapKey(v)
 			id, ok := ins[p][vk]
 			if !ok {
-				if !intern {
+				if !right {
 					return rkey{}, false
 				}
 				id = uint32(len(ins[p]) + 1)
@@ -474,49 +458,47 @@ func hashJoinMulti(out *Table, l, r *Table, pairs []joinPair, residual compiledP
 	}
 	idx := make(map[rkey][]int32, len(r.Rows))
 	for j, rr := range r.Rows {
-		k, ok := buildKey(rr, true, true)
-		if !ok {
-			continue
+		if k, ok := buildKey(rr, true); ok {
+			idx[k] = append(idx[k], int32(j))
 		}
-		idx[k] = append(idx[k], int32(j))
 	}
-	em := newJoinEmitter(out, l, r)
-	scratch := make(Row, l.Schema.Len()+r.Schema.Len())
-	for i, lr := range l.Rows {
-		matched := false
-		k, ok := buildKey(lr, false, false)
-		if ok {
-			copy(scratch, lr)
-			for _, j32 := range idx[k] {
-				j := int(j32)
-				rr := r.Rows[j]
-				equal := true
-				for _, pr := range pairs {
-					if !lr[pr.lc].Equal(rr[pr.rc]) {
-						equal = false
-						break
+	scratch := make(Row, em.lw+em.rw)
+	return func(l *Table) {
+		em.setLeft(l)
+		for i, lr := range l.Rows {
+			matched := false
+			if k, ok := buildKey(lr, false); ok {
+				copy(scratch, lr)
+				for _, j32 := range idx[k] {
+					j := int(j32)
+					rr := r.Rows[j]
+					equal := true
+					for _, pr := range pairs {
+						if !lr[pr.lc].Equal(rr[pr.rc]) {
+							equal = false
+							break
+						}
+					}
+					if !equal {
+						continue
+					}
+					copy(scratch[len(lr):], rr)
+					if sel, _ := residual.selected(scratch); sel {
+						em.emit(i, j)
+						matched = true
 					}
 				}
-				if !equal {
-					continue
-				}
-				copy(scratch[len(lr):], rr)
-				sel, _ := residual.selected(scratch)
-				if sel {
-					em.emitRow(i, j, scratch)
-					matched = true
-				}
 			}
-		}
-		if !matched && kind == LeftJoin {
-			em.emitLeftNull(i)
+			if !matched && kind == LeftJoin {
+				em.emitLeftNull(i)
+			}
 		}
 	}
 }
 
-// nestedLoopInto is the general join body: the fallback of joinVec for
-// predicates no hash plan covers, and the test suite's nested-loop oracle.
-func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
+// nestedLoopInto is the general join body: the plan for predicates no hash
+// plan covers, and the test suite's nested-loop oracle.
+func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) error {
 	cols := out.Schema.Len()
 	joined := out.Schema
 	for i, lr := range l.Rows {
@@ -527,7 +509,7 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) (*Table, 
 			nr = append(nr, rr...)
 			ok, err := EvalPredicate(pred, nr, joined)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ok {
 				out.Rows = append(out.Rows, nr)
@@ -542,13 +524,48 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) (*Table, 
 			out.Lineage = append(out.Lineage, l.RowLineage(i))
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// groupByVec is the vectorized GroupBy: group keys are interned to dense
-// ids (one map probe per row, no per-row key allocation), and numeric
-// aggregates accumulate over typed column vectors.
-func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
+// GroupByState is the GroupBy accumulator — the one place rows are grouped
+// and aggregated. GroupBy feeds it a whole scan and emits once; the ETL
+// delta path retains it, feeds only the rows appended since and re-emits.
+// Group keys are interned to dense ids (one map probe per row, no per-row
+// key allocation), numeric aggregates accumulate over the typed column
+// vectors of each batch, and each batch's lineage refs land in one
+// exactly-sized arena. Feeding a table in pieces is byte-identical to
+// feeding it whole: group order is first-seen, and float SUM/AVG
+// accumulate in row order within a group either way.
+type GroupByState struct {
+	template *Table // schema, name and provenance donor; never mutated
+	keys     []string
+	aggs     []AggSpec
+	keyIdx   []int
+	aggIdx   []int // -1 marks COUNT(*)
+	keyer    *rowKeyer
+	// Keys of up to two columns pack into a uint64, so the group index can
+	// be a plain integer map — cheaper to hash than the composite struct.
+	byWide  map[uint64]int32
+	byKey   map[compositeKey]int32
+	groups  []gbGroup // first-seen order
+	srcRows int
+}
+
+// gbGroup is one group's key, aggregate states (one per AggSpec) and
+// lineage. lineage is normalized and shared with every table emitted so
+// far, so it is never written again; fresh holds the raw per-batch arena
+// slots absorbed since, which only the state references.
+type gbGroup struct {
+	key     Row
+	states  []aggState
+	lineage LineageSet
+	fresh   []LineageSet
+}
+
+// NewGroupByState validates the keys and aggregates against t's schema
+// and returns an empty accumulator. t supplies schema, name and
+// provenance only; rows come from AddTable.
+func NewGroupByState(t *Table, keys []string, aggs []AggSpec) (*GroupByState, error) {
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
 		idx := t.Schema.Index(k)
@@ -572,98 +589,123 @@ func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 		}
 		aggIdx[i] = idx
 	}
-
-	type group struct {
-		key     Row
-		states  []*aggState
-		lineage LineageSet
-	}
-	capHint := len(t.Rows)
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	keyer := newRowKeyer(keyIdx, capHint)
-	// Keys of up to two columns pack into a uint64, so the group index can
-	// be a plain integer map — cheaper to hash than the composite struct.
-	wideKeys := len(keyIdx) <= 2
-	var byWide map[uint64]int32
-	var byKey map[compositeKey]int32
-	if wideKeys {
-		byWide = make(map[uint64]int32, capHint)
+	capHint := min(t.NumRows(), 1024)
+	s := &GroupByState{template: t, keys: keys, aggs: aggs, keyIdx: keyIdx, aggIdx: aggIdx,
+		keyer: newRowKeyer(keyIdx, capHint)}
+	if len(keyIdx) <= 2 {
+		s.byWide = make(map[uint64]int32, capHint)
 	} else {
-		byKey = make(map[compositeKey]int32, capHint)
+		s.byKey = make(map[compositeKey]int32, capHint)
 	}
-	var groups []*group
-	gids := make([]int32, len(t.Rows))
+	return s, nil
+}
 
-	// Pass 1: assign group ids and count each group's lineage refs, so the
-	// per-group ref lists can be carved out of one exactly-sized arena —
-	// append-growing them would re-copy megabytes of refs through write
-	// barriers on large inputs.
-	refCount := 0
+// AddTable absorbs t's rows, batch by batch, carrying each row's lineage.
+func (s *GroupByState) AddTable(t *Table) error {
+	return eachBatch(t, nil, func(b *Batch) error {
+		s.add(b)
+		return nil
+	})
+}
+
+// SourceRows returns the number of input rows absorbed so far. The ETL
+// layer compares it with the refreshed input's length to detect that a
+// rolled-back delta left the state behind the table, forcing a rebuild.
+func (s *GroupByState) SourceRows() int { return s.srcRows }
+
+// groupOf returns the dense id of r's group, opening the group on first
+// sight.
+func (s *GroupByState) groupOf(r Row) int32 {
+	ck := s.keyer.key(r)
+	var gi int32
+	var ok bool
+	if s.byWide != nil {
+		gi, ok = s.byWide[ck.wide]
+	} else {
+		gi, ok = s.byKey[ck]
+	}
+	if ok {
+		return gi
+	}
+	gi = int32(len(s.groups))
+	if s.byWide != nil {
+		s.byWide[ck.wide] = gi
+	} else {
+		s.byKey[ck] = gi
+	}
+	key := make(Row, len(s.keyIdx))
+	for i, ki := range s.keyIdx {
+		key[i] = r[ki]
+	}
+	states := make([]aggState, len(s.aggs))
+	for i := range states {
+		states[i].allInt = true
+	}
+	s.groups = append(s.groups, gbGroup{key: key, states: states})
+	return gi
+}
+
+// add absorbs one batch. Scratch is per batch (group ids, one ref cursor
+// per group), never per table.
+func (s *GroupByState) add(b *Batch) {
+	t := b.src
+	s.srcRows += len(t.Rows)
+
+	// Pass 1: assign group ids and count the lineage refs each group draws
+	// from this batch, so the refs can be carved out of one exactly-sized
+	// arena — append-growing them would re-copy megabytes of refs through
+	// write barriers on large inputs.
+	lin := t.lineage()
+	gids := make([]int32, len(t.Rows))
+	refs := make([]int, len(s.groups), len(s.groups)+64)
+	total := 0
 	for ri, r := range t.Rows {
-		ck := keyer.key(r)
-		var gi int32
-		var ok bool
-		if wideKeys {
-			gi, ok = byWide[ck.wide]
-		} else {
-			gi, ok = byKey[ck]
-		}
-		if !ok {
-			gi = int32(len(groups))
-			if wideKeys {
-				byWide[ck.wide] = gi
-			} else {
-				byKey[ck] = gi
-			}
-			g := &group{states: make([]*aggState, len(aggs))}
-			g.key = make(Row, len(keyIdx))
-			for i, ki := range keyIdx {
-				g.key[i] = r[ki]
-			}
-			for i := range aggs {
-				g.states[i] = &aggState{allInt: true, vdist: map[ValKey]bool{}}
-			}
-			groups = append(groups, g)
+		gi := s.groupOf(r)
+		if int(gi) == len(refs) {
+			refs = append(refs, 0)
 		}
 		gids[ri] = gi
-		refCount += len(t.RowLineage(ri))
+		refs[gi] += len(lin[ri])
+		total += len(lin[ri])
 	}
-	refArena := make([]RowRef, 0, refCount)
-	// Bucket rows by group first so each group's refs land contiguously.
-	members := make([][]int32, len(groups))
-	for ri := range t.Rows {
-		gi := gids[ri]
-		members[gi] = append(members[gi], int32(ri))
+	// Lay the groups' slots out in group order and copy each row's refs to
+	// its group's cursor, so every group's refs land contiguously. Raw refs:
+	// normalized once per group on emit (an incremental sorted merge is
+	// quadratic in the group size).
+	arena := make([]RowRef, total)
+	off := 0
+	for gi, n := range refs {
+		refs[gi] = off
+		off += n
 	}
-	for gi, rows := range members {
-		start := len(refArena)
-		for _, ri := range rows {
-			refArena = append(refArena, t.RowLineage(int(ri))...)
+	for ri, gi := range gids {
+		refs[gi] += copy(arena[refs[gi]:], lin[ri])
+	}
+	start := 0
+	for gi, end := range refs { // each cursor now sits at its slot's end
+		if end > start {
+			g := &s.groups[gi]
+			g.fresh = append(g.fresh, LineageSet(arena[start:end:end]))
 		}
-		// Raw refs; normalized once per group on emit (an incremental
-		// sorted merge is quadratic in the group size).
-		groups[gi].lineage = LineageSet(refArena[start:len(refArena):len(refArena)])
+		start = end
 	}
 
 	// Pass 2: accumulate aggregates column by column over vectors.
-	b := NewBatch(t)
-	for ai, a := range aggs {
-		if aggIdx[ai] < 0 { // COUNT(*): one per member row
+	for ai, a := range s.aggs {
+		if s.aggIdx[ai] < 0 { // COUNT(*): one per member row
 			for _, gi := range gids {
-				groups[gi].states[ai].n++
+				s.groups[gi].states[ai].n++
 			}
 			continue
 		}
-		vec := b.Col(aggIdx[ai])
+		vec := b.Col(s.aggIdx[ai])
 		switch {
 		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TInt:
 			for ri, x := range vec.I {
 				if vec.Null != nil && vec.Null[ri] {
 					continue
 				}
-				st := groups[gids[ri]].states[ai]
+				st := &s.groups[gids[ri]].states[ai]
 				st.n++
 				st.sumInt += x
 				st.sum += float64(x)
@@ -673,7 +715,7 @@ func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 				if vec.Null != nil && vec.Null[ri] {
 					continue
 				}
-				st := groups[gids[ri]].states[ai]
+				st := &s.groups[gids[ri]].states[ai]
 				st.n++
 				st.allInt = false
 				st.sum += f
@@ -684,7 +726,7 @@ func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 				if v.IsNull() {
 					continue
 				}
-				st := groups[gids[ri]].states[ai]
+				st := &s.groups[gids[ri]].states[ai]
 				st.n++
 				switch a.Kind {
 				case AggSum, AggAvg:
@@ -708,23 +750,57 @@ func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 						st.max = v
 					}
 				case AggCountDistinct:
-					st.vkDistinct(v)
+					if st.distinct == nil {
+						st.distinct = map[ValKey]bool{}
+					}
+					st.distinct[MapKey(v)] = true
 				}
 			}
 		}
 	}
+}
 
-	out := &Table{Name: t.Name + "_grp"}
-	cols := make([]Column, 0, len(keys)+len(aggs))
-	out.ColOrigin = make([]ColRefSet, 0, cap(cols))
-	for i, k := range keys {
-		cols = append(cols, Column{Name: baseName(k), Type: t.Schema.Columns[keyIdx[i]].Type})
-		out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(keyIdx[i]))
+// settle folds the refs absorbed since the last emit into the group's
+// normalized lineage and returns it. A group's first arena slot is
+// normalized in place (only the state references it); once a lineage has
+// been emitted, later refs are merged into a fresh slice, so no emitted
+// table is ever mutated.
+func (g *gbGroup) settle() LineageSet {
+	switch {
+	case len(g.fresh) == 0:
+	case g.lineage == nil && len(g.fresh) == 1:
+		g.lineage = normalizeGroupLineage(g.fresh[0])
+	default:
+		n := len(g.lineage)
+		for _, f := range g.fresh {
+			n += len(f)
+		}
+		all := append(make(LineageSet, 0, n), g.lineage...)
+		for _, f := range g.fresh {
+			all = append(all, f...)
+		}
+		g.lineage = normalizeGroupLineage(all)
 	}
-	for i, a := range aggs {
+	g.fresh = nil
+	return g.lineage
+}
+
+// Result emits the grouped table. The emitted table is independent of
+// the accumulator: further feeding followed by another Result never
+// mutates a previously emitted table.
+func (s *GroupByState) Result() *Table {
+	t := s.template
+	out := &Table{Name: t.Name + "_grp"}
+	cols := make([]Column, 0, len(s.keys)+len(s.aggs))
+	out.ColOrigin = make([]ColRefSet, 0, cap(cols))
+	for i, k := range s.keys {
+		cols = append(cols, Column{Name: baseName(k), Type: t.Schema.Columns[s.keyIdx[i]].Type})
+		out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.keyIdx[i]))
+	}
+	for i, a := range s.aggs {
 		cols = append(cols, Column{Name: a.outName(), Type: a.outType(t.Schema)})
-		if aggIdx[i] >= 0 {
-			out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(aggIdx[i]))
+		if s.aggIdx[i] >= 0 {
+			out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.aggIdx[i]))
 		} else {
 			// COUNT(*) derives from the whole row; attribute it to all
 			// input columns so provenance over-approximates rather than
@@ -734,17 +810,18 @@ func groupByVec(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 	}
 	out.Schema = &Schema{Columns: cols}
 
-	flat := make([]Value, 0, len(groups)*len(cols))
-	for _, g := range groups {
+	flat := make([]Value, 0, len(s.groups)*len(cols))
+	for gi := range s.groups {
+		g := &s.groups[gi]
 		start := len(flat)
 		flat = append(flat, g.key...)
-		for i, a := range aggs {
-			flat = append(flat, g.states[i].result(a.Kind))
+		for ai, a := range s.aggs {
+			flat = append(flat, g.states[ai].result(a.Kind))
 		}
 		out.Rows = append(out.Rows, Row(flat[start:len(flat):len(flat)]))
-		out.Lineage = append(out.Lineage, normalizeGroupLineage(g.lineage))
+		out.Lineage = append(out.Lineage, g.settle())
 	}
-	return out, nil
+	return out
 }
 
 // normalizeGroupLineage sorts and deduplicates a group's accumulated row

@@ -202,6 +202,127 @@ func TestSegmentOpsEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// A segment-backed left side over many partitions: the build side is
+	// indexed once and probed partition by partition, under every plan.
+	// NaN costs land in most 64-row partitions but not all, so the NaN
+	// predicates mix hash-probed and nested-loop batches in one join.
+	rx, _, drug := workloadTables(rand.New(rand.NewSource(9100)), 600)
+	seg, _ := segSpill(t, rx, 64)
+	if n := len(seg.seg.parts); n < 3 {
+		t.Fatalf("left side has %d partitions, want >= 3", n)
+	}
+	memL, segL, dq := Rename(rx, "rx"), Rename(seg, "rx"), Rename(drug, "d")
+	byName := Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name"))
+	for name, pred := range map[string]Expr{
+		"single pair":      byName,
+		"multi-pair hash":  And(byName, Eq(ColRefExpr("rx.qty"), ColRefExpr("d.pack"))),
+		"NaN nested loop":  And(Eq(ColRefExpr("rx.cost"), ColRefExpr("d.price")), byName),
+		"unsafe residual":  And(byName, Eq(ColRefExpr("rx.zzz"), Lit(Int(1)))),
+		"non-equi":         Bin(OpLt, ColRefExpr("rx.qty"), ColRefExpr("d.pack")),
+		"pair + residual":  And(byName, Bin(OpGt, ColRefExpr("rx.qty"), Lit(Int(2)))),
+		"NaN single pair":  Eq(ColRefExpr("rx.cost"), ColRefExpr("d.price")),
+		"nullable FK left": Eq(ColRefExpr("rx.patient"), ColRefExpr("d.pack")),
+	} {
+		for _, kind := range []JoinKind{InnerJoin, LeftJoin} {
+			got, gotErr := Join(segL, dq, pred, kind)
+			ref, refErr := joinRows(memL, dq, pred, kind)
+			requireSameOutcome(t, fmt.Sprintf("segment-left join %s kind=%d", name, kind), got, ref, gotErr, refErr)
+		}
+	}
+}
+
+// TestGroupByStateFeeding pins the one accumulator on workload-shaped
+// input: however the rows arrive — one batch, 64-row partitions scanned
+// by one or four workers, or a prefix then the tail (each in memory, and
+// each spilled) — the grouped table is the reference's, and a table emitted mid-way is never touched by later
+// feeding.
+func TestGroupByStateFeeding(t *testing.T) {
+	rx, patient, _ := workloadTables(rand.New(rand.NewSource(7100)), 5000)
+	wide, err := Join(Rename(patient, "p"), Rename(rx, "rx"), Eq(ColRefExpr("rx.patient"), ColRefExpr("p.pid")), InnerJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggsOver := func(prefix string) []AggSpec {
+		return []AggSpec{
+			{Kind: AggCount}, {Kind: AggSum, Col: prefix + "qty"}, {Kind: AggAvg, Col: prefix + "cost"},
+			{Kind: AggMin, Col: prefix + "day"}, {Kind: AggMax, Col: prefix + "drug"},
+			{Kind: AggCountDistinct, Col: prefix + "patient", As: "patients"},
+		}
+	}
+	inputs := []struct {
+		tab  *Table // wide: derived, multi-table lineage; rx: base, positional lineage
+		aggs []AggSpec
+		keys [][]string
+	}{
+		{wide, aggsOver("rx."), [][]string{
+			{"rx.drug"}, {"rx.year", "p.region"}, {"rx.id"}, {"p.region", "rx.year", "rx.qty"}, {"rx.cost"}, nil}},
+		{rx, aggsOver(""), [][]string{{"drug"}, {"patient"}, {"cost"}}},
+	}
+	for _, in := range inputs {
+		tab := in.tab
+		cut := tab.NumRows()*2/3 + 5 // not a partition boundary
+		head := &Table{Name: tab.Name, Schema: tab.Schema, Rows: tab.Rows[:cut], Base: tab.Base, ColOrigin: tab.ColOrigin}
+		if tab.Lineage != nil {
+			head.Lineage = tab.Lineage[:cut]
+		}
+		idx := make([]int, 0, tab.NumRows()-cut)
+		for i := cut; i < tab.NumRows(); i++ {
+			idx = append(idx, i)
+		}
+		tail, err := SliceRows(tab, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, store := segSpill(t, tab, 64)
+		headSeg, _ := segSpill(t, head, 64)
+		tailSeg, _ := segSpill(t, tail, 64)
+		for _, keys := range in.keys {
+			label := func(what string) string { return fmt.Sprintf("%s %s keys=%v", tab.Name, what, keys) }
+			ref, err := groupByRows(tab, keys, in.aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) == 1 && keys[0] == "rx.id" && len(ref.Rows) <= 1024 {
+				t.Fatalf("want > 1024 groups, got %d", len(ref.Rows))
+			}
+			all, err := GroupBy(tab, keys, in.aggs)
+			requireSameOutcome(t, label("feed-all"), all, ref, err, nil)
+
+			for _, workers := range []int{1, 4} {
+				store.SetScanWorkers(workers)
+				got, err := GroupBy(seg, keys, in.aggs)
+				requireSameOutcome(t, label(fmt.Sprintf("64-row partitions, %d workers", workers)), got, ref, err, nil)
+			}
+
+			for _, spilled := range []bool{false, true} {
+				st, err := NewGroupByState(tab, keys, in.aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, rest := head, tail
+				if spilled {
+					first, rest = headSeg, tailSeg
+				}
+				if err := st.AddTable(first); err != nil {
+					t.Fatal(err)
+				}
+				mid := st.Result()
+				midRef, _ := groupByRows(head, keys, in.aggs)
+				requireSameTable(t, label("prefix"), mid, midRef)
+				snapshot := mid.Clone()
+				if err := st.AddTable(rest); err != nil {
+					t.Fatal(err)
+				}
+				if st.SourceRows() != tab.NumRows() {
+					t.Fatalf("%s: absorbed %d rows, want %d", label("prefix+tail"), st.SourceRows(), tab.NumRows())
+				}
+				requireSameTable(t, label("prefix+tail"), st.Result(), ref)
+				requireSameTable(t, label("emitted table after further feeding"), mid, snapshot)
+				requireSameTable(t, label("re-emit without feeding"), st.Result(), ref)
+			}
+		}
+	}
 }
 
 func TestSegmentRenameLineage(t *testing.T) {

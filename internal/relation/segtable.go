@@ -2,9 +2,11 @@ package relation
 
 // segtable.go ties segment files (segment.go, segstore.go) into the
 // Table API. A segment-backed Table keeps Rows empty and carries a
-// *segBacking describing its partitions; operators either stream it
-// partition by partition (Select, GroupBy, Join, via the scanner here)
-// or materialize it first (everything else — see Materialize).
+// *segBacking describing its partitions. Storage is decided here and
+// nowhere else: Select, GroupBy and the probe side of Join read any table
+// through a Scanner (one Batch per surviving partition, or the single
+// Batch of an in-memory table), every other operator calls Materialize
+// (a no-op in memory), and Rename shares the backing.
 //
 // Lineage stays implicit: a segment-backed base table's row i has
 // lineage {origin#i} exactly like an in-memory base table, so renames
@@ -68,15 +70,26 @@ func (t *Table) Materialize() (*Table, error) {
 	c.Rows = rows
 	c.seg = nil
 	if !c.Base && c.Lineage == nil {
-		refs := make([]RowRef, len(rows))
-		lin := make([]LineageSet, len(rows))
-		for i := range rows {
-			refs[i] = RowRef{Table: t.seg.origin, Row: i}
-			lin[i] = LineageSet(refs[i : i+1 : i+1])
-		}
-		c.Lineage = lin
+		c.Lineage = positionalLineage(t.seg.origin, 0, len(rows))
 	}
 	return &c, nil
+}
+
+// shareBacking makes out — the renamed shell of t — read t's segments, and
+// reports whether t is segment-backed. Per-row lineage is not
+// materialized: the copied backing keeps its origin, and RowLineage
+// reconstructs {origin#i} positionally — exactly the sets the in-memory
+// Rename materializes.
+func (t *Table) shareBacking(out *Table) bool {
+	if t.seg == nil {
+		return false
+	}
+	b := *t.seg
+	out.seg = &b
+	if !t.Base && t.Lineage != nil {
+		out.Lineage = t.Lineage
+	}
+	return true
 }
 
 // mustMaterialize is Materialize for operators without an error return
@@ -167,13 +180,7 @@ func (b *segBacking) partTable(t *Table, pi int) (*Table, error) {
 	if t.Lineage != nil {
 		pt.Lineage = t.Lineage[p.start : p.start+p.rows]
 	} else {
-		refs := make([]RowRef, p.rows)
-		lin := make([]LineageSet, p.rows)
-		for j := 0; j < p.rows; j++ {
-			refs[j] = RowRef{Table: b.origin, Row: p.start + j}
-			lin[j] = LineageSet(refs[j : j+1 : j+1])
-		}
-		pt.Lineage = lin
+		pt.Lineage = positionalLineage(b.origin, p.start, p.rows)
 	}
 	return pt, nil
 }
@@ -184,14 +191,16 @@ type segPartResult struct {
 	err error
 }
 
-// segScan streams the partitions of a segment-backed table that survive
-// zone-map pruning, in partition order. With more than one worker the
-// decodes run concurrently on a bounded pool while results are consumed
-// through index-tagged slots, so output order is deterministic
-// regardless of decode completion order.
-type segScan struct {
+// Scanner is the one way rows reach the streaming operators. An in-memory
+// table yields a single Batch over the table itself. A segment-backed
+// table yields one Batch per partition that survives zone-map pruning, in
+// partition order; with more than one worker the decodes run concurrently
+// on a bounded pool while results are consumed through index-tagged
+// slots, so output order is deterministic regardless of decode completion
+// order. Callers must Close the scanner when abandoning it early.
+type Scanner struct {
 	t       *Table
-	parts   []int
+	parts   []int // surviving partitions of a segment-backed t
 	pruned  int
 	workers int
 
@@ -203,12 +212,15 @@ type segScan struct {
 	cancel  chan struct{}
 }
 
-// newSegScan plans a scan of t under pred: partitions whose zone maps
-// prove the predicate cannot be TRUE on any of their rows are skipped
-// before any byte is read.
-func newSegScan(t *Table, pred Expr) *segScan {
+// NewScanner opens a scan of t. pred (optional) drives partition pruning:
+// partitions whose zone maps prove the predicate cannot be TRUE on any of
+// their rows are skipped before any byte is read.
+func NewScanner(t *Table, pred Expr) *Scanner {
+	sc := &Scanner{t: t}
 	b := t.seg
-	sc := &segScan{t: t}
+	if b == nil {
+		return sc
+	}
 	prune := pred != nil && predTotal(pred, t.Schema)
 	for pi := range b.parts {
 		if prune && !zonesMayMatch(pred, t.Schema, b.parts[pi].zones) {
@@ -234,7 +246,7 @@ func newSegScan(t *Table, pred Expr) *segScan {
 // acquired before each decode and released only when its result is
 // consumed, so at most `workers` decoded partitions are in flight — the
 // scan's memory ceiling.
-func (sc *segScan) start() {
+func (sc *Scanner) start() {
 	sc.started = true
 	sc.slots = make([]chan segPartResult, len(sc.parts))
 	for i := range sc.slots {
@@ -260,99 +272,63 @@ func (sc *segScan) start() {
 	}()
 }
 
-// nextTable returns the next surviving partition as an in-memory
-// sub-table, or (nil, nil) when the scan is exhausted.
-func (sc *segScan) nextTable() (*Table, error) {
-	if sc.done || sc.next >= len(sc.parts) {
+// Next returns the next batch, or (nil, nil) when the scan is done.
+func (sc *Scanner) Next() (*Batch, error) {
+	if sc.done {
+		return nil, nil
+	}
+	if sc.t.seg == nil {
+		sc.done = true
+		return NewBatch(sc.t), nil
+	}
+	if sc.next >= len(sc.parts) {
 		sc.done = true
 		return nil, nil
 	}
+	var res segPartResult
 	if sc.workers <= 1 {
-		pi := sc.parts[sc.next]
-		sc.next++
-		pt, err := sc.t.seg.partTable(sc.t, pi)
-		if err != nil {
-			sc.done = true
-			return nil, err
+		res.pt, res.err = sc.t.seg.partTable(sc.t, sc.parts[sc.next])
+	} else {
+		if !sc.started {
+			sc.start()
 		}
-		return pt, nil
+		res = <-sc.slots[sc.next]
+		<-sc.sem
 	}
-	if !sc.started {
-		sc.start()
-	}
-	res := <-sc.slots[sc.next]
 	sc.next++
-	<-sc.sem
 	if res.err != nil {
-		sc.done = true
+		sc.Close()
 		return nil, res.err
 	}
-	return res.pt, nil
-}
-
-// Close stops the pipeline. In-flight decodes finish into their buffered
-// slots and exit; the dispatcher unblocks via the cancel channel, so no
-// goroutine outlives the scan.
-func (sc *segScan) Close() {
-	if sc.cancel != nil && !sc.done {
-		close(sc.cancel)
-	}
-	sc.done = true
-	sc.cancel = nil
-}
-
-// Scanner is the public streaming reader over a table: segment-backed
-// tables yield one Batch per surviving partition (zone-map pruned,
-// decoded in parallel, delivered in order); in-memory tables yield a
-// single Batch. Callers must Close the scanner when abandoning it early.
-type Scanner struct {
-	scan  *segScan
-	inMem *Table
-	done  bool
-}
-
-// NewScanner opens a scan of t. pred (optional) drives partition
-// pruning; Pruned reports how many partitions it eliminated.
-func NewScanner(t *Table, pred Expr) *Scanner {
-	if t.seg == nil {
-		return &Scanner{inMem: t}
-	}
-	return &Scanner{scan: newSegScan(t, pred)}
-}
-
-// Next returns the next batch, or (nil, nil) when the scan is done.
-func (s *Scanner) Next() (*Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	if s.scan == nil {
-		s.done = true
-		return NewBatch(s.inMem), nil
-	}
-	pt, err := s.scan.nextTable()
-	if err != nil {
-		s.done = true
-		return nil, err
-	}
-	if pt == nil {
-		s.done = true
-		return nil, nil
-	}
-	return NewBatch(pt), nil
+	return NewBatch(res.pt), nil
 }
 
 // Pruned returns the number of partitions skipped by zone-map pruning.
-func (s *Scanner) Pruned() int {
-	if s.scan == nil {
-		return 0
+func (sc *Scanner) Pruned() int { return sc.pruned }
+
+// Close stops the pipeline. In-flight decodes finish into their buffered
+// slots and exit; the dispatcher unblocks via the cancel channel, so no
+// goroutine outlives the scan. Safe to call repeatedly.
+func (sc *Scanner) Close() {
+	if sc.cancel != nil {
+		close(sc.cancel)
+		sc.cancel = nil
 	}
-	return s.scan.pruned
+	sc.done = true
 }
 
-// Close releases the scan's workers. Safe to call repeatedly.
-func (s *Scanner) Close() {
-	s.done = true
-	if s.scan != nil {
-		s.scan.Close()
+// eachBatch scans t (pred, optional, prunes partitions) and hands fn every
+// batch in order, stopping at the first error.
+func eachBatch(t *Table, pred Expr, fn func(*Batch) error) error {
+	sc := NewScanner(t, pred)
+	defer sc.Close()
+	for {
+		b, err := sc.Next()
+		if b == nil || err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
 	}
 }

@@ -225,6 +225,27 @@ func (t *Table) RowLineage(i int) LineageSet {
 	return t.Lineage[i]
 }
 
+// lineage returns the per-row lineage sets of an in-memory table:
+// t.Lineage when explicit, otherwise the positional singletons {t#i}.
+func (t *Table) lineage() []LineageSet {
+	if t.Base || t.Lineage == nil {
+		return positionalLineage(t.Name, 0, len(t.Rows))
+	}
+	return t.Lineage
+}
+
+// positionalLineage builds the singleton sets {origin#start} …
+// {origin#start+n-1} out of one arena.
+func positionalLineage(origin string, start, n int) []LineageSet {
+	refs := make([]RowRef, n)
+	lin := make([]LineageSet, n)
+	for i := range refs {
+		refs[i] = RowRef{Table: origin, Row: start + i}
+		lin[i] = LineageSet(refs[i : i+1 : i+1])
+	}
+	return lin
+}
+
 // ColumnOrigin returns the where-provenance of column c. For base tables
 // this is the singleton {t.col}.
 func (t *Table) ColumnOrigin(c int) ColRefSet {
@@ -297,25 +318,20 @@ func (t *Table) derived(name string) *Table {
 // columns, which keeps report rendering total.
 func (t *Table) Get(row int, col string) Value {
 	i := t.Schema.Index(col)
-	if i < 0 || row < 0 || row >= t.NumRows() {
+	if i < 0 {
 		return Null()
 	}
-	if t.seg != nil {
-		v, err := t.ValueAt(row, i)
-		if err != nil {
-			return Null()
-		}
-		return v
+	v, err := t.ValueAt(row, i) // out-of-range coordinates read as NULL
+	if err != nil {
+		return Null()
 	}
-	return t.Rows[row][i]
+	return v
 }
 
 // String renders the table as an aligned text grid (used by reports, the
 // CLI tools and tests).
 func (t *Table) String() string {
-	if t.seg != nil {
-		t = t.mustMaterialize()
-	}
+	t = t.mustMaterialize()
 	names := t.Schema.ColumnNames()
 	widths := make([]int, len(names))
 	for i, n := range names {
