@@ -40,8 +40,9 @@ lint: vet
 	out=$$($(GO) run ./cmd/pladiff -severity error - examples/audit/policy.pla; test $$? -eq 1) || exit 1; \
 	echo "$$out" | grep -q 'PD001' || { echo "lint: expected PD001 expansion not detected"; exit 1; }
 
-# Coverage with floors: internal/relation and internal/enforce must stay
-# at or above 80% statement coverage (see scripts/cover.sh).
+# Coverage with floors: internal/relation, internal/enforce and
+# internal/etl must stay at or above 80% statement coverage (see
+# scripts/cover.sh).
 cover:
 	bash scripts/cover.sh
 
@@ -74,12 +75,13 @@ scale-ceiling:
 chaos:
 	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run TestChaos ./internal/core -count=1 -v
 
-# Short fuzz campaigns over the SQL parser, the PLA DSL parser and the
-# columnar segment decoder; the checked-in corpora under */testdata/fuzz
-# replay first.
+# Short fuzz campaigns over the SQL parser, the PLA DSL parser, the
+# columnar segment decoder and the entity-resolution matcher (against its
+# reference); the checked-in corpora under */testdata/fuzz replay first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSelect -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz FuzzMatcher -fuzztime $(FUZZTIME) ./internal/etl
 
 ci: lint build race chaos bench-smoke scale-ceiling cover

@@ -336,3 +336,31 @@ func TestConcurrentRenders(t *testing.T) {
 		t.Errorf("renders audited = %d", got)
 	}
 }
+
+// TestETLRunDecomposedPerStep: after one healthcare RunETL the engine's
+// own metrics say where the run's time went (a duration sample per step)
+// and how much entity resolution's bound pruned.
+func TestETLRunDecomposedPerStep(t *testing.T) {
+	cfg := workload.DefaultConfig(42)
+	cfg.Patients, cfg.Prescriptions, cfg.LabResults = 2000, 800, 100
+	e, _, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Obs().Snapshot()
+	for _, s := range HealthcarePipeline(e).Steps {
+		if h := snap.Histograms["etl.step."+s.Name()+".duration"]; h.Count != 1 {
+			t.Errorf("step %s: %d duration samples, want 1", s.Name(), h.Count)
+		}
+	}
+	c := snap.Counters
+	if c["etl.er.values"] != 2000 || c["etl.er.exact"] == 0 || c["etl.er.exact"] >= 2000 {
+		t.Errorf("values %d, exact %d", c["etl.er.values"], c["etl.er.exact"])
+	}
+	if !(0 < c["etl.er.scored"] && c["etl.er.scored"] < c["etl.er.candidates"]) {
+		t.Errorf("scored %d of %d candidates: want 0 < scored < candidates", c["etl.er.scored"], c["etl.er.candidates"])
+	}
+	if c["etl.er.resolved"] == 0 || c["etl.er.unmatched"] > c["etl.er.values"]-c["etl.er.exact"] {
+		t.Errorf("resolved %d, unmatched %d", c["etl.er.resolved"], c["etl.er.unmatched"])
+	}
+}

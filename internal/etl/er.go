@@ -1,8 +1,9 @@
 package etl
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"math/bits"
 
 	"plabi/internal/relation"
 	"plabi/internal/textutil"
@@ -26,8 +27,8 @@ type EntityResolution struct {
 	// Beneficiary is the owner of the Input data (the party whose data is
 	// being cleaned with the donor's values).
 	Beneficiary string
-	// Threshold is the Jaro-Winkler similarity above which a dirty value
-	// snaps to its best canonical match.
+	// Threshold is the Jaro-Winkler similarity, in (0, 1], at or above
+	// which a dirty value snaps to its best canonical match.
 	Threshold float64
 	Out       string
 
@@ -68,7 +69,10 @@ func (e *EntityResolution) Run(c *Context) error {
 // resolve is the step body: the guard check, the matcher built from the
 // canon, and the column rewritten over the input rows at the indices in
 // dirty (nil = the whole input — a full Run; the delta path passes the
-// changed rows). Stats accumulate; Run resets them first.
+// changed rows). Stats accumulate; Run resets them first. Each call adds
+// its tallies to the etl.er.* counters: values looked up, exact hits,
+// blocked candidates, candidates the bound let through to scoring,
+// values resolved and left unmatched.
 func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, error) {
 	in, err := c.Get(e.Input)
 	if err != nil {
@@ -83,6 +87,9 @@ func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, er
 			return nil, &ViolationError{Step: e.name, Rule: "integration-permission",
 				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
 		}
+	}
+	if !(e.Threshold > 0 && e.Threshold <= 1) { // also rejects NaN
+		return nil, fmt.Errorf("entity-resolution %s: threshold %v is outside (0, 1]", e.name, e.Threshold)
 	}
 	ci := canon.Schema.Index(e.CanonColumn)
 	if ci < 0 {
@@ -127,74 +134,161 @@ func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, er
 	}
 	e.Resolved += resolved
 	e.Unmatched += unmatched
+	for name, n := range map[string]int{
+		"etl.er.values": matcher.values, "etl.er.exact": matcher.exactHits,
+		"etl.er.candidates": matcher.candidates, "etl.er.scored": matcher.scored,
+		"etl.er.resolved": resolved, "etl.er.unmatched": unmatched,
+	} {
+		c.Metrics.Counter(name).Add(uint64(n))
+	}
 	out.Name = e.Out
 	return out, nil
 }
 
-// matcher indexes canonical strings with cheap blocking (first letter of
-// each word, normalized) so resolution stays near-linear. Candidates carry
-// their normalized form, computed once at add time — normalization is
-// re-done per dirty value but never per (dirty value, candidate) pair.
+// matcher resolves a dirty string to the most similar canonical one.
+// Blocking keeps resolution near-linear: a canonical is a candidate for a
+// value only when a word of each starts with the same rune. Among the
+// candidates the winner is the first, in the value's word order and then
+// insertion order, to attain the highest Jaro-Winkler score. A matcher is
+// not safe for concurrent use: look-ups share its scratch.
 type matcher struct {
-	exact  map[string]string      // normalized -> canonical
-	blocks map[string][]candidate // block key -> canonical candidates
+	exact  map[string]string // normalized -> canonical
+	cands  []candidate       // one per distinct normalized canonical, insertion order
+	blocks map[rune][]int32  // first rune of a word -> indices into cands
+
+	// visited[i] == gen marks cands[i] as already seen by the current
+	// look-up (a candidate can sit in several of the value's blocks).
+	visited []uint32
+	gen     uint32
+
+	// Scratch of the current look-up.
+	buf  []byte
+	norm []rune
+	keys []rune
+	jaro textutil.Scratch
+
+	// Tallies over every look-up so far.
+	values, exactHits, candidates, scored int
 }
 
-// candidate is a canonical string plus its cached normalization.
+// candidate is a canonical string plus what scoring and pruning need of
+// its normalization, computed once at add time.
 type candidate struct {
 	canon string
-	norm  string
+	norm  []rune
+	sig   uint64 // signatureOf(norm)
+}
+
+// signatureOf hashes the runes of a normalized string into 64 buckets and
+// returns the set of buckets that occur.
+func signatureOf(norm []rune) uint64 {
+	var sig uint64
+	for _, r := range norm {
+		// Space and digits land in the low half, letters in the high
+		// half, so the alphabet of a lowercased name never collides.
+		b := uint(r) & 31
+		if r >= 0x60 {
+			b |= 32
+		}
+		sig |= 1 << b
+	}
+	return sig
+}
+
+// scoreBound returns an upper bound of JaroWinkler(a, b) from the lengths
+// and signatures alone. A rune of a whose bucket is absent from b cannot
+// be one of the m Jaro matches, and every absent bucket holds at least one
+// rune, which bounds m from either side; Jaro is at most
+// (m/la + m/lb + 1)/3 (no transpositions) and Winkler adds at most
+// 0.4·(1 − Jaro) (a full four-rune prefix). The arithmetic mirrors
+// textutil's, whose every step is monotone, so the bound also holds for
+// the rounded values: when the true m equals the bound and nothing is
+// transposed the two are bit-identical, and otherwise they differ by at
+// least 1/(6·max(la, lb)), far above rounding error.
+func scoreBound(la int, a uint64, lb int, b uint64) float64 {
+	m := float64(min(la-bits.OnesCount64(a&^b), lb-bits.OnesCount64(b&^a)))
+	if m <= 0 {
+		return 0
+	}
+	j := (m/float64(la) + m/float64(lb) + 1) / 3
+	return j + 4*0.1*(1-j)
 }
 
 func newMatcher() *matcher {
-	return &matcher{exact: map[string]string{}, blocks: map[string][]candidate{}}
+	return &matcher{exact: map[string]string{}, blocks: map[rune][]int32{}}
 }
 
-func blockKeys(norm string) []string {
-	words := strings.Fields(norm)
-	keys := make([]string, 0, len(words))
-	for _, w := range words {
-		keys = append(keys, w[:1])
-	}
-	if len(keys) == 0 {
-		keys = append(keys, "")
+// blockKeys appends the first rune of each word of a normalized string to
+// keys (a normalized string separates words by single spaces).
+func blockKeys(keys, norm []rune) []rune {
+	for i, r := range norm {
+		if r != ' ' && (i == 0 || norm[i-1] == ' ') {
+			keys = append(keys, r)
+		}
 	}
 	return keys
 }
 
 func (m *matcher) add(canonical string) {
-	norm := textutil.Normalize(canonical)
-	if _, ok := m.exact[norm]; ok {
+	m.buf = textutil.AppendNormalize(m.buf[:0], canonical)
+	if _, ok := m.exact[string(m.buf)]; ok {
 		return
 	}
-	m.exact[norm] = canonical
-	for _, k := range blockKeys(norm) {
-		m.blocks[k] = append(m.blocks[k], candidate{canon: canonical, norm: norm})
+	m.exact[string(m.buf)] = canonical
+	norm := bytes.Runes(m.buf)
+	idx := int32(len(m.cands))
+	m.cands = append(m.cands, candidate{canon: canonical, norm: norm, sig: signatureOf(norm)})
+	m.visited = append(m.visited, 0)
+	m.keys = blockKeys(m.keys[:0], norm)
+	for _, k := range m.keys {
+		if p := m.blocks[k]; len(p) == 0 || p[len(p)-1] != idx {
+			m.blocks[k] = append(p, idx)
+		}
 	}
 }
 
-// match finds the best canonical candidate above the threshold.
+// match finds the best canonical candidate at or above the threshold.
+// Before scoring a candidate it applies scoreBound: a candidate whose
+// bound is under the threshold or under the best score so far can neither
+// win nor tie-break, so skipping it never changes the answer.
 func (m *matcher) match(s string, threshold float64) (string, bool) {
-	norm := textutil.Normalize(s)
-	if c, ok := m.exact[norm]; ok {
+	m.values++
+	m.buf = textutil.AppendNormalize(m.buf[:0], s)
+	if c, ok := m.exact[string(m.buf)]; ok {
+		m.exactHits++
 		return c, true
 	}
-	seen := map[string]bool{}
-	best, bestScore := "", 0.0
-	for _, k := range blockKeys(norm) {
-		for _, cand := range m.blocks[k] {
-			if seen[cand.canon] {
+	m.norm = m.norm[:0]
+	for _, r := range string(m.buf) {
+		m.norm = append(m.norm, r)
+	}
+	m.keys = blockKeys(m.keys[:0], m.norm)
+	sig := signatureOf(m.norm)
+	if m.gen++; m.gen == 0 { // wrapped: stale stamps could alias
+		clear(m.visited)
+		m.gen = 1
+	}
+	best, bestScore, cutoff := -1, 0.0, threshold
+	for _, k := range m.keys {
+		for _, ci := range m.blocks[k] {
+			if m.visited[ci] == m.gen {
 				continue
 			}
-			seen[cand.canon] = true
-			score := textutil.JaroWinkler(norm, cand.norm)
-			if score > bestScore {
-				best, bestScore = cand.canon, score
+			m.visited[ci] = m.gen
+			m.candidates++
+			c := &m.cands[ci]
+			if scoreBound(len(m.norm), sig, len(c.norm), c.sig) < cutoff {
+				continue
+			}
+			m.scored++
+			if score := m.jaro.JaroWinkler(m.norm, c.norm); best < 0 || score > bestScore {
+				best, bestScore = int(ci), score
+				cutoff = max(cutoff, score)
 			}
 		}
 	}
-	if bestScore >= threshold {
-		return best, true
+	if best >= 0 && bestScore >= threshold {
+		return m.cands[best].canon, true
 	}
 	return "", false
 }

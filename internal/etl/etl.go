@@ -360,15 +360,18 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 // execStep runs one step under panic isolation and the etl.step fault
 // site: a panicking step (organic or injected) fails its wave as a typed
 // *fault.InternalError instead of killing the process, whether the step
-// ran serially or on a pool goroutine.
+// ran serially or on a pool goroutine. Its wall time, failed or not, is
+// a sample of etl.step.<name>.duration.
 func (p *Pipeline) execStep(ctx context.Context, c *Context, si int, o *stepOutcome) {
 	s := p.Steps[si]
+	start := time.Now()
 	o.err = fault.Safely("etl.step("+s.Name()+")", c.Metrics, func() error {
 		if err := c.Faults.Hit(ctx, fault.SiteETLStep); err != nil {
 			return err
 		}
 		return s.Run(c)
 	})
+	c.Metrics.Histogram("etl.step." + s.Name() + ".duration").Observe(time.Since(start))
 	// Only a successful step owns its output's row count: a failed step
 	// that would have overwritten an existing staging relation must not
 	// report the stale table's rows to Observe and the audit trail.

@@ -6,13 +6,31 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases, trims, and collapses internal whitespace — the
 // canonical form compared during entity resolution.
 func Normalize(s string) string {
-	fields := strings.Fields(strings.ToLower(strings.TrimSpace(s)))
-	return strings.Join(fields, " ")
+	return string(AppendNormalize(nil, s))
+}
+
+// AppendNormalize appends Normalize(s) to dst, so a caller normalizing
+// many values reuses one buffer.
+func AppendNormalize(dst []byte, s string) []byte {
+	start, gap := len(dst), false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			gap = true
+			continue
+		}
+		if gap && len(dst) > start {
+			dst = append(dst, ' ')
+		}
+		gap = false
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
 }
 
 // StripDiacriticsASCII removes characters outside [a-z0-9 ] after
@@ -66,37 +84,35 @@ func min3(a, b, c int) int {
 	return a
 }
 
-// Jaro computes the Jaro similarity in [0,1].
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+// Scratch is the match-flag storage of the Jaro body. A caller scoring
+// many pairs keeps one and scores without allocating; the zero value is
+// ready, and a Scratch must not be shared between goroutines.
+type Scratch struct {
+	flags []bool
+}
+
+// Jaro computes the Jaro similarity in [0,1] of two rune slices.
+func (s *Scratch) Jaro(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	window := len(ra)
-	if len(rb) > window {
-		window = len(rb)
+	window := max(max(len(ra), len(rb))/2-1, 0)
+	if n := len(ra) + len(rb); cap(s.flags) < n {
+		s.flags = make([]bool, n)
+	} else {
+		s.flags = s.flags[:n]
+		clear(s.flags)
 	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, len(ra))
-	matchB := make([]bool, len(rb))
+	matchA, matchB := s.flags[:len(ra)], s.flags[len(ra):]
 	matches := 0
-	for i := range ra {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > len(rb) {
-			hi = len(rb)
-		}
+	for i, c := range ra {
+		lo := max(i-window, 0)
+		hi := min(i+window+1, len(rb))
 		for j := lo; j < hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
+			if c != rb[j] || matchB[j] {
 				continue
 			}
 			matchA[i] = true
@@ -127,16 +143,28 @@ func Jaro(a, b string) float64 {
 	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-float64(trans)/2)/m) / 3
 }
 
-// JaroWinkler computes the Jaro-Winkler similarity in [0,1] with the
-// standard prefix scale 0.1 and max prefix 4.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+// JaroWinkler computes the Jaro-Winkler similarity in [0,1] of two rune
+// slices with the standard prefix scale 0.1 and max prefix 4.
+func (s *Scratch) JaroWinkler(ra, rb []rune) float64 {
+	j := s.Jaro(ra, rb)
 	prefix := 0
-	ra, rb := []rune(a), []rune(b)
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
+}
+
+// Jaro computes the Jaro similarity in [0,1].
+func Jaro(a, b string) float64 {
+	var s Scratch
+	return s.Jaro([]rune(a), []rune(b))
+}
+
+// JaroWinkler computes the Jaro-Winkler similarity in [0,1] with the
+// standard prefix scale 0.1 and max prefix 4.
+func JaroWinkler(a, b string) float64 {
+	var s Scratch
+	return s.JaroWinkler([]rune(a), []rune(b))
 }
 
 // Similar reports whether two names refer to the same entity under the

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Coverage gate: the packages that carry the enforcement semantics and the
-# relational kernel must stay above FLOOR percent statement coverage.
+# Coverage gate: the packages that carry the enforcement semantics, the
+# relational kernel and the guarded ETL steps must stay above FLOOR percent
+# statement coverage.
 # Writes coverage.out for the whole module so `go tool cover -html` works.
 set -euo pipefail
 
 FLOOR="${COVER_FLOOR:-80}"
-GATED_PKGS=(internal/relation internal/enforce)
+GATED_PKGS=(internal/relation internal/enforce internal/etl)
 
 go test -coverprofile=coverage.out ./... >/dev/null
 
