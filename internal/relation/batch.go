@@ -31,78 +31,229 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// Batch is the columnar view of a Table: column vectors extracted lazily
-// (a kernel touching two columns of a twelve-column table decomposes only
-// those two) plus selection bitmaps produced by the filter kernels. It is
-// the execution representation behind the vectorized operators; the
-// row-oriented Table API stays the interchange format between packages.
+// Batch is what a scan hands to the operators: every row of an in-memory
+// table, or one partition of a segment-backed one. Operators read it by
+// column. Col extracts a column on first use (a kernel touching two columns
+// of a twelve-column table pays for those two): from the rows of an
+// in-memory table, or by decoding the partition's verified block straight
+// into typed storage — a segment batch holds no rows until an operator that
+// emits them asks (table, ToTable). The row-oriented Table API stays the
+// interchange format between packages.
 type Batch struct {
-	src  *Table
+	src  *Table // the scanned table: name, schema, provenance; the rows when in memory
+	n    int
 	cols []*Vector
+
+	// A segment batch: the partition file, read and verified whole by
+	// SegmentStore.readPartition, its column blocks still encoded.
+	seg     *segBacking
+	part    *segPart
+	hdr     *segHeader
+	blocks  [][]byte
+	tab     *Table // the row view, assembled at most once
+	tallied bool
 }
 
 // NewBatch wraps t for columnar execution. The underlying table must not
 // be mutated while the batch is in use.
 func NewBatch(t *Table) *Batch {
-	return &Batch{src: t, cols: make([]*Vector, t.Schema.Len())}
+	return &Batch{src: t, n: len(t.Rows), cols: make([]*Vector, t.Schema.Len())}
 }
 
 // Len returns the row count.
-func (b *Batch) Len() int { return len(b.src.Rows) }
+func (b *Batch) Len() int { return b.n }
 
 // Schema returns the batch schema.
 func (b *Batch) Schema() *Schema { return b.src.Schema }
 
-// Col returns the vector of column ci, decomposing it on first use.
-func (b *Batch) Col(ci int) *Vector {
+// Col returns the vector of column ci, extracting it on first use. Only a
+// segment batch can fail: a block that passed its checksum but does not
+// have the shape its encoding promises is a *CorruptError.
+func (b *Batch) Col(ci int) (*Vector, error) {
 	if b.cols[ci] == nil {
-		b.cols[ci] = NewVector(b.src, ci)
+		if b.part == nil {
+			b.cols[ci] = NewVector(b.src, ci)
+			return b.cols[ci], nil
+		}
+		v, err := decodeVector(b.blocks[ci], ci, b.hdr.Cols[ci].Enc, b.n)
+		if err != nil {
+			b.seg.store.Metrics().Counter("segment.read.errors").Inc()
+			return nil, pathed(err, b.part.path)
+		}
+		b.cols[ci] = v
 	}
-	return b.cols[ci]
+	return b.cols[ci], nil
+}
+
+// predCols returns the indices of the columns of s that pred names.
+func predCols(pred Expr, s *Schema) []int {
+	var cols []int
+	for _, name := range ColumnsOf(pred) {
+		if ci := s.Index(name); ci >= 0 {
+			cols = append(cols, ci)
+		}
+	}
+	return cols
+}
+
+// load extracts the listed columns, so that what follows can read b.cols.
+func (b *Batch) load(cols []int) error {
+	for _, ci := range cols {
+		if _, err := b.Col(ci); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// table returns the batch as an in-memory table for the operators that
+// read rows (the join probe, the compiled-predicate fallback of Select):
+// the scanned table itself, or the partition's rows assembled from its
+// vectors under the table's name, schema and origins, with the lineage of
+// its row range — so an operator over it emits exactly what it would over
+// the same range of the in-memory table.
+func (b *Batch) table() (*Table, error) {
+	if b.part == nil {
+		return b.src, nil
+	}
+	if b.tab == nil {
+		rows, err := b.rows(nil)
+		if err != nil {
+			return nil, err
+		}
+		b.tab = &Table{Name: b.src.Name, Schema: b.src.Schema, Rows: rows, ColOrigin: b.src.ColOrigin, Lineage: b.lineage()}
+	}
+	return b.tab, nil
+}
+
+// rows assembles the rows of a segment batch at the positions idx (nil:
+// every row) out of one arena, decoding whatever columns are still encoded.
+func (b *Batch) rows(idx []int) ([]Row, error) {
+	if idx == nil {
+		idx = make([]int, b.n)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	nc := len(b.cols)
+	flat := make([]Value, len(idx)*nc)
+	for ci := range b.cols {
+		v, err := b.Col(ci)
+		if err != nil {
+			return nil, err
+		}
+		for k, i := range idx {
+			flat[k*nc+ci] = v.Value(i)
+		}
+	}
+	out := make([]Row, len(idx))
+	for k := range out {
+		out[k] = Row(flat[k*nc : (k+1)*nc : (k+1)*nc])
+	}
+	return out, nil
+}
+
+// lineage returns the lineage sets of the batch's rows. A partition's rows
+// carry the table's explicit lineage for their range, or the positional
+// references {origin#row}.
+func (b *Batch) lineage() []LineageSet {
+	switch {
+	case b.part == nil:
+		return b.src.lineage()
+	case b.src.Lineage != nil:
+		return b.src.Lineage[b.part.start : b.part.start+b.n]
+	default:
+		return positionalLineage(b.seg.origin, b.part.start, b.n)
+	}
+}
+
+// tally reports, once per partition, how many of its verified column
+// blocks were decoded and how many never were.
+func (b *Batch) tally() {
+	if b == nil || b.part == nil || b.tallied {
+		return
+	}
+	b.tallied = true
+	decoded := 0
+	for _, v := range b.cols {
+		if v != nil {
+			decoded++
+		}
+	}
+	m := b.seg.store.Metrics()
+	m.Counter("segment.read.columns").Add(uint64(decoded))
+	m.Counter("segment.read.columns_skipped").Add(uint64(len(b.cols) - decoded))
 }
 
 // Filter evaluates pred over the batch with the vectorized kernels and
 // returns the selection bitmap of rows where the predicate is exactly
 // TRUE. ok is false when the predicate shape has no kernel (the caller
 // falls back to compiled row-at-a-time evaluation); a nil predicate
-// selects every row.
-func (b *Batch) Filter(pred Expr) (*Bitmap, bool) {
+// selects every row. Only the columns the predicate names are extracted.
+func (b *Batch) Filter(pred Expr) (sel *Bitmap, ok bool, err error) {
 	n := b.Len()
-	sel := NewBitmap(n)
+	sel = NewBitmap(n)
 	if pred == nil {
 		for i := 0; i < n; i++ {
 			sel.Set(i)
 		}
-		return sel, true
+		return sel, true, nil
+	}
+	if err := b.load(predCols(pred, b.Schema())); err != nil {
+		return nil, false, err
 	}
 	tv, ok := evalVecPred(pred, b)
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
 	for i, t := range tv {
 		if t == tT {
 			sel.Set(i)
 		}
 	}
-	return sel, true
+	return sel, true, nil
 }
 
-// ToTable materializes the selected rows as a derived table. Rows are
-// shared with the source (not copied), matching the row-at-a-time Select.
-func (b *Batch) ToTable(name string, sel *Bitmap) *Table {
+// ToTable materializes the selected rows as a derived table. Rows of an
+// in-memory batch are shared with the source (not copied); a segment
+// batch builds rows for the selected positions only, and none — decoding
+// no further column — when nothing is selected.
+func (b *Batch) ToTable(name string, sel *Bitmap) (*Table, error) {
 	out := b.src.derived(name)
+	if b.part == nil {
+		for i := 0; i < sel.Len(); i++ {
+			if sel.Get(i) {
+				out.Rows = append(out.Rows, b.src.Rows[i])
+				out.Lineage = append(out.Lineage, b.src.RowLineage(i))
+			}
+		}
+		return out, nil
+	}
+	idx := make([]int, 0, sel.Count())
 	for i := 0; i < sel.Len(); i++ {
 		if sel.Get(i) {
-			out.Rows = append(out.Rows, b.src.Rows[i])
-			out.Lineage = append(out.Lineage, b.src.RowLineage(i))
+			idx = append(idx, i)
 		}
 	}
-	return out
+	if len(idx) == 0 {
+		return out, nil
+	}
+	rows, err := b.rows(idx)
+	if err != nil {
+		return nil, err
+	}
+	out.Rows, out.Lineage = rows, make([]LineageSet, len(idx))
+	lin := b.lineage()
+	for k, i := range idx {
+		out.Lineage[k] = lin[i]
+	}
+	return out, nil
 }
 
 // evalVecPred evaluates a predicate tree over the batch using the truth
 // kernels. It supports comparison/logic trees over column references and
-// literals; any other shape reports ok=false.
+// literals; any other shape reports ok=false. Filter has extracted every
+// column the predicate names, so b.cols is read directly.
 func evalVecPred(e Expr, b *Batch) (truth, bool) {
 	s := b.Schema()
 	switch ex := e.(type) {
@@ -113,7 +264,7 @@ func evalVecPred(e Expr, b *Batch) (truth, bool) {
 		if ci < 0 {
 			return nil, false
 		}
-		return boolVec(b.Col(ci)), true
+		return boolVec(b.cols[ci]), true
 	case *BinExpr:
 		switch ex.Op {
 		case OpAnd, OpOr:
@@ -140,19 +291,19 @@ func evalVecPred(e Expr, b *Batch) (truth, bool) {
 				if li < 0 || ri < 0 {
 					return nil, false
 				}
-				return cmpVecVec(ex.Op, b.Col(li), b.Col(ri)), true
+				return cmpVecVec(ex.Op, b.cols[li], b.cols[ri]), true
 			case lIsCol && rIsLit:
 				ci := s.Index(lc.Name)
 				if ci < 0 {
 					return nil, false
 				}
-				return cmpVecLit(ex.Op, b.Col(ci), rl.V), true
+				return cmpVecLit(ex.Op, b.cols[ci], rl.V), true
 			case lIsLit && rIsCol:
 				ci := s.Index(rc.Name)
 				if ci < 0 {
 					return nil, false
 				}
-				return cmpVecLit(flipCmp(ex.Op), b.Col(ci), ll.V), true
+				return cmpVecLit(flipCmp(ex.Op), b.cols[ci], ll.V), true
 			case lIsLit && rIsLit:
 				return broadcast(b.Len(), cmpValues(ex.Op, ll.V, rl.V)), true
 			default:
@@ -168,7 +319,7 @@ func evalVecPred(e Expr, b *Batch) (truth, bool) {
 			if ci < 0 {
 				return nil, false
 			}
-			return likeVec(b.Col(ci), rl.V), true
+			return likeVec(b.cols[ci], rl.V), true
 		default:
 			return nil, false
 		}
@@ -185,7 +336,7 @@ func evalVecPred(e Expr, b *Batch) (truth, bool) {
 			if ci < 0 {
 				return nil, false
 			}
-			return isNullVec(b.Col(ci), ex.Negate), true
+			return isNullVec(b.cols[ci], ex.Negate), true
 		case *LitExpr:
 			if inner.V.IsNull() != ex.Negate {
 				return broadcast(b.Len(), tT), true
@@ -211,7 +362,7 @@ func evalVecPred(e Expr, b *Batch) (truth, bool) {
 			}
 			lits[i] = lt.V
 		}
-		return inVec(b.Col(ci), lits, ex.Negate), true
+		return inVec(b.cols[ci], lits, ex.Negate), true
 	default:
 		return nil, false
 	}

@@ -84,12 +84,7 @@ func newInterner(capacity int) *interner {
 // id returns the dense id of v, allocating one on first sight.
 func (in *interner) id(v Value) uint32 {
 	if v.Kind == TString {
-		if id, ok := in.strs[v.S]; ok {
-			return id
-		}
-		id := uint32(len(in.ids) + len(in.strs) + 1)
-		in.strs[v.S] = id
-		return id
+		return in.str(v.S)
 	}
 	k := MapKey(v)
 	if id, ok := in.ids[k]; ok {
@@ -100,6 +95,33 @@ func (in *interner) id(v Value) uint32 {
 	return id
 }
 
+// str is id for a string value.
+func (in *interner) str(s string) uint32 {
+	if id, ok := in.strs[s]; ok {
+		return id
+	}
+	id := uint32(len(in.ids) + len(in.strs) + 1)
+	in.strs[s] = id
+	return id
+}
+
+// vecIDs writes the dense id of every cell of v into out.
+func (in *interner) vecIDs(v *Vector, out []uint32) {
+	if v.V == nil && v.Kind == TString {
+		for i, s := range v.S {
+			if v.Null != nil && v.Null[i] {
+				out[i] = in.id(Null())
+			} else {
+				out[i] = in.str(s)
+			}
+		}
+		return
+	}
+	for i := range out {
+		out[i] = in.id(v.Value(i))
+	}
+}
+
 // rowKeyer builds composite grouping keys over a fixed set of columns by
 // interning each column value to a dense id and packing the ids. Up to two
 // columns pack into a uint64 (no allocation); wider keys fall back to a
@@ -107,11 +129,12 @@ func (in *interner) id(v Value) uint32 {
 type rowKeyer struct {
 	cols []int
 	ins  []*interner
+	ids  []uint32 // the ids of the row being keyed
 	buf  []byte
 }
 
 func newRowKeyer(cols []int, capacity int) *rowKeyer {
-	k := &rowKeyer{cols: cols, ins: make([]*interner, len(cols))}
+	k := &rowKeyer{cols: cols, ins: make([]*interner, len(cols)), ids: make([]uint32, len(cols))}
 	for i := range k.ins {
 		k.ins[i] = newInterner(capacity)
 	}
@@ -130,15 +153,32 @@ type compositeKey struct {
 
 // key computes the composite key of row r over the keyer's columns.
 func (k *rowKeyer) key(r Row) compositeKey {
+	for i, ci := range k.cols {
+		k.ids[i] = k.ins[i].id(r[ci])
+	}
+	return k.pack()
+}
+
+// vecKey computes the composite key of row ri from the per-column id
+// arrays interner.vecIDs filled, one per key column.
+func (k *rowKeyer) vecKey(ids [][]uint32, ri int) compositeKey {
+	for i := range k.cols {
+		k.ids[i] = ids[i][ri]
+	}
+	return k.pack()
+}
+
+// pack packs the ids of one row's key cells.
+func (k *rowKeyer) pack() compositeKey {
 	if len(k.cols) <= 2 {
 		var wide uint64
-		for i, ci := range k.cols {
-			wide |= uint64(k.ins[i].id(r[ci])) << (32 * uint(i))
+		for i, id := range k.ids {
+			wide |= uint64(id) << (32 * uint(i))
 		}
 		return compositeKey{wide: wide}
 	}
-	for i, ci := range k.cols {
-		binary.LittleEndian.PutUint32(k.buf[4*i:], k.ins[i].id(r[ci]))
+	for i, id := range k.ids {
+		binary.LittleEndian.PutUint32(k.buf[4*i:], id)
 	}
 	return compositeKey{str: string(k.buf)}
 }

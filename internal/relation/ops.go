@@ -9,10 +9,13 @@ import (
 // Select returns the rows of t satisfying pred, preserving lineage and
 // column origins. Each scanned batch is filtered by the kernel and the
 // results concatenated in scan order; a single-batch scan (every in-memory
-// table) returns the kernel's table as is.
+// table) returns the kernel's table as is. The scan decodes the predicate's
+// columns; a segment partition's other columns are decoded, and its rows
+// built, only for the positions selected.
 func Select(t *Table, pred Expr) (*Table, error) {
 	var out *Table
-	err := eachBatch(t, pred, func(b *Batch) error {
+	cols := predCols(pred, t.Schema)
+	err := eachBatch(t, pred, func(b *Batch) error { return b.load(cols) }, func(b *Batch) error {
 		sub, err := selectVec(b, pred)
 		if err != nil {
 			return err
@@ -122,7 +125,15 @@ func Join(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	}
 	out := newJoinShell(l, r)
 	probe := joinProber(out, l, r, pred, kind)
-	if err := eachBatch(l, nil, func(b *Batch) error { return probe(b.src) }); err != nil {
+	rows := func(b *Batch) error { _, err := b.table(); return err }
+	err = eachBatch(l, nil, rows, func(b *Batch) error {
+		bt, err := b.table()
+		if err != nil {
+			return err
+		}
+		return probe(bt)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -17,11 +17,18 @@ import (
 
 // selectVec is the vectorized Select over one batch: kernel filtering over
 // column vectors when the predicate shape supports it, compiled
-// (index-bound) row evaluation otherwise.
+// (index-bound) evaluation over the batch's rows otherwise.
 func selectVec(b *Batch, pred Expr) (*Table, error) {
-	t := b.src
-	if sel, ok := b.Filter(pred); ok {
-		return b.ToTable(t.Name+"_sel", sel), nil
+	sel, ok, err := b.Filter(pred)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return b.ToTable(b.src.Name+"_sel", sel)
+	}
+	t, err := b.table()
+	if err != nil {
+		return nil, err
 	}
 	out := t.derived(t.Name + "_sel")
 	p := compilePred(pred, t.Schema)
@@ -542,6 +549,7 @@ type GroupByState struct {
 	aggs     []AggSpec
 	keyIdx   []int
 	aggIdx   []int // -1 marks COUNT(*)
+	cols     []int // the columns add reads: the keys, then the aggregate inputs
 	keyer    *rowKeyer
 	// Keys of up to two columns pack into a uint64, so the group index can
 	// be a plain integer map — cheaper to hash than the composite struct.
@@ -590,7 +598,13 @@ func NewGroupByState(t *Table, keys []string, aggs []AggSpec) (*GroupByState, er
 		aggIdx[i] = idx
 	}
 	capHint := min(t.NumRows(), 1024)
-	s := &GroupByState{template: t, keys: keys, aggs: aggs, keyIdx: keyIdx, aggIdx: aggIdx,
+	cols := append([]int(nil), keyIdx...)
+	for _, ci := range aggIdx {
+		if ci >= 0 {
+			cols = append(cols, ci)
+		}
+	}
+	s := &GroupByState{template: t, keys: keys, aggs: aggs, keyIdx: keyIdx, aggIdx: aggIdx, cols: cols,
 		keyer: newRowKeyer(keyIdx, capHint)}
 	if len(keyIdx) <= 2 {
 		s.byWide = make(map[uint64]int32, capHint)
@@ -601,11 +615,9 @@ func NewGroupByState(t *Table, keys []string, aggs []AggSpec) (*GroupByState, er
 }
 
 // AddTable absorbs t's rows, batch by batch, carrying each row's lineage.
+// A segment scan decodes the key and aggregate columns and no other.
 func (s *GroupByState) AddTable(t *Table) error {
-	return eachBatch(t, nil, func(b *Batch) error {
-		s.add(b)
-		return nil
-	})
+	return eachBatch(t, nil, func(b *Batch) error { return b.load(s.cols) }, s.add)
 }
 
 // SourceRows returns the number of input rows absorbed so far. The ETL
@@ -613,10 +625,9 @@ func (s *GroupByState) AddTable(t *Table) error {
 // rolled-back delta left the state behind the table, forcing a rebuild.
 func (s *GroupByState) SourceRows() int { return s.srcRows }
 
-// groupOf returns the dense id of r's group, opening the group on first
-// sight.
-func (s *GroupByState) groupOf(r Row) int32 {
-	ck := s.keyer.key(r)
+// groupOf returns the dense id of the group keyed ck, opening it on first
+// sight with the key cells of row ri of the key vectors.
+func (s *GroupByState) groupOf(ck compositeKey, keyVecs []*Vector, ri int) int32 {
 	var gi int32
 	var ok bool
 	if s.byWide != nil {
@@ -633,9 +644,9 @@ func (s *GroupByState) groupOf(r Row) int32 {
 	} else {
 		s.byKey[ck] = gi
 	}
-	key := make(Row, len(s.keyIdx))
-	for i, ki := range s.keyIdx {
-		key[i] = r[ki]
+	key := make(Row, len(keyVecs))
+	for i, v := range keyVecs {
+		key[i] = v.Value(ri)
 	}
 	states := make([]aggState, len(s.aggs))
 	for i := range states {
@@ -645,22 +656,45 @@ func (s *GroupByState) groupOf(r Row) int32 {
 	return gi
 }
 
-// add absorbs one batch. Scratch is per batch (group ids, one ref cursor
-// per group), never per table.
-func (s *GroupByState) add(b *Batch) {
-	t := b.src
-	s.srcRows += len(t.Rows)
+// add absorbs one batch, reading the key and aggregate columns as vectors
+// and the lineage of its rows — never rows, so a segment partition is
+// grouped without any being built. Scratch is per batch (key ids, group
+// ids, one ref cursor per group), never per table.
+func (s *GroupByState) add(b *Batch) error {
+	n := b.Len()
+	keyVecs := make([]*Vector, len(s.keyIdx))
+	ids := make([][]uint32, len(s.keyIdx))
+	for i, ci := range s.keyIdx {
+		v, err := b.Col(ci)
+		if err != nil {
+			return err
+		}
+		keyVecs[i], ids[i] = v, make([]uint32, n)
+		s.keyer.ins[i].vecIDs(v, ids[i])
+	}
+	aggVecs := make([]*Vector, len(s.aggs))
+	for ai, ci := range s.aggIdx {
+		if ci < 0 {
+			continue
+		}
+		v, err := b.Col(ci)
+		if err != nil {
+			return err
+		}
+		aggVecs[ai] = v
+	}
+	s.srcRows += n
 
 	// Pass 1: assign group ids and count the lineage refs each group draws
 	// from this batch, so the refs can be carved out of one exactly-sized
 	// arena — append-growing them would re-copy megabytes of refs through
 	// write barriers on large inputs.
-	lin := t.lineage()
-	gids := make([]int32, len(t.Rows))
+	lin := b.lineage()
+	gids := make([]int32, n)
 	refs := make([]int, len(s.groups), len(s.groups)+64)
 	total := 0
-	for ri, r := range t.Rows {
-		gi := s.groupOf(r)
+	for ri := range gids {
+		gi := s.groupOf(s.keyer.vecKey(ids, ri), keyVecs, ri)
 		if int(gi) == len(refs) {
 			refs = append(refs, 0)
 		}
@@ -698,7 +732,7 @@ func (s *GroupByState) add(b *Batch) {
 			}
 			continue
 		}
-		vec := b.Col(s.aggIdx[ai])
+		vec := aggVecs[ai]
 		switch {
 		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TInt:
 			for ri, x := range vec.I {
@@ -758,6 +792,7 @@ func (s *GroupByState) add(b *Batch) {
 			}
 		}
 	}
+	return nil
 }
 
 // settle folds the refs absorbed since the last emit into the group's

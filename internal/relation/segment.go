@@ -15,11 +15,12 @@ package relation
 //	  block bytes                  encoding per segColMeta.Enc
 //	  uint32 LE CRC32-IEEE(block)
 //
-// Every length and checksum is validated on decode; any mismatch fails
-// closed with a *CorruptError (never garbage rows). Encoding is fully
-// deterministic — struct-ordered JSON, first-seen dictionary order — so
-// re-encoding decoded rows reproduces the input byte for byte (the golden
-// test pins this).
+// Every length and checksum is validated whenever a file is read
+// (parseSegment), whichever columns are then decoded (decodeVector); any
+// mismatch fails closed with a *CorruptError (never garbage rows).
+// Encoding is fully deterministic — struct-ordered JSON, first-seen
+// dictionary order — so re-encoding decoded rows reproduces the input byte
+// for byte (the golden test pins this).
 
 import (
 	"encoding/binary"
@@ -87,6 +88,14 @@ func (e *CorruptError) Unwrap() error { return ErrSegmentCorrupt }
 
 func corruptf(format string, args ...any) error {
 	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
+}
+
+// pathed names the segment file in a decode error that does not yet.
+func pathed(err error, path string) error {
+	if ce, ok := err.(*CorruptError); ok && ce.Path == "" {
+		return &CorruptError{Path: path, Detail: ce.Detail}
+	}
+	return err
 }
 
 // segVal is a JSON-serializable zone-map bound. K tags the kind
@@ -435,10 +444,13 @@ func encodeColumn(rows []Row, ci, enc int) ([]byte, error) {
 	return b, nil
 }
 
-// decodeSegment parses and validates a segment, returning its header and
-// rows. Every failure is a *CorruptError: a segment either decodes
-// exactly or not at all.
-func decodeSegment(data []byte) (*segHeader, []Row, error) {
+// parseSegment validates a segment file whole and returns its header and
+// its column blocks, still encoded: magic, header checksum and shape, every
+// block length, every block's CRC-32, no trailing bytes. Every failure is a
+// *CorruptError. The blocks alias data. What it cannot see is a block that
+// is structurally wrong under a valid checksum; decodeVector reports that
+// when the column is asked for.
+func parseSegment(data []byte) (*segHeader, [][]byte, error) {
 	if len(data) < len(segMagic)+4 {
 		return nil, nil, corruptf("truncated at %d bytes", len(data))
 	}
@@ -470,7 +482,7 @@ func decodeSegment(data []byte) (*segHeader, []Row, error) {
 	if len(h.Cols) == 0 && h.Rows != 0 {
 		return nil, nil, corruptf("%d rows with no columns", h.Rows)
 	}
-	cols := make([][]Value, len(h.Cols))
+	blocks := make([][]byte, len(h.Cols))
 	for ci := range h.Cols {
 		if off+4 > len(data) {
 			return nil, nil, corruptf("column %d: truncated block length", ci)
@@ -480,129 +492,86 @@ func decodeSegment(data []byte) (*segHeader, []Row, error) {
 		if blen < 0 || off+blen+4 > len(data) {
 			return nil, nil, corruptf("column %d: block length %d out of range", ci, blen)
 		}
-		block := data[off : off+blen]
+		block := data[off : off+blen : off+blen]
 		off += blen
 		if crc32.ChecksumIEEE(block) != binary.LittleEndian.Uint32(data[off:]) {
 			return nil, nil, corruptf("column %d: block checksum mismatch", ci)
 		}
 		off += 4
-		vals, err := decodeColumn(block, ci, h.Cols[ci].Enc, h.Rows)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[ci] = vals
+		blocks[ci] = block
 	}
 	if off != len(data) {
 		return nil, nil, corruptf("%d trailing bytes", len(data)-off)
 	}
-	nc := len(h.Cols)
-	flat := make([]Value, h.Rows*nc)
-	rows := make([]Row, h.Rows)
-	for ri := range rows {
-		r := flat[ri*nc : (ri+1)*nc : (ri+1)*nc]
-		for ci := range cols {
-			r[ci] = cols[ci][ri]
-		}
-		rows[ri] = Row(r)
-	}
-	return &h, rows, nil
+	return &h, blocks, nil
 }
 
-// decodeColumn parses one column block into n values.
-func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
+// decodeVector parses one verified column block of n rows straight into
+// typed vector storage: fixed-width bodies into I/F/T/B, dictionary codes
+// into S, a generic block into V. It is the only column decoder in
+// production; rows, where an operator needs them, are assembled from its
+// vectors. A block that does not have the shape its encoding promises is a
+// *CorruptError, never a short or partly filled vector.
+func decodeVector(block []byte, ci, enc, n int) (*Vector, error) {
 	if enc == encGeneric {
-		// Each value takes at least one byte, bounding the allocation by
-		// the block size before trusting the declared row count.
-		if len(block) < n {
-			return nil, corruptf("column %d: generic block %d bytes for %d rows", ci, len(block), n)
-		}
-		vals := make([]Value, n)
-		off := 0
-		for i := 0; i < n; i++ {
-			kind := block[off]
-			off++
-			switch kind {
-			case svNull:
-				vals[i] = Null()
-			case svStr:
-				if off+4 > len(block) {
-					return nil, corruptf("column %d: truncated string length", ci)
-				}
-				sl := int(binary.LittleEndian.Uint32(block[off:]))
-				off += 4
-				if sl < 0 || off+sl > len(block) {
-					return nil, corruptf("column %d: string length %d out of range", ci, sl)
-				}
-				vals[i] = Str(string(block[off : off+sl]))
-				off += sl
-			case svInt, svFloat, svDate:
-				if off+8 > len(block) {
-					return nil, corruptf("column %d: truncated value", ci)
-				}
-				u := binary.LittleEndian.Uint64(block[off:])
-				off += 8
-				switch kind {
-				case svInt:
-					vals[i] = Int(int64(u))
-				case svFloat:
-					vals[i] = Float(math.Float64frombits(u))
-				default:
-					vals[i] = Date(time.Unix(int64(u), 0).UTC())
-				}
-			case svBool:
-				if off >= len(block) {
-					return nil, corruptf("column %d: truncated bool", ci)
-				}
-				vals[i] = Bool(block[off] != 0)
-				off++
-			default:
-				return nil, corruptf("column %d: unknown value kind %d", ci, kind)
-			}
-			if off > len(block) {
-				return nil, corruptf("column %d: truncated block", ci)
-			}
-		}
-		if off != len(block) {
-			return nil, corruptf("column %d: %d trailing block bytes", ci, len(block)-off)
-		}
-		return vals, nil
+		return decodeGenericVector(block, ci, n)
 	}
-
 	bmLen := (n + 7) / 8
 	if len(block) < bmLen {
 		return nil, corruptf("column %d: truncated null bitmap", ci)
 	}
-	bm := block[:bmLen]
-	body := block[bmLen:]
-	isNull := func(i int) bool { return bm[i>>3]&(1<<uint(i&7)) != 0 }
-	vals := make([]Value, n)
-	switch enc {
-	case encInt, encFloat, encDate:
-		if len(body) != 8*n {
-			return nil, corruptf("column %d: block body %d bytes, want %d", ci, len(body), 8*n)
-		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				continue
+	bm, body := block[:bmLen], block[bmLen:]
+	v := &Vector{n: n}
+	for bi, bits := range bm {
+		for i := 8 * bi; bits != 0 && i < n; i, bits = i+1, bits>>1 {
+			if bits&1 != 0 {
+				if v.Null == nil {
+					v.Null = make([]bool, n)
+				}
+				v.Null[i] = true
 			}
-			u := binary.LittleEndian.Uint64(body[8*i:])
-			switch enc {
-			case encInt:
-				vals[i] = Int(int64(u))
-			case encFloat:
-				vals[i] = Float(math.Float64frombits(u))
-			default:
-				vals[i] = Date(time.Unix(int64(u), 0).UTC())
+		}
+	}
+	fixed := func(width int) error {
+		if len(body) != width*n {
+			return corruptf("column %d: block body %d bytes, want %d", ci, len(body), width*n)
+		}
+		return nil
+	}
+	switch enc {
+	case encInt:
+		if err := fixed(8); err != nil {
+			return nil, err
+		}
+		v.Kind, v.I = TInt, make([]int64, n)
+		for i := range v.I {
+			v.I[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	case encFloat:
+		if err := fixed(8); err != nil {
+			return nil, err
+		}
+		v.Kind, v.F = TFloat, make([]float64, n)
+		for i := range v.F {
+			v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	case encDate:
+		if err := fixed(8); err != nil {
+			return nil, err
+		}
+		v.Kind, v.T = TDate, make([]time.Time, n)
+		for i := range v.T {
+			if v.Null == nil || !v.Null[i] {
+				v.T[i] = Date(time.Unix(int64(binary.LittleEndian.Uint64(body[8*i:])), 0).UTC()).T
 			}
 		}
 	case encBool:
-		if len(body) != n {
-			return nil, corruptf("column %d: block body %d bytes, want %d", ci, len(body), n)
+		if err := fixed(1); err != nil {
+			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			if !isNull(i) {
-				vals[i] = Bool(body[i] != 0)
-			}
+		v.Kind, v.B = TBool, make([]bool, n)
+		for i := range v.B {
+			v.B[i] = body[i] != 0
 		}
 	case encString:
 		if len(body) < 4 {
@@ -615,7 +584,7 @@ func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
 			return nil, corruptf("column %d: dictionary size %d out of range", ci, dictLen)
 		}
 		dict := make([]string, dictLen)
-		for d := 0; d < dictLen; d++ {
+		for d := range dict {
 			if off+4 > len(body) {
 				return nil, corruptf("column %d: truncated dictionary entry", ci)
 			}
@@ -627,21 +596,82 @@ func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
 			dict[d] = string(body[off : off+sl])
 			off += sl
 		}
-		if len(body)-off != 4*n {
-			return nil, corruptf("column %d: code block %d bytes, want %d", ci, len(body)-off, 4*n)
+		codes := body[off:]
+		if len(codes) != 4*n {
+			return nil, corruptf("column %d: code block %d bytes, want %d", ci, len(codes), 4*n)
 		}
-		for i := 0; i < n; i++ {
-			code := binary.LittleEndian.Uint32(body[off+4*i:])
-			if isNull(i) {
+		v.Kind, v.S = TString, make([]string, n)
+		for i := range v.S {
+			if v.Null != nil && v.Null[i] {
 				continue
 			}
+			code := binary.LittleEndian.Uint32(codes[4*i:])
 			if code < 1 || int(code) > dictLen {
 				return nil, corruptf("column %d: code %d outside dictionary of %d", ci, code, dictLen)
 			}
-			vals[i] = Str(dict[code-1])
+			v.S[i] = dict[code-1]
 		}
 	default:
 		return nil, corruptf("column %d: unknown encoding %d", ci, enc)
 	}
-	return vals, nil
+	return v, nil
+}
+
+// decodeGenericVector parses a kind-tagged block (a mixed-kind or all-null
+// column) into generic storage.
+func decodeGenericVector(block []byte, ci, n int) (*Vector, error) {
+	// Each value takes at least one byte, bounding the allocation by the
+	// block size before trusting the declared row count.
+	if len(block) < n {
+		return nil, corruptf("column %d: generic block %d bytes for %d rows", ci, len(block), n)
+	}
+	v := &Vector{n: n, V: make([]Value, n)}
+	off := 0
+	for i := range v.V {
+		if off >= len(block) {
+			return nil, corruptf("column %d: truncated block", ci)
+		}
+		kind := block[off]
+		off++
+		switch kind {
+		case svNull:
+		case svStr:
+			if off+4 > len(block) {
+				return nil, corruptf("column %d: truncated string length", ci)
+			}
+			sl := int(binary.LittleEndian.Uint32(block[off:]))
+			off += 4
+			if sl < 0 || off+sl > len(block) {
+				return nil, corruptf("column %d: string length %d out of range", ci, sl)
+			}
+			v.V[i] = Str(string(block[off : off+sl]))
+			off += sl
+		case svInt, svFloat, svDate:
+			if off+8 > len(block) {
+				return nil, corruptf("column %d: truncated value", ci)
+			}
+			u := binary.LittleEndian.Uint64(block[off:])
+			off += 8
+			switch kind {
+			case svInt:
+				v.V[i] = Int(int64(u))
+			case svFloat:
+				v.V[i] = Float(math.Float64frombits(u))
+			default:
+				v.V[i] = Date(time.Unix(int64(u), 0).UTC())
+			}
+		case svBool:
+			if off >= len(block) {
+				return nil, corruptf("column %d: truncated bool", ci)
+			}
+			v.V[i] = Bool(block[off] != 0)
+			off++
+		default:
+			return nil, corruptf("column %d: unknown value kind %d", ci, kind)
+		}
+	}
+	if off != len(block) {
+		return nil, corruptf("column %d: %d trailing block bytes", ci, len(block)-off)
+	}
+	return v, nil
 }

@@ -89,9 +89,14 @@ func TestGoldenSegmentBytes(t *testing.T) {
 	}
 }
 
-// FuzzSegmentDecode drives the decoder over arbitrary bytes: it must
-// return rows consistent with its header or a typed corruption error —
-// never panic, never allocate unboundedly, never return junk silently.
+// FuzzSegmentDecode drives both decoders over arbitrary bytes. As a whole
+// file: the reference returns rows consistent with its header or a typed
+// corruption error — never a panic, an unbounded allocation or silent junk
+// — and the production path (framing, then every column through the vector
+// decoder) fails exactly when it does and otherwise agrees cell for cell.
+// As a bare block: a checksum is all but unreachable for a mutator, so the
+// bytes after the first two are also fed to both column decoders directly,
+// under the encoding and row count the first two choose.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seeds: one segment per encoding family plus corrupt variants.
 	seedTables := []*Table{typesFixture()}
@@ -117,21 +122,80 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
+	// A block that is wrong under a valid checksum: a dictionary code past
+	// the dictionary.
+	oneData, _, err := encodeSegment(one.Name, 0, 0, one.Schema, one.Rows)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(segReframe(f, oneData, badDictCode(1, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 2 {
+			fuzzBlock(t, data[2:], int(data[0]%(encDate+2)), int(data[1]%67))
+		}
 		h, rows, err := decodeSegment(data)
+		vecs, vecErr := decodeSegmentVectors(data)
+		if (err == nil) != (vecErr == nil) {
+			t.Fatalf("row decode err = %v, vector decode err = %v", err, vecErr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrSegmentCorrupt) {
-				t.Fatalf("non-typed decode error: %v", err)
+			if !errors.Is(err, ErrSegmentCorrupt) || !errors.Is(vecErr, ErrSegmentCorrupt) {
+				t.Fatalf("non-typed decode error: %v / %v", err, vecErr)
 			}
 			return
 		}
 		if h.Rows != len(rows) {
 			t.Fatalf("header says %d rows, decoded %d", h.Rows, len(rows))
 		}
-		for _, r := range rows {
+		for ri, r := range rows {
 			if len(r) != len(h.Cols) {
 				t.Fatalf("row arity %d, header has %d columns", len(r), len(h.Cols))
 			}
+			for ci, want := range r {
+				if got := vecs[ci].Value(ri); !sameRow(Row{got}, Row{want}) {
+					t.Fatalf("cell (%d, %d): vector %v, rows %v", ri, ci, got, want)
+				}
+			}
 		}
 	})
+}
+
+// decodeSegmentVectors is the production read of a whole file: the framing
+// checks, then every column block through decodeVector.
+func decodeSegmentVectors(data []byte) ([]*Vector, error) {
+	h, blocks, err := parseSegment(data)
+	if err != nil {
+		return nil, err
+	}
+	vecs := make([]*Vector, len(blocks))
+	for ci, block := range blocks {
+		if vecs[ci], err = decodeVector(block, ci, h.Cols[ci].Enc, h.Rows); err != nil {
+			return nil, err
+		}
+	}
+	return vecs, nil
+}
+
+// fuzzBlock requires the two column decoders to agree on one bare block:
+// both fail with ErrSegmentCorrupt, or both succeed with equal cells.
+func fuzzBlock(t *testing.T, block []byte, enc, n int) {
+	want, err := decodeColumn(block, 0, enc, n)
+	vec, vecErr := decodeVector(block, 0, enc, n)
+	if (err == nil) != (vecErr == nil) {
+		t.Fatalf("block enc=%d n=%d: reference err = %v, vector err = %v", enc, n, err, vecErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrSegmentCorrupt) || !errors.Is(vecErr, ErrSegmentCorrupt) {
+			t.Fatalf("block enc=%d n=%d: non-typed decode error: %v / %v", enc, n, err, vecErr)
+		}
+		return
+	}
+	if vec.Len() != n || len(want) != n {
+		t.Fatalf("block enc=%d n=%d: decoded %d / %d cells", enc, n, len(want), vec.Len())
+	}
+	for i, w := range want {
+		if got := vec.Value(i); !sameRow(Row{got}, Row{w}) || vec.IsNull(i) != w.IsNull() {
+			t.Fatalf("block enc=%d n=%d cell %d: vector %v, reference %v", enc, n, i, got, w)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -506,9 +507,13 @@ func TestScannerParallelDeterministicOrder(t *testing.T) {
 			if b == nil {
 				break
 			}
-			for _, r := range b.src.Rows {
-				if r[0].I != next {
-					t.Fatalf("run %d: got id %d, want %d", run, r[0].I, next)
+			ids, err := b.Col(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids.I {
+				if id != next {
+					t.Fatalf("run %d: got id %d, want %d", run, id, next)
 				}
 				next++
 			}
@@ -604,32 +609,27 @@ func TestSegmentRowCountMismatchFailsClosed(t *testing.T) {
 		tab.AppendVals(Int(int64(i)))
 	}
 	seg, _ := segSpill(t, tab, 3)
-	// Swap the two partition files: each decodes cleanly but disagrees
-	// with the manifest row offsets.
+	// Swap the two partition files: each verifies cleanly and has the row
+	// count the manifest expects, but sits in the other's slot (the header
+	// identity check; TestSegmentHeaderIdentity has the other shapes).
 	p0, p1 := seg.seg.parts[0].path, seg.seg.parts[1].path
 	d0, _ := os.ReadFile(p0)
 	d1, _ := os.ReadFile(p1)
 	os.WriteFile(p0, d1, 0o644)
 	os.WriteFile(p1, d0, 0o644)
 	seg.seg.cache.all = nil
-	_, err := seg.Materialize()
-	// Same row counts on both sides: header start offsets differ is not
-	// tracked, but equal-count swaps decode; this test uses unequal parts.
-	_ = err
-	// Rebuild with unequal partition sizes to force the count check.
-	tab2 := NewBase("m2", NewSchema(Col("a", TInt)))
-	for i := 0; i < 5; i++ {
-		tab2.AppendVals(Int(int64(i)))
+	if _, err := seg.Materialize(); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("swapped partitions: err = %v, want ErrSegmentCorrupt", err)
 	}
-	seg2, _ := segSpill(t, tab2, 3) // parts of 3 and 2 rows
-	q0, q1 := seg2.seg.parts[0].path, seg2.seg.parts[1].path
-	e0, _ := os.ReadFile(q0)
-	if err := os.WriteFile(q1, e0, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = seg2.Materialize()
-	if !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("row-count mismatch: err = %v, want ErrSegmentCorrupt", err)
+	// The right file for the slot, claiming a row more than the manifest.
+	seg2, _ := segSpill(t, tab, 3)
+	rewritePart(t, seg2, 1, func(h *segHeader, blocks [][]byte) [][]byte {
+		h.Rows++
+		return blocks
+	})
+	var ce *CorruptError
+	if _, err := seg2.Materialize(); !errors.As(err, &ce) || !strings.Contains(ce.Detail, "row count") {
+		t.Fatalf("row-count mismatch: err = %v, want a row-count *CorruptError", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func (s *SegmentStore) PartitionRows() int {
 	return DefaultPartitionRows
 }
 
-// SetScanWorkers bounds the parallel partition decodes per scan; 0
+// SetScanWorkers bounds the parallel partition reads per scan; 0
 // restores the default (GOMAXPROCS), 1 forces sequential scans.
 func (s *SegmentStore) SetScanWorkers(n int) {
 	s.workers.Store(int64(n))
@@ -203,7 +203,7 @@ func (w *SegmentWriter) Close() (*Table, error) {
 	}
 	w.buf = nil
 	t := &Table{Name: w.table, Schema: w.schema.Clone(), Base: true}
-	t.seg = &segBacking{store: w.store, origin: w.table, parts: w.parts, rows: w.total, cache: &segCache{lastPart: -1}}
+	t.seg = &segBacking{store: w.store, origin: w.table, cols: w.schema.ColumnNames(), parts: w.parts, rows: w.total, cache: &segCache{lastPart: -1}}
 	return t, nil
 }
 
@@ -247,12 +247,15 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	return out, nil
 }
 
-// readPartition loads and decodes one partition under the fault site and
-// retry policy. Corruption is permanent (fails closed, no retry);
-// transient read faults are retried when a policy is configured.
-func (s *SegmentStore) readPartition(p *segPart) ([]Row, error) {
+// readPartition reads one partition file and verifies it whole — magic,
+// header, every block's length and checksum, and that it is the file the
+// store wrote for this slot of this table — under the fault site and retry
+// policy. Nothing is decoded: the batch holds the verified blocks.
+// Corruption is permanent (fails closed, no retry); transient read faults
+// are retried when a policy is configured.
+func (s *SegmentStore) readPartition(b *segBacking, p *segPart) (*Batch, error) {
 	m := s.Metrics()
-	var rows []Row
+	var out *Batch
 	err := fault.Retry(context.Background(), s.retryPolicy(), m, func(ctx context.Context) error {
 		if err := s.faults.Load().Hit(ctx, fault.SiteSegmentRead); err != nil {
 			return err
@@ -261,19 +264,15 @@ func (s *SegmentStore) readPartition(p *segPart) ([]Row, error) {
 		if err != nil {
 			return err
 		}
-		h, rs, err := decodeSegment(data)
-		if err != nil {
-			if ce, ok := err.(*CorruptError); ok && ce.Path == "" {
-				err = &CorruptError{Path: p.path, Detail: ce.Detail}
-			}
-			return fault.Permanent(err)
+		h, blocks, err := parseSegment(data)
+		if err == nil {
+			err = b.checkHeader(h, p)
 		}
-		if h.Rows != p.rows {
-			return fault.Permanent(&CorruptError{Path: p.path,
-				Detail: fmt.Sprintf("row count %d, manifest says %d", h.Rows, p.rows)})
+		if err != nil {
+			return fault.Permanent(pathed(err, p.path))
 		}
 		m.Counter("segment.read.bytes").Add(uint64(len(data)))
-		rows = rs
+		out = &Batch{n: p.rows, cols: make([]*Vector, len(blocks)), seg: b, part: p, hdr: h, blocks: blocks}
 		return nil
 	})
 	if err != nil {
@@ -282,5 +281,5 @@ func (s *SegmentStore) readPartition(p *segPart) ([]Row, error) {
 	}
 	m.Counter("segment.read.partitions").Inc()
 	m.Counter("segment.read.rows").Add(uint64(p.rows))
-	return rows, nil
+	return out, nil
 }

@@ -2,9 +2,10 @@ package relation
 
 // segtable.go ties segment files (segment.go, segstore.go) into the
 // Table API. A segment-backed Table keeps Rows empty and carries a
-// *segBacking describing its partitions. Storage is decided here and
-// nowhere else: Select, GroupBy and the probe side of Join read any table
-// through a Scanner (one Batch per surviving partition, or the single
+// *segBacking describing its partitions. Storage is decided here and in
+// batch.go, nowhere else: Select, GroupBy and the probe side of Join read
+// any table through a Scanner (one Batch per surviving partition — verified
+// whole, decoded column by column as the operator asks — or the single
 // Batch of an in-memory table), every other operator calls Materialize
 // (a no-op in memory), and Rename shares the backing.
 //
@@ -38,19 +39,48 @@ type segBacking struct {
 	// under. Renames keep it, exactly as in-memory Rename materializes
 	// lineage pointing at the pre-rename name.
 	origin string
-	parts  []segPart
-	rows   int
-	cache  *segCache
+	// cols are the column names the table was written under; with origin
+	// and each partition's slot they identify the files read back.
+	cols  []string
+	parts []segPart
+	rows  int
+	cache *segCache
 }
 
-// segCache holds decoded rows shared by every view of one backing: the
-// full materialization (built at most once) and the most recently
-// decoded single partition for point accesses.
+// checkHeader requires a verified header to be the one the store wrote for
+// partition p of this table. Positional lineage says row i of partition p
+// is origin#(p.start+i), so a well-formed file in the wrong slot would
+// attach thresholds and evidence to the wrong rows.
+func (b *segBacking) checkHeader(h *segHeader, p *segPart) error {
+	switch {
+	case h.Table != b.origin:
+		return corruptf("table %q, manifest says %q", h.Table, b.origin)
+	case h.Part != p.index:
+		return corruptf("partition %d, manifest says %d", h.Part, p.index)
+	case h.Start != p.start:
+		return corruptf("start row %d, manifest says %d", h.Start, p.start)
+	case h.Rows != p.rows:
+		return corruptf("row count %d, manifest says %d", h.Rows, p.rows)
+	case len(h.Cols) != len(b.cols):
+		return corruptf("%d columns, manifest says %d", len(h.Cols), len(b.cols))
+	}
+	for ci, name := range b.cols {
+		if h.Cols[ci].Name != name {
+			return corruptf("column %d is %q, manifest says %q", ci, h.Cols[ci].Name, name)
+		}
+	}
+	return nil
+}
+
+// segCache holds what every view of one backing shares: the full
+// materialization (built at most once) and the most recently read
+// partition for point accesses — its verified blocks, and the vectors of
+// the columns asked for so far.
 type segCache struct {
 	mu       sync.Mutex
 	all      []Row
 	lastPart int
-	lastRows []Row
+	last     *Batch
 }
 
 // Materialize returns an in-memory view of the table: t itself when it
@@ -105,8 +135,9 @@ func (t *Table) mustMaterialize() *Table {
 	return mt
 }
 
-// ValueAt returns the value at (row, column index), decoding at most one
-// partition and caching it for sequential access patterns. Out-of-range
+// ValueAt returns the value at (row, column index), reading at most one
+// partition, decoding only that column of it, and caching both for
+// sequential access patterns. Out-of-range
 // coordinates yield NULL, like Get.
 func (t *Table) ValueAt(row, ci int) (Value, error) {
 	if t.seg != nil {
@@ -126,10 +157,15 @@ func (b *segBacking) materialize() ([]Row, error) {
 	}
 	rows := make([]Row, 0, b.rows)
 	for pi := range b.parts {
-		rs, err := b.store.readPartition(&b.parts[pi])
+		bt, err := b.store.readPartition(b, &b.parts[pi])
 		if err != nil {
 			return nil, err
 		}
+		rs, err := bt.rows(nil)
+		if err != nil {
+			return nil, err
+		}
+		bt.tally()
 		rows = append(rows, rs...)
 	}
 	b.cache.all = rows
@@ -137,74 +173,58 @@ func (b *segBacking) materialize() ([]Row, error) {
 }
 
 func (b *segBacking) valueAt(row, ci int) (Value, error) {
-	if row < 0 || row >= b.rows || ci < 0 {
+	if row < 0 || row >= b.rows || ci < 0 || ci >= len(b.cols) {
 		return Null(), nil
 	}
 	b.cache.mu.Lock()
 	defer b.cache.mu.Unlock()
 	if b.cache.all != nil {
-		r := b.cache.all[row]
-		if ci >= len(r) {
-			return Null(), nil
-		}
-		return r[ci], nil
+		return b.cache.all[row][ci], nil
 	}
 	pi := sort.Search(len(b.parts), func(i int) bool { return b.parts[i].start > row }) - 1
 	p := &b.parts[pi]
 	if b.cache.lastPart != pi {
-		rows, err := b.store.readPartition(p)
+		bt, err := b.store.readPartition(b, p)
 		if err != nil {
 			return Null(), err
 		}
-		b.cache.lastPart, b.cache.lastRows = pi, rows
+		b.cache.last.tally()
+		b.cache.lastPart, b.cache.last = pi, bt
 	}
-	r := b.cache.lastRows[row-p.start]
-	if ci >= len(r) {
-		return Null(), nil
-	}
-	return r[ci], nil
-}
-
-// partTable decodes partition pi and wraps it as an in-memory sub-table
-// of t: same name, schema and column origins, with lineage rebuilt as
-// the global row references of the partition's row range. Operators
-// applied to it therefore produce byte-identical output to the same
-// operator over the full in-memory table, restricted to this range.
-func (b *segBacking) partTable(t *Table, pi int) (*Table, error) {
-	p := &b.parts[pi]
-	rows, err := b.store.readPartition(p)
+	v, err := b.cache.last.Col(ci)
 	if err != nil {
-		return nil, err
+		return Null(), err
 	}
-	pt := &Table{Name: t.Name, Schema: t.Schema, Rows: rows, ColOrigin: t.ColOrigin}
-	if t.Lineage != nil {
-		pt.Lineage = t.Lineage[p.start : p.start+p.rows]
-	} else {
-		pt.Lineage = positionalLineage(b.origin, p.start, p.rows)
-	}
-	return pt, nil
+	return v.Value(row - p.start), nil
 }
 
-// segPartResult carries one decoded partition through the scan pipeline.
+// segPartResult carries one read partition through the scan pipeline.
 type segPartResult struct {
-	pt  *Table
+	b   *Batch
 	err error
 }
 
 // Scanner is the one way rows reach the streaming operators. An in-memory
 // table yields a single Batch over the table itself. A segment-backed
 // table yields one Batch per partition that survives zone-map pruning, in
-// partition order; with more than one worker the decodes run concurrently
-// on a bounded pool while results are consumed through index-tagged
-// slots, so output order is deterministic regardless of decode completion
-// order. Callers must Close the scanner when abandoning it early.
+// partition order, each read and verified whole but decoded only as far as
+// the operator asks. With more than one worker the reads run concurrently
+// on a bounded pool while results are consumed through index-tagged slots,
+// so output order is deterministic regardless of completion order. Callers
+// must Close the scanner when abandoning it early.
 type Scanner struct {
 	t       *Table
 	parts   []int // surviving partitions of a segment-backed t
 	pruned  int
 	workers int
+	// need, when set, is what the operator will read from every batch
+	// (Batch.load of its columns, Batch.table for its rows): a worker runs
+	// it before handing the batch over, so decoding stays on the pool and
+	// its errors surface from Next.
+	need func(*Batch) error
 
 	next    int
+	cur     *Batch // the batch handed out last; tallied when the scan moves on
 	done    bool
 	started bool
 	slots   []chan segPartResult
@@ -242,10 +262,27 @@ func NewScanner(t *Table, pred Expr) *Scanner {
 	return sc
 }
 
-// start launches the bounded-parallel decode pipeline. The semaphore is
-// acquired before each decode and released only when its result is
-// consumed, so at most `workers` decoded partitions are in flight — the
-// scan's memory ceiling.
+// read reads and verifies partition pi and decodes what the operator said
+// it needs.
+func (sc *Scanner) read(pi int) (*Batch, error) {
+	seg := sc.t.seg
+	b, err := seg.store.readPartition(seg, &seg.parts[pi])
+	if err != nil {
+		return nil, err
+	}
+	b.src = sc.t
+	if sc.need != nil {
+		if err := sc.need(b); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// start launches the bounded-parallel read pipeline. The semaphore is
+// acquired before each read and released only when its result is
+// consumed, so at most `workers` partitions are in flight — the scan's
+// memory ceiling.
 func (sc *Scanner) start() {
 	sc.started = true
 	sc.slots = make([]chan segPartResult, len(sc.parts))
@@ -265,8 +302,8 @@ func (sc *Scanner) start() {
 			case sem <- struct{}{}:
 			}
 			go func(slot chan segPartResult, pi int) {
-				pt, err := sc.t.seg.partTable(sc.t, pi)
-				slot <- segPartResult{pt: pt, err: err} // buffered: never blocks
+				b, err := sc.read(pi)
+				slot <- segPartResult{b: b, err: err} // buffered: never blocks
 			}(sc.slots[i], pi)
 		}
 	}()
@@ -281,13 +318,15 @@ func (sc *Scanner) Next() (*Batch, error) {
 		sc.done = true
 		return NewBatch(sc.t), nil
 	}
+	sc.cur.tally()
+	sc.cur = nil
 	if sc.next >= len(sc.parts) {
 		sc.done = true
 		return nil, nil
 	}
 	var res segPartResult
 	if sc.workers <= 1 {
-		res.pt, res.err = sc.t.seg.partTable(sc.t, sc.parts[sc.next])
+		res.b, res.err = sc.read(sc.parts[sc.next])
 	} else {
 		if !sc.started {
 			sc.start()
@@ -300,13 +339,14 @@ func (sc *Scanner) Next() (*Batch, error) {
 		sc.Close()
 		return nil, res.err
 	}
-	return NewBatch(res.pt), nil
+	sc.cur = res.b
+	return res.b, nil
 }
 
 // Pruned returns the number of partitions skipped by zone-map pruning.
 func (sc *Scanner) Pruned() int { return sc.pruned }
 
-// Close stops the pipeline. In-flight decodes finish into their buffered
+// Close stops the pipeline. In-flight reads finish into their buffered
 // slots and exit; the dispatcher unblocks via the cancel channel, so no
 // goroutine outlives the scan. Safe to call repeatedly.
 func (sc *Scanner) Close() {
@@ -314,13 +354,17 @@ func (sc *Scanner) Close() {
 		close(sc.cancel)
 		sc.cancel = nil
 	}
+	sc.cur.tally()
+	sc.cur = nil
 	sc.done = true
 }
 
 // eachBatch scans t (pred, optional, prunes partitions) and hands fn every
-// batch in order, stopping at the first error.
-func eachBatch(t *Table, pred Expr, fn func(*Batch) error) error {
+// batch in order, stopping at the first error. need (optional) is what fn
+// reads from a batch, decoded ahead on the scan's workers.
+func eachBatch(t *Table, pred Expr, need func(*Batch) error, fn func(*Batch) error) error {
 	sc := NewScanner(t, pred)
+	sc.need = need
 	defer sc.Close()
 	for {
 		b, err := sc.Next()

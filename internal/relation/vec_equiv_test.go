@@ -160,22 +160,28 @@ func randTable(rng *rand.Rand, name string, nCols, nRows int) *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	if rng.Intn(3) == 0 {
-		// Make it a derived table with synthetic multi-ref lineage.
-		t.Base = false
-		t.Lineage = make([]LineageSet, nRows)
-		t.ColOrigin = make([]ColRefSet, nCols)
-		for r := 0; r < nRows; r++ {
-			var ls LineageSet
-			for k := 0; k <= rng.Intn(3); k++ {
-				ls = append(ls, RowRef{Table: "src" + string(rune('a'+rng.Intn(2))), Row: rng.Intn(10)})
-			}
-			t.Lineage[r] = ls.normalize()
-		}
-		for c := 0; c < nCols; c++ {
-			t.ColOrigin[c] = ColRefSet{{Table: "srca", Column: fmt.Sprintf("o%d", c)}}.normalize()
-		}
+		deriveSynthetic(rng, t)
 	}
 	return t
+}
+
+// deriveSynthetic turns t into a derived table with synthetic multi-ref
+// lineage and column origins.
+func deriveSynthetic(rng *rand.Rand, t *Table) {
+	nRows, nCols := len(t.Rows), t.Schema.Len()
+	t.Base = false
+	t.Lineage = make([]LineageSet, nRows)
+	t.ColOrigin = make([]ColRefSet, nCols)
+	for r := 0; r < nRows; r++ {
+		var ls LineageSet
+		for k := 0; k <= rng.Intn(3); k++ {
+			ls = append(ls, RowRef{Table: "src" + string(rune('a'+rng.Intn(2))), Row: rng.Intn(10)})
+		}
+		t.Lineage[r] = ls.normalize()
+	}
+	for c := 0; c < nCols; c++ {
+		t.ColOrigin[c] = ColRefSet{{Table: "srca", Column: fmt.Sprintf("o%d", c)}}.normalize()
+	}
 }
 
 // randPredicate builds a random predicate over s, spanning both the
@@ -564,14 +570,14 @@ func TestBatchFilterKernels(t *testing.T) {
 		Eq(ColRefExpr("s"), ColRefExpr("s")),
 	}
 	for i, e := range kernels {
-		if _, ok := b.Filter(e); !ok {
+		if _, ok, _ := b.Filter(e); !ok {
 			t.Errorf("kernel %d (%s): expected vectorized support", i, e)
 		}
 	}
-	if _, ok := b.Filter(Bin(OpGt, Bin(OpAdd, ColRefExpr("n"), Lit(Int(1))), Lit(Int(1)))); ok {
+	if _, ok, _ := b.Filter(Bin(OpGt, Bin(OpAdd, ColRefExpr("n"), Lit(Int(1))), Lit(Int(1)))); ok {
 		t.Error("arithmetic predicate should not claim kernel support")
 	}
-	sel, ok := b.Filter(ColEqStr("s", "a"))
+	sel, ok, _ := b.Filter(ColEqStr("s", "a"))
 	if !ok || sel.Count() != 1 || !sel.Get(0) {
 		t.Errorf("filter bitmap wrong: ok=%v count=%d", ok, sel.Count())
 	}

@@ -224,6 +224,32 @@ func TestETLObservability(t *testing.T) {
 	}
 }
 
+// TestSegmentReadObservability asks the storage layer's question one level
+// below "how many partitions were pruned": of the column blocks a render
+// read and verified, how many did it decode? drug-consumption groups the
+// spilled wide table by one column, so some blocks are decoded and most
+// are only verified.
+func TestSegmentReadObservability(t *testing.T) {
+	e, err := OpenHealthcare(HealthcareConfig{Prescriptions: 300}, WithSegmentStore(t.TempDir()), WithSpillThreshold(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.MetricsSnapshot().Counters
+	if _, err := e.Render(context.Background(), "drug-consumption", Consumer{Name: "u", Role: "analyst", Purpose: "quality"}); err != nil {
+		t.Fatal(err)
+	}
+	after := e.MetricsSnapshot().Counters
+	parts := after["segment.read.partitions"] - before["segment.read.partitions"]
+	decoded := after["segment.read.columns"] - before["segment.read.columns"]
+	skipped := after["segment.read.columns_skipped"] - before["segment.read.columns_skipped"]
+	if parts == 0 {
+		t.Fatal("the render read no partition: the warehouse is not spilled")
+	}
+	if !(0 < decoded && decoded < decoded+skipped) {
+		t.Errorf("render of drug-consumption: %d column blocks decoded, %d verified only; want 0 < decoded < decoded+skipped", decoded, skipped)
+	}
+}
+
 // quickEngine2 mirrors quickEngine but accepts Open options (the obs
 // tests need an audit sink alongside the standard fixture scenario).
 func quickEngine2(t *testing.T, opts ...Option) *Engine {
