@@ -1,6 +1,9 @@
 package relation
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bitmap is a fixed-size selection bitmap over the rows of a Batch.
 type Bitmap struct {
@@ -45,13 +48,15 @@ type Batch struct {
 	cols []*Vector
 
 	// A segment batch: the partition file, read and verified whole by
-	// SegmentStore.readPartition, its column blocks still encoded.
-	seg     *segBacking
-	part    *segPart
-	hdr     *segHeader
-	blocks  [][]byte
-	tab     *Table // the row view, assembled at most once
-	tallied bool
+	// SegmentStore.readPartition, its column blocks still encoded. The
+	// blocks alias buf, which the batch owns until release.
+	seg      *segBacking
+	part     *segPart
+	hdr      *segHeader
+	blocks   [][]byte
+	buf      *[]byte
+	tab      *Table // the row view, assembled at most once
+	released bool
 }
 
 // NewBatch wraps t for columnar execution. The underlying table must not
@@ -68,12 +73,17 @@ func (b *Batch) Schema() *Schema { return b.src.Schema }
 
 // Col returns the vector of column ci, extracting it on first use. Only a
 // segment batch can fail: a block that passed its checksum but does not
-// have the shape its encoding promises is a *CorruptError.
+// have the shape its encoding promises is a *CorruptError, and a column
+// first asked for after the scan moved past the batch is an error too — the
+// partition's bytes are gone by then; vectors extracted earlier stay valid.
 func (b *Batch) Col(ci int) (*Vector, error) {
 	if b.cols[ci] == nil {
 		if b.part == nil {
 			b.cols[ci] = NewVector(b.src, ci)
 			return b.cols[ci], nil
+		}
+		if b.released {
+			return nil, fmt.Errorf("relation: segment %s: column %d asked for after the scan moved on", b.part.path, ci)
 		}
 		v, err := decodeVector(b.blocks[ci], ci, b.hdr.Cols[ci].Enc, b.n)
 		if err != nil {
@@ -167,13 +177,17 @@ func (b *Batch) lineage() []LineageSet {
 	}
 }
 
-// tally reports, once per partition, how many of its verified column
-// blocks were decoded and how many never were.
-func (b *Batch) tally() {
-	if b == nil || b.part == nil || b.tallied {
+// release ends a segment batch's hold on its partition, once: it reports
+// how many of the verified column blocks were decoded and how many never
+// were, and hands the file's bytes back for the next read.
+func (b *Batch) release() {
+	if b == nil || b.part == nil || b.released {
 		return
 	}
-	b.tallied = true
+	b.released = true
+	b.blocks = nil
+	partBufs.Put(b.buf)
+	b.buf = nil
 	decoded := 0
 	for _, v := range b.cols {
 		if v != nil {

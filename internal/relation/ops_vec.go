@@ -539,10 +539,10 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) error {
 // delta path retains it, feeds only the rows appended since and re-emits.
 // Group keys are interned to dense ids (one map probe per row, no per-row
 // key allocation), numeric aggregates accumulate over the typed column
-// vectors of each batch, and each batch's lineage refs land in one
-// exactly-sized arena. Feeding a table in pieces is byte-identical to
-// feeding it whole: group order is first-seen, and float SUM/AVG
-// accumulate in row order within a group either way.
+// vectors of each batch, and lineage refs are copied once, on emit, into
+// each group's exactly-sized set. Feeding a table in pieces is
+// byte-identical to feeding it whole: group order is first-seen, and float
+// SUM/AVG accumulate in row order within a group either way.
 type GroupByState struct {
 	template *Table // schema, name and provenance donor; never mutated
 	keys     []string
@@ -561,13 +561,21 @@ type GroupByState struct {
 
 // gbGroup is one group's key, aggregate states (one per AggSpec) and
 // lineage. lineage is normalized and shared with every table emitted so
-// far, so it is never written again; fresh holds the raw per-batch arena
-// slots absorbed since, which only the state references.
+// far, so it is never written again; fresh names the member rows absorbed
+// since, whose refs the next emit folds in.
 type gbGroup struct {
-	key     Row
-	states  []aggState
-	lineage LineageSet
-	fresh   []LineageSet
+	key       Row
+	states    []aggState
+	lineage   LineageSet
+	fresh     []gbRows
+	freshRefs int // refs the fresh rows carry
+}
+
+// gbRows is the rows of one batch that fell into one group: positions into
+// the batch's lineage sets, which are read, never written.
+type gbRows struct {
+	lin  []LineageSet
+	rows []int32
 }
 
 // NewGroupByState validates the keys and aggregates against t's schema
@@ -659,7 +667,7 @@ func (s *GroupByState) groupOf(ck compositeKey, keyVecs []*Vector, ri int) int32
 // add absorbs one batch, reading the key and aggregate columns as vectors
 // and the lineage of its rows — never rows, so a segment partition is
 // grouped without any being built. Scratch is per batch (key ids, group
-// ids, one ref cursor per group), never per table.
+// ids, one row cursor per group), never per table.
 func (s *GroupByState) add(b *Batch) error {
 	n := b.Len()
 	keyVecs := make([]*Vector, len(s.keyIdx))
@@ -685,41 +693,41 @@ func (s *GroupByState) add(b *Batch) error {
 	}
 	s.srcRows += n
 
-	// Pass 1: assign group ids and count the lineage refs each group draws
-	// from this batch, so the refs can be carved out of one exactly-sized
-	// arena — append-growing them would re-copy megabytes of refs through
-	// write barriers on large inputs.
+	// Pass 1: assign group ids and count the rows and lineage refs each group
+	// draws from this batch, then list the batch's rows group by group out
+	// of one exactly-sized array. The refs themselves stay where they are
+	// until emit, which copies them once into the group's set — copying them
+	// here as well would turn the input's whole lineage into garbage on
+	// every pass.
 	lin := b.lineage()
 	gids := make([]int32, n)
+	cur := make([]int, len(s.groups), len(s.groups)+64)
 	refs := make([]int, len(s.groups), len(s.groups)+64)
-	total := 0
 	for ri := range gids {
 		gi := s.groupOf(s.keyer.vecKey(ids, ri), keyVecs, ri)
-		if int(gi) == len(refs) {
-			refs = append(refs, 0)
+		if int(gi) == len(cur) {
+			cur, refs = append(cur, 0), append(refs, 0)
 		}
 		gids[ri] = gi
+		cur[gi]++
 		refs[gi] += len(lin[ri])
-		total += len(lin[ri])
 	}
-	// Lay the groups' slots out in group order and copy each row's refs to
-	// its group's cursor, so every group's refs land contiguously. Raw refs:
-	// normalized once per group on emit (an incremental sorted merge is
-	// quadratic in the group size).
-	arena := make([]RowRef, total)
 	off := 0
-	for gi, n := range refs {
-		refs[gi] = off
+	for gi, n := range cur {
+		cur[gi] = off
 		off += n
 	}
+	rows := make([]int32, n)
 	for ri, gi := range gids {
-		refs[gi] += copy(arena[refs[gi]:], lin[ri])
+		rows[cur[gi]] = int32(ri)
+		cur[gi]++
 	}
 	start := 0
-	for gi, end := range refs { // each cursor now sits at its slot's end
+	for gi, end := range cur { // each cursor now sits at its slot's end
 		if end > start {
 			g := &s.groups[gi]
-			g.fresh = append(g.fresh, LineageSet(arena[start:end:end]))
+			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end]})
+			g.freshRefs += refs[gi]
 		}
 		start = end
 	}
@@ -795,28 +803,33 @@ func (s *GroupByState) add(b *Batch) error {
 	return nil
 }
 
-// settle folds the refs absorbed since the last emit into the group's
-// normalized lineage and returns it. A group's first arena slot is
-// normalized in place (only the state references it); once a lineage has
-// been emitted, later refs are merged into a fresh slice, so no emitted
-// table is ever mutated.
-func (g *gbGroup) settle() LineageSet {
-	switch {
-	case len(g.fresh) == 0:
-	case g.lineage == nil && len(g.fresh) == 1:
-		g.lineage = normalizeGroupLineage(g.fresh[0])
-	default:
-		n := len(g.lineage)
-		for _, f := range g.fresh {
-			n += len(f)
-		}
-		all := append(make(LineageSet, 0, n), g.lineage...)
-		for _, f := range g.fresh {
-			all = append(all, f...)
-		}
-		g.lineage = normalizeGroupLineage(all)
+// pending is how many refs settle will gather: none when nothing was
+// absorbed since the last emit.
+func (g *gbGroup) pending() int {
+	if len(g.fresh) == 0 {
+		return 0
 	}
-	g.fresh = nil
+	return len(g.lineage) + g.freshRefs
+}
+
+// settle folds the refs of the rows absorbed since the last emit into the
+// group's normalized lineage and returns it. They are gathered into the
+// group's slot of the emit's arena and normalized there, so neither the
+// input's lineage sets nor an emitted table is ever mutated.
+func (g *gbGroup) settle(sc *lineageScratch) LineageSet {
+	n := g.pending()
+	if n == 0 {
+		return g.lineage
+	}
+	all := append(sc.arena[:0:n], g.lineage...)
+	sc.arena = sc.arena[n:]
+	for _, f := range g.fresh {
+		for _, ri := range f.rows {
+			all = append(all, f.lin[ri]...)
+		}
+	}
+	g.lineage = normalizeGroupLineage(all, sc)
+	g.fresh, g.freshRefs = nil, 0
 	return g.lineage
 }
 
@@ -846,6 +859,15 @@ func (s *GroupByState) Result() *Table {
 	out.Schema = &Schema{Columns: cols}
 
 	flat := make([]Value, 0, len(s.groups)*len(cols))
+	// One exactly-sized arena holds the refs of every group that changed,
+	// and the working memory fits the largest of them.
+	pending, largest := 0, 0
+	for gi := range s.groups {
+		n := s.groups[gi].pending()
+		pending += n
+		largest = max(largest, n)
+	}
+	sc := lineageScratch{arena: make(LineageSet, pending), rows: make([]int, largest)}
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		start := len(flat)
@@ -854,9 +876,18 @@ func (s *GroupByState) Result() *Table {
 			flat = append(flat, g.states[ai].result(a.Kind))
 		}
 		out.Rows = append(out.Rows, Row(flat[start:len(flat):len(flat)]))
-		out.Lineage = append(out.Lineage, g.settle())
+		out.Lineage = append(out.Lineage, g.settle(&sc))
 	}
 	return out
+}
+
+// lineageScratch is what one emit's settles share: the arena their sets are
+// carved from, and normalizeGroupLineage's working memory — the row ids of
+// one group bucketed by table and the bitset that sorts a dense bucket.
+type lineageScratch struct {
+	arena LineageSet
+	rows  []int
+	words []uint64
 }
 
 // normalizeGroupLineage sorts and deduplicates a group's accumulated row
@@ -866,7 +897,8 @@ func (s *GroupByState) Result() *Table {
 // of string-comparing tables inside every comparison of a reflective
 // sort.Slice. On aggregation-heavy renders this is the difference between
 // lineage bookkeeping dominating the profile and it disappearing into it.
-func normalizeGroupLineage(refs LineageSet) LineageSet {
+// sc is reused from group to group of one emit.
+func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
 	if len(refs) <= 1 {
 		return refs
 	}
@@ -908,7 +940,7 @@ func normalizeGroupLineage(refs LineageSet) LineageSet {
 		// Pathological table fan-out: fall back to the generic normalize.
 		return refs.normalize()
 	}
-	rowArena := make([]int, len(refs))
+	rowArena := sc.rows[:len(refs)]
 	buckets := make([][]int, len(names))
 	off := 0
 	for i := range names {
@@ -943,7 +975,11 @@ func normalizeGroupLineage(refs LineageSet) LineageSet {
 				// Dense row ids (the normal case: lineage points into a
 				// contiguous base table): a bitset yields the rows sorted
 				// and deduplicated in one sweep, no comparison sort.
-				words := make([]uint64, maxRow/64+1)
+				if cap(sc.words) < maxRow/64+1 {
+					sc.words = make([]uint64, maxRow/64+1)
+				}
+				words := sc.words[:maxRow/64+1]
+				clear(words)
 				for _, r := range rows {
 					words[r>>6] |= 1 << (uint(r) & 63)
 				}

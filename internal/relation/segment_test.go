@@ -236,8 +236,9 @@ func TestSegmentOpsEquivalence(t *testing.T) {
 // TestGroupByStateFeeding pins the one accumulator on workload-shaped
 // input: however the rows arrive — one batch, 64-row partitions scanned
 // by one or four workers, or a prefix then the tail (each in memory, and
-// each spilled) — the grouped table is the reference's, and a table emitted mid-way is never touched by later
-// feeding.
+// each spilled) — the grouped table is the reference's, a table emitted
+// mid-way is never touched by later feeding, and neither is the input, whose
+// lineage sets the accumulator reads in place until it emits.
 func TestGroupByStateFeeding(t *testing.T) {
 	rx, patient, _ := workloadTables(rand.New(rand.NewSource(7100)), 5000)
 	wide, err := Join(Rename(patient, "p"), Rename(rx, "rx"), Eq(ColRefExpr("rx.patient"), ColRefExpr("p.pid")), InnerJoin)
@@ -262,6 +263,7 @@ func TestGroupByStateFeeding(t *testing.T) {
 	}
 	for _, in := range inputs {
 		tab := in.tab
+		input := tab.Clone()
 		cut := tab.NumRows()*2/3 + 5 // not a partition boundary
 		head := &Table{Name: tab.Name, Schema: tab.Schema, Rows: tab.Rows[:cut], Base: tab.Base, ColOrigin: tab.ColOrigin}
 		if tab.Lineage != nil {
@@ -323,6 +325,7 @@ func TestGroupByStateFeeding(t *testing.T) {
 				requireSameTable(t, label("re-emit without feeding"), st.Result(), ref)
 			}
 		}
+		requireSameTable(t, tab.Name+" after being grouped", tab, input)
 	}
 }
 

@@ -433,6 +433,47 @@ func TestSegmentScanAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSegmentBatchLifetime pins what recycling the read buffers rests on:
+// a vector decoded while the scan stood on its batch outlives the
+// partition's bytes, and a column first asked for after the scan moved on
+// is an error — not whatever a later read left in the buffer.
+func TestSegmentBatchLifetime(t *testing.T) {
+	mem, seg, _ := wideSegTable(t, 40, 16) // 3 partitions, read one at a time
+	sc := NewScanner(seg, nil)
+	defer sc.Close()
+	first, err := sc.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drug, err := first.Col(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		b, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if _, err := b.Col(1); err != nil { // read through the recycled bytes
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < first.Len(); i++ {
+		if got, want := drug.Value(i), mem.Rows[i][0]; !got.Equal(want) {
+			t.Fatalf("row %d of a vector decoded before the scan moved on = %v, want %v", i, got, want)
+		}
+	}
+	if again, err := first.Col(0); err != nil || again != drug {
+		t.Errorf("an extracted column asked for again = %p, %v; want %p", again, err, drug)
+	}
+	if v, err := first.Col(1); err == nil {
+		t.Errorf("a column first asked for after the scan moved on = %v, want an error", v.Value(0))
+	}
+}
+
 // TestSegmentColumnCounters pins the two counters that say how much of what
 // was read was decoded, on each way a partition is read.
 func TestSegmentColumnCounters(t *testing.T) {

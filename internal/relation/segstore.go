@@ -13,9 +13,11 @@ package relation
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"plabi/internal/fault"
@@ -247,6 +249,43 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	return out, nil
 }
 
+// partBufs recycles partition read buffers. A batch owns the bytes of its
+// file until its scan moves on (Batch.release) and then hands them back, so
+// a pass over a table reads into the few buffers its workers hold instead of
+// leaving the table's size in garbage behind it.
+var partBufs sync.Pool // of *[]byte
+
+// readFile is os.ReadFile into buf's storage when the file fits.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size := 0
+	if info, err := f.Stat(); err == nil && info.Size() < 1<<31 {
+		size = int(info.Size())
+	}
+	size++ // one byte over, so that the read that fills the file meets EOF
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	buf = buf[:0]
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // readPartition reads one partition file and verifies it whole — magic,
 // header, every block's length and checksum, and that it is the file the
 // store wrote for this slot of this table — under the fault site and retry
@@ -260,19 +299,26 @@ func (s *SegmentStore) readPartition(b *segBacking, p *segPart) (*Batch, error) 
 		if err := s.faults.Load().Hit(ctx, fault.SiteSegmentRead); err != nil {
 			return err
 		}
-		data, err := os.ReadFile(p.path)
+		buf, _ := partBufs.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		data, err := readFile(p.path, *buf)
 		if err != nil {
+			partBufs.Put(buf)
 			return err
 		}
+		*buf = data
 		h, blocks, err := parseSegment(data)
 		if err == nil {
 			err = b.checkHeader(h, p)
 		}
 		if err != nil {
+			partBufs.Put(buf)
 			return fault.Permanent(pathed(err, p.path))
 		}
 		m.Counter("segment.read.bytes").Add(uint64(len(data)))
-		out = &Batch{n: p.rows, cols: make([]*Vector, len(blocks)), seg: b, part: p, hdr: h, blocks: blocks}
+		out = &Batch{n: p.rows, cols: make([]*Vector, len(blocks)), seg: b, part: p, hdr: h, blocks: blocks, buf: buf}
 		return nil
 	})
 	if err != nil {

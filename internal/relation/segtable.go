@@ -165,7 +165,7 @@ func (b *segBacking) materialize() ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		bt.tally()
+		bt.release()
 		rows = append(rows, rs...)
 	}
 	b.cache.all = rows
@@ -188,7 +188,7 @@ func (b *segBacking) valueAt(row, ci int) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		b.cache.last.tally()
+		b.cache.last.release()
 		b.cache.lastPart, b.cache.last = pi, bt
 	}
 	v, err := b.cache.last.Col(ci)
@@ -210,8 +210,10 @@ type segPartResult struct {
 // partition order, each read and verified whole but decoded only as far as
 // the operator asks. With more than one worker the reads run concurrently
 // on a bounded pool while results are consumed through index-tagged slots,
-// so output order is deterministic regardless of completion order. Callers
-// must Close the scanner when abandoning it early.
+// so output order is deterministic regardless of completion order. A batch
+// can have further columns extracted until the next call to Next or Close,
+// which hands its partition's bytes to a later read. Callers must Close the
+// scanner when abandoning it early.
 type Scanner struct {
 	t       *Table
 	parts   []int // surviving partitions of a segment-backed t
@@ -224,7 +226,7 @@ type Scanner struct {
 	need func(*Batch) error
 
 	next    int
-	cur     *Batch // the batch handed out last; tallied when the scan moves on
+	cur     *Batch // the batch handed out last; released when the scan moves on
 	done    bool
 	started bool
 	slots   []chan segPartResult
@@ -318,7 +320,7 @@ func (sc *Scanner) Next() (*Batch, error) {
 		sc.done = true
 		return NewBatch(sc.t), nil
 	}
-	sc.cur.tally()
+	sc.cur.release()
 	sc.cur = nil
 	if sc.next >= len(sc.parts) {
 		sc.done = true
@@ -354,7 +356,7 @@ func (sc *Scanner) Close() {
 		close(sc.cancel)
 		sc.cancel = nil
 	}
-	sc.cur.tally()
+	sc.cur.release()
 	sc.cur = nil
 	sc.done = true
 }
