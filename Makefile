@@ -47,11 +47,10 @@ cover:
 	bash scripts/cover.sh
 
 # One-iteration pass over every root benchmark (paper experiments E1–E11,
-# render/cache benches): catches bitrot in the bench harnesses without
-# paying for a measurement run. BENCH_OBS makes the render benchmarks
-# dump the engine's metrics snapshot.
+# k-anonymization, elicitation): catches bitrot in the bench harnesses
+# without paying for a measurement run.
 bench-smoke:
-	BENCH_OBS=BENCH_obs.json $(GO) test -run '^$$' -bench . -benchtime=1x .
+	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
 # The benchmark (BENCHMARK.json): five fixed-work workloads, each in a
 # fresh process; writes bench/out/result.json. Gate a change with

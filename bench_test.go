@@ -1,7 +1,8 @@
 // Package plabi's root benchmark harness: one benchmark per experiment in
 // DESIGN.md's index (E1–E11, regenerating each figure-level claim of the
-// paper), plus micro-benchmarks of the substrate operations the
-// experiments are built on.
+// paper), plus micro-benchmarks of k-anonymization and the elicitation
+// simulation. The relational, enforcement and serving layers are measured
+// on sized data by bench/ (BENCHMARK.json).
 //
 // Run everything with:
 //
@@ -10,16 +11,11 @@ package plabi
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"plabi/internal/anon"
-	"plabi/internal/core"
 	"plabi/internal/elicit"
 	"plabi/internal/experiments"
-	"plabi/internal/obs"
-	"plabi/internal/relation"
-	"plabi/internal/report"
 	"plabi/internal/workload"
 )
 
@@ -81,58 +77,6 @@ func BenchmarkE10Granularity(b *testing.B) { benchExperiment(b, "e10") }
 // anonymizing release (raw vs k-anonymous vs k+l releases).
 func BenchmarkE11Linkage(b *testing.B) { benchExperiment(b, "e11") }
 
-// --- substrate micro-benchmarks ---
-
-func benchDataset(b *testing.B, n int) *workload.Dataset {
-	cfg := workload.DefaultConfig(42)
-	cfg.Prescriptions = n
-	cfg.Patients = n / 10
-	cfg.LabResults = n / 10
-	ds, err := workload.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ds
-}
-
-// BenchmarkRelationJoin measures the hash equi-join with lineage
-// propagation.
-func BenchmarkRelationJoin(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ds := benchDataset(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := relation.Join(relation.Rename(ds.Prescriptions, "p"),
-					relation.Rename(ds.DrugCost, "c"),
-					relation.Eq(relation.ColRefExpr("p.drug"), relation.ColRefExpr("c.drug")),
-					relation.InnerJoin)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRelationGroupBy measures aggregation with lineage-union per
-// group (the basis of threshold enforcement).
-func BenchmarkRelationGroupBy(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ds := benchDataset(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := relation.GroupBy(ds.Prescriptions, []string{"drug"},
-					[]relation.AggSpec{{Kind: relation.AggCount}})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkKAnonymize measures Mondrian k-anonymization.
 func BenchmarkKAnonymize(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
@@ -154,29 +98,6 @@ func BenchmarkKAnonymize(b *testing.B) {
 	}
 }
 
-// BenchmarkEnforcedRender measures one fully enforced report render
-// (query + provenance + PLA decisions) on the standard scenario.
-func BenchmarkEnforcedRender(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cfg := workload.DefaultConfig(42)
-			cfg.Prescriptions = n
-			cfg.Patients = n / 10
-			e, _, err := core.BuildHealthcareEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Render("drug-consumption", c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkElicitationSimulation measures one full Fig. 5 evolution
 // simulation (200 events over a 25-report portfolio).
 func BenchmarkElicitationSimulation(b *testing.B) {
@@ -188,128 +109,5 @@ func BenchmarkElicitationSimulation(b *testing.B) {
 		if _, err := elicit.SimulateEvolution(s, 200, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchRenderEngine builds the standard scenario for the render-path
-// benchmarks.
-func benchRenderEngine(b *testing.B, n int) *core.Engine {
-	b.Helper()
-	cfg := workload.DefaultConfig(42)
-	cfg.Prescriptions = n
-	cfg.Patients = n / 10
-	e, _, err := core.BuildHealthcareEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e
-}
-
-// BenchmarkSequentialRender is the single-goroutine baseline for
-// BenchmarkConcurrentRender: the same cached render loop, no parallelism
-// anywhere (one render worker, one goroutine).
-func BenchmarkSequentialRender(b *testing.B) {
-	e := benchRenderEngine(b, 5000)
-	e.SetWorkers(1)
-	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
-	if _, err := e.Render("drug-consumption", c); err != nil {
-		b.Fatal(err) // warm the decision cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Render("drug-consumption", c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportCacheRate(b, e)
-	maybeWriteObs(b, e)
-}
-
-// BenchmarkConcurrentRender drives the enforced render path from many
-// goroutines at once (b.RunParallel): the sharded decision cache serves
-// the plan, so per-render work is execution + row enforcement only.
-// Compare with BenchmarkSequentialRender for the concurrency speedup.
-func BenchmarkConcurrentRender(b *testing.B) {
-	e := benchRenderEngine(b, 5000)
-	e.SetWorkers(1) // per-render serial: scaling comes from goroutines
-	consumers := []report.Consumer{
-		{Name: "a1", Role: "analyst", Purpose: "quality"},
-		{Name: "a2", Role: "auditor", Purpose: "quality"},
-	}
-	for _, c := range consumers {
-		if _, err := e.Render("drug-consumption", c); err != nil {
-			b.Fatal(err) // warm the decision cache
-		}
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			c := consumers[i%len(consumers)]
-			i++
-			if _, err := e.Render("drug-consumption", c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	stats := e.CacheStats()
-	if stats.Hits == 0 {
-		b.Fatal("concurrent render benchmark must hit the decision cache")
-	}
-	reportCacheRate(b, e)
-	maybeWriteObs(b, e)
-}
-
-// BenchmarkParallelRowEnforcement measures one large render with the
-// bounded worker pool enforcing row chunks in parallel, against the same
-// render forced serial.
-func BenchmarkParallelRowEnforcement(b *testing.B) {
-	for _, workers := range []int{1, 0} { // 1 = serial, 0 = one per CPU
-		name := "serial"
-		if workers == 0 {
-			name = "pooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := benchRenderEngine(b, 20000)
-			e.SetWorkers(workers)
-			c := report.Consumer{Name: "aud", Role: "auditor", Purpose: "quality"}
-			if _, err := e.Render("patient-activity", c); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Render("patient-activity", c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func reportCacheRate(b *testing.B, e *core.Engine) {
-	b.Helper()
-	stats := e.CacheStats()
-	b.ReportMetric(stats.HitRate(), "cache-hit-rate")
-	b.ReportMetric(float64(stats.Hits), "cache-hits")
-}
-
-// maybeWriteObs dumps the engine's merged metrics snapshot to the file
-// named by $BENCH_OBS (make bench sets BENCH_obs.json), so benchmark runs
-// leave a machine-readable observability artifact next to the timings.
-func maybeWriteObs(b *testing.B, e *core.Engine) {
-	b.Helper()
-	path := os.Getenv("BENCH_OBS")
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatalf("BENCH_OBS: %v", err)
-	}
-	defer f.Close()
-	if err := obs.WriteSnapshotJSON(f, e.MetricsSnapshot()); err != nil {
-		b.Fatalf("BENCH_OBS: %v", err)
 	}
 }

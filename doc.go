@@ -63,6 +63,6 @@
 // docs/PLA_REFERENCE.md for the PLA language, DESIGN.md for the system
 // inventory and concurrency model, and EXPERIMENTS.md for the
 // paper-claim vs measured results. bench_test.go carries one benchmark
-// per experiment plus the render-path concurrency benchmarks
-// (BenchmarkConcurrentRender).
+// per experiment; bench/ (BENCHMARK.json) measures the render, ETL and
+// serving paths on sized data.
 package plabi

@@ -156,8 +156,9 @@ type Program struct {
 	// FilterPLAs names the agreements behind the row filters.
 	FilterPLAs []string
 	// Columns is the static classification of output columns (by query
-	// select list), for Explain; runtime masking binds against the
-	// executed schema with identical decisions.
+	// output name and profiled origins), for Explain and pladiff; runtime
+	// masking runs the same classification over the executed schema's
+	// origins.
 	Columns []ColumnPlan
 	// Pruned lists the dead rules removed from the residual rule set.
 	Pruned []PrunedRule

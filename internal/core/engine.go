@@ -884,13 +884,7 @@ func (e *Engine) RenderContext(ctx context.Context, reportID string, c report.Co
 		span.Set("decision", "error")
 		return nil, err
 	}
-	if sel, perr := d.Parse(); perr == nil {
-		inputs := []string{strings.ToLower(sel.From.Name)}
-		for _, j := range sel.Joins {
-			inputs = append(inputs, strings.ToLower(j.Table.Name))
-		}
-		e.Graph.AddStep("render", inputs, d.ID, "consumer "+c.Name, 0, enf.Table.NumRows())
-	}
+	e.Graph.AddStep("render", enf.Inputs, d.ID, "consumer "+c.Name, 0, enf.Table.NumRows())
 	// The span records the verdict and — for blocks — the deciding rule
 	// and PLA, so the span stream, the metrics and the audit trail all
 	// agree on one correlation id per render.

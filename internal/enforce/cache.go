@@ -52,10 +52,12 @@ type gens struct {
 	scope   uint64 // enforcer config generation (extra scopes, levels)
 }
 
-// colPlan is the cached per-output-column decision: either masked (with
-// the decision to replay into each render's audit trail) or released
-// subject to intensional conditions, pre-bound for batch evaluation.
+// colPlan is the classification of one output column: governed by
+// thresholds (aggregate), masked (with the decision to replay into each
+// render's audit trail), or released subject to intensional conditions,
+// pre-bound for batch evaluation.
 type colPlan struct {
+	aggregate  bool
 	masked     bool
 	decision   Decision
 	conditions []compile.BoundPredicate
@@ -63,9 +65,10 @@ type colPlan struct {
 
 // renderPlan is everything about one (report, role, purpose) triple that
 // does not depend on the data: parsed AST, query profile, composed PLAs,
-// static decisions, baked aggregation thresholds, pre-bound row filters,
-// the compiled residual program, and — filled on first render —
-// per-column access decisions. All fields are immutable after
+// static decisions, the compiled residual program — the only holder of
+// the baked thresholds, pre-bound row filters, aggregated flag and their
+// PLA attributions — and, filled on first render, the per-column access
+// decisions bound to the executed schema. All fields are immutable after
 // construction (cols after the sync.Once fires, fold under foldMu), so a
 // plan is shared freely across concurrent renders.
 type renderPlan struct {
@@ -74,6 +77,8 @@ type renderPlan struct {
 	prof *sql.Profile
 	comp *policy.Composite
 
+	// from names the relations of the query's FROM clause, in order.
+	from []string
 	// reads is the plan's data read set: every relation the query names
 	// in FROM plus every base table it derives from (thresholds and
 	// intensional conditions read base rows through the tracer). Folded
@@ -83,19 +88,9 @@ type renderPlan struct {
 
 	static  []Decision // static-check outcomes for role/purpose
 	aggCols map[string]bool
-	// thresholds are the merged aggregation thresholds, sorted by
-	// grouping attribute at plan-build time (compile.Threshold order), so
-	// per-row evaluation needs no map iteration or sorting.
-	thresholds []compile.Threshold
-	// filters are the row filters pre-bound to their referenced columns.
-	filters    []compile.BoundPredicate
-	aggregated bool
-	// aggPLAs / filterPLAs name the agreements behind the thresholds and
-	// row filters, replayed into runtime suppression decisions.
-	aggPLAs    []string
-	filterPLAs []string
 
-	// prog is the residual program this plan was specialized into.
+	// prog is the residual program this plan was specialized into; row
+	// enforcement executes its thresholds and filters directly.
 	prog *compile.Program
 
 	colOnce sync.Once

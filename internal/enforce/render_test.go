@@ -1,0 +1,268 @@
+package enforce
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"plabi/internal/fault"
+	"plabi/internal/provenance"
+	"plabi/internal/relation"
+	"plabi/internal/report"
+	"plabi/internal/sql"
+)
+
+// mixedEnforcer builds an enforcer over a synthetic non-aggregated table
+// whose report exercises every per-row branch at once: an intensional
+// condition on patient (every 5th row is HIV), a source row filter
+// (drug D3 suppressed) and a denied column (doctor). extraPLAs are added
+// to the registry.
+func mixedEnforcer(t *testing.T, rows int, extraPLAs string) (*ReportEnforcer, *report.Definition) {
+	t.Helper()
+	bulk := relation.NewBase("bulk", relation.NewSchema(
+		relation.Col("patient", relation.TString),
+		relation.Col("drug", relation.TString),
+		relation.Col("disease", relation.TString),
+		relation.Col("doctor", relation.TString),
+		relation.Col("date", relation.TDate),
+	))
+	day := time.Date(2007, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < rows; i++ {
+		disease := "flu"
+		if i%5 == 0 {
+			disease = "HIV"
+		}
+		bulk.AppendVals(
+			relation.Str(fmt.Sprintf("patient-%d", i)),
+			relation.Str(fmt.Sprintf("D%d", i%7)),
+			relation.Str(disease),
+			relation.Str(fmt.Sprintf("doc-%d", i%11)),
+			relation.Date(day.AddDate(0, 0, i%365)),
+		)
+	}
+	cat := sql.NewCatalog()
+	tr := provenance.NewTracer()
+	cat.Register(bulk)
+	tr.RegisterBase(bulk)
+	reg := registryWith(t, `
+pla "r" { owner "hospital"; level report; scope "mixed";
+    allow attribute patient to roles analyst when disease <> 'HIV';
+    allow attribute drug to roles analyst;
+    allow attribute date to roles analyst;
+    deny attribute doctor to roles analyst;
+}
+pla "s" { owner "hospital"; level source; scope "bulk";
+    allow attribute *;
+    filter when drug <> 'D3';
+}
+`+extraPLAs)
+	def := &report.Definition{ID: "mixed",
+		Query: "SELECT patient, drug, doctor, date FROM bulk"}
+	return NewReportEnforcer(reg, cat, tr), def
+}
+
+// TestRenderWorkersAgree pins what the merged row loop must keep: the
+// serial call over [0, n) and the pooled chunks produce the same table,
+// lineage, decisions (order included) and counters.
+func TestRenderWorkersAgree(t *testing.T) {
+	e, def := mixedEnforcer(t, 1200, "")
+	e.SetWorkers(1)
+	serial, err := e.Render(def, consumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(4)
+	pooled, err := e.Render(def, consumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.MaskedCells == 0 || serial.SuppressedRows == 0 {
+		t.Fatalf("fixture exercises nothing: masked=%d suppressed=%d", serial.MaskedCells, serial.SuppressedRows)
+	}
+	var conditions, filters, denies int
+	for _, d := range serial.Decisions {
+		switch d.Rule {
+		case "condition":
+			conditions++
+		case "row-filter":
+			filters++
+		case "access-deny":
+			denies++
+		}
+	}
+	if conditions == 0 || filters == 0 || denies != 1 {
+		t.Fatalf("decisions: %d condition, %d row-filter, %d access-deny", conditions, filters, denies)
+	}
+	if serial.Table.String() != pooled.Table.String() {
+		t.Error("tables differ between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(serial.Table.Schema, pooled.Table.Schema) {
+		t.Errorf("schemas differ: %s vs %s", serial.Table.Schema, pooled.Table.Schema)
+	}
+	if !reflect.DeepEqual(serial.Table.Lineage, pooled.Table.Lineage) {
+		t.Error("lineage differs between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(serial.Decisions, pooled.Decisions) {
+		t.Error("decisions differ between 1 and 4 workers")
+	}
+	if serial.MaskedCells != pooled.MaskedCells || serial.SuppressedRows != pooled.SuppressedRows {
+		t.Errorf("counters differ: masked %d/%d suppressed %d/%d",
+			serial.MaskedCells, pooled.MaskedCells, serial.SuppressedRows, pooled.SuppressedRows)
+	}
+}
+
+// TestRenderWorkerSiteHits counts consultations of the render.worker
+// fault site: once for a render under minParallelRows or with one
+// worker, once per chunk otherwise. Chaos replay schedules key on these
+// call ordinals.
+func TestRenderWorkerSiteHits(t *testing.T) {
+	hits := func(rows, workers int) int {
+		t.Helper()
+		e, def := bulkEnforcer(t, rows)
+		e.SetWorkers(workers)
+		fi := fault.NewInjector(1)
+		// A zero-length latency fire on every call records the call
+		// without disturbing the render.
+		fi.Enable(fault.SiteRenderWorker, fault.SiteConfig{LatencyRate: 1})
+		e.SetFaults(fi)
+		if _, err := e.Render(def, consumer()); err != nil {
+			t.Fatal(err)
+		}
+		return fi.Counts()[fault.SiteRenderWorker]
+	}
+	if got := hits(minParallelRows-1, 4); got != 1 {
+		t.Errorf("255 rows, 4 workers: %d hits, want 1", got)
+	}
+	if got := hits(8*minParallelRows, 1); got != 1 {
+		t.Errorf("2048 rows, 1 worker: %d hits, want 1", got)
+	}
+	// 2048 rows over 4 workers: 16 chunks of 128 rows.
+	if got := hits(8*minParallelRows, 4); got != 16 {
+		t.Errorf("2048 rows, 4 workers: %d hits, want 16 (one per chunk)", got)
+	}
+}
+
+// TestRenderedTableIsCallers: the table a render returns shares nothing
+// mutable with the next render's — cells, schema and column origins can
+// be overwritten freely, unfolded and folded.
+func TestRenderedTableIsCallers(t *testing.T) {
+	for _, folded := range []bool{false, true} {
+		e, def := mixedEnforcer(t, 40, "")
+		e.SetCompiledRenders(folded)
+		first, err := e.Render(def, consumer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.Table.String()
+		wantSchema := first.Table.Schema.String()
+		wantOrigin := first.Table.ColumnOrigin(1).Normalize()[0]
+		// Two rounds: the second render of a folded enforcer is the first
+		// replay, the third replays after the replayed table was scribbled.
+		enf := first
+		for round := 0; round < 2; round++ {
+			enf.Table.Rows[0][1] = relation.Str("scribbled")
+			enf.Table.Schema.Columns[1].Type = relation.TInt
+			enf.Table.ColOrigin[1][0] = relation.ColRef{Table: "scribbled", Column: "scribbled"}
+			if enf, err = e.Render(def, consumer()); err != nil {
+				t.Fatal(err)
+			}
+			if got := enf.Table.String(); got != want {
+				t.Fatalf("folded=%v round %d: caller's writes reached the next render:\n%s", folded, round, got)
+			}
+			if got := enf.Table.Schema.String(); got != wantSchema {
+				t.Fatalf("folded=%v round %d: schema %s, want %s", folded, round, got, wantSchema)
+			}
+			if got := enf.Table.ColumnOrigin(1)[0]; got != wantOrigin {
+				t.Fatalf("folded=%v round %d: column origin %s, want %s", folded, round, got, wantOrigin)
+			}
+		}
+	}
+}
+
+// TestBlockedRenderCopiesNoRow: a statically refused render returns the
+// executed schema with zero rows, and beyond the query execution itself
+// allocates far less than one copy of the result's rows.
+func TestBlockedRenderCopiesNoRow(t *testing.T) {
+	const rows = 10000
+	// A threshold over a non-aggregated report folds to a static block.
+	e, def := mixedEnforcer(t, rows, `
+pla "t" { owner "hospital"; level report; scope "mixed"; aggregate min 3 by patient; }
+`)
+	enf, err := e.Render(def, consumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Blocked(enf.Decisions)) == 0 {
+		t.Fatalf("render not blocked: %v", enf.Decisions)
+	}
+	if enf.Table.NumRows() != 0 || enf.Table.Lineage != nil {
+		t.Fatalf("blocked render carries %d rows", enf.Table.NumRows())
+	}
+	if got := enf.Table.Schema.String(); got != "(patient STRING, drug STRING, doctor STRING, date DATE)" {
+		t.Fatalf("blocked render schema = %s", got)
+	}
+	plan, _, err := e.planFor(def, "analyst", "quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := testing.AllocsPerRun(3, func() {
+		if _, err := e.Catalog.Exec(plan.sel); err != nil {
+			t.Fatal(err)
+		}
+	})
+	render := testing.AllocsPerRun(3, func() {
+		if _, err := e.RenderContext(context.Background(), def, consumer()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One row-copy of the result is at least one allocation per row.
+	if extra := render - exec; extra >= rows {
+		t.Fatalf("blocked render allocates %.0f objects beyond the query's %.0f; a copy of the %d rows was made",
+			extra, exec, rows)
+	}
+}
+
+// TestConditionallyMaskedColumnTypedString: a column in which the render
+// withheld at least one cell holds placeholders and is typed STRING,
+// exactly as a denied column is; a render that withholds nothing in it
+// keeps the executed type. Folded and unfolded renders agree.
+func TestConditionallyMaskedColumnTypedString(t *testing.T) {
+	plas := `
+pla "r" { owner "hospital"; level report; scope "rx-dates";
+    allow attribute date to roles analyst when disease <> 'HIV';
+    allow attribute drug to roles analyst;
+}
+pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute *; }
+`
+	for _, folded := range []bool{false, true} {
+		e, _ := enforcerWith(t, plas)
+		e.SetCompiledRenders(folded)
+		// DH is the HIV drug of the Fig. 4 fixture: its 20 dates are withheld.
+		def := &report.Definition{ID: "rx-dates",
+			Query: "SELECT date, drug FROM prescriptions WHERE drug IN ('DH','DM') ORDER BY drug"}
+		for pass := 0; pass < 2; pass++ { // second pass replays the fold
+			enf, err := e.Render(def, report.Consumer{Role: "analyst"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if enf.MaskedCells != 20 {
+				t.Fatalf("folded=%v: masked = %d, want 20", folded, enf.MaskedCells)
+			}
+			if got := enf.Table.Schema.String(); got != "(date STRING, drug STRING)" {
+				t.Errorf("folded=%v pass %d: schema %s carries placeholders under a non-STRING column", folded, pass, got)
+			}
+		}
+		// No HIV row selected: nothing withheld, the column stays a DATE.
+		clear := &report.Definition{ID: "rx-dates", Version: 1,
+			Query: "SELECT date, drug FROM prescriptions WHERE drug = 'DM'"}
+		enf, err := e.Render(clear, report.Consumer{Role: "analyst"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := enf.Table.Schema.String(); enf.MaskedCells != 0 || got != "(date DATE, drug STRING)" {
+			t.Errorf("folded=%v: unmasked render: masked=%d schema %s", folded, enf.MaskedCells, got)
+		}
+	}
+}

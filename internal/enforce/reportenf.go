@@ -181,6 +181,9 @@ type Enforced struct {
 	// CacheHit reports whether the enforcement plan came from the
 	// decision cache rather than being built for this render.
 	CacheHit bool
+	// Inputs names the relations of the report's FROM clause, in order.
+	// The slice belongs to the cached plan: read-only.
+	Inputs []string
 }
 
 // CompositeFor assembles the PLAs governing a report: source-level PLAs of
@@ -249,11 +252,12 @@ func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (
 }
 
 // buildPlan does every piece of enforcement work that does not depend on
-// the data: parse, profile, compose the governing PLAs, run the static
-// check, and partially evaluate the composite into a residual program
-// (thresholds baked and sorted, row filters pre-bound, constant verdicts
-// folded, dead rules pruned). The decision cache stores the compiled
-// program with the plan; every render executes it.
+// the data: parse, profile, compose the governing PLAs, classify the
+// output columns, run the static check, and partially evaluate the
+// composite into a residual program (thresholds baked and sorted, row
+// filters pre-bound, constant verdicts folded, dead rules pruned). The
+// decision cache stores the compiled program with the plan; every render
+// executes it.
 func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string, at gens) (*renderPlan, error) {
 	comp, prof, err := e.CompositeFor(def)
 	if err != nil {
@@ -264,40 +268,44 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 		return nil, err
 	}
 	plan := &renderPlan{
-		at:         at,
-		sel:        sel,
-		prof:       prof,
-		comp:       comp,
-		aggregated: prof.Aggregated,
-		aggCols:    aggregateColumns(sel),
-		aggPLAs:    comp.AggregationPLAs(),
-		filterPLAs: comp.FilterPLAs(),
+		at: at, sel: sel, prof: prof, comp: comp,
+		from:    fromNames(sel),
+		aggCols: aggregateColumns(sel),
 	}
-	plan.reads = readSet(prof, sel)
-	plan.static = e.staticDecisions(comp, prof, sel, role, purpose)
-	plan.prog = e.compileProgram(plan, def, role, purpose, at)
-	plan.thresholds = plan.prog.Thresholds
-	plan.filters = plan.prog.Filters
-	e.programGen.Add(1)
-	m := e.obs()
-	m.Counter("compile.programs").Inc()
-	m.Counter("compile.pruned_rules").Add(uint64(len(plan.prog.Pruned)))
-	return plan, nil
-}
+	plan.reads = readSet(prof, plan.from)
 
-// compileProgram partially evaluates the plan's composite into its
-// residual program. The enforcer feeds compile its own folded products —
-// static verdicts and the static column classification — so the program
-// can never disagree with runtime decision semantics; compile adds the
-// baked thresholds, pre-bound filters and PL001 rule pruning.
-func (e *ReportEnforcer) compileProgram(plan *renderPlan, def *report.Definition, role, purpose string, at gens) *compile.Program {
+	// The one static column classification, over the query's output names
+	// (buildColPlans binds the same helper to the executed schema): it
+	// yields both the column plans the program publishes and the mask
+	// decisions the static check reports.
+	names := make([]string, 0, len(prof.OutputNames))
+	for name := range prof.OutputNames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	columns := make([]compile.ColumnPlan, len(names))
+	var masks []Decision
+	for i, name := range names {
+		cp := e.classifyColumn(plan, name, prof.OutputNames[name], role, purpose)
+		columns[i] = cp.published(name)
+		if cp.masked {
+			masks = append(masks, cp.decision)
+		}
+	}
+	plan.static = e.staticDecisions(comp, prof, masks)
+
+	// The enforcer feeds compile its own folded products — static verdicts
+	// and the column classification — so the program can never disagree
+	// with runtime decision semantics; compile adds the baked thresholds,
+	// pre-bound filters and PL001 rule pruning.
 	in := compile.Input{
 		Report: def.ID, Role: strings.ToLower(role), Purpose: strings.ToLower(purpose),
 		At: compile.Generations{
 			Version: at.version, Policy: at.policy, Catalog: at.catalog, Scope: at.scope,
 		},
-		Composite:  plan.comp,
-		Aggregated: plan.aggregated,
+		Composite:  comp,
+		Aggregated: prof.Aggregated,
+		Columns:    columns,
 	}
 	for _, d := range plan.static {
 		in.Static = append(in.Static, compile.Verdict{
@@ -305,35 +313,12 @@ func (e *ReportEnforcer) compileProgram(plan *renderPlan, def *report.Definition
 			Detail: d.Detail, PLAs: d.PLAs,
 		})
 	}
-	// Static column classification from the query's output names (the
-	// runtime binds against the executed schema with identical decisions;
-	// this mirror is what Explain shows).
-	fromRels := fromNames(plan.sel)
-	names := make([]string, 0, len(plan.prof.OutputNames))
-	for name := range plan.prof.OutputNames {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cp := compile.ColumnPlan{Name: name}
-		if plan.aggCols[name] {
-			cp.Aggregate = true
-			in.Columns = append(in.Columns, cp)
-			continue
-		}
-		refs := e.columnRefs(fromRels, name, plan.prof.OutputNames[name])
-		d, conds := e.decideColumn(plan.comp, refs, name, role, purpose)
-		if d != nil {
-			cp.Masked = true
-			cp.Rule = d.Rule
-			cp.PLAs = d.PLAs
-		}
-		for _, c := range conds {
-			cp.Conditions = append(cp.Conditions, fmt.Sprint(c))
-		}
-		in.Columns = append(in.Columns, cp)
-	}
-	return compile.Compile(in)
+	plan.prog = compile.Compile(in)
+	e.programGen.Add(1)
+	m := e.obs()
+	m.Counter("compile.programs").Inc()
+	m.Counter("compile.pruned_rules").Add(uint64(len(plan.prog.Pruned)))
+	return plan, nil
 }
 
 // StaticCheck verifies a report definition against the PLAs without
@@ -351,8 +336,9 @@ func (e *ReportEnforcer) StaticCheck(def *report.Definition, role, purpose strin
 }
 
 // staticDecisions is the static-check body over an already-built
-// composite, profile and AST.
-func (e *ReportEnforcer) staticDecisions(comp *policy.Composite, prof *sql.Profile, sel *sql.SelectStmt, role, purpose string) []Decision {
+// composite and profile: join permissions, then the column
+// classification's mask decisions, then aggregation thresholds.
+func (e *ReportEnforcer) staticDecisions(comp *policy.Composite, prof *sql.Profile, masks []Decision) []Decision {
 	var out []Decision
 
 	// Join permissions.
@@ -371,22 +357,7 @@ func (e *ReportEnforcer) staticDecisions(comp *policy.Composite, prof *sql.Profi
 	}
 
 	// Attribute access on non-aggregated output columns.
-	aggCols := aggregateColumns(sel)
-	fromRels := fromNames(sel)
-	names := make([]string, 0, len(prof.OutputNames))
-	for name := range prof.OutputNames {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if aggCols[name] {
-			continue
-		}
-		refs := e.columnRefs(fromRels, name, prof.OutputNames[name])
-		if d, _ := e.decideColumn(comp, refs, name, role, purpose); d != nil {
-			out = append(out, *d)
-		}
-	}
+	out = append(out, masks...)
 
 	// Aggregation thresholds: a non-aggregated report exposing data under
 	// a threshold rule violates it statically.
@@ -473,30 +444,43 @@ func (e *ReportEnforcer) decideColumn(comp *policy.Composite, refs []policy.Attr
 	return nil, conds
 }
 
-// buildColPlans computes the per-output-column access decisions for one
-// consumer against an executed result's schema and column origins. The
-// result is deterministic for a fixed plan generation, so it is computed
-// once per cached plan and shared across renders.
+// classifyColumn is the one column classification: an aggregate column
+// is governed by thresholds; any other is decided for the consumer from
+// its scoped references — masked, or released under pre-bound intensional
+// conditions.
+func (e *ReportEnforcer) classifyColumn(plan *renderPlan, name string, origins relation.ColRefSet, role, purpose string) colPlan {
+	if plan.aggCols[name] {
+		return colPlan{aggregate: true}
+	}
+	d, conds := e.decideColumn(plan.comp, e.columnRefs(plan.from, name, origins), name, role, purpose)
+	if d != nil {
+		return colPlan{masked: true, decision: *d}
+	}
+	bound := make([]compile.BoundPredicate, len(conds))
+	for i, c := range conds {
+		bound[i] = compile.BindPredicate(c)
+	}
+	return colPlan{conditions: bound}
+}
+
+// published renders the classification in the program's vocabulary.
+func (cp colPlan) published(name string) compile.ColumnPlan {
+	out := compile.ColumnPlan{Name: name, Aggregate: cp.aggregate,
+		Masked: cp.masked, Rule: cp.decision.Rule, PLAs: cp.decision.PLAs}
+	for _, c := range cp.conditions {
+		out.Conditions = append(out.Conditions, fmt.Sprint(c.Expr))
+	}
+	return out
+}
+
+// buildColPlans classifies the columns of an executed result — its schema
+// names and column origins — for one consumer. The result is deterministic
+// for a fixed plan generation, so it is computed once per cached plan and
+// shared across renders.
 func (e *ReportEnforcer) buildColPlans(plan *renderPlan, raw *relation.Table, role, purpose string) []colPlan {
 	cols := make([]colPlan, raw.Schema.Len())
-	fromRels := fromNames(plan.sel)
 	for ci, col := range raw.Schema.Columns {
-		name := strings.ToLower(col.Name)
-		if plan.aggCols[name] {
-			continue // aggregate columns governed by thresholds
-		}
-		origins := raw.ColumnOrigin(ci)
-		refs := e.columnRefs(fromRels, name, origins)
-		d, conds := e.decideColumn(plan.comp, refs, name, role, purpose)
-		if d != nil {
-			cols[ci] = colPlan{masked: true, decision: *d}
-			continue
-		}
-		bound := make([]compile.BoundPredicate, len(conds))
-		for i, c := range conds {
-			bound[i] = compile.BindPredicate(c)
-		}
-		cols[ci] = colPlan{conditions: bound}
+		cols[ci] = e.classifyColumn(plan, strings.ToLower(col.Name), raw.ColumnOrigin(ci), role, purpose)
 	}
 	return cols
 }
@@ -535,7 +519,9 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 }
 
 // render is the render body: execute the query and run the plan's
-// enforcement over the result.
+// enforcement over the result in one pass. The output is built once — the
+// executed header as a shell, then the single copy enforceRow makes of
+// each row it keeps.
 func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
@@ -545,21 +531,16 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 	}
 	m.Histogram("enforce.exec.duration").Observe(time.Since(execStart))
 	raw.Name = def.ID
-	enf := &Enforced{Def: def, CacheHit: hit}
+	out := raw.Shell()
+	enf := &Enforced{Def: def, Table: out, CacheHit: hit, Inputs: plan.from}
 
-	// Static blocks abort rendering entirely.
+	// Static blocks abort rendering entirely: the executed schema goes
+	// back without a row copied.
 	enf.Decisions = append(enf.Decisions, Blocked(plan.static)...)
 	if len(enf.Decisions) > 0 {
 		m.Counter("enforce.static_blocks").Inc()
-		empty := raw.Clone()
-		empty.Rows = nil
-		empty.Lineage = nil
-		enf.Table = empty
 		return enf, nil
 	}
-
-	out := raw.Clone()
-	out.Name = def.ID
 
 	// Column-level access decisions, computed once per plan generation.
 	plan.colOnce.Do(func() {
@@ -570,21 +551,24 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 		// Defensive: a schema drift the generations failed to capture.
 		cols = e.buildColPlans(plan, raw, consumer.Role, consumer.Purpose)
 	}
+	// placeholder marks the columns this render puts a MaskValue in: the
+	// denied ones up front, a conditionally released one from the worker
+	// that withholds its first cell.
+	placeholder := make([]atomic.Bool, len(cols))
 	for ci := range cols {
 		if cols[ci].masked {
 			enf.Decisions = append(enf.Decisions, cols[ci].decision)
+			placeholder[ci].Store(true)
 		}
 	}
 
 	rowsStart := time.Now()
-	results, err := e.enforceRows(ctx, plan, raw, out, cols)
+	results, err := e.enforceRows(ctx, plan, raw, cols, placeholder)
 	if err != nil {
 		return nil, err
 	}
 	m.Histogram("enforce.rows.duration").Observe(time.Since(rowsStart))
 	m.Counter("enforce.rows.in").Add(uint64(len(results)))
-	var keptRows []relation.Row
-	var keptLineage []relation.LineageSet
 	for ri := range results {
 		r := &results[ri]
 		enf.Decisions = append(enf.Decisions, r.decisions...)
@@ -593,20 +577,17 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 			enf.SuppressedRows++
 			continue
 		}
-		keptRows = append(keptRows, r.row)
-		keptLineage = append(keptLineage, r.lineage)
+		out.Rows = append(out.Rows, r.row)
+		out.Lineage = append(out.Lineage, r.lineage)
 	}
-	out.Rows = keptRows
-	out.Lineage = keptLineage
-	// Masked columns may hold strings now.
-	for ci := range out.Schema.Columns {
-		if cols[ci].masked {
+	// A column holding a placeholder holds strings now.
+	for ci := range placeholder {
+		if placeholder[ci].Load() {
 			out.Schema.Columns[ci].Type = relation.TString
 		}
 	}
 	m.Counter("enforce.cells.masked").Add(uint64(enf.MaskedCells))
 	m.Counter("enforce.rows.suppressed").Add(uint64(enf.SuppressedRows))
-	enf.Table = out
 	return enf, nil
 }
 
@@ -677,6 +658,7 @@ func (e *ReportEnforcer) renderFolded(ctx context.Context, def *report.Definitio
 		MaskedCells:    fold.masked,
 		SuppressedRows: fold.suppressed,
 		CacheHit:       hit,
+		Inputs:         plan.from,
 	}
 	// Replayed renders maintain the same per-render counters render
 	// emits.
@@ -709,44 +691,50 @@ type rowResult struct {
 }
 
 // enforceRows applies thresholds, row filters and cell-level enforcement
-// to every output row, fanning out over the worker pool for large
-// results. Results are positional, so the merged output is identical to
-// a sequential pass.
-func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw, out *relation.Table, cols []colPlan) ([]rowResult, error) {
-	n := len(out.Rows)
+// to every row of the executed result, fanning out over the worker pool
+// for large results. Results are positional, so the merged output is
+// identical to a sequential pass.
+func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw *relation.Table, cols []colPlan, placeholder []atomic.Bool) ([]rowResult, error) {
+	n := len(raw.Rows)
 	results := make([]rowResult, n)
-	needsTrace := needsTrace(plan, cols)
-	workers := int(e.workers.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	trace := needsTrace(plan, cols)
 	fi := e.faults.Load()
-	if workers <= 1 || n < minParallelRows {
-		err := fault.Safely(fault.SiteRenderWorker, e.obs(), func() error {
+	// chunk enforces rows [start, end) under panic isolation: a panicking
+	// worker (organic or injected) fails this render with a typed
+	// *fault.InternalError instead of killing the process, and the pool
+	// drains cleanly through wg.Wait.
+	chunk := func(start, end int) error {
+		return fault.Safely(fault.SiteRenderWorker, e.obs(), func() error {
 			if err := fi.Hit(ctx, fault.SiteRenderWorker); err != nil {
 				return err
 			}
-			for ri := 0; ri < n; ri++ {
+			for ri := start; ri < end; ri++ {
 				if ri%cancelCheckRows == 0 {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 				}
-				if err := e.enforceRow(plan, raw, out, cols, ri, needsTrace, &results[ri]); err != nil {
+				if err := e.enforceRow(plan, raw, cols, ri, trace, placeholder, &results[ri]); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		if err != nil {
+	}
+	workers := int(e.workers.Load())
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers <= 1 || n < minParallelRows {
+		if err := chunk(0, n); err != nil {
 			return nil, err
 		}
 		return results, nil
 	}
 
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	if chunk < 64 {
-		chunk = 64
+	size := (n + workers*4 - 1) / (workers * 4)
+	if size < 64 {
+		size = 64
 	}
 	var (
 		cursor   atomic.Int64
@@ -759,38 +747,14 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw,
 		go func() {
 			defer wg.Done()
 			for {
-				start := int(cursor.Add(int64(chunk))) - chunk
+				start := int(cursor.Add(int64(size))) - size
 				if start >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
+				err := ctx.Err()
+				if err == nil {
+					err = chunk(start, min(start+size, n))
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				// Each chunk runs under panic isolation: a panicking
-				// worker (organic or injected) fails this render with a
-				// typed *fault.InternalError instead of killing the
-				// process, and the pool drains cleanly through wg.Wait.
-				err := fault.Safely(fault.SiteRenderWorker, e.obs(), func() error {
-					if err := fi.Hit(ctx, fault.SiteRenderWorker); err != nil {
-						return err
-					}
-					for ri := start; ri < end; ri++ {
-						if ri%cancelCheckRows == 0 {
-							if err := ctx.Err(); err != nil {
-								return err
-							}
-						}
-						if err := e.enforceRow(plan, raw, out, cols, ri, needsTrace, &results[ri]); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return
@@ -812,10 +776,10 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw,
 // the dominant cost on wide lineage — with byte-identical results, since
 // every branch reading the trace is unreachable.
 func needsTrace(plan *renderPlan, cols []colPlan) bool {
-	if len(plan.thresholds) > 0 {
+	if len(plan.prog.Thresholds) > 0 {
 		return true
 	}
-	if !plan.aggregated && len(plan.filters) > 0 {
+	if !plan.prog.Aggregated && len(plan.prog.Filters) > 0 {
 		return true
 	}
 	for ci := range cols {
@@ -826,11 +790,11 @@ func needsTrace(plan *renderPlan, cols []colPlan) bool {
 	return false
 }
 
-// enforceRow enforces one output row: aggregation thresholds counted on
-// lineage support, row filters over supporting source rows, then
-// cell-level masking (denied columns and intensional conditions — the §5
-// HIV example).
-func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, cols []colPlan, ri int, trace bool, res *rowResult) error {
+// enforceRow enforces one row of the executed result: aggregation
+// thresholds counted on lineage support, row filters over supporting
+// source rows, then cell-level masking (denied columns and intensional
+// conditions — the §5 HIV example) on the one copy a kept row gets.
+func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols []colPlan, ri int, trace bool, placeholder []atomic.Bool, res *rowResult) error {
 	var rt provenance.RowTrace
 	if trace {
 		var err error
@@ -839,9 +803,10 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 			return err
 		}
 	}
-	// Aggregation thresholds (baked into the plan pre-sorted, so the
+	prog := plan.prog
+	// Aggregation thresholds (baked into the program pre-sorted, so the
 	// evidence order is deterministic without per-row sorting).
-	for _, th := range plan.thresholds {
+	for _, th := range prog.Thresholds {
 		by, k := th.By, th.Min
 		var support int
 		if by == "" {
@@ -857,9 +822,9 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 		if support < k {
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressGroup, Rule: "aggregation-threshold",
-				Subject:  fmt.Sprintf("%s[%d]", out.Name, ri),
+				Subject:  fmt.Sprintf("%s[%d]", raw.Name, ri),
 				Detail:   fmt.Sprintf("support %d < min %d (by %q)", support, k, by),
-				PLAs:     plan.aggPLAs,
+				PLAs:     th.PLAs,
 				Evidence: lineageEvidence(rt),
 			})
 			return nil
@@ -867,16 +832,16 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 	}
 	// Row filters (non-aggregated reports): every supporting source row
 	// must satisfy every filter.
-	if !plan.aggregated && len(plan.filters) > 0 {
-		ok, evidence, err := e.supportSatisfies(rt, plan.filters)
+	if !prog.Aggregated && len(prog.Filters) > 0 {
+		ok, evidence, err := e.supportSatisfies(rt, prog.Filters)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressRow, Rule: "row-filter",
-				Subject:  fmt.Sprintf("%s[%d]", out.Name, ri),
-				PLAs:     plan.filterPLAs,
+				Subject:  fmt.Sprintf("%s[%d]", raw.Name, ri),
+				PLAs:     prog.FilterPLAs,
 				Evidence: evidence,
 			})
 			return nil
@@ -884,7 +849,7 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 	}
 	// Cell-level masking: denied columns, then intensional conditions
 	// evaluated against the supporting source rows.
-	row := out.Rows[ri].Clone()
+	row := raw.Rows[ri].Clone()
 	for ci := range row {
 		if cols[ci].masked {
 			row[ci] = MaskValue
@@ -901,9 +866,10 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw, out *relation.Table, 
 		if !ok {
 			row[ci] = MaskValue
 			res.masked++
+			placeholder[ci].Store(true)
 			res.decisions = append(res.decisions, Decision{
 				Outcome: Mask, Rule: "condition",
-				Subject:  fmt.Sprintf("%s[%d].%s", out.Name, ri, out.Schema.Columns[ci].Name),
+				Subject:  fmt.Sprintf("%s[%d].%s", raw.Name, ri, raw.Schema.Columns[ci].Name),
 				Evidence: evidence,
 			})
 		}
@@ -966,7 +932,7 @@ func lineageEvidence(rt provenance.RowTrace) []string {
 // reads: the FROM-clause names (staging/warehouse tables the query
 // executes over) united with the profile's base tables (which thresholds,
 // row filters and intensional conditions read through the tracer).
-func readSet(prof *sql.Profile, sel *sql.SelectStmt) []string {
+func readSet(prof *sql.Profile, from []string) []string {
 	seen := map[string]bool{}
 	var out []string
 	add := func(n string) {
@@ -976,7 +942,7 @@ func readSet(prof *sql.Profile, sel *sql.SelectStmt) []string {
 			out = append(out, n)
 		}
 	}
-	for _, n := range fromNames(sel) {
+	for _, n := range from {
 		add(n)
 	}
 	for _, n := range prof.BaseTables {

@@ -40,28 +40,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Flat renders the snapshot as one expvar-style map: counter and gauge
-// names to numbers, histogram names to summary objects.
-func (s Snapshot) Flat() map[string]any {
-	out := make(map[string]any, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for k, v := range s.Counters {
-		out[k] = v
-	}
-	for k, v := range s.Gauges {
-		out[k] = v
-	}
-	for k, h := range s.Histograms {
-		out[k] = map[string]any{
-			"count":   h.Count,
-			"sum_ns":  int64(h.Sum),
-			"mean_ns": int64(h.Mean()),
-			"p50_ns":  int64(h.Quantile(0.50)),
-			"p99_ns":  int64(h.Quantile(0.99)),
-		}
-	}
-	return out
-}
-
 // WriteJSON writes the full snapshot as indented JSON.
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	return WriteSnapshotJSON(w, m.Snapshot())
@@ -73,11 +51,4 @@ func WriteSnapshotJSON(w io.Writer, s Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// ExpvarFunc adapts the registry for expvar publication:
-//
-//	expvar.Publish("plabi", expvar.Func(m.ExpvarFunc()))
-func (m *Metrics) ExpvarFunc() func() any {
-	return func() any { return m.Snapshot().Flat() }
 }

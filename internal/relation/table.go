@@ -279,9 +279,23 @@ func (t *Table) BaseTables() []string {
 	return names
 }
 
+// Shell returns a private copy of the table's header — name, schema and
+// column origins — with no rows, for callers that build the rows
+// themselves.
+func (t *Table) Shell() *Table {
+	c := &Table{Name: t.Name, Schema: t.Schema.Clone(), Base: t.Base}
+	if t.ColOrigin != nil {
+		c.ColOrigin = make([]ColRefSet, len(t.ColOrigin))
+		for i, o := range t.ColOrigin {
+			c.ColOrigin[i] = append(ColRefSet(nil), o...)
+		}
+	}
+	return c
+}
+
 // Clone returns a deep copy of the table (rows, lineage and origins).
 func (t *Table) Clone() *Table {
-	c := &Table{Name: t.Name, Schema: t.Schema.Clone(), Base: t.Base}
+	c := t.Shell()
 	c.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
 		c.Rows[i] = r.Clone()
@@ -290,12 +304,6 @@ func (t *Table) Clone() *Table {
 		c.Lineage = make([]LineageSet, len(t.Lineage))
 		for i, l := range t.Lineage {
 			c.Lineage[i] = append(LineageSet(nil), l...)
-		}
-	}
-	if t.ColOrigin != nil {
-		c.ColOrigin = make([]ColRefSet, len(t.ColOrigin))
-		for i, o := range t.ColOrigin {
-			c.ColOrigin[i] = append(ColRefSet(nil), o...)
 		}
 	}
 	// The segment backing is immutable; clones share it (and its cache).

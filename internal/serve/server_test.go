@@ -803,3 +803,32 @@ func writeManifest(t *testing.T, path string, m *Manifest) {
 		t.Fatal(err)
 	}
 }
+
+// TestRenderConditionallyMaskedColumnType: a column in which the render
+// withheld cells ships placeholders, so the wire schema types it STRING
+// rather than the executed type.
+func TestRenderConditionallyMaskedColumnType(t *testing.T) {
+	m := testManifest()
+	m.Tenants[0].ExtraPLAs = `pla "alpha-years" { owner "hospital"; level report;
+	scope "disease-by-year"; allow attribute yr to roles auditor when disease <> 'HIV'; }`
+	_, ts := newTestServer(t, m, Options{})
+	var r apiv1.RenderResponse
+	if _, apiErr := call(t, "POST", ts.URL+"/v1/tenants/alpha/render", "alpha-tok",
+		apiv1.RenderRequest{Report: "disease-by-year",
+			Consumer: apiv1.Consumer{Role: "auditor", Purpose: "quality"}}, &r); apiErr != nil {
+		t.Fatalf("render: %v", apiErr)
+	}
+	if r.MaskedCells == 0 {
+		t.Fatal("no yr cell withheld; the fixture exercises nothing")
+	}
+	for i, c := range r.Columns {
+		if c.Name != "yr" {
+			continue
+		}
+		if c.Type != "STRING" {
+			t.Errorf("Columns[%d] = %+v carries %d placeholders under a non-STRING type", i, c, r.MaskedCells)
+		}
+		return
+	}
+	t.Fatalf("no yr column in %+v", r.Columns)
+}
