@@ -109,7 +109,6 @@ type renderPlan struct {
 // private deep copy of the enforced output, replayed (deep-copied back
 // out) on every folded render at the same generations.
 type foldedRender struct {
-	static     bool
 	table      *relation.Table
 	decisions  []Decision
 	masked     int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -182,45 +183,48 @@ func TestRenderedTableIsCallers(t *testing.T) {
 }
 
 // TestBlockedRenderCopiesNoRow: a statically refused render returns the
-// executed schema with zero rows, and beyond the query execution itself
-// allocates far less than one copy of the result's rows.
+// executed schema with zero rows without running the query, so what it
+// allocates does not follow the table. Bytes, not objects: the vectorized
+// kernel runs the whole query in a few dozen allocations.
 func TestBlockedRenderCopiesNoRow(t *testing.T) {
-	const rows = 10000
-	// A threshold over a non-aggregated report folds to a static block.
-	e, def := mixedEnforcer(t, rows, `
+	// refusalBytes is what 10 refused renders allocate over a table of rows
+	// rows, on this goroutine alone.
+	refusalBytes := func(rows int) uint64 {
+		t.Helper()
+		// A threshold over a non-aggregated report folds to a static block.
+		e, def := mixedEnforcer(t, rows, `
 pla "t" { owner "hospital"; level report; scope "mixed"; aggregate min 3 by patient; }
 `)
-	enf, err := e.Render(def, consumer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(Blocked(enf.Decisions)) == 0 {
-		t.Fatalf("render not blocked: %v", enf.Decisions)
-	}
-	if enf.Table.NumRows() != 0 || enf.Table.Lineage != nil {
-		t.Fatalf("blocked render carries %d rows", enf.Table.NumRows())
-	}
-	if got := enf.Table.Schema.String(); got != "(patient STRING, drug STRING, doctor STRING, date DATE)" {
-		t.Fatalf("blocked render schema = %s", got)
-	}
-	plan, _, err := e.planFor(def, "analyst", "quality")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := testing.AllocsPerRun(3, func() {
-		if _, err := e.Catalog.Exec(plan.sel); err != nil {
+		enf, err := e.Render(def, consumer())
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	render := testing.AllocsPerRun(3, func() {
-		if _, err := e.RenderContext(context.Background(), def, consumer()); err != nil {
-			t.Fatal(err)
+		if len(Blocked(enf.Decisions)) == 0 {
+			t.Fatalf("render not blocked: %v", enf.Decisions)
 		}
-	})
-	// One row-copy of the result is at least one allocation per row.
-	if extra := render - exec; extra >= rows {
-		t.Fatalf("blocked render allocates %.0f objects beyond the query's %.0f; a copy of the %d rows was made",
-			extra, exec, rows)
+		if enf.Table.NumRows() != 0 || enf.Table.Lineage != nil {
+			t.Fatalf("blocked render carries %d rows", enf.Table.NumRows())
+		}
+		if got := enf.Table.Schema.String(); got != "(patient STRING, drug STRING, doctor STRING, date DATE)" {
+			t.Fatalf("blocked render schema = %s", got)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if _, err := e.RenderContext(context.Background(), def, consumer()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := refusalBytes(100), refusalBytes(10000)
+	t.Logf("10 refused renders: %d B over 100 rows, %d B over 10000", small, large)
+	if large >= 64<<10 {
+		t.Errorf("10 refused renders over 10000 rows allocate %d B; the query ran", large)
+	}
+	if large > 2*small {
+		t.Errorf("refused renders allocate %d B over 10000 rows, %d B over 100: the cost follows the table", large, small)
 	}
 }
 

@@ -512,16 +512,29 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	if err != nil {
 		return nil, err
 	}
+	// A refusal is a constant of the plan: it is answered before the query
+	// runs — the executed header over no rows, the blocking decisions — so
+	// it reads no data, is never folded, and holds whatever state the data
+	// is in.
+	if blocked := Blocked(plan.static); len(blocked) > 0 {
+		out, err := e.Catalog.Header(plan.sel)
+		if err != nil {
+			return nil, fmt.Errorf("report %s: %w", def.ID, err)
+		}
+		out.Name = def.ID
+		e.obs().Counter("enforce.static_blocks").Inc()
+		return &Enforced{Def: def, Table: out, Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
+	}
 	if e.compiled.Load() {
 		return e.renderFolded(ctx, def, consumer, plan, hit)
 	}
 	return e.render(ctx, def, consumer, plan, hit)
 }
 
-// render is the render body: execute the query and run the plan's
-// enforcement over the result in one pass. The output is built once — the
-// executed header as a shell, then the single copy enforceRow makes of
-// each row it keeps.
+// render is the render body of a report that is not refused: execute the
+// query and run the plan's enforcement over the result in one pass. The
+// output is built once — the executed header as a shell, then the single
+// copy enforceRow makes of each row it keeps.
 func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
@@ -533,14 +546,6 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 	raw.Name = def.ID
 	out := raw.Shell()
 	enf := &Enforced{Def: def, Table: out, CacheHit: hit, Inputs: plan.from}
-
-	// Static blocks abort rendering entirely: the executed schema goes
-	// back without a row copied.
-	enf.Decisions = append(enf.Decisions, Blocked(plan.static)...)
-	if len(enf.Decisions) > 0 {
-		m.Counter("enforce.static_blocks").Inc()
-		return enf, nil
-	}
 
 	// Column-level access decisions, computed once per plan generation.
 	plan.colOnce.Do(func() {
@@ -623,7 +628,6 @@ func (e *ReportEnforcer) renderFolded(ctx context.Context, def *report.Definitio
 			return nil, err
 		}
 		snap := &foldedRender{
-			static:     len(Blocked(plan.static)) > 0,
 			table:      enf.Table.Clone(),
 			decisions:  append([]Decision(nil), enf.Decisions...),
 			masked:     enf.MaskedCells,
@@ -662,13 +666,9 @@ func (e *ReportEnforcer) renderFolded(ctx context.Context, def *report.Definitio
 	}
 	// Replayed renders maintain the same per-render counters render
 	// emits.
-	if fold.static {
-		m.Counter("enforce.static_blocks").Inc()
-	} else {
-		m.Counter("enforce.rows.in").Add(uint64(fold.rowsIn))
-		m.Counter("enforce.cells.masked").Add(uint64(fold.masked))
-		m.Counter("enforce.rows.suppressed").Add(uint64(fold.suppressed))
-	}
+	m.Counter("enforce.rows.in").Add(uint64(fold.rowsIn))
+	m.Counter("enforce.cells.masked").Add(uint64(fold.masked))
+	m.Counter("enforce.rows.suppressed").Add(uint64(fold.suppressed))
 	return enf, nil
 }
 

@@ -222,6 +222,38 @@ func TestRenderBlockedEnvelope(t *testing.T) {
 	}
 }
 
+// TestRenderBlockedOverUnreadableData: a refusal does not read the data, so
+// a tenant whose segments cannot be read still answers it 403 pla_blocked
+// with the decisions; the allowed report beside it is the 500.
+func TestRenderBlockedOverUnreadableData(t *testing.T) {
+	s, ts := newTestServer(t, testManifest(), Options{})
+	fi := plabi.NewFaultInjector(1)
+	eng, err := plabi.OpenHealthcare(plabi.HealthcareConfig{Seed: 1, Prescriptions: 240},
+		plabi.WithSegmentStore(t.TempDir()), plabi.WithSpillThreshold(1), plabi.WithFaultInjector(fi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.tenants["alpha"].swap(&instance{eng: eng, version: 2})
+	fi.Enable("relation.segment.read", plabi.FaultConfig{ErrorRate: 1})
+
+	render := func(report string) *apiv1.Error {
+		_, apiErr := call(t, "POST", ts.URL+"/v1/tenants/alpha/render", "alpha-tok",
+			apiv1.RenderRequest{Report: report,
+				Consumer: apiv1.Consumer{Role: "analyst", Purpose: "reimbursement"}}, nil)
+		return apiErr
+	}
+	apiErr := render("patient-activity")
+	if apiErr == nil || apiErr.Code != apiv1.CodeBlocked || apiErr.HTTP != http.StatusForbidden {
+		t.Fatalf("refused render over unreadable data: %+v, want pla_blocked/403", apiErr)
+	}
+	if len(apiErr.Decisions) == 0 || apiErr.Decisions[0].Rule != "aggregation-threshold" {
+		t.Errorf("blocked envelope decisions = %+v", apiErr.Decisions)
+	}
+	if apiErr := render("drug-consumption"); apiErr == nil || apiErr.HTTP != http.StatusInternalServerError {
+		t.Errorf("allowed render over unreadable data: %+v, want 500", apiErr)
+	}
+}
+
 func TestRenderErrorMapping(t *testing.T) {
 	_, ts := newTestServer(t, testManifest(), Options{})
 	_, apiErr := call(t, "POST", ts.URL+"/v1/tenants/alpha/render", "alpha-tok",

@@ -154,11 +154,15 @@ func (c *Catalog) ViewNames() []string {
 }
 
 // resolve returns the relation for a FROM-clause name: a base table
-// directly, or the materialization of a view. Views may reference other
-// views; cycles are detected.
-func (c *Catalog) resolve(name string, seen map[string]bool) (*relation.Table, error) {
+// directly (its rowless shell when only the header is wanted), or the
+// materialization of a view. Views may reference other views; cycles are
+// detected.
+func (c *Catalog) resolve(name string, seen map[string]bool, header bool) (*relation.Table, error) {
 	key := strings.ToLower(name)
 	if t, ok := c.Table(key); ok {
+		if header {
+			return t.Shell(), nil
+		}
 		return t, nil
 	}
 	if v, ok := c.View(key); ok {
@@ -166,7 +170,7 @@ func (c *Catalog) resolve(name string, seen map[string]bool) (*relation.Table, e
 			return nil, fmt.Errorf("sql: view cycle through %q", name)
 		}
 		seen[key] = true
-		t, err := c.exec(v, seen)
+		t, err := c.exec(v, seen, header)
 		if err != nil {
 			return nil, fmt.Errorf("sql: view %q: %w", name, err)
 		}
@@ -182,7 +186,7 @@ func (c *Catalog) resolve(name string, seen map[string]bool) (*relation.Table, e
 func (c *Catalog) Exec(stmt Statement) (*relation.Table, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return c.exec(s, map[string]bool{})
+		return c.exec(s, map[string]bool{}, false)
 	case *CreateViewStmt:
 		c.RegisterView(s.Name, s.Select)
 		return nil, nil
@@ -191,13 +195,27 @@ func (c *Catalog) Exec(stmt Statement) (*relation.Table, error) {
 	}
 }
 
+// Header returns what Exec's result would carry besides its rows — name,
+// schema, column origins — without reading any: the same executor runs
+// over the rowless shells of the base tables, so every operator types its
+// output exactly as it does over data, and a definition error (unknown
+// table or column, non-grouped column, view cycle) is Exec's.
+func (c *Catalog) Header(sel *SelectStmt) (*relation.Table, error) {
+	t, err := c.exec(sel, map[string]bool{}, true)
+	if err != nil {
+		return nil, err
+	}
+	// An aggregate without GROUP BY emits its one row over empty input too.
+	return t.Shell(), nil
+}
+
 // Query parses and executes a SELECT, returning its result.
 func (c *Catalog) Query(src string) (*relation.Table, error) {
 	sel, err := ParseSelect(src)
 	if err != nil {
 		return nil, err
 	}
-	return c.exec(sel, map[string]bool{})
+	return c.exec(sel, map[string]bool{}, false)
 }
 
 // Run parses and executes any statement.

@@ -8,17 +8,18 @@ import (
 )
 
 // exec evaluates a SELECT against the catalog. The result is a derived
-// relation.Table carrying full lineage and column origins.
-func (c *Catalog) exec(s *SelectStmt, seen map[string]bool) (*relation.Table, error) {
+// relation.Table carrying full lineage and column origins. With header set
+// the base tables contribute their schemas and no rows (Catalog.Header).
+func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, error) {
 	// 1. FROM: resolve and qualify each input in declaration order.
 	inputs := make([]*relation.Table, 0, 1+len(s.Joins))
-	first, err := c.resolve(s.From.Name, seen)
+	first, err := c.resolve(s.From.Name, seen, header)
 	if err != nil {
 		return nil, err
 	}
 	inputs = append(inputs, relation.Rename(first, strings.ToLower(s.From.EffName())))
 	for _, j := range s.Joins {
-		rt, err := c.resolve(j.Table.Name, seen)
+		rt, err := c.resolve(j.Table.Name, seen, header)
 		if err != nil {
 			return nil, err
 		}

@@ -87,8 +87,8 @@ func TestImpliesReflexiveTransitive(t *testing.T) {
 }
 
 // TestGeneratedQueryRoundTrip: random queries from a small grammar must
-// parse, render, re-parse to the identical rendering, and execute to the
-// same result.
+// parse, render, re-parse to the identical rendering, execute to the same
+// result, and have the executed header as their Header.
 func TestGeneratedQueryRoundTrip(t *testing.T) {
 	cat := testCatalog()
 	rng := rand.New(rand.NewSource(7))
@@ -138,6 +138,7 @@ func TestGeneratedQueryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
+		checkHeaderIsExecuted(t, cat, q)
 		r2, err := cat.Query(rendered)
 		if err != nil {
 			t.Fatalf("Query(rendered %q): %v", rendered, err)

@@ -572,11 +572,13 @@ func (e *Engine) CheckReportCompliance(ctx context.Context, reportID string, c C
 
 // Render renders a report with full enforcement for the consumer,
 // recording every decision in the audit log. When static PLA checks
-// block the report, the returned Enforced carries the (empty) table and
-// the blocking decisions, and the error is a *BlockedError wrapping
-// ErrPLAViolation. Unknown ids wrap ErrUnknownReport. Render is safe to
-// call from many goroutines; repeated renders of the same (report, role,
-// purpose) are served from the decision cache.
+// block the report, the refusal is decided without executing it: the
+// returned Enforced carries the report's columns over no rows and the
+// blocking decisions — even when the underlying data cannot be read — and
+// the error is a *BlockedError wrapping ErrPLAViolation. Unknown ids wrap
+// ErrUnknownReport. Render is safe to call from many goroutines; repeated
+// renders of the same (report, role, purpose) are served from the
+// decision cache.
 func (e *Engine) Render(ctx context.Context, reportID string, c Consumer) (*Enforced, error) {
 	enf, err := e.core.RenderContext(ctx, reportID, c)
 	if err != nil {
