@@ -155,10 +155,9 @@ type Program struct {
 	Filters []BoundPredicate
 	// FilterPLAs names the agreements behind the row filters.
 	FilterPLAs []string
-	// Columns is the static classification of output columns (by query
-	// output name and profiled origins), for Explain and pladiff; runtime
-	// masking runs the same classification over the executed schema's
-	// origins.
+	// Columns is the classification of the output columns, in header
+	// order, for Explain and pladiff: the one the static check reports and
+	// row enforcement runs.
 	Columns []ColumnPlan
 	// Pruned lists the dead rules removed from the residual rule set.
 	Pruned []PrunedRule

@@ -9,6 +9,7 @@ import (
 	"plabi/internal/metareport"
 	"plabi/internal/policy"
 	"plabi/internal/report"
+	"plabi/internal/sql"
 	"plabi/internal/workload"
 )
 
@@ -128,6 +129,51 @@ func TestCheckReportCompliance(t *testing.T) {
 	}
 	if _, err := e.CheckReportCompliance("ghost", report.Consumer{}); err == nil {
 		t.Error("unknown report must fail")
+	}
+}
+
+// TestScenarioContainmentSeesColumns: every report of the scenario shows
+// base columns, each is derivable from the meta-report it was assigned to,
+// and a report showing a column that meta-report omits is not — so the
+// column clause of containment compares something.
+func TestScenarioContainmentSeesColumns(t *testing.T) {
+	e, _ := smallEngine(t)
+	metas := e.MetaReports()
+	if len(metas) != 1 || metas[0].ID != "meta-01-rx_wide" {
+		t.Fatalf("metas = %v", metas)
+	}
+	for _, def := range e.Reports.All() {
+		prof, err := sql.ProfileSQL(e.Catalog, def.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prof.OutputCols) == 0 {
+			t.Errorf("%s shows no base column", def.ID)
+		}
+		c, err := metareport.IsDerivable(e.Catalog, def, metas[0])
+		if err != nil || !c.Derivable || e.Assignment(def.ID) != metas[0].ID {
+			t.Errorf("%s: derivable=%v (%v) err=%v assigned to %q", def.ID, c.Derivable, c.Reasons, err, e.Assignment(def.ID))
+		}
+	}
+	// No scenario report reads doctor, so the derived meta-report omits it.
+	if err := e.DefineReport(&report.Definition{ID: "doctor-load", Purpose: "quality",
+		Query: "SELECT doctor, COUNT(*) AS n FROM rx_wide GROUP BY doctor"}); err != nil {
+		t.Fatal(err)
+	}
+	def, _ := e.Reports.Get("doctor-load")
+	c, err := metareport.IsDerivable(e.Catalog, def, metas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Derivable || len(c.Reasons) != 1 || c.Reasons[0] != "output column prescriptions.doctor not covered" {
+		t.Errorf("doctor-load: derivable=%v reasons=%v", c.Derivable, c.Reasons)
+	}
+	ds, err := e.CheckReportCompliance("doctor-load", report.Consumer{Role: "analyst", Purpose: "quality"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) == 0 || ds[0].Rule != "meta-derivability" || ds[0].Outcome != enforce.Block {
+		t.Errorf("doctor-load compliance = %v", ds)
 	}
 }
 

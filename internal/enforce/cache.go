@@ -64,18 +64,23 @@ type colPlan struct {
 }
 
 // renderPlan is everything about one (report, role, purpose) triple that
-// does not depend on the data: parsed AST, query profile, composed PLAs,
-// static decisions, the compiled residual program — the only holder of
-// the baked thresholds, pre-bound row filters, aggregated flag and their
-// PLA attributions — and, filled on first render, the per-column access
-// decisions bound to the executed schema. All fields are immutable after
-// construction (cols after the sync.Once fires, fold under foldMu), so a
-// plan is shared freely across concurrent renders.
+// does not depend on the data: parsed AST, composed PLAs, the query's
+// executed header and the classification of its columns, static
+// decisions, and the compiled residual program — the only holder of the
+// baked thresholds, pre-bound row filters, aggregated flag and their PLA
+// attributions. All fields are immutable after construction (fold under
+// foldMu), so a plan is shared freely across concurrent renders.
 type renderPlan struct {
 	at   gens
 	sel  *sql.SelectStmt
-	prof *sql.Profile
 	comp *policy.Composite
+
+	// header is what the query's result carries besides its rows — named
+	// for the report, schema, column origins — and cols the classification
+	// of its columns, by index: a refusal returns the header's shell, a
+	// render enforces cols on a result of exactly this schema.
+	header *relation.Table
+	cols   []colPlan
 
 	// from names the relations of the query's FROM clause, in order.
 	from []string
@@ -92,9 +97,6 @@ type renderPlan struct {
 	// prog is the residual program this plan was specialized into; row
 	// enforcement executes its thresholds and filters directly.
 	prog *compile.Program
-
-	colOnce sync.Once
-	cols    []colPlan // per output-column index; nil until first render
 
 	// fold is the constant-folded render result (SetCompiledRenders): the
 	// plan generations include the catalog generation and registered

@@ -2,7 +2,6 @@ package enforce
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"plabi/internal/compile"
@@ -10,18 +9,17 @@ import (
 )
 
 // ColumnReaders is one output column as two readers of the plan's column
-// classification see it — the residual program's published column plan
-// and the runtime column plan bound to the executed schema (rendered in
-// the program's vocabulary) — and whether the query profile and the
-// executed result gave the classification the same column origins.
+// classification see it: the residual program's published column plan,
+// and the column plan row enforcement runs, rendered in the program's
+// vocabulary and re-derived here from the executed result's own schema
+// and column origins rather than from the plan's header.
 type ColumnReaders struct {
 	Program, Runtime compile.ColumnPlan
-	SameOrigins      bool
 }
 
 // ClassificationReaders exposes, to the external tests, the readers of a
 // plan's column classification: the static check's decisions (the third
-// reader) and, per output column in name order, the program's and the
+// reader) and, per output column in header order, the program's and the
 // runtime's view.
 func (e *ReportEnforcer) ClassificationReaders(def *report.Definition, role, purpose string) ([]Decision, []ColumnReaders, error) {
 	plan, _, err := e.planFor(def, role, purpose)
@@ -32,23 +30,17 @@ func (e *ReportEnforcer) ClassificationReaders(def *report.Definition, role, pur
 	if err != nil {
 		return nil, nil, err
 	}
-	runtime := map[string]ColumnReaders{}
-	for ci, cp := range e.buildColPlans(plan, raw, role, purpose) {
-		name := strings.ToLower(raw.Schema.Columns[ci].Name)
-		runtime[name] = ColumnReaders{Runtime: cp.published(name),
-			SameOrigins: reflect.DeepEqual(plan.prof.OutputNames[name], raw.ColumnOrigin(ci))}
+	if len(plan.cols) != raw.Schema.Len() || len(plan.prog.Columns) != raw.Schema.Len() {
+		return nil, nil, fmt.Errorf("plan classifies %d columns, program publishes %d, the executed schema has %d",
+			len(plan.cols), len(plan.prog.Columns), raw.Schema.Len())
 	}
-	if len(runtime) != len(plan.prog.Columns) {
-		return nil, nil, fmt.Errorf("program publishes %d columns, the executed schema has %d", len(plan.prog.Columns), len(runtime))
-	}
-	var cols []ColumnReaders
-	for _, pc := range plan.prog.Columns {
-		rc, ok := runtime[pc.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("program column %q is not in the executed schema", pc.Name)
+	cols := make([]ColumnReaders, raw.Schema.Len())
+	for ci, col := range raw.Schema.Columns {
+		name := strings.ToLower(col.Name)
+		cols[ci] = ColumnReaders{
+			Program: plan.prog.Columns[ci],
+			Runtime: e.classifyColumn(plan, name, raw.ColumnOrigin(ci), role, purpose).published(name),
 		}
-		rc.Program = pc
-		cols = append(cols, rc)
 	}
 	return plan.static, cols, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,5 +269,48 @@ pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute
 		if got := enf.Table.Schema.String(); enf.MaskedCells != 0 || got != "(date DATE, drug STRING)" {
 			t.Errorf("folded=%v: unmasked render: masked=%d schema %s", folded, enf.MaskedCells, got)
 		}
+	}
+}
+
+// TestPlanBuildFailsAsTheRenderWould: a definition the executor rejects —
+// here a predicate column no FROM relation carries, which the executor
+// only trips over once a row reaches it — has no plan: the static check
+// and the render fail with the executor's error, whatever the table holds.
+func TestPlanBuildFailsAsTheRenderWould(t *testing.T) {
+	for _, rows := range []int{0, 10} {
+		e, _ := mixedEnforcer(t, rows, "")
+		def := &report.Definition{ID: "mixed", Query: "SELECT patient, drug FROM bulk WHERE nope = 1"}
+		_, err := e.StaticCheck(def, "analyst", "quality")
+		if err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
+			t.Errorf("%d rows: static check error = %v", rows, err)
+		}
+		if _, rerr := e.Render(def, consumer()); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%d rows: render error = %v, static check's %v", rows, rerr, err)
+		}
+		if _, _, cerr := e.CompositeFor(def); cerr == nil {
+			t.Errorf("%d rows: CompositeFor profiled the definition", rows)
+		}
+	}
+}
+
+// TestRenderRefusesSchemaDrift: the column plans are classified over the
+// plan's header. A result of any other schema — a drift the generations
+// failed to capture, simulated here — fails the render closed; it is not
+// enforced with plans made for other columns.
+func TestRenderRefusesSchemaDrift(t *testing.T) {
+	e, def := mixedEnforcer(t, 10, "")
+	if _, err := e.Render(def, consumer()); err != nil {
+		t.Fatal(err)
+	}
+	plan, hit, err := e.planFor(def, "analyst", "quality")
+	if err != nil || !hit {
+		t.Fatalf("plan: hit=%v err=%v", hit, err)
+	}
+	// The plan forgets its denied column.
+	plan.header.Schema.Columns = append(plan.header.Schema.Columns[:2], plan.header.Schema.Columns[3])
+	plan.cols = append(plan.cols[:2], plan.cols[3])
+	enf, err := e.Render(def, consumer())
+	if err == nil || !strings.Contains(err.Error(), "is not the plan's") {
+		t.Fatalf("render over a drifted schema: %v, err = %v", enf, err)
 	}
 }

@@ -252,12 +252,12 @@ func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (
 }
 
 // buildPlan does every piece of enforcement work that does not depend on
-// the data: parse, profile, compose the governing PLAs, classify the
-// output columns, run the static check, and partially evaluate the
-// composite into a residual program (thresholds baked and sorted, row
-// filters pre-bound, constant verdicts folded, dead rules pruned). The
-// decision cache stores the compiled program with the plan; every render
-// executes it.
+// the data: parse, profile, compose the governing PLAs, take the query's
+// header from the executor, classify its columns, run the static check,
+// and partially evaluate the composite into a residual program
+// (thresholds baked and sorted, row filters pre-bound, constant verdicts
+// folded, dead rules pruned). The decision cache stores the compiled
+// program with the plan; every render executes it.
 func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string, at gens) (*renderPlan, error) {
 	comp, prof, err := e.CompositeFor(def)
 	if err != nil {
@@ -267,27 +267,29 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 	if err != nil {
 		return nil, err
 	}
+	header, err := e.Catalog.Header(sel)
+	if err != nil {
+		return nil, fmt.Errorf("report %s: %w", def.ID, err)
+	}
+	header.Name = def.ID
 	plan := &renderPlan{
-		at: at, sel: sel, prof: prof, comp: comp,
+		at: at, sel: sel, comp: comp, header: header,
 		from:    fromNames(sel),
 		aggCols: aggregateColumns(sel),
+		cols:    make([]colPlan, header.Schema.Len()),
 	}
 	plan.reads = readSet(prof, plan.from)
 
-	// The one static column classification, over the query's output names
-	// (buildColPlans binds the same helper to the executed schema): it
-	// yields both the column plans the program publishes and the mask
-	// decisions the static check reports.
-	names := make([]string, 0, len(prof.OutputNames))
-	for name := range prof.OutputNames {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	columns := make([]compile.ColumnPlan, len(names))
+	// The one column classification, by index over the executed header: it
+	// yields the column plans row enforcement runs, the ones the program
+	// publishes and the mask decisions the static check reports.
+	columns := make([]compile.ColumnPlan, len(plan.cols))
 	var masks []Decision
-	for i, name := range names {
-		cp := e.classifyColumn(plan, name, prof.OutputNames[name], role, purpose)
-		columns[i] = cp.published(name)
+	for ci, col := range header.Schema.Columns {
+		name := strings.ToLower(col.Name)
+		cp := e.classifyColumn(plan, name, header.ColumnOrigin(ci), role, purpose)
+		plan.cols[ci] = cp
+		columns[ci] = cp.published(name)
 		if cp.masked {
 			masks = append(masks, cp.decision)
 		}
@@ -473,18 +475,6 @@ func (cp colPlan) published(name string) compile.ColumnPlan {
 	return out
 }
 
-// buildColPlans classifies the columns of an executed result — its schema
-// names and column origins — for one consumer. The result is deterministic
-// for a fixed plan generation, so it is computed once per cached plan and
-// shared across renders.
-func (e *ReportEnforcer) buildColPlans(plan *renderPlan, raw *relation.Table, role, purpose string) []colPlan {
-	cols := make([]colPlan, raw.Schema.Len())
-	for ci, col := range raw.Schema.Columns {
-		cols[ci] = e.classifyColumn(plan, strings.ToLower(col.Name), raw.ColumnOrigin(ci), role, purpose)
-	}
-	return cols
-}
-
 // Render executes the report and enforces the PLAs on the result for the
 // given consumer.
 func (e *ReportEnforcer) Render(def *report.Definition, consumer report.Consumer) (*Enforced, error) {
@@ -513,17 +503,12 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 		return nil, err
 	}
 	// A refusal is a constant of the plan: it is answered before the query
-	// runs — the executed header over no rows, the blocking decisions — so
-	// it reads no data, is never folded, and holds whatever state the data
-	// is in.
+	// runs — the plan's header over no rows, the blocking decisions — so it
+	// reads no data, is never folded, and holds whatever state the data is
+	// in.
 	if blocked := Blocked(plan.static); len(blocked) > 0 {
-		out, err := e.Catalog.Header(plan.sel)
-		if err != nil {
-			return nil, fmt.Errorf("report %s: %w", def.ID, err)
-		}
-		out.Name = def.ID
 		e.obs().Counter("enforce.static_blocks").Inc()
-		return &Enforced{Def: def, Table: out, Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
+		return &Enforced{Def: def, Table: plan.header.Shell(), Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
 	}
 	if e.compiled.Load() {
 		return e.renderFolded(ctx, def, consumer, plan, hit)
@@ -547,15 +532,13 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 	out := raw.Shell()
 	enf := &Enforced{Def: def, Table: out, CacheHit: hit, Inputs: plan.from}
 
-	// Column-level access decisions, computed once per plan generation.
-	plan.colOnce.Do(func() {
-		plan.cols = e.buildColPlans(plan, raw, consumer.Role, consumer.Purpose)
-	})
-	cols := plan.cols
-	if len(cols) != out.Schema.Len() {
-		// Defensive: a schema drift the generations failed to capture.
-		cols = e.buildColPlans(plan, raw, consumer.Role, consumer.Purpose)
+	// The column plans were classified over the plan's header: a result of
+	// any other shape — a drift the generations failed to capture — is not
+	// enforced by guesswork.
+	if !raw.Schema.Equal(plan.header.Schema) {
+		return nil, fmt.Errorf("report %s: executed schema %s is not the plan's %s", def.ID, raw.Schema, plan.header.Schema)
 	}
+	cols := plan.cols
 	// placeholder marks the columns this render puts a MaskValue in: the
 	// denied ones up front, a conditionally released one from the worker
 	// that withholds its first cell.

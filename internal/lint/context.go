@@ -177,28 +177,27 @@ func (p *Pass) knownRelation(name string) bool {
 }
 
 // relationColumns returns the lowercase column set of a catalog table or
-// view (views are profiled for their output names).
+// view (a view's is its executed header's).
 func (p *Pass) relationColumns(name string) (map[string]bool, bool) {
 	if p.Catalog == nil {
 		return nil, false
 	}
-	if t, ok := p.Catalog.Table(name); ok {
-		cols := map[string]bool{}
-		for _, c := range t.Schema.ColumnNames() {
-			cols[strings.ToLower(c)] = true
+	t, ok := p.Catalog.Table(name)
+	if !ok {
+		v, isView := p.Catalog.View(name)
+		if !isView {
+			return nil, false
 		}
-		return cols, true
-	}
-	if _, ok := p.Catalog.View(name); ok {
-		if prof, err := sql.ProfileSQL(p.Catalog, "SELECT * FROM "+name); err == nil {
-			cols := map[string]bool{}
-			for n := range prof.OutputNames {
-				cols[n] = true
-			}
-			return cols, true
+		var err error
+		if t, err = p.Catalog.Header(v); err != nil {
+			return nil, false
 		}
 	}
-	return nil, false
+	cols := map[string]bool{}
+	for _, c := range t.Schema.ColumnNames() {
+		cols[strings.ToLower(c)] = true
+	}
+	return cols, true
 }
 
 // tableComposite composes the source- and warehouse-level agreements

@@ -361,3 +361,39 @@ func TestAnalyzerRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemaDriftThroughView: a view's columns are its executed header's —
+// a SELECT * view carries every column of what it selects from — and a
+// report whose query the executor rejects is not profiled, so the
+// report-scoped drift check says nothing about it rather than something
+// wrong.
+func TestSchemaDriftThroughView(t *testing.T) {
+	cat := fixtureCatalog()
+	if _, err := cat.Run("CREATE VIEW rx AS SELECT * FROM prescriptions"); err != nil {
+		t.Fatal(err)
+	}
+	plas, err := policy.ParseFileNamed("view.pla", `
+pla "on-view" { owner "hospital"; level warehouse; scope "rx";
+    allow attribute drug;
+    allow attribute druggg;
+}
+pla "on-broken" { owner "hospital"; level report; scope "broken";
+    allow attribute anything;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := lint.Run(&lint.Pass{PLAs: plas, Catalog: cat, Reports: []*report.Definition{
+		{ID: "broken", Query: "SELECT patient FROM rx WHERE nope = 1", Roles: []string{"analyst"}},
+	}})
+	var drift []string
+	for _, f := range fs {
+		if f.Code == "PL003" {
+			drift = append(drift, f.Subject)
+		}
+	}
+	if len(drift) != 1 || drift[0] != "on-view/druggg" {
+		t.Errorf("PL003 subjects = %v, want [on-view/druggg]; findings: %v", drift, fs)
+	}
+}

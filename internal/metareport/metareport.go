@@ -260,14 +260,11 @@ func referencedCols(cat *sql.Catalog, sel *sql.SelectStmt) (relation.ColRefSet, 
 			return t.Schema, nil
 		}
 		if v, ok := cat.View(name); ok {
-			// Execute-free approximation: a view's output names.
-			cols := make([]relation.Column, 0, len(v.Items))
-			for _, it := range v.Items {
-				if !it.Star {
-					cols = append(cols, relation.Column{Name: it.OutName()})
-				}
+			h, err := cat.Header(v)
+			if err != nil {
+				return nil, err
 			}
-			return &relation.Schema{Columns: cols}, nil
+			return h.Schema, nil
 		}
 		return nil, fmt.Errorf("unknown relation %q", name)
 	}

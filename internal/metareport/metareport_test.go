@@ -370,3 +370,33 @@ func TestDeriveWithMaxWidth(t *testing.T) {
 		t.Errorf("over-wide report metas = %d", len(bigMetas))
 	}
 }
+
+// TestDeriveThroughStarView: a view's columns are its executed header's, so
+// a report over a SELECT * view contributes the columns it references to
+// the derived meta-report, and containment sees them.
+func TestDeriveThroughStarView(t *testing.T) {
+	cat, _ := testCatalog()
+	if _, err := cat.Run("CREATE VIEW hivrx AS SELECT * FROM prescriptions WHERE disease = 'HIV'"); err != nil {
+		t.Fatal(err)
+	}
+	def := &report.Definition{ID: "hiv-drugs", Query: "SELECT drug, COUNT(*) AS n FROM hivrx WHERE date >= DATE '2007-01-01' GROUP BY drug"}
+	metas, assign, err := Derive(cat, []*report.Definition{def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metas) != 1 || assign[def.ID] != metas[0].ID {
+		t.Fatalf("metas = %v, assign = %v", metas, assign)
+	}
+	if want := "SELECT hivrx.date AS date, hivrx.drug AS drug FROM hivrx"; metas[0].Query != want {
+		t.Errorf("meta query = %q, want %q", metas[0].Query, want)
+	}
+	c, err := IsDerivable(cat, def, metas[0])
+	if err != nil || !c.Derivable {
+		t.Errorf("report not derivable from its own meta: %v %v", c.Reasons, err)
+	}
+	shows := &report.Definition{ID: "hiv-patients", Query: "SELECT patient FROM hivrx"}
+	c, err = IsDerivable(cat, shows, metas[0])
+	if err != nil || c.Derivable {
+		t.Errorf("a report showing a column the meta omits is derivable: %v %v", c, err)
+	}
+}

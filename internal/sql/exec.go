@@ -11,23 +11,34 @@ import (
 // relation.Table carrying full lineage and column origins. With header set
 // the base tables contribute their schemas and no rows (Catalog.Header).
 func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, error) {
-	// 1. FROM: resolve and qualify each input in declaration order.
+	cur, residual, err := c.from(s, seen, header)
+	if err != nil {
+		return nil, err
+	}
+	return finish(cur, residual, s)
+}
+
+// from evaluates the FROM clause: each input resolved and qualified in
+// declaration order, single-relation WHERE conjuncts pushed below the
+// joins, then the inputs joined left to right. It returns the joined
+// relation — the schema every column reference of the statement resolves
+// against — and the WHERE conjuncts the pushdown did not claim.
+func (c *Catalog) from(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, relation.Expr, error) {
 	inputs := make([]*relation.Table, 0, 1+len(s.Joins))
 	first, err := c.resolve(s.From.Name, seen, header)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	inputs = append(inputs, relation.Rename(first, strings.ToLower(s.From.EffName())))
 	for _, j := range s.Joins {
 		rt, err := c.resolve(j.Table.Name, seen, header)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inputs = append(inputs, relation.Rename(rt, strings.ToLower(j.Table.EffName())))
 	}
 
-	// Push single-relation WHERE conjuncts below the joins (see
-	// pushdown.go for the soundness conditions), then join left to right.
+	// See pushdown.go for the soundness conditions.
 	pushed, residual := planPushdown(s, inputs)
 	for k, parts := range pushed {
 		if len(parts) == 0 {
@@ -35,18 +46,24 @@ func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relat
 		}
 		inputs[k], err = relation.Select(inputs[k], foldAnd(parts))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	cur := inputs[0]
 	for i, j := range s.Joins {
 		cur, err = relation.Join(cur, inputs[i+1], j.On, j.Kind)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
+	return cur, residual, nil
+}
 
-	// 2. WHERE (conjuncts not claimed by the pushdown).
+// finish evaluates the rest of the statement over its joined FROM
+// relation: the residual WHERE, grouping or projection, DISTINCT, ORDER BY
+// and LIMIT.
+func finish(cur *relation.Table, residual relation.Expr, s *SelectStmt) (*relation.Table, error) {
+	var err error
 	if residual != nil {
 		cur, err = relation.Select(cur, residual)
 		if err != nil {
@@ -54,7 +71,6 @@ func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relat
 		}
 	}
 
-	// 3. Grouping / aggregation.
 	grouped := len(s.GroupBy) > 0 || s.HasAggregates()
 	if grouped {
 		cur, err = execGrouped(cur, s)
@@ -68,12 +84,11 @@ func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relat
 		}
 	}
 
-	// 4. DISTINCT.
 	if s.Distinct {
 		cur = relation.Distinct(cur)
 	}
 
-	// 5. ORDER BY over output columns.
+	// ORDER BY sorts on output columns.
 	if len(s.OrderBy) > 0 {
 		keys := make([]relation.SortKey, len(s.OrderBy))
 		for i, o := range s.OrderBy {
@@ -85,7 +100,6 @@ func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relat
 		}
 	}
 
-	// 6. LIMIT.
 	if s.Limit >= 0 {
 		cur = relation.Limit(cur, s.Limit)
 	}
@@ -175,10 +189,8 @@ func execGrouped(cur *relation.Table, s *SelectStmt) (*relation.Table, error) {
 	}
 
 	keyCols := make([]string, len(keys))
-	keyByExpr := make(map[string]string, len(keys))
 	for i, k := range keys {
 		keyCols[i] = k.col
-		keyByExpr[s.GroupBy[i].String()] = k.col
 	}
 	specs := make([]relation.AggSpec, len(aggs))
 	for i, a := range aggs {
@@ -187,6 +199,12 @@ func execGrouped(cur *relation.Table, s *SelectStmt) (*relation.Table, error) {
 	grouped, err := relation.GroupBy(cur, keyCols, specs)
 	if err != nil {
 		return nil, err
+	}
+	// The grouped relation leads with the keys, in order, under their
+	// unqualified names.
+	keyByExpr := make(map[string]string, len(keys))
+	for i, g := range s.GroupBy {
+		keyByExpr[g.String()] = grouped.Schema.Columns[i].Name
 	}
 
 	// HAVING evaluates against the grouped schema (keys + agg outputs).

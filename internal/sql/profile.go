@@ -54,11 +54,15 @@ func NewJoinPair(a, b string) JoinPair {
 // Profile is the structural summary of a SELECT used for policy analysis:
 // which base tables it reads, which base columns reach the output, which
 // filter conjuncts constrain it, which tables it joins, and how it
-// aggregates.
+// aggregates. Every column origin in it is the executor's: a reference
+// resolves against the header of the statement's own FROM stage, the
+// output columns are those of Catalog.Header.
 type Profile struct {
 	BaseTables []string
 	OutputCols relation.ColRefSet
 	// OutputNames maps each output column name (lowercase) to its origins.
+	// An aggregate carries the origins of its argument — COUNT(*) none —
+	// so containment compares what a report shows, not what it counts over.
 	OutputNames map[string]relation.ColRefSet
 	Conjuncts   []SimplePred
 	// Opaque is set when the WHERE clause contained structure beyond a
@@ -71,15 +75,13 @@ type Profile struct {
 	Aggregated bool
 }
 
-// colEnv maps visible column names (qualified and unqualified, lowercase)
-// to base-column origins during profiling.
-type colEnv map[string]relation.ColRefSet
-
 // ProfileQuery computes the profile of a SELECT against the catalog.
 // Views in the FROM clause are profiled recursively; their filters and
-// joins fold into the outer profile.
+// joins fold into the outer profile. A statement the executor rejects —
+// unknown table or column, non-grouped column, view cycle — does not
+// profile.
 func ProfileQuery(c *Catalog, s *SelectStmt) (*Profile, error) {
-	return profileSelect(c, s, map[string]bool{})
+	return c.profile(s, map[string]bool{})
 }
 
 // ProfileSQL parses and profiles a SELECT string.
@@ -91,144 +93,90 @@ func ProfileSQL(c *Catalog, src string) (*Profile, error) {
 	return ProfileQuery(c, sel)
 }
 
-// profileRel profiles one FROM-clause name: a base table or a view.
-// It returns the environment of visible columns and the folded-in profile
-// contributions (tables, conjuncts, joins, opacity).
-func profileRel(c *Catalog, name string, seen map[string]bool) (colEnv, *Profile, error) {
-	key := strings.ToLower(name)
-	if t, ok := c.Table(key); ok {
-		env := colEnv{}
-		p := &Profile{}
-		if t.Base || t.ColOrigin == nil {
-			p.BaseTables = []string{key}
-			for _, col := range t.Schema.Columns {
-				cn := strings.ToLower(col.Name)
-				env[cn] = relation.ColRefSet{{Table: key, Column: cn}}
-			}
-		} else {
-			// A registered *derived* table (e.g. an ETL staging output)
-			// carries its own column origins: profile through to the true
-			// base tables so PLAs scoped to the sources keep applying.
-			p.BaseTables = t.BaseTables()
-			for i, col := range t.Schema.Columns {
-				cn := strings.ToLower(col.Name)
-				env[cn] = t.ColumnOrigin(i)
-			}
-		}
-		return env, p, nil
+func (c *Catalog) profile(s *SelectStmt, seen map[string]bool) (*Profile, error) {
+	from, residual, err := c.from(s, seen, true)
+	if err != nil {
+		return nil, err
 	}
-	if v, ok := c.View(key); ok {
-		if seen[key] {
-			return nil, nil, fmt.Errorf("sql: view cycle through %q", name)
+	out, err := finish(from, residual, s)
+	if err != nil {
+		return nil, err
+	}
+	p := &Profile{OutputNames: map[string]relation.ColRefSet{}}
+
+	// What each FROM relation reads: a table says so itself (a derived one
+	// through its column origins), a view is profiled and folds in.
+	refs := []TableRef{s.From}
+	for _, j := range s.Joins {
+		refs = append(refs, j.Table)
+	}
+	for _, tr := range refs {
+		key := strings.ToLower(tr.Name)
+		if t, ok := c.Table(key); ok {
+			p.BaseTables = append(p.BaseTables, t.BaseTables()...)
+			continue
+		}
+		v, ok := c.View(key)
+		if !ok {
+			return nil, fmt.Errorf("sql: %w %q", ErrUnknownTable, tr.Name)
 		}
 		seen[key] = true
-		vp, err := profileSelect(c, v, seen)
+		sub, err := c.profile(v, seen)
 		seen[key] = false
 		if err != nil {
-			return nil, nil, err
-		}
-		env := colEnv{}
-		for n, refs := range vp.OutputNames {
-			env[n] = refs
-		}
-		return env, vp, nil
-	}
-	return nil, nil, fmt.Errorf("sql: %w %q", ErrUnknownTable, name)
-}
-
-func profileSelect(c *Catalog, s *SelectStmt, seen map[string]bool) (*Profile, error) {
-	p := &Profile{OutputNames: map[string]relation.ColRefSet{}}
-	env := colEnv{}
-	ambiguous := map[string]bool{}
-
-	addRel := func(tr TableRef) error {
-		relEnv, sub, err := profileRel(c, tr.Name, seen)
-		if err != nil {
-			return err
-		}
-		alias := strings.ToLower(tr.EffName())
-		for n, refs := range relEnv {
-			env[alias+"."+n] = refs
-			if _, dup := env[n]; dup {
-				ambiguous[n] = true
-			} else {
-				env[n] = refs
-			}
+			return nil, fmt.Errorf("sql: view %q: %w", tr.Name, err)
 		}
 		p.BaseTables = append(p.BaseTables, sub.BaseTables...)
 		p.Conjuncts = append(p.Conjuncts, sub.Conjuncts...)
 		p.JoinPairs = append(p.JoinPairs, sub.JoinPairs...)
-		if sub.Opaque {
+		// An aggregated view makes fine-grained filter reasoning on the
+		// outer query unsound; mark opaque.
+		if sub.Opaque || sub.Aggregated {
 			p.Opaque = true
 		}
-		if sub.Aggregated {
-			// An aggregated view makes fine-grained filter reasoning on
-			// the outer query unsound; mark opaque.
-			p.Opaque = true
-		}
-		return nil
 	}
 
-	if err := addRel(s.From); err != nil {
-		return nil, err
-	}
 	for _, j := range s.Joins {
-		if err := addRel(j.Table); err != nil {
+		if err := p.addPredicate(j.On, from); err != nil {
 			return nil, err
 		}
-		profilePredicate(j.On, env, ambiguous, p)
 	}
 	if s.Where != nil {
-		profilePredicate(s.Where, env, ambiguous, p)
-	}
-
-	resolve := func(name string) (relation.ColRefSet, bool) {
-		n := strings.ToLower(name)
-		if !strings.ContainsRune(n, '.') && ambiguous[n] {
-			return nil, false
+		if err := p.addPredicate(s.Where, from); err != nil {
+			return nil, err
 		}
-		refs, ok := env[n]
-		return refs, ok
 	}
 
-	originsOf := func(e relation.Expr) relation.ColRefSet {
-		var out relation.ColRefSet
-		for _, ref := range relation.ColumnsOf(e) {
-			if refs, ok := resolve(ref); ok {
-				out = out.Union(refs)
-			}
-		}
-		return out
-	}
-
+	// Output columns in header order: a star stands for every FROM column,
+	// any other item for one. A name the header carries twice means its
+	// first column, as it does to Schema.Index.
+	ci := 0
 	for _, it := range s.Items {
-		switch {
-		case it.Star:
-			for n, refs := range env {
-				if strings.ContainsRune(n, '.') || ambiguous[n] {
-					continue
-				}
-				p.OutputNames[n] = refs
-				p.OutputCols = p.OutputCols.Union(refs)
+		n := 1
+		if it.Star {
+			n = from.Schema.Len()
+		}
+		for ; n > 0; n, ci = n-1, ci+1 {
+			var origins relation.ColRefSet
+			if it.Agg == nil || it.Agg.Arg != nil {
+				origins = out.ColumnOrigin(ci)
 			}
-		case it.Agg != nil:
-			var refs relation.ColRefSet
-			if it.Agg.Arg != nil {
-				refs = originsOf(it.Agg.Arg)
+			name := strings.ToLower(out.Schema.Columns[ci].Name)
+			if _, dup := p.OutputNames[name]; !dup {
+				p.OutputNames[name] = origins
 			}
-			p.OutputNames[strings.ToLower(it.OutName())] = refs
-			p.OutputCols = p.OutputCols.Union(refs)
-		default:
-			refs := originsOf(it.Expr)
-			p.OutputNames[strings.ToLower(it.OutName())] = refs
-			p.OutputCols = p.OutputCols.Union(refs)
+			p.OutputCols = p.OutputCols.Union(origins)
 		}
 	}
 
 	if len(s.GroupBy) > 0 || s.HasAggregates() {
 		p.Aggregated = true
 		for _, g := range s.GroupBy {
-			p.GroupKeys = p.GroupKeys.Union(originsOf(g))
+			keys, err := exprOrigins(g, from)
+			if err != nil {
+				return nil, err
+			}
+			p.GroupKeys = p.GroupKeys.Union(keys)
 		}
 	}
 	if s.Having != nil {
@@ -241,16 +189,33 @@ func profileSelect(c *Catalog, s *SelectStmt, seen map[string]bool) (*Profile, e
 	return p, nil
 }
 
-// profilePredicate decomposes a boolean expression into simple conjuncts,
-// join pairs, and an opacity flag, folding results into p.
-func profilePredicate(e relation.Expr, env colEnv, ambiguous map[string]bool, p *Profile) {
-	resolveSingle := func(name string) (relation.ColRef, bool) {
-		n := strings.ToLower(name)
-		if !strings.ContainsRune(n, '.') && ambiguous[n] {
-			return relation.ColRef{}, false
+// exprOrigins resolves every column an expression references against the
+// FROM header, as the executor does, and unions their origins. A reference
+// the header does not carry is the executor's error — relation raises it
+// evaluating a row, the profile before any is read.
+func exprOrigins(e relation.Expr, from *relation.Table) (relation.ColRefSet, error) {
+	var out relation.ColRefSet
+	for _, ref := range relation.ColumnsOf(e) {
+		i := from.Schema.Index(ref)
+		if i < 0 {
+			return nil, fmt.Errorf("relation: unknown column %q in %s", ref, from.Schema)
 		}
-		refs, ok := env[n]
-		if !ok || len(refs) != 1 {
+		out = out.Union(from.ColumnOrigin(i))
+	}
+	return out, nil
+}
+
+// addPredicate decomposes a boolean expression over the FROM header into
+// simple conjuncts, join pairs, and an opacity flag, folding them into p.
+func (p *Profile) addPredicate(e relation.Expr, from *relation.Table) error {
+	if _, err := exprOrigins(e, from); err != nil {
+		return err
+	}
+	// A column is usable in a simple predicate when it derives from exactly
+	// one base column.
+	resolveSingle := func(name string) (relation.ColRef, bool) {
+		refs := from.ColumnOrigin(from.Schema.Index(name))
+		if len(refs) != 1 {
 			return relation.ColRef{}, false
 		}
 		return refs[0], true
@@ -315,6 +280,7 @@ func profilePredicate(e relation.Expr, env colEnv, ambiguous map[string]bool, p 
 		}
 	}
 	walk(e)
+	return nil
 }
 
 func isSimpleCmp(op relation.BinOp) bool {

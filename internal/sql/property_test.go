@@ -86,11 +86,13 @@ func TestImpliesReflexiveTransitive(t *testing.T) {
 	}
 }
 
-// TestGeneratedQueryRoundTrip: random queries from a small grammar must
-// parse, render, re-parse to the identical rendering, execute to the same
-// result, and have the executed header as their Header.
+// TestGeneratedQueryRoundTrip: random queries from a small grammar — over a
+// base table and over a registered derived table with qualified column
+// names — must parse, render, re-parse to the identical rendering, execute
+// to the same result, have the executed header as their Header, and
+// profile to the executed column origins and lineage tables.
 func TestGeneratedQueryRoundTrip(t *testing.T) {
-	cat := testCatalog()
+	cat := derivedCatalog(t)
 	rng := rand.New(rand.NewSource(7))
 	cols := []string{"patient", "doctor", "drug", "disease"}
 	filters := []string{
@@ -102,14 +104,15 @@ func TestGeneratedQueryRoundTrip(t *testing.T) {
 		col := cols[rng.Intn(len(cols))]
 		filter := filters[rng.Intn(len(filters))]
 		shape := rng.Intn(3)
+		from := []string{"prescriptions", "rx_cost"}[rng.Intn(2)]
 		var q string
 		switch shape {
 		case 0:
-			q = fmt.Sprintf("SELECT %s FROM prescriptions", col)
+			q = fmt.Sprintf("SELECT %s FROM %s", col, from)
 		case 1:
-			q = fmt.Sprintf("SELECT %s, COUNT(*) AS n FROM prescriptions", col)
+			q = fmt.Sprintf("SELECT %s, COUNT(*) AS n FROM %s", col, from)
 		default:
-			q = fmt.Sprintf("SELECT DISTINCT %s FROM prescriptions", col)
+			q = fmt.Sprintf("SELECT DISTINCT %s FROM %s", col, from)
 		}
 		if filter != "" {
 			q += " WHERE " + filter
@@ -139,6 +142,7 @@ func TestGeneratedQueryRoundTrip(t *testing.T) {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
 		checkHeaderIsExecuted(t, cat, q)
+		checkProfileIsExecuted(t, cat, q)
 		r2, err := cat.Query(rendered)
 		if err != nil {
 			t.Fatalf("Query(rendered %q): %v", rendered, err)

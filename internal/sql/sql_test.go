@@ -187,6 +187,25 @@ func TestGroupByExpression(t *testing.T) {
 	}
 }
 
+// TestGroupByQualifiedKey: a select item that names its group key the way
+// GROUP BY does — qualified — projects that key.
+func TestGroupByQualifiedKey(t *testing.T) {
+	c := testCatalog()
+	const q = `SELECT p.drug, SUM(d.cost) AS spend FROM prescriptions p
+		JOIN drugcost d ON p.drug = d.drug GROUP BY p.drug ORDER BY drug`
+	res := mustQuery(t, c, q)
+	if got := res.Schema.String(); got != "(drug STRING, spend INT)" {
+		t.Fatalf("schema = %s", got)
+	}
+	if res.NumRows() != 4 || res.Get(2, "drug").S != "DR" || res.Get(2, "spend").I != 20 {
+		t.Errorf("res = %v", res.Rows)
+	}
+	if got := res.ColumnOrigin(0); len(got) != 1 || got[0] != (relation.ColRef{Table: "prescriptions", Column: "drug"}) {
+		t.Errorf("drug derives from %v", got)
+	}
+	checkHeaderIsExecuted(t, c, q)
+}
+
 func TestDistinctSQL(t *testing.T) {
 	c := testCatalog()
 	res := mustQuery(t, c, "SELECT DISTINCT patient FROM prescriptions ORDER BY patient")
