@@ -75,12 +75,14 @@ chaos:
 	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run TestChaos ./internal/core -count=1 -v
 
 # Short fuzz campaigns over the SQL parser, the PLA DSL parser, the
-# columnar segment decoder and the entity-resolution matcher (against its
-# reference); the checked-in corpora under */testdata/fuzz replay first.
+# columnar segment decoder, the entity-resolution matcher (against its
+# reference) and delta edit scripts (incremental refresh against a full
+# rebuild); the checked-in corpora under */testdata/fuzz replay first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSelect -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzMatcher -fuzztime $(FUZZTIME) ./internal/etl
+	$(GO) test -run '^$$' -fuzz FuzzChangeApply -fuzztime $(FUZZTIME) ./internal/etl
 
 ci: lint build race chaos bench-smoke scale-ceiling cover

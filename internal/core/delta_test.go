@@ -99,8 +99,12 @@ func dirtyName(rng *rand.Rand, name string) string {
 }
 
 // randomBatch builds one seed-deterministic delta batch: insert-heavy
-// prescriptions traffic, dirty family-doctor references, occasional
-// in-place updates and (every third round) deletes.
+// prescriptions traffic, dirty family-doctor references, in-place
+// updates — some to a patient no resident row knows, so the row's
+// fan-out through the inner join drops to zero — deletes from the middle
+// and from the end, a row both updated and deleted, and on odd rounds a
+// second prescriptions delta whose indices address what the first left:
+// it deletes a row the first inserted and updates one it kept.
 func randomBatch(t *testing.T, rng *rand.Rand, ds *workload.Dataset, e *Engine, round int) etl.Batch {
 	t.Helper()
 	var b etl.Batch
@@ -113,10 +117,35 @@ func randomBatch(t *testing.T, rng *rand.Rand, ds *workload.Dataset, e *Engine, 
 	for i := 0; i < rng.Intn(3); i++ {
 		d.Updates = append(d.Updates, etl.RowUpdate{Row: rng.Intn(n), Vals: randRxRow(rng, ds, round*1000+500+i)})
 	}
-	if round%3 == 2 {
-		d.Deletes = append(d.Deletes, rng.Intn(n), rng.Intn(n))
+	gone := map[int]bool{}
+	del := func(ri int) {
+		d.Deletes = append(d.Deletes, ri)
+		gone[ri] = true
+	}
+	switch round % 3 {
+	case 1:
+		stranger := randRxRow(rng, ds, round*1000+600)
+		stranger[1] = relation.Str("Nobody Of Nowhere")
+		d.Updates = append(d.Updates, etl.RowUpdate{Row: rng.Intn(n), Vals: stranger})
+	case 2:
+		del(rng.Intn(n))
+		del(rng.Intn(n))
+		both := rng.Intn(n)
+		d.Updates = append(d.Updates, etl.RowUpdate{Row: both, Vals: randRxRow(rng, ds, round*1000+700)})
+		del(both)
+	}
+	if round%2 == 0 {
+		del(n - 1)
 	}
 	b.Deltas = append(b.Deltas, d)
+	if round%2 == 1 {
+		left := n - len(gone) + len(d.Inserts)
+		b.Deltas = append(b.Deltas, etl.Delta{Source: "hospital", Table: "prescriptions",
+			Inserts: []relation.Row{randRxRow(rng, ds, round*1000+800)},
+			Updates: []etl.RowUpdate{{Row: rng.Intn(n - len(gone)), Vals: randRxRow(rng, ds, round*1000+801)}},
+			Deletes: []int{left - 1},
+		})
+	}
 
 	fd := etl.Delta{Source: "familydoctors", Table: "familydoctor"}
 	for i := 0; i < 2+rng.Intn(3); i++ {
@@ -495,5 +524,133 @@ func TestDeltaRecoveryAfterDroppedContext(t *testing.T) {
 	mt, _ := mirror.Table("rx_wide")
 	if dumpTable(lt) != dumpTable(mt) {
 		t.Fatal("rebuilt pipeline state diverges from fresh build")
+	}
+}
+
+// TestDeltaStationaryBlockRebuildsNothing holds the count the benchmark's
+// etl.delta.steps_rebuilt row shows: one block of the delta-mixed
+// schedule's shapes on the healthcare pipeline — inserts, updates of base
+// rows, a delete of the rows just inserted (the end of the table), plus a
+// delete from the middle — places every change in the outputs the joins
+// already have, and only a change of a join's right side reruns anything:
+// a drugcost update rebuilds exactly the two joins downstream of it.
+func TestDeltaStationaryBlockRebuildsNothing(t *testing.T) {
+	cfg := workload.DefaultConfig(3)
+	cfg.Prescriptions = 600
+	cfg.Patients = 80
+	cfg.LabResults = 20
+	e, ds, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	n := sourceTable(t, e, "hospital", "prescriptions").NumRows()
+	rx := func(d etl.Delta) etl.Batch {
+		d.Source, d.Table = "hospital", "prescriptions"
+		return etl.Batch{Deltas: []etl.Delta{d}}
+	}
+	var inserts, updates etl.Delta
+	var inserted []int
+	for i := 0; i < 20; i++ {
+		inserts.Inserts = append(inserts.Inserts, randRxRow(rng, ds, i))
+		inserted = append(inserted, n+i)
+	}
+	for _, ri := range []int{0, 7, n / 2, n - 1} {
+		updates.Updates = append(updates.Updates, etl.RowUpdate{Row: ri, Vals: randRxRow(rng, ds, 100+ri)})
+	}
+	block := []struct {
+		name  string
+		batch etl.Batch
+	}{
+		{"insert", rx(inserts)},
+		{"update of base rows", rx(updates)},
+		{"tail delete", rx(etl.Delta{Deletes: inserted})},
+		{"mid-table delete", rx(etl.Delta{Deletes: []int{n / 3, n / 3 * 2}})},
+	}
+	for _, op := range block {
+		res, err := e.ApplyDelta(context.Background(), op.batch)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		// The extract and the two joins; the family-doctor branch and the
+		// other extracts never see a prescriptions change.
+		if res.StepsRebuilt != 0 || res.StepsIncremental != 3 || res.StepsUntouched != 5 {
+			t.Errorf("%s: rebuilt=%d incremental=%d untouched=%d, want 0/3/5",
+				op.name, res.StepsRebuilt, res.StepsIncremental, res.StepsUntouched)
+		}
+	}
+
+	dc := sourceTable(t, e, "healthagency", "drugcost")
+	res, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{
+		Source: "healthagency", Table: "drugcost",
+		Updates: []etl.RowUpdate{{Row: 0, Vals: relation.Row{dc.Get(0, "drug"), relation.Int(77)}}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StepsRebuilt != 2 || res.StepsIncremental != 1 ||
+		!res.Changed["rx_cost"].Rebuilt || !res.Changed["rx_wide"].Rebuilt {
+		t.Errorf("drugcost update: rebuilt=%d incremental=%d changed=%+v, want the two joins rebuilt and the extract alone incremental",
+			res.StepsRebuilt, res.StepsIncremental, res.Changed)
+	}
+
+	mirror, err := buildEngineFromTables(
+		sourceTable(t, e, "hospital", "prescriptions").Clone(),
+		sourceTable(t, e, "familydoctors", "familydoctor").Clone(),
+		sourceTable(t, e, "healthagency", "drugcost").Clone(),
+		sourceTable(t, e, "laboratory", "labresults").Clone(),
+		sourceTable(t, e, "municipality", "residents").Clone(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"prescriptions", "rx_cost", "rx_wide"} {
+		lt, _ := e.Table(name)
+		mt, _ := mirror.Table(name)
+		if dumpTable(lt) != dumpTable(mt) {
+			t.Errorf("table %q diverges from full rebuild (%d vs %d rows)", name, lt.NumRows(), mt.NumRows())
+		}
+	}
+}
+
+// TestDeltaAuditTellsWithdrawalFromReload: the "delta" audit event counts
+// what a committed delta removed, and says "rebuilt" only when a table
+// was replaced wholesale; a multi-delta batch reports the one merged
+// change per table, in the committed version's terms.
+func TestDeltaAuditTellsWithdrawalFromReload(t *testing.T) {
+	cfg := workload.DefaultConfig(4)
+	cfg.Prescriptions = 200
+	cfg.Patients = 40
+	cfg.LabResults = 10
+	e, ds, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	n := sourceTable(t, e, "hospital", "prescriptions").NumRows()
+	res, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{
+		{Source: "hospital", Table: "prescriptions",
+			Inserts: []relation.Row{randRxRow(rng, ds, 1), randRxRow(rng, ds, 2)},
+			Updates: []etl.RowUpdate{{Row: 5, Vals: randRxRow(rng, ds, 3)}, {Row: 9, Vals: randRxRow(rng, ds, 4)}},
+			Deletes: []int{9, 30}},
+		// Against n-2+2 rows: withdraw the second insert, correct the first
+		// and the row that was #31 before the first delta.
+		{Source: "hospital", Table: "prescriptions",
+			Updates: []etl.RowUpdate{{Row: n - 2, Vals: randRxRow(rng, ds, 5)}, {Row: 29, Vals: randRxRow(rng, ds, 6)}},
+			Deletes: []int{n - 1}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := res.Changed["hospital.prescriptions"]
+	if fmt.Sprint(ch.Removed, ch.Updated, ch.Appended, ch.Rebuilt) != "[9 30] [5 31] 1 false" {
+		t.Errorf("merged change = %+v, want rows 9 and 30 removed, 5 and 31 updated, one appended", ch)
+	}
+	events := e.Audit.ByKind("delta")
+	if len(events) != 1 || events[0].Detail != "+1 rows, 2 updated, -2 removed" || events[0].Object != "prescriptions" {
+		t.Errorf("delta events = %+v, want one saying +1 rows, 2 updated, -2 removed", events)
+	}
+	if res.StepsRebuilt != 0 {
+		t.Errorf("rebuilt %d steps, want none", res.StepsRebuilt)
 	}
 }

@@ -469,19 +469,29 @@ func (e *Engine) observeETL(ctx context.Context, trace string) func(step, op, ou
 // ApplyDelta applies a batch of source deltas — inserts, in-place
 // updates and deletes keyed per source table — and incrementally
 // refreshes every recorded pipeline's staging state derived from them.
-// Steps untouched by the changes are skipped entirely; row-wise
-// transforms, filters, left-append joins, entity resolution over an
-// unchanged canon and retained aggregates recompute only the delta;
-// everything else reruns. Nothing commits until the whole batch
-// succeeds: on any error (injected fault at the etl.delta site, a
-// violation from a guard re-check, validation) the sources and staging
-// areas are restored and the previous catalog state keeps serving.
+// Each delta's indices address its table as the deltas before it in the
+// batch left it; the deltas of one table merge into one edit script
+// (rows removed, updated, appended) over the committed version. Steps
+// untouched by the changes are skipped entirely; row-wise transforms and
+// entity resolution over an unchanged canon pass the script through,
+// filters and joins place it in their output by the input ordinals they
+// retain, and all of them recompute only the updated and appended rows;
+// a step that cannot place an edit (opaque transform, changed right or
+// canon side, an update that changes a row's fan-out, an aggregate over
+// anything but an append) reruns alone. Row indices stay dense and
+// lineage is renumbered past every delete, so the result equals a full
+// rebuild byte for byte. Nothing commits until the whole batch succeeds:
+// on any error (injected fault at the etl.delta site, a violation from a
+// guard re-check, validation) the sources and staging areas are restored
+// and the previous catalog state keeps serving.
 //
 // On success the new source versions and changed staging outputs commit
 // via Catalog.Refresh — bumping per-table data epochs, not the catalog
 // generation — so cached render plans survive and only folded renders
-// whose read set moved recompute. The provenance tracer extends its
-// column dictionaries in place for append-only changes.
+// whose read set moved recompute. The provenance tracer patches its
+// column dictionaries with the same edit. Each changed source table is
+// audited as a "delta" event: "+A rows, U updated, -R removed", or
+// "rebuilt at N rows" when its deltas did not compose.
 func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, error) {
 	m := e.Obs()
 	ctx, span := m.StartSpan(ctx, "delta")
@@ -530,11 +540,12 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 			return fail(err)
 		}
 		sw.next = next
-		sw.ch = sw.ch.Merge(ch)
+		// A later delta of the same table indexes the version the earlier
+		// ones left; the merged change indexes the committed one.
+		sw.ch = sw.ch.Merge(ch, next.NumRows())
 	}
 	changes := map[string]etl.Change{}
 	for qk, sw := range swaps {
-		sw.ch = sw.ch.Normalize(sw.next.NumRows())
 		changes[qk] = sw.ch
 	}
 
@@ -609,17 +620,18 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		agg.StepsRebuilt += res.StepsRebuilt
 		agg.StepsUntouched += res.StepsUntouched
 		for k, v := range res.Changed {
-			if prev, ok := agg.Changed[k]; ok {
-				v = prev.Merge(v)
+			// Pipelines see the same source changes, and the first to write
+			// a staging name is the one the commit below publishes.
+			if _, ok := agg.Changed[k]; !ok {
+				agg.Changed[k] = v
 			}
-			agg.Changed[k] = v
 		}
 	}
 
 	// Phase 4: commit. Changed source tables and staging outputs swap
 	// into the catalog via Refresh (epoch bump, no generation bump) and
-	// into the tracer (append-only changes extend the cached column
-	// dictionaries instead of dropping them).
+	// into the tracer (which patches its cached column dictionaries with
+	// the same edit; only a rebuilt table drops them).
 	committed := map[string]bool{}
 	refreshTable := func(t *relation.Table, ch etl.Change) {
 		key := strings.ToLower(t.Name)
@@ -630,18 +642,23 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		if err := e.Catalog.Refresh(t); err != nil {
 			e.Catalog.Register(t)
 		}
-		if t.Base {
-			appendFrom := -1
-			if ch.AppendOnly() {
-				appendFrom = t.NumRows() - ch.Appended
-			}
-			e.Tracer.RefreshBase(t, appendFrom)
+		if t.Base && ch.Rebuilt {
+			e.Tracer.RegisterBase(t)
+		} else if t.Base {
+			e.Tracer.EditBase(t, ch.Edit)
 		}
 	}
+	var appended, updated, removed, rebuilt int
 	for _, qk := range order {
 		sw := swaps[qk]
 		refreshTable(sw.next, sw.ch)
-		detail := fmt.Sprintf("+%d rows, %d updated", sw.ch.Appended, len(sw.ch.Updated))
+		appended += sw.ch.Appended
+		updated += len(sw.ch.Updated)
+		removed += len(sw.ch.Removed)
+		if sw.ch.Rebuilt {
+			rebuilt++
+		}
+		detail := fmt.Sprintf("+%d rows, %d updated, -%d removed", sw.ch.Appended, len(sw.ch.Updated), len(sw.ch.Removed))
 		if sw.ch.Rebuilt {
 			detail = fmt.Sprintf("rebuilt at %d rows", sw.next.NumRows())
 		}
@@ -665,6 +682,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 	m.Counter("delta.steps.incremental").Add(uint64(agg.StepsIncremental))
 	m.Counter("delta.steps.rebuilt").Add(uint64(agg.StepsRebuilt))
 	span.Set("tables", fmt.Sprint(len(order)))
+	span.Set("rows", fmt.Sprintf("+%d rows, %d updated, -%d removed, %d tables rebuilt", appended, updated, removed, rebuilt))
 	span.Set("decision", "applied")
 	return agg, nil
 }

@@ -13,14 +13,24 @@ import (
 
 // This file implements incremental refresh: source deltas
 // (insert/update/delete batches keyed per source table) propagated
-// step-by-step through an already-run pipeline. Each step consumes the
-// changes of its inputs and produces the change of its output —
-// row-wise transforms splice recomputed rows, filters and left-append
-// joins extend their previous output, aggregates re-emit from a
-// retained GroupBy accumulator, and anything else reruns wholesale.
+// step-by-step through an already-run pipeline. A Change is an edit
+// script — rows removed, rows replaced, rows appended, base rows the
+// lineage must be renumbered past — and each step turns the edit of its
+// input into the edit of its output and applies it to the output it
+// already has (relation.ApplyEdit): row-wise transforms and entity
+// resolution pass the script through one to one, recomputing only the
+// replaced and appended rows; filters and joins, which retain the input
+// ordinal of every output row, place it in their output and re-probe the
+// same rows. What a step cannot place — an opaque transform, a changed
+// right or canon side, an update that changes how many rows an input row
+// yields, an aggregate over anything but an append — reruns that one step
+// and hands Rebuilt downstream. Row indices stay dense throughout, so the
+// refreshed state is byte-identical, values and lineage, to a full run
+// over the edited sources.
+//
 // The whole application is atomic against the staging area: any error
-// (injected fault, violation, validation) restores the pre-delta
-// staging map and leaves the previous outputs serving.
+// (injected fault, violation, validation) restores the pre-delta staging
+// map and leaves the previous outputs serving.
 
 // RowUpdate replaces the values of one existing row.
 type RowUpdate struct {
@@ -45,74 +55,116 @@ type Batch struct {
 	Deltas []Delta
 }
 
-// Change describes how one relation changed during a delta application.
-// The zero Change means "no rows changed".
+// Change describes how one relation changed during a delta application:
+// the edit script from its previous version to its new one, or Rebuilt
+// when there is none. The zero Change means "nothing changed".
 type Change struct {
-	// Appended counts rows appended at the end of the table.
-	Appended int
-	// Updated lists row indices replaced in place (indices are stable:
-	// they are valid in both the old and new version).
-	Updated []int
-	// Rebuilt marks a wholesale recompute — the positional mapping to
-	// the previous version is unknown (deletes shift every later row's
-	// index; opaque transforms promise nothing).
+	// Edit is the script: Removed and Updated index the previous version
+	// (sorted, distinct, disjoint), Appended counts the new rows at the
+	// end, Shift lists per base table the rows a derived relation's
+	// lineage was renumbered past. All of it is unset when Rebuilt.
+	relation.Edit
+	// Rebuilt marks a wholesale recompute: nothing relates the new
+	// version's rows to the previous one's (an opaque transform, a changed
+	// right or canon side, an update that changed an input row's fan-out,
+	// two changes that do not compose, a pipeline rebuilt from a dropped
+	// context).
 	Rebuilt bool
 }
 
 // AppendOnly reports whether the change only appended rows.
-func (ch Change) AppendOnly() bool { return !ch.Rebuilt && len(ch.Updated) == 0 }
+func (ch Change) AppendOnly() bool {
+	return !ch.Rebuilt && len(ch.Updated) == 0 && len(ch.Removed) == 0 && len(ch.Shift) == 0
+}
 
 // Empty reports whether nothing changed.
-func (ch Change) Empty() bool { return !ch.Rebuilt && ch.Appended == 0 && len(ch.Updated) == 0 }
+func (ch Change) Empty() bool { return !ch.Rebuilt && ch.Edit.Empty() }
 
-// Merge combines two successive changes to the same relation into one
-// conservative summary.
-func (ch Change) Merge(next Change) Change {
-	if ch.Rebuilt || next.Rebuilt {
+// Merge composes two successive changes of the same relation, which has
+// finalLen rows after both, into the one change that leads from before ch
+// to after next. next's indices address the version ch produced, so they
+// are mapped back through ch's removals; a row ch appended and next
+// removed was never there, one next updated is still just appended.
+// Changes that carry a lineage shift, or whose counts cannot both be
+// right, do not compose and merge to Rebuilt.
+func (ch Change) Merge(next Change, finalLen int) Change {
+	mid := finalLen - next.Appended + len(next.Removed) // rows between the two
+	kept := mid - ch.Appended                           // of which older than ch
+	if ch.Rebuilt || next.Rebuilt || len(ch.Shift) > 0 || len(next.Shift) > 0 || kept < 0 {
 		return Change{Rebuilt: true}
 	}
-	out := Change{Appended: ch.Appended + next.Appended}
-	out.Updated = append(append([]int(nil), ch.Updated...), next.Updated...)
+	// back maps the indices below kept to the version before ch and counts
+	// the others, which name rows ch appended.
+	back := func(idx []int) (old []int, fresh int) {
+		gone := 0
+		for _, i := range idx {
+			if i >= kept {
+				fresh++
+				continue
+			}
+			i += gone
+			for gone < len(ch.Removed) && ch.Removed[gone] <= i {
+				gone++
+				i++
+			}
+			old = append(old, i)
+		}
+		return old, fresh
+	}
+	removed, cancelled := back(next.Removed)
+	updated, _ := back(next.Updated)
+	var out Change
+	out.Removed = sortedDistinct(append(removed, ch.Removed...))
+	out.Updated = without(sortedDistinct(append(updated, ch.Updated...)), out.Removed)
+	out.Appended = ch.Appended - cancelled + next.Appended
 	return out
 }
 
-// Normalize sorts and dedups Updated and drops updates that land inside
-// the appended window of a table with finalLen rows (the append
-// recompute already covers them).
-func (ch Change) Normalize(finalLen int) Change {
-	if ch.Rebuilt || len(ch.Updated) == 0 {
-		return ch
-	}
-	sort.Ints(ch.Updated)
-	kept := ch.Updated[:0]
-	prev := -1
-	for _, ri := range ch.Updated {
-		if ri == prev || ri >= finalLen-ch.Appended {
-			continue
+// sortedDistinct sorts idx in place and drops repeats.
+func sortedDistinct(idx []int) []int {
+	sort.Ints(idx)
+	out := idx[:0]
+	for i, v := range idx {
+		if i == 0 || v != idx[i-1] {
+			out = append(out, v)
 		}
-		kept = append(kept, ri)
-		prev = ri
 	}
-	ch.Updated = kept
-	return ch
+	return out
+}
+
+// without drops from the sorted a, in place, what the sorted b holds.
+func without(a, b []int) []int {
+	out := a[:0]
+	for _, v := range a {
+		for len(b) > 0 && b[0] < v {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Apply returns a new version of t with the delta applied, never
 // mutating t (copy-on-write: concurrent readers keep the old version),
 // plus the resulting Change. Updates and deletes address pre-delta row
-// indices; inserts append. A delta with deletes reports Rebuilt, since
-// deletions shift every later row index and positional lineage with it.
+// indices, however often: the last update of a row wins, a delete wins
+// over any update, a repeated delete is one delete. Inserts append, out
+// of a delete's reach. Deleted rows are compacted away in one pass, so
+// the rows behind them move down and a base table's lineage with them.
 func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 	m, err := t.Materialize()
 	if err != nil {
 		return nil, Change{}, err
 	}
-	arity := t.Schema.Len()
-	rows := append([]relation.Row(nil), m.Rows...)
+	arity, n := t.Schema.Len(), len(m.Rows)
+	rows := make([]relation.Row, n, n+len(d.Inserts))
+	copy(rows, m.Rows)
 	var ch Change
 	for _, u := range d.Updates {
-		if u.Row < 0 || u.Row >= len(rows) {
-			return nil, Change{}, fmt.Errorf("etl: delta update row %d out of range [0,%d) in %q", u.Row, len(rows), t.Name)
+		if u.Row < 0 || u.Row >= n {
+			return nil, Change{}, fmt.Errorf("etl: delta update row %d out of range [0,%d) in %q", u.Row, n, t.Name)
 		}
 		if len(u.Vals) != arity {
 			return nil, Change{}, fmt.Errorf("etl: delta update arity %d != %d in %q", len(u.Vals), arity, t.Name)
@@ -120,22 +172,23 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 		rows[u.Row] = u.Vals
 		ch.Updated = append(ch.Updated, u.Row)
 	}
-	if len(d.Deletes) > 0 {
-		del := append([]int(nil), d.Deletes...)
-		sort.Sort(sort.Reverse(sort.IntSlice(del)))
-		seen := false
-		prev := 0
-		for _, ri := range del {
-			if seen && ri == prev {
-				continue
-			}
-			seen, prev = true, ri
-			if ri < 0 || ri >= len(rows) {
-				return nil, Change{}, fmt.Errorf("etl: delta delete row %d out of range [0,%d) in %q", ri, len(rows), t.Name)
-			}
-			rows = append(rows[:ri], rows[ri+1:]...)
+	for _, ri := range d.Deletes {
+		if ri < 0 || ri >= n {
+			return nil, Change{}, fmt.Errorf("etl: delta delete row %d out of range [0,%d) in %q", ri, n, t.Name)
 		}
-		ch = Change{Rebuilt: true}
+	}
+	ch.Removed = sortedDistinct(append([]int(nil), d.Deletes...))
+	ch.Updated = without(sortedDistinct(ch.Updated), ch.Removed)
+	if len(ch.Removed) > 0 {
+		w := ch.Removed[0]
+		for k, ri := range ch.Removed {
+			end := n
+			if k+1 < len(ch.Removed) {
+				end = ch.Removed[k+1]
+			}
+			w += copy(rows[w:], rows[ri+1:end])
+		}
+		rows = rows[:w]
 	}
 	for _, r := range d.Inserts {
 		if len(r) != arity {
@@ -143,18 +196,16 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 		}
 		rows = append(rows, r)
 	}
-	if !ch.Rebuilt {
-		ch.Appended = len(d.Inserts)
-		ch = ch.Normalize(len(rows))
-	}
+	ch.Appended = len(d.Inserts)
 	out := &relation.Table{Name: t.Name, Schema: t.Schema, Base: t.Base, Rows: rows}
 	return out, ch, nil
 }
 
 // DeltaResult reports one incremental refresh.
 type DeltaResult struct {
-	// StepsIncremental counts steps recomputed from their input deltas
-	// only (splice, append, retained aggregate, extract re-point).
+	// StepsIncremental counts steps that applied their input's edit to the
+	// output they had (one-to-one or placed by ordinals, retained
+	// aggregate, extract re-point).
 	StepsIncremental int
 	// StepsRebuilt counts steps rerun wholesale.
 	StepsRebuilt int
@@ -239,11 +290,7 @@ func (p *Pipeline) ApplyDelta(ctx context.Context, c *Context, changes map[strin
 			res.StepsRebuilt++
 			c.Metrics.Counter("etl.delta.rebuilt").Inc()
 		}
-		key := strings.ToLower(s.Output())
-		if prev, ok := res.Changed[key]; ok {
-			outCh = prev.Merge(outCh)
-		}
-		res.Changed[key] = outCh
+		res.Changed[strings.ToLower(s.Output())] = outCh
 		rowsOut, _ := c.rows(s.Output())
 		if c.Observe != nil {
 			c.Observe(s.Name(), s.Op(), s.Output(), countRows(c, s.Inputs()), rowsOut, nil)
@@ -265,22 +312,82 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 		}
 		return Change{Rebuilt: true}, false, nil
 	}
+	if _, clobbered := changes[strings.ToLower(s.Output())]; clobbered {
+		// An earlier step of this delta wrote the same relation: the
+		// version this step produced last time is gone.
+		return rerun()
+	}
 	switch st := s.(type) {
 	case *Extract:
 		// The source map already holds the new table; re-point the
-		// staging alias at it and pass the source change through.
+		// staging alias at it and pass the source change through. Rows
+		// removed from anywhere but the end renumber the rows behind them,
+		// which everything derived from the table must follow.
 		src, ok := st.Source.Table(st.Table)
 		if !ok {
 			return Change{}, false, fmt.Errorf("source %q has no table %q", st.Source.Name, st.Table)
 		}
 		c.Put(st.As, src)
-		return changes[strings.ToLower(st.Source.Name+"."+st.Table)], true, nil
+		ch := changes[strings.ToLower(st.Source.Name+"."+st.Table)]
+		if n := len(ch.Removed); n > 0 && ch.Removed[0] != src.NumRows()-ch.Appended {
+			ch.Shift = map[string][]int{src.Name: ch.Removed}
+		}
+		return ch, true, nil
 	case *Transform:
-		return p.transformDelta(ctx, c, st, rerun, changes)
+		ch := changes[strings.ToLower(st.Input)]
+		in, err := c.Get(st.Input)
+		if err != nil {
+			return Change{}, false, err
+		}
+		switch {
+		case st.Kind == DeltaRowWise:
+			return oneToOneDelta(c, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, error) {
+				sub, err := relation.SliceRows(in, dirty)
+				if err != nil {
+					return nil, err
+				}
+				return st.Fn(ctx, sub)
+			})
+		case st.Kind == DeltaFilter && st.keep != nil:
+			return fanoutDelta(c, &st.kept, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
+				sub, err := relation.SliceRows(in, dirty)
+				if err != nil {
+					return nil, nil, err
+				}
+				return st.keep(sub)
+			})
+		}
+		return rerun()
 	case *JoinStep:
-		return p.joinDelta(c, st, rerun, changes)
+		// Only an edit of the left side can be placed: output is
+		// left-major, a right row's matches are scattered all over it.
+		// The step body re-checks the join permission — the PLAs may have
+		// moved since the full run.
+		lch, lok := changes[strings.ToLower(st.Left)]
+		if _, rok := changes[strings.ToLower(st.Right)]; rok || !lok {
+			return rerun()
+		}
+		l, err := c.Get(st.Left)
+		if err != nil {
+			return Change{}, false, err
+		}
+		return fanoutDelta(c, &st.probed, l, st.Out, lch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
+			return st.join(c, dirty)
+		})
 	case *EntityResolution:
-		return p.erDelta(c, st, rerun, changes)
+		// A canon change invalidates every match. Stats accumulate across
+		// incremental refreshes (a full rerun resets them).
+		ich, iok := changes[strings.ToLower(st.Input)]
+		if _, cok := changes[strings.ToLower(st.Canon)]; cok || !iok {
+			return rerun()
+		}
+		in, err := c.Get(st.Input)
+		if err != nil {
+			return Change{}, false, err
+		}
+		return oneToOneDelta(c, in, st.Out, ich, rerun, func(dirty []int) (*relation.Table, error) {
+			return st.resolve(c, dirty)
+		})
 	case *AggregateStep:
 		return p.aggDelta(c, st, changes)
 	default:
@@ -288,157 +395,113 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 	}
 }
 
-// appendedIdx lists the indices of the appended window of t under ch.
-func appendedIdx(t *relation.Table, ch Change) []int {
-	n := t.NumRows()
-	return seq(n-ch.Appended, n)
+// oneToOneDelta refreshes the output of a step that yields exactly one
+// output row per input row, in input order: the edit of the input in is
+// the edit of the output, with recompute supplying the step's rows for
+// the input rows the edit brought (dirty, indices into in).
+func oneToOneDelta(c *Context, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
+	recompute func(dirty []int) (*relation.Table, error)) (Change, bool, error) {
+	old, err := c.Get(out)
+	if err != nil || ch.Rebuilt || old.NumRows() != in.NumRows()-ch.Appended+len(ch.Removed) {
+		return rerun()
+	}
+	dirty, err := ch.Dirty(in.NumRows())
+	if err != nil {
+		return Change{}, false, err
+	}
+	sub, err := recompute(dirty)
+	if err != nil {
+		return Change{}, false, err
+	}
+	if sub.NumRows() != len(dirty) {
+		// The step is not one-to-one over this input after all.
+		return rerun()
+	}
+	next, err := relation.ApplyEdit(old, ch.Edit, sub)
+	if err != nil {
+		return Change{}, false, err
+	}
+	c.Put(out, next)
+	return ch, true, nil
 }
 
-// seq returns [from, to).
-func seq(from, to int) []int {
-	idx := make([]int, 0, to-from)
+// fanoutDelta refreshes the output of a step that retains its fanout f:
+// the output rows of a removed input row are removed; an updated input
+// row is probed again and its new rows replace its old ones, as long as
+// there are as many (otherwise every later row would move: the step
+// reruns); the rows of appended input rows are appended. probe runs the
+// step over the rows of in at dirty and numbers its output by position in
+// dirty. Joining or filtering only those rows reproduces the full step
+// byte for byte because the output is input-major.
+func fanoutDelta(c *Context, f *fanout, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
+	probe func(dirty []int) (*relation.Table, []int32, error)) (Change, bool, error) {
+	old, err := c.Get(out)
+	if err != nil || ch.Rebuilt || f.of != old || len(f.ord) != old.NumRows() {
+		return rerun()
+	}
+	dirty, err := ch.Dirty(in.NumRows())
+	if err != nil {
+		return Change{}, false, err
+	}
+	sub, subOrd, err := probe(dirty)
+	if err != nil {
+		return Change{}, false, err
+	}
+	e := relation.Edit{Shift: ch.Shift}
+	for _, i := range ch.Removed {
+		lo, hi := f.span(i)
+		e.Removed = appendSeq(e.Removed, lo, hi)
+	}
+	k := 0 // rows of sub placed so far
+	for pos, i := range ch.Updated {
+		lo, hi := f.span(i)
+		from := k
+		for k < len(subOrd) && int(subOrd[k]) == pos {
+			k++
+		}
+		if k-from != hi-lo {
+			return rerun()
+		}
+		e.Updated = appendSeq(e.Updated, lo, hi)
+	}
+	e.Appended = len(subOrd) - k
+	next, err := relation.ApplyEdit(old, e, sub)
+	if err != nil {
+		return Change{}, false, err
+	}
+	// Bring the ordinals along, in place: a failure from here on leaves f
+	// describing no table, and the rolled-back staging area reruns the step.
+	f.of = nil
+	ord := f.ord
+	if len(ch.Removed) > 0 {
+		w, _ := f.span(ch.Removed[0])
+		gone := 0 // removed input rows before the one at hand
+		for _, o := range ord[w:] {
+			for gone < len(ch.Removed) && ch.Removed[gone] < int(o) {
+				gone++
+			}
+			if gone < len(ch.Removed) && ch.Removed[gone] == int(o) {
+				continue
+			}
+			ord[w] = o - int32(gone)
+			w++
+		}
+		ord = ord[:w]
+	}
+	firstNew := in.NumRows() - ch.Appended - len(ch.Updated)
+	for _, o := range subOrd[k:] {
+		ord = append(ord, int32(firstNew)+o)
+	}
+	f.record(c, out, next, ord)
+	return Change{Edit: e}, true, nil
+}
+
+// appendSeq appends from, from+1, … to-1 to idx.
+func appendSeq(idx []int, from, to int) []int {
 	for i := from; i < to; i++ {
 		idx = append(idx, i)
 	}
 	return idx
-}
-
-// spliceOutputs applies a row-wise recompute to the previous output:
-// subOut's first len(updated) rows replace the updated positions, the
-// rest append.
-func spliceOutputs(oldOut, subOut *relation.Table, updated []int) (*relation.Table, error) {
-	out := oldOut
-	if len(updated) > 0 {
-		head, err := relation.SliceRows(subOut, seq(0, len(updated)))
-		if err != nil {
-			return nil, err
-		}
-		if out, err = relation.SpliceRows(out, updated, head); err != nil {
-			return nil, err
-		}
-	}
-	if subOut.NumRows() > len(updated) {
-		tail, err := relation.SliceRows(subOut, seq(len(updated), subOut.NumRows()))
-		if err != nil {
-			return nil, err
-		}
-		var err2 error
-		if out, err2 = relation.ConcatRows(out, tail); err2 != nil {
-			return nil, err2
-		}
-	}
-	return out, nil
-}
-
-func (p *Pipeline) transformDelta(ctx context.Context, c *Context, t *Transform, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
-	ch := changes[strings.ToLower(t.Input)]
-	oldOut, oerr := c.Get(t.Out)
-	if oerr != nil || ch.Rebuilt || t.Kind == DeltaOpaque {
-		return rerun()
-	}
-	in, err := c.Get(t.Input)
-	if err != nil {
-		return Change{}, false, err
-	}
-	switch t.Kind {
-	case DeltaRowWise:
-		dirty := append(append([]int(nil), ch.Updated...), appendedIdx(in, ch)...)
-		sub, err := relation.SliceRows(in, dirty)
-		if err != nil {
-			return Change{}, false, err
-		}
-		subOut, err := t.Fn(ctx, sub)
-		if err != nil {
-			return Change{}, false, err
-		}
-		if subOut.NumRows() != len(dirty) {
-			// Fn is not row-wise over this input after all.
-			return rerun()
-		}
-		out, err := spliceOutputs(oldOut, subOut, ch.Updated)
-		if err != nil {
-			return Change{}, false, err
-		}
-		c.Put(t.Out, out)
-		return Change{Appended: ch.Appended, Updated: append([]int(nil), ch.Updated...)}, true, nil
-	case DeltaFilter:
-		if len(ch.Updated) > 0 {
-			return rerun()
-		}
-		sub, err := relation.SliceRows(in, appendedIdx(in, ch))
-		if err != nil {
-			return Change{}, false, err
-		}
-		subOut, err := t.Fn(ctx, sub)
-		if err != nil {
-			return Change{}, false, err
-		}
-		out, err := relation.ConcatRows(oldOut, subOut)
-		if err != nil {
-			return Change{}, false, err
-		}
-		c.Put(t.Out, out)
-		return Change{Appended: subOut.NumRows()}, true, nil
-	}
-	return rerun()
-}
-
-// joinDelta handles the one join shape that distributes over deltas
-// with positional stability: a pure append on the left with an
-// untouched right side. Join output is left-major (for each left row in
-// order, its matches in right order), so joining only the appended left
-// rows and concatenating reproduces the full join byte-for-byte. The step
-// body re-checks the join permission: the appended rows derive from the
-// same base tables, but the PLAs may have moved since the full run.
-func (p *Pipeline) joinDelta(c *Context, j *JoinStep, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
-	lch, lok := changes[strings.ToLower(j.Left)]
-	_, rok := changes[strings.ToLower(j.Right)]
-	oldOut, oerr := c.Get(j.Out)
-	if oerr != nil || rok || !lok || !lch.AppendOnly() {
-		return rerun()
-	}
-	l, err := c.Get(j.Left)
-	if err != nil {
-		return Change{}, false, err
-	}
-	dout, err := j.join(c, appendedIdx(l, lch))
-	if err != nil {
-		return Change{}, false, err
-	}
-	out, err := relation.ConcatRows(oldOut, dout)
-	if err != nil {
-		return Change{}, false, err
-	}
-	c.Put(j.Out, out)
-	return Change{Appended: dout.NumRows()}, true, nil
-}
-
-// erDelta re-resolves only the changed input rows against an unchanged
-// canonical table (a canon change invalidates every match and reruns).
-// Stats accumulate across incremental refreshes (a full rerun resets
-// them).
-func (p *Pipeline) erDelta(c *Context, e *EntityResolution, rerun func() (Change, bool, error), changes map[string]Change) (Change, bool, error) {
-	ich, iok := changes[strings.ToLower(e.Input)]
-	_, cok := changes[strings.ToLower(e.Canon)]
-	oldOut, oerr := c.Get(e.Out)
-	if oerr != nil || cok || !iok || ich.Rebuilt {
-		return rerun()
-	}
-	in, err := c.Get(e.Input)
-	if err != nil {
-		return Change{}, false, err
-	}
-	subOut, err := e.resolve(c, append(append([]int(nil), ich.Updated...), appendedIdx(in, ich)...))
-	if err != nil {
-		return Change{}, false, err
-	}
-	out, err := spliceOutputs(oldOut, subOut, ich.Updated)
-	if err != nil {
-		return Change{}, false, err
-	}
-	out.Name = e.Out
-	c.Put(e.Out, out)
-	return Change{Appended: ich.Appended, Updated: append([]int(nil), ich.Updated...)}, true, nil
 }
 
 // aggDelta re-emits the grouped output from the retained accumulator.
@@ -456,7 +519,7 @@ func (p *Pipeline) aggDelta(c *Context, a *AggregateStep, changes map[string]Cha
 	st, feed := a.state, in
 	incremental := ch.AppendOnly() && st != nil && st.SourceRows() == in.NumRows()-ch.Appended
 	if incremental {
-		feed, err = relation.SliceRows(in, appendedIdx(in, ch))
+		feed, err = relation.SliceRows(in, appendSeq(nil, in.NumRows()-ch.Appended, in.NumRows()))
 	} else {
 		st, err = relation.NewGroupByState(in, a.Keys, a.Aggs)
 	}

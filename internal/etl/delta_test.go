@@ -51,13 +51,113 @@ func TestDeltaApplyCopyOnWrite(t *testing.T) {
 	if ch.Appended != 1 || len(ch.Updated) != 1 || ch.Updated[0] != 2 || ch.Rebuilt {
 		t.Fatalf("change = %+v", ch)
 	}
-	// Deletes shift indices: the change degrades to Rebuilt.
-	_, ch2, err := (&Delta{Deletes: []int{0, 3, 3}}).Apply(base)
+	// Deletes are part of the script: the rows behind them move down.
+	del, ch2, err := (&Delta{Deletes: []int{0, 3, 3}}).Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ch2.Rebuilt {
-		t.Fatalf("delete change = %+v, want Rebuilt", ch2)
+	if ch2.Rebuilt || fmt.Sprint(ch2.Removed) != "[0 3]" || del.NumRows() != 3 ||
+		del.Get(0, "patient").S != "Chris" || del.Get(2, "drug").S != "DR" {
+		t.Fatalf("delete change = %+v, rows = %v", ch2, del.Rows)
+	}
+	if dump(base) != before {
+		t.Fatal("Apply with deletes mutated the old version")
+	}
+}
+
+// TestDeltaApplySemantics pins what a delta means when it names a row
+// more than once.
+func TestDeltaApplySemantics(t *testing.T) {
+	row := func(patient string) relation.Row {
+		return relation.Row{relation.Str(patient), relation.Str("Anne"), relation.Str("DR"), relation.Str("flu"), relation.DateYMD(2008, 1, 1)}
+	}
+	cases := []struct {
+		name     string
+		d        Delta
+		patients string // of the new version, in order
+		change   string // removed / updated / appended
+	}{
+		{"two updates of one row: the last wins, once",
+			Delta{Updates: []RowUpdate{{Row: 1, Vals: row("first")}, {Row: 1, Vals: row("last")}}},
+			"Alice last Bob Math Alice", "[] [1] 0"},
+		{"update and delete of one row: the delete wins",
+			Delta{Updates: []RowUpdate{{Row: 2, Vals: row("gone")}, {Row: 4, Vals: row("kept")}}, Deletes: []int{2}},
+			"Alice Chris Math kept", "[2] [4] 0"},
+		{"a repeated delete is one delete",
+			Delta{Deletes: []int{3, 1, 3, 1}},
+			"Alice Bob Alice", "[1 3] [] 0"},
+		{"inserts are out of a delete's reach and land behind the survivors",
+			Delta{Deletes: []int{4, 0}, Inserts: []relation.Row{row("new")}},
+			"Chris Bob Math new", "[0 4] [] 1"},
+		{"everything goes",
+			Delta{Deletes: []int{0, 1, 2, 3, 4}},
+			"", "[0 1 2 3 4] [] 0"},
+	}
+	for _, tc := range cases {
+		next, ch, err := tc.d.Apply(workload.PrescriptionsFixture())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var patients []string
+		for i := 0; i < next.NumRows(); i++ {
+			patients = append(patients, next.Get(i, "patient").S)
+		}
+		if got := strings.Join(patients, " "); got != tc.patients {
+			t.Errorf("%s: patients = %q, want %q", tc.name, got, tc.patients)
+		}
+		if got := fmt.Sprint(ch.Removed, ch.Updated, ch.Appended); got != tc.change || ch.Rebuilt {
+			t.Errorf("%s: change = %s (rebuilt %v), want %s", tc.name, got, ch.Rebuilt, tc.change)
+		}
+	}
+}
+
+// TestChangeMerge: successive changes of one relation compose into the
+// change from the first version to the last; what does not compose is
+// Rebuilt, never a mix of index spaces.
+func TestChangeMerge(t *testing.T) {
+	edit := func(removed, updated []int, appended int) Change {
+		return Change{Edit: relation.Edit{Removed: removed, Updated: updated, Appended: appended}}
+	}
+	cases := []struct {
+		name        string
+		first, next Change
+		finalLen    int
+		want        string
+	}{
+		// v0 has 10 rows throughout.
+		{"nothing then something", Change{}, edit([]int{2}, []int{5}, 1), 10, "[2] [5] 1"},
+		{"something then nothing", edit([]int{2}, []int{5}, 1), Change{}, 10, "[2] [5] 1"},
+		{"later indices map back through earlier removals",
+			edit([]int{1, 4}, nil, 0), edit([]int{3}, []int{0, 1, 6}, 0), 7, "[1 4 5] [0 2 8] 0"},
+		{"a row inserted by the first and deleted by the second was never there",
+			edit(nil, nil, 3), edit([]int{11}, nil, 2), 14, "[] [] 4"},
+		{"an update of a row the first appended is still an append",
+			edit(nil, []int{3}, 2), edit(nil, []int{3, 10}, 0), 12, "[] [3] 2"},
+		{"a later delete wins over an earlier update",
+			edit(nil, []int{3, 4}, 0), edit([]int{4}, nil, 0), 9, "[4] [3] 0"},
+		{"a tail delete after inserts cancels them before it reaches old rows",
+			edit(nil, nil, 2), edit([]int{9, 10, 11}, nil, 0), 9, "[9] [] 0"},
+	}
+	for _, tc := range cases {
+		got := tc.first.Merge(tc.next, tc.finalLen)
+		if s := fmt.Sprint(got.Removed, got.Updated, got.Appended); s != tc.want || got.Rebuilt {
+			t.Errorf("%s: merged = %s (rebuilt %v), want %s", tc.name, s, got.Rebuilt, tc.want)
+		}
+	}
+	shifted := edit([]int{1}, nil, 0)
+	shifted.Shift = map[string][]int{"prescriptions": {1}}
+	for name, pair := range map[string][2]Change{
+		"rebuilt first":    {{Rebuilt: true}, edit(nil, nil, 1)},
+		"rebuilt next":     {edit(nil, nil, 1), {Rebuilt: true}},
+		"a lineage shift":  {shifted, edit(nil, nil, 1)},
+		"impossible count": {edit(nil, nil, 5), edit(nil, nil, 0)},
+	} {
+		if got := pair[0].Merge(pair[1], 3); !got.Rebuilt || !got.Edit.Empty() {
+			t.Errorf("%s: merged = %+v, want Rebuilt alone", name, got)
+		}
+	}
+	if !(Change{}).Empty() || !edit(nil, nil, 2).AppendOnly() || edit([]int{0}, nil, 2).AppendOnly() || shifted.Empty() {
+		t.Error("Empty/AppendOnly misjudge an edit")
 	}
 }
 
@@ -188,8 +288,9 @@ func TestApplyDeltaInsertOnlyConvergence(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaUpdateConvergence: in-place updates splice through
-// row-wise steps and force reruns where positions cannot be trusted; the
+// TestApplyDeltaUpdateConvergence: an in-place update is replaced where
+// it stands by the cleanse and the join, and reruns the filter, whose
+// output it enters (HIV to asthma: every later row would move); the
 // result must still match a full rebuild exactly.
 func TestApplyDeltaUpdateConvergence(t *testing.T) {
 	hosp := NewSource("hospital", "hospital", workload.PrescriptionsFixture())
@@ -207,7 +308,15 @@ func TestApplyDeltaUpdateConvergence(t *testing.T) {
 			{relation.Str("Fay"), relation.Str("Mark"), relation.Str("DV"), relation.Str("HIV"), relation.DateYMD(2008, 6, 6)},
 		},
 	}
-	applyAndPropagate(t, p, c, hosp, d)
+	res := applyAndPropagate(t, p, c, hosp, d)
+	for _, name := range []string{"rx_clean", "rx_cost"} {
+		if ch := res.Changed[name]; ch.Rebuilt || fmt.Sprint(ch.Updated, ch.Appended) != "[1] 1" {
+			t.Errorf("%s: change %+v, want row 1 updated in place and one row appended", name, ch)
+		}
+	}
+	if !res.Changed["rx_chronic"].Rebuilt {
+		t.Errorf("rx_chronic: change %+v, want Rebuilt (the update enters the filter's output)", res.Changed["rx_chronic"])
+	}
 
 	rx, _ := hosp.Table("prescriptions")
 	want := runFreshMirror(t, rx, workload.DrugCostFixture())
@@ -222,8 +331,10 @@ func TestApplyDeltaUpdateConvergence(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaDeleteConvergence: deletes degrade to per-step rebuilds
-// but must converge all the same.
+// TestApplyDeltaDeleteConvergence: a delete — here one from the middle,
+// which renumbers the lineage behind it, and one from the end — is placed
+// by the cleanse, filter and join steps in the outputs they have; only
+// the aggregate rebuilds its state. The result matches a full rebuild.
 func TestApplyDeltaDeleteConvergence(t *testing.T) {
 	hosp := NewSource("hospital", "hospital", workload.PrescriptionsFixture())
 	agency := NewSource("healthagency", "healthagency", workload.DrugCostFixture())
@@ -232,8 +343,20 @@ func TestApplyDeltaDeleteConvergence(t *testing.T) {
 	if _, err := p.Run(c, false); err != nil {
 		t.Fatal(err)
 	}
-	applyAndPropagate(t, p, c, hosp,
-		&Delta{Source: "hospital", Table: "prescriptions", Deletes: []int{0, 4}})
+	res := applyAndPropagate(t, p, c, hosp,
+		&Delta{Source: "hospital", Table: "prescriptions", Deletes: []int{2, 4}})
+	if res.StepsIncremental != 4 || res.StepsRebuilt != 1 || res.StepsUntouched != 1 {
+		t.Fatalf("incremental=%d rebuilt=%d untouched=%d, want 4/1/1 (the aggregate alone rebuilds)",
+			res.StepsIncremental, res.StepsRebuilt, res.StepsUntouched)
+	}
+	for name, removed := range map[string]string{"prescriptions": "[2 4]", "rx_clean": "[2 4]", "rx_chronic": "[0 1]", "rx_cost": "[2 4]"} {
+		if ch := res.Changed[name]; ch.Rebuilt || fmt.Sprint(ch.Removed) != removed {
+			t.Errorf("%s: change %+v, want rows %s removed in place", name, ch, removed)
+		}
+	}
+	if !res.Changed["by_disease"].Rebuilt {
+		t.Errorf("by_disease: change %+v, want Rebuilt", res.Changed["by_disease"])
+	}
 
 	rx, _ := hosp.Table("prescriptions")
 	if rx.NumRows() != 3 {

@@ -3,6 +3,7 @@ package etl
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"plabi/internal/fault"
@@ -84,11 +85,47 @@ const (
 	// project): output row i depends only on input row i, so changed rows
 	// are recomputed in isolation and spliced into the previous output.
 	DeltaRowWise
-	// DeltaFilter marks a row-wise row-dropping function (filter):
-	// appended input rows are filtered independently and concatenated
-	// onto the previous output; updates or deletes rerun the step.
+	// DeltaFilter marks a row-wise row-dropping function built by
+	// NewFilter, which also reports the input ordinal of every row it
+	// keeps: removed input rows drop their output row, updated and
+	// appended ones are filtered alone and spliced, and only an update
+	// that flips a row in or out of the output reruns the step.
 	DeltaFilter
 )
+
+// fanout is what a step whose output is input-major — every input row
+// yields a contiguous, possibly empty run of output rows, in input order:
+// a filter, a join over its left side — retains beside its output, so a
+// later edit of the input can be placed in the output. ord[k] is the
+// ordinal of the input row output row k came from; it never decreases.
+//
+// The ordinals describe exactly one table, of, and are trusted only while
+// the staging area holds that very pointer: a rolled-back delta restores
+// the previous pointer, a dropped context holds other tables altogether,
+// and either way the step reruns and records afresh. Access is serialized
+// by the pipeline (one run or delta at a time).
+type fanout struct {
+	of  *relation.Table
+	ord []int32
+}
+
+// record stores out as the step's output and ord as its ordinals.
+func (f *fanout) record(c *Context, name string, out *relation.Table, ord []int32) {
+	c.Put(name, out)
+	// What staging holds — the segment-backed view when Put spilled out.
+	f.of, _ = c.Get(name)
+	f.ord = ord
+}
+
+// span returns the output rows [lo, hi) of input row i.
+func (f *fanout) span(i int) (lo, hi int) {
+	lo = sort.Search(len(f.ord), func(k int) bool { return int(f.ord[k]) >= i })
+	hi = lo
+	for hi < len(f.ord) && int(f.ord[hi]) == i {
+		hi++
+	}
+	return lo, hi
+}
 
 // Transform applies an arbitrary relational function to one staging table.
 // It is the generic building block for cleansing and standardization.
@@ -103,6 +140,12 @@ type Transform struct {
 	// Fn receives the run's context so long row loops can honour
 	// cancellation mid-table.
 	Fn func(context.Context, *relation.Table) (*relation.Table, error)
+
+	// keep is a DeltaFilter's Fn also reporting, per output row, the
+	// ordinal of the input row it is; kept is what it reported for the
+	// output in staging.
+	keep func(*relation.Table) (*relation.Table, []int32, error)
+	kept fanout
 }
 
 // NewTransform builds a generic transformation step.
@@ -124,6 +167,14 @@ func (t *Transform) Run(c *Context) error {
 	in, err := c.Get(t.Input)
 	if err != nil {
 		return err
+	}
+	if t.keep != nil {
+		out, ord, err := t.keep(in)
+		if err != nil {
+			return err
+		}
+		t.kept.record(c, t.Out, out, ord)
+		return nil
 	}
 	out, err := t.Fn(c.Ctx(), in)
 	if err != nil {
@@ -167,9 +218,13 @@ func newKindedTransform(name, op, input, output string, kind DeltaKind, fn func(
 
 // NewFilter builds a row-filtering step.
 func NewFilter(name, input, output string, pred relation.Expr) *Transform {
-	return newKindedTransform(name, "filter", input, output, DeltaFilter, func(_ context.Context, t *relation.Table) (*relation.Table, error) {
+	t := newKindedTransform(name, "filter", input, output, DeltaFilter, func(_ context.Context, t *relation.Table) (*relation.Table, error) {
 		return relation.Select(t, pred)
 	})
+	t.keep = func(t *relation.Table) (*relation.Table, []int32, error) {
+		return relation.SelectOrdinals(t, pred)
+	}
+	return t
 }
 
 // NewDerive builds a computed-column step.
@@ -196,6 +251,10 @@ type JoinStep struct {
 	On          relation.Expr
 	Kind        relation.JoinKind
 	Out         string
+
+	// probed holds the left-row ordinal of each row of the output in
+	// staging.
+	probed fanout
 }
 
 // NewJoin builds a guarded join step.
@@ -214,26 +273,27 @@ func (j *JoinStep) Output() string { return j.Out }
 
 // Run implements Step.
 func (j *JoinStep) Run(c *Context) error {
-	out, err := j.join(c, nil)
+	out, ord, err := j.join(c, nil)
 	if err != nil {
 		return err
 	}
-	c.Put(j.Out, out)
+	j.probed.record(c, j.Out, out, ord)
 	return nil
 }
 
 // join is the step body: the join-permission check over the base tables
 // of both sides, then the left rows at the indices in leftRows (nil = the
-// whole left input — a full Run; the delta path passes the appended rows)
-// joined with the right input.
-func (j *JoinStep) join(c *Context, leftRows []int) (*relation.Table, error) {
+// whole left input — a full Run; the delta path passes the updated and
+// appended rows) joined with the right input. Beside the output it
+// returns, per output row, the ordinal of its left row among those joined.
+func (j *JoinStep) join(c *Context, leftRows []int) (*relation.Table, []int32, error) {
 	l, err := c.Get(j.Left)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r, err := c.Get(j.Right)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, lb := range baseTablesOf(l) {
 		for _, rb := range baseTablesOf(r) {
@@ -241,25 +301,25 @@ func (j *JoinStep) join(c *Context, leftRows []int) (*relation.Table, error) {
 				continue
 			}
 			if err := c.Guard.CheckJoin(lb, rb); err != nil {
-				return nil, &ViolationError{Step: j.name, Rule: "join-permission",
+				return nil, nil, &ViolationError{Step: j.name, Rule: "join-permission",
 					Detail: fmt.Sprintf("%s join %s: %v", lb, rb, err), Cause: err}
 			}
 		}
 	}
 	if leftRows != nil {
 		if l, err = relation.SliceRows(l, leftRows); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	out, err := relation.Join(relation.Rename(l, "l"), relation.Rename(r, "r"), j.On, j.Kind)
+	out, ord, err := relation.JoinOrdinals(relation.Rename(l, "l"), relation.Rename(r, "r"), j.On, j.Kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if unq, uerr := out.Schema.Unqualify(); uerr == nil {
 		out.Schema = unq
 	}
 	out.Name = j.Out
-	return out, nil
+	return out, ord, nil
 }
 
 // baseTablesOf returns the base tables a relation derives from; for base

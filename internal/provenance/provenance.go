@@ -112,50 +112,69 @@ func (t *Tracer) distinctSupportRows(rt RowTrace, base *relation.Table, table st
 	return len(seen)
 }
 
-// colDict is an immutable dictionary encoding of one base-table column:
-// codes[row] is a dense id of the value's Key-equivalence class. ids
-// retains the value-to-code assignment so an append-only base refresh
-// can extend the encoding instead of rebuilding it; readers only ever
-// touch codes/card.
+// colDict is a dictionary encoding of one base-table column: codes[row]
+// is a dense id of the value's Key-equivalence class, below card. Readers
+// only ever touch codes and card, which are never written once the
+// dictionary is visible, and only ever compare codes for equality. ids
+// retains the value-to-code assignment so a base refresh can encode the
+// rows an edit brought instead of every row; it belongs to whoever holds
+// the tracer's write lock and is handed on from one version of the
+// dictionary to the next.
 type colDict struct {
 	codes []int32
 	card  int
 	ids   map[relation.ValKey]int32
 }
 
-// extend returns a new dictionary covering base's rows, reusing this
-// dictionary's prefix (rows [0, from)) and encoding the appended rows
-// with the retained id assignment — first-seen code order is identical
-// to rebuilding from scratch. Copy-on-write: concurrent readers keep
-// using the old dictionary safely.
-func (d *colDict) extend(base *relation.Table, ci, from int) (*colDict, bool) {
-	n := base.NumRows()
-	codes := make([]int32, n)
-	copy(codes, d.codes[:from])
-	ids := make(map[relation.ValKey]int32, len(d.ids))
-	for k, v := range d.ids {
-		ids[k] = v
+// encode returns the code of v, assigning the next free one to a value
+// not seen before.
+func (d *colDict) encode(v relation.Value) int32 {
+	k := relation.MapKey(v)
+	id, ok := d.ids[k]
+	if !ok {
+		id = int32(len(d.ids))
+		d.ids[k] = id
 	}
-	for ri := from; ri < n; ri++ {
+	return id
+}
+
+// edited returns the dictionary of base, the table e leads to from the
+// one d encodes: the codes of removed rows are dropped, the rows e
+// brought are encoded against the retained ids, everything else is
+// copied. Copy-on-write where readers look: they keep using d's codes
+// and card. A value that left the table keeps its code, so card only
+// bounds the codes in use; once the assignment has outgrown the table
+// twice over the dictionary is given up (ok false) and the next reader
+// builds a tight one.
+func (d *colDict) edited(base *relation.Table, ci int, e relation.Edit) (*colDict, bool) {
+	n := base.NumRows()
+	dirty, err := e.Dirty(n)
+	if err != nil || len(d.codes) != n-e.Appended+len(e.Removed) {
+		return nil, false
+	}
+	nd := &colDict{codes: make([]int32, 0, n), ids: d.ids}
+	from := 0
+	for _, ri := range e.Removed {
+		nd.codes = append(nd.codes, d.codes[from:ri]...)
+		from = ri + 1
+	}
+	nd.codes = append(nd.codes, d.codes[from:]...)
+	nd.codes = nd.codes[:n]
+	for _, ri := range dirty {
 		v, err := base.ValueAt(ri, ci)
 		if err != nil {
 			return nil, false
 		}
-		k := relation.MapKey(v)
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
-		}
-		codes[ri] = id
+		nd.codes[ri] = nd.encode(v)
 	}
-	return &colDict{codes: codes, card: len(ids), ids: ids}, true
+	nd.card = len(nd.ids)
+	return nd, nd.card <= 2*n+64
 }
 
 // colDict returns the dictionary encoding of column ci of base, the
 // caller's view of the registered table. The cache holds encodings of the
-// currently registered version only: RegisterBase drops them, RefreshBase
-// extends them. A caller whose base has been swapped out since it read it
+// currently registered version only: RegisterBase drops them, EditBase
+// patches them. A caller whose base has been swapped out since it read it
 // neither uses nor fills the cache — it gets a private dictionary of its
 // own base — so a cached dictionary always covers every row of the
 // table it is cached beside. The returned dict is immutable, so
@@ -180,13 +199,7 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 		if err != nil {
 			return nil
 		}
-		k := relation.MapKey(v)
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
-		}
-		d.codes[ri] = id
+		d.codes[ri] = d.encode(v)
 	}
 	d.card = len(ids)
 	t.mu.Lock()
@@ -227,32 +240,42 @@ func (t *Tracer) RegisterBase(tb *relation.Table) {
 	delete(t.dicts, key) // cached encodings no longer describe the table
 }
 
-// RefreshBase swaps in a new version of a registered base table. When
-// appendFrom >= 0 and the new version is the old one with rows appended
-// starting at that index, the cached column dictionaries are extended
-// copy-on-write instead of dropped; any other shape of change (or an
-// unregistered name) degrades to RegisterBase semantics. The table and
-// its dictionaries swap under one critical section, so a reader that
-// sees the new table also sees dictionaries covering all of its rows.
-func (t *Tracer) RefreshBase(tb *relation.Table, appendFrom int) {
+// EditBase swaps in the version of a registered base table that the edit
+// e leads to, and patches the cached column dictionaries with the same
+// edit instead of dropping them. An unregistered name, or an edit that
+// does not lead from the registered version's row count to tb's, degrades
+// to RegisterBase semantics. The table and its dictionaries swap under
+// one critical section, so a reader that sees the new table also sees
+// dictionaries covering all of its rows.
+func (t *Tracer) EditBase(tb *relation.Table, e relation.Edit) {
 	key := strings.ToLower(tb.Name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old, ok := t.bases[key]
-	if !ok || appendFrom < 0 || appendFrom > tb.NumRows() || old.NumRows() != appendFrom {
-		t.bases[key] = tb
+	t.bases[key] = tb
+	if !ok || old.NumRows() != tb.NumRows()-e.Appended+len(e.Removed) {
 		delete(t.dicts, key)
 		return
 	}
-	t.bases[key] = tb
 	for ci, d := range t.dicts[key] {
-		nd, ok := d.extend(tb, ci, appendFrom)
-		if !ok {
+		if nd, ok := d.edited(tb, ci, e); ok {
+			t.dicts[key][ci] = nd
+		} else {
 			delete(t.dicts[key], ci)
-			continue
 		}
-		t.dicts[key][ci] = nd
 	}
+}
+
+// RefreshBase is EditBase for a pure append: the new version is the old
+// one with rows appended starting at index appendFrom. A negative
+// appendFrom says the change has no such shape and drops the
+// dictionaries.
+func (t *Tracer) RefreshBase(tb *relation.Table, appendFrom int) {
+	if appendFrom < 0 {
+		t.RegisterBase(tb)
+		return
+	}
+	t.EditBase(tb, relation.Edit{Appended: tb.NumRows() - appendFrom})
 }
 
 func (t *Tracer) base(name string) (*relation.Table, bool) {

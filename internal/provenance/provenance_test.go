@@ -166,7 +166,8 @@ func TestGraphUpstreamPartial(t *testing.T) {
 }
 
 // TestDistinctSupportDuringAppendRefresh interleaves first-use dictionary
-// builds with append-only RefreshBase swaps. A dictionary encoded from a
+// builds with RefreshBase and EditBase swaps (appends, in-place updates,
+// mid-table removals). A dictionary encoded from a
 // base that was swapped out mid-encode covers fewer rows than the table
 // now registered; cached beside it, the next DistinctSupport indexes past
 // its codes and the next RefreshBase slices past them in extend.
@@ -203,17 +204,30 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	readerDone := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: append one row, swap, repeat until the reader is through
+	go func() { // writer: append, update or replace one row, swap, repeat until the reader is through
 		defer wg.Done()
-		for cur := base; cur.NumRows() < 2*nRows; {
+		cur := base
+		for step := 0; cur.NumRows() < 2*nRows; step++ {
 			select {
 			case <-readerDone:
 				return
 			default:
 			}
+			n := cur.NumRows()
 			next := relation.NewBase("facts", schema)
-			next.Rows = append(cur.Rows[:len(cur.Rows):len(cur.Rows)], rowAt(cur.NumRows()))
-			tr.RefreshBase(next, cur.NumRows())
+			next.Rows = append(cur.Rows[:n:n], rowAt(n))
+			switch step % 3 {
+			case 0:
+				tr.RefreshBase(next, n)
+			case 1: // the same values again, in place
+				next.Rows = append([]relation.Row(nil), cur.Rows...)
+				next.Rows[n/2] = rowAt(n / 2)
+				tr.EditBase(next, relation.Edit{Updated: []int{n / 2}})
+			case 2: // the middle row goes, the next one arrives
+				next.Rows = append(append([]relation.Row(nil), cur.Rows[:n/2]...), cur.Rows[n/2+1:]...)
+				next.Rows = append(next.Rows, rowAt(n))
+				tr.EditBase(next, relation.Edit{Removed: []int{n / 2}, Appended: 1})
+			}
 			cur = next
 		}
 	}()
@@ -226,4 +240,90 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	}
 	close(readerDone)
 	wg.Wait()
+}
+
+// TestEditBasePatchesDictionaries: after an update, a delete from the
+// middle and a delete from the end, the cached column dictionary is the
+// old one patched — same value-to-code assignment, no rebuild — and
+// counts exactly what a dictionary built from the new version counts.
+func TestEditBasePatchesDictionaries(t *testing.T) {
+	schema := relation.NewSchema(relation.Col("patient", relation.TString), relation.Col("n", relation.TInt))
+	version := func(patients ...string) *relation.Table {
+		tb := relation.NewBase("rx", schema)
+		for i, p := range patients {
+			tb.AppendVals(relation.Str(p), relation.Int(int64(i)))
+		}
+		return tb
+	}
+	all := func(tb *relation.Table) RowTrace {
+		var rt RowTrace
+		for r := 0; r < tb.NumRows(); r++ {
+			rt.Rows = append(rt.Rows, relation.RowRef{Table: "rx", Row: r})
+		}
+		return rt
+	}
+	cur := version("ann", "bob", "ann", "cy", "dee", "bob")
+	tr := NewTracer()
+	tr.RegisterBase(cur)
+	if got := tr.DistinctSupport(all(cur), "rx", "patient"); got != 4 {
+		t.Fatalf("distinct patients = %d, want 4", got)
+	}
+	ids := tr.dicts["rx"][0].ids
+	steps := []struct {
+		name string
+		next *relation.Table
+		edit relation.Edit
+		want int
+	}{
+		{"update to a new and to a known value", version("eve", "bob", "ann", "cy", "ann", "bob"),
+			relation.Edit{Updated: []int{0, 4}}, 4},
+		{"mid-table delete with an append", version("eve", "ann", "cy", "ann", "bob", "fay"),
+			relation.Edit{Removed: []int{1}, Appended: 1}, 5},
+		{"tail delete", version("eve", "ann", "cy", "ann"),
+			relation.Edit{Removed: []int{4, 5}}, 3},
+		{"update behind a delete", version("ann", "cy", "gus"),
+			relation.Edit{Removed: []int{0}, Updated: []int{3}}, 3},
+	}
+	for _, st := range steps {
+		tr.EditBase(st.next, st.edit)
+		d := tr.dicts["rx"][0]
+		if d == nil || len(d.codes) != st.next.NumRows() {
+			t.Fatalf("%s: dictionary dropped or short: %+v", st.name, d)
+		}
+		if fmt.Sprintf("%p", d.ids) != fmt.Sprintf("%p", ids) {
+			t.Errorf("%s: the value-to-code assignment was rebuilt", st.name)
+		}
+		fresh := NewTracer()
+		fresh.RegisterBase(st.next)
+		got, want := tr.DistinctSupport(all(st.next), "rx", "patient"), fresh.DistinctSupport(all(st.next), "rx", "patient")
+		if got != want || got != st.want {
+			t.Errorf("%s: distinct patients = %d, a fresh dictionary says %d, want %d", st.name, got, want, st.want)
+		}
+		cur = st.next
+	}
+
+	// An edit that does not lead from the registered version to the new
+	// one drops the dictionaries instead of patching them wrong.
+	tr.EditBase(version("ann", "cy"), relation.Edit{Removed: []int{0, 1}})
+	if len(tr.dicts["rx"]) != 0 {
+		t.Error("an edit with the wrong row count kept the dictionaries")
+	}
+	if got := tr.DistinctSupport(all(version("ann", "cy")), "rx", "patient"); got != 2 {
+		t.Errorf("after the drop: distinct patients = %d, want 2", got)
+	}
+
+	// Values that left the table keep their codes; once they outnumber
+	// the rows twice over the dictionary is given up for a tight one.
+	cur = version("ann", "cy")
+	for i := 0; i < 80; i++ {
+		next := version(fmt.Sprintf("p%d", i), "cy")
+		tr.EditBase(next, relation.Edit{Updated: []int{0}})
+		cur = next
+	}
+	if d := tr.dicts["rx"][0]; d != nil {
+		t.Errorf("dictionary of a 2-row table kept %d codes", d.card)
+	}
+	if got := tr.DistinctSupport(all(cur), "rx", "patient"); got != 2 {
+		t.Errorf("after giving up: distinct patients = %d, want 2", got)
+	}
 }

@@ -71,6 +71,15 @@ func (b *Batch) Len() int { return b.n }
 // Schema returns the batch schema.
 func (b *Batch) Schema() *Schema { return b.src.Schema }
 
+// start returns the ordinal, in the scanned table, of the batch's first
+// row.
+func (b *Batch) start() int {
+	if b.part == nil {
+		return 0
+	}
+	return b.part.start
+}
+
 // Col returns the vector of column ci, extracting it on first use. Only a
 // segment batch can fail: a block that passed its checksum but does not
 // have the shape its encoding promises is a *CorruptError, and a column

@@ -1,11 +1,15 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// This file holds the copy-on-write row helpers (slice, concat, splice)
-// the ETL delta propagation composes per-step outputs from. None of them
-// ever mutate an input table — concurrent renders keep reading the old
-// pointers while a delta is being applied.
+// This file holds the copy-on-write row helpers the ETL delta propagation
+// composes per-step outputs from: SliceRows cuts the changed rows out of a
+// step's input, ApplyEdit applies the resulting edit script to the step's
+// previous output. Neither ever mutates an input table — concurrent
+// renders keep reading the old pointers while a delta is being applied.
 
 // SliceRows builds a derived in-memory table holding exactly t's rows at
 // the given indices, in order, with explicit row lineage and t's column
@@ -30,59 +34,194 @@ func SliceRows(t *Table, idx []int) (*Table, error) {
 	return out, nil
 }
 
-// ConcatRows returns a derived table with old's rows followed by tail's,
-// sharing row storage with both inputs (copy-on-write: neither is
-// mutated). Schemas must agree.
-func ConcatRows(old, tail *Table) (*Table, error) {
+// Edit is an edit script from one version of a table to the next: which
+// rows of the previous version are gone, which were replaced where they
+// stand, how many rows the new version has past the end of the old one —
+// and, for a derived table, which base rows its lineage can no longer
+// name. Row indices are dense in every version, so a removal renumbers
+// whatever follows it; every index in an Edit addresses the previous
+// version. The zero Edit changes nothing.
+type Edit struct {
+	// Removed lists the dropped rows: sorted, distinct.
+	Removed []int
+	// Updated lists the rows replaced in place: sorted, distinct, disjoint
+	// from Removed. Such a row sits at its index less the removals before
+	// it in the new version.
+	Updated []int
+	// Appended counts the rows added at the end of the new version.
+	Appended int
+	// Shift names, per base table, the rows (sorted, distinct) that table
+	// lost: a lineage ref b#q of a kept row becomes b#(q-k), k the number
+	// of b's lost rows before q. Only a mid-table removal shifts anything;
+	// a base table that lost its last rows renumbers nobody and is absent.
+	Shift map[string][]int
+}
+
+// Empty reports whether the edit changes nothing, rows or lineage.
+func (e Edit) Empty() bool {
+	return e.Appended == 0 && len(e.Updated) == 0 && len(e.Removed) == 0 && len(e.Shift) == 0
+}
+
+// Dirty lists the rows of the new version (newLen rows) whose content the
+// edit brings: the updated rows at their new positions, then the appended
+// window. It rejects a script whose index lists are not sorted, distinct
+// and disjoint.
+func (e Edit) Dirty(newLen int) ([]int, error) {
+	oldLen := newLen - e.Appended + len(e.Removed)
+	if e.Appended < 0 || oldLen < len(e.Removed) {
+		return nil, fmt.Errorf("relation: edit (+%d, -%d) does not lead to a table of %d rows", e.Appended, len(e.Removed), newLen)
+	}
+	for i, ri := range e.Removed {
+		if ri < 0 || ri >= oldLen || (i > 0 && ri <= e.Removed[i-1]) {
+			return nil, fmt.Errorf("relation: edit removes row %d of %d out of order or range", ri, oldLen)
+		}
+	}
+	dirty := make([]int, 0, len(e.Updated)+e.Appended)
+	gone := 0 // removed rows before the updated row at hand
+	for i, ri := range e.Updated {
+		for gone < len(e.Removed) && e.Removed[gone] < ri {
+			gone++
+		}
+		if ri < 0 || ri >= oldLen || (i > 0 && ri <= e.Updated[i-1]) || (gone < len(e.Removed) && e.Removed[gone] == ri) {
+			return nil, fmt.Errorf("relation: edit updates row %d of %d out of order or range, or removes it too", ri, oldLen)
+		}
+		dirty = append(dirty, ri-gone)
+	}
+	for ri := newLen - e.Appended; ri < newLen; ri++ {
+		dirty = append(dirty, ri)
+	}
+	return dirty, nil
+}
+
+// ApplyEdit returns the version of old the edit leads to, copy-on-write:
+// old is never mutated and kept rows share their storage. repl holds the
+// new content in Dirty order — one row per updated row, then the appended
+// rows — and may be nil when there is none. One pass drops the removed
+// ranges, and kept rows whose lineage names a base row past a lost one
+// get a renumbered lineage set (a kept row naming a lost row itself is an
+// error: the caller's removals are incomplete). The result is
+// byte-identical, values and lineage, to recomputing the table from the
+// edited inputs.
+func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 	om, err := old.Materialize()
 	if err != nil {
 		return nil, err
 	}
-	tm, err := tail.Materialize()
+	var rows []Row
+	var lin []LineageSet
+	if repl != nil {
+		rm, err := repl.Materialize()
+		if err != nil {
+			return nil, err
+		}
+		if !om.Schema.Equal(rm.Schema) {
+			return nil, fmt.Errorf("relation: edit schema mismatch (%s vs %s)", om.Schema, rm.Schema)
+		}
+		rows, lin = rm.Rows, rm.lineage()
+	}
+	if len(rows) != len(e.Updated)+e.Appended {
+		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", len(rows), len(e.Updated), e.Appended)
+	}
+	kept := len(om.Rows) - len(e.Removed)
+	dirty, err := e.Dirty(kept + e.Appended)
 	if err != nil {
 		return nil, err
 	}
-	if !om.Schema.Equal(tm.Schema) {
-		return nil, fmt.Errorf("relation: concat schema mismatch (%s vs %s)", om.Schema, tm.Schema)
-	}
 	out := old.derived(old.Name)
-	out.Rows = make([]Row, 0, len(om.Rows)+len(tm.Rows))
-	out.Rows = append(out.Rows, om.Rows...)
-	out.Rows = append(out.Rows, tm.Rows...)
-	out.Lineage = make([]LineageSet, 0, cap(out.Rows))
-	out.Lineage = append(out.Lineage, om.lineage()...)
-	out.Lineage = append(out.Lineage, tm.lineage()...)
+	out.Rows = make([]Row, 0, kept+e.Appended)
+	out.Lineage = make([]LineageSet, 0, kept+e.Appended)
+	oldLin := om.lineage()
+	from := 0
+	for _, ri := range e.Removed {
+		out.Rows = append(out.Rows, om.Rows[from:ri]...)
+		out.Lineage = append(out.Lineage, oldLin[from:ri]...)
+		from = ri + 1
+	}
+	out.Rows = append(out.Rows, om.Rows[from:]...)
+	out.Lineage = append(out.Lineage, oldLin[from:]...)
+	if err := shiftLineage(out.Lineage, e.Shift); err != nil {
+		return nil, fmt.Errorf("relation: edit of %s: %w", old.Name, err)
+	}
+	for i, ri := range dirty[:len(e.Updated)] {
+		out.Rows[ri], out.Lineage[ri] = rows[i], lin[i]
+	}
+	out.Rows = append(out.Rows, rows[len(e.Updated):]...)
+	out.Lineage = append(out.Lineage, lin[len(e.Updated):]...)
 	return out, nil
 }
 
-// SpliceRows returns a derived copy of old with the rows at idx replaced
-// positionally by repl's rows (idx[i] is replaced by repl row i),
-// copy-on-write: old is never mutated, untouched rows share storage.
-func SpliceRows(old *Table, idx []int, repl *Table) (*Table, error) {
-	om, err := old.Materialize()
-	if err != nil {
-		return nil, err
+// shiftChunk is how many renumbered refs shiftLineage allocates at a time.
+const shiftChunk = 4096
+
+// shiftLineage renumbers, in place in lin (whose sets are shared and
+// never written), every set naming a row of a base table past the first
+// row that table lost. Renumbering is monotone within a table, so a set
+// stays sorted and distinct.
+func shiftLineage(lin []LineageSet, shift map[string][]int) error {
+	type lostRows struct {
+		table string
+		rows  []int
 	}
-	rm, err := repl.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	if len(idx) != len(rm.Rows) {
-		return nil, fmt.Errorf("relation: splice arity mismatch (%d indices, %d rows)", len(idx), len(rm.Rows))
-	}
-	if !om.Schema.Equal(rm.Schema) {
-		return nil, fmt.Errorf("relation: splice schema mismatch (%s vs %s)", om.Schema, rm.Schema)
-	}
-	out := old.derived(old.Name)
-	out.Rows = make([]Row, len(om.Rows))
-	copy(out.Rows, om.Rows)
-	out.Lineage = append([]LineageSet(nil), om.lineage()...)
-	for i, ri := range idx {
-		if ri < 0 || ri >= len(out.Rows) {
-			return nil, fmt.Errorf("relation: splice row %d out of range [0,%d)", ri, len(out.Rows))
+	var lost []lostRows
+	for table, rows := range shift {
+		if len(rows) > 0 {
+			lost = append(lost, lostRows{table, rows})
 		}
-		out.Rows[ri] = rm.Rows[i]
-		out.Lineage[ri] = rm.RowLineage(i)
 	}
-	return out, nil
+	if len(lost) == 0 {
+		return nil
+	}
+	var arena []RowRef
+	for i, set := range lin {
+		moved := false
+		for _, ref := range set {
+			for _, l := range lost {
+				if ref.Row >= l.rows[0] && ref.Table == l.table {
+					moved = true
+				}
+			}
+		}
+		if !moved {
+			continue
+		}
+		if len(arena)+len(set) > cap(arena) {
+			arena = make([]RowRef, 0, max(shiftChunk, len(set)))
+		}
+		start := len(arena)
+		for _, ref := range set {
+			for _, l := range lost {
+				if ref.Table != l.table {
+					continue
+				}
+				k := sort.SearchInts(l.rows, ref.Row)
+				if k < len(l.rows) && l.rows[k] == ref.Row {
+					return fmt.Errorf("row %d is kept but derives from the removed %s", i, ref)
+				}
+				ref.Row -= k
+			}
+			arena = append(arena, ref)
+		}
+		lin[i] = LineageSet(arena[start:len(arena):len(arena)])
+	}
+	return nil
+}
+
+// SelectOrdinals is Select reporting, beside the selected rows, the
+// ordinal in t of the row each one is: what a filter step retains to
+// place a later edit of t in its output.
+func SelectOrdinals(t *Table, pred Expr) (*Table, []int32, error) {
+	ord := []int32{}
+	out, err := selectOrd(t, pred, &ord)
+	return out, ord, err
+}
+
+// JoinOrdinals is Join reporting, beside the joined rows, the ordinal in
+// l of the left row each one extends. The output is left-major, so the
+// ordinals never decrease and the rows of one left row are a contiguous
+// run — what a join step retains to place a later edit of l in its
+// output.
+func JoinOrdinals(l, r *Table, pred Expr, kind JoinKind) (*Table, []int32, error) {
+	ord := make([]int32, 0, l.NumRows()) // about one output row per left row
+	out, err := joinOrd(l, r, pred, kind, &ord)
+	return out, ord, err
 }

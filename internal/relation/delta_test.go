@@ -1,0 +1,270 @@
+package relation
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// deriveWide builds the one-to-one derived table the edit tests keep up
+// to date: row i of base b, its lineage {b#i} joined by a ref into a
+// second base table picked from the row's position.
+func deriveWide(b *Table) *Table {
+	out := &Table{Name: "wide", Schema: b.Schema}
+	out.ColOrigin = make([]ColRefSet, b.Schema.Len())
+	for c := range out.ColOrigin {
+		out.ColOrigin[c] = ColRefSet{{Table: "b", Column: b.Schema.Columns[c].Name}}
+	}
+	for i, r := range b.Rows {
+		out.Rows = append(out.Rows, r)
+		out.Lineage = append(out.Lineage, LineageSet{{Table: "a", Row: len(r[0].String()) % 3}, {Table: "b", Row: i}, {Table: "c", Row: 7}})
+	}
+	return out
+}
+
+// randEdit draws an edit of a table of n rows: disjoint removed and
+// updated rows, a few appended.
+func randEdit(rng *rand.Rand, n int) Edit {
+	var e Edit
+	for i := 0; i < n; i++ {
+		switch rng.Intn(5) {
+		case 0:
+			e.Removed = append(e.Removed, i)
+		case 1:
+			e.Updated = append(e.Updated, i)
+		}
+	}
+	if rng.Intn(3) == 0 && n > 0 { // a tail removal instead
+		e.Removed = nil
+		for i := n - 1 - rng.Intn(n); i < n; i++ {
+			e.Removed = append(e.Removed, i)
+		}
+		kept := e.Updated[:0]
+		for _, ri := range e.Updated {
+			if ri < e.Removed[0] {
+				kept = append(kept, ri)
+			}
+		}
+		e.Updated = kept
+	}
+	e.Appended = rng.Intn(4)
+	return e
+}
+
+// rebuild applies e to base b the naive way: a new table, row by row.
+func rebuild(rng *rand.Rand, b *Table, e Edit) *Table {
+	fresh := func() Row {
+		row := make(Row, b.Schema.Len())
+		for c, col := range b.Schema.Columns {
+			row[c] = randValue(rng, col.Type)
+		}
+		return row
+	}
+	next := NewBase(b.Name, b.Schema)
+	for i, r := range b.Rows {
+		switch {
+		case sort.SearchInts(e.Removed, i) < len(e.Removed) && e.Removed[sort.SearchInts(e.Removed, i)] == i:
+		case sort.SearchInts(e.Updated, i) < len(e.Updated) && e.Updated[sort.SearchInts(e.Updated, i)] == i:
+			next.Rows = append(next.Rows, fresh())
+		default:
+			next.Rows = append(next.Rows, r)
+		}
+	}
+	for i := 0; i < e.Appended; i++ {
+		next.Rows = append(next.Rows, fresh())
+	}
+	return next
+}
+
+// TestApplyEditMatchesRebuild: applying an edit to a derived table —
+// removed ranges dropped, updated rows replaced, rows appended, the
+// lineage of kept rows renumbered past the base rows lost — yields
+// exactly the table derived from the rebuilt base, values and lineage,
+// and leaves the old version as it was.
+func TestApplyEditMatchesRebuild(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed + 4200))
+		b := randTable(rng, "b", 1+rng.Intn(3), rng.Intn(40))
+		b.Base, b.Lineage, b.ColOrigin = true, nil, nil
+		old := deriveWide(b)
+		before := old.Clone()
+		e := randEdit(rng, b.NumRows())
+		e.Shift = map[string][]int{"b": e.Removed, "c": nil}
+		want := deriveWide(rebuild(rng, b, e))
+		dirty, err := e.Dirty(want.NumRows())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		repl, err := SliceRows(want, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := old
+		if seed%4 == 0 {
+			in, _ = segSpill(t, old, 1+rng.Intn(9))
+		}
+		got, err := ApplyEdit(in, e, repl)
+		if err != nil {
+			t.Fatalf("seed %d: %+v: %v", seed, e, err)
+		}
+		requireSameTable(t, fmt.Sprintf("seed %d edit %+v", seed, e), got, want)
+		requireSameTable(t, fmt.Sprintf("seed %d old version", seed), old, before)
+	}
+}
+
+// TestApplyEditSharesUntouchedLineage: only rows behind the first lost
+// base row get a new lineage set; a tail removal renumbers nobody.
+func TestApplyEditSharesUntouchedLineage(t *testing.T) {
+	b := NewBase("b", NewSchema(Col("v", TInt)))
+	for i := 0; i < 10; i++ {
+		b.AppendVals(Int(int64(i)))
+	}
+	old := deriveWide(b)
+	shared := func(a, b LineageSet) bool { return &a[0] == &b[0] }
+	got, err := ApplyEdit(old, Edit{Removed: []int{4}, Shift: map[string][]int{"b": {4}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		from := i
+		if i >= 4 {
+			from++
+		}
+		if want := i < 4; shared(got.Lineage[i], old.Lineage[from]) != want {
+			t.Errorf("row %d: lineage shared = %v, want %v", i, !want, want)
+		}
+		if !got.Lineage[i].Contains(RowRef{Table: "b", Row: i}) {
+			t.Errorf("row %d: lineage %v does not name b#%d", i, got.Lineage[i], i)
+		}
+	}
+	tail, err := ApplyEdit(old, Edit{Removed: []int{8, 9}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tail.Lineage {
+		if !shared(tail.Lineage[i], old.Lineage[i]) {
+			t.Errorf("tail removal rewrote the lineage of row %d", i)
+		}
+	}
+}
+
+func TestApplyEditRejectsMalformedScripts(t *testing.T) {
+	b := NewBase("b", NewSchema(Col("v", TInt)))
+	for i := 0; i < 6; i++ {
+		b.AppendVals(Int(int64(i)))
+	}
+	old := deriveWide(b)
+	one, err := SliceRows(old, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := &Table{Name: "x", Schema: NewSchema(Col("w", TString)), Rows: []Row{{Str("w")}}}
+	cases := []struct {
+		name string
+		e    Edit
+		repl *Table
+		want string
+	}{
+		{"unsorted removals", Edit{Removed: []int{3, 1}}, nil, "removes row"},
+		{"repeated removal", Edit{Removed: []int{2, 2}}, nil, "removes row"},
+		{"removal out of range", Edit{Removed: []int{6}}, nil, "removes row"},
+		{"more removals than rows", Edit{Removed: []int{0, 1, 2, 3, 4, 5, 6}}, nil, "does not lead"},
+		{"updated and removed", Edit{Removed: []int{2}, Updated: []int{2}}, one, "updates row"},
+		{"unsorted updates", Edit{Updated: []int{2, 2}}, concat(t, one, one), "updates row"},
+		{"missing rows", Edit{Updated: []int{1}, Appended: 1}, one, "brings 1 rows"},
+		{"rows nobody asked for", Edit{}, one, "brings 1 rows"},
+		{"another schema", Edit{Appended: 1}, other, "schema mismatch"},
+		{"kept row of a lost base row", Edit{Shift: map[string][]int{"b": {3}}}, nil, "derives from the removed b#3"},
+	}
+	for _, tc := range cases {
+		if _, err := ApplyEdit(old, tc.e, tc.repl); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	if !(Edit{}).Empty() || (Edit{Shift: map[string][]int{"b": {1}}}).Empty() {
+		t.Error("Empty: the zero edit is empty, a lineage shift is not")
+	}
+}
+
+func concat(t *testing.T, a, b *Table) *Table {
+	t.Helper()
+	out, err := ApplyEdit(a, Edit{Appended: b.NumRows()}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOrdinalsPlaceEveryOutputRow: the ordinals SelectOrdinals and
+// JoinOrdinals report are exactly the input rows the output rows come
+// from — running the operator over one input row at a time and
+// concatenating reproduces output and ordinals — whatever the plan
+// (single-key hash, multi-key hash, nested loop) and the storage.
+func TestOrdinalsPlaceEveryOutputRow(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed + 7700))
+		mem := randTable(rng, "t", 2+rng.Intn(2), rng.Intn(40))
+		other := randTable(rng, "u", 2, rng.Intn(12))
+		seg, _ := segSpill(t, mem, 1+rng.Intn(7))
+		l0, r0, r1 := ColRefExpr(mem.Schema.Columns[0].Name), ColRefExpr("u."+other.Schema.Columns[0].Name), ColRefExpr("u."+other.Schema.Columns[1].Name)
+		joinPreds := []Expr{
+			Bin(OpEq, l0, r1),
+			And(Bin(OpEq, l0, r1), Bin(OpEq, ColRefExpr(mem.Schema.Columns[1].Name), r0)),
+			Bin(OpLe, l0, r1),
+		}
+		pred := randPredicate(rng, mem.Schema, rng.Intn(3))
+		right := Rename(other, "u")
+		for _, in := range []*Table{mem, seg} {
+			label := fmt.Sprintf("seed %d segment=%v", seed, in == seg)
+			sel, ord, err := SelectOrdinals(in, pred)
+			ref, refErr := Select(mem, pred)
+			requireSameOutcome(t, label+" select", sel, ref, err, refErr)
+			if err == nil {
+				idx := make([]int, len(ord))
+				for k, o := range ord {
+					idx[k] = int(o)
+				}
+				placed, err := SliceRows(mem, idx)
+				if err != nil {
+					t.Fatalf("%s: select ordinals %v: %v", label, ord, err)
+				}
+				placed.Name = ref.Name
+				requireSameTable(t, label+" rows at the select ordinals", placed, ref)
+			}
+			for pi, jp := range joinPreds {
+				for _, kind := range []JoinKind{InnerJoin, LeftJoin} {
+					label := fmt.Sprintf("%s join pred %d kind %d", label, pi, kind)
+					got, ord, err := JoinOrdinals(in, right, jp, kind)
+					ref, refErr := Join(mem, right, jp, kind)
+					requireSameOutcome(t, label, got, ref, err, refErr)
+					if err != nil {
+						continue
+					}
+					var wantOrd []int32
+					piecewise := newJoinShell(mem, right)
+					for i := 0; i < mem.NumRows(); i++ {
+						one, err := SliceRows(mem, []int{i})
+						if err != nil {
+							t.Fatal(err)
+						}
+						part, err := Join(one, right, jp, kind)
+						if err != nil {
+							t.Fatalf("%s: row %d alone: %v", label, i, err)
+						}
+						piecewise.Rows = append(piecewise.Rows, part.Rows...)
+						piecewise.Lineage = append(piecewise.Lineage, part.Lineage...)
+						for range part.Rows {
+							wantOrd = append(wantOrd, int32(i))
+						}
+					}
+					requireSameTable(t, label+" row by row", piecewise, ref)
+					if fmt.Sprint(ord) != fmt.Sprint(wantOrd) && len(ord)+len(wantOrd) > 0 {
+						t.Fatalf("%s: ordinals %v, want %v", label, ord, wantOrd)
+					}
+				}
+			}
+		}
+	}
+}

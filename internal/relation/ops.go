@@ -13,10 +13,16 @@ import (
 // columns; a segment partition's other columns are decoded, and its rows
 // built, only for the positions selected.
 func Select(t *Table, pred Expr) (*Table, error) {
+	return selectOrd(t, pred, nil)
+}
+
+// selectOrd is Select; a non-nil ord also collects each selected row's
+// ordinal in t.
+func selectOrd(t *Table, pred Expr, ord *[]int32) (*Table, error) {
 	var out *Table
 	cols := predCols(pred, t.Schema)
 	err := eachBatch(t, pred, func(b *Batch) error { return b.load(cols) }, func(b *Batch) error {
-		sub, err := selectVec(b, pred)
+		sub, err := selectVec(b, pred, ord)
 		if err != nil {
 			return err
 		}
@@ -119,19 +125,25 @@ const (
 // plan); the left side is scanned and probes that index batch by batch,
 // so output order is left-major whatever the storage.
 func Join(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
+	return joinOrd(l, r, pred, kind, nil)
+}
+
+// joinOrd is Join; a non-nil ord also collects, per output row, the
+// ordinal in l of its left row.
+func joinOrd(l, r *Table, pred Expr, kind JoinKind, ord *[]int32) (*Table, error) {
 	r, err := r.Materialize()
 	if err != nil {
 		return nil, err
 	}
 	out := newJoinShell(l, r)
-	probe := joinProber(out, l, r, pred, kind)
+	probe := joinProber(out, l, r, pred, kind, ord)
 	rows := func(b *Batch) error { _, err := b.table(); return err }
 	err = eachBatch(l, nil, rows, func(b *Batch) error {
 		bt, err := b.table()
 		if err != nil {
 			return err
 		}
-		return probe(bt)
+		return probe(bt, b.start())
 	})
 	if err != nil {
 		return nil, err

@@ -108,7 +108,7 @@ func NestedLoopJoin(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 		return nil, err
 	}
 	out := newJoinShell(lm, rm)
-	if err := nestedLoopInto(out, lm, rm, pred, kind); err != nil {
+	if err := nestedLoopInto(out, lm, rm, pred, kind, nil, 0); err != nil {
 		return nil, err
 	}
 	return out, nil

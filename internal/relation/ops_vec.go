@@ -18,12 +18,19 @@ import (
 // selectVec is the vectorized Select over one batch: kernel filtering over
 // column vectors when the predicate shape supports it, compiled
 // (index-bound) evaluation over the batch's rows otherwise.
-func selectVec(b *Batch, pred Expr) (*Table, error) {
+func selectVec(b *Batch, pred Expr, ord *[]int32) (*Table, error) {
 	sel, ok, err := b.Filter(pred)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
+		if ord != nil {
+			for i := 0; i < sel.Len(); i++ {
+				if sel.Get(i) {
+					*ord = append(*ord, int32(b.start()+i))
+				}
+			}
+		}
 		return b.ToTable(b.src.Name+"_sel", sel)
 	}
 	t, err := b.table()
@@ -40,6 +47,9 @@ func selectVec(b *Batch, pred Expr) (*Table, error) {
 		if ok {
 			out.Rows = append(out.Rows, r)
 			out.Lineage = append(out.Lineage, t.RowLineage(i))
+			if ord != nil {
+				*ord = append(*ord, int32(b.start()+i))
+			}
 		}
 	}
 	return out, nil
@@ -173,6 +183,10 @@ type joinEmitter struct {
 	lin       []RowRef
 	lLin      []LineageSet // per-row lineage of l and r
 	rLin      []LineageSet
+	// ord, when non-nil, collects per emitted row the ordinal of its left
+	// row in the whole left input: lStart, the batch's first row, plus i.
+	ord    *[]int32
+	lStart int
 }
 
 // Arena chunk-size ceilings (elements). Large enough to amortize
@@ -214,8 +228,8 @@ func (e *joinEmitter) ensureLin(n int) {
 
 // newJoinEmitter sizes the arenas for l ⋈ r from l's total row count; the
 // batches of l are then probed one at a time through setLeft.
-func newJoinEmitter(out *Table, l, r *Table) *joinEmitter {
-	e := &joinEmitter{out: out, r: r, rLin: r.lineage(), lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows()}
+func newJoinEmitter(out *Table, l, r *Table, ord *[]int32) *joinEmitter {
+	e := &joinEmitter{out: out, r: r, rLin: r.lineage(), lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows(), ord: ord}
 	e.flatChunk = e.leftRows * (e.lw + e.rw)
 	if e.flatChunk > maxFlatChunk {
 		e.flatChunk = maxFlatChunk
@@ -231,15 +245,23 @@ func newJoinEmitter(out *Table, l, r *Table) *joinEmitter {
 	return e
 }
 
-// setLeft points the emitter at the next left batch.
-func (e *joinEmitter) setLeft(l *Table) {
+// setLeft points the emitter at the next left batch, which starts at row
+// start of the left input.
+func (e *joinEmitter) setLeft(l *Table, start int) {
 	if e.out.Rows == nil {
 		// Foreign-key-shaped joins emit about one row per probe row; header
 		// doubling from zero would re-copy the slice headers several times.
 		e.out.Rows = make([]Row, 0, e.leftRows)
 		e.out.Lineage = make([]LineageSet, 0, e.leftRows)
 	}
-	e.l, e.lLin = l, l.lineage()
+	e.l, e.lLin, e.lStart = l, l.lineage(), start
+}
+
+// emitted records the left ordinal of the row just appended.
+func (e *joinEmitter) emitted(i int) {
+	if e.ord != nil {
+		*e.ord = append(*e.ord, int32(e.lStart+i))
+	}
 }
 
 // mergeLin merges two sorted lineage sets into the shared arena.
@@ -279,6 +301,7 @@ func (e *joinEmitter) emit(i, j int) {
 	nr = append(nr, e.r.Rows[j]...)
 	e.out.Rows = append(e.out.Rows, Row(nr))
 	e.out.Lineage = append(e.out.Lineage, e.mergeLin(e.lLin[i], e.rLin[j]))
+	e.emitted(i)
 }
 
 // emitLeftNull appends l[i] null-extended on the right (LEFT JOIN miss).
@@ -288,16 +311,18 @@ func (e *joinEmitter) emitLeftNull(i int) {
 	nr = nr[:e.lw+e.rw] // the null extension: fresh arena cells are zero Values
 	e.out.Rows = append(e.out.Rows, Row(nr))
 	e.out.Lineage = append(e.out.Lineage, e.lLin[i])
+	e.emitted(i)
 }
 
 // joinProber chooses the join plan from the predicate, builds its index
 // over the materialized right table once, and returns the function that
-// probes it with one left batch, appending to out. Single-column
+// probes it with one left batch (starting at row start of l), appending
+// to out and, when ord is non-nil, each row's left ordinal to it. Single-column
 // equi-joins hash on interned keys (the reference fast path's Key()-string
 // semantics, minus the string allocations); conjunctions containing
 // equality pairs hash on all pairs with Compare verification plus a
 // compiled residual; anything else runs the nested-loop reference.
-func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind) func(batch *Table) error {
+func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32) func(batch *Table, start int) error {
 	// Single equi pair: exactly the reference fast path, interned.
 	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
 		idx := make(map[ValKey][]int32, len(r.Rows))
@@ -308,9 +333,9 @@ func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind) func(batch *T
 			k := MapKey(rr[rc])
 			idx[k] = append(idx[k], int32(j))
 		}
-		em := newJoinEmitter(out, l, r)
-		return func(batch *Table) error {
-			em.setLeft(batch)
+		em := newJoinEmitter(out, l, r, ord)
+		return func(batch *Table, start int) error {
+			em.setLeft(batch, start)
 			for i, lr := range batch.Rows {
 				matched := false
 				if !lr[lc].IsNull() {
@@ -327,19 +352,19 @@ func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind) func(batch *T
 		}
 	}
 
-	nested := func(batch *Table) error { return nestedLoopInto(out, batch, r, pred, kind) }
+	nested := func(batch *Table, start int) error { return nestedLoopInto(out, batch, r, pred, kind, ord, start) }
 	// Conjunction with equality pairs: multi-key hash join with
 	// verification, as long as the residual can never error (otherwise
 	// the hash plan could skip rows the reference would have errored on).
 	if pairs, residual := extractJoinPairs(pred, l.Schema, r.Schema); len(pairs) > 0 {
 		res := compilePred(residual, out.Schema)
 		if res.safe && !nanInKeys(r.Rows, pairs, true) {
-			hashProbe := hashJoinMulti(newJoinEmitter(out, l, r), r, pairs, res, kind)
-			return func(batch *Table) error {
+			hashProbe := hashJoinMulti(newJoinEmitter(out, l, r, ord), r, pairs, res, kind)
+			return func(batch *Table, start int) error {
 				if nanInKeys(batch.Rows, pairs, false) {
-					return nested(batch)
+					return nested(batch, start)
 				}
-				hashProbe(batch)
+				hashProbe(batch, start)
 				return nil
 			}
 		}
@@ -425,7 +450,7 @@ func extractJoinPairs(pred Expr, ls, rs *Schema) ([]joinPair, Expr) {
 // probe for one left batch. Keys are canonicalized with joinMapKey
 // (over-merge only) and every candidate is re-verified with Value.Equal,
 // so the match set is exactly the nested-loop reference's.
-func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compiledPred, kind JoinKind) func(l *Table) {
+func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compiledPred, kind JoinKind) func(l *Table, start int) {
 	type rkey struct{ a, b uint64 }
 	ins := make([]map[ValKey]uint32, len(pairs))
 	for p := range ins {
@@ -470,8 +495,8 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compile
 		}
 	}
 	scratch := make(Row, em.lw+em.rw)
-	return func(l *Table) {
-		em.setLeft(l)
+	return func(l *Table, start int) {
+		em.setLeft(l, start)
 		for i, lr := range l.Rows {
 			matched := false
 			if k, ok := buildKey(lr, false); ok {
@@ -504,11 +529,14 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compile
 }
 
 // nestedLoopInto is the general join body: the plan for predicates no hash
-// plan covers, and the test suite's nested-loop oracle.
-func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) error {
+// plan covers, and the test suite's nested-loop oracle. A non-nil ord
+// collects each output row's left ordinal, l starting at row start of the
+// left input.
+func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32, start int) error {
 	cols := out.Schema.Len()
 	joined := out.Schema
 	for i, lr := range l.Rows {
+		from := len(out.Rows)
 		matched := false
 		for j, rr := range r.Rows {
 			nr := make(Row, 0, cols)
@@ -529,6 +557,11 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind) error {
 			copy(nr, lr)
 			out.Rows = append(out.Rows, nr)
 			out.Lineage = append(out.Lineage, l.RowLineage(i))
+		}
+		if ord != nil {
+			for ; from < len(out.Rows); from++ {
+				*ord = append(*ord, int32(start+i))
+			}
 		}
 	}
 	return nil

@@ -68,7 +68,8 @@ type (
 	RowUpdate = etl.RowUpdate
 	// DeltaBatch groups the deltas applied and committed together.
 	DeltaBatch = etl.Batch
-	// DeltaChange summarizes how one relation changed during a delta.
+	// DeltaChange is how one relation changed during a delta: an edit
+	// script (rows removed, updated, appended), or Rebuilt.
 	DeltaChange = etl.Change
 	// DeltaResult reports one incremental refresh: per-step recompute
 	// accounting and the set of changed relations.
@@ -530,9 +531,10 @@ func (e *Engine) RunETL(ctx context.Context, p *Pipeline, continueOnViolation bo
 
 // ApplyDelta applies a batch of source deltas and incrementally
 // refreshes every previously run pipeline's outputs derived from them:
-// untouched steps are skipped, row-wise steps splice only the changed
-// rows, append-only joins and filters extend their previous output, and
-// aggregates re-emit from retained state. The application is atomic —
+// untouched steps are skipped, row-wise steps, filters and joins apply
+// the edit — inserts, updates and deletes alike — to the output they
+// have and recompute only the changed rows, and aggregates re-emit from
+// retained state on appends. The application is atomic —
 // on any error (including injected faults at the etl.delta site)
 // sources and staging roll back and the previous state keeps serving —
 // and a successful commit bumps per-table data epochs rather than the
