@@ -47,10 +47,11 @@ cover:
 	bash scripts/cover.sh
 
 # One-iteration pass over every root benchmark (paper experiments E1–E11,
-# k-anonymization, elicitation): catches bitrot in the bench harnesses
+# k-anonymization, elicitation) and internal/relation's (GroupBy over a
+# frozen table against a plain one): catches bitrot in the bench harnesses
 # without paying for a measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
+	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/relation
 
 # The benchmark (BENCHMARK.json): five fixed-work workloads, each in a
 # fresh process; writes bench/out/result.json. Gate a change with

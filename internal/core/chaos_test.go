@@ -406,6 +406,8 @@ func TestChaosDeltaConvergence(t *testing.T) {
 				}
 			}
 
+			defer verifyResident(t, e)
+
 			rng := rand.New(rand.NewSource(seed))
 			served := 0
 			for round := 0; round < 4; round++ {

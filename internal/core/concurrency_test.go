@@ -36,6 +36,7 @@ func buildConcurrencyEngine(t *testing.T) *Engine {
 func TestConcurrentRenderWithPolicyChurn(t *testing.T) {
 	defer fault.CheckLeaks(t)()
 	e := buildConcurrencyEngine(t)
+	defer verifyResident(t, e)
 	defs := e.Reports.All()
 	consumers := []report.Consumer{
 		{Name: "a1", Role: "analyst", Purpose: "quality"},

@@ -273,6 +273,8 @@ func runDeltaOracle(t *testing.T, seed int64) {
 		}
 	}
 
+	defer verifyResident(t, live)
+
 	probe := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 	rng := rand.New(rand.NewSource(seed * 7))
 	incremental := 0
@@ -525,6 +527,7 @@ func TestDeltaRecoveryAfterDroppedContext(t *testing.T) {
 	if dumpTable(lt) != dumpTable(mt) {
 		t.Fatal("rebuilt pipeline state diverges from fresh build")
 	}
+	verifyResident(t, e)
 }
 
 // TestDeltaStationaryBlockRebuildsNothing holds the count the benchmark's

@@ -381,6 +381,7 @@ func TestConcurrentRenders(t *testing.T) {
 	if got := len(e.Audit.ByKind("render")); got != 40 {
 		t.Errorf("renders audited = %d", got)
 	}
+	verifyResident(t, e)
 }
 
 // TestETLRunDecomposedPerStep: after one healthcare RunETL the engine's

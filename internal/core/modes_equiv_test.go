@@ -78,6 +78,7 @@ func runScenario(t *testing.T, configure func(*Engine)) scenarioRun {
 	for _, ev := range e.Audit.Events() {
 		run.auditKinds[ev.Kind]++
 	}
+	verifyResident(t, e)
 	return run
 }
 

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+
+	"plabi/internal/etl"
+	"plabi/internal/fault"
+	"plabi/internal/relation"
+	"plabi/internal/report"
+	"plabi/internal/workload"
+)
+
+// verifyResident re-derives the columnar form renders have published for
+// every registered table from the table itself: a write into a registered
+// table fails the test here instead of reaching a report as a stale cell.
+func verifyResident(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, name := range e.Catalog.TableNames() {
+		tb, _ := e.Catalog.Table(name)
+		if err := relation.VerifyResident(tb); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestRenderReadsTheRegisteredVersion: the resident vectors and lineage
+// columns belong to one version of a table. A committed delta registers a
+// new version, which the next render reads; a rolled-back delta registers
+// nothing, and the render after it reads the version before.
+func TestRenderReadsTheRegisteredVersion(t *testing.T) {
+	cfg := workload.DefaultConfig(5)
+	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
+	fi := fault.NewInjector(5)
+	e, _, err := BuildHealthcareEngineWith(cfg, func(e *Engine) { e.SetFaults(fi) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyst := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
+	consumption := func() map[string]int64 {
+		enf, err := e.Render("drug-consumption", analyst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, r := range enf.Table.Rows {
+			out[r[0].S] = r[1].I
+		}
+		return out
+	}
+	before := consumption()
+	var from, to string
+	rx := sourceTable(t, e, "hospital", "prescriptions")
+	drugCol := rx.Schema.Index("drug")
+	from = rx.Rows[0][drugCol].S
+	for drug := range before {
+		if drug != from && (to == "" || drug < to) {
+			to = drug
+		}
+	}
+	if before[from] < 2 || to == "" {
+		t.Fatalf("fixture: %q has %d prescriptions, other drug %q", from, before[from], to)
+	}
+	moveRow0 := func(drug string) etl.Batch {
+		vals := sourceTable(t, e, "hospital", "prescriptions").Rows[0].Clone()
+		vals[drugCol] = relation.Str(drug)
+		return etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
+			Updates: []etl.RowUpdate{{Row: 0, Vals: vals}}}}}
+	}
+
+	if _, err := e.ApplyDelta(context.Background(), moveRow0(to)); err != nil {
+		t.Fatal(err)
+	}
+	after := consumption()
+	if after[from] != before[from]-1 || after[to] != before[to]+1 {
+		t.Errorf("after moving one prescription %s→%s: %s %d→%d, %s %d→%d", from, to,
+			from, before[from], after[from], to, before[to], after[to])
+	}
+
+	fi.Enable(fault.SiteETLDelta, fault.SiteConfig{ErrorRate: 1, Times: 1})
+	if _, err := e.ApplyDelta(context.Background(), moveRow0(from)); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("delta under an injected fault: %v", err)
+	}
+	if again := consumption(); again[from] != after[from] || again[to] != after[to] {
+		t.Errorf("after a rolled-back delta: %s %d, %s %d; want %d, %d", from, again[from], to, again[to], after[from], after[to])
+	}
+	verifyResident(t, e)
+}
+
+// TestConcurrentFirstRendersShareVectors: goroutines racing to be the first
+// reader of a fresh engine's wide table each build a column's vector at
+// most once and all end up reading the one that was published.
+func TestConcurrentFirstRendersShareVectors(t *testing.T) {
+	e := buildConcurrencyEngine(t)
+	wide, ok := e.Catalog.Table("rx_wide")
+	if !ok {
+		t.Fatal("no rx_wide")
+	}
+	analyst := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
+	const workers = 8
+	seen := make([][]*relation.Vector, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, id := range []string{"drug-consumption", "age-profile"} {
+				if _, err := e.Render(id, analyst); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			b := relation.NewBatch(wide)
+			for ci := 0; ci < wide.Schema.Len(); ci++ {
+				v, err := b.Col(ci)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[w] = append(seen[w], v)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for ci := range seen[w] {
+			if len(seen[0]) != len(seen[w]) || seen[w][ci] != seen[0][ci] {
+				t.Fatalf("worker %d read its own vector of column %d", w, ci)
+			}
+		}
+	}
+	verifyResident(t, e)
+}

@@ -71,26 +71,37 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 	// Dictionary-encode the column once per (table, column) —
 	// relation.MapKey partitions values into exactly Value.Key's
 	// equivalence classes, so dense codes count the same distincts — and
-	// every subsequent threshold check is a branch-free array scan over a
-	// seen-bitmap instead of one hash probe per supporting row.
+	// every subsequent threshold check is an array scan over a
+	// seen-bitset instead of one hash probe per supporting row.
 	d := t.colDict(table, base, ci)
 	if d == nil {
 		// Segment-backed base whose store failed mid-build: fall back to
 		// the per-ref path, which degrades per cell instead of per column.
 		return t.distinctSupportRows(rt, base, table, ci)
 	}
-	seen := make([]bool, d.card)
+	seen := make([]uint64, (d.card+63)/64)
 	n := 0
-	for _, ref := range rt.Rows {
-		if ref.Table != table || ref.Row < 0 || ref.Row >= base.NumRows() {
+	for _, ref := range tableRun(rt.Rows, table) {
+		if ref.Row < 0 || ref.Row >= base.NumRows() {
 			continue
 		}
-		if c := d.codes[ref.Row]; !seen[c] {
-			seen[c] = true
+		if c := d.codes[ref.Row]; seen[c>>6]&(1<<(c&63)) == 0 {
+			seen[c>>6] |= 1 << (c & 63)
 			n++
 		}
 	}
 	return n
+}
+
+// tableRun returns the refs of rows into table: one run, found by binary
+// search, since a lineage set is sorted by (table, row).
+func tableRun(rows relation.LineageSet, table string) relation.LineageSet {
+	lo := sort.Search(len(rows), func(i int) bool { return rows[i].Table >= table })
+	hi := lo
+	for hi < len(rows) && rows[hi].Table == table {
+		hi++
+	}
+	return rows[lo:hi]
 }
 
 // distinctSupportRows is the fallback distinct count: canonical string
@@ -99,8 +110,8 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 // can only lower the count — the fail-closed direction for thresholds.
 func (t *Tracer) distinctSupportRows(rt RowTrace, base *relation.Table, table string, ci int) int {
 	seen := map[string]bool{}
-	for _, ref := range rt.Rows {
-		if ref.Table != table || ref.Row < 0 || ref.Row >= base.NumRows() {
+	for _, ref := range tableRun(rt.Rows, table) {
+		if ref.Row < 0 || ref.Row >= base.NumRows() {
 			continue
 		}
 		v, err := base.ValueAt(ref.Row, ci)
@@ -191,10 +202,19 @@ func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
 	n := base.NumRows()
 	ids := make(map[relation.ValKey]int32, n)
 	d = &colDict{codes: make([]int32, n), ids: ids}
-	// ValueAt walks a segment-backed base sequentially, keeping one
-	// decoded partition resident; an in-memory base reads its rows
-	// directly. First-seen code order is identical either way.
+	// An in-memory base is read as its column's typed vector — resident
+	// when the base is registered; ValueAt walks a segment-backed base
+	// sequentially, keeping one decoded partition in memory, and fails the
+	// build closed. First-seen code order is identical either way.
+	var vec *relation.Vector
+	if len(base.Rows) == n {
+		vec, _ = relation.NewBatch(base).Col(ci) // in memory: cannot fail
+	}
 	for ri := 0; ri < n; ri++ {
+		if vec != nil {
+			d.codes[ri] = d.encode(vec.Value(ri))
+			continue
+		}
 		v, err := base.ValueAt(ri, ci)
 		if err != nil {
 			return nil
@@ -339,8 +359,11 @@ func (t *Tracer) TraceRow(tab *relation.Table, i int) (RowTrace, error) {
 		return RowTrace{}, fmt.Errorf("provenance: row %d out of range", i)
 	}
 	rt := RowTrace{Row: i, Rows: tab.RowLineage(i), Support: map[string]int{}}
-	for _, ref := range rt.Rows {
-		rt.Support[ref.Table]++
+	// The set is sorted by table: one map write per run, not per ref.
+	for lo, hi := 0, 0; lo < len(rt.Rows); lo = hi {
+		for hi = lo + 1; hi < len(rt.Rows) && rt.Rows[hi].Table == rt.Rows[lo].Table; hi++ {
+		}
+		rt.Support[rt.Rows[lo].Table] += hi - lo
 	}
 	return rt, nil
 }

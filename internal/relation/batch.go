@@ -37,11 +37,13 @@ func (b *Bitmap) Count() int {
 // Batch is what a scan hands to the operators: every row of an in-memory
 // table, or one partition of a segment-backed one. Operators read it by
 // column. Col extracts a column on first use (a kernel touching two columns
-// of a twelve-column table pays for those two): from the rows of an
-// in-memory table, or by decoding the partition's verified block straight
-// into typed storage — a segment batch holds no rows until an operator that
-// emits them asks (table, ToTable). The row-oriented Table API stays the
-// interchange format between packages.
+// of a twelve-column table pays for those two): the resident vector of a
+// frozen in-memory table (built once per table version, see resident.go),
+// a transposition of the rows of one that is not, or the partition's
+// verified block decoded straight into typed storage — a segment batch holds
+// no rows until an operator that emits them asks (table, ToTable). Vectors
+// are read-only: a frozen table's are shared by every scan of it. The
+// row-oriented Table API stays the interchange format between packages.
 type Batch struct {
 	src  *Table // the scanned table: name, schema, provenance; the rows when in memory
 	n    int
@@ -59,8 +61,9 @@ type Batch struct {
 	released bool
 }
 
-// NewBatch wraps t for columnar execution. The underlying table must not
-// be mutated while the batch is in use.
+// NewBatch wraps t for columnar execution. A table still being built must
+// not be written while the batch is in use; a registered table is never
+// written again (the contract of sql.Catalog.Register and Refresh).
 func NewBatch(t *Table) *Batch {
 	return &Batch{src: t, n: len(t.Rows), cols: make([]*Vector, t.Schema.Len())}
 }
@@ -88,7 +91,7 @@ func (b *Batch) start() int {
 func (b *Batch) Col(ci int) (*Vector, error) {
 	if b.cols[ci] == nil {
 		if b.part == nil {
-			b.cols[ci] = NewVector(b.src, ci)
+			b.cols[ci] = b.src.column(ci)
 			return b.cols[ci], nil
 		}
 		if b.released {

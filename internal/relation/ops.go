@@ -101,6 +101,7 @@ func Extend(t *Table, name string, e Expr) (*Table, error) {
 func Rename(t *Table, name string) *Table {
 	out := t.derived(name)
 	out.Schema = t.Schema.Qualify(name)
+	out.res = t.res
 	if t.shareBacking(out) {
 		return out
 	}

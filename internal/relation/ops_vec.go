@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // This file holds the vectorized kernels behind the public operators
@@ -601,14 +602,18 @@ type gbGroup struct {
 	states    []aggState
 	lineage   LineageSet
 	fresh     []gbRows
-	freshRefs int // refs the fresh rows carry
+	freshRefs int // refs the fresh rows carry, or a bound on them
 }
 
 // gbRows is the rows of one batch that fell into one group: positions into
-// the batch's lineage sets, which are read, never written.
+// the batch's lineage sets, which are read, never written — and, when the
+// scanned table keeps lineage columns, those and the batch's first row in
+// them.
 type gbRows struct {
 	lin  []LineageSet
 	rows []int32
+	cols *lineageCols
+	off  int
 }
 
 // NewGroupByState validates the keys and aggregates against t's schema
@@ -710,7 +715,9 @@ func (s *GroupByState) add(b *Batch) error {
 		if err != nil {
 			return err
 		}
-		keyVecs[i], ids[i] = v, make([]uint32, n)
+		buf := idBuf(n)
+		defer idBufs.Put(buf)
+		keyVecs[i], ids[i] = v, *buf
 		s.keyer.ins[i].vecIDs(v, ids[i])
 	}
 	aggVecs := make([]*Vector, len(s.aggs))
@@ -732,8 +739,10 @@ func (s *GroupByState) add(b *Batch) error {
 	// until emit, which copies them once into the group's set — copying them
 	// here as well would turn the input's whole lineage into garbage on
 	// every pass.
-	lin := b.lineage()
-	gids := make([]int32, n)
+	lin, linCols := b.lineage(), b.src.lineageColumns()
+	buf := idBuf(n)
+	defer idBufs.Put(buf)
+	gids := *buf
 	cur := make([]int, len(s.groups), len(s.groups)+64)
 	refs := make([]int, len(s.groups), len(s.groups)+64)
 	for ri := range gids {
@@ -741,12 +750,17 @@ func (s *GroupByState) add(b *Batch) error {
 		if int(gi) == len(cur) {
 			cur, refs = append(cur, 0), append(refs, 0)
 		}
-		gids[ri] = gi
+		gids[ri] = uint32(gi)
 		cur[gi]++
-		refs[gi] += len(lin[ri])
+		if linCols == nil {
+			refs[gi] += len(lin[ri])
+		}
 	}
 	off := 0
 	for gi, n := range cur {
+		if linCols != nil { // at most one ref per base table: a bound, without reading the sets
+			refs[gi] = n * len(linCols.tables)
+		}
 		cur[gi] = off
 		off += n
 	}
@@ -759,7 +773,7 @@ func (s *GroupByState) add(b *Batch) error {
 	for gi, end := range cur { // each cursor now sits at its slot's end
 		if end > start {
 			g := &s.groups[gi]
-			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end]})
+			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end], cols: linCols, off: b.start()})
 			g.freshRefs += refs[gi]
 		}
 		start = end
@@ -836,7 +850,21 @@ func (s *GroupByState) add(b *Batch) error {
 	return nil
 }
 
-// pending is how many refs settle will gather: none when nothing was
+// idBufs recycles add's per-batch arrays of key ids and group ids, which it
+// fills and is done with before it returns: 4 bytes per row and key column
+// that a render would otherwise leave behind as garbage.
+var idBufs sync.Pool // of *[]uint32
+
+func idBuf(n int) *[]uint32 {
+	if p, _ := idBufs.Get().(*[]uint32); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]uint32, n)
+	return &b
+}
+
+// pending bounds how many refs settle will gather: none when nothing was
 // absorbed since the last emit.
 func (g *gbGroup) pending() int {
 	if len(g.fresh) == 0 {
@@ -846,22 +874,51 @@ func (g *gbGroup) pending() int {
 }
 
 // settle folds the refs of the rows absorbed since the last emit into the
-// group's normalized lineage and returns it. They are gathered into the
-// group's slot of the emit's arena and normalized there, so neither the
-// input's lineage sets nor an emitted table is ever mutated.
+// group's normalized lineage and returns it, carved out of the emit's arena:
+// neither the input's lineage nor an emitted table is ever mutated. A group
+// emitted for the first time whose rows all come from one frozen table reads
+// that table's lineage columns — one int32 per (row, base table); any other
+// gathers the refs themselves, the settled ones first.
 func (g *gbGroup) settle(sc *lineageScratch) LineageSet {
 	n := g.pending()
 	if n == 0 {
 		return g.lineage
 	}
-	all := append(sc.arena[:0:n], g.lineage...)
-	sc.arena = sc.arena[n:]
-	for _, f := range g.fresh {
-		for _, ri := range f.rows {
-			all = append(all, f.lin[ri]...)
+	sc.pending, sc.gathered = sc.pending-n, sc.gathered+n
+	lc := g.fresh[0].cols
+	for _, f := range g.fresh[1:] {
+		if f.cols != lc {
+			lc = nil
 		}
 	}
-	g.lineage = normalizeGroupLineage(all, sc)
+	if len(g.lineage) > 0 {
+		lc = nil
+	}
+	if lc != nil {
+		for ti, col := range lc.cols {
+			start := len(sc.rows)
+			for _, f := range g.fresh {
+				for _, ri := range f.rows {
+					if ord := col[f.off+int(ri)]; ord >= 0 {
+						sc.rows = append(sc.rows, int(ord))
+					}
+				}
+			}
+			sc.add(lc.tables[ti], sc.rows[start:])
+		}
+		g.lineage = sc.emit()
+	} else {
+		if cap(sc.refs) < n {
+			sc.refs = make(LineageSet, 0, sc.largest)
+		}
+		all := append(sc.refs[:0], g.lineage...)
+		for _, f := range g.fresh {
+			for _, ri := range f.rows {
+				all = append(all, f.lin[ri]...)
+			}
+		}
+		g.lineage = normalizeGroupLineage(all, sc)
+	}
 	g.fresh, g.freshRefs = nil, 0
 	return g.lineage
 }
@@ -892,15 +949,13 @@ func (s *GroupByState) Result() *Table {
 	out.Schema = &Schema{Columns: cols}
 
 	flat := make([]Value, 0, len(s.groups)*len(cols))
-	// One exactly-sized arena holds the refs of every group that changed,
-	// and the working memory fits the largest of them.
-	pending, largest := 0, 0
+	var sc lineageScratch
 	for gi := range s.groups {
 		n := s.groups[gi].pending()
-		pending += n
-		largest = max(largest, n)
+		sc.pending += n
+		sc.largest = max(sc.largest, n)
 	}
-	sc := lineageScratch{arena: make(LineageSet, pending), rows: make([]int, largest)}
+	sc.rows = make([]int, 0, sc.largest)
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		start := len(flat)
@@ -915,25 +970,128 @@ func (s *GroupByState) Result() *Table {
 }
 
 // lineageScratch is what one emit's settles share: the arena their sets are
-// carved from, and normalizeGroupLineage's working memory — the row ids of
-// one group bucketed by table and the bitset that sorts a dense bucket.
+// carved from, and the working memory of the group being settled — its refs
+// when they are gathered one by one, its row ordinals table after table,
+// the bitsets that sort the dense tables, and the resulting parts.
 type lineageScratch struct {
-	arena LineageSet
-	rows  []int
-	words []uint64
+	// arena is the chunk being carved; its length is what is taken. A chunk
+	// is sized by what is emitted: the set at hand, plus what the groups to
+	// come will need if their refs — pending bounds them — deduplicate as
+	// those gathered so far did. A small GROUP BY takes a small chunk.
+	arena                      LineageSet
+	pending, gathered, emitted int
+	largest                    int // the most refs any one group gathers
+	refs                       LineageSet
+	rows                       []int
+	words                      []uint64
+	parts                      []linPart
 }
 
-// normalizeGroupLineage sorts and deduplicates a group's accumulated row
-// refs in place. Output is identical to LineageSet.normalize — ascending
-// (table, row), unique — but it buckets refs by table first (groups draw
-// from a handful of base tables) and sorts plain ints per bucket, instead
-// of string-comparing tables inside every comparison of a reflective
-// sort.Slice. On aggregation-heavy renders this is the difference between
-// lineage bookkeeping dominating the profile and it disappearing into it.
-// sc is reused from group to group of one emit.
+// linPart is one base table's share of a group's lineage, ascending and
+// distinct: a bitset over the ordinals when they are dense, the ordinals
+// themselves otherwise.
+type linPart struct {
+	table string
+	rows  []int
+	words []uint64
+	n     int
+}
+
+// carve takes room for n refs from the arena; no room is the nil set, as
+// the lineage of a group that gathered nothing has always been.
+func (sc *lineageScratch) carve(n int) LineageSet {
+	if n == 0 {
+		return nil
+	}
+	sc.emitted += n
+	if cap(sc.arena)-len(sc.arena) < n {
+		rest := sc.pending * sc.emitted / sc.gathered
+		sc.arena = make(LineageSet, 0, n+min(rest+rest/8, maxGroupChunk))
+	}
+	start := len(sc.arena)
+	sc.arena = sc.arena[:start+n]
+	return sc.arena[start : start : start+n]
+}
+
+// maxGroupChunk bounds what an emit-arena chunk holds for the groups to come
+// (refs): large enough that the room a chunk's last group leaves unused is a
+// few percent of it.
+const maxGroupChunk = 1 << 16
+
+// add takes the ordinals the group at hand draws from one base table, in
+// any order and with repeats, and sorts them in place. Tables must be added
+// in ascending order. Dense ordinals (the normal case: lineage points into
+// a contiguous base table) go through a bitset, which yields them sorted
+// and deduplicated in one sweep with no comparison sort.
+func (sc *lineageScratch) add(table string, rows []int) {
+	if len(rows) == 0 {
+		return
+	}
+	p := linPart{table: table}
+	if !sort.IntsAreSorted(rows) {
+		minRow, maxRow := rows[0], rows[0]
+		for _, r := range rows {
+			minRow, maxRow = min(minRow, r), max(maxRow, r)
+		}
+		if nw := maxRow/64 + 1; minRow >= 0 && maxRow < 4*len(rows)+1024 {
+			if len(sc.words)+nw > cap(sc.words) {
+				sc.words = make([]uint64, 0, max(nw, 2*cap(sc.words)))
+			}
+			p.words = sc.words[len(sc.words) : len(sc.words)+nw]
+			sc.words = sc.words[:len(sc.words)+nw]
+			clear(p.words)
+			for _, r := range rows {
+				p.words[r>>6] |= 1 << (uint(r) & 63)
+			}
+			for _, w := range p.words {
+				p.n += bits.OnesCount64(w)
+			}
+			sc.parts = append(sc.parts, p)
+			return
+		}
+		sort.Ints(rows)
+	}
+	p.rows = rows[:1]
+	for _, r := range rows[1:] {
+		if r != p.rows[len(p.rows)-1] {
+			p.rows = append(p.rows, r)
+		}
+	}
+	p.n = len(p.rows)
+	sc.parts = append(sc.parts, p)
+}
+
+// emit carves the set the added parts make up and readies the scratch for
+// the next group.
+func (sc *lineageScratch) emit() LineageSet {
+	n := 0
+	for _, p := range sc.parts {
+		n += p.n
+	}
+	out := sc.carve(n)
+	for _, p := range sc.parts {
+		for _, r := range p.rows {
+			out = append(out, RowRef{Table: p.table, Row: r})
+		}
+		for wi, w := range p.words {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, RowRef{Table: p.table, Row: wi<<6 | bits.TrailingZeros64(w)})
+			}
+		}
+	}
+	sc.parts, sc.rows, sc.words = sc.parts[:0], sc.rows[:0], sc.words[:0]
+	return out
+}
+
+// normalizeGroupLineage sorts and deduplicates a group's gathered row refs
+// into a set carved from sc's arena; refs is scratch. Output is identical to
+// LineageSet.normalize — ascending (table, row), unique — but it buckets
+// refs by table first (groups draw from a handful of base tables) and sorts
+// plain ints per bucket, instead of string-comparing tables inside every
+// comparison of a reflective sort.Slice.
 func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
 	if len(refs) <= 1 {
-		return refs
+		return append(sc.carve(len(refs)), refs...)
 	}
 	// Bucket rows by table. A group draws from a handful of tables, so a
 	// linear probe over the names beats a map: no hashing, and the
@@ -960,7 +1118,7 @@ func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
 		}
 		return cur
 	}
-	wide := len(names) > len(counts) // re-checked after the count pass
+	wide := false
 	for _, r := range refs {
 		bi := probe(r.Table)
 		if bi < len(counts) {
@@ -971,7 +1129,8 @@ func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
 	}
 	if wide {
 		// Pathological table fan-out: fall back to the generic normalize.
-		return refs.normalize()
+		refs = refs.normalize()
+		return append(sc.carve(len(refs)), refs...)
 	}
 	rowArena := sc.rows[:len(refs)]
 	buckets := make([][]int, len(names))
@@ -990,52 +1149,10 @@ func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
-	out := refs[:0]
 	for _, bi := range order {
-		rows := buckets[bi]
-		name := names[bi]
-		if !sort.IntsAreSorted(rows) {
-			minRow, maxRow := rows[0], rows[0]
-			for _, r := range rows {
-				if r < minRow {
-					minRow = r
-				}
-				if r > maxRow {
-					maxRow = r
-				}
-			}
-			if minRow >= 0 && maxRow < 4*len(rows)+1024 {
-				// Dense row ids (the normal case: lineage points into a
-				// contiguous base table): a bitset yields the rows sorted
-				// and deduplicated in one sweep, no comparison sort.
-				if cap(sc.words) < maxRow/64+1 {
-					sc.words = make([]uint64, maxRow/64+1)
-				}
-				words := sc.words[:maxRow/64+1]
-				clear(words)
-				for _, r := range rows {
-					words[r>>6] |= 1 << (uint(r) & 63)
-				}
-				for wi, w := range words {
-					for w != 0 {
-						out = append(out, RowRef{Table: name, Row: wi<<6 | bits.TrailingZeros64(w)})
-						w &= w - 1
-					}
-				}
-				continue
-			}
-			sort.Ints(rows)
-		}
-		prev := rows[0] - 1
-		for _, row := range rows {
-			if row == prev {
-				continue
-			}
-			prev = row
-			out = append(out, RowRef{Table: name, Row: row})
-		}
+		sc.add(names[bi], buckets[bi])
 	}
-	return out
+	return sc.emit()
 }
 
 // distinctVec is the vectorized Distinct: whole-row keys are interned per

@@ -98,7 +98,7 @@ func (t *Table) Materialize() (*Table, error) {
 	}
 	c := *t
 	c.Rows = rows
-	c.seg = nil
+	c.seg, c.res = nil, nil
 	if !c.Base && c.Lineage == nil {
 		c.Lineage = positionalLineage(t.seg.origin, 0, len(rows))
 	}

@@ -155,7 +155,10 @@ func (c ColRefSet) Union(o ColRefSet) ColRefSet {
 // Table is an in-memory relation with provenance. A Table is *base* when
 // Base is true: its rows are the units of lineage and its columns the units
 // of where-provenance. Derived tables carry explicit Lineage (one set per
-// row) and ColOrigin (one set per column).
+// row) and ColOrigin (one set per column). A table is written while it is
+// being built and not after it is published: operators share rows and
+// lineage sets between input and output, and Freeze lets readers keep a
+// columnar form of a published version.
 type Table struct {
 	Name   string
 	Schema *Schema
@@ -175,6 +178,10 @@ type Table struct {
 	// seg, when non-nil, backs the table with on-disk columnar segments
 	// instead of Rows (see segtable.go). Rows is empty in that case.
 	seg *segBacking
+
+	// res, when non-nil, is the columnar form of this version of the table
+	// (see resident.go): set by Freeze, shared with renamed views.
+	res *resident
 }
 
 // NewBase creates an empty base table with the given name and schema.
@@ -193,6 +200,7 @@ func (t *Table) Append(r Row) error {
 		return fmt.Errorf("relation: row arity %d does not match schema %s", len(r), t.Schema)
 	}
 	t.Rows = append(t.Rows, r)
+	t.res = nil
 	return nil
 }
 

@@ -45,8 +45,13 @@ func NewCatalog() *Catalog {
 // to invalidate when the schema landscape changes.
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
-// Register adds or replaces a base table under its own name.
+// Register adds or replaces a base table under its own name. From here on
+// the table belongs to the catalog's readers: it is frozen (queries keep its
+// columnar form beside it, see relation.Table.Freeze), and its rows and
+// lineage must not be written again — a new version is a new table, handed
+// to Register or Refresh.
 func (c *Catalog) Register(t *relation.Table) {
+	t.Freeze()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := strings.ToLower(t.Name)
@@ -60,7 +65,9 @@ func (c *Catalog) Register(t *relation.Table) {
 // table's epoch — not the global generation. Incremental ETL uses it to
 // commit a delta: cached plans survive, and epoch-validating consumers
 // (folded renders) recompute only when a table in their read set moved.
+// Like Register it freezes t, which must not be written afterwards.
 func (c *Catalog) Refresh(t *relation.Table) error {
+	t.Freeze()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := strings.ToLower(t.Name)
