@@ -116,7 +116,7 @@ pla "agg" { owner "hospital"; level report; scope "by-drug";
 	//   columns (2):
 	//     - drug: release
 	//     - n: aggregate (threshold-governed)
-	//   pipeline: exec -> thresholds -> mask -> fold(result)
+	//   pipeline: exec -> thresholds -> mask
 }
 
 // ExampleEngine_MetricsSnapshot reads the enforcement counters after a

@@ -1,5 +1,5 @@
 // Package compile is the policy-change-time partial evaluator behind
-// compiled renders: it specializes the composed PLA set governing one
+// every render: it specializes the composed PLA set governing one
 // (report, role, purpose) triple into a residual program the render hot
 // path executes without interpreting a single policy rule.
 //
@@ -13,14 +13,9 @@
 // is pinned to the exact generations of the report definition, policy
 // registry, catalog and enforcer configuration it was specialized
 // against; any policy change moves a generation and forces a recompile.
-//
-// Because the pinned generations include the *catalog* generation and
-// registered relations are immutable between catalog generations, a
-// valid program implies unchanged data: the enforcement layer may fold
-// the entire enforced render result to a constant on first execution and
-// replay it thereafter (see internal/enforce). That is the compiled
-// mode's dominant speedup — partial evaluation taken to its limit when
-// every input is static.
+// The program is a constant of the policy world, not of the data: an
+// incremental refresh swaps table versions under a valid program, and
+// every render executes it over the data as it is (see internal/enforce).
 //
 // compile sits below enforce (which executes programs) and is
 // independent of lint (which reports the same dead rules to authors);

@@ -106,7 +106,7 @@ pla "src" { owner "h"; level source; scope "t";
 		`min 2 by "patient"`,
 		"row filters: none",
 		"n: aggregate (threshold-governed)",
-		"pipeline: exec -> thresholds -> mask -> fold(result)",
+		"pipeline: exec -> thresholds -> mask",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)

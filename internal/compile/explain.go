@@ -94,7 +94,7 @@ func (p *Program) Explain() string {
 	if !p.Aggregated && len(p.Filters) > 0 {
 		b.WriteString(" -> filters")
 	}
-	b.WriteString(" -> mask -> fold(result)\n")
+	b.WriteString(" -> mask\n")
 	return b.String()
 }
 

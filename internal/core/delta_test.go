@@ -281,7 +281,7 @@ func runDeltaOracle(t *testing.T, seed int64) {
 	for round := 0; round < 6; round++ {
 		res := applyWithRetry(t, live, randomBatch(t, rng, ds, live, round))
 		incremental += res.StepsIncremental
-		// Keep renders interleaved with the stream: plans and folds must
+		// Keep renders interleaved with the stream: plans must
 		// keep serving between (and across) deltas.
 		if _, err := live.Render("drug-consumption", probe); err != nil {
 			t.Fatalf("round %d render: %v", round, err)
@@ -356,7 +356,7 @@ func runDeltaOracle(t *testing.T, seed int64) {
 		t.Error("no delta audit events recorded")
 	}
 
-	// 5. Plan-cache survival: a delta bumps data epochs, not the plan
+	// 5. Plan-cache survival: a delta swaps table versions, not the plan
 	// generations — cached plans must outlive it and keep hitting.
 	for _, def := range StandardReports() {
 		for _, c := range oracleConsumers(def) {
@@ -381,11 +381,12 @@ func runDeltaOracle(t *testing.T, seed int64) {
 	}
 }
 
-// TestFoldEpochGranularInvalidation pins the partition-granular fold
-// invalidation: a delta to a table outside a report's read set leaves
-// its folded render untouched, while a delta to a table it reads drops
-// only the fold — the plan survives and re-folds over the new data.
-func TestFoldEpochGranularInvalidation(t *testing.T) {
+// TestPlansSurviveDelta pins plan survival across a delta: Catalog.Refresh
+// swaps table versions without moving the catalog generation, so a delta
+// to a table outside a report's reads leaves its render unchanged, and a
+// delta to a table it reads invalidates no plan — the next render is a
+// plan-cache hit over the new data, equal to a fresh rebuild's.
+func TestPlansSurviveDelta(t *testing.T) {
 	cfg := workload.DefaultConfig(5)
 	cfg.Prescriptions = 400
 	cfg.Patients = 80
@@ -394,28 +395,16 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetCompiledRenders(true)
 	probe := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 
 	first, err := e.Render("drug-consumption", probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := e.Render("drug-consumption", probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Table.String() != first.Table.String() {
-		t.Fatal("fold replay diverges")
-	}
-	snap := e.Obs().Snapshot().Counters
-	if snap["compile.fold.hits"] == 0 {
-		t.Fatalf("no fold replay recorded: %v", snap)
-	}
 
 	// Unrelated delta: familydoctor feeds familydoctor_resolved only —
 	// drug-consumption reads rx_wide and its base tables, none of which
-	// move — so the fold must keep replaying with zero invalidations.
+	// move — so the render is unchanged.
 	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{
 		Source: "familydoctors", Table: "familydoctor",
 		Inserts: []relation.Row{{relation.Str(ds.PatientNames[0]), relation.Str("Dr. New")}},
@@ -426,17 +415,13 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap = e.Obs().Snapshot().Counters
-	if snap["compile.fold.invalidations"] != 0 {
-		t.Fatalf("unrelated delta invalidated the fold: %v", snap["compile.fold.invalidations"])
-	}
 	if afterUnrelated.Table.String() != first.Table.String() {
 		t.Fatal("render changed after an unrelated delta")
 	}
 
-	// Touching delta: a prescriptions insert moves rx_wide's epoch. The
-	// fold drops, the plan survives (no cache invalidation), and the
-	// re-fold serves the new data.
+	// Touching delta: a prescriptions insert reaches rx_wide. The plan
+	// survives (no cache invalidation, no entry dropped) and the next
+	// render serves the new data from it.
 	statsBefore := e.CacheStats()
 	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{
 		Source: "hospital", Table: "prescriptions",
@@ -447,13 +432,12 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 	}}}); err != nil {
 		t.Fatal(err)
 	}
-	refolded, err := e.Render("drug-consumption", probe)
+	touched, err := e.Render("drug-consumption", probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap = e.Obs().Snapshot().Counters
-	if snap["compile.fold.invalidations"] != 1 {
-		t.Fatalf("fold invalidations = %d, want 1", snap["compile.fold.invalidations"])
+	if !touched.CacheHit {
+		t.Error("render after a touching delta rebuilt its plan")
 	}
 	statsAfter := e.CacheStats()
 	if statsAfter.Invalidations != statsBefore.Invalidations {
@@ -464,7 +448,7 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 		t.Errorf("delta dropped plan entries: %d -> %d", statsBefore.Entries, statsAfter.Entries)
 	}
 
-	// The re-fold must equal a fresh rebuild's render.
+	// The render after the delta must equal a fresh rebuild's render.
 	mirror, err := buildEngineFromTables(
 		sourceTable(t, e, "hospital", "prescriptions").Clone(),
 		sourceTable(t, e, "familydoctors", "familydoctor").Clone(),
@@ -479,8 +463,8 @@ func TestFoldEpochGranularInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refolded.Table.String() != want.Table.String() {
-		t.Fatalf("re-fold diverges from rebuild:\n%s\nvs\n%s", refolded.Table, want.Table)
+	if touched.Table.String() != want.Table.String() {
+		t.Fatalf("render after delta diverges from rebuild:\n%s\nvs\n%s", touched.Table, want.Table)
 	}
 }
 

@@ -259,11 +259,6 @@ func (e *Engine) SetCacheSize(n int) { e.enforcer.SetCacheSize(n) }
 // CacheStats snapshots the render decision-cache counters.
 func (e *Engine) CacheStats() enforce.CacheStats { return e.enforcer.CacheStats() }
 
-// SetCompiledRenders turns whole-result folding on or off for this
-// engine's renders (off by default): a render's enforced output is
-// memoized on its plan and replayed until the tables it reads move.
-func (e *Engine) SetCompiledRenders(on bool) { e.enforcer.SetCompiledRenders(on) }
-
 // ProgramGeneration counts the residual programs compiled over this
 // engine's lifetime. It moves on every plan build — including the
 // rebuilds a policy change (AddPLAs, DeriveMetaReports, hot reload)
@@ -272,7 +267,7 @@ func (e *Engine) ProgramGeneration() uint64 { return e.enforcer.ProgramGeneratio
 
 // CompileReport specializes one (report, role, purpose) triple into its
 // residual render program and returns it for inspection. The program is
-// the same object compiled renders execute: it lands in the
+// the same object every render executes: it lands in the
 // generation-keyed decision cache, so a subsequent render at unchanged
 // generations reuses it. The unknown-report case wraps
 // report.ErrUnknownReport.
@@ -486,9 +481,9 @@ func (e *Engine) observeETL(ctx context.Context, trace string) func(step, op, ou
 // and the previous catalog state keeps serving.
 //
 // On success the new source versions and changed staging outputs commit
-// via Catalog.Refresh — bumping per-table data epochs, not the catalog
-// generation — so cached render plans survive and only folded renders
-// whose read set moved recompute. The provenance tracer patches its
+// via Catalog.Refresh — a new table version, not a new catalog
+// generation — so cached render plans survive and the next render reads
+// the new versions' resident columns. The provenance tracer patches its
 // column dictionaries with the same edit. Each changed source table is
 // audited as a "delta" event: "+A rows, U updated, -R removed", or
 // "rebuilt at N rows" when its deltas did not compose.
@@ -629,7 +624,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 	}
 
 	// Phase 4: commit. Changed source tables and staging outputs swap
-	// into the catalog via Refresh (epoch bump, no generation bump) and
+	// into the catalog via Refresh (new version, no generation bump) and
 	// into the tracer (which patches its cached column dictionaries with
 	// the same edit; only a rebuilt table drops them).
 	committed := map[string]bool{}

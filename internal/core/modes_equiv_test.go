@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"plabi/internal/enforce"
@@ -11,9 +12,8 @@ import (
 
 // scenarioRun captures everything observable about one full scenario run:
 // rendered tables, enforcement decisions, intervention counters, and the
-// audit trail. Folded and unfolded renders, and segment-backed and
-// in-memory storage, must produce identical runs — the acceptance bar
-// for the fold memo and for the out-of-core storage layer.
+// audit trail. Segment-backed and in-memory storage must produce
+// identical runs — the acceptance bar for the out-of-core storage layer.
 type scenarioRun struct {
 	tables     map[string]string
 	decisions  map[string][]string
@@ -24,8 +24,8 @@ type scenarioRun struct {
 }
 
 // runScenario runs the scenario on an engine set up by the configuration
-// hook (nil keeps the defaults), applied before the scenario ETL runs:
-// turn folding on, reroute staging tables through a spill store.
+// hook (nil keeps the defaults), applied before the scenario ETL runs —
+// e.g. reroute staging tables through a spill store.
 func runScenario(t *testing.T, configure func(*Engine)) scenarioRun {
 	t.Helper()
 	e, _, err := BuildHealthcareEngineWith(workload.DefaultConfig(7), configure)
@@ -55,24 +55,21 @@ func runScenario(t *testing.T, configure func(*Engine)) scenarioRun {
 	for _, d := range StandardReports() {
 		for _, c := range consumers {
 			key := d.ID + "/" + c.Role + "/" + c.Purpose
-			// Render every triple twice: with folding on the first render
-			// folds the result and the second replays the fold, so the
-			// equivalence bar covers both the cold and the replay path.
-			for pass := 0; pass < 2; pass++ {
-				enf, err := e.Render(d.ID, c)
-				if err != nil {
-					run.tables[key] = "ERR: " + err.Error()
-					continue
-				}
-				run.tables[key] = enf.Table.String()
-				run.masked[key] = enf.MaskedCells
-				run.suppressed[key] = enf.SuppressedRows
-				for _, dec := range enf.Decisions {
-					run.decisions[key] = append(run.decisions[key],
-						fmt.Sprintf("%v|%s|%s|%s", dec.Outcome, dec.Rule, dec.Subject, dec.Detail))
-				}
-				_ = enforce.Blocked(enf.Decisions)
+			// Render every triple twice: the first render builds the plan,
+			// the second is served from the plan cache and must render the
+			// same table, decisions and counters.
+			first := observeRender(e.Render(d.ID, c))
+			enf, err := e.Render(d.ID, c)
+			if err == nil && !enf.CacheHit {
+				t.Errorf("%s: second render rebuilt its plan", key)
 			}
+			if again := observeRender(enf, err); !reflect.DeepEqual(again, first) {
+				t.Errorf("%s: cached-plan render diverged from the cold one:\n%+v\n%+v", key, again, first)
+			}
+			run.tables[key] = first.table
+			run.decisions[key] = first.decisions
+			run.masked[key] = first.masked
+			run.suppressed[key] = first.suppressed
 		}
 	}
 	for _, ev := range e.Audit.Events() {
@@ -80,6 +77,27 @@ func runScenario(t *testing.T, configure func(*Engine)) scenarioRun {
 	}
 	verifyResident(t, e)
 	return run
+}
+
+// renderedTriple is what one render of a triple shows: the table (or the
+// error), the decision stream and the intervention counters.
+type renderedTriple struct {
+	table              string
+	decisions          []string
+	masked, suppressed int
+}
+
+// observeRender captures one render's outcome.
+func observeRender(enf *enforce.Enforced, err error) renderedTriple {
+	if err != nil {
+		return renderedTriple{table: "ERR: " + err.Error()}
+	}
+	r := renderedTriple{table: enf.Table.String(), masked: enf.MaskedCells, suppressed: enf.SuppressedRows}
+	for _, dec := range enf.Decisions {
+		r.decisions = append(r.decisions,
+			fmt.Sprintf("%v|%s|%s|%s", dec.Outcome, dec.Rule, dec.Subject, dec.Detail))
+	}
+	return r
 }
 
 // compareRuns requires two scenario runs to be byte-identical: tables,
@@ -124,32 +142,17 @@ func compareRuns(t *testing.T, aName, bName string, a, b scenarioRun) {
 	}
 }
 
-// folded turns whole-result folding on.
-func folded(e *Engine) { e.SetCompiledRenders(true) }
-
-// TestScenarioModeEquivalence runs the complete healthcare scenario —
-// synthetic workload, guarded ETL with entity resolution, every standard
-// report for three consumers, each rendered twice — unfolded (the
-// default) and folded, and requires byte-identical tables, identical
-// decision streams, identical mask/suppression counters and identical
-// audit event counts.
-func TestScenarioModeEquivalence(t *testing.T) {
-	compareRuns(t, "unfolded", "folded", runScenario(t, nil), runScenario(t, folded))
-}
-
 // TestSegmentModeEquivalence is the storage-mode analogue: the complete
 // scenario with every ETL staging table spilled to on-disk columnar
 // segments (tiny partitions, so reports cross many partition boundaries)
 // must be byte-identical — tables, decisions, counters, audit kinds — to
-// the fully in-memory run, folded or not. The in-memory run is the
-// semantic oracle for the out-of-core storage layer.
+// the fully in-memory run. The in-memory run is the semantic oracle for
+// the out-of-core storage layer.
 func TestSegmentModeEquivalence(t *testing.T) {
 	spilled := func(e *Engine) {
 		s := e.SetSegmentStore(t.TempDir())
 		s.SetPartitionRows(16)
 		e.SetSpillThreshold(1) // spill every staging table
 	}
-	compareRuns(t, "unfolded/in-memory", "unfolded/segment", runScenario(t, nil), runScenario(t, spilled))
-	compareRuns(t, "folded/in-memory", "folded/segment", runScenario(t, folded),
-		runScenario(t, func(e *Engine) { folded(e); spilled(e) }))
+	compareRuns(t, "in-memory", "segment", runScenario(t, nil), runScenario(t, spilled))
 }

@@ -147,10 +147,9 @@ func TestReportHeadersAreExecutedHeaders(t *testing.T) {
 
 var runNumbering = regexp.MustCompile(`"seq":\d+,|,"trace":"[^"]*"`)
 
-// TestRefusalTrailPinned: a refusal is never folded — folded and unfolded
-// engines return the same table, decisions and audit events on the first
-// and the second render and count no fold hit or miss for it — and the
-// lines it writes to the audit sink are these, to the byte.
+// TestRefusalTrailPinned: a refusal returns the same table, decisions and
+// audit events on the first (cold plan) and the second (cached plan)
+// render, and the lines it writes to the audit sink are these, to the byte.
 func TestRefusalTrailPinned(t *testing.T) {
 	const wantLines = `{"kind":"render","actor":"rob","object":"patient-activity","detail":"role=analyst purpose=reimbursement rows=0 masked=0 suppressed=0"}
 {"kind":"violation","actor":"rob","object":"patient-activity","detail":"aggregation-threshold: report is not aggregated but a min-3 threshold applies","outcome":"block","plas":["hospital-prescriptions"]}
@@ -160,39 +159,29 @@ func TestRefusalTrailPinned(t *testing.T) {
 		decisions []enforce.Decision
 		events    []audit.Event
 	}
-	var runs [2][2]pass
-	for fi, fold := range []bool{false, true} {
-		var sink bytes.Buffer
-		e := refusalEngine(t, false, func(e *Engine) { e.SetCompiledRenders(fold) })
-		e.Audit.SetSink(&sink)
-		for p := range runs[fi] {
-			before := e.Audit.Len()
-			sink.Reset()
-			enf, err := e.Render("patient-activity", refused)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if enf.Table.NumRows() != 0 || enf.CacheHit != (p == 1) {
-				t.Errorf("folded=%v pass %d: %d rows, plan hit %v", fold, p, enf.Table.NumRows(), enf.CacheHit)
-			}
-			runs[fi][p] = pass{enf.Table.Schema.String() + enf.Table.String(), enf.Decisions, trail(e, before)}
-			if got := runNumbering.ReplaceAllString(sink.String(), ""); got != wantLines {
-				t.Errorf("folded=%v pass %d: audit sink lines\n%swant\n%s", fold, p, got, wantLines)
-			}
+	var runs [2]pass
+	var sink bytes.Buffer
+	e := refusalEngine(t, false, nil)
+	e.Audit.SetSink(&sink)
+	for p := range runs {
+		before := e.Audit.Len()
+		sink.Reset()
+		enf, err := e.Render("patient-activity", refused)
+		if err != nil {
+			t.Fatal(err)
 		}
-		m := e.Obs()
-		if h, miss := m.Counter("compile.fold.hits").Value(), m.Counter("compile.fold.misses").Value(); h != 0 || miss != 0 {
-			t.Errorf("folded=%v: refusals counted as folds: %d hits, %d misses", fold, h, miss)
+		if enf.Table.NumRows() != 0 || enf.CacheHit != (p == 1) {
+			t.Errorf("pass %d: %d rows, plan hit %v", p, enf.Table.NumRows(), enf.CacheHit)
 		}
-		if got := m.Counter("enforce.static_blocks").Value(); got != 2 {
-			t.Errorf("folded=%v: enforce.static_blocks = %d, want 2", fold, got)
+		runs[p] = pass{enf.Table.Schema.String() + enf.Table.String(), enf.Decisions, trail(e, before)}
+		if got := runNumbering.ReplaceAllString(sink.String(), ""); got != wantLines {
+			t.Errorf("pass %d: audit sink lines\n%swant\n%s", p, got, wantLines)
 		}
 	}
-	for fi := range runs {
-		for p := range runs[fi] {
-			if !reflect.DeepEqual(runs[fi][p], runs[0][0]) {
-				t.Errorf("folded=%v pass %d differs from the first unfolded refusal:\n%+v\n%+v", fi == 1, p, runs[fi][p], runs[0][0])
-			}
-		}
+	if got := e.Obs().Counter("enforce.static_blocks").Value(); got != 2 {
+		t.Errorf("enforce.static_blocks = %d, want 2", got)
+	}
+	if !reflect.DeepEqual(runs[1], runs[0]) {
+		t.Errorf("second refusal differs from the first:\n%+v\n%+v", runs[1], runs[0])
 	}
 }

@@ -68,8 +68,8 @@ type colPlan struct {
 // executed header and the classification of its columns, static
 // decisions, and the compiled residual program — the only holder of the
 // baked thresholds, pre-bound row filters, aggregated flag and their PLA
-// attributions. All fields are immutable after construction (fold under
-// foldMu), so a plan is shared freely across concurrent renders.
+// attributions. All fields are immutable after construction, so a plan is
+// shared freely across concurrent renders.
 type renderPlan struct {
 	at   gens
 	sel  *sql.SelectStmt
@@ -84,12 +84,6 @@ type renderPlan struct {
 
 	// from names the relations of the query's FROM clause, in order.
 	from []string
-	// reads is the plan's data read set: every relation the query names
-	// in FROM plus every base table it derives from (thresholds and
-	// intensional conditions read base rows through the tracer). Folded
-	// renders validate against the catalog epochs of exactly this set, so
-	// a delta to an unrelated table leaves the fold untouched.
-	reads []string
 
 	static  []Decision // static-check outcomes for role/purpose
 	aggCols map[string]bool
@@ -97,44 +91,6 @@ type renderPlan struct {
 	// prog is the residual program this plan was specialized into; row
 	// enforcement executes its thresholds and filters directly.
 	prog *compile.Program
-
-	// fold is the constant-folded render result (SetCompiledRenders): the
-	// plan generations include the catalog generation and registered
-	// relations are immutable between catalog generations, so within a
-	// valid plan the enforced result is a constant — computed once,
-	// replayed per render.
-	foldMu sync.Mutex
-	fold   *foldedRender
-}
-
-// foldedRender is the memoized constant a residual program folds to: a
-// private deep copy of the enforced output, replayed (deep-copied back
-// out) on every folded render at the same generations.
-type foldedRender struct {
-	table      *relation.Table
-	decisions  []Decision
-	masked     int
-	suppressed int
-	rowsIn     int
-	// epochs snapshots the catalog epochs of the plan's read set at fold
-	// time. A replay first re-reads the current epochs: any movement —
-	// i.e. a committed delta touching a table this render depends on —
-	// invalidates the fold (and only the fold; the plan survives).
-	epochs map[string]uint64
-}
-
-// epochsEqual reports whether two epoch snapshots over the same read set
-// agree.
-func epochsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 const defaultCacheShards = 16

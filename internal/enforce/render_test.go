@@ -148,37 +148,33 @@ func TestRenderWorkerSiteHits(t *testing.T) {
 
 // TestRenderedTableIsCallers: the table a render returns shares nothing
 // mutable with the next render's — cells, schema and column origins can
-// be overwritten freely, unfolded and folded.
+// be overwritten freely.
 func TestRenderedTableIsCallers(t *testing.T) {
-	for _, folded := range []bool{false, true} {
-		e, def := mixedEnforcer(t, 40, "")
-		e.SetCompiledRenders(folded)
-		first, err := e.Render(def, consumer())
-		if err != nil {
+	e, def := mixedEnforcer(t, 40, "")
+	first, err := e.Render(def, consumer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Table.String()
+	wantSchema := first.Table.Schema.String()
+	wantOrigin := first.Table.ColumnOrigin(1).Normalize()[0]
+	// Two rounds: each scribbles on the table the previous render returned.
+	enf := first
+	for round := 0; round < 2; round++ {
+		enf.Table.Rows[0][1] = relation.Str("scribbled")
+		enf.Table.Schema.Columns[1].Type = relation.TInt
+		enf.Table.ColOrigin[1][0] = relation.ColRef{Table: "scribbled", Column: "scribbled"}
+		if enf, err = e.Render(def, consumer()); err != nil {
 			t.Fatal(err)
 		}
-		want := first.Table.String()
-		wantSchema := first.Table.Schema.String()
-		wantOrigin := first.Table.ColumnOrigin(1).Normalize()[0]
-		// Two rounds: the second render of a folded enforcer is the first
-		// replay, the third replays after the replayed table was scribbled.
-		enf := first
-		for round := 0; round < 2; round++ {
-			enf.Table.Rows[0][1] = relation.Str("scribbled")
-			enf.Table.Schema.Columns[1].Type = relation.TInt
-			enf.Table.ColOrigin[1][0] = relation.ColRef{Table: "scribbled", Column: "scribbled"}
-			if enf, err = e.Render(def, consumer()); err != nil {
-				t.Fatal(err)
-			}
-			if got := enf.Table.String(); got != want {
-				t.Fatalf("folded=%v round %d: caller's writes reached the next render:\n%s", folded, round, got)
-			}
-			if got := enf.Table.Schema.String(); got != wantSchema {
-				t.Fatalf("folded=%v round %d: schema %s, want %s", folded, round, got, wantSchema)
-			}
-			if got := enf.Table.ColumnOrigin(1)[0]; got != wantOrigin {
-				t.Fatalf("folded=%v round %d: column origin %s, want %s", folded, round, got, wantOrigin)
-			}
+		if got := enf.Table.String(); got != want {
+			t.Fatalf("round %d: caller's writes reached the next render:\n%s", round, got)
+		}
+		if got := enf.Table.Schema.String(); got != wantSchema {
+			t.Fatalf("round %d: schema %s, want %s", round, got, wantSchema)
+		}
+		if got := enf.Table.ColumnOrigin(1)[0]; got != wantOrigin {
+			t.Fatalf("round %d: column origin %s, want %s", round, got, wantOrigin)
 		}
 	}
 }
@@ -232,7 +228,7 @@ pla "t" { owner "hospital"; level report; scope "mixed"; aggregate min 3 by pati
 // TestConditionallyMaskedColumnTypedString: a column in which the render
 // withheld at least one cell holds placeholders and is typed STRING,
 // exactly as a denied column is; a render that withholds nothing in it
-// keeps the executed type. Folded and unfolded renders agree.
+// keeps the executed type.
 func TestConditionallyMaskedColumnTypedString(t *testing.T) {
 	plas := `
 pla "r" { owner "hospital"; level report; scope "rx-dates";
@@ -241,34 +237,31 @@ pla "r" { owner "hospital"; level report; scope "rx-dates";
 }
 pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute *; }
 `
-	for _, folded := range []bool{false, true} {
-		e, _ := enforcerWith(t, plas)
-		e.SetCompiledRenders(folded)
-		// DH is the HIV drug of the Fig. 4 fixture: its 20 dates are withheld.
-		def := &report.Definition{ID: "rx-dates",
-			Query: "SELECT date, drug FROM prescriptions WHERE drug IN ('DH','DM') ORDER BY drug"}
-		for pass := 0; pass < 2; pass++ { // second pass replays the fold
-			enf, err := e.Render(def, report.Consumer{Role: "analyst"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if enf.MaskedCells != 20 {
-				t.Fatalf("folded=%v: masked = %d, want 20", folded, enf.MaskedCells)
-			}
-			if got := enf.Table.Schema.String(); got != "(date STRING, drug STRING)" {
-				t.Errorf("folded=%v pass %d: schema %s carries placeholders under a non-STRING column", folded, pass, got)
-			}
-		}
-		// No HIV row selected: nothing withheld, the column stays a DATE.
-		clear := &report.Definition{ID: "rx-dates", Version: 1,
-			Query: "SELECT date, drug FROM prescriptions WHERE drug = 'DM'"}
-		enf, err := e.Render(clear, report.Consumer{Role: "analyst"})
+	e, _ := enforcerWith(t, plas)
+	// DH is the HIV drug of the Fig. 4 fixture: its 20 dates are withheld.
+	def := &report.Definition{ID: "rx-dates",
+		Query: "SELECT date, drug FROM prescriptions WHERE drug IN ('DH','DM') ORDER BY drug"}
+	for pass := 0; pass < 2; pass++ { // second pass renders from the cached plan
+		enf, err := e.Render(def, report.Consumer{Role: "analyst"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := enf.Table.Schema.String(); enf.MaskedCells != 0 || got != "(date DATE, drug STRING)" {
-			t.Errorf("folded=%v: unmasked render: masked=%d schema %s", folded, enf.MaskedCells, got)
+		if enf.MaskedCells != 20 {
+			t.Fatalf("pass %d: masked = %d, want 20", pass, enf.MaskedCells)
 		}
+		if got := enf.Table.Schema.String(); got != "(date STRING, drug STRING)" {
+			t.Errorf("pass %d: schema %s carries placeholders under a non-STRING column", pass, got)
+		}
+	}
+	// No HIV row selected: nothing withheld, the column stays a DATE.
+	clear := &report.Definition{ID: "rx-dates", Version: 1,
+		Query: "SELECT date, drug FROM prescriptions WHERE drug = 'DM'"}
+	enf, err := e.Render(clear, report.Consumer{Role: "analyst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := enf.Table.Schema.String(); enf.MaskedCells != 0 || got != "(date DATE, drug STRING)" {
+		t.Errorf("unmasked render: masked=%d schema %s", enf.MaskedCells, got)
 	}
 }
 

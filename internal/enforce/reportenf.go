@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,9 +49,6 @@ type ReportEnforcer struct {
 	metrics atomic.Pointer[obs.Metrics]
 	faults  atomic.Pointer[fault.Injector]
 
-	// compiled turns on whole-result folding: a render memoizes its
-	// enforced output on the plan and replays it until the data moves.
-	compiled atomic.Bool
 	// programGen counts residual programs compiled by this enforcer; it
 	// bumps on every plan build, so hot reloads and policy changes are
 	// observable as recompilations rather than silent evictions.
@@ -125,10 +121,6 @@ func (e *ReportEnforcer) SetFaults(fi *fault.Injector) { e.faults.Store(fi) }
 func (e *ReportEnforcer) CacheStats() CacheStats {
 	return e.cache.Load().stats()
 }
-
-// SetCompiledRenders turns whole-result folding on or off for this
-// enforcer (off by default): see renderFolded.
-func (e *ReportEnforcer) SetCompiledRenders(on bool) { e.compiled.Store(on) }
 
 // ProgramGeneration returns the number of residual programs this
 // enforcer has compiled. Every plan build — first render of a triple,
@@ -267,10 +259,9 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 	if err != nil {
 		return nil, err
 	}
-	header, err := e.Catalog.Header(sel)
-	if err != nil {
-		return nil, fmt.Errorf("report %s: %w", def.ID, err)
-	}
+	// The profile ran the executor over the shells for its origins; its
+	// header is the one Catalog.Header would return, and this plan's own.
+	header := prof.Header
 	header.Name = def.ID
 	plan := &renderPlan{
 		at: at, sel: sel, comp: comp, header: header,
@@ -278,7 +269,6 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 		aggCols: aggregateColumns(sel),
 		cols:    make([]colPlan, header.Schema.Len()),
 	}
-	plan.reads = readSet(prof, plan.from)
 
 	// The one column classification, by index over the executed header: it
 	// yields the column plans row enforcement runs, the ones the program
@@ -492,8 +482,7 @@ const cancelCheckRows = 64
 
 // RenderContext executes the report and enforces the PLAs on the result,
 // honouring ctx cancellation between row chunks. Safe to call from many
-// goroutines at once. With SetCompiledRenders on, the enforced result is
-// folded onto the plan and replayed.
+// goroutines at once.
 func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definition, consumer report.Consumer) (*Enforced, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -504,23 +493,19 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	}
 	// A refusal is a constant of the plan: it is answered before the query
 	// runs — the plan's header over no rows, the blocking decisions — so it
-	// reads no data, is never folded, and holds whatever state the data is
-	// in.
+	// reads no data and holds whatever state the data is in.
 	if blocked := Blocked(plan.static); len(blocked) > 0 {
 		e.obs().Counter("enforce.static_blocks").Inc()
 		return &Enforced{Def: def, Table: plan.header.Shell(), Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
 	}
-	if e.compiled.Load() {
-		return e.renderFolded(ctx, def, consumer, plan, hit)
-	}
-	return e.render(ctx, def, consumer, plan, hit)
+	return e.render(ctx, def, plan, hit)
 }
 
 // render is the render body of a report that is not refused: execute the
 // query and run the plan's enforcement over the result in one pass. The
 // output is built once — the executed header as a shell, then the single
 // copy enforceRow makes of each row it keeps.
-func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
+func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *renderPlan, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
 	raw, err := e.Catalog.Exec(plan.sel)
@@ -576,82 +561,6 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, con
 	}
 	m.Counter("enforce.cells.masked").Add(uint64(enf.MaskedCells))
 	m.Counter("enforce.rows.suppressed").Add(uint64(enf.SuppressedRows))
-	return enf, nil
-}
-
-// renderFolded is render behind a fold memo. The plan's pinned
-// generations include the catalog generation and registered relations
-// are immutable between catalog generations, so within a valid plan the
-// enforced result is a constant: the first execution runs render and
-// folds the result; every subsequent render replays the fold — zero
-// query execution, zero policy interpretation — re-emitting the same
-// decisions into the audit trail.
-func (e *ReportEnforcer) renderFolded(ctx context.Context, def *report.Definition, consumer report.Consumer, plan *renderPlan, hit bool) (*Enforced, error) {
-	m := e.obs()
-	// Epoch check: the fold is a constant of the plan's *data*, not only
-	// its generations. An incremental refresh (Catalog.Refresh) moves the
-	// per-table epochs without moving the catalog generation, so the plan
-	// survives a delta while folds over touched tables re-fold. The
-	// snapshot is taken before query execution; a commit racing the fold
-	// can only make the stored snapshot stale, forcing one extra re-fold —
-	// never a stale replay.
-	cur := e.Catalog.EpochsFor(plan.reads)
-	plan.foldMu.Lock()
-	fold := plan.fold
-	if fold != nil && !epochsEqual(fold.epochs, cur) {
-		plan.fold = nil
-		fold = nil
-		m.Counter("compile.fold.invalidations").Inc()
-	}
-	plan.foldMu.Unlock()
-	if fold == nil {
-		m.Counter("compile.fold.misses").Inc()
-		enf, err := e.render(ctx, def, consumer, plan, hit)
-		if err != nil {
-			return nil, err
-		}
-		snap := &foldedRender{
-			table:      enf.Table.Clone(),
-			decisions:  append([]Decision(nil), enf.Decisions...),
-			masked:     enf.MaskedCells,
-			suppressed: enf.SuppressedRows,
-			rowsIn:     enf.Table.NumRows() + enf.SuppressedRows,
-			epochs:     cur,
-		}
-		plan.foldMu.Lock()
-		if plan.fold == nil {
-			plan.fold = snap
-		}
-		plan.foldMu.Unlock()
-		return enf, nil
-	}
-	// Replay path. Faults still apply: a replayed render consults the
-	// render.worker site once under panic isolation, so chaos schedules
-	// exercise folded renders too.
-	fi := e.faults.Load()
-	if err := fault.Safely(fault.SiteRenderWorker, m, func() error {
-		return fi.Hit(ctx, fault.SiteRenderWorker)
-	}); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m.Counter("compile.fold.hits").Inc()
-	enf := &Enforced{
-		Def:            def,
-		Table:          fold.table.Clone(),
-		Decisions:      append([]Decision(nil), fold.decisions...),
-		MaskedCells:    fold.masked,
-		SuppressedRows: fold.suppressed,
-		CacheHit:       hit,
-		Inputs:         plan.from,
-	}
-	// Replayed renders maintain the same per-render counters render
-	// emits.
-	m.Counter("enforce.rows.in").Add(uint64(fold.rowsIn))
-	m.Counter("enforce.cells.masked").Add(uint64(fold.masked))
-	m.Counter("enforce.rows.suppressed").Add(uint64(fold.suppressed))
 	return enf, nil
 }
 
@@ -908,30 +817,6 @@ func lineageEvidence(rt provenance.RowTrace) []string {
 		}
 		out = append(out, ref.String())
 	}
-	return out
-}
-
-// readSet is the sorted, deduplicated set of relations a plan's render
-// reads: the FROM-clause names (staging/warehouse tables the query
-// executes over) united with the profile's base tables (which thresholds,
-// row filters and intensional conditions read through the tracer).
-func readSet(prof *sql.Profile, from []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(n string) {
-		n = strings.ToLower(n)
-		if n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, n := range from {
-		add(n)
-	}
-	for _, n := range prof.BaseTables {
-		add(n)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -220,8 +220,7 @@ type DeltaResult struct {
 // pipeline. changes is keyed by the extract input names
 // ("source.table", lower-cased or not); the sources' tables must
 // already hold their new versions. Steps whose inputs are untouched are
-// skipped outright — their staging outputs, and any folded render built
-// on them, stay valid.
+// skipped outright — their staging outputs stay valid.
 //
 // The application is atomic: on any error — injected fault at the
 // etl.delta site, a violation surfaced by a guard re-check, a

@@ -22,13 +22,6 @@ type Catalog struct {
 	gen    atomic.Uint64
 	tables map[string]*relation.Table
 	views  map[string]*SelectStmt
-	// epochs counts data versions per table name. Register and Refresh
-	// both bump the table's epoch, but only Register moves the global
-	// generation: a Refresh is a pure data swap (same name, same schema),
-	// so plans keyed on the generation stay valid and consumers that care
-	// about data freshness (folded renders, provenance dictionaries)
-	// validate against the per-table epoch instead.
-	epochs map[string]uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -36,7 +29,6 @@ func NewCatalog() *Catalog {
 	return &Catalog{
 		tables: map[string]*relation.Table{},
 		views:  map[string]*SelectStmt{},
-		epochs: map[string]uint64{},
 	}
 }
 
@@ -56,16 +48,14 @@ func (c *Catalog) Register(t *relation.Table) {
 	defer c.mu.Unlock()
 	key := strings.ToLower(t.Name)
 	c.tables[key] = t
-	c.epochs[key]++
 	c.gen.Add(1)
 }
 
 // Refresh replaces the data of an already-registered table with a new
-// version of the same relation (same name, same schema), bumping only the
-// table's epoch — not the global generation. Incremental ETL uses it to
-// commit a delta: cached plans survive, and epoch-validating consumers
-// (folded renders) recompute only when a table in their read set moved.
-// Like Register it freezes t, which must not be written afterwards.
+// version of the same relation (same name, same schema) without moving the
+// global generation. Incremental ETL uses it to commit a delta: cached
+// plans survive, and the next render reads the new version's resident
+// columns. Like Register it freezes t, which must not be written afterwards.
 func (c *Catalog) Refresh(t *relation.Table) error {
 	t.Freeze()
 	c.mu.Lock()
@@ -79,29 +69,7 @@ func (c *Catalog) Refresh(t *relation.Table) error {
 		return fmt.Errorf("sql: refresh of %q changes schema (%s -> %s); use Register", t.Name, old.Schema, t.Schema)
 	}
 	c.tables[key] = t
-	c.epochs[key]++
 	return nil
-}
-
-// Epoch returns the data epoch of one table (0 for unknown names).
-func (c *Catalog) Epoch(name string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epochs[strings.ToLower(name)]
-}
-
-// EpochsFor snapshots the data epochs of the named tables. Unknown names
-// report epoch 0, so read sets mentioning views or not-yet-registered
-// tables compare stably.
-func (c *Catalog) EpochsFor(names []string) map[string]uint64 {
-	out := make(map[string]uint64, len(names))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, n := range names {
-		key := strings.ToLower(n)
-		out[key] = c.epochs[key]
-	}
-	return out
 }
 
 // RegisterView adds or replaces a named view.

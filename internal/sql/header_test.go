@@ -38,6 +38,25 @@ func checkHeaderIsExecuted(t *testing.T, c *Catalog, q string) {
 	if !reflect.DeepEqual(got.ColOrigin, want.ColOrigin) {
 		t.Errorf("Header(%q) origins = %v, executed %v", q, got.ColOrigin, want.ColOrigin)
 	}
+
+	// The profile carries the header of its own executor pass: the one plan
+	// builds take instead of running Header again.
+	prof, err := ProfileQuery(c, sel)
+	if err != nil {
+		t.Fatalf("ProfileQuery(%q): %v", q, err)
+	}
+	ph := prof.Header
+	if ph.NumRows() != 0 || ph.Name != got.Name || ph.Base != got.Base {
+		t.Errorf("profile header of %q = %q base=%v with %d rows, Header's %q base=%v", q, ph.Name, ph.Base, ph.NumRows(), got.Name, got.Base)
+	}
+	if g, w := ph.Schema.String(), got.Schema.String(); g != w {
+		t.Errorf("profile header of %q schema = %s, Header's %s", q, g, w)
+	}
+	for ci := range got.Schema.Columns {
+		if g, w := ph.ColumnOrigin(ci), got.ColumnOrigin(ci); !reflect.DeepEqual(g, w) {
+			t.Errorf("profile header of %q column %d origins = %v, Header's %v", q, ci, g, w)
+		}
+	}
 }
 
 // TestHeaderIsExecutedHeader: the shapes where a second type inferencer

@@ -58,6 +58,10 @@ func NewJoinPair(a, b string) JoinPair {
 // resolves against the header of the statement's own FROM stage, the
 // output columns are those of Catalog.Header.
 type Profile struct {
+	// Header is Catalog.Header of the statement — name, schema, column
+	// origins, no rows — taken from the same executor pass over the shells
+	// that resolved the profile's origins. It belongs to the caller.
+	Header     *relation.Table
 	BaseTables []string
 	OutputCols relation.ColRefSet
 	// OutputNames maps each output column name (lowercase) to its origins.
@@ -102,7 +106,8 @@ func (c *Catalog) profile(s *SelectStmt, seen map[string]bool) (*Profile, error)
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{OutputNames: map[string]relation.ColRefSet{}}
+	// An aggregate without GROUP BY emits its one row over empty input too.
+	p := &Profile{Header: out.Shell(), OutputNames: map[string]relation.ColRefSet{}}
 
 	// What each FROM relation reads: a table says so itself (a derived one
 	// through its column origins), a view is profiled and folds in.

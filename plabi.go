@@ -177,7 +177,6 @@ type options struct {
 	retry      *fault.RetryPolicy
 	retrySites map[string]fault.RetryPolicy
 	failClosed bool
-	compiled   bool
 	segmentDir string
 	segmentSet bool
 	spillRows  int
@@ -305,9 +304,6 @@ func (o *options) apply(ce *core.Engine) {
 	if o.failClosed {
 		ce.SetFailClosed(true)
 	}
-	if o.compiled {
-		ce.SetCompiledRenders(true)
-	}
 	if o.faultsSet && o.faults != nil {
 		ce.SetFaults(o.faults)
 	}
@@ -405,15 +401,6 @@ func WithRetryPolicyFor(site string, p RetryPolicy) Option {
 // audit.sink_drops and delivery proceeds).
 func WithFailClosed() Option {
 	return func(o *options) { o.failClosed = true }
-}
-
-// WithCompiledRenders makes this engine fold every render: the enforced
-// result of a (report, role, purpose) triple is memoized beside its
-// residual compiled program (see CompileReport) and repeated renders at
-// unchanged policy, catalog and table generations replay it. Outputs and
-// audit records are byte-identical to the unfolded default.
-func WithCompiledRenders() Option {
-	return func(o *options) { o.compiled = true }
 }
 
 // WithSegmentStore roots the engine's out-of-core columnar storage at
@@ -537,9 +524,9 @@ func (e *Engine) RunETL(ctx context.Context, p *Pipeline, continueOnViolation bo
 // retained state on appends. The application is atomic —
 // on any error (including injected faults at the etl.delta site)
 // sources and staging roll back and the previous state keeps serving —
-// and a successful commit bumps per-table data epochs rather than the
-// catalog generation, so cached render plans survive and only folded
-// renders reading a changed table recompute.
+// and a successful commit swaps in new table versions without moving the
+// catalog generation, so cached render plans survive and the next render
+// reads the new data.
 func (e *Engine) ApplyDelta(ctx context.Context, b DeltaBatch) (DeltaResult, error) {
 	return e.core.ApplyDelta(ctx, b)
 }
@@ -595,7 +582,7 @@ func (e *Engine) Render(ctx context.Context, reportID string, c Consumer) (*Enfo
 // CompileReport specializes one (report, role, purpose) triple into its
 // residual render program — the partial evaluation of the composed PLA
 // set against the current policy, catalog and scope generations. The
-// returned program is the exact object compiled renders execute: it
+// returned program is the exact object every render executes: it
 // lands in the generation-keyed decision cache, and any policy change
 // (AddPLAs, DeriveMetaReports, hot reload) invalidates it and forces a
 // recompile. Unknown ids wrap ErrUnknownReport.
