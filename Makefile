@@ -48,8 +48,9 @@ cover:
 
 # One-iteration pass over every root benchmark (paper experiments E1–E11,
 # k-anonymization, elicitation) and internal/relation's (GroupBy over a
-# frozen table against a plain one): catches bitrot in the bench harnesses
-# without paying for a measurement run.
+# frozen table against a plain one; ApplyEdit carrying the resident form by
+# an append and by an update): catches bitrot in the bench harnesses without
+# paying for a measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/relation
 

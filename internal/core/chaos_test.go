@@ -421,6 +421,7 @@ func TestChaosDeltaConvergence(t *testing.T) {
 						t.Fatalf("round %d render: intolerable error: %v", round, err)
 					}
 				}
+				verifyResident(t, e) // every committed version, not just the last
 			}
 			if served == 0 {
 				t.Fatal("chaos schedule starved every mid-stream render")

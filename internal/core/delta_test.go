@@ -286,6 +286,9 @@ func runDeltaOracle(t *testing.T, seed int64) {
 		if _, err := live.Render("drug-consumption", probe); err != nil {
 			t.Fatalf("round %d render: %v", round, err)
 		}
+		// Each committed version inherits what renders of the one before
+		// published; check it before the next delta carries it on.
+		verifyResident(t, live)
 	}
 	if incremental == 0 {
 		t.Error("no step ever recomputed incrementally across the stream")

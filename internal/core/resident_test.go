@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -86,6 +87,70 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 	if again := consumption(); again[from] != after[from] || again[to] != after[to] {
 		t.Errorf("after a rolled-back delta: %s %d, %s %d; want %d, %d", from, again[from], to, again[to], after[from], after[to])
 	}
+	verifyResident(t, e)
+}
+
+// TestRendersDuringInsertDeltas: renders run while insert-only deltas
+// commit, each of which grows the arrays of the versions the renders may be
+// reading. Under -race no render reads what a commit writes; every render
+// succeeds, none sees fewer prescriptions than one before it, and every
+// version left behind passes VerifyResident.
+func TestRendersDuringInsertDeltas(t *testing.T) {
+	cfg := workload.DefaultConfig(8)
+	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
+	e, ds, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyst := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
+	total := func() (int64, error) {
+		enf, err := e.Render("drug-consumption", analyst)
+		if err != nil {
+			return 0, err
+		}
+		var n int64
+		for _, r := range enf.Table.Rows {
+			n += r[1].I
+		}
+		return n, nil
+	}
+	if _, err := total(); err != nil { // publishes the first version's columns
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for {
+				n, err := total()
+				if err != nil || n < last {
+					t.Errorf("render during deltas: %d prescriptions after %d, %v", n, last, err)
+					return
+				}
+				last = n
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 20; i++ {
+		d := etl.Delta{Source: "hospital", Table: "prescriptions"}
+		for j := 0; j < 5; j++ {
+			d.Inserts = append(d.Inserts, randRxRow(rng, ds, 10*i+j))
+		}
+		if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{d}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 	verifyResident(t, e)
 }
 

@@ -146,22 +146,18 @@ func without(a, b []int) []int {
 	return out
 }
 
-// Apply returns a new version of t with the delta applied, never
-// mutating t (copy-on-write: concurrent readers keep the old version),
-// plus the resulting Change. Updates and deletes address pre-delta row
+// Apply returns a new version of t with the delta applied, plus the
+// resulting Change. It is relation.ApplyEdit's copy-on-write (concurrent
+// readers keep the old version, an insert-only delta may grow it in place)
+// with the Change as the edit. Updates and deletes address pre-delta row
 // indices, however often: the last update of a row wins, a delete wins
 // over any update, a repeated delete is one delete. Inserts append, out
 // of a delete's reach. Deleted rows are compacted away in one pass, so
 // the rows behind them move down and a base table's lineage with them.
 func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
-	m, err := t.Materialize()
-	if err != nil {
-		return nil, Change{}, err
-	}
-	arity, n := t.Schema.Len(), len(m.Rows)
-	rows := make([]relation.Row, n, n+len(d.Inserts))
-	copy(rows, m.Rows)
+	arity, n := t.Schema.Len(), t.NumRows()
 	var ch Change
+	last := make(map[int]relation.Row, len(d.Updates))
 	for _, u := range d.Updates {
 		if u.Row < 0 || u.Row >= n {
 			return nil, Change{}, fmt.Errorf("etl: delta update row %d out of range [0,%d) in %q", u.Row, n, t.Name)
@@ -169,7 +165,7 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 		if len(u.Vals) != arity {
 			return nil, Change{}, fmt.Errorf("etl: delta update arity %d != %d in %q", len(u.Vals), arity, t.Name)
 		}
-		rows[u.Row] = u.Vals
+		last[u.Row] = u.Vals
 		ch.Updated = append(ch.Updated, u.Row)
 	}
 	for _, ri := range d.Deletes {
@@ -179,25 +175,21 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 	}
 	ch.Removed = sortedDistinct(append([]int(nil), d.Deletes...))
 	ch.Updated = without(sortedDistinct(ch.Updated), ch.Removed)
-	if len(ch.Removed) > 0 {
-		w := ch.Removed[0]
-		for k, ri := range ch.Removed {
-			end := n
-			if k+1 < len(ch.Removed) {
-				end = ch.Removed[k+1]
-			}
-			w += copy(rows[w:], rows[ri+1:end])
-		}
-		rows = rows[:w]
+	repl := make([]relation.Row, 0, len(ch.Updated)+len(d.Inserts))
+	for _, ri := range ch.Updated {
+		repl = append(repl, last[ri])
 	}
 	for _, r := range d.Inserts {
 		if len(r) != arity {
 			return nil, Change{}, fmt.Errorf("etl: delta insert arity %d != %d in %q", len(r), arity, t.Name)
 		}
-		rows = append(rows, r)
+		repl = append(repl, r)
 	}
 	ch.Appended = len(d.Inserts)
-	out := &relation.Table{Name: t.Name, Schema: t.Schema, Base: t.Base, Rows: rows}
+	out, err := relation.ApplyEdit(t, ch.Edit, &relation.Table{Name: t.Name, Schema: t.Schema, Base: true, Rows: repl})
+	if err != nil {
+		return nil, Change{}, err
+	}
 	return out, ch, nil
 }
 

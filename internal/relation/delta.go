@@ -3,13 +3,15 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // This file holds the copy-on-write row helpers the ETL delta propagation
 // composes per-step outputs from: SliceRows cuts the changed rows out of a
 // step's input, ApplyEdit applies the resulting edit script to the step's
-// previous output. Neither ever mutates an input table — concurrent
-// renders keep reading the old pointers while a delta is being applied.
+// previous output. Neither ever changes what an input table reads —
+// concurrent renders keep reading the old version while a delta is being
+// applied; an append writes only past the end of the old version's arrays.
 
 // SliceRows builds a derived in-memory table holding exactly t's rows at
 // the given indices, in order, with explicit row lineage and t's column
@@ -94,14 +96,22 @@ func (e Edit) Dirty(newLen int) ([]int, error) {
 }
 
 // ApplyEdit returns the version of old the edit leads to, copy-on-write:
-// old is never mutated and kept rows share their storage. repl holds the
-// new content in Dirty order — one row per updated row, then the appended
-// rows — and may be nil when there is none. One pass drops the removed
-// ranges, and kept rows whose lineage names a base row past a lost one
-// get a renumbered lineage set (a kept row naming a lost row itself is an
-// error: the caller's removals are incomplete). The result is
-// byte-identical, values and lineage, to recomputing the table from the
-// edited inputs.
+// old's rows and lineage read the same afterwards, and kept rows share their
+// storage. repl holds the new content in Dirty order — one row per updated
+// row, then the appended rows — and may be nil when there is none. One pass
+// drops the removed ranges, and kept rows whose lineage names a base row
+// past a lost one get a renumbered lineage set (a kept row naming a lost
+// row itself is an error: the caller's removals are incomplete). A base
+// table stays one: its rows are their own origin and renumber by position.
+// The result is byte-identical, values and lineage, to recomputing the
+// table from the edited inputs.
+//
+// The new version inherits the columnar form readers published on old (see
+// carry). An edit that only appends, made to a version the edit path built,
+// writes into the room it left behind old's arrays — old's readers never
+// look past its length — as long as it is the first to claim that room;
+// any other edit, and a second successor of one version, copies once into
+// arrays with room to spare.
 func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 	om, err := old.Materialize()
 	if err != nil {
@@ -117,37 +127,70 @@ func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 		if !om.Schema.Equal(rm.Schema) {
 			return nil, fmt.Errorf("relation: edit schema mismatch (%s vs %s)", om.Schema, rm.Schema)
 		}
-		rows, lin = rm.Rows, rm.lineage()
+		rows = rm.Rows
+		if !om.Base {
+			lin = rm.lineage()
+		}
 	}
 	if len(rows) != len(e.Updated)+e.Appended {
 		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", len(rows), len(e.Updated), e.Appended)
 	}
-	kept := len(om.Rows) - len(e.Removed)
-	dirty, err := e.Dirty(kept + e.Appended)
+	n := len(om.Rows) - len(e.Removed) + e.Appended
+	dirty, err := e.Dirty(n)
 	if err != nil {
 		return nil, err
 	}
-	out := old.derived(old.Name)
-	out.Rows = make([]Row, 0, kept+e.Appended)
-	out.Lineage = make([]LineageSet, 0, kept+e.Appended)
-	oldLin := om.lineage()
-	from := 0
+	grow := len(e.Removed) == 0 && len(e.Updated) == 0 && len(e.Shift) == 0 && old.claimTail()
+	var out *Table
+	if om.Base {
+		out = &Table{Name: old.Name, Schema: old.Schema, Base: true}
+	} else {
+		out = old.derived(old.Name)
+		out.Lineage = editArray(om.lineage(), e, n, grow)
+		if err := shiftLineage(out.Lineage, e.Shift); err != nil {
+			return nil, fmt.Errorf("relation: edit of %s: %w", old.Name, err)
+		}
+	}
+	out.Rows = editArray(om.Rows, e, n, grow)
+	for i, ri := range dirty {
+		out.Rows[ri] = rows[i]
+		if !om.Base {
+			out.Lineage[ri] = lin[i]
+		}
+	}
+	out.tail = new(atomic.Bool)
+	out.res = carry(old, out, e, dirty, grow)
+	return out, nil
+}
+
+// claimTail reports whether the caller may write past the end of t's rows,
+// lineage and resident arrays: t is a version the edit path built, and no
+// one has claimed the room behind it before. The claim is one-shot.
+func (t *Table) claimTail() bool {
+	return t.tail != nil && t.tail.CompareAndSwap(false, true)
+}
+
+// roomFor is the capacity the edit path gives an array of n elements it
+// copies: room for the appends of the versions to come.
+func roomFor(n int) int { return n + n/8 + 64 }
+
+// editArray returns a, one array of a version, edited into n elements for
+// the next: the removed elements dropped, the rest moved down, the tail up
+// to n left for the caller to fill. When grow (the caller holds the tail
+// claim of a's version and the edit only appends) and a has the room, the
+// result is a itself, grown; otherwise a fresh array with roomFor(n).
+func editArray[T any](a []T, e Edit, n int, grow bool) []T {
+	if grow && n <= cap(a) {
+		return a[:n]
+	}
+	out := make([]T, n, roomFor(n))
+	w, from := 0, 0
 	for _, ri := range e.Removed {
-		out.Rows = append(out.Rows, om.Rows[from:ri]...)
-		out.Lineage = append(out.Lineage, oldLin[from:ri]...)
+		w += copy(out[w:], a[from:ri])
 		from = ri + 1
 	}
-	out.Rows = append(out.Rows, om.Rows[from:]...)
-	out.Lineage = append(out.Lineage, oldLin[from:]...)
-	if err := shiftLineage(out.Lineage, e.Shift); err != nil {
-		return nil, fmt.Errorf("relation: edit of %s: %w", old.Name, err)
-	}
-	for i, ri := range dirty[:len(e.Updated)] {
-		out.Rows[ri], out.Lineage[ri] = rows[i], lin[i]
-	}
-	out.Rows = append(out.Rows, rows[len(e.Updated):]...)
-	out.Lineage = append(out.Lineage, lin[len(e.Updated):]...)
-	return out, nil
+	copy(out[w:], a[from:])
+	return out
 }
 
 // shiftChunk is how many renumbered refs shiftLineage allocates at a time.

@@ -53,12 +53,19 @@ func randEdit(rng *rand.Rand, n int) Edit {
 	return e
 }
 
-// rebuild applies e to base b the naive way: a new table, row by row.
+// rebuild applies e to base b the naive way: a new table, row by row. Now
+// and then a fresh cell has another kind than its column (schemas are
+// advisory).
 func rebuild(rng *rand.Rand, b *Table, e Edit) *Table {
+	kinds := []Type{TString, TInt, TFloat, TBool, TDate}
 	fresh := func() Row {
 		row := make(Row, b.Schema.Len())
-		for c, col := range b.Schema.Columns {
-			row[c] = randValue(rng, col.Type)
+		for c, column := range b.Schema.Columns {
+			kind := column.Type
+			if rng.Intn(20) == 0 {
+				kind = kinds[rng.Intn(len(kinds))]
+			}
+			row[c] = randValue(rng, kind)
 		}
 		return row
 	}
@@ -111,6 +118,108 @@ func TestApplyEditMatchesRebuild(t *testing.T) {
 		}
 		requireSameTable(t, fmt.Sprintf("seed %d edit %+v", seed, e), got, want)
 		requireSameTable(t, fmt.Sprintf("seed %d old version", seed), old, before)
+	}
+}
+
+// publish has readers build every part of tb's resident form: each column's
+// vector and join index, and the lineage columns.
+func publish(t *testing.T, tb *Table) {
+	t.Helper()
+	for ci := range tb.Schema.Columns {
+		col(t, tb, ci)
+		tb.hashIndex(ci)
+	}
+	tb.lineageColumns()
+}
+
+// TestApplyEditChainCarriesResident: a chain of random edits over a frozen
+// derived table — half of them appends, which grow the version's arrays in
+// place — with every part published on each version before the next is
+// built. Each successor equals deriving it again, passes VerifyResident, and
+// so does a second successor of the same version (a rolled-back delta's
+// retry, which copies); every earlier version still reads byte-identically.
+func TestApplyEditChainCarriesResident(t *testing.T) {
+	type version struct {
+		tb, rows *Table
+		vals     [][]Value
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed + 3200))
+		b := randTable(rng, "b", 1+rng.Intn(3), rng.Intn(40))
+		b.Base, b.Lineage, b.ColOrigin = true, nil, nil
+		cur := deriveWide(b)
+		var seen []version
+		for step := 0; step < 8; step++ {
+			cur.Freeze()
+			publish(t, cur)
+			rows, vals := snapshot(t, cur)
+			seen = append(seen, version{cur, rows, vals})
+			e := Edit{Appended: 1 + rng.Intn(6)}
+			if rng.Intn(2) == 0 {
+				e = randEdit(rng, b.NumRows())
+				e.Shift = map[string][]int{"b": e.Removed}
+			}
+			next, nb := editWide(t, rng, cur, b, e)
+			if rng.Intn(4) == 0 {
+				rows, vals := snapshot(t, next)
+				retry, _ := editWide(t, rng, cur, b, e)
+				if err := VerifyResident(retry); err != nil {
+					t.Fatalf("seed %d step %d retry of %+v: %v", seed, step, e, err)
+				}
+				requireUnchanged(t, fmt.Sprintf("seed %d step %d: the first successor after the retry", seed, step), next, rows, vals)
+			}
+			if err := VerifyResident(next); err != nil {
+				t.Fatalf("seed %d step %d edit %+v: %v", seed, step, e, err)
+			}
+			for i, v := range seen {
+				requireUnchanged(t, fmt.Sprintf("seed %d: version %d after version %d", seed, i, step+1), v.tb, v.rows, v.vals)
+			}
+			cur, b = next, nb
+		}
+	}
+}
+
+// BenchmarkApplyEdit is a delta's edit of the wide table at benchmark size —
+// 50k rows, three refs per row, both vectors and the lineage columns
+// published — by an append of 50 rows, which grows the version in place (its
+// tail claim is handed back before each one), and by an update of 10 rows,
+// which copies it.
+func BenchmarkApplyEdit(b *testing.B) {
+	const n = 50000
+	star := func(i int) LineageSet {
+		return LineageSet{{Table: "drugcost", Row: (i * 7) % 25}, {Table: "prescriptions", Row: i}, {Table: "residents", Row: (i * 31) % 5000}}
+	}
+	tb := linTable("rx_wide", n, 25, star)
+	tb.Freeze()
+	tb.column(0)
+	tb.column(1)
+	tb.lineageColumns()
+	v0, err := ApplyEdit(tb, Edit{Appended: 1}, linTable("rx_wide", 1, 25, func(int) LineageSet { return star(n) }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	updated := make([]int, 10)
+	for i := range updated {
+		updated[i] = i * (n / 10)
+	}
+	for _, bc := range []struct {
+		name string
+		e    Edit
+		repl *Table
+	}{
+		{"append", Edit{Appended: 50}, linTable("rx_wide", 50, 25, func(i int) LineageSet { return star(n + 1 + i) })},
+		{"update", Edit{Updated: updated}, linTable("rx_wide", 10, 25, func(i int) LineageSet { return star(updated[i]) })},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v0.tail.Store(false)
+				out, err := ApplyEdit(v0, bc.e, bc.repl)
+				if err != nil || out.res.cols[1].Load() == nil {
+					b.Fatalf("%v, resident %+v", err, out.res)
+				}
+			}
+		})
 	}
 }
 

@@ -105,8 +105,8 @@ func Rename(t *Table, name string) *Table {
 	if t.shareBacking(out) {
 		return out
 	}
-	out.Rows = t.Rows
-	out.Lineage = t.lineage()
+	out.Rows = capped(t.Rows)
+	out.Lineage = capped(t.lineage())
 	return out
 }
 

@@ -320,20 +320,14 @@ func (e *joinEmitter) emitLeftNull(i int) {
 // probes it with one left batch (starting at row start of l), appending
 // to out and, when ord is non-nil, each row's left ordinal to it. Single-column
 // equi-joins hash on interned keys (the reference fast path's Key()-string
-// semantics, minus the string allocations); conjunctions containing
-// equality pairs hash on all pairs with Compare verification plus a
-// compiled residual; anything else runs the nested-loop reference.
+// semantics, minus the string allocations) — over a frozen right side, the
+// index its version keeps resident; conjunctions containing equality pairs
+// hash on all pairs with Compare verification plus a compiled residual;
+// anything else runs the nested-loop reference.
 func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32) func(batch *Table, start int) error {
 	// Single equi pair: exactly the reference fast path, interned.
 	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
-		idx := make(map[ValKey][]int32, len(r.Rows))
-		for j, rr := range r.Rows {
-			if rr[rc].IsNull() {
-				continue
-			}
-			k := MapKey(rr[rc])
-			idx[k] = append(idx[k], int32(j))
-		}
+		idx := r.hashIndex(rc)
 		em := newJoinEmitter(out, l, r, ord)
 		return func(batch *Table, start int) error {
 			em.setLeft(batch, start)

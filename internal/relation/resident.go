@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -14,7 +15,8 @@ import (
 // that builds rows of its own, and is garbage with the version — so nothing
 // ever invalidates it. Each part is built by the first reader that asks and
 // published with an atomic pointer; a reader losing that race drops its
-// copy and uses the published one.
+// copy and uses the published one. ApplyEdit hands the next version the
+// published vectors and lineage columns, edited the same way (carry).
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -22,7 +24,26 @@ type resident struct {
 	// cols holds the typed vector of each column of an in-memory table; a
 	// segment-backed table has none (its partitions decode per scan).
 	cols []atomic.Pointer[Vector]
+	// keys holds, per column of an in-memory table, the hash index the
+	// single-key join builds over it as its right side.
+	keys []atomic.Pointer[joinIndex]
 	lin  atomic.Pointer[lineageCols]
+}
+
+// joinIndex maps the MapKey of every non-null cell of one column to the
+// rows holding it, ascending.
+type joinIndex map[ValKey][]int32
+
+func newJoinIndex(rows []Row, ci int) joinIndex {
+	idx := make(joinIndex, len(rows))
+	for j, r := range rows {
+		if r[ci].IsNull() {
+			continue
+		}
+		k := MapKey(r[ci])
+		idx[k] = append(idx[k], int32(j))
+	}
+	return idx
 }
 
 // lineageCols is explicit row lineage by column: for each base table the
@@ -43,15 +64,20 @@ var notColumnar = &lineageCols{}
 // called before the table is shared. Append drops the form again; a write
 // into a frozen table's rows or lineage sets is a bug VerifyResident finds.
 func (t *Table) Freeze() {
-	n := t.NumRows()
-	if t.res != nil && t.res.rows == n {
+	if t.res != nil && t.res.rows == t.NumRows() {
 		return
 	}
-	r := &resident{rows: n}
+	t.res = newResident(t)
+}
+
+// newResident returns the empty resident form of t's current version.
+func newResident(t *Table) *resident {
+	r := &resident{rows: t.NumRows()}
 	if t.seg == nil {
 		r.cols = make([]atomic.Pointer[Vector], t.Schema.Len())
+		r.keys = make([]atomic.Pointer[joinIndex], t.Schema.Len())
 	}
-	t.res = r
+	return r
 }
 
 // frozen returns the resident form if it still describes the table.
@@ -74,6 +100,22 @@ func (t *Table) column(ci int) *Vector {
 	}
 	r.cols[ci].CompareAndSwap(nil, NewVector(t, ci))
 	return r.cols[ci].Load()
+}
+
+// hashIndex returns the join index of column ci of an in-memory table: the
+// resident one when the table is frozen, a fresh one otherwise. A version's
+// index is built once and never patched; a new version builds its own.
+func (t *Table) hashIndex(ci int) joinIndex {
+	r := t.frozen()
+	if r == nil || ci >= len(r.keys) {
+		return newJoinIndex(t.Rows, ci)
+	}
+	if idx := r.keys[ci].Load(); idx != nil {
+		return *idx
+	}
+	idx := newJoinIndex(t.Rows, ci)
+	r.keys[ci].CompareAndSwap(nil, &idx)
+	return *r.keys[ci].Load()
 }
 
 // lineageColumns returns the table's explicit lineage by column, or nil
@@ -137,11 +179,149 @@ func (lc *lineageCols) Swap(i, j int) {
 	lc.cols[i], lc.cols[j] = lc.cols[j], lc.cols[i]
 }
 
+// carry returns the resident form of out, the version of old that edit e
+// leads to (dirty: the rows it brought, final in out): each vector and the
+// lineage columns readers published on old, edited the same way, and
+// nothing else — a part not published stays for out's readers to build,
+// and a join index is never carried. A part whose edited form would differ
+// from what out's own readers would build is not carried either. grow says
+// the caller holds old's tail, so arrays with room to spare grow in place.
+func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
+	r := old.frozen()
+	if r == nil {
+		return nil
+	}
+	nr := newResident(out)
+	for ci := range r.cols {
+		if v := r.cols[ci].Load(); v != nil {
+			if w := editVector(v, out, ci, e, dirty, grow); w != nil {
+				nr.cols[ci].Store(w)
+			}
+		}
+	}
+	if lc := r.lin.Load(); lc != nil && lc != notColumnar && out.Lineage != nil {
+		if nl := editLineageCols(lc, out, e, dirty, grow); nl != nil {
+			nr.lin.Store(nl)
+		}
+	}
+	return nr
+}
+
+// editVector is v, column ci of the version an edit came from, spliced for
+// out: typed arrays and null mask cut and grown with editArray, the dirty
+// rows set from out.Rows. It is nil where NewVector(out, ci) would not be v's
+// typed form: v generic, a dirty cell of another kind, no cell left that is
+// not null.
+func editVector(v *Vector, out *Table, ci int, e Edit, dirty []int, grow bool) *Vector {
+	n := len(out.Rows)
+	if v.V != nil || v.Kind == TNull || n == 0 {
+		return nil
+	}
+	w := &Vector{Kind: v.Kind, n: n}
+	if v.Null != nil {
+		w.Null = editArray(v.Null, e, n, grow)
+	}
+	var set func(ri int, c Value)
+	switch v.Kind {
+	case TString:
+		w.S = editArray(v.S, e, n, grow)
+		set = func(ri int, c Value) { w.S[ri] = c.S }
+	case TInt:
+		w.I = editArray(v.I, e, n, grow)
+		set = func(ri int, c Value) { w.I[ri] = c.I }
+	case TFloat:
+		w.F = editArray(v.F, e, n, grow)
+		set = func(ri int, c Value) { w.F[ri] = c.F }
+	case TBool:
+		w.B = editArray(v.B, e, n, grow)
+		set = func(ri int, c Value) { w.B[ri] = c.B }
+	case TDate:
+		w.T = editArray(v.T, e, n, grow)
+		set = func(ri int, c Value) { w.T[ri] = c.T }
+	}
+	for _, ri := range dirty {
+		c := out.Rows[ri][ci]
+		if c.Kind != v.Kind && c.Kind != TNull {
+			return nil
+		}
+		if c.Kind == TNull {
+			if w.Null == nil {
+				w.Null = make([]bool, n, roomFor(n))
+			}
+			c = Null() // a null cell holds the zero value, as NewVector leaves it
+		}
+		if w.Null != nil {
+			w.Null[ri] = c.Kind == TNull
+		}
+		set(ri, c)
+	}
+	if w.Null != nil && (len(e.Removed) > 0 || len(e.Updated) > 0) {
+		// Only a removal or an update can take away the last null, or the
+		// last cell that is not.
+		nulls := 0
+		for _, null := range w.Null {
+			if null {
+				nulls++
+			}
+		}
+		switch nulls {
+		case n:
+			return nil
+		case 0:
+			w.Null = nil
+		}
+	}
+	return w
+}
+
+// editLineageCols is lc, the lineage columns of the version an edit came
+// from, spliced for out: each column cut and grown with editArray, the
+// ordinals of kept rows renumbered past the rows e.Shift says their table
+// lost, the dirty rows transposed from out.Lineage. It is nil where
+// newLineageCols(out.Lineage) would list other tables: a dirty row naming a
+// table lc does not, or one table twice, or a table no row names any more.
+func editLineageCols(lc *lineageCols, out *Table, e Edit, dirty []int, grow bool) *lineageCols {
+	n := len(out.Rows)
+	nl := &lineageCols{tables: lc.tables, cols: make([][]int32, len(lc.cols))}
+	for ti, col := range lc.cols {
+		c := editArray(col, e, n, grow)
+		if lost := e.Shift[lc.tables[ti]]; len(lost) > 0 {
+			for ri, ord := range c {
+				if int(ord) >= lost[0] {
+					c[ri] = ord - int32(sort.SearchInts(lost, int(ord)))
+				}
+			}
+		}
+		nl.cols[ti] = c
+	}
+	for _, ri := range dirty {
+		for _, c := range nl.cols {
+			c[ri] = -1
+		}
+		for _, ref := range out.Lineage[ri] {
+			ti, ok := slices.BinarySearch(nl.tables, ref.Table)
+			if !ok || ref.Row < 0 || ref.Row > math.MaxInt32 || nl.cols[ti][ri] >= 0 {
+				return nil
+			}
+			nl.cols[ti][ri] = int32(ref.Row)
+		}
+	}
+	if len(e.Removed) > 0 || len(e.Updated) > 0 {
+		for _, c := range nl.cols {
+			if !slices.ContainsFunc(c, func(ord int32) bool { return ord >= 0 }) {
+				return nil
+			}
+		}
+	}
+	return nl
+}
+
 // VerifyResident re-derives whatever columnar form readers have published
-// for t — each column vector from t.Rows, the lineage columns from
-// t.Lineage — and reports the first cell where the published form differs:
-// the trace of a write into a table after it was frozen. Tests call it at
-// the end of runs that interleave renders with writes.
+// for t, or an edit carried to it — each column vector and join index from
+// t.Rows, the lineage columns from t.Lineage — and reports the first cell
+// where the published form differs: the trace of a write into a table after
+// it was frozen, or of a carry that edited a part wrongly. Tests call it
+// after runs, or rounds, that interleave renders with writes.
 func VerifyResident(t *Table) error {
 	r := t.frozen()
 	if r == nil {
@@ -152,10 +332,29 @@ func VerifyResident(t *Table) error {
 		if v == nil {
 			continue
 		}
+		if v.Len() != len(t.Rows) {
+			return fmt.Errorf("relation: %s: resident vector of column %s has %d cells for %d rows", t.Name, t.Schema.Columns[ci].Name, v.Len(), len(t.Rows))
+		}
 		for ri, row := range t.Rows {
 			if got, want := v.Value(ri), row[ci]; got.Kind != want.Kind || got.Key() != want.Key() {
 				return fmt.Errorf("relation: %s: resident vector of column %s holds %v at row %d, the table %v",
 					t.Name, t.Schema.Columns[ci].Name, got, ri, want)
+			}
+		}
+	}
+	for ci := range r.keys {
+		got := r.keys[ci].Load()
+		if got == nil {
+			continue
+		}
+		want := newJoinIndex(t.Rows, ci)
+		if len(*got) != len(want) {
+			return fmt.Errorf("relation: %s: resident join index of column %s has %d keys, the table %d", t.Name, t.Schema.Columns[ci].Name, len(*got), len(want))
+		}
+		for k, rows := range want {
+			if !slices.Equal((*got)[k], rows) {
+				return fmt.Errorf("relation: %s: resident join index of column %s maps %v to rows %v, the table to %v",
+					t.Name, t.Schema.Columns[ci].Name, k, (*got)[k], rows)
 			}
 		}
 	}
@@ -168,10 +367,13 @@ func VerifyResident(t *Table) error {
 		lin = t.lineage() // a renamed view of a base table published them
 	}
 	want := newLineageCols(lin)
-	if fmt.Sprint(got.tables) != fmt.Sprint(want.tables) {
+	if !slices.Equal(got.tables, want.tables) {
 		return fmt.Errorf("relation: %s: resident lineage columns cover tables %v, the lineage %v", t.Name, got.tables, want.tables)
 	}
 	for ti, table := range want.tables {
+		if len(got.cols[ti]) != len(want.cols[ti]) {
+			return fmt.Errorf("relation: %s: resident lineage column %s has %d rows, the lineage %d", t.Name, table, len(got.cols[ti]), len(want.cols[ti]))
+		}
 		for ri, ord := range want.cols[ti] {
 			if got.cols[ti][ri] != ord {
 				return fmt.Errorf("relation: %s: resident lineage column %s holds %d at row %d, the lineage %d",

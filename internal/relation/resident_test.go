@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -189,31 +192,148 @@ func TestGroupByStateOverFrozenPieces(t *testing.T) {
 	}
 }
 
-// TestFreezeLifecycle: who shares a resident form and who must not.
-func TestFreezeLifecycle(t *testing.T) {
-	base := NewBase("facts", NewSchema(Col("k", TString), Col("v", TInt)))
-	for i := 0; i < 40; i++ {
-		base.AppendVals(Str(fmt.Sprint("k", i%4)), Int(int64(i)))
+// col reads column ci of tb the way an operator does.
+func col(t *testing.T, tb *Table, ci int) *Vector {
+	t.Helper()
+	v, err := NewBatch(tb).Col(ci)
+	if err != nil {
+		t.Fatal(err)
 	}
-	col := func(tb *Table, ci int) *Vector {
-		v, err := NewBatch(tb).Col(ci)
-		if err != nil {
-			t.Fatal(err)
+	return v
+}
+
+// editWide applies e to the derived table old (deriveWide of base b), the
+// base rebuilt with fresh rows where e brings them (applyWide). It returns
+// the new version and the rebuilt base.
+func editWide(t *testing.T, rng *rand.Rand, old, b *Table, e Edit) (*Table, *Table) {
+	t.Helper()
+	nb := rebuild(rng, b, e)
+	return applyWide(t, old, nb, e), nb
+}
+
+// appendWide applies to old, deriveWide of base b (key STRING, v INT), the
+// append of m rows of the columns' own kinds. It returns the new version and
+// the grown base.
+func appendWide(t *testing.T, old, b *Table, m int) (*Table, *Table) {
+	t.Helper()
+	nb := NewBase(b.Name, b.Schema)
+	nb.Rows = capped(b.Rows)
+	for i := b.NumRows(); i < b.NumRows()+m; i++ {
+		nb.AppendVals(Str(fmt.Sprint("k", i%7)), Int(int64(i)))
+	}
+	return applyWide(t, old, nb, Edit{Appended: m}), nb
+}
+
+// applyWide returns ApplyEdit's version of old, deriveWide of a base, after
+// the edit e that turned that base into nb, checked against deriving it
+// again: rows, lineage, and every part carried to it.
+func applyWide(t *testing.T, old, nb *Table, e Edit) *Table {
+	t.Helper()
+	want := deriveWide(nb)
+	dirty, err := e.Dirty(want.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := SliceRows(want, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ApplyEdit(old, e, repl)
+	if err != nil {
+		t.Fatalf("edit %+v: %v", e, err)
+	}
+	requireSameTable(t, fmt.Sprintf("edit %+v", e), got, want)
+	requireFreshParts(t, fmt.Sprintf("edit %+v", e), got)
+	return got
+}
+
+// requireFreshParts fails unless every part carried to tb is what tb's own
+// readers would build: each vector array for array, the lineage columns
+// table for table.
+func requireFreshParts(t *testing.T, label string, tb *Table) {
+	t.Helper()
+	if tb.res == nil {
+		return
+	}
+	for ci := range tb.res.cols {
+		if v := tb.res.cols[ci].Load(); v != nil && !sameVector(v, NewVector(tb, ci)) {
+			t.Fatalf("%s: carried vector of column %d is %+v, a fresh build %+v", label, ci, v, NewVector(tb, ci))
 		}
-		return v
 	}
-	if col(base, 0) == col(base, 0) {
+	if lc := tb.res.lin.Load(); lc != nil && !reflect.DeepEqual(lc, newLineageCols(tb.Lineage)) {
+		t.Fatalf("%s: carried lineage columns %+v, a fresh build %+v", label, lc, newLineageCols(tb.Lineage))
+	}
+}
+
+// sameVector compares two vectors array for array, a NaN equal to itself.
+func sameVector(a, b *Vector) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Kind == b.Kind && a.n == b.n && (a.V == nil) == (b.V == nil) && (a.Null == nil) == (b.Null == nil) &&
+		slices.Equal(a.Null, b.Null) && slices.Equal(a.S, b.S) && slices.Equal(a.I, b.I) &&
+		slices.EqualFunc(a.F, b.F, sameBits) && slices.Equal(a.B, b.B) && slices.Equal(a.T, b.T)
+}
+
+// snapshot copies what a reader of tb sees: rows, lineage, and the values of
+// its vectors.
+func snapshot(t *testing.T, tb *Table) (*Table, [][]Value) {
+	t.Helper()
+	vals := make([][]Value, tb.Schema.Len())
+	for ci := range vals {
+		v := col(t, tb, ci)
+		for ri := 0; ri < v.Len(); ri++ {
+			vals[ci] = append(vals[ci], v.Value(ri))
+		}
+	}
+	return tb.Clone(), vals
+}
+
+// requireUnchanged fails unless tb still reads what snapshot saw.
+func requireUnchanged(t *testing.T, label string, tb, rows *Table, vals [][]Value) {
+	t.Helper()
+	requireSameTable(t, label, tb, rows)
+	for ci := range vals {
+		v := col(t, tb, ci)
+		if v.Len() != len(vals[ci]) {
+			t.Fatalf("%s: vector of column %d has %d cells, was %d", label, ci, v.Len(), len(vals[ci]))
+		}
+		for ri, want := range vals[ci] {
+			if got := v.Value(ri); !sameRow(Row{got}, Row{want}) {
+				t.Fatalf("%s: vector of column %d reads %v at row %d, was %v", label, ci, got, ri, want)
+			}
+		}
+	}
+	if err := VerifyResident(tb); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// TestFreezeLifecycle: who shares a resident form, who inherits it from the
+// version before, and who must not have it.
+func TestFreezeLifecycle(t *testing.T) {
+	b := NewBase("b", NewSchema(Col("k", TString), Col("v", TInt)))
+	for i := 0; i < 40; i++ {
+		b.AppendVals(Str(fmt.Sprint("k", i%4)), Int(int64(i)))
+	}
+	base := deriveWide(b)
+	if col(t, base, 0) == col(t, base, 0) {
 		t.Fatal("a table never frozen kept a vector")
 	}
 	base.Freeze()
-	v := col(base, 0)
-	if col(base, 0) != v {
+	v := col(t, base, 0)
+	if col(t, base, 0) != v {
 		t.Fatal("a frozen table built its vector twice")
 	}
-	if col(Rename(base, "f"), 0) != v {
+	if col(t, Rename(base, "f"), 0) != v {
 		t.Error("Rename does not share the resident vectors")
 	}
-	if c := base.Clone(); c.res != nil || col(c, 0) == v {
+	idx := base.hashIndex(0)
+	if reflect.ValueOf(Rename(base, "f").hashIndex(0)).Pointer() != reflect.ValueOf(idx).Pointer() {
+		t.Error("Rename does not share the resident join index")
+	}
+	base.lineageColumns()
+
+	// Clone, Shell, Select and Materialize's copy share nothing.
+	if c := base.Clone(); c.res != nil || col(t, c, 0) == v {
 		t.Error("Clone shares the resident form")
 	}
 	if s := base.Shell(); s.res != nil {
@@ -223,35 +343,209 @@ func TestFreezeLifecycle(t *testing.T) {
 	if err != nil || sel.res != nil || len(sel.Rows) != 10 {
 		t.Errorf("Select over a frozen table: %v, res %v, %d rows", err, sel.res, len(sel.Rows))
 	}
-	edited, err := ApplyEdit(base, Edit{Updated: []int{3}}, &Table{Name: "facts", Schema: base.Schema, Rows: []Row{{Str("k9"), Int(-1)}}, Lineage: []LineageSet{{{Table: "facts", Row: 3}}}})
-	if err != nil || edited.res != nil {
-		t.Errorf("ApplyEdit: %v, res %v", err, edited.res)
-	}
-	if got := col(edited, 0).Value(3); got.S != "k9" {
-		t.Errorf("edited version reads %v at the updated cell", got)
+	spilled, _ := segSpill(t, base, 16)
+	spilled.Freeze()
+	if m, err := spilled.Materialize(); err != nil || m.res != nil {
+		t.Errorf("Materialize of a frozen segment-backed table: %v, res %v", err, m.res)
 	}
 
+	// An edit carries what readers published — column 0 and the lineage
+	// columns, each equal to a fresh build (applyWide checks) — and leaves
+	// column 1 and the join index to the new version's readers.
+	nb := NewBase("b", b.Schema)
+	for i, r := range b.Rows {
+		switch i {
+		case 3:
+			nb.AppendVals(Str("k9"), Int(-1))
+		case 5:
+		default:
+			nb.AppendVals(r...)
+		}
+	}
+	nb.AppendVals(Null(), Int(40))
+	edited := applyWide(t, base, nb, Edit{Removed: []int{5}, Updated: []int{3}, Appended: 1, Shift: map[string][]int{"b": {5}}})
+	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.lin.Load() == nil {
+		t.Fatal("ApplyEdit of a frozen table did not carry the published parts")
+	}
+	if edited.res.cols[1].Load() != nil || edited.res.keys[0].Load() != nil {
+		t.Error("ApplyEdit built a part no reader had published")
+	}
+	if err := VerifyResident(edited); err != nil {
+		t.Error(err)
+	}
+	if view := Rename(edited, "f"); cap(view.Rows) != len(view.Rows) || cap(view.Lineage) != len(view.Lineage) {
+		t.Error("a renamed view reaches the room behind the version's rows")
+	}
+
+	// Two successors of one version, as a rolled-back delta and its retry
+	// make them: both equal a recompute; the first grows the version's arrays
+	// in place, the second copies; the version reads the same throughout.
+	col(t, edited, 1) // built by a reader: no room to grow into, so copied
+	rows, vals := snapshot(t, edited)
+	first, _ := appendWide(t, edited, nb, 2)
+	requireUnchanged(t, "after the first successor", edited, rows, vals)
+	second, _ := appendWide(t, edited, nb, 3)
+	requireUnchanged(t, "after the second successor", edited, rows, vals)
+	shares := func(a, b *Table) bool {
+		return &a.Rows[0] == &b.Rows[0] && &a.Lineage[0] == &b.Lineage[0] &&
+			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &a.lineageColumns().cols[0][0] == &b.lineageColumns().cols[0][0]
+	}
+	if !shares(first, edited) || shares(second, edited) {
+		t.Errorf("first successor grew in place: %v, second: %v; want only the first", shares(first, edited), shares(second, edited))
+	}
+	for _, s := range []*Table{first, second} {
+		if err := VerifyResident(s); err != nil {
+			t.Error(err)
+		}
+	}
+	// A row naming a base table the lineage columns do not list leaves them
+	// for the new version's readers to build.
+	odd, err := ApplyEdit(second, Edit{Appended: 1}, &Table{Name: second.Name, Schema: second.Schema,
+		Rows: []Row{{Str("k1"), Int(99)}}, Lineage: []LineageSet{{{Table: "bb", Row: 0}}}})
+	if err != nil || odd.res.lin.Load() != nil {
+		t.Errorf("an append naming a new base table: %v, lineage columns carried %v", err, odd.res.lin.Load())
+	}
+	if err := VerifyResident(odd); err != nil {
+		t.Error(err)
+	}
+
+	// Append takes the claim or copies: the claim on edited is gone, so an
+	// Append to it leaves the first successor's rows alone.
+	frows, fvals := snapshot(t, first)
+	edited.AppendVals(Str("k0"), Int(40))
+	requireUnchanged(t, "first successor after an Append to its version", first, frows, fvals)
+
 	view := Rename(base, "f") // taken before the append: keeps the 40 rows it saw
+	base.Lineage = append(base.Lineage, nil)
 	base.AppendVals(Str("k0"), Int(40))
 	if base.res != nil {
 		t.Error("Append kept the resident form")
 	}
-	if got := col(base, 1); got.Len() != 41 || got == col(base, 1) {
+	if got := col(t, base, 1); got.Len() != 41 || got == col(t, base, 1) {
 		t.Errorf("after Append the vector has %d cells, or is still resident", got.Len())
 	}
-	if got := col(view, 0); got != v || got.Len() != 40 {
+	if got := col(t, view, 0); got != v || got.Len() != 40 {
 		t.Error("a view taken before the Append lost the form it shares")
 	}
 	// A frozen table grown behind Append's back is read as never frozen.
 	base.Freeze()
 	base.Rows = append(base.Rows, Row{Str("k1"), Int(41)})
-	if got := col(base, 1); got.Len() != 42 {
+	if got := col(t, base, 1); got.Len() != 42 {
 		t.Errorf("stale resident vector served: %d cells for 42 rows", got.Len())
 	}
 }
 
-// TestVerifyResidentFindsInPlaceWrites: the safety net reports a cell or a
-// lineage ref written after the form it contradicts was published.
+// TestGrowInPlaceUnderReaders: readers scan one version of a table — its
+// rows and lineage, its vectors through Batch.Col, its lineage columns, a
+// GroupBy and a join over it — while a writer builds the versions after it
+// by appends that grow its arrays in place. Under -race this shows that no
+// write lands where a reader of the version looks; without it, that every
+// read still sees what the version held.
+func TestGrowInPlaceUnderReaders(t *testing.T) {
+	b := NewBase("b", NewSchema(Col("k", TString), Col("v", TInt)))
+	for i := 0; i < 500; i++ {
+		b.AppendVals(Str(fmt.Sprint("k", i%7)), Int(int64(i)))
+	}
+	first := deriveWide(b)
+	first.Freeze()
+	publish(t, first)
+	k, kb := appendWide(t, first, b, 1) // a copy, with room behind it
+	publish(t, k)
+
+	other := NewBase("o", NewSchema(Col("k", TString)))
+	for i := 0; i < 7; i++ {
+		other.AppendVals(Str(fmt.Sprint("k", i)))
+	}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: "v"}}
+	render := func(tb *Table) (string, error) {
+		g, err := GroupBy(tb, []string{"k"}, aggs)
+		if err != nil {
+			return "", err
+		}
+		j, err := Join(Rename(other, "o"), Rename(tb, "w"), Eq(ColRefExpr("o.k"), ColRefExpr("w.k")), InnerJoin)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprint(g, g.Lineage, j, j.Lineage), nil
+	}
+	wantRender, err := render(plainCopy(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, wantLin := k.String(), fmt.Sprint(k.Lineage)
+	wantCols := fmt.Sprint(newLineageCols(k.Lineage).cols)
+	_, wantVals := snapshot(t, k)
+
+	read := func() bool {
+		if k.String() != wantRows || fmt.Sprint(k.Lineage) != wantLin {
+			t.Error("a reader saw the version's rows or lineage change")
+			return false
+		}
+		batch := NewBatch(k)
+		for ci, want := range wantVals {
+			v, err := batch.Col(ci)
+			if err != nil || v.Len() != len(want) {
+				t.Errorf("column %d: %v, %d cells for %d", ci, err, v.Len(), len(want))
+				return false
+			}
+			for ri, w := range want {
+				if !sameRow(Row{v.Value(ri)}, Row{w}) {
+					t.Errorf("column %d reads %v at row %d, was %v", ci, v.Value(ri), ri, w)
+					return false
+				}
+			}
+		}
+		if fmt.Sprint(k.lineageColumns().cols) != wantCols {
+			t.Error("a reader saw the version's lineage columns change")
+			return false
+		}
+		if got, err := render(k); err != nil || got != wantRender {
+			t.Errorf("a render over the version changed: %v", err)
+			return false
+		}
+		return true
+	}
+	done := make(chan struct{})
+	var wg, reading sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		reading.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; ; pass++ {
+				ok := read()
+				if pass == 0 {
+					reading.Done()
+				}
+				if !ok {
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	reading.Wait() // the writer starts while every reader is mid-loop
+	cur, cb := k, kb
+	for i := 0; i < 40; i++ {
+		cur, cb = appendWide(t, cur, cb, 3)
+	}
+	close(done)
+	wg.Wait()
+	if &cur.Rows[0] != &k.Rows[0] || &col(t, cur, 0).S[0] != &col(t, k, 0).S[0] {
+		t.Error("the writer copied instead of growing the version's arrays in place")
+	}
+	if err := VerifyResident(cur); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestVerifyResidentFindsInPlaceWrites: the safety net reports a cell, a
+// lineage ref or a join key written after the form it contradicts was
+// published.
 func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	tb := linTable("w", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}, {Table: "b", Row: i % 3}} })
 	tb.Freeze()
@@ -272,6 +566,18 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	}
 	if err := VerifyResident(plainCopy(tb)); err != nil {
 		t.Errorf("a table never frozen: %v", err)
+	}
+
+	// A join key written after the right side's index was published.
+	ix := linTable("ix", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}} })
+	ix.Freeze()
+	ix.hashIndex(0)
+	if err := VerifyResident(ix); err != nil {
+		t.Fatal(err)
+	}
+	ix.Rows[5][0] = Str("k99")
+	if err := VerifyResident(ix); err == nil || !strings.Contains(err.Error(), "join index of column key") {
+		t.Errorf("join key write not reported: %v", err)
 	}
 }
 

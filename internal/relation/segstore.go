@@ -244,7 +244,7 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	m.Counter("segment.spill.tables").Inc()
 	m.Counter("segment.spill.rows").Add(uint64(len(t.Rows)))
 	out.Base = t.Base
-	out.Lineage = t.Lineage
+	out.Lineage = capped(t.Lineage)
 	out.ColOrigin = t.ColOrigin
 	return out, nil
 }

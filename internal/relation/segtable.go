@@ -97,7 +97,7 @@ func (t *Table) Materialize() (*Table, error) {
 		return nil, err
 	}
 	c := *t
-	c.Rows = rows
+	c.Rows, c.Lineage = capped(rows), capped(t.Lineage)
 	c.seg, c.res = nil, nil
 	if !c.Base && c.Lineage == nil {
 		c.Lineage = positionalLineage(t.seg.origin, 0, len(rows))
@@ -117,7 +117,7 @@ func (t *Table) shareBacking(out *Table) bool {
 	b := *t.seg
 	out.seg = &b
 	if !t.Base && t.Lineage != nil {
-		out.Lineage = t.Lineage
+		out.Lineage = capped(t.Lineage)
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Row is one tuple of a relation.
@@ -180,8 +181,16 @@ type Table struct {
 	seg *segBacking
 
 	// res, when non-nil, is the columnar form of this version of the table
-	// (see resident.go): set by Freeze, shared with renamed views.
+	// (see resident.go): set by Freeze or carried by ApplyEdit, shared with
+	// renamed views.
 	res *resident
+
+	// tail, set on a version ApplyEdit built, guards the room it left
+	// behind the version's arrays — rows, lineage, resident columns: the
+	// first to claim it (claimTail) may write there, everyone else copies.
+	// Views sharing those arrays cap them at their length, so nothing else
+	// can reach the room.
+	tail *atomic.Bool
 }
 
 // NewBase creates an empty base table with the given name and schema.
@@ -191,7 +200,9 @@ func NewBase(name string, schema *Schema) *Table {
 
 // Append adds a row to the table, validating arity. For derived tables the
 // caller must maintain Lineage alongside; Append is intended for base
-// tables and simple construction.
+// tables and simple construction. On a version ApplyEdit built, it writes
+// into the room behind the rows only if it claims that room first, and
+// copies the rows otherwise.
 func (t *Table) Append(r Row) error {
 	if t.seg != nil {
 		return fmt.Errorf("relation: cannot append to segment-backed table %s", t.Name)
@@ -199,10 +210,18 @@ func (t *Table) Append(r Row) error {
 	if len(r) != t.Schema.Len() {
 		return fmt.Errorf("relation: row arity %d does not match schema %s", len(r), t.Schema)
 	}
+	if t.tail != nil && !t.claimTail() {
+		// A later version owns the room: grow into fresh arrays.
+		t.Rows, t.Lineage = capped(t.Rows), capped(t.Lineage)
+	}
 	t.Rows = append(t.Rows, r)
-	t.res = nil
+	t.res, t.tail = nil, nil
 	return nil
 }
+
+// capped returns s with no room past its length, so that an append to it
+// copies: what a view sharing another table's array takes.
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // AppendVals is variadic Append, returning the arity error instead of
 // panicking so generators on user-input paths can propagate it. Fixtures
