@@ -40,9 +40,9 @@ lint: vet
 	out=$$($(GO) run ./cmd/pladiff -severity error - examples/audit/policy.pla; test $$? -eq 1) || exit 1; \
 	echo "$$out" | grep -q 'PD001' || { echo "lint: expected PD001 expansion not detected"; exit 1; }
 
-# Coverage with floors: internal/relation, internal/enforce, internal/etl
-# and internal/sql must stay at or above 80% statement coverage (see
-# scripts/cover.sh).
+# Coverage with floors: internal/relation, internal/enforce, internal/etl,
+# internal/sql and internal/provenance must stay at or above 80% statement
+# coverage (see scripts/cover.sh).
 cover:
 	bash scripts/cover.sh
 

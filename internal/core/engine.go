@@ -625,10 +625,10 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 
 	// Phase 4: commit. Changed source tables and staging outputs swap
 	// into the catalog via Refresh (new version, no generation bump) and
-	// into the tracer (which patches its cached column dictionaries with
-	// the same edit; only a rebuilt table drops them).
+	// into the tracer; an edited version brings the columnar form, its
+	// dictionaries included, that relation.ApplyEdit carried to it.
 	committed := map[string]bool{}
-	refreshTable := func(t *relation.Table, ch etl.Change) {
+	refreshTable := func(t *relation.Table) {
 		key := strings.ToLower(t.Name)
 		if committed[key] {
 			return
@@ -637,16 +637,14 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		if err := e.Catalog.Refresh(t); err != nil {
 			e.Catalog.Register(t)
 		}
-		if t.Base && ch.Rebuilt {
+		if t.Base {
 			e.Tracer.RegisterBase(t)
-		} else if t.Base {
-			e.Tracer.EditBase(t, ch.Edit)
 		}
 	}
 	var appended, updated, removed, rebuilt int
 	for _, qk := range order {
 		sw := swaps[qk]
-		refreshTable(sw.next, sw.ch)
+		refreshTable(sw.next)
 		appended += sw.ch.Appended
 		updated += len(sw.ch.Updated)
 		removed += len(sw.ch.Removed)
@@ -661,7 +659,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 			Object: sw.next.Name, Detail: detail, Trace: span.ID()})
 	}
 	for _, r := range applied {
-		for name, ch := range r.res.Changed {
+		for name := range r.res.Changed {
 			t, err := r.ectx.Get(name)
 			if err != nil {
 				continue // source-qualified inputs are not staging entries
@@ -671,7 +669,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 				reg = t.Clone()
 				reg.Name = name
 			}
-			refreshTable(reg, ch)
+			refreshTable(reg)
 		}
 	}
 	m.Counter("delta.steps.incremental").Add(uint64(agg.StepsIncremental))

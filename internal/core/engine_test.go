@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"plabi/internal/enforce"
+	"plabi/internal/etl"
 	"plabi/internal/metareport"
 	"plabi/internal/policy"
+	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
 	"plabi/internal/workload"
@@ -409,5 +413,57 @@ func TestETLRunDecomposedPerStep(t *testing.T) {
 	}
 	if c["etl.er.resolved"] == 0 || c["etl.er.unmatched"] > c["etl.er.values"]-c["etl.er.exact"] {
 		t.Errorf("resolved %d, unmatched %d", c["etl.er.resolved"], c["etl.er.unmatched"])
+	}
+}
+
+// TestGraphHoldsEachStepOnce: the transformation graph records each
+// distinct transformation once. After the first render per (report,
+// consumer) and the first delta through every step, the renders, deltas and
+// rebuilds that repeat them leave the graph its size.
+func TestGraphHoldsEachStepOnce(t *testing.T) {
+	e, ds := smallEngine(t)
+	renderAll := func() {
+		for _, d := range e.Reports.All() {
+			for _, c := range oracleConsumers(d) {
+				if _, err := e.Render(d.ID, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// Every source changes, so the delta runs through every step.
+	delta := func(round int) {
+		row := func(source, table string, ri int) relation.Row {
+			return sourceTable(t, e, source, table).Rows[ri].Clone()
+		}
+		cost := row("healthagency", "drugcost", 0)
+		cost[1] = relation.Int(int64(10 + round))
+		rx := sourceTable(t, e, "hospital", "prescriptions")
+		if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{
+			{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{randRxRow(rand.New(rand.NewSource(int64(round))), ds, round)},
+				Updates: []etl.RowUpdate{{Row: round, Vals: row("hospital", "prescriptions", round+1)}}, Deletes: []int{rx.NumRows() - 1}},
+			{Source: "familydoctors", Table: "familydoctor", Inserts: []relation.Row{{relation.Str(" " + ds.PatientNames[round] + " "), relation.Str("Dr. Who")}}},
+			{Source: "healthagency", Table: "drugcost", Updates: []etl.RowUpdate{{Row: 0, Vals: cost}}},
+			{Source: "municipality", Table: "residents", Updates: []etl.RowUpdate{{Row: round, Vals: row("municipality", "residents", round)}}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renderAll()
+	delta(0)
+	steps := len(e.Graph.Steps())
+	for round := 1; round <= 2; round++ {
+		renderAll()
+		delta(round)
+		if _, err := e.RunETL(HealthcarePipeline(e), false); err != nil {
+			t.Fatal(err)
+		}
+		renderAll()
+		if got := len(e.Graph.Steps()); got != steps {
+			t.Fatalf("round %d: the graph holds %d steps, %d after the first render and delta", round, got, steps)
+		}
+	}
+	if up := e.Graph.Upstream("drug-consumption"); len(up) == 0 || len(up) > steps {
+		t.Errorf("drug-consumption derives from %d steps", len(up))
 	}
 }

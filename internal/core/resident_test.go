@@ -9,6 +9,7 @@ import (
 
 	"plabi/internal/etl"
 	"plabi/internal/fault"
+	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/workload"
@@ -194,6 +195,73 @@ func TestConcurrentFirstRendersShareVectors(t *testing.T) {
 			if len(seen[0]) != len(seen[w]) || seen[w][ci] != seen[0][ci] {
 				t.Fatalf("worker %d read its own vector of column %d", w, ci)
 			}
+		}
+	}
+	verifyResident(t, e)
+}
+
+// TestRebuildKeepsDictionary: the distinct-support dictionary belongs to a
+// version of a base table. A RunETL over unchanged sources registers the
+// same versions again, so the render after it reads the dictionary the
+// render before published. A delta that updates and deletes patients
+// carries it to the new version, which then counts what a dictionary built
+// from that version counts.
+func TestRebuildKeepsDictionary(t *testing.T) {
+	cfg := workload.DefaultConfig(9)
+	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
+	e, _, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyst := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
+	dict := func() []int32 {
+		rx, _ := e.Catalog.Table("prescriptions")
+		codes, _, ok := rx.DistinctCodes(rx.Schema.Index("patient"))
+		if !ok || len(codes) == 0 {
+			t.Fatal("prescriptions.patient has no dictionary")
+		}
+		return codes
+	}
+	first := renderKey(e, "drug-consumption", analyst)
+	before := dict()
+	if _, err := e.RunETL(HealthcarePipeline(e), false); err != nil {
+		t.Fatal(err)
+	}
+	if after := dict(); &after[0] != &before[0] {
+		t.Error("a RunETL over unchanged sources rebuilt the prescriptions dictionary")
+	}
+	if again := renderKey(e, "drug-consumption", analyst); again != first {
+		t.Errorf("render after the rebuild:\n%s\nbefore it:\n%s", again, first)
+	}
+
+	rx := sourceTable(t, e, "hospital", "prescriptions")
+	pc := rx.Schema.Index("patient")
+	stranger, known := rx.Rows[1].Clone(), rx.Rows[2].Clone()
+	stranger[pc], known[pc] = relation.Str("Nobody Of Nowhere"), rx.Rows[5][pc]
+	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
+		Updates: []etl.RowUpdate{{Row: 1, Vals: stranger}, {Row: 2, Vals: known}},
+		Deletes: []int{0, 7, rx.NumRows() - 1}}}}); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := e.Catalog.Table("prescriptions")
+	fresh := provenance.NewTracer()
+	fresh.RegisterBase(next.Clone())
+	def, _ := e.Reports.Get("drug-consumption")
+	sel, err := def.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := e.Catalog.Exec(sel)
+	if err != nil || raw.NumRows() == 0 {
+		t.Fatalf("raw drug-consumption: %v", err)
+	}
+	for i := 0; i < raw.NumRows(); i++ {
+		rt, err := e.Tracer.TraceRow(raw, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Tracer.DistinctSupport(rt, "prescriptions", "patient"), fresh.DistinctSupport(rt, "prescriptions", "patient"); got != want {
+			t.Errorf("group %d: %d distinct patients, a fresh dictionary %d", i, got, want)
 		}
 	}
 	verifyResident(t, e)

@@ -9,6 +9,7 @@ package provenance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,24 +69,23 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 	if ci < 0 {
 		return 0
 	}
-	// Dictionary-encode the column once per (table, column) —
-	// relation.MapKey partitions values into exactly Value.Key's
-	// equivalence classes, so dense codes count the same distincts — and
-	// every subsequent threshold check is an array scan over a
+	// The base's dictionary codes — relation.MapKey partitions values into
+	// exactly Value.Key's equivalence classes, so dense codes count the same
+	// distincts — make every threshold check an array scan over a
 	// seen-bitset instead of one hash probe per supporting row.
-	d := t.colDict(table, base, ci)
-	if d == nil {
+	codes, card, ok := base.DistinctCodes(ci)
+	if !ok {
 		// Segment-backed base whose store failed mid-build: fall back to
 		// the per-ref path, which degrades per cell instead of per column.
 		return t.distinctSupportRows(rt, base, table, ci)
 	}
-	seen := make([]uint64, (d.card+63)/64)
+	seen := make([]uint64, (card+63)/64)
 	n := 0
 	for _, ref := range tableRun(rt.Rows, table) {
-		if ref.Row < 0 || ref.Row >= base.NumRows() {
+		if ref.Row < 0 || ref.Row >= len(codes) {
 			continue
 		}
-		if c := d.codes[ref.Row]; seen[c>>6]&(1<<(c&63)) == 0 {
+		if c := codes[ref.Row]; seen[c>>6]&(1<<(c&63)) == 0 {
 			seen[c>>6] |= 1 << (c & 63)
 			n++
 		}
@@ -123,126 +123,12 @@ func (t *Tracer) distinctSupportRows(rt RowTrace, base *relation.Table, table st
 	return len(seen)
 }
 
-// colDict is a dictionary encoding of one base-table column: codes[row]
-// is a dense id of the value's Key-equivalence class, below card. Readers
-// only ever touch codes and card, which are never written once the
-// dictionary is visible, and only ever compare codes for equality. ids
-// retains the value-to-code assignment so a base refresh can encode the
-// rows an edit brought instead of every row; it belongs to whoever holds
-// the tracer's write lock and is handed on from one version of the
-// dictionary to the next.
-type colDict struct {
-	codes []int32
-	card  int
-	ids   map[relation.ValKey]int32
-}
-
-// encode returns the code of v, assigning the next free one to a value
-// not seen before.
-func (d *colDict) encode(v relation.Value) int32 {
-	k := relation.MapKey(v)
-	id, ok := d.ids[k]
-	if !ok {
-		id = int32(len(d.ids))
-		d.ids[k] = id
-	}
-	return id
-}
-
-// edited returns the dictionary of base, the table e leads to from the
-// one d encodes: the codes of removed rows are dropped, the rows e
-// brought are encoded against the retained ids, everything else is
-// copied. Copy-on-write where readers look: they keep using d's codes
-// and card. A value that left the table keeps its code, so card only
-// bounds the codes in use; once the assignment has outgrown the table
-// twice over the dictionary is given up (ok false) and the next reader
-// builds a tight one.
-func (d *colDict) edited(base *relation.Table, ci int, e relation.Edit) (*colDict, bool) {
-	n := base.NumRows()
-	dirty, err := e.Dirty(n)
-	if err != nil || len(d.codes) != n-e.Appended+len(e.Removed) {
-		return nil, false
-	}
-	nd := &colDict{codes: make([]int32, 0, n), ids: d.ids}
-	from := 0
-	for _, ri := range e.Removed {
-		nd.codes = append(nd.codes, d.codes[from:ri]...)
-		from = ri + 1
-	}
-	nd.codes = append(nd.codes, d.codes[from:]...)
-	nd.codes = nd.codes[:n]
-	for _, ri := range dirty {
-		v, err := base.ValueAt(ri, ci)
-		if err != nil {
-			return nil, false
-		}
-		nd.codes[ri] = nd.encode(v)
-	}
-	nd.card = len(nd.ids)
-	return nd, nd.card <= 2*n+64
-}
-
-// colDict returns the dictionary encoding of column ci of base, the
-// caller's view of the registered table. The cache holds encodings of the
-// currently registered version only: RegisterBase drops them, EditBase
-// patches them. A caller whose base has been swapped out since it read it
-// neither uses nor fills the cache — it gets a private dictionary of its
-// own base — so a cached dictionary always covers every row of the
-// table it is cached beside. The returned dict is immutable, so
-// concurrent enforcement workers share it safely.
-func (t *Tracer) colDict(table string, base *relation.Table, ci int) *colDict {
-	key := strings.ToLower(table)
-	t.mu.RLock()
-	d, ok := t.dicts[key][ci]
-	current := t.bases[key] == base
-	t.mu.RUnlock()
-	if ok && current {
-		return d
-	}
-	n := base.NumRows()
-	ids := make(map[relation.ValKey]int32, n)
-	d = &colDict{codes: make([]int32, n), ids: ids}
-	// An in-memory base is read as its column's typed vector — resident
-	// when the base is registered; ValueAt walks a segment-backed base
-	// sequentially, keeping one decoded partition in memory, and fails the
-	// build closed. First-seen code order is identical either way.
-	var vec *relation.Vector
-	if len(base.Rows) == n {
-		vec, _ = relation.NewBatch(base).Col(ci) // in memory: cannot fail
-	}
-	for ri := 0; ri < n; ri++ {
-		if vec != nil {
-			d.codes[ri] = d.encode(vec.Value(ri))
-			continue
-		}
-		v, err := base.ValueAt(ri, ci)
-		if err != nil {
-			return nil
-		}
-		d.codes[ri] = d.encode(v)
-	}
-	d.card = len(ids)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.bases[key] != base {
-		return d // swapped while encoding: d describes base, not the registered table
-	}
-	if t.dicts == nil {
-		t.dicts = map[string]map[int]*colDict{}
-	}
-	if t.dicts[key] == nil {
-		t.dicts[key] = map[int]*colDict{}
-	}
-	t.dicts[key][ci] = d
-	return d
-}
-
-// Tracer resolves lineage references against registered base tables.
-// It is safe for concurrent use.
+// Tracer resolves lineage references against registered base tables: it
+// maps each name to the table's current version. It is safe for concurrent
+// use.
 type Tracer struct {
 	mu    sync.RWMutex
 	bases map[string]*relation.Table
-	dicts map[string]map[int]*colDict // table -> column index -> encoding
 }
 
 // NewTracer returns an empty tracer.
@@ -251,52 +137,18 @@ func NewTracer() *Tracer {
 }
 
 // RegisterBase registers (or replaces) a base table so its cells can be
-// resolved during tracing.
+// resolved during tracing. It freezes the table, as sql.Catalog.Register
+// does, so its distinct-support dictionaries are built once per version and
+// carried to the next by relation.ApplyEdit.
 func (t *Tracer) RegisterBase(tb *relation.Table) {
+	tb.Freeze()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := strings.ToLower(tb.Name)
-	t.bases[key] = tb
-	delete(t.dicts, key) // cached encodings no longer describe the table
+	t.bases[strings.ToLower(tb.Name)] = tb
 }
 
-// EditBase swaps in the version of a registered base table that the edit
-// e leads to, and patches the cached column dictionaries with the same
-// edit instead of dropping them. An unregistered name, or an edit that
-// does not lead from the registered version's row count to tb's, degrades
-// to RegisterBase semantics. The table and its dictionaries swap under
-// one critical section, so a reader that sees the new table also sees
-// dictionaries covering all of its rows.
-func (t *Tracer) EditBase(tb *relation.Table, e relation.Edit) {
-	key := strings.ToLower(tb.Name)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old, ok := t.bases[key]
-	t.bases[key] = tb
-	if !ok || old.NumRows() != tb.NumRows()-e.Appended+len(e.Removed) {
-		delete(t.dicts, key)
-		return
-	}
-	for ci, d := range t.dicts[key] {
-		if nd, ok := d.edited(tb, ci, e); ok {
-			t.dicts[key][ci] = nd
-		} else {
-			delete(t.dicts[key], ci)
-		}
-	}
-}
-
-// RefreshBase is EditBase for a pure append: the new version is the old
-// one with rows appended starting at index appendFrom. A negative
-// appendFrom says the change has no such shape and drops the
-// dictionaries.
-func (t *Tracer) RefreshBase(tb *relation.Table, appendFrom int) {
-	if appendFrom < 0 {
-		t.RegisterBase(tb)
-		return
-	}
-	t.EditBase(tb, relation.Edit{Appended: tb.NumRows() - appendFrom})
-}
+// RefreshBase is RegisterBase; appendFrom is ignored.
+func (t *Tracer) RefreshBase(tb *relation.Table, appendFrom int) { t.RegisterBase(tb) }
 
 func (t *Tracer) base(name string) (*relation.Table, bool) {
 	t.mu.RLock()
@@ -415,8 +267,8 @@ func noteSuffix(n string) string {
 	return " // " + n
 }
 
-// Graph is an append-only transformation graph. It is safe for concurrent
-// use.
+// Graph is a transformation graph holding each distinct step once. It is
+// safe for concurrent use.
 type Graph struct {
 	mu       sync.RWMutex
 	steps    []Step
@@ -428,15 +280,24 @@ func NewGraph() *Graph {
 	return &Graph{byOutput: map[string][]int{}}
 }
 
-// AddStep appends a transformation step and returns its id.
+// AddStep records a transformation step and returns its id. A step equal
+// to a recorded one in op, inputs, output and note is that step: its row
+// counts are updated, so re-running a pipeline, a delta or a render leaves
+// the graph its size.
 func (g *Graph) AddStep(op string, inputs []string, output, note string, rowsIn, rowsOut int) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	key := strings.ToLower(output)
+	for _, id := range g.byOutput[key] {
+		if s := &g.steps[id]; s.Op == op && s.Output == output && s.Note == note && slices.Equal(s.Inputs, inputs) {
+			s.RowsIn, s.RowsOut = rowsIn, rowsOut
+			return id
+		}
+	}
 	id := len(g.steps)
 	s := Step{ID: id, Op: op, Inputs: append([]string(nil), inputs...), Output: output,
 		Note: note, RowsIn: rowsIn, RowsOut: rowsOut}
 	g.steps = append(g.steps, s)
-	key := strings.ToLower(output)
 	g.byOutput[key] = append(g.byOutput[key], id)
 	return id
 }

@@ -152,6 +152,26 @@ func TestGraphUpstream(t *testing.T) {
 	}
 }
 
+// TestAddStepRecordsEachStepOnce: recording a step again updates its row
+// counts and returns its id; a step differing in any of op, inputs, output
+// or note is another step.
+func TestAddStepRecordsEachStepOnce(t *testing.T) {
+	g := NewGraph()
+	id := g.AddStep("render", []string{"rx_wide"}, "drug-consumption", "consumer ana", 0, 4)
+	if again := g.AddStep("render", []string{"rx_wide"}, "drug-consumption", "consumer ana", 0, 5); again != id {
+		t.Errorf("the same step again got id %d, want %d", again, id)
+	}
+	if s := g.Steps(); len(s) != 1 || s[0].RowsOut != 5 {
+		t.Errorf("steps = %v, want the one step with 5 rows out", s)
+	}
+	g.AddStep("render", []string{"rx_wide"}, "drug-consumption", "consumer bob", 0, 4)
+	g.AddStep("render", []string{"rx_wide", "residents"}, "drug-consumption", "consumer ana", 0, 4)
+	g.AddStep("render", []string{"rx_wide"}, "age-profile", "consumer ana", 0, 4)
+	if n := len(g.Steps()); n != 4 {
+		t.Errorf("%d steps, want 4", n)
+	}
+}
+
 func TestGraphUpstreamPartial(t *testing.T) {
 	g := NewGraph()
 	g.AddStep("extract", []string{"a"}, "b", "", 1, 1)
@@ -166,11 +186,11 @@ func TestGraphUpstreamPartial(t *testing.T) {
 }
 
 // TestDistinctSupportDuringAppendRefresh interleaves first-use dictionary
-// builds with RefreshBase and EditBase swaps (appends, in-place updates,
-// mid-table removals). A dictionary encoded from a
-// base that was swapped out mid-encode covers fewer rows than the table
-// now registered; cached beside it, the next DistinctSupport indexes past
-// its codes and the next RefreshBase slices past them in extend.
+// builds with version swaps. The writer makes each version from the last
+// with relation.ApplyEdit — an append, which grows the arrays in place, an
+// in-place update, a mid-table removal — carrying whatever dictionaries the
+// readers published, and registers it. Under -race, no build or carry
+// writes where a reader of another version looks.
 func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	const nCols, nRows = 16, 5000
 	cols := make([]relation.Column, nCols)
@@ -204,9 +224,9 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	readerDone := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	cur := base
 	go func() { // writer: append, update or replace one row, swap, repeat until the reader is through
 		defer wg.Done()
-		cur := base
 		for step := 0; cur.NumRows() < 2*nRows; step++ {
 			select {
 			case <-readerDone:
@@ -214,116 +234,40 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 			default:
 			}
 			n := cur.NumRows()
-			next := relation.NewBase("facts", schema)
-			next.Rows = append(cur.Rows[:n:n], rowAt(n))
+			e, repl := relation.Edit{Appended: 1}, rowAt(n)
 			switch step % 3 {
-			case 0:
-				tr.RefreshBase(next, n)
 			case 1: // the same values again, in place
-				next.Rows = append([]relation.Row(nil), cur.Rows...)
-				next.Rows[n/2] = rowAt(n / 2)
-				tr.EditBase(next, relation.Edit{Updated: []int{n / 2}})
+				e, repl = relation.Edit{Updated: []int{n / 2}}, rowAt(n/2)
 			case 2: // the middle row goes, the next one arrives
-				next.Rows = append(append([]relation.Row(nil), cur.Rows[:n/2]...), cur.Rows[n/2+1:]...)
-				next.Rows = append(next.Rows, rowAt(n))
-				tr.EditBase(next, relation.Edit{Removed: []int{n / 2}, Appended: 1})
+				e.Removed = []int{n / 2}
 			}
+			next, err := relation.ApplyEdit(cur, e, &relation.Table{Name: "facts", Schema: schema, Base: true, Rows: []relation.Row{repl}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tr.RegisterBase(next)
 			cur = next
 		}
 	}()
-	for pass := 0; pass < 2; pass++ { // pass 0 builds each dictionary, pass 1 reads it back extended
-		for c := 0; c < nCols; c++ {
-			if n := tr.DistinctSupport(rt, "facts", cols[c].Name); n != c+2 {
-				t.Errorf("pass %d: distinct support of %s = %d, want %d", pass, cols[c].Name, n, c+2)
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ { // racing first-use builds of one version's dictionaries
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for pass := 0; pass < 2; pass++ { // pass 0 builds each dictionary, pass 1 reads it back carried
+				for c := 0; c < nCols; c++ {
+					if n := tr.DistinctSupport(rt, "facts", cols[c].Name); n != c+2 {
+						t.Errorf("pass %d: distinct support of %s = %d, want %d", pass, cols[c].Name, n, c+2)
+					}
+				}
 			}
-		}
+		}()
 	}
+	readers.Wait()
 	close(readerDone)
 	wg.Wait()
-}
-
-// TestEditBasePatchesDictionaries: after an update, a delete from the
-// middle and a delete from the end, the cached column dictionary is the
-// old one patched — same value-to-code assignment, no rebuild — and
-// counts exactly what a dictionary built from the new version counts.
-func TestEditBasePatchesDictionaries(t *testing.T) {
-	schema := relation.NewSchema(relation.Col("patient", relation.TString), relation.Col("n", relation.TInt))
-	version := func(patients ...string) *relation.Table {
-		tb := relation.NewBase("rx", schema)
-		for i, p := range patients {
-			tb.AppendVals(relation.Str(p), relation.Int(int64(i)))
-		}
-		return tb
-	}
-	all := func(tb *relation.Table) RowTrace {
-		var rt RowTrace
-		for r := 0; r < tb.NumRows(); r++ {
-			rt.Rows = append(rt.Rows, relation.RowRef{Table: "rx", Row: r})
-		}
-		return rt
-	}
-	cur := version("ann", "bob", "ann", "cy", "dee", "bob")
-	tr := NewTracer()
-	tr.RegisterBase(cur)
-	if got := tr.DistinctSupport(all(cur), "rx", "patient"); got != 4 {
-		t.Fatalf("distinct patients = %d, want 4", got)
-	}
-	ids := tr.dicts["rx"][0].ids
-	steps := []struct {
-		name string
-		next *relation.Table
-		edit relation.Edit
-		want int
-	}{
-		{"update to a new and to a known value", version("eve", "bob", "ann", "cy", "ann", "bob"),
-			relation.Edit{Updated: []int{0, 4}}, 4},
-		{"mid-table delete with an append", version("eve", "ann", "cy", "ann", "bob", "fay"),
-			relation.Edit{Removed: []int{1}, Appended: 1}, 5},
-		{"tail delete", version("eve", "ann", "cy", "ann"),
-			relation.Edit{Removed: []int{4, 5}}, 3},
-		{"update behind a delete", version("ann", "cy", "gus"),
-			relation.Edit{Removed: []int{0}, Updated: []int{3}}, 3},
-	}
-	for _, st := range steps {
-		tr.EditBase(st.next, st.edit)
-		d := tr.dicts["rx"][0]
-		if d == nil || len(d.codes) != st.next.NumRows() {
-			t.Fatalf("%s: dictionary dropped or short: %+v", st.name, d)
-		}
-		if fmt.Sprintf("%p", d.ids) != fmt.Sprintf("%p", ids) {
-			t.Errorf("%s: the value-to-code assignment was rebuilt", st.name)
-		}
-		fresh := NewTracer()
-		fresh.RegisterBase(st.next)
-		got, want := tr.DistinctSupport(all(st.next), "rx", "patient"), fresh.DistinctSupport(all(st.next), "rx", "patient")
-		if got != want || got != st.want {
-			t.Errorf("%s: distinct patients = %d, a fresh dictionary says %d, want %d", st.name, got, want, st.want)
-		}
-		cur = st.next
-	}
-
-	// An edit that does not lead from the registered version to the new
-	// one drops the dictionaries instead of patching them wrong.
-	tr.EditBase(version("ann", "cy"), relation.Edit{Removed: []int{0, 1}})
-	if len(tr.dicts["rx"]) != 0 {
-		t.Error("an edit with the wrong row count kept the dictionaries")
-	}
-	if got := tr.DistinctSupport(all(version("ann", "cy")), "rx", "patient"); got != 2 {
-		t.Errorf("after the drop: distinct patients = %d, want 2", got)
-	}
-
-	// Values that left the table keep their codes; once they outnumber
-	// the rows twice over the dictionary is given up for a tight one.
-	cur = version("ann", "cy")
-	for i := 0; i < 80; i++ {
-		next := version(fmt.Sprintf("p%d", i), "cy")
-		tr.EditBase(next, relation.Edit{Updated: []int{0}})
-		cur = next
-	}
-	if d := tr.dicts["rx"][0]; d != nil {
-		t.Errorf("dictionary of a 2-row table kept %d codes", d.card)
-	}
-	if got := tr.DistinctSupport(all(cur), "rx", "patient"); got != 2 {
-		t.Errorf("after giving up: distinct patients = %d, want 2", got)
+	if err := relation.VerifyResident(cur); err != nil {
+		t.Error(err)
 	}
 }

@@ -122,12 +122,13 @@ func TestApplyEditMatchesRebuild(t *testing.T) {
 }
 
 // publish has readers build every part of tb's resident form: each column's
-// vector and join index, and the lineage columns.
+// vector, join index and dictionary, and the lineage columns.
 func publish(t *testing.T, tb *Table) {
 	t.Helper()
 	for ci := range tb.Schema.Columns {
 		col(t, tb, ci)
 		tb.hashIndex(ci)
+		codes(t, tb, ci)
 	}
 	tb.lineageColumns()
 }

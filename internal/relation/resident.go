@@ -16,7 +16,7 @@ import (
 // ever invalidates it. Each part is built by the first reader that asks and
 // published with an atomic pointer; a reader losing that race drops its
 // copy and uses the published one. ApplyEdit hands the next version the
-// published vectors and lineage columns, edited the same way (carry).
+// published vectors, dictionaries and lineage columns, edited alike (carry).
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -27,7 +27,61 @@ type resident struct {
 	// keys holds, per column of an in-memory table, the hash index the
 	// single-key join builds over it as its right side.
 	keys []atomic.Pointer[joinIndex]
+	// dict holds each column's distinct-support dictionary (DistinctCodes).
+	dict []atomic.Pointer[valueDict]
 	lin  atomic.Pointer[lineageCols]
+}
+
+// valueDict is one column's DistinctCodes. Readers touch codes and card
+// only; ids, the value-to-code assignment, is append-only, written by the
+// build and then only by the one successor that claims it (carry).
+type valueDict struct {
+	codes   []int32
+	card    int
+	ids     map[ValKey]int32
+	claimed atomic.Bool
+}
+
+// encode returns the code of v, assigning the next free one to a new value.
+func (d *valueDict) encode(v Value) int32 {
+	k := MapKey(v)
+	if id, ok := d.ids[k]; ok {
+		return id
+	}
+	d.ids[k] = int32(len(d.ids))
+	return d.ids[k]
+}
+
+// DistinctCodes returns column ci's distinct-support dictionary: rows share
+// a code exactly when their values are equal under MapKey (NULL included),
+// and card bounds every code. A frozen table builds it once per version, in
+// first-seen order, from its column vector or by a sequential ValueAt walk,
+// and ApplyEdit carries it on. ok is false when a cell cannot be read.
+func (t *Table) DistinctCodes(ci int) (codes []int32, card int, ok bool) {
+	r := t.frozen()
+	if r != nil {
+		if d := r.dict[ci].Load(); d != nil {
+			return d.codes, d.card, true
+		}
+	}
+	at := func(ri int) (Value, error) { return t.ValueAt(ri, ci) }
+	if t.seg == nil {
+		vec := t.column(ci)
+		at = func(ri int) (Value, error) { return vec.Value(ri), nil }
+	}
+	d := &valueDict{codes: make([]int32, t.NumRows()), ids: make(map[ValKey]int32, t.NumRows())}
+	for ri := range d.codes {
+		v, err := at(ri)
+		if err != nil {
+			return nil, 0, false
+		}
+		d.codes[ri] = d.encode(v)
+	}
+	d.card = len(d.ids)
+	if r != nil && !r.dict[ci].CompareAndSwap(nil, d) {
+		d = r.dict[ci].Load()
+	}
+	return d.codes, d.card, true
 }
 
 // joinIndex maps the MapKey of every non-null cell of one column to the
@@ -60,8 +114,8 @@ var notColumnar = &lineageCols{}
 
 // Freeze declares the table's rows and lineage final and lets readers keep
 // their columnar form beside it. It is for whoever publishes a table to
-// concurrent readers — sql.Catalog.Register and Refresh — and must be
-// called before the table is shared. Append drops the form again; a write
+// concurrent readers — sql.Catalog.Register and Refresh, and the provenance
+// tracer's RegisterBase — and must be called before the table is shared. Append drops the form again; a write
 // into a frozen table's rows or lineage sets is a bug VerifyResident finds.
 func (t *Table) Freeze() {
 	if t.res != nil && t.res.rows == t.NumRows() {
@@ -72,7 +126,7 @@ func (t *Table) Freeze() {
 
 // newResident returns the empty resident form of t's current version.
 func newResident(t *Table) *resident {
-	r := &resident{rows: t.NumRows()}
+	r := &resident{rows: t.NumRows(), dict: make([]atomic.Pointer[valueDict], t.Schema.Len())}
 	if t.seg == nil {
 		r.cols = make([]atomic.Pointer[Vector], t.Schema.Len())
 		r.keys = make([]atomic.Pointer[joinIndex], t.Schema.Len())
@@ -180,12 +234,12 @@ func (lc *lineageCols) Swap(i, j int) {
 }
 
 // carry returns the resident form of out, the version of old that edit e
-// leads to (dirty: the rows it brought, final in out): each vector and the
-// lineage columns readers published on old, edited the same way, and
-// nothing else — a part not published stays for out's readers to build,
-// and a join index is never carried. A part whose edited form would differ
-// from what out's own readers would build is not carried either. grow says
-// the caller holds old's tail, so arrays with room to spare grow in place.
+// leads to (dirty: the rows it brought, final in out): each vector,
+// dictionary and the lineage columns readers published on old, edited the
+// same way, and nothing else — a part not published, a join index and a
+// dictionary an earlier successor claimed stay for out's readers to build,
+// as does a part whose edited form would differ from what they would build.
+// grow says the caller holds old's tail: arrays with room grow in place.
 func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
 	r := old.frozen()
 	if r == nil {
@@ -196,6 +250,13 @@ func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
 		if v := r.cols[ci].Load(); v != nil {
 			if w := editVector(v, out, ci, e, dirty, grow); w != nil {
 				nr.cols[ci].Store(w)
+			}
+		}
+	}
+	for ci := range r.dict {
+		if d := r.dict[ci].Load(); d != nil && d.claimed.CompareAndSwap(false, true) {
+			if nd := editDict(d, out, ci, e, dirty, grow); nd != nil {
+				nr.dict[ci].Store(nd)
 			}
 		}
 	}
@@ -274,6 +335,22 @@ func editVector(v *Vector, out *Table, ci int, e Edit, dirty []int, grow bool) *
 	return w
 }
 
+// editDict is d, column ci's dictionary of the version an edit came from,
+// spliced for out like a vector, the dirty rows encoded against d's ids.
+// A value that left the table keeps its code, so card only bounds the codes
+// in use; once it outgrows the table twice over, out's readers build anew.
+func editDict(d *valueDict, out *Table, ci int, e Edit, dirty []int, grow bool) *valueDict {
+	n := len(out.Rows)
+	nd := &valueDict{codes: editArray(d.codes, e, n, grow), ids: d.ids}
+	for _, ri := range dirty {
+		nd.codes[ri] = nd.encode(out.Rows[ri][ci])
+	}
+	if nd.card = len(nd.ids); nd.card > 2*n+64 {
+		return nil
+	}
+	return nd
+}
+
 // editLineageCols is lc, the lineage columns of the version an edit came
 // from, spliced for out: each column cut and grown with editArray, the
 // ordinals of kept rows renumbered past the rows e.Shift says their table
@@ -318,7 +395,8 @@ func editLineageCols(lc *lineageCols, out *Table, e Edit, dirty []int, grow bool
 
 // VerifyResident re-derives whatever columnar form readers have published
 // for t, or an edit carried to it — each column vector and join index from
-// t.Rows, the lineage columns from t.Lineage — and reports the first cell
+// t.Rows, each dictionary from t's cells, the lineage columns from
+// t.Lineage — and reports the first cell
 // where the published form differs: the trace of a write into a table after
 // it was frozen, or of a carry that edited a part wrongly. Tests call it
 // after runs, or rounds, that interleave renders with writes.
@@ -356,6 +434,28 @@ func VerifyResident(t *Table) error {
 				return fmt.Errorf("relation: %s: resident join index of column %s maps %v to rows %v, the table to %v",
 					t.Name, t.Schema.Columns[ci].Name, k, (*got)[k], rows)
 			}
+		}
+	}
+	for ci := range r.dict {
+		d := r.dict[ci].Load()
+		if d == nil {
+			continue
+		}
+		if len(d.codes) != r.rows {
+			return fmt.Errorf("relation: %s: dictionary of column %s has %d codes for %d rows", t.Name, t.Schema.Columns[ci].Name, len(d.codes), r.rows)
+		}
+		keys, used := map[ValKey]int32{}, make([]bool, d.card)
+		for ri, c := range d.codes {
+			v, err := t.ValueAt(ri, ci)
+			if err != nil {
+				return err
+			}
+			had, ok := keys[MapKey(v)]
+			if c < 0 || int(c) >= d.card || (ok && had != c) || (!ok && used[c]) {
+				return fmt.Errorf("relation: %s: dictionary of column %s codes %v at row %d as %d (card %d), not one code per value",
+					t.Name, t.Schema.Columns[ci].Name, v, ri, c, d.card)
+			}
+			keys[MapKey(v)], used[c] = c, true
 		}
 	}
 	got := r.lin.Load()

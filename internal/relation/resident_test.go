@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -192,6 +193,16 @@ func TestGroupByStateOverFrozenPieces(t *testing.T) {
 	}
 }
 
+// codes reads column ci of tb's dictionary codes the way the tracer does.
+func codes(t *testing.T, tb *Table, ci int) []int32 {
+	t.Helper()
+	c, _, ok := tb.DistinctCodes(ci)
+	if !ok {
+		t.Fatalf("column %d of %s has no dictionary", ci, tb.Name)
+	}
+	return c
+}
+
 // col reads column ci of tb the way an operator does.
 func col(t *testing.T, tb *Table, ci int) *Vector {
 	t.Helper()
@@ -249,11 +260,14 @@ func applyWide(t *testing.T, old, nb *Table, e Edit) *Table {
 
 // requireFreshParts fails unless every part carried to tb is what tb's own
 // readers would build: each vector array for array, the lineage columns
-// table for table.
+// table for table, each dictionary up to the order of its codes.
 func requireFreshParts(t *testing.T, label string, tb *Table) {
 	t.Helper()
 	if tb.res == nil {
 		return
+	}
+	if err := VerifyResident(tb); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	for ci := range tb.res.cols {
 		if v := tb.res.cols[ci].Load(); v != nil && !sameVector(v, NewVector(tb, ci)) {
@@ -331,16 +345,20 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Error("Rename does not share the resident join index")
 	}
 	base.lineageColumns()
+	dict := codes(t, base, 0)
+	if &codes(t, base, 0)[0] != &dict[0] || &codes(t, Rename(base, "f"), 0)[0] != &dict[0] {
+		t.Error("a frozen table, or its renamed view, built its dictionary twice")
+	}
 
 	// Clone, Shell, Select and Materialize's copy share nothing.
-	if c := base.Clone(); c.res != nil || col(t, c, 0) == v {
+	if c := base.Clone(); c.res != nil || col(t, c, 0) == v || &codes(t, c, 0)[0] == &dict[0] {
 		t.Error("Clone shares the resident form")
 	}
 	if s := base.Shell(); s.res != nil {
 		t.Error("Shell shares the resident form")
 	}
 	sel, err := Select(base, Eq(ColRefExpr("k"), Lit(Str("k1"))))
-	if err != nil || sel.res != nil || len(sel.Rows) != 10 {
+	if err != nil || sel.res != nil || len(sel.Rows) != 10 || &codes(t, sel, 0)[0] == &dict[0] {
 		t.Errorf("Select over a frozen table: %v, res %v, %d rows", err, sel.res, len(sel.Rows))
 	}
 	spilled, _ := segSpill(t, base, 16)
@@ -364,10 +382,10 @@ func TestFreezeLifecycle(t *testing.T) {
 	}
 	nb.AppendVals(Null(), Int(40))
 	edited := applyWide(t, base, nb, Edit{Removed: []int{5}, Updated: []int{3}, Appended: 1, Shift: map[string][]int{"b": {5}}})
-	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.lin.Load() == nil {
+	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.lin.Load() == nil || edited.res.dict[0].Load() == nil {
 		t.Fatal("ApplyEdit of a frozen table did not carry the published parts")
 	}
-	if edited.res.cols[1].Load() != nil || edited.res.keys[0].Load() != nil {
+	if edited.res.cols[1].Load() != nil || edited.res.keys[0].Load() != nil || edited.res.dict[1].Load() != nil {
 		t.Error("ApplyEdit built a part no reader had published")
 	}
 	if err := VerifyResident(edited); err != nil {
@@ -380,18 +398,29 @@ func TestFreezeLifecycle(t *testing.T) {
 	// Two successors of one version, as a rolled-back delta and its retry
 	// make them: both equal a recompute; the first grows the version's arrays
 	// in place, the second copies; the version reads the same throughout.
+	// Only the first takes over the dictionary's value-to-code assignment;
+	// the second's readers build their own, which leaves the first's alone.
 	col(t, edited, 1) // built by a reader: no room to grow into, so copied
 	rows, vals := snapshot(t, edited)
 	first, _ := appendWide(t, edited, nb, 2)
 	requireUnchanged(t, "after the first successor", edited, rows, vals)
+	firstIDs := maps.Clone(first.res.dict[0].Load().ids)
 	second, _ := appendWide(t, edited, nb, 3)
 	requireUnchanged(t, "after the second successor", edited, rows, vals)
+	if second.res.dict[0].Load() != nil {
+		t.Error("the second successor of a version carried its dictionary")
+	}
 	shares := func(a, b *Table) bool {
 		return &a.Rows[0] == &b.Rows[0] && &a.Lineage[0] == &b.Lineage[0] &&
-			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &a.lineageColumns().cols[0][0] == &b.lineageColumns().cols[0][0]
+			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &a.lineageColumns().cols[0][0] == &b.lineageColumns().cols[0][0] &&
+			&codes(t, a, 0)[0] == &codes(t, b, 0)[0]
 	}
 	if !shares(first, edited) || shares(second, edited) {
 		t.Errorf("first successor grew in place: %v, second: %v; want only the first", shares(first, edited), shares(second, edited))
+	}
+	codes(t, second, 0)
+	if ids := first.res.dict[0].Load().ids; reflect.ValueOf(ids).Pointer() == reflect.ValueOf(second.res.dict[0].Load().ids).Pointer() || !maps.Equal(ids, firstIDs) {
+		t.Error("the second successor shares, or wrote, the first's value-to-code assignment")
 	}
 	for _, s := range []*Table{first, second} {
 		if err := VerifyResident(s); err != nil {
@@ -407,6 +436,21 @@ func TestFreezeLifecycle(t *testing.T) {
 	}
 	if err := VerifyResident(odd); err != nil {
 		t.Error(err)
+	}
+
+	// A dictionary whose codes would outnumber the version's rows twice over
+	// is left for the version's readers to build tight.
+	wide := NewBase("w", NewSchema(Col("k", TInt)))
+	var gone []int
+	for i := 0; i < 100; i++ {
+		wide.AppendVals(Int(int64(i)))
+		gone = append(gone, i)
+	}
+	wide.Freeze()
+	codes(t, wide, 0)
+	shrunk, err := ApplyEdit(wide, Edit{Removed: gone[1:]}, nil)
+	if err != nil || shrunk.res.dict[0].Load() != nil || shrunk.res.cols[0].Load() == nil {
+		t.Errorf("a tail delete of 99 of 100 distinct rows: %v, dictionary carried %v", err, shrunk.res.dict[0].Load())
 	}
 
 	// Append takes the claim or copies: the claim on edited is gone, so an
@@ -432,6 +476,88 @@ func TestFreezeLifecycle(t *testing.T) {
 	base.Rows = append(base.Rows, Row{Str("k1"), Int(41)})
 	if got := col(t, base, 1); got.Len() != 42 {
 		t.Errorf("stale resident vector served: %d cells for 42 rows", got.Len())
+	}
+}
+
+// TestApplyEditCarriesDictionaries: after an update, a delete from the
+// middle and a delete from the end, a version's dictionary is its
+// predecessor's carried — the same value-to-code assignment, no rebuild —
+// and counts exactly what a dictionary built from the version counts. Churn
+// that leaves the assignment twice the table's size ends the carry.
+func TestApplyEditCarriesDictionaries(t *testing.T) {
+	schema := NewSchema(Col("patient", TString), Col("n", TInt))
+	rows := func(patients ...string) *Table {
+		tb := NewBase("rx", schema)
+		for i, p := range patients {
+			tb.AppendVals(Str(p), Int(int64(i)))
+		}
+		return tb
+	}
+	distinct := func(tb *Table) int {
+		c, card, _ := tb.DistinctCodes(0)
+		seen := make([]bool, card)
+		n := 0
+		for _, code := range c {
+			if !seen[code] {
+				seen[code], n = true, n+1
+			}
+		}
+		return n
+	}
+	cur := rows("ann", "bob", "ann", "cy", "dee", "bob")
+	cur.Freeze()
+	if got := distinct(cur); got != 4 {
+		t.Fatalf("distinct patients = %d, want 4", got)
+	}
+	ids := reflect.ValueOf(cur.res.dict[0].Load().ids).Pointer()
+	for _, st := range []struct {
+		name string
+		edit Edit
+		repl *Table
+		want int
+	}{
+		{"update to a new and to a known value", Edit{Updated: []int{0, 4}}, rows("eve", "ann"), 4},
+		{"mid-table delete with an append", Edit{Removed: []int{1}, Appended: 1}, rows("fay"), 5},
+		{"tail delete", Edit{Removed: []int{4, 5}}, nil, 3},
+		{"update behind a delete", Edit{Removed: []int{0}, Updated: []int{3}}, rows("gus"), 3},
+	} {
+		next, err := ApplyEdit(cur, st.edit, st.repl)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		d := next.res.dict[0].Load()
+		if d == nil || len(d.codes) != next.NumRows() {
+			t.Fatalf("%s: dictionary dropped or short: %+v", st.name, d)
+		}
+		if reflect.ValueOf(d.ids).Pointer() != ids {
+			t.Errorf("%s: the value-to-code assignment was rebuilt", st.name)
+		}
+		if got, want := distinct(next), distinct(plainCopy(next)); got != want || got != st.want {
+			t.Errorf("%s: distinct patients = %d, a fresh dictionary says %d, want %d", st.name, got, want, st.want)
+		}
+		if err := VerifyResident(next); err != nil {
+			t.Errorf("%s: %v", st.name, err)
+		}
+		cur = next
+	}
+
+	// Values that left the table keep their codes; once they outnumber the
+	// rows twice over the dictionary is given up for a tight one.
+	cur = rows("ann", "cy")
+	cur.Freeze()
+	distinct(cur)
+	for i := 0; i < 80; i++ {
+		next, err := ApplyEdit(cur, Edit{Updated: []int{0}}, rows(fmt.Sprintf("p%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+	}
+	if d := cur.res.dict[0].Load(); d != nil {
+		t.Errorf("dictionary of a 2-row table kept %d codes", d.card)
+	}
+	if got := distinct(cur); got != 2 {
+		t.Errorf("after giving up: distinct patients = %d, want 2", got)
 	}
 }
 
@@ -578,6 +704,26 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	ix.Rows[5][0] = Str("k99")
 	if err := VerifyResident(ix); err == nil || !strings.Contains(err.Error(), "join index of column key") {
 		t.Errorf("join key write not reported: %v", err)
+	}
+
+	// A dictionary code that joins two values, passes the cardinality, or
+	// splits one value. Rows 0–4 hold k00, k03, k02, k01, k00.
+	dt := linTable("d", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}} })
+	dt.Freeze()
+	c := codes(t, dt, 0)
+	if err := VerifyResident(dt); err != nil {
+		t.Fatal(err)
+	}
+	own := c[3]
+	for _, code := range []int32{c[1], 4} { // k01 under k03's code, then a code past card
+		c[3] = code
+		if err := VerifyResident(dt); err == nil || !strings.Contains(err.Error(), "dictionary of column key") || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("dictionary code %d at row 3 not reported: %v", code, err)
+		}
+	}
+	c[3], c[4] = own, own // k00 under k01's code as well as its own
+	if err := VerifyResident(dt); err == nil || !strings.Contains(err.Error(), "row 4") {
+		t.Errorf("one value under two codes not reported: %v", err)
 	}
 }
 
