@@ -76,12 +76,14 @@ scale-ceiling:
 chaos:
 	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run TestChaos ./internal/core -count=1 -v
 
-# Short fuzz campaigns over the SQL parser, the PLA DSL parser, the
-# columnar segment decoder, the entity-resolution matcher (against its
+# Short fuzz campaigns over the SQL parser, WHERE evaluation (a predicate
+# bound to a schema against the unbound expression), the PLA DSL parser,
+# the columnar segment decoder, the entity-resolution matcher (against its
 # reference) and delta edit scripts (incremental refresh against a full
 # rebuild); the checked-in corpora under */testdata/fuzz replay first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSelect -fuzztime $(FUZZTIME) ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzWhereEval -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzMatcher -fuzztime $(FUZZTIME) ./internal/etl

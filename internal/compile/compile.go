@@ -71,8 +71,8 @@ type Threshold struct {
 // BoundPredicate is a PLA predicate (row filter or intensional
 // condition) specialized for batch evaluation: referenced columns are
 // pre-resolved and the expression is bound to a fixed column layout, so
-// per-support-row evaluation performs no name lookups. Selected
-// reproduces relation.EvalPredicate byte for byte.
+// per-support-row evaluation performs no name lookups. Pred.Selected is
+// relation.EvalPredicate over the bound tree.
 type BoundPredicate struct {
 	// Expr is the original predicate, retained for evidence strings and
 	// Explain output.

@@ -483,8 +483,8 @@ func (e *Engine) observeETL(ctx context.Context, trace string) func(step, op, ou
 // On success the new source versions and changed staging outputs commit
 // via Catalog.Refresh — a new table version, not a new catalog
 // generation — so cached render plans survive and the next render reads
-// the new versions' resident columns. The provenance tracer patches its
-// column dictionaries with the same edit. Each changed source table is
+// the new versions' resident columns, each version carrying its own
+// distinct-support dictionaries forward. Each changed source table is
 // audited as a "delta" event: "+A rows, U updated, -R removed", or
 // "rebuilt at N rows" when its deltas did not compose.
 func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, error) {

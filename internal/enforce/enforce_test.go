@@ -2,6 +2,7 @@ package enforce
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,63 @@ func TestSourceReleaseConsentMetadata(t *testing.T) {
 	}
 	if out.Get(3, "patient").S != "***" {
 		t.Errorf("Math's name = %v", out.Get(3, "patient"))
+	}
+}
+
+// TestSourceReleaseSegmentBacked: releasing a spilled table releases
+// exactly what releasing its in-memory original does — same table, same
+// report — under every kind of source rule.
+func TestSourceReleaseSegmentBacked(t *testing.T) {
+	consent := metadata.NewStore()
+	if err := consent.AddKeyed(&metadata.KeyedMetadata{
+		Name: "patient-policies", Data: "prescriptions", DataKey: "patient",
+		Meta: workload.PoliciesFixture(), MetaKey: "patient",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := workload.Generate(workload.DefaultConfig(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := `pla "h" { owner "hospital"; level source; scope "prescriptions"; `
+	cases := []struct {
+		name  string
+		table *relation.Table
+		e     *SourceEnforcer
+	}{
+		{"row filter", workload.PrescriptionsFixture(),
+			&SourceEnforcer{Registry: registryWith(t, rx+`filter when disease <> 'HIV'; }`)}},
+		{"consent metadata", workload.PrescriptionsFixture(),
+			&SourceEnforcer{Registry: registryWith(t, rx+`allow attribute *; }`), Metadata: consent,
+				ConsentAliases: map[string]string{"name": "patient"}}},
+		{"pseudonym + generalize", workload.PrescriptionsFixture(),
+			&SourceEnforcer{Registry: registryWith(t, rx+`anonymize attribute patient using pseudonym;
+				anonymize attribute date using generalize level 3; }`)}},
+		{"k-anonymity + l-diversity", ds.Residents,
+			&SourceEnforcer{Registry: registryWith(t, `pla "m" { owner "municipality"; level source; scope "residents";
+				release kanonymity 5 quasi age, zip ldiversity 2 on municipality; }`)}},
+	}
+	for _, c := range cases {
+		store := relation.NewSegmentStore(t.TempDir())
+		store.SetPartitionRows(2)
+		spilled, err := store.Spill(c.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRep, err := c.e.Release(c.table)
+		if err != nil {
+			t.Fatalf("%s: in-memory release: %v", c.name, err)
+		}
+		got, gotRep, err := c.e.Release(spilled)
+		if err != nil {
+			t.Fatalf("%s: segment-backed release: %v", c.name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: released tables differ:\nsegment-backed:\n%s\nin-memory:\n%s", c.name, got, want)
+		}
+		if !reflect.DeepEqual(gotRep, wantRep) {
+			t.Errorf("%s: reports differ:\nsegment-backed: %+v\nin-memory:      %+v", c.name, gotRep, wantRep)
+		}
 	}
 }
 

@@ -65,12 +65,18 @@ type ReleaseReport struct {
 var MaskValue = relation.Str("***")
 
 // Release produces the BI-accessible version of a source table under its
-// source-level PLAs.
+// source-level PLAs. A segment-backed table is read into memory first:
+// consent, anonymization and the release rules work on its rows.
 func (e *SourceEnforcer) Release(t *relation.Table) (*relation.Table, *ReleaseReport, error) {
 	start := time.Now()
 	if err := e.Faults.Hit(context.Background(), fault.SiteReleaseSource); err != nil {
 		return nil, nil, fmt.Errorf("enforce: release %s: %w", t.Name, err)
 	}
+	mem, err := t.Materialize()
+	if err != nil {
+		return nil, nil, fmt.Errorf("enforce: release %s: %w", t.Name, err)
+	}
+	t = mem
 	comp := e.Registry.ForScope(policy.LevelSource, t.Name)
 	rep := &ReleaseReport{RowsIn: t.NumRows()}
 	cur := t

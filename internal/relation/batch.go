@@ -129,7 +129,7 @@ func (b *Batch) load(cols []int) error {
 }
 
 // table returns the batch as an in-memory table for the operators that
-// read rows (the join probe, the compiled-predicate fallback of Select):
+// read rows (the join probe, the bound-predicate fallback of Select):
 // the scanned table itself, or the partition's rows assembled from its
 // vectors under the table's name, schema and origins, with the lineage of
 // its row range — so an operator over it emits exactly what it would over
@@ -214,8 +214,9 @@ func (b *Batch) release() {
 // Filter evaluates pred over the batch with the vectorized kernels and
 // returns the selection bitmap of rows where the predicate is exactly
 // TRUE. ok is false when the predicate shape has no kernel (the caller
-// falls back to compiled row-at-a-time evaluation); a nil predicate
-// selects every row. Only the columns the predicate names are extracted.
+// then binds the predicate to column positions and evaluates the bound
+// tree row at a time, each node by its own Eval); a nil predicate selects
+// every row. Only the columns the predicate names are extracted.
 func (b *Batch) Filter(pred Expr) (sel *Bitmap, ok bool, err error) {
 	n := b.Len()
 	sel = NewBitmap(n)

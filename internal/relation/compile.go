@@ -1,213 +1,85 @@
 package relation
 
-import "fmt"
-
-// compiledExpr is an expression bound to a fixed schema: every column
-// reference is resolved to its index once, so per-row evaluation performs
-// no name lookups. The closure reproduces the corresponding Expr.Eval
-// byte for byte, including errors (an unresolvable column only errors when
-// a row is actually evaluated, exactly like ColExpr.Eval).
-type compiledExpr struct {
-	eval func(r Row) (Value, error)
-	// safe reports that eval can never return an error for any row: every
-	// column resolves and every function call is statically well-formed.
-	safe bool
+// bind returns e's tree with every column reference resolved against s to
+// its position, so evaluating the bound tree (with s) performs no name
+// lookups. Each node keeps its own Eval; only the leaves change. A column
+// s does not resolve stays a ColExpr, which raises its error only when a
+// row is evaluated. Literals and node types bind cannot see into are
+// returned as they are.
+func bind(e Expr, s *Schema) Expr {
+	switch ex := e.(type) {
+	case *ColExpr:
+		if i := s.Index(ex.Name); i >= 0 {
+			return &boundCol{ColExpr: ex, i: i}
+		}
+		return ex
+	case *BinExpr:
+		return &BinExpr{Op: ex.Op, L: bind(ex.L, s), R: bind(ex.R, s)}
+	case *NotExpr:
+		return &NotExpr{E: bind(ex.E, s)}
+	case *NegExpr:
+		return &NegExpr{E: bind(ex.E, s)}
+	case *IsNullExpr:
+		return &IsNullExpr{E: bind(ex.E, s), Negate: ex.Negate}
+	case *InExpr:
+		return &InExpr{E: bind(ex.E, s), List: bindAll(ex.List, s), Negate: ex.Negate}
+	case *FuncExpr:
+		return &FuncExpr{Name: ex.Name, Args: bindAll(ex.Args, s)}
+	default:
+		return e
+	}
 }
 
-// compileExpr binds e against s.
-func compileExpr(e Expr, s *Schema) compiledExpr {
+func bindAll(es []Expr, s *Schema) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = bind(e, s)
+	}
+	return out
+}
+
+// boundCol is a column reference bound to its position.
+type boundCol struct {
+	*ColExpr
+	i int
+}
+
+// Eval implements Expr.
+func (c *boundCol) Eval(r Row, _ *Schema) (Value, error) { return r[c.i], nil }
+
+// safe reports whether evaluating e against any row of s can never return
+// an error: every column resolves, every operator is known and every
+// scalar call is statically well-formed.
+func safe(e Expr, s *Schema) bool {
 	switch ex := e.(type) {
 	case *LitExpr:
-		v := ex.V
-		return compiledExpr{eval: func(Row) (Value, error) { return v, nil }, safe: true}
+		return true
 	case *ColExpr:
-		i := s.Index(ex.Name)
-		if i < 0 {
-			err := fmt.Errorf("relation: unknown column %q in %s", ex.Name, s)
-			return compiledExpr{eval: func(Row) (Value, error) { return Null(), err }}
-		}
-		return compiledExpr{eval: func(r Row) (Value, error) { return r[i], nil }, safe: true}
+		return s.Index(ex.Name) >= 0
 	case *BinExpr:
-		l := compileExpr(ex.L, s)
-		rr := compileExpr(ex.R, s)
-		op := ex.Op
-		if op == OpAnd || op == OpOr {
-			return compiledExpr{
-				eval: func(r Row) (Value, error) {
-					lv, err := l.eval(r)
-					if err != nil {
-						return Null(), err
-					}
-					rv, err := rr.eval(r)
-					if err != nil {
-						return Null(), err
-					}
-					return evalLogic(op, lv, rv)
-				},
-				safe: l.safe && rr.safe,
-			}
-		}
-		knownOp := op >= OpEq && op <= OpConcat
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				lv, err := l.eval(r)
-				if err != nil {
-					return Null(), err
-				}
-				rv, err := rr.eval(r)
-				if err != nil {
-					return Null(), err
-				}
-				if lv.IsNull() || rv.IsNull() {
-					return Null(), nil
-				}
-				switch op {
-				case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-					c, ok := lv.Compare(rv)
-					if !ok {
-						return Null(), nil
-					}
-					switch op {
-					case OpEq:
-						return Bool(c == 0), nil
-					case OpNe:
-						return Bool(c != 0), nil
-					case OpLt:
-						return Bool(c < 0), nil
-					case OpLe:
-						return Bool(c <= 0), nil
-					case OpGt:
-						return Bool(c > 0), nil
-					default:
-						return Bool(c >= 0), nil
-					}
-				case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-					return evalArith(op, lv, rv)
-				case OpLike:
-					if lv.Kind != TString || rv.Kind != TString {
-						return Null(), nil
-					}
-					return Bool(likeMatch(rv.S, lv.S)), nil
-				case OpConcat:
-					return Str(lv.String() + rv.String()), nil
-				default:
-					return Null(), fmt.Errorf("relation: unknown operator %v", op)
-				}
-			},
-			safe: l.safe && rr.safe && knownOp,
-		}
+		return ex.Op >= OpEq && ex.Op <= OpConcat && safe(ex.L, s) && safe(ex.R, s)
 	case *NotExpr:
-		sub := compileExpr(ex.E, s)
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				v, err := sub.eval(r)
-				if err != nil || v.IsNull() {
-					return Null(), err
-				}
-				if v.Kind != TBool {
-					return Null(), nil
-				}
-				return Bool(!v.B), nil
-			},
-			safe: sub.safe,
-		}
+		return safe(ex.E, s)
 	case *NegExpr:
-		sub := compileExpr(ex.E, s)
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				v, err := sub.eval(r)
-				if err != nil || v.IsNull() {
-					return Null(), err
-				}
-				switch v.Kind {
-				case TInt:
-					return Int(-v.I), nil
-				case TFloat:
-					return Float(-v.F), nil
-				default:
-					return Null(), nil
-				}
-			},
-			safe: sub.safe,
-		}
+		return safe(ex.E, s)
 	case *IsNullExpr:
-		sub := compileExpr(ex.E, s)
-		neg := ex.Negate
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				v, err := sub.eval(r)
-				if err != nil {
-					return Null(), err
-				}
-				return Bool(v.IsNull() != neg), nil
-			},
-			safe: sub.safe,
-		}
+		return safe(ex.E, s)
 	case *InExpr:
-		sub := compileExpr(ex.E, s)
-		list := make([]compiledExpr, len(ex.List))
-		safe := sub.safe
-		for i, le := range ex.List {
-			list[i] = compileExpr(le, s)
-			safe = safe && list[i].safe
-		}
-		neg := ex.Negate
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				v, err := sub.eval(r)
-				if err != nil {
-					return Null(), err
-				}
-				if v.IsNull() {
-					return Null(), nil
-				}
-				sawNull := false
-				for _, le := range list {
-					lv, err := le.eval(r)
-					if err != nil {
-						return Null(), err
-					}
-					if lv.IsNull() {
-						sawNull = true
-						continue
-					}
-					if v.Equal(lv) {
-						return Bool(!neg), nil
-					}
-				}
-				if sawNull {
-					return Null(), nil
-				}
-				return Bool(neg), nil
-			},
-			safe: safe,
-		}
+		return safe(ex.E, s) && allSafe(ex.List, s)
 	case *FuncExpr:
-		args := make([]compiledExpr, len(ex.Args))
-		safe := scalarStaticallySafe(ex.Name, len(ex.Args))
-		for i, a := range ex.Args {
-			args[i] = compileExpr(a, s)
-			safe = safe && args[i].safe
-		}
-		name := ex.Name
-		return compiledExpr{
-			eval: func(r Row) (Value, error) {
-				vals := make([]Value, len(args))
-				for i, a := range args {
-					v, err := a.eval(r)
-					if err != nil {
-						return Null(), err
-					}
-					vals[i] = v
-				}
-				return callScalar(name, vals)
-			},
-			safe: safe,
-		}
+		return scalarStaticallySafe(ex.Name, len(ex.Args)) && allSafe(ex.Args, s)
 	default:
-		// Unknown node type: defer to its own Eval (no binding possible).
-		return compiledExpr{eval: func(r Row) (Value, error) { return e.Eval(r, s) }}
+		return false
 	}
+}
+
+func allSafe(es []Expr, s *Schema) bool {
+	for _, e := range es {
+		if !safe(e, s) {
+			return false
+		}
+	}
+	return true
 }
 
 // scalarStaticallySafe reports whether a scalar call with the given arity
@@ -228,52 +100,25 @@ func scalarStaticallySafe(name string, arity int) bool {
 	}
 }
 
-// compiledPred is a bound row predicate: selected reports whether the row
-// evaluates to exactly TRUE (EvalPredicate semantics).
-type compiledPred struct {
-	selected func(r Row) (bool, error)
-	safe     bool
-}
-
-// compilePred binds e as a predicate against s; a nil predicate selects
-// every row.
-func compilePred(e Expr, s *Schema) compiledPred {
-	if e == nil {
-		return compiledPred{selected: func(Row) (bool, error) { return true, nil }, safe: true}
-	}
-	c := compileExpr(e, s)
-	return compiledPred{
-		selected: func(r Row) (bool, error) {
-			v, err := c.eval(r)
-			if err != nil {
-				return false, err
-			}
-			return v.Kind == TBool && v.B, nil
-		},
-		safe: c.safe,
-	}
-}
-
-// CompiledPredicate is an exported bound row predicate: every column
-// reference is resolved against its schema once, so per-row evaluation
-// performs no name lookups. Selected reproduces EvalPredicate byte for
-// byte (including errors) — residual render programs bind PLA row
-// filters and intensional conditions through this at compile time.
+// CompiledPredicate is a row predicate bound to a schema: every column
+// reference is resolved once, so per-row evaluation performs no name
+// lookups. Residual render programs bind PLA row filters and intensional
+// conditions through this at compile time.
 type CompiledPredicate struct {
-	selected func(r Row) (bool, error)
-	safe     bool
+	e    Expr // bound tree; nil selects every row
+	s    *Schema
+	safe bool
 }
 
 // CompilePredicate binds e as a predicate against s; a nil predicate
 // selects every row.
 func CompilePredicate(e Expr, s *Schema) CompiledPredicate {
-	c := compilePred(e, s)
-	return CompiledPredicate{selected: c.selected, safe: c.safe}
+	return CompiledPredicate{e: bind(e, s), s: s, safe: SafePredicate(e, s)}
 }
 
-// Selected reports whether the row evaluates to exactly TRUE, with
-// EvalPredicate's error behavior.
-func (p CompiledPredicate) Selected(r Row) (bool, error) { return p.selected(r) }
+// Selected is EvalPredicate over the bound tree: it reports whether the
+// row evaluates to exactly TRUE, with the same errors.
+func (p CompiledPredicate) Selected(r Row) (bool, error) { return EvalPredicate(p.e, r, p.s) }
 
 // Safe reports whether evaluation can never error for any row.
 func (p CompiledPredicate) Safe() bool { return p.safe }
@@ -285,8 +130,5 @@ func (p CompiledPredicate) Safe() bool { return p.safe }
 // fail: an unsafe predicate errors on every row it touches, so moving it
 // could surface errors on rows the original plan never evaluated.
 func SafePredicate(e Expr, s *Schema) bool {
-	if e == nil {
-		return true
-	}
-	return compileExpr(e, s).safe
+	return e == nil || safe(e, s)
 }

@@ -17,8 +17,8 @@ import (
 // workload-shaped inputs.
 
 // selectVec is the vectorized Select over one batch: kernel filtering over
-// column vectors when the predicate shape supports it, compiled
-// (index-bound) evaluation over the batch's rows otherwise.
+// column vectors when the predicate shape supports it, the predicate bound
+// to column positions and evaluated over the batch's rows otherwise.
 func selectVec(b *Batch, pred Expr, ord *[]int32) (*Table, error) {
 	sel, ok, err := b.Filter(pred)
 	if err != nil {
@@ -39,9 +39,9 @@ func selectVec(b *Batch, pred Expr, ord *[]int32) (*Table, error) {
 		return nil, err
 	}
 	out := t.derived(t.Name + "_sel")
-	p := compilePred(pred, t.Schema)
+	p := CompilePredicate(pred, t.Schema)
 	for i, r := range t.Rows {
-		ok, err := p.selected(r)
+		ok, err := p.Selected(r)
 		if err != nil {
 			return nil, err
 		}
@@ -81,9 +81,9 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 	out.Schema = &Schema{Columns: schemaCols}
 
 	k := len(cols)
-	exprs := make([]compiledExpr, k)
+	exprs := make([]Expr, k)
 	for j, p := range cols {
-		exprs[j] = compileExpr(p.Expr, t.Schema)
+		exprs[j] = bind(p.Expr, t.Schema)
 	}
 	flat := make([]Value, len(t.Rows)*k)
 	out.Rows = make([]Row, 0, len(t.Rows))
@@ -91,7 +91,7 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 	for i, r := range t.Rows {
 		nr := flat[i*k : i*k+k : i*k+k]
 		for j := range exprs {
-			v, err := exprs[j].eval(r)
+			v, err := exprs[j].Eval(r, t.Schema)
 			if err != nil {
 				return nil, err
 			}
@@ -120,13 +120,13 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 	}
 	out.ColOrigin = append(out.ColOrigin, origin.normalize())
 
-	ce := compileExpr(e, t.Schema)
+	be := bind(e, t.Schema)
 	w := t.Schema.Len() + 1
 	flat := make([]Value, len(t.Rows)*w)
 	out.Rows = make([]Row, 0, len(t.Rows))
 	out.Lineage = make([]LineageSet, 0, len(t.Rows))
 	for i, r := range t.Rows {
-		v, err := ce.eval(r)
+		v, err := be.Eval(r, t.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func (e *joinEmitter) emitLeftNull(i int) {
 // equi-joins hash on interned keys (the reference fast path's Key()-string
 // semantics, minus the string allocations) — over a frozen right side, the
 // index its version keeps resident; conjunctions containing equality pairs
-// hash on all pairs with Compare verification plus a compiled residual;
+// hash on all pairs with Compare verification plus a bound residual;
 // anything else runs the nested-loop reference.
 func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32) func(batch *Table, start int) error {
 	// Single equi pair: exactly the reference fast path, interned.
@@ -352,8 +352,8 @@ func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32)
 	// verification, as long as the residual can never error (otherwise
 	// the hash plan could skip rows the reference would have errored on).
 	if pairs, residual := extractJoinPairs(pred, l.Schema, r.Schema); len(pairs) > 0 {
-		res := compilePred(residual, out.Schema)
-		if res.safe && !nanInKeys(r.Rows, pairs, true) {
+		res := CompilePredicate(residual, out.Schema)
+		if res.Safe() && !nanInKeys(r.Rows, pairs, true) {
 			hashProbe := hashJoinMulti(newJoinEmitter(out, l, r, ord), r, pairs, res, kind)
 			return func(batch *Table, start int) error {
 				if nanInKeys(batch.Rows, pairs, false) {
@@ -445,7 +445,7 @@ func extractJoinPairs(pred Expr, ls, rs *Schema) ([]joinPair, Expr) {
 // probe for one left batch. Keys are canonicalized with joinMapKey
 // (over-merge only) and every candidate is re-verified with Value.Equal,
 // so the match set is exactly the nested-loop reference's.
-func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compiledPred, kind JoinKind) func(l *Table, start int) {
+func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual CompiledPredicate, kind JoinKind) func(l *Table, start int) {
 	type rkey struct{ a, b uint64 }
 	ins := make([]map[ValKey]uint32, len(pairs))
 	for p := range ins {
@@ -510,7 +510,7 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compile
 						continue
 					}
 					copy(scratch[len(lr):], rr)
-					if sel, _ := residual.selected(scratch); sel {
+					if sel, _ := residual.Selected(scratch); sel {
 						em.emit(i, j)
 						matched = true
 					}
@@ -524,12 +524,13 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual compile
 }
 
 // nestedLoopInto is the general join body: the plan for predicates no hash
-// plan covers, and the test suite's nested-loop oracle. A non-nil ord
+// plan covers, and the test suite's nested-loop oracle. pred is bound
+// against the joined schema once, not looked up per row pair. A non-nil ord
 // collects each output row's left ordinal, l starting at row start of the
 // left input.
 func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32, start int) error {
 	cols := out.Schema.Len()
-	joined := out.Schema
+	p := CompilePredicate(pred, out.Schema)
 	for i, lr := range l.Rows {
 		from := len(out.Rows)
 		matched := false
@@ -537,7 +538,7 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]in
 			nr := make(Row, 0, cols)
 			nr = append(nr, lr...)
 			nr = append(nr, rr...)
-			ok, err := EvalPredicate(pred, nr, joined)
+			ok, err := p.Selected(nr)
 			if err != nil {
 				return err
 			}

@@ -115,8 +115,9 @@ var notColumnar = &lineageCols{}
 // Freeze declares the table's rows and lineage final and lets readers keep
 // their columnar form beside it. It is for whoever publishes a table to
 // concurrent readers — sql.Catalog.Register and Refresh, and the provenance
-// tracer's RegisterBase — and must be called before the table is shared. Append drops the form again; a write
-// into a frozen table's rows or lineage sets is a bug VerifyResident finds.
+// tracer's RegisterBase — and must be called before the table is shared.
+// Append drops the form again; a write into a frozen table's rows or
+// lineage sets is a bug VerifyResident finds.
 func (t *Table) Freeze() {
 	if t.res != nil && t.res.rows == t.NumRows() {
 		return

@@ -184,23 +184,69 @@ func deriveSynthetic(rng *rand.Rand, t *Table) {
 	}
 }
 
-// randPredicate builds a random predicate over s, spanning both the
-// kernel-supported shapes and fallback shapes (arithmetic, functions,
-// occasionally an unknown column to exercise error equivalence).
-func randPredicate(rng *rand.Rand, s *Schema, depth int) Expr {
-	col := func() Expr {
-		if rng.Intn(12) == 0 {
-			return ColRefExpr("no_such_col")
+// randCol draws a column reference over s, occasionally an unknown one to
+// exercise error equivalence.
+func randCol(rng *rand.Rand, s *Schema) Expr {
+	if rng.Intn(12) == 0 {
+		return ColRefExpr("no_such_col")
+	}
+	return ColRefExpr(s.Columns[rng.Intn(len(s.Columns))].Name)
+}
+
+func randLit(rng *rand.Rand) Expr {
+	kinds := []Type{TString, TInt, TFloat, TBool, TDate}
+	return Lit(randValue(rng, kinds[rng.Intn(len(kinds))]))
+}
+
+// randScalar builds a random non-predicate expression over s that no
+// vector kernel takes: negation, concatenation, division and modulo (by
+// zero included), and scalar calls at the right arity, at the wrong arity
+// and to an unknown name.
+func randScalar(rng *rand.Rand, s *Schema) Expr {
+	unary := []string{"UPPER", "LOWER", "LENGTH", "TRIM", "ABS", "ROUND", "YEAR",
+		"MONTH", "DAY", "QUARTER", "DATE", "CAST_INT", "CAST_FLOAT", "CAST_STRING"}
+	switch rng.Intn(9) {
+	case 0:
+		return Neg(randCol(rng, s))
+	case 1:
+		return Bin(OpConcat, randCol(rng, s), randLit(rng))
+	case 2, 3:
+		rhs := randLit(rng)
+		switch rng.Intn(3) {
+		case 0:
+			rhs = Lit(Int(0))
+		case 1:
+			rhs = randCol(rng, s)
 		}
-		return ColRefExpr(s.Columns[rng.Intn(len(s.Columns))].Name)
+		return Bin([]BinOp{OpDiv, OpMod}[rng.Intn(2)], randCol(rng, s), rhs)
+	case 4:
+		return Fn("SUBSTR", randCol(rng, s), randLit(rng), randLit(rng))
+	case 5:
+		return Fn("COALESCE", randCol(rng, s), randCol(rng, s), randLit(rng))
+	case 6:
+		switch rng.Intn(3) {
+		case 0:
+			return Fn(unary[rng.Intn(len(unary))], randCol(rng, s), randLit(rng))
+		case 1:
+			return Fn("SUBSTR", randCol(rng, s))
+		default:
+			return Fn("NO_SUCH_FN", randCol(rng, s))
+		}
+	default:
+		return Fn(unary[rng.Intn(len(unary))], randCol(rng, s))
 	}
-	lit := func() Expr {
-		kinds := []Type{TString, TInt, TFloat, TBool, TDate}
-		return Lit(randValue(rng, kinds[rng.Intn(len(kinds))]))
-	}
+}
+
+// randPredicate builds a random predicate over s, spanning both the
+// kernel-supported shapes and fallback shapes that reach every node kind:
+// arithmetic, random scalars, IS NULL over a non-column, NOT IN, and IN
+// lists holding a column.
+func randPredicate(rng *rand.Rand, s *Schema, depth int) Expr {
+	col := func() Expr { return randCol(rng, s) }
+	lit := func() Expr { return randLit(rng) }
 	cmps := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 	if depth <= 0 {
-		switch rng.Intn(8) {
+		switch rng.Intn(12) {
 		case 0:
 			return Bin(cmps[rng.Intn(len(cmps))], col(), col())
 		case 1:
@@ -210,13 +256,20 @@ func randPredicate(rng *rand.Rand, s *Schema, depth int) Expr {
 		case 3:
 			return IsNotNull(col())
 		case 4:
-			return In(col(), lit(), lit(), lit())
+			return &InExpr{E: col(), List: []Expr{lit(), lit(), lit()}, Negate: rng.Intn(3) == 0}
 		case 5:
 			return Bin(OpLike, col(), Lit(Str("a%")))
 		case 6:
-			// Arithmetic comparison: no kernel, exercises the compiled
+			// Arithmetic comparison: no kernel, exercises the bound
 			// fallback.
 			return Bin(cmps[rng.Intn(len(cmps))], Bin(OpAdd, col(), lit()), lit())
+		case 7:
+			return Bin(cmps[rng.Intn(len(cmps))], randScalar(rng, s), lit())
+		case 8:
+			return &IsNullExpr{E: randScalar(rng, s), Negate: rng.Intn(2) == 0}
+		case 9:
+			// A column in the list: no kernel.
+			return &InExpr{E: col(), List: []Expr{lit(), col(), lit()}, Negate: rng.Intn(2) == 0}
 		default:
 			return Bin(cmps[rng.Intn(len(cmps))], col(), lit())
 		}
@@ -264,6 +317,11 @@ func TestProjectExtendEquivalence(t *testing.T) {
 		vec, ve = Extend(tab, "x", ext)
 		row, re = extendRows(tab, "x", ext)
 		requireSameOutcome(t, fmt.Sprintf("extend seed=%d expr=%s", seed, ext), vec, row, ve, re)
+
+		sc := randScalar(rng, tab.Schema)
+		vec, ve = Extend(tab, "y", sc)
+		row, re = extendRows(tab, "y", sc)
+		requireSameOutcome(t, fmt.Sprintf("extend seed=%d expr=%s", seed, sc), vec, row, ve, re)
 	}
 }
 
@@ -543,10 +601,26 @@ func TestSafePredicate(t *testing.T) {
 		{Fn("NOPE", ColRefExpr("b")), false},
 		{And(ColEqStr("b", "x"), Bin(OpGt, ColRefExpr("a"), Lit(Int(0)))), true},
 		{In(ColRefExpr("a"), Lit(Int(1)), Lit(Int(2))), true},
+		{Bin(BinOp(99), ColRefExpr("a"), Lit(Int(1))), false},
 	}
 	for i, c := range cases {
 		if got := SafePredicate(c.e, s); got != c.safe {
 			t.Errorf("case %d (%v): SafePredicate=%v, want %v", i, c.e, got, c.safe)
+		}
+	}
+
+	// Safe means no row of any table over the schema errors.
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed + 8000))
+		tab := randTable(rng, "t", 2+rng.Intn(3), 1+rng.Intn(30))
+		pred := randPredicate(rng, tab.Schema, rng.Intn(3))
+		if !SafePredicate(pred, tab.Schema) {
+			continue
+		}
+		for i, r := range tab.Rows {
+			if _, err := EvalPredicate(pred, r, tab.Schema); err != nil {
+				t.Fatalf("seed %d: safe predicate %s errored on row %d: %v", seed, pred, i, err)
+			}
 		}
 	}
 }

@@ -1,8 +1,12 @@
 package sql
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"plabi/internal/relation"
 )
 
 // FuzzParseSelect drives the SQL lexer and parser with arbitrary input.
@@ -47,6 +51,60 @@ func FuzzParseSelect(f *testing.F) {
 		}
 		if again.String() != rendered {
 			t.Fatalf("String is not a fixed point:\n first: %q\nsecond: %q", rendered, again.String())
+		}
+	})
+}
+
+// FuzzWhereEval parses arbitrary WHERE clauses and evaluates them over a
+// fixed table holding every value kind, NULLs, a NaN and a mixed-kind
+// cell. On every row the predicate bound to the table's schema must
+// select exactly what the unbound expression selects, with the same error
+// text, and a predicate SafePredicate accepts must error on no row.
+func FuzzWhereEval(f *testing.F) {
+	seeds := []string{
+		"s = 'HIV' AND i > 0",
+		"NOT (f < 2.5 OR b) AND date >= DATE '2007-06-01'",
+		"i IN (1, -3, NULL) OR s NOT IN ('a', s)",
+		"-i * 2 + f / 0 > i % 0",
+		"s || i LIKE 'H%1' AND UPPER(s) <> LOWER(s)",
+		"(i - 1) IS NULL OR COALESCE(f, i) IS NOT NULL",
+		"SUBSTR(s, 1, 2) = 'HI' OR LENGTH(s, i) = 1",
+		"NO_SUCH_FN(s) OR missing = 1",
+		"i BETWEEN -3 AND 1 AND s NOT LIKE '%x'",
+		"YEAR(date) = 2007 AND CAST_INT(s) = 7",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	schema := relation.NewSchema(relation.Col("s", relation.TString), relation.Col("i", relation.TInt),
+		relation.Col("f", relation.TFloat), relation.Col("b", relation.TBool), relation.Col("date", relation.TDate))
+	rows := []relation.Row{
+		{relation.Str("HIV"), relation.Int(1), relation.Float(2.5), relation.Bool(true), relation.DateYMD(2007, 2, 12)},
+		{relation.Str(""), relation.Int(-3), relation.Float(math.NaN()), relation.Bool(false), relation.DateYMD(2008, 4, 15)},
+		{relation.Null(), relation.Int(0), relation.Float(math.Copysign(0, -1)), relation.Null(), relation.Null()},
+		{relation.Str("flu"), relation.Null(), relation.Null(), relation.Bool(true), relation.DateYMD(2007, 10, 15)},
+		{relation.Str("a"), relation.Str("7"), relation.Float(1e16), relation.Bool(false), relation.DateYMD(2007, 1, 1)},
+	}
+	f.Fuzz(func(t *testing.T, where string) {
+		// LIKE matching backtracks; bound the pattern work per input.
+		if len(where) > 256 || strings.Count(where, "%") > 4 {
+			return
+		}
+		stmt, err := ParseSelect("SELECT * FROM t WHERE " + where)
+		if err != nil || stmt.Where == nil {
+			return
+		}
+		bound := relation.CompilePredicate(stmt.Where, schema)
+		safe := relation.SafePredicate(stmt.Where, schema)
+		for i, r := range rows {
+			got, gotErr := bound.Selected(r)
+			want, wantErr := relation.EvalPredicate(stmt.Where, r, schema)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s, row %d: bound = %v, %v; unbound = %v, %v", stmt.Where, i, got, gotErr, want, wantErr)
+			}
+			if safe && wantErr != nil {
+				t.Fatalf("%s, row %d: safe predicate errored: %v", stmt.Where, i, wantErr)
+			}
 		}
 	})
 }
