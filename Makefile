@@ -22,7 +22,7 @@ race:
 # go vet, gofmt, plalint over every shipped PLA document and the full
 # healthcare deployment (error severity gates the build; the scenario's
 # intentionally blocked report stays a warning), and pladiff:
-# translation validation (PD000) of every compiled residual program, a
+# translation validation (PD000) of every render program, a
 # silent identity diff, and detection of the audit example's known
 # hospital allow-* expansion (must exit 1 with PD001 — proves the
 # expansion detector works, and pins that the bundle stays expansive).
@@ -41,8 +41,8 @@ lint: vet
 	echo "$$out" | grep -q 'PD001' || { echo "lint: expected PD001 expansion not detected"; exit 1; }
 
 # Coverage with floors: internal/relation, internal/enforce, internal/etl,
-# internal/sql and internal/provenance must stay at or above 80% statement
-# coverage (see scripts/cover.sh).
+# internal/sql, internal/provenance, internal/lint and internal/policy must
+# stay at or above 80% statement coverage (see scripts/cover.sh).
 cover:
 	bash scripts/cover.sh
 

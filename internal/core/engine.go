@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"plabi/internal/audit"
-	"plabi/internal/compile"
 	"plabi/internal/enforce"
 	"plabi/internal/etl"
 	"plabi/internal/fault"
@@ -266,12 +265,11 @@ func (e *Engine) CacheStats() enforce.CacheStats { return e.enforcer.CacheStats(
 func (e *Engine) ProgramGeneration() uint64 { return e.enforcer.ProgramGeneration() }
 
 // CompileReport specializes one (report, role, purpose) triple into its
-// residual render program and returns it for inspection. The program is
-// the same object every render executes: it lands in the
-// generation-keyed decision cache, so a subsequent render at unchanged
-// generations reuses it. The unknown-report case wraps
-// report.ErrUnknownReport.
-func (e *Engine) CompileReport(reportID string, c report.Consumer) (*compile.Program, error) {
+// render program and returns it for inspection. The program is the same
+// object every render executes: it lands in the generation-keyed plan
+// cache, so a subsequent render at unchanged generations reuses it. The
+// unknown-report case wraps report.ErrUnknownReport.
+func (e *Engine) CompileReport(reportID string, c report.Consumer) (*enforce.Program, error) {
 	d, ok := e.Reports.Get(reportID)
 	if !ok {
 		return nil, fmt.Errorf("core: %w %q", report.ErrUnknownReport, reportID)

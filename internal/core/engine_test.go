@@ -10,7 +10,6 @@ import (
 	"plabi/internal/enforce"
 	"plabi/internal/etl"
 	"plabi/internal/metareport"
-	"plabi/internal/policy"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -340,13 +339,28 @@ pla "purpose-rule" {
 	if enf.Table.NumRows() == 0 || enf.Table.Get(0, "drug").S == "***" {
 		t.Errorf("reimbursement purpose should see drug: %v", enf.Table.Rows)
 	}
-	// Mismatched purpose: masked (the source-level drug allow in the
-	// scenario PLAs has no purpose restriction, so restrict the check to
-	// the report-level PLA only).
-	e.Enforcer().SetLevels([]policy.Level{policy.LevelReport})
-	enf2, err := e.Render("purpose-report", report.Consumer{Role: "analyst", Purpose: "marketing"})
+	// Mismatched purpose: masked. The scenario's source-level drug allow
+	// has no purpose restriction, so this half runs on an engine whose only
+	// drug allow is bound to a purpose.
+	pe := New()
+	pe.AddSource(etl.NewSource("hospital", "hospital", workload.PrescriptionsFixture()))
+	if err := pe.AddPLAs(`
+pla "purpose-src" {
+    owner "hospital"; level source; scope "prescriptions";
+    allow attribute drug purpose "reimbursement";
+}`); err != nil {
+		t.Fatal(err)
+	}
+	if err := pe.DefineReport(&report.Definition{ID: "purpose-report",
+		Query: "SELECT drug, COUNT(*) AS n FROM prescriptions GROUP BY drug"}); err != nil {
+		t.Fatal(err)
+	}
+	enf2, err := pe.Render("purpose-report", report.Consumer{Role: "analyst", Purpose: "marketing"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if enf2.Table.NumRows() == 0 {
+		t.Fatal("marketing render returned no rows")
 	}
 	if enf2.Table.NumRows() > 0 && enf2.Table.Get(0, "drug").S != "***" {
 		t.Errorf("marketing purpose should be masked: %v", enf2.Table.Rows)

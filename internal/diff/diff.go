@@ -2,10 +2,10 @@
 // compares two deployment states (policy registries + report definitions
 // + catalog) and reports, per (report, role, purpose) triple, how the
 // change moves the privacy boundary. The comparison is static and
-// data-flow-free — it diffs the *residual render programs* the compiler
-// produces for each triple (compile.Program), not the raw rule text, so
-// a rewrite that preserves semantics is silent while a cosmetically
-// small edit that widens disclosure is loud.
+// data-flow-free — it diffs the render programs the enforcer builds for
+// each triple (enforce.Program, the plan every render executes), not the
+// raw rule text, so a rewrite that preserves semantics is silent while a
+// cosmetically small edit that widens disclosure is loud.
 //
 // Impacts carry stable codes:
 //
@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"plabi/internal/compile"
 	"plabi/internal/enforce"
 	"plabi/internal/lint"
 	"plabi/internal/policy"
@@ -268,7 +267,7 @@ func (t triple) impact(code string, sev lint.Severity, subject, msg string, plas
 // diffStatic compares the folded block verdicts. Mask verdicts are
 // intentionally skipped here — they mirror the column plans and are
 // diffed (with more context) by diffColumns.
-func diffStatic(t triple, P, Q *compile.Program) []Impact {
+func diffStatic(t triple, P, Q *enforce.Program) []Impact {
 	oldBlocks := blockVerdicts(P)
 	newBlocks := blockVerdicts(Q)
 	var imps []Impact
@@ -295,19 +294,17 @@ func diffStatic(t triple, P, Q *compile.Program) []Impact {
 	return imps
 }
 
-func blockVerdicts(p *compile.Program) map[string]compile.Verdict {
-	out := map[string]compile.Verdict{}
-	for _, v := range p.Static {
-		if v.Outcome == "block" {
-			out[v.Rule+"|"+v.Subject] = v
-		}
+func blockVerdicts(p *enforce.Program) map[string]enforce.Decision {
+	out := map[string]enforce.Decision{}
+	for _, d := range enforce.Blocked(p.Static) {
+		out[d.Rule+"|"+d.Subject] = d
 	}
 	return out
 }
 
 // diffThresholds compares the baked aggregation thresholds per grouping
 // attribute: a lowered or dropped minimum is an expansion.
-func diffThresholds(t triple, P, Q *compile.Program) []Impact {
+func diffThresholds(t triple, P, Q *enforce.Program) []Impact {
 	oldT := thresholdMap(P)
 	newT := thresholdMap(Q)
 	var imps []Impact
@@ -343,8 +340,8 @@ func diffThresholds(t triple, P, Q *compile.Program) []Impact {
 	return imps
 }
 
-func thresholdMap(p *compile.Program) map[string]compile.Threshold {
-	out := map[string]compile.Threshold{}
+func thresholdMap(p *enforce.Program) map[string]enforce.Threshold {
+	out := map[string]enforce.Threshold{}
 	for _, th := range p.Thresholds {
 		out[th.By] = th
 	}
@@ -359,9 +356,9 @@ func thresholdSubject(by string) string {
 }
 
 // diffFilters compares the pre-bound row filters by expression text.
-func diffFilters(t triple, P, Q *compile.Program) []Impact {
-	oldF := filterSet(P)
-	newF := filterSet(Q)
+func diffFilters(t triple, P, Q *enforce.Program) []Impact {
+	oldF := stringSet(predicateTexts(P.Filters))
+	newF := stringSet(predicateTexts(Q.Filters))
 	var imps []Impact
 	for _, expr := range sortedKeys(oldF) {
 		if _, ok := newF[expr]; ok {
@@ -380,17 +377,19 @@ func diffFilters(t triple, P, Q *compile.Program) []Impact {
 	return imps
 }
 
-func filterSet(p *compile.Program) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range p.Filters {
-		out[fmt.Sprint(f.Expr)] = true
+// predicateTexts renders bound predicates as their expression text, the
+// form in which programs are compared.
+func predicateTexts(ps []enforce.BoundPredicate) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = fmt.Sprint(p.Expr)
 	}
 	return out
 }
 
 // diffColumns compares the static column release plans: a mask dropped,
 // a release condition dropped, or a fresh raw column is a widening.
-func diffColumns(t triple, P, Q *compile.Program) []Impact {
+func diffColumns(t triple, P, Q *enforce.Program) []Impact {
 	oldC := columnMap(P)
 	newC := columnMap(Q)
 	var imps []Impact
@@ -405,10 +404,10 @@ func diffColumns(t triple, P, Q *compile.Program) []Impact {
 		switch {
 		case o.Masked && !n.Masked && !n.Aggregate:
 			imps = append(imps, t.impact(CodeColumnPlan, lint.SevError, name,
-				fmt.Sprintf("column %q released: previously masked (%s)", name, o.Rule), o.PLAs))
+				fmt.Sprintf("column %q released: previously masked (%s)", name, o.Decision.Rule), o.Decision.PLAs))
 		case !o.Masked && n.Masked:
 			imps = append(imps, t.impact(CodeNewDeny, lint.SevWarning, name,
-				fmt.Sprintf("column %q now masked (%s)", name, n.Rule), n.PLAs))
+				fmt.Sprintf("column %q now masked (%s)", name, n.Decision.Rule), n.Decision.PLAs))
 		case o.Aggregate && !n.Aggregate && !n.Masked:
 			imps = append(imps, t.impact(CodeColumnPlan, lint.SevError, name,
 				fmt.Sprintf("column %q now released as raw values (was aggregate)", name), nil))
@@ -428,7 +427,7 @@ func diffColumns(t triple, P, Q *compile.Program) []Impact {
 		switch {
 		case n.Masked:
 			imps = append(imps, t.impact(CodeColumnPlan, lint.SevInfo, name,
-				fmt.Sprintf("new column %q (masked)", name), n.PLAs))
+				fmt.Sprintf("new column %q (masked)", name), n.Decision.PLAs))
 		case n.Aggregate:
 			imps = append(imps, t.impact(CodeColumnPlan, lint.SevInfo, name,
 				fmt.Sprintf("new column %q (aggregate, threshold-governed)", name), nil))
@@ -443,29 +442,29 @@ func diffColumns(t triple, P, Q *compile.Program) []Impact {
 // diffConditions compares the intensional release conditions of one
 // released column: dropping a condition releases previously guarded
 // cells.
-func diffConditions(t triple, name string, o, n compile.ColumnPlan) []Impact {
-	oldC := stringSet(o.Conditions)
-	newC := stringSet(n.Conditions)
+func diffConditions(t triple, name string, o, n enforce.ColumnPlan) []Impact {
+	oldC := stringSet(predicateTexts(o.Conditions))
+	newC := stringSet(predicateTexts(n.Conditions))
 	var imps []Impact
 	for _, cond := range sortedKeys(oldC) {
 		if _, ok := newC[cond]; ok {
 			continue
 		}
 		imps = append(imps, t.impact(CodeColumnPlan, lint.SevError, name,
-			fmt.Sprintf("release condition %s on column %q dropped", cond, name), n.PLAs))
+			fmt.Sprintf("release condition %s on column %q dropped", cond, name), nil))
 	}
 	for _, cond := range sortedKeys(newC) {
 		if _, ok := oldC[cond]; ok {
 			continue
 		}
 		imps = append(imps, t.impact(CodeColumnPlan, lint.SevInfo, name,
-			fmt.Sprintf("new release condition %s on column %q", cond, name), n.PLAs))
+			fmt.Sprintf("new release condition %s on column %q", cond, name), nil))
 	}
 	return imps
 }
 
-func columnMap(p *compile.Program) map[string]compile.ColumnPlan {
-	out := map[string]compile.ColumnPlan{}
+func columnMap(p *enforce.Program) map[string]enforce.ColumnPlan {
+	out := map[string]enforce.ColumnPlan{}
 	for _, c := range p.Columns {
 		out[c.Name] = c
 	}

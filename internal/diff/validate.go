@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"plabi/internal/compile"
+	"plabi/internal/enforce"
 	"plabi/internal/lint"
 	"plabi/internal/policy"
 	"plabi/internal/report"
@@ -16,13 +16,13 @@ import (
 // purpose) triple in the state it recomputes the interpreted products —
 // composite PLA set, merged thresholds, bound row filters, static
 // verdicts, per-column mask decisions — directly from the composite, and
-// cross-checks them against the compiled residual program. Any
-// divergence is a PD000 compiler-soundness finding: the partial
-// evaluator folded something the interpreter would decide differently.
+// cross-checks them against the program every render executes. Any
+// divergence is a PD000 soundness finding: the program folded something
+// the interpreter would decide differently.
 //
-// The recomputation deliberately does not reuse the enforcer's folded
-// plan products (they are the compiler's *input*); it re-derives them
-// from the same public composite primitives the runtime decisions use.
+// The recomputation deliberately does not reuse any of the program's
+// products; it re-derives them from the same public composite primitives
+// the runtime decisions use.
 func Validate(s *State) ([]Impact, error) {
 	enf := s.newEnforcer()
 	var imps []Impact
@@ -58,7 +58,7 @@ type validator struct {
 	comp          *policy.Composite
 	prof          *sql.Profile
 	sel           *sql.SelectStmt
-	prog          *compile.Program
+	prog          *enforce.Program
 	role, purpose string
 }
 
@@ -152,7 +152,7 @@ func (v *validator) checkFilters() []Impact {
 	}
 	var imps []Impact
 	for i, f := range want {
-		bound := compile.BindPredicate(f)
+		bound := enforce.BindPredicate(f)
 		gotF := v.prog.Filters[i]
 		if fmt.Sprint(gotF.Expr) != fmt.Sprint(f) {
 			imps = append(imps, v.diverge(fmt.Sprint(f),
@@ -202,8 +202,8 @@ func (v *validator) checkStatic() []Impact {
 	}
 
 	got := map[string]bool{}
-	for _, verdict := range v.prog.Static {
-		got[verdict.Outcome+"|"+verdict.Rule+"|"+verdict.Subject] = true
+	for _, d := range v.prog.Static {
+		got[d.Outcome.String()+"|"+d.Rule+"|"+d.Subject] = true
 	}
 	var imps []Impact
 	for _, key := range sortedKeys(want) {
@@ -232,7 +232,7 @@ func (v *validator) checkColumns() []Impact {
 		cp, ok := plans[name]
 		if !ok {
 			imps = append(imps, v.diverge(name,
-				fmt.Sprintf("output column %q has no compiled column plan", name)))
+				fmt.Sprintf("output column %q has no column plan", name)))
 			continue
 		}
 		if aggCols[name] {
@@ -254,13 +254,13 @@ func (v *validator) checkColumns() []Impact {
 				fmt.Sprintf("interpreter masks column %q (%s) but the plan releases it", name, d.Rule)))
 		case d == nil && cp.Masked:
 			imps = append(imps, v.diverge(name,
-				fmt.Sprintf("plan masks column %q (%s) but the interpreter releases it", name, cp.Rule)))
-		case d != nil && cp.Masked && d.Rule != cp.Rule:
+				fmt.Sprintf("plan masks column %q (%s) but the interpreter releases it", name, cp.Decision.Rule)))
+		case d != nil && cp.Masked && d.Rule != cp.Decision.Rule:
 			imps = append(imps, v.diverge(name,
-				fmt.Sprintf("column %q masked under rule %q by the interpreter, %q by the plan", name, d.Rule, cp.Rule)))
+				fmt.Sprintf("column %q masked under rule %q by the interpreter, %q by the plan", name, d.Rule, cp.Decision.Rule)))
 		case d == nil:
 			wantConds := strings.Join(conds, " AND ")
-			gotConds := strings.Join(cp.Conditions, " AND ")
+			gotConds := strings.Join(predicateTexts(cp.Conditions), " AND ")
 			if wantConds != gotConds {
 				imps = append(imps, v.diverge(name,
 					fmt.Sprintf("column %q release conditions diverge: interpreter requires [%s], plan binds [%s]", name, wantConds, gotConds)))

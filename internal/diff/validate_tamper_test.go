@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"plabi/internal/compile"
+	"plabi/internal/enforce"
 	"plabi/internal/policy"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -56,7 +56,7 @@ pla "tamper-src" {
 // tamperValidator mirrors Validate's per-triple setup for the state's
 // single report so tests can run the check methods against a tampered
 // program copy.
-func tamperValidator(t *testing.T, s *State, prog *compile.Program) *validator {
+func tamperValidator(t *testing.T, s *State, prog *enforce.Program) *validator {
 	t.Helper()
 	enf := s.newEnforcer()
 	def := s.Reports[0]
@@ -82,7 +82,7 @@ func tamperValidator(t *testing.T, s *State, prog *compile.Program) *validator {
 }
 
 // compiled returns the honestly compiled program for the state's report.
-func compiled(t *testing.T, s *State) *compile.Program {
+func compiled(t *testing.T, s *State) *enforce.Program {
 	t.Helper()
 	enf := s.newEnforcer()
 	def := s.Reports[0]
@@ -108,28 +108,28 @@ func TestValidateTamperedPrograms(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		tamper  func(p *compile.Program)
+		tamper  func(p *enforce.Program)
 		wantMsg string
 	}{
-		{"aggregated-flag", func(p *compile.Program) {
+		{"aggregated-flag", func(p *enforce.Program) {
 			p.Aggregated = false
 		}, "aggregated"},
-		{"dropped-threshold", func(p *compile.Program) {
+		{"dropped-threshold", func(p *enforce.Program) {
 			p.Thresholds = nil
 		}, "bakes no threshold"},
-		{"loosened-threshold", func(p *compile.Program) {
-			ths := append([]compile.Threshold(nil), p.Thresholds...)
+		{"loosened-threshold", func(p *enforce.Program) {
+			ths := append([]enforce.Threshold(nil), p.Thresholds...)
 			ths[0].Min = 1
 			p.Thresholds = ths
 		}, "program bakes min 1"},
-		{"dropped-filter", func(p *compile.Program) {
+		{"dropped-filter", func(p *enforce.Program) {
 			p.Filters = nil
 		}, "program binds 0"},
-		{"phantom-static-block", func(p *compile.Program) {
-			p.Static = append(append([]compile.Verdict(nil), p.Static...),
-				compile.Verdict{Outcome: "block", Rule: "join-permission", Subject: "a JOIN b"})
+		{"phantom-static-block", func(p *enforce.Program) {
+			p.Static = append(append([]enforce.Decision(nil), p.Static...),
+				enforce.Decision{Outcome: enforce.Block, Rule: "join-permission", Subject: "a JOIN b"})
 		}, "the interpreter does not derive"},
-		{"wrong-pla-set", func(p *compile.Program) {
+		{"wrong-pla-set", func(p *enforce.Program) {
 			p.PLAs = append([]string{"phantom"}, p.PLAs...)
 		}, "interpreter composes"},
 	}
@@ -173,9 +173,9 @@ func TestValidateTamperedColumnPlan(t *testing.T) {
 		t.Fatal("fixture has no released raw column to tamper with")
 	}
 	clone := *honest
-	cols := append([]compile.ColumnPlan(nil), honest.Columns...)
+	cols := append([]enforce.ColumnPlan(nil), honest.Columns...)
 	cols[raw].Masked = true
-	cols[raw].Rule = "access-deny"
+	cols[raw].Decision.Rule = "access-deny"
 	clone.Columns = cols
 	imps := tamperValidator(t, s, &clone).run()
 	hit := false

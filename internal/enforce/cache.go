@@ -4,11 +4,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-
-	"plabi/internal/compile"
-	"plabi/internal/policy"
-	"plabi/internal/relation"
-	"plabi/internal/sql"
 )
 
 // CacheStats is a snapshot of the decision-cache counters.
@@ -44,58 +39,9 @@ type planKey struct {
 	purpose string
 }
 
-// gens captures the world state a plan was computed against.
-type gens struct {
-	version int    // report definition version
-	policy  uint64 // policy.Registry generation
-	catalog uint64 // sql.Catalog generation
-	scope   uint64 // enforcer config generation (extra scopes, levels)
-}
-
-// colPlan is the classification of one output column: governed by
-// thresholds (aggregate), masked (with the decision to replay into each
-// render's audit trail), or released subject to intensional conditions,
-// pre-bound for batch evaluation.
-type colPlan struct {
-	aggregate  bool
-	masked     bool
-	decision   Decision
-	conditions []compile.BoundPredicate
-}
-
-// renderPlan is everything about one (report, role, purpose) triple that
-// does not depend on the data: parsed AST, composed PLAs, the query's
-// executed header and the classification of its columns, static
-// decisions, and the compiled residual program — the only holder of the
-// baked thresholds, pre-bound row filters, aggregated flag and their PLA
-// attributions. All fields are immutable after construction, so a plan is
-// shared freely across concurrent renders.
-type renderPlan struct {
-	at   gens
-	sel  *sql.SelectStmt
-	comp *policy.Composite
-
-	// header is what the query's result carries besides its rows — named
-	// for the report, schema, column origins — and cols the classification
-	// of its columns, by index: a refusal returns the header's shell, a
-	// render enforces cols on a result of exactly this schema.
-	header *relation.Table
-	cols   []colPlan
-
-	// from names the relations of the query's FROM clause, in order.
-	from []string
-
-	static  []Decision // static-check outcomes for role/purpose
-	aggCols map[string]bool
-
-	// prog is the residual program this plan was specialized into; row
-	// enforcement executes its thresholds and filters directly.
-	prog *compile.Program
-}
-
 const defaultCacheShards = 16
 
-// planCache is a sharded map of render plans with generation-checked
+// planCache is a sharded map of render programs with generation-checked
 // lookups. Sharding keeps lock contention negligible under b.RunParallel
 // style workloads; staleness is detected at lookup time by comparing the
 // stored generations with the caller's current ones, so AddPLAs or
@@ -110,7 +56,7 @@ type planCache struct {
 
 type planShard struct {
 	mu      sync.RWMutex
-	entries map[planKey]*renderPlan
+	entries map[planKey]*Program
 }
 
 // newPlanCache builds a cache bounded at roughly capacity entries
@@ -125,7 +71,7 @@ func newPlanCache(capacity int) *planCache {
 	}
 	c := &planCache{capPerShard: per}
 	for i := range c.shards {
-		c.shards[i].entries = map[planKey]*renderPlan{}
+		c.shards[i].entries = map[planKey]*Program{}
 	}
 	return c
 }
@@ -143,12 +89,12 @@ func (c *planCache) shard(k planKey) *planShard {
 // get returns the cached plan for k if it was computed at exactly the
 // given generations; a stale entry is evicted and counted as an
 // invalidation.
-func (c *planCache) get(k planKey, at gens) (*renderPlan, bool) {
+func (c *planCache) get(k planKey, at Generations) (*Program, bool) {
 	s := c.shard(k)
 	s.mu.RLock()
 	p, ok := s.entries[k]
 	s.mu.RUnlock()
-	if ok && p.at == at {
+	if ok && p.At == at {
 		c.hits.Add(1)
 		return p, true
 	}
@@ -158,7 +104,7 @@ func (c *planCache) get(k planKey, at gens) (*renderPlan, bool) {
 		// exactly the caller's generations — in that race the refreshed
 		// plan is the answer, not a miss that forces a redundant rebuild.
 		if cur, still := s.entries[k]; still {
-			if cur.at == at {
+			if cur.At == at {
 				s.mu.Unlock()
 				c.hits.Add(1)
 				return cur, true
@@ -175,7 +121,7 @@ func (c *planCache) get(k planKey, at gens) (*renderPlan, bool) {
 // put stores a plan, evicting an arbitrary entry when the shard is full
 // (the workload is a small set of hot reports; FIFO/LRU refinement is not
 // worth the bookkeeping).
-func (c *planCache) put(k planKey, p *renderPlan) {
+func (c *planCache) put(k planKey, p *Program) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,23 +9,23 @@ import (
 func TestPlanCacheGenerationCheck(t *testing.T) {
 	c := newPlanCache(64)
 	k := planKey{report: "r", role: "analyst", purpose: "quality"}
-	at := gens{version: 1, policy: 2, catalog: 3, scope: 4}
+	at := Generations{Version: 1, Policy: 2, Catalog: 3, Scope: 4}
 
 	if _, ok := c.get(k, at); ok {
 		t.Fatal("empty cache returned a plan")
 	}
-	c.put(k, &renderPlan{at: at})
+	c.put(k, &Program{At: at})
 	if _, ok := c.get(k, at); !ok {
 		t.Fatal("stored plan not returned for matching generations")
 	}
 	// Any generation moving invalidates.
-	for i, stale := range []gens{
-		{version: 2, policy: 2, catalog: 3, scope: 4},
-		{version: 1, policy: 9, catalog: 3, scope: 4},
-		{version: 1, policy: 2, catalog: 9, scope: 4},
-		{version: 1, policy: 2, catalog: 3, scope: 9},
+	for i, stale := range []Generations{
+		{Version: 2, Policy: 2, Catalog: 3, Scope: 4},
+		{Version: 1, Policy: 9, Catalog: 3, Scope: 4},
+		{Version: 1, Policy: 2, Catalog: 9, Scope: 4},
+		{Version: 1, Policy: 2, Catalog: 3, Scope: 9},
 	} {
-		c.put(k, &renderPlan{at: at})
+		c.put(k, &Program{At: at})
 		if _, ok := c.get(k, stale); ok {
 			t.Fatalf("case %d: stale plan served", i)
 		}
@@ -43,7 +43,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	c := newPlanCache(32) // 2 per shard
 	for i := 0; i < 500; i++ {
 		k := planKey{report: fmt.Sprintf("r%d", i), role: "a", purpose: "p"}
-		c.put(k, &renderPlan{})
+		c.put(k, &Program{})
 	}
 	if n := c.stats().Entries; n > 32 {
 		t.Errorf("entries = %d, want <= 32", n)
@@ -52,7 +52,7 @@ func TestPlanCacheBounded(t *testing.T) {
 
 func TestPlanCacheConcurrent(t *testing.T) {
 	c := newPlanCache(0)
-	at := gens{version: 1}
+	at := Generations{Version: 1}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -61,7 +61,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := planKey{report: fmt.Sprintf("r%d", i%17), role: "a", purpose: "p"}
 				if p, ok := c.get(k, at); !ok || p == nil {
-					c.put(k, &renderPlan{at: at})
+					c.put(k, &Program{At: at})
 				}
 			}
 		}(w)
@@ -93,11 +93,11 @@ func TestCacheStatsHitRate(t *testing.T) {
 // pays a redundant rebuild. Run under -race.
 func TestPlanCacheRefreshRace(t *testing.T) {
 	k := planKey{report: "r", role: "analyst", purpose: "quality"}
-	oldAt := gens{version: 1}
-	newAt := gens{version: 2}
+	oldAt := Generations{Version: 1}
+	newAt := Generations{Version: 2}
 	for iter := 0; iter < 300; iter++ {
 		c := newPlanCache(0)
-		c.put(k, &renderPlan{at: oldAt})
+		c.put(k, &Program{At: oldAt})
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -112,12 +112,12 @@ func TestPlanCacheRefreshRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			c.put(k, &renderPlan{at: newAt})
+			c.put(k, &Program{At: newAt})
 		}()
 		close(start)
 		wg.Wait()
 		// The refresh must survive the racing stale evictions.
-		if p, ok := c.get(k, newAt); !ok || p.at != newAt {
+		if p, ok := c.get(k, newAt); !ok || p.At != newAt {
 			t.Fatalf("iter %d: refreshed plan evicted by a racing get", iter)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"plabi/internal/compile"
 	"plabi/internal/core"
 	"plabi/internal/enforce"
 	"plabi/internal/report"
@@ -28,14 +27,14 @@ var baseReports = []*report.Definition{
 
 // TestOneClassificationThreeReaders: for every (report, role) of the
 // healthcare scenario — bare and under every internal/diff corpus bundle —
-// the readers of the plan's one column classification agree. The static
-// check's mask decisions and the program's column plans name the same
-// masked columns, rules and PLAs; the column plans classified over the
-// plan's header are the ones the executed result's own schema and origins
-// classify to; and the query profile — what lint, diff and containment
-// read — resolves every non-aggregate output column to the origins the
-// executed result carries. pladiff's validator stays the independent
-// oracle of the classification itself.
+// the readers of the program's one column classification agree. The
+// static check's mask decisions are the masked columns' decisions, in
+// order; the columns classified over the program's header are the ones the
+// executed result's own schema and origins classify to; and the query
+// profile — what lint, diff and containment read — resolves every
+// non-aggregate output column to the origins the executed result carries.
+// pladiff's validator stays the independent oracle of the classification
+// itself.
 func TestOneClassificationThreeReaders(t *testing.T) {
 	bundles, err := filepath.Glob(filepath.Join("..", "diff", "testdata", "*.pla"))
 	if err != nil || len(bundles) == 0 {
@@ -70,38 +69,40 @@ func TestOneClassificationThreeReaders(t *testing.T) {
 				t.Fatalf("%s %s: %v", bundle, def.ID, err)
 			}
 			for _, role := range []string{"analyst", "auditor", ""} {
-				static, cols, err := e.Enforcer().ClassificationReaders(def, role, def.Purpose)
+				prog, executed, err := e.Enforcer().ClassificationReaders(def, role, def.Purpose)
 				if err != nil {
 					t.Fatalf("%s %s/%s: %v", bundle, def.ID, role, err)
 				}
-				var fromStatic, fromProgram []compile.ColumnPlan
-				for _, d := range static {
+				if len(prog.Columns) != len(executed) {
+					t.Fatalf("%s %s/%s: program classifies %d columns, the executed schema has %d",
+						bundle, def.ID, role, len(prog.Columns), len(executed))
+				}
+				var fromStatic, fromColumns []enforce.Decision
+				for _, d := range prog.Static {
 					if d.Outcome == enforce.Mask {
-						fromStatic = append(fromStatic, compile.ColumnPlan{Name: d.Subject, Masked: true, Rule: d.Rule, PLAs: d.PLAs})
+						fromStatic = append(fromStatic, d)
 					}
 				}
-				for ci, c := range cols {
+				for ci, c := range prog.Columns {
 					columns++
-					if c.Program.Masked {
-						fromProgram = append(fromProgram, c.Program)
-					}
-					if !c.Program.Aggregate && !reflect.DeepEqual(prof.OutputNames[c.Program.Name], raw.ColumnOrigin(ci)) {
-						otherOrigins++
-						t.Errorf("%s %s: column %s profiles to %v, executes to %v", bundle, def.ID,
-							c.Program.Name, prof.OutputNames[c.Program.Name], raw.ColumnOrigin(ci))
-					}
-					if !reflect.DeepEqual(c.Program, c.Runtime) {
-						t.Errorf("%s %s/%s: program column %+v, runtime column plan %+v", bundle, def.ID, role, c.Program, c.Runtime)
-					}
-					if c.Runtime.Masked {
+					if c.Masked {
+						fromColumns = append(fromColumns, c.Decision)
 						masked++
 					}
-					if len(c.Runtime.Conditions) > 0 {
+					if len(c.Conditions) > 0 {
 						conditional++
 					}
+					if !c.Aggregate && !reflect.DeepEqual(prof.OutputNames[c.Name], raw.ColumnOrigin(ci)) {
+						otherOrigins++
+						t.Errorf("%s %s: column %s profiles to %v, executes to %v", bundle, def.ID,
+							c.Name, prof.OutputNames[c.Name], raw.ColumnOrigin(ci))
+					}
+					if !reflect.DeepEqual(c, executed[ci]) {
+						t.Errorf("%s %s/%s: header column %+v, executed column %+v", bundle, def.ID, role, c, executed[ci])
+					}
 				}
-				if !reflect.DeepEqual(fromStatic, fromProgram) {
-					t.Errorf("%s %s/%s: static masks %+v, program masks %+v", bundle, def.ID, role, fromStatic, fromProgram)
+				if !reflect.DeepEqual(fromStatic, fromColumns) {
+					t.Errorf("%s %s/%s: static masks %+v, column masks %+v", bundle, def.ID, role, fromStatic, fromColumns)
 				}
 			}
 		}

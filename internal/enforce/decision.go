@@ -5,6 +5,11 @@
 // runtime cell/row/group enforcement with provenance-resolved intensional
 // conditions (§5, Fig. 4). Every decision is a value carrying the rule,
 // the PLAs involved, and provenance evidence, so audits are self-contained.
+//
+// A report's enforcement is read from the composed PLAs once per (report,
+// role, purpose) into a Program: the render plan, stored in a
+// generation-keyed cache. The static check, row enforcement, Explain and
+// pladiff all read that one value.
 package enforce
 
 import (

@@ -295,13 +295,13 @@ func TestRenderRefusesSchemaDrift(t *testing.T) {
 	if _, err := e.Render(def, consumer()); err != nil {
 		t.Fatal(err)
 	}
-	plan, hit, err := e.planFor(def, "analyst", "quality")
+	plan, hit, err := e.ProgramFor(def, "analyst", "quality")
 	if err != nil || !hit {
 		t.Fatalf("plan: hit=%v err=%v", hit, err)
 	}
 	// The plan forgets its denied column.
 	plan.header.Schema.Columns = append(plan.header.Schema.Columns[:2], plan.header.Schema.Columns[3])
-	plan.cols = append(plan.cols[:2], plan.cols[3])
+	plan.Columns = append(plan.Columns[:2], plan.Columns[3])
 	enf, err := e.Render(def, consumer())
 	if err == nil || !strings.Contains(err.Error(), "is not the plan's") {
 		t.Fatalf("render over a drifted schema: %v, err = %v", enf, err)

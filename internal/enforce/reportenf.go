@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"plabi/internal/compile"
 	"plabi/internal/fault"
 	"plabi/internal/obs"
 	"plabi/internal/policy"
@@ -40,7 +39,6 @@ type ReportEnforcer struct {
 	// configuration change so cached plans built under the previous
 	// configuration stop validating.
 	mu          sync.RWMutex
-	levels      []policy.Level
 	extraScopes map[string][]string
 	cfgGen      atomic.Uint64
 
@@ -60,21 +58,10 @@ type ReportEnforcer struct {
 func NewReportEnforcer(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer) *ReportEnforcer {
 	e := &ReportEnforcer{
 		Registry: reg, Catalog: cat, Tracer: tr,
-		levels: []policy.Level{policy.LevelSource, policy.LevelWarehouse,
-			policy.LevelMetaReport, policy.LevelReport},
 		extraScopes: map[string][]string{},
 	}
 	e.cache.Store(newPlanCache(0))
 	return e
-}
-
-// SetLevels replaces the PLA levels consulted (nil or empty restores all
-// levels) and invalidates cached plans.
-func (e *ReportEnforcer) SetLevels(levels []policy.Level) {
-	e.mu.Lock()
-	e.levels = append([]policy.Level(nil), levels...)
-	e.mu.Unlock()
-	e.cfgGen.Add(1)
 }
 
 // SetExtraScopes replaces the report-id -> extra PLA scope map (e.g. the
@@ -128,31 +115,11 @@ func (e *ReportEnforcer) CacheStats() CacheStats {
 // after a hot reload — bumps it, so "reload recompiles" is testable.
 func (e *ReportEnforcer) ProgramGeneration() uint64 { return e.programGen.Load() }
 
-// ProgramFor returns the residual program compiled for (def, role,
-// purpose), building (and caching) the plan on miss. The boolean reports
-// whether the program came from the cache.
-func (e *ReportEnforcer) ProgramFor(def *report.Definition, role, purpose string) (*compile.Program, bool, error) {
-	plan, hit, err := e.planFor(def, role, purpose)
-	if err != nil {
-		return nil, false, err
-	}
-	return plan.prog, hit, nil
-}
-
-// Precompile builds and caches the plan (and residual program) for one
-// (def, role, purpose) triple without rendering.
+// Precompile builds and caches the program for one (def, role, purpose)
+// triple without rendering.
 func (e *ReportEnforcer) Precompile(def *report.Definition, role, purpose string) error {
-	_, _, err := e.planFor(def, role, purpose)
+	_, _, err := e.ProgramFor(def, role, purpose)
 	return err
-}
-
-func (e *ReportEnforcer) levelSnapshot() []policy.Level {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.levels) > 0 {
-		return append([]policy.Level(nil), e.levels...)
-	}
-	return policy.Levels()
 }
 
 func (e *ReportEnforcer) scopesFor(reportID string) []string {
@@ -197,7 +164,7 @@ func (e *ReportEnforcer) CompositeFor(def *report.Definition) (*policy.Composite
 			}
 		}
 	}
-	for _, lvl := range e.levelSnapshot() {
+	for _, lvl := range policy.Levels() {
 		switch lvl {
 		case policy.LevelSource:
 			add(e.Registry.ForScopes(lvl, prof.BaseTables))
@@ -218,24 +185,25 @@ func (e *ReportEnforcer) CompositeFor(def *report.Definition) (*policy.Composite
 	return policy.Compose(plas...), prof, nil
 }
 
-// planFor returns the cached enforcement plan for (def, role, purpose),
-// building and caching it on miss. A plan is valid only at the exact
-// (definition version, policy generation, catalog generation, enforcer
-// configuration generation) it was built at, so AddPLAs, catalog loads
-// and meta-report re-derivation invalidate implicitly.
-func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (*renderPlan, bool, error) {
+// ProgramFor returns the program for (def, role, purpose) from the plan
+// cache, building and caching it on miss; the boolean reports a cache
+// hit. A program is valid only at the exact (definition version, policy
+// generation, catalog generation, enforcer configuration generation) it
+// was built at, so AddPLAs, catalog loads and meta-report re-derivation
+// invalidate implicitly. The program is shared: read-only.
+func (e *ReportEnforcer) ProgramFor(def *report.Definition, role, purpose string) (*Program, bool, error) {
 	key := planKey{report: def.ID, role: strings.ToLower(role), purpose: strings.ToLower(purpose)}
-	at := gens{
-		version: def.Version,
-		policy:  e.Registry.Generation(),
-		catalog: e.Catalog.Generation(),
-		scope:   e.cfgGen.Load(),
+	at := Generations{
+		Version: def.Version,
+		Policy:  e.Registry.Generation(),
+		Catalog: e.Catalog.Generation(),
+		Scope:   e.cfgGen.Load(),
 	}
 	cache := e.cache.Load()
 	if p, ok := cache.get(key, at); ok {
 		return p, true, nil
 	}
-	p, err := e.buildPlan(def, role, purpose, at)
+	p, err := e.buildProgram(def, role, purpose, at)
 	if err != nil {
 		return nil, false, err
 	}
@@ -243,14 +211,11 @@ func (e *ReportEnforcer) planFor(def *report.Definition, role, purpose string) (
 	return p, false, nil
 }
 
-// buildPlan does every piece of enforcement work that does not depend on
-// the data: parse, profile, compose the governing PLAs, take the query's
-// header from the executor, classify its columns, run the static check,
-// and partially evaluate the composite into a residual program
-// (thresholds baked and sorted, row filters pre-bound, constant verdicts
-// folded, dead rules pruned). The decision cache stores the compiled
-// program with the plan; every render executes it.
-func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string, at gens) (*renderPlan, error) {
+// buildProgram does every piece of enforcement work that does not depend
+// on the data: parse, profile, compose the governing PLAs, take the
+// query's header from the executor, classify its columns, run the static
+// check, merge thresholds, pre-bind row filters and prune dead rules.
+func (e *ReportEnforcer) buildProgram(def *report.Definition, role, purpose string, at Generations) (*Program, error) {
 	comp, prof, err := e.CompositeFor(def)
 	if err != nil {
 		return nil, err
@@ -260,57 +225,50 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 		return nil, err
 	}
 	// The profile ran the executor over the shells for its origins; its
-	// header is the one Catalog.Header would return, and this plan's own.
+	// header is the one Catalog.Header would return, and this program's own.
 	header := prof.Header
 	header.Name = def.ID
-	plan := &renderPlan{
-		at: at, sel: sel, comp: comp, header: header,
-		from:    fromNames(sel),
-		aggCols: aggregateColumns(sel),
-		cols:    make([]colPlan, header.Schema.Len()),
+	p := &Program{
+		Report: def.ID, Role: strings.ToLower(role), Purpose: strings.ToLower(purpose), At: at,
+		Aggregated: prof.Aggregated,
+		FilterPLAs: comp.FilterPLAs(),
+		Columns:    make([]ColumnPlan, header.Schema.Len()),
+		sel:        sel, comp: comp, header: header, from: fromNames(sel),
+	}
+	for _, pla := range comp.PLAs {
+		p.PLAs = append(p.PLAs, pla.ID)
+		p.TotalRules += len(pla.Access)
 	}
 
-	// The one column classification, by index over the executed header: it
-	// yields the column plans row enforcement runs, the ones the program
-	// publishes and the mask decisions the static check reports.
-	columns := make([]compile.ColumnPlan, len(plan.cols))
+	// The one column classification, by index over the executed header: row
+	// enforcement runs it, and its mask decisions are the static check's.
+	aggCols := aggregateColumns(sel)
 	var masks []Decision
 	for ci, col := range header.Schema.Columns {
 		name := strings.ToLower(col.Name)
-		cp := e.classifyColumn(plan, name, header.ColumnOrigin(ci), role, purpose)
-		plan.cols[ci] = cp
-		columns[ci] = cp.published(name)
-		if cp.masked {
-			masks = append(masks, cp.decision)
+		p.Columns[ci] = e.classifyColumn(p, name, aggCols[name], header.ColumnOrigin(ci), role, purpose)
+		if p.Columns[ci].Masked {
+			masks = append(masks, p.Columns[ci].Decision)
 		}
 	}
-	plan.static = e.staticDecisions(comp, prof, masks)
+	p.Static = e.staticDecisions(comp, prof, masks)
 
-	// The enforcer feeds compile its own folded products — static verdicts
-	// and the column classification — so the program can never disagree
-	// with runtime decision semantics; compile adds the baked thresholds,
-	// pre-bound filters and PL001 rule pruning.
-	in := compile.Input{
-		Report: def.ID, Role: strings.ToLower(role), Purpose: strings.ToLower(purpose),
-		At: compile.Generations{
-			Version: at.version, Policy: at.policy, Catalog: at.catalog, Scope: at.scope,
-		},
-		Composite:  comp,
-		Aggregated: prof.Aggregated,
-		Columns:    columns,
+	// A non-aggregated report under a threshold is refused statically, so
+	// thresholds only survive into programs that aggregate.
+	if p.Aggregated {
+		p.Thresholds = mergeThresholds(comp)
 	}
-	for _, d := range plan.static {
-		in.Static = append(in.Static, compile.Verdict{
-			Outcome: d.Outcome.String(), Rule: d.Rule, Subject: d.Subject,
-			Detail: d.Detail, PLAs: d.PLAs,
-		})
+	for _, f := range comp.Filters() {
+		p.Filters = append(p.Filters, BindPredicate(f))
 	}
-	plan.prog = compile.Compile(in)
+	p.Pruned = pruneDeadRules(comp)
+	p.LiveRules = p.TotalRules - len(p.Pruned)
+
 	e.programGen.Add(1)
 	m := e.obs()
 	m.Counter("compile.programs").Inc()
-	m.Counter("compile.pruned_rules").Add(uint64(len(plan.prog.Pruned)))
-	return plan, nil
+	m.Counter("compile.pruned_rules").Add(uint64(len(p.Pruned)))
+	return p, nil
 }
 
 // StaticCheck verifies a report definition against the PLAs without
@@ -318,13 +276,13 @@ func (e *ReportEnforcer) buildPlan(def *report.Definition, role, purpose string,
 // aggregation for threshold-protected data are reported. An empty result
 // means the definition is statically compliant — the paper's "testable
 // before put in operation" property (§6). Results are served from the
-// decision cache when valid.
+// plan cache when valid.
 func (e *ReportEnforcer) StaticCheck(def *report.Definition, role, purpose string) ([]Decision, error) {
-	plan, _, err := e.planFor(def, role, purpose)
+	p, _, err := e.ProgramFor(def, role, purpose)
 	if err != nil {
 		return nil, err
 	}
-	return append([]Decision(nil), plan.static...), nil
+	return append([]Decision(nil), p.Static...), nil
 }
 
 // staticDecisions is the static-check body over an already-built
@@ -440,29 +398,19 @@ func (e *ReportEnforcer) decideColumn(comp *policy.Composite, refs []policy.Attr
 // is governed by thresholds; any other is decided for the consumer from
 // its scoped references — masked, or released under pre-bound intensional
 // conditions.
-func (e *ReportEnforcer) classifyColumn(plan *renderPlan, name string, origins relation.ColRefSet, role, purpose string) colPlan {
-	if plan.aggCols[name] {
-		return colPlan{aggregate: true}
+func (e *ReportEnforcer) classifyColumn(p *Program, name string, aggregate bool, origins relation.ColRefSet, role, purpose string) ColumnPlan {
+	if aggregate {
+		return ColumnPlan{Name: name, Aggregate: true}
 	}
-	d, conds := e.decideColumn(plan.comp, e.columnRefs(plan.from, name, origins), name, role, purpose)
+	d, conds := e.decideColumn(p.comp, e.columnRefs(p.from, name, origins), name, role, purpose)
 	if d != nil {
-		return colPlan{masked: true, decision: *d}
+		return ColumnPlan{Name: name, Masked: true, Decision: *d}
 	}
-	bound := make([]compile.BoundPredicate, len(conds))
-	for i, c := range conds {
-		bound[i] = compile.BindPredicate(c)
+	cp := ColumnPlan{Name: name}
+	for _, c := range conds {
+		cp.Conditions = append(cp.Conditions, BindPredicate(c))
 	}
-	return colPlan{conditions: bound}
-}
-
-// published renders the classification in the program's vocabulary.
-func (cp colPlan) published(name string) compile.ColumnPlan {
-	out := compile.ColumnPlan{Name: name, Aggregate: cp.aggregate,
-		Masked: cp.masked, Rule: cp.decision.Rule, PLAs: cp.decision.PLAs}
-	for _, c := range cp.conditions {
-		out.Conditions = append(out.Conditions, fmt.Sprint(c.Expr))
-	}
-	return out
+	return cp
 }
 
 // Render executes the report and enforces the PLAs on the result for the
@@ -487,14 +435,14 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, hit, err := e.planFor(def, consumer.Role, consumer.Purpose)
+	plan, hit, err := e.ProgramFor(def, consumer.Role, consumer.Purpose)
 	if err != nil {
 		return nil, err
 	}
 	// A refusal is a constant of the plan: it is answered before the query
 	// runs — the plan's header over no rows, the blocking decisions — so it
 	// reads no data and holds whatever state the data is in.
-	if blocked := Blocked(plan.static); len(blocked) > 0 {
+	if blocked := Blocked(plan.Static); len(blocked) > 0 {
 		e.obs().Counter("enforce.static_blocks").Inc()
 		return &Enforced{Def: def, Table: plan.header.Shell(), Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
 	}
@@ -505,7 +453,7 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 // query and run the plan's enforcement over the result in one pass. The
 // output is built once — the executed header as a shell, then the single
 // copy enforceRow makes of each row it keeps.
-func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *renderPlan, hit bool) (*Enforced, error) {
+func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *Program, hit bool) (*Enforced, error) {
 	m := e.obs()
 	execStart := time.Now()
 	raw, err := e.Catalog.Exec(plan.sel)
@@ -523,20 +471,19 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, pla
 	if !raw.Schema.Equal(plan.header.Schema) {
 		return nil, fmt.Errorf("report %s: executed schema %s is not the plan's %s", def.ID, raw.Schema, plan.header.Schema)
 	}
-	cols := plan.cols
 	// placeholder marks the columns this render puts a MaskValue in: the
 	// denied ones up front, a conditionally released one from the worker
 	// that withholds its first cell.
-	placeholder := make([]atomic.Bool, len(cols))
-	for ci := range cols {
-		if cols[ci].masked {
-			enf.Decisions = append(enf.Decisions, cols[ci].decision)
+	placeholder := make([]atomic.Bool, len(plan.Columns))
+	for ci, c := range plan.Columns {
+		if c.Masked {
+			enf.Decisions = append(enf.Decisions, c.Decision)
 			placeholder[ci].Store(true)
 		}
 	}
 
 	rowsStart := time.Now()
-	results, err := e.enforceRows(ctx, plan, raw, cols, placeholder)
+	results, err := e.enforceRows(ctx, plan, raw, placeholder)
 	if err != nil {
 		return nil, err
 	}
@@ -586,10 +533,10 @@ type rowResult struct {
 // to every row of the executed result, fanning out over the worker pool
 // for large results. Results are positional, so the merged output is
 // identical to a sequential pass.
-func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw *relation.Table, cols []colPlan, placeholder []atomic.Bool) ([]rowResult, error) {
+func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *Program, raw *relation.Table, placeholder []atomic.Bool) ([]rowResult, error) {
 	n := len(raw.Rows)
 	results := make([]rowResult, n)
-	trace := needsTrace(plan, cols)
+	trace := needsTrace(plan)
 	fi := e.faults.Load()
 	// chunk enforces rows [start, end) under panic isolation: a panicking
 	// worker (organic or injected) fails this render with a typed
@@ -606,7 +553,7 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw 
 						return err
 					}
 				}
-				if err := e.enforceRow(plan, raw, cols, ri, trace, placeholder, &results[ri]); err != nil {
+				if err := e.enforceRow(plan, raw, ri, trace, placeholder, &results[ri]); err != nil {
 					return err
 				}
 			}
@@ -667,15 +614,15 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *renderPlan, raw 
 // attribute masking, or fully permitted reports) skip the per-row trace —
 // the dominant cost on wide lineage — with byte-identical results, since
 // every branch reading the trace is unreachable.
-func needsTrace(plan *renderPlan, cols []colPlan) bool {
-	if len(plan.prog.Thresholds) > 0 {
+func needsTrace(plan *Program) bool {
+	if len(plan.Thresholds) > 0 {
 		return true
 	}
-	if !plan.prog.Aggregated && len(plan.prog.Filters) > 0 {
+	if !plan.Aggregated && len(plan.Filters) > 0 {
 		return true
 	}
-	for ci := range cols {
-		if len(cols[ci].conditions) > 0 {
+	for ci := range plan.Columns {
+		if len(plan.Columns[ci].Conditions) > 0 {
 			return true
 		}
 	}
@@ -686,7 +633,7 @@ func needsTrace(plan *renderPlan, cols []colPlan) bool {
 // thresholds counted on lineage support, row filters over supporting
 // source rows, then cell-level masking (denied columns and intensional
 // conditions — the §5 HIV example) on the one copy a kept row gets.
-func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols []colPlan, ri int, trace bool, placeholder []atomic.Bool, res *rowResult) error {
+func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, trace bool, placeholder []atomic.Bool, res *rowResult) error {
 	var rt provenance.RowTrace
 	if trace {
 		var err error
@@ -695,10 +642,9 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols 
 			return err
 		}
 	}
-	prog := plan.prog
 	// Aggregation thresholds (baked into the program pre-sorted, so the
 	// evidence order is deterministic without per-row sorting).
-	for _, th := range prog.Thresholds {
+	for _, th := range plan.Thresholds {
 		by, k := th.By, th.Min
 		var support int
 		if by == "" {
@@ -724,8 +670,8 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols 
 	}
 	// Row filters (non-aggregated reports): every supporting source row
 	// must satisfy every filter.
-	if !prog.Aggregated && len(prog.Filters) > 0 {
-		ok, evidence, err := e.supportSatisfies(rt, prog.Filters)
+	if !plan.Aggregated && len(plan.Filters) > 0 {
+		ok, evidence, err := e.supportSatisfies(rt, plan.Filters)
 		if err != nil {
 			return err
 		}
@@ -733,7 +679,7 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols 
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressRow, Rule: "row-filter",
 				Subject:  fmt.Sprintf("%s[%d]", raw.Name, ri),
-				PLAs:     prog.FilterPLAs,
+				PLAs:     plan.FilterPLAs,
 				Evidence: evidence,
 			})
 			return nil
@@ -743,15 +689,16 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols 
 	// evaluated against the supporting source rows.
 	row := raw.Rows[ri].Clone()
 	for ci := range row {
-		if cols[ci].masked {
+		c := &plan.Columns[ci]
+		if c.Masked {
 			row[ci] = MaskValue
 			res.masked++
 			continue
 		}
-		if len(cols[ci].conditions) == 0 {
+		if len(c.Conditions) == 0 {
 			continue
 		}
-		ok, evidence, err := e.supportSatisfies(rt, cols[ci].conditions)
+		ok, evidence, err := e.supportSatisfies(rt, c.Conditions)
 		if err != nil {
 			return err
 		}
@@ -779,8 +726,8 @@ func (e *ReportEnforcer) enforceRow(plan *renderPlan, raw *relation.Table, cols 
 // returned as evidence. A supporting cell that cannot be read decides
 // nothing — the error fails the render rather than letting the row pass.
 // The predicates arrive bound (columns resolved, expression compiled) from
-// the residual program, so per-row evaluation performs no name lookups.
-func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []compile.BoundPredicate) (bool, []string, error) {
+// the program, so per-row evaluation performs no name lookups.
+func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []BoundPredicate) (bool, []string, error) {
 	for _, cond := range conds {
 		for _, ref := range rt.Rows {
 			vals := make(relation.Row, len(cond.Cols))

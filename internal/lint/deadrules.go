@@ -30,13 +30,15 @@ func (deadRules) Run(p *Pass) []Finding {
 	for _, g := range p.scopeGroups() {
 		for _, pla := range g.plas {
 			for i, r := range pla.Access {
+				// The dead-rule search is policy's, shared with the render
+				// programs, which prune exactly the rules reported here.
 				if r.Effect == policy.Allow {
-					if by, s := shadowedBy(g, r); by != nil {
-						out = append(out, shadowFinding(pla, i, r, by, s))
+					if by, si := policy.ShadowingDeny(g.plas, r); by != nil {
+						out = append(out, shadowFinding(pla, i, r, by, by.Access[si]))
 						continue
 					}
 				}
-				if j := coveredEarlier(pla, i); j >= 0 {
+				if j := policy.CoveredEarlier(pla, i); j >= 0 {
 					out = append(out, redundantFinding(pla, i, j))
 				}
 			}
@@ -45,42 +47,7 @@ func (deadRules) Run(p *Pass) []Finding {
 	return out
 }
 
-// shadowedBy returns the agreement and rule whose unconditional deny
-// covers every (attribute, role, purpose) the allow rule r matches. The
-// covering relation itself (policy.RuleCovers) is shared with
-// internal/compile, whose residual programs prune exactly the rules this
-// analyzer reports.
-func shadowedBy(g group, r policy.AccessRule) (*policy.PLA, *policy.AccessRule) {
-	for _, pla := range g.plas {
-		for i, s := range pla.Access {
-			// A deny's condition is ignored by DecideAttribute, so any
-			// covering deny shadows unconditionally.
-			if s.Effect == policy.Deny && policy.RuleCovers(s, r) {
-				return pla, &pla.Access[i]
-			}
-		}
-	}
-	return nil, nil
-}
-
-// coveredEarlier returns the index of an earlier rule in the same PLA
-// with the same effect, no condition, covering rule i (which must itself
-// be unconditional for the subsumption to be outcome-neutral).
-func coveredEarlier(pla *policy.PLA, i int) int {
-	r := pla.Access[i]
-	if r.When != nil {
-		return -1
-	}
-	for j := 0; j < i; j++ {
-		s := pla.Access[j]
-		if s.Effect == r.Effect && s.When == nil && policy.RuleCovers(s, r) {
-			return j
-		}
-	}
-	return -1
-}
-
-func shadowFinding(pla *policy.PLA, idx int, r policy.AccessRule, by *policy.PLA, s *policy.AccessRule) Finding {
+func shadowFinding(pla *policy.PLA, idx int, r policy.AccessRule, by *policy.PLA, s policy.AccessRule) Finding {
 	at := ""
 	if s.Pos.IsValid() {
 		at = fmt.Sprintf(" at %s", s.Pos)

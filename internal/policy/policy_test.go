@@ -502,3 +502,27 @@ func TestParseOneRejectsMany(t *testing.T) {
 		t.Error("ParseOne must reject multiple PLAs")
 	}
 }
+
+// TestDeadRuleHelpers pins the two searches behind PL001 and program
+// pruning: a covering deny shadows an allow whatever its condition, and a
+// rule is redundant only behind an earlier unconditional rule of the same
+// effect that covers it, and only when it is unconditional itself.
+func TestDeadRuleHelpers(t *testing.T) {
+	src := mustParseOne(t, `pla "src" { owner "h"; level source; scope "t";
+    allow attribute *; allow attribute drug to roles analyst;
+    allow attribute patient when disease <> 'HIV'; deny attribute zip; }`)
+	lock := mustParseOne(t, `pla "lock" { owner "h"; level report; scope "r";
+    deny attribute patient when disease = 'HIV'; }`)
+
+	if by, i := ShadowingDeny([]*PLA{src, lock}, src.Access[2]); by != lock || i != 0 {
+		t.Errorf("patient allow: shadowed by %v at %d, want lock at 0", by, i)
+	}
+	if by, i := ShadowingDeny([]*PLA{src, lock}, src.Access[1]); by != nil || i != -1 {
+		t.Errorf("drug allow shadowed by %v at %d", by, i)
+	}
+	for i, want := range []int{-1, 0, -1, -1} {
+		if got := CoveredEarlier(src, i); got != want {
+			t.Errorf("CoveredEarlier(src, %d) = %d, want %d", i, got, want)
+		}
+	}
+}

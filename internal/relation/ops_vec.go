@@ -142,9 +142,11 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 // joinMapKey canonicalizes a join-key value for the verified hash join:
 // key equality must be implied by Value.Compare equality (over-merging is
 // fine — candidates are re-verified with Compare — but under-merging
-// would drop matches the nested-loop reference produces). Numerics
-// therefore collapse onto their float64 image beyond 2^53-adjacent
-// territory, exactly like Compare's coercion.
+// would drop matches the nested-loop reference produces). Two INTs
+// compare exactly, but an INT and a FLOAT compare through float64, so a
+// large INT may equal a FLOAT whose integer image differs from it: beyond
+// 2^53-adjacent territory numerics collapse onto their float64 image, and
+// distinct INTs merged there are told apart by the verification.
 func joinMapKey(v Value) ValKey {
 	switch v.Kind {
 	case TInt:

@@ -165,10 +165,22 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders two values: -1, 0, +1. It reports false when the values
-// are incomparable (NULL involved or incompatible types).
+// are incomparable (NULL involved or incompatible types). Two INTs compare
+// exactly, as the int vector kernels and MapKey do; an INT and a FLOAT
+// compare through float64.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.IsNull() || o.IsNull() {
 		return 0, false
+	}
+	if v.Kind == TInt && o.Kind == TInt {
+		switch {
+		case v.I < o.I:
+			return -1, true
+		case v.I > o.I:
+			return 1, true
+		default:
+			return 0, true
+		}
 	}
 	if (v.Kind == TInt || v.Kind == TFloat) && (o.Kind == TInt || o.Kind == TFloat) {
 		a, _ := v.AsFloat()

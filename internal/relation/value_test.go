@@ -52,6 +52,49 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestLargeIntsCompareExactly: two INTs that share a float64 image are
+// still distinct, whichever path compares them. A select over a typed int
+// vector (kernel) and over a mixed column (Compare) agree, and so do a
+// single-key join (MapKey) and a multi-key join (verified with Equal).
+func TestLargeIntsCompareExactly(t *testing.T) {
+	const big = int64(1) << 53
+	pred := Eq(ColRefExpr("id"), Lit(Int(big+1)))
+	typed := NewBase("t", NewSchema(Col("id", TInt)))
+	typed.AppendVals(Int(big))
+	typed.AppendVals(Int(big + 1))
+	mixed := NewBase("t", NewSchema(Col("id", TInt)))
+	mixed.AppendVals(Int(big))
+	mixed.AppendVals(Int(big + 1))
+	mixed.AppendVals(Float(0.5))
+	for name, tab := range map[string]*Table{"typed": typed, "mixed": mixed} {
+		out, err := Select(tab, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != 1 {
+			t.Errorf("%s select: %d rows, want 1", name, out.NumRows())
+		}
+	}
+
+	l := NewBase("l", NewSchema(Col("a", TInt), Col("k", TInt)))
+	l.AppendVals(Int(big), Int(1))
+	r := NewBase("r", NewSchema(Col("b", TInt), Col("k2", TInt)))
+	r.AppendVals(Int(big+1), Int(1))
+	lq, rq := Rename(l, "l"), Rename(r, "r")
+	for name, on := range map[string]Expr{
+		"single-key": Eq(ColRefExpr("l.a"), ColRefExpr("r.b")),
+		"multi-key":  And(Eq(ColRefExpr("l.a"), ColRefExpr("r.b")), Eq(ColRefExpr("l.k"), ColRefExpr("r.k2"))),
+	} {
+		out, err := Join(lq, rq, on, InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != 0 {
+			t.Errorf("%s join: %d rows, want 0", name, out.NumRows())
+		}
+	}
+}
+
 func TestNullEqualsNothing(t *testing.T) {
 	if Null().Equal(Null()) {
 		t.Error("NULL must not equal NULL")

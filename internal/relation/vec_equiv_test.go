@@ -113,7 +113,8 @@ func sameRow(a, b Row) bool {
 
 // randValue draws a value of roughly the given kind with a small domain so
 // joins and groups collide often. Edge values (NaN, integral floats,
-// negative zero, empty strings) appear deliberately.
+// negative zero, empty strings, ints that share a float64 image beyond
+// 2^53) appear deliberately.
 func randValue(rng *rand.Rand, kind Type) Value {
 	if rng.Intn(8) == 0 {
 		return Null()
@@ -123,7 +124,8 @@ func randValue(rng *rand.Rand, kind Type) Value {
 		pool := []string{"", "a", "b", "ab", "HIV", "flu", "x y", "aspirin"}
 		return Str(pool[rng.Intn(len(pool))])
 	case TInt:
-		return Int(int64(rng.Intn(7) - 3))
+		pool := []int64{-3, -2, -1, 0, 1, 2, 3, 1 << 53, 1<<53 + 1}
+		return Int(pool[rng.Intn(len(pool))])
 	case TFloat:
 		pool := []float64{0, math.Copysign(0, -1), 1, 2, 2.5, -3.25, 2, math.NaN(), math.Inf(1), 1e16}
 		return Float(pool[rng.Intn(len(pool))])
@@ -286,8 +288,10 @@ func randPredicate(rng *rand.Rand, s *Schema, depth int) Expr {
 	}
 }
 
+// TestSelectEquivalence runs enough seeds that an int column compared with
+// an int literal beyond 2^53 reaches both the kernel and the row path.
 func TestSelectEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 1500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randTable(rng, "t", 2+rng.Intn(3), rng.Intn(40))
 		pred := randPredicate(rng, tab.Schema, rng.Intn(3))

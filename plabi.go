@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"plabi/internal/audit"
-	"plabi/internal/compile"
 	"plabi/internal/core"
 	"plabi/internal/enforce"
 	"plabi/internal/etl"
@@ -119,11 +118,11 @@ type (
 	RetryPolicy = fault.RetryPolicy
 	// InternalError is a recovered worker panic carrying site and stack.
 	InternalError = fault.InternalError
-	// CompiledReport is the residual render program one (report, role,
-	// purpose) triple compiles to: static verdicts folded, thresholds
-	// baked, row filters pre-bound, dead rules pruned. Inspect it via
-	// its fields or Explain.
-	CompiledReport = compile.Program
+	// CompiledReport is the render program one (report, role, purpose)
+	// triple compiles to — the plan every render of it executes: static
+	// decisions, baked thresholds, pre-bound row filters and column
+	// plans, dead rules pruned. Inspect it via its fields or Explain.
+	CompiledReport = enforce.Program
 )
 
 // NewMetrics returns an empty observability registry, for sharing one
