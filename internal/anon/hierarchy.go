@@ -33,7 +33,7 @@ func (DateHierarchy) Generalize(v relation.Value, level int) relation.Value {
 	if v.IsNull() || v.Kind != relation.TDate || level <= 0 {
 		return v
 	}
-	t := v.T
+	t := v.T.Time()
 	switch level {
 	case 1:
 		return relation.Str(fmt.Sprintf("%04d-%02d", t.Year(), int(t.Month())))

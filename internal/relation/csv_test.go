@@ -50,7 +50,7 @@ func TestReadCSVInference(t *testing.T) {
 	if !got.Get(2, "age").IsNull() || !got.Get(2, "joined").IsNull() {
 		t.Error("empty fields must load as NULL")
 	}
-	if got.Get(0, "joined").Kind != TDate || got.Get(0, "joined").T.Year() != 2007 {
+	if got.Get(0, "joined").Kind != TDate || got.Get(0, "joined").T.Time().Year() != 2007 {
 		t.Errorf("joined = %v", got.Get(0, "joined"))
 	}
 }

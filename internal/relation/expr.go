@@ -646,7 +646,7 @@ func callScalar(name string, args []Value) (Value, error) {
 		if args[0].Kind != TDate {
 			return Null(), nil
 		}
-		return Int(int64(args[0].T.Year())), nil
+		return Int(int64(args[0].T.Time().Year())), nil
 	case "MONTH":
 		if err := need(1); err != nil {
 			return Null(), err
@@ -654,7 +654,7 @@ func callScalar(name string, args []Value) (Value, error) {
 		if args[0].Kind != TDate {
 			return Null(), nil
 		}
-		return Int(int64(args[0].T.Month())), nil
+		return Int(int64(args[0].T.Time().Month())), nil
 	case "DAY":
 		if err := need(1); err != nil {
 			return Null(), err
@@ -662,7 +662,7 @@ func callScalar(name string, args []Value) (Value, error) {
 		if args[0].Kind != TDate {
 			return Null(), nil
 		}
-		return Int(int64(args[0].T.Day())), nil
+		return Int(int64(args[0].T.Time().Day())), nil
 	case "QUARTER":
 		if err := need(1); err != nil {
 			return Null(), err
@@ -670,7 +670,7 @@ func callScalar(name string, args []Value) (Value, error) {
 		if args[0].Kind != TDate {
 			return Null(), nil
 		}
-		return Int(int64((int(args[0].T.Month())-1)/3 + 1)), nil
+		return Int(int64((int(args[0].T.Time().Month())-1)/3 + 1)), nil
 	case "DATE":
 		if err := need(1); err != nil {
 			return Null(), err

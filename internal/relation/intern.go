@@ -31,7 +31,7 @@ const (
 
 // MapKey returns the canonical comparable key of v. The canonicalization
 // mirrors Value.Key() exactly: integral floats below 1e15 collapse onto
-// the matching integer key, dates key by calendar day, and every NaN maps
+// the matching integer key, dates key by day number, and every NaN maps
 // to one shared key (NaN is not equal to itself, so a raw float64 field
 // would make map lookups miss).
 func MapKey(v Value) ValKey {
@@ -56,8 +56,7 @@ func MapKey(v Value) ValKey {
 		}
 		return ValKey{kind: vkBool, i: 0}
 	case TDate:
-		y, m, d := v.T.Date()
-		return ValKey{kind: vkDate, i: int64(y)*10000 + int64(m)*100 + int64(d)}
+		return ValKey{kind: vkDate, i: int64(v.T)}
 	default:
 		return ValKey{kind: vkNull}
 	}

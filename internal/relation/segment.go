@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"time"
 )
 
 // segMagic opens every segment file. The trailing digits version the
@@ -99,8 +98,8 @@ func pathed(err error, path string) error {
 }
 
 // segVal is a JSON-serializable zone-map bound. K tags the kind
-// ("s"/"i"/"f"/"b"/"d"); dates store unix seconds of their UTC midnight,
-// which round-trips exactly because Date() truncates to day granularity.
+// ("s"/"i"/"f"/"b"/"d"); dates store the Unix seconds of their UTC
+// midnight.
 type segVal struct {
 	K string  `json:"k"`
 	S string  `json:"s,omitempty"`
@@ -143,7 +142,11 @@ func (sv *segVal) value() (Value, error) {
 	case "b":
 		return Bool(sv.B), nil
 	case "d":
-		return Date(time.Unix(sv.I, 0).UTC()), nil
+		d, ok := dayOfUnix(sv.I)
+		if !ok {
+			return Null(), corruptf("zone date %d out of range", sv.I)
+		}
+		return Value{Kind: TDate, T: d}, nil
 	default:
 		return Null(), corruptf("zone value kind %q", sv.K)
 	}
@@ -559,10 +562,15 @@ func decodeVector(block []byte, ci, enc, n int) (*Vector, error) {
 		if err := fixed(8); err != nil {
 			return nil, err
 		}
-		v.Kind, v.T = TDate, make([]time.Time, n)
+		v.Kind, v.T = TDate, make([]Day, n)
 		for i := range v.T {
 			if v.Null == nil || !v.Null[i] {
-				v.T[i] = Date(time.Unix(int64(binary.LittleEndian.Uint64(body[8*i:])), 0).UTC()).T
+				s := int64(binary.LittleEndian.Uint64(body[8*i:]))
+				d, ok := dayOfUnix(s)
+				if !ok {
+					return nil, corruptf("column %d: date %d out of range", ci, s)
+				}
+				v.T[i] = d
 			}
 		}
 	case encBool:
@@ -658,7 +666,11 @@ func decodeGenericVector(block []byte, ci, n int) (*Vector, error) {
 			case svFloat:
 				v.V[i] = Float(math.Float64frombits(u))
 			default:
-				v.V[i] = Date(time.Unix(int64(u), 0).UTC())
+				d, ok := dayOfUnix(int64(u))
+				if !ok {
+					return nil, corruptf("column %d: date %d out of range", ci, int64(u))
+				}
+				v.V[i] = Value{Kind: TDate, T: d}
 			}
 		case svBool:
 			if off >= len(block) {

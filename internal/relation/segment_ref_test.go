@@ -81,7 +81,11 @@ func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
 				case svFloat:
 					vals[i] = Float(math.Float64frombits(u))
 				default:
-					vals[i] = Date(time.Unix(int64(u), 0).UTC())
+					d, err := refDate(ci, u)
+					if err != nil {
+						return nil, err
+					}
+					vals[i] = d
 				}
 			case svBool:
 				if off >= len(block) {
@@ -123,7 +127,11 @@ func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
 			case encFloat:
 				vals[i] = Float(math.Float64frombits(u))
 			default:
-				vals[i] = Date(time.Unix(int64(u), 0).UTC())
+				d, err := refDate(ci, u)
+				if err != nil {
+					return nil, err
+				}
+				vals[i] = d
 			}
 		}
 	case encBool:
@@ -175,4 +183,15 @@ func decodeColumn(block []byte, ci, enc, n int) ([]Value, error) {
 		return nil, corruptf("column %d: unknown encoding %d", ci, enc)
 	}
 	return vals, nil
+}
+
+// refDate decodes a stored date through time.Time: the UTC calendar day of
+// Unix second u, or corruption when no Day holds the day u falls in.
+func refDate(ci int, u uint64) (Value, error) {
+	s := int64(u)
+	d := Date(time.Unix(s, 0).UTC())
+	if mid := d.T.Time().Unix(); s < mid || s >= mid+86400 {
+		return Null(), corruptf("column %d: date %d out of range", ci, s)
+	}
+	return d, nil
 }

@@ -19,8 +19,10 @@ import (
 	"time"
 )
 
-// Type enumerates the column types supported by the engine.
-type Type int
+// Type enumerates the column types supported by the engine. It is one
+// byte so that a Value's kind, its BOOL and its DATE payloads share one
+// word; it is signed so that a []Type encodes as JSON numbers, not base64.
+type Type int8
 
 // Supported column types.
 const (
@@ -57,14 +59,40 @@ func (t Type) String() string {
 // normalize to ISO for unambiguity.
 const DateLayout = "2006-01-02"
 
+// Day is a calendar date: the count of days since 1970-01-01, negative
+// before it. It is a DATE Value's payload; its range, ±5.8 million years,
+// holds every date ParseDate accepts.
+type Day int32
+
+const secondsPerDay = 86400
+
+// Unix returns the day's midnight UTC in Unix seconds.
+func (d Day) Unix() int64 { return int64(d) * secondsPerDay }
+
+// Time returns the day's midnight UTC, for the calendar fields.
+func (d Day) Time() time.Time { return time.Unix(d.Unix(), 0).UTC() }
+
+// dayOfUnix returns the UTC calendar day Unix second s falls in. It
+// reports false when that day lies outside Day's range.
+func dayOfUnix(s int64) (Day, bool) {
+	d := s / secondsPerDay
+	if s%secondsPerDay < 0 {
+		d--
+	}
+	return Day(d), d >= math.MinInt32 && d <= math.MaxInt32
+}
+
 // Value is a dynamically typed cell value. The zero Value is NULL.
+//
+// A Value is 40 bytes and holds one pointer, S's; Kind says which payload
+// field is meaningful.
 type Value struct {
-	Kind Type
 	S    string
 	I    int64
 	F    float64
+	T    Day
+	Kind Type
 	B    bool
-	T    time.Time
 }
 
 // Null returns the NULL value.
@@ -82,15 +110,17 @@ func Float(f float64) Value { return Value{Kind: TFloat, F: f} }
 // Bool returns a BOOL value.
 func Bool(b bool) Value { return Value{Kind: TBool, B: b} }
 
-// Date returns a DATE value truncated to day granularity in UTC.
+// Date returns the DATE value of t's calendar day in t's own location.
 func Date(t time.Time) Value {
-	y, m, d := t.Date()
-	return Value{Kind: TDate, T: time.Date(y, m, d, 0, 0, 0, 0, time.UTC)}
+	_, offset := t.Zone()
+	d, _ := dayOfUnix(t.Unix() + int64(offset))
+	return Value{Kind: TDate, T: d}
 }
 
-// DateYMD returns a DATE value for the given year, month and day.
+// DateYMD returns a DATE value for the given year, month and day,
+// normalized as time.Date does.
 func DateYMD(y int, m time.Month, d int) Value {
-	return Value{Kind: TDate, T: time.Date(y, m, d, 0, 0, 0, 0, time.UTC)}
+	return Date(time.Date(y, m, d, 0, 0, 0, 0, time.UTC))
 }
 
 // ParseDate parses an ISO yyyy-mm-dd string into a DATE value.
@@ -122,7 +152,7 @@ func (v Value) String() string {
 		}
 		return "false"
 	case TDate:
-		return v.T.Format(DateLayout)
+		return v.T.Time().Format(DateLayout)
 	default:
 		return "?"
 	}
@@ -211,9 +241,9 @@ func (v Value) Compare(o Value) (int, bool) {
 		}
 	case TDate:
 		switch {
-		case v.T.Before(o.T):
+		case v.T < o.T:
 			return -1, true
-		case v.T.After(o.T):
+		case v.T > o.T:
 			return 1, true
 		default:
 			return 0, true
@@ -246,7 +276,7 @@ func (v Value) Key() string {
 		}
 		return "b:0"
 	case TDate:
-		return "d:" + v.T.Format(DateLayout)
+		return "d:" + v.T.Time().Format(DateLayout)
 	default:
 		return "?"
 	}

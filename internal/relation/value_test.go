@@ -194,7 +194,7 @@ func TestParseDate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.T.Year() != 2007 || v.T.Month() != time.February || v.T.Day() != 12 {
+	if tm := v.T.Time(); tm.Year() != 2007 || tm.Month() != time.February || tm.Day() != 12 {
 		t.Errorf("ParseDate = %v", v)
 	}
 	if _, err := ParseDate("12/02/2007"); err == nil {
@@ -204,8 +204,8 @@ func TestParseDate(t *testing.T) {
 
 func TestDateTruncation(t *testing.T) {
 	v := Date(time.Date(2020, 5, 1, 13, 45, 0, 0, time.UTC))
-	if !v.T.Equal(time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)) {
-		t.Errorf("Date not truncated: %v", v.T)
+	if !v.T.Time().Equal(time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)) {
+		t.Errorf("Date not truncated: %v", v)
 	}
 }
 

@@ -1,9 +1,5 @@
 package relation
 
-import (
-	"time"
-)
-
 // Vector is one column of a Batch decomposed into typed storage. A column
 // whose non-null values all share one Kind is stored in the matching flat
 // array (plus a null mask), so predicate and aggregation kernels run tight
@@ -22,7 +18,7 @@ type Vector struct {
 	F []float64
 	S []string
 	B []bool
-	T []time.Time
+	T []Day
 
 	// V is the generic fallback storage for mixed-kind columns.
 	V []Value
@@ -136,7 +132,7 @@ func NewVector(t *Table, ci int) *Vector {
 			}
 		}
 	case TDate:
-		v.T = make([]time.Time, n)
+		v.T = make([]Day, n)
 		for i, r := range t.Rows {
 			if c := r[ci]; c.Kind == TDate {
 				v.T[i] = c.T
