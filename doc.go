@@ -36,15 +36,17 @@
 // correlation ids — the same ids stamped on the audit events each
 // operation appended, so the audit trail, metrics and spans join on one
 // id. Ids are deterministic; WithCorrelationID stitches in an external
-// request id. WithMetrics shares one registry across engines or, with
-// nil, disables instrumentation. README.md § Observability lists every
-// exported metric name.
+// request id. WithMetrics shares one registry across engines.
+// README.md § Observability lists every exported metric name.
 //
-// Engine lifecycle: Open cannot fail — option misuse (negative worker or
-// cache bounds, nil injectors, unknown retry sites) is clamped to the
-// documented defaults — while OpenHealthcare validates the same options
-// and returns an error, since it already has an error path. An engine
-// needs no explicit shutdown unless it streams audit events: Close
+// Engine lifecycle: an engine's configuration is fixed when it is opened;
+// nothing re-configures it afterwards. Open and OpenHealthcare validate
+// the options by one rule — option misuse (negative worker or cache
+// bounds, nil metrics or injectors, retry overrides for a site that never
+// retries) is returned as an error by OpenHealthcare, and Open, which has
+// no error path, panics with that same error.
+//
+// An engine needs no explicit shutdown unless it streams audit events: Close
 // flushes and closes the audit sink (when the writer supports it) and
 // detaches it, so the trail reaches stable storage before the writer is
 // released. Close never interrupts in-flight operations — worker pools

@@ -63,6 +63,13 @@ func chaosRetry() fault.RetryPolicy {
 		Max: 100 * time.Microsecond, Multiplier: 2, Jitter: 0.5}
 }
 
+// chaosConfig is the fail-closed, fast-retrying configuration the chaos
+// suites run fi under.
+func chaosConfig(fi *fault.Injector) Config {
+	r := chaosRetry()
+	return Config{Faults: fi, Retry: &r, FailClosed: true}
+}
+
 // tolerable reports whether err is an expected chaos outcome: an injected
 // fault, an isolated panic, or a fail-closed audit block. Anything else is
 // a robustness bug.
@@ -137,11 +144,8 @@ func TestChaosHealthcareScenario(t *testing.T) {
 			segDir := t.TempDir()
 			for attempt := 0; ; attempt++ {
 				var err error
-				e, ds, err = BuildHealthcareEngineWith(cfg, func(e *Engine) {
-					e.SetRetryPolicy(chaosRetry())
-					e.SetFailClosed(true)
+				e, ds, err = buildScenario(cfg, chaosConfig(fi), func(e *Engine) {
 					e.Audit.SetSink(&sink)
-					e.SetFaults(fi)
 					s := e.SetSegmentStore(segDir)
 					s.SetPartitionRows(64)
 					e.SetSpillThreshold(1)
@@ -241,20 +245,20 @@ func TestChaosReplaySchedule(t *testing.T) {
 		{Name: "a2", Role: "auditor", Purpose: "quality"},
 	}
 
-	// run builds the engine clean (deterministic ETL, no faults), then
-	// attaches the injector and sink and drives a fixed render sequence.
+	// run builds the engine under fi with no sink attached — the build's
+	// deterministic ETL reaches neither scheduled site, audit.sink.write
+	// nor render.worker — then attaches the sink and drives a fixed
+	// render sequence.
 	run := func(t *testing.T, fi *fault.Injector) (sinkBytes string, sched []fault.Fire, outs []string) {
 		t.Helper()
-		e, _, err := BuildHealthcareEngine(cfg)
+		ecfg := chaosConfig(fi)
+		ecfg.Workers = 1
+		e, _, err := buildScenario(cfg, ecfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkers(1)
-		e.SetRetryPolicy(chaosRetry())
-		e.SetFailClosed(true)
 		var sink bytes.Buffer
 		e.Audit.SetSink(&sink)
-		e.SetFaults(fi)
 		for r := 0; r < 3; r++ {
 			for _, d := range e.Reports.All() {
 				for _, c := range consumers {
@@ -386,11 +390,8 @@ func TestChaosDeltaConvergence(t *testing.T) {
 			segDir := t.TempDir()
 			for attempt := 0; ; attempt++ {
 				var err error
-				e, ds, err = BuildHealthcareEngineWith(cfg, func(e *Engine) {
-					e.SetRetryPolicy(chaosRetry())
-					e.SetFailClosed(true)
+				e, ds, err = buildScenario(cfg, chaosConfig(fi), func(e *Engine) {
 					e.Audit.SetSink(&sink)
-					e.SetFaults(fi)
 					s := e.SetSegmentStore(segDir)
 					s.SetPartitionRows(64)
 					e.SetSpillThreshold(1)

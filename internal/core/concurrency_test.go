@@ -14,13 +14,14 @@ import (
 )
 
 // buildConcurrencyEngine assembles the healthcare scenario at a small
-// size, suitable for hammering from many goroutines under -race.
-func buildConcurrencyEngine(t *testing.T) *Engine {
+// size on an engine built from cfg, suitable for hammering from many
+// goroutines under -race.
+func buildConcurrencyEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	cfg := workload.DefaultConfig(7)
-	cfg.Prescriptions = 600
-	cfg.Patients = 60
-	e, _, err := BuildHealthcareEngine(cfg)
+	wcfg := workload.DefaultConfig(7)
+	wcfg.Prescriptions = 600
+	wcfg.Patients = 60
+	e, _, err := buildScenario(wcfg, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func buildConcurrencyEngine(t *testing.T) *Engine {
 // states valid before or after the policy change — never a mixture.
 func TestConcurrentRenderWithPolicyChurn(t *testing.T) {
 	defer fault.CheckLeaks(t)()
-	e := buildConcurrencyEngine(t)
+	e := buildConcurrencyEngine(t, Config{})
 	defer verifyResident(t, e)
 	defs := e.Reports.All()
 	consumers := []report.Consumer{
@@ -151,7 +152,7 @@ func auditEvent(kind string) audit.Event { return audit.Event{Kind: kind} }
 // cache: a cached render must stop being served the moment the policy set
 // changes, and the new decisions must reflect the new PLAs.
 func TestCacheInvalidationOnAddPLAs(t *testing.T) {
-	e := buildConcurrencyEngine(t)
+	e := buildConcurrencyEngine(t, Config{})
 	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 
 	// Warm the cache, then confirm a hit.
@@ -210,7 +211,7 @@ func TestCacheInvalidationOnAddPLAs(t *testing.T) {
 // TestAuditSinkStreams verifies the streaming sink sees every event as
 // valid JSONL in sequence order.
 func TestAuditSinkStreams(t *testing.T) {
-	e := New()
+	e := New(Config{})
 	var sb strings.Builder
 	e.Audit.SetSink(&sb)
 	e.Audit.Append(auditEvent("a"))

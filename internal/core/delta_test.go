@@ -35,7 +35,7 @@ func dumpTable(t *relation.Table) string {
 // explicit source-table versions — the fresh-rebuild oracle an
 // incrementally refreshed engine must converge to.
 func buildEngineFromTables(rx, fd, dc, lr, res *relation.Table) (*Engine, error) {
-	e := New()
+	e := New(Config{})
 	e.AddSource(etl.NewSource("hospital", "hospital", rx))
 	e.AddSource(etl.NewSource("familydoctors", "familydoctors", fd))
 	e.AddSource(etl.NewSource("healthagency", "healthagency", dc))
@@ -258,10 +258,8 @@ func runDeltaOracle(t *testing.T, seed int64) {
 	var ds *workload.Dataset
 	for attempt := 0; ; attempt++ {
 		var err error
-		live, ds, err = BuildHealthcareEngineWith(cfg, func(e *Engine) {
-			e.SetRetryPolicy(chaosRetry())
-			e.SetFaults(fi)
-		})
+		r := chaosRetry()
+		live, ds, err = buildScenario(cfg, Config{Faults: fi, Retry: &r}, nil)
 		if err == nil {
 			break
 		}

@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -29,6 +30,44 @@ import (
 	"plabi/internal/sql"
 )
 
+// Config is an engine's configuration, fixed at New: each substrate
+// receives its part once, and nothing re-wires it afterwards. The zero
+// value is the default deployment.
+type Config struct {
+	// Metrics is the observability registry the engine, its audit log,
+	// enforcer, fault injector and segment store record into (nil: a
+	// fresh registry).
+	Metrics *obs.Metrics
+	// Faults drives fault injection at every instrumented boundary (nil:
+	// no injection).
+	Faults *fault.Injector
+	// Retry is the policy at the retryable sites (fault.RetrySites) that
+	// RetrySites does not override. Nil selects fault.DefaultRetryPolicy();
+	// the zero policy disables retries.
+	Retry *fault.RetryPolicy
+	// RetrySites overrides Retry at individual retryable sites.
+	RetrySites map[string]fault.RetryPolicy
+	// Workers bounds parallelism for ETL waves and render row enforcement
+	// (0: one worker per CPU).
+	Workers int
+	// CacheSize bounds the render plan cache (0: the default).
+	CacheSize int
+	// FailClosed refuses to deliver report data whose render cannot be
+	// recorded in the audit sink: Render returns an error wrapping
+	// audit.ErrAuditUnavailable instead of the enforced table. The default
+	// is fail-open (the drop is counted and delivery proceeds).
+	FailClosed bool
+}
+
+// retryFor returns the policy in force at one site: the per-site
+// override when there is one, Retry otherwise.
+func (c Config) retryFor(site string) fault.RetryPolicy {
+	if p, ok := c.RetrySites[site]; ok {
+		return p
+	}
+	return *c.Retry
+}
+
 // Engine is one privacy-aware BI deployment. All methods are safe for
 // concurrent use: the substrates lock themselves, and the engine's own
 // mutable state (sources, meta-reports, assignments) sits behind mu.
@@ -46,7 +85,6 @@ type Engine struct {
 	metas     []*metareport.MetaReport
 	assign    map[string]string
 	pipelines []*etl.Pipeline
-	workers   int
 	// etlCtxs retains the latest staging context per pipeline name; it is
 	// the base state ApplyDelta propagates source deltas through.
 	etlCtxs map[string]*etl.Context
@@ -57,19 +95,26 @@ type Engine struct {
 	// tables swap atomically at commit.
 	deltaMu sync.Mutex
 
-	enforcer   *enforce.ReportEnforcer
-	obsp       atomic.Pointer[obs.Metrics]
-	faults     atomic.Pointer[fault.Injector]
-	failClosed atomic.Bool
-	retryp     atomic.Pointer[fault.RetryPolicy]
-	retrySites atomic.Pointer[map[string]fault.RetryPolicy]
-	segStore   atomic.Pointer[relation.SegmentStore]
-	spillRows  atomic.Int64
-	closed     atomic.Bool
+	enforcer  *enforce.ReportEnforcer
+	cfg       Config // Metrics and Retry resolved by New
+	segStore  atomic.Pointer[relation.SegmentStore]
+	spillRows atomic.Int64
+	closed    atomic.Bool
 }
 
-// New returns an empty engine with its own observability registry.
-func New() *Engine {
+// New returns an empty engine configured by cfg.
+func New(cfg Config) *Engine {
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New()
+	}
+	retry := fault.DefaultRetryPolicy()
+	if cfg.Retry != nil {
+		retry = *cfg.Retry
+	}
+	cfg.Retry = &retry
+	cfg.RetrySites = maps.Clone(cfg.RetrySites)
+	cfg.Faults.SetMetrics(cfg.Metrics)
+
 	e := &Engine{
 		Policies: policy.NewRegistry(),
 		Metadata: metadata.NewStore(),
@@ -81,129 +126,39 @@ func New() *Engine {
 		sources:  map[string]*etl.Source{},
 		assign:   map[string]string{},
 		etlCtxs:  map[string]*etl.Context{},
+		cfg:      cfg,
 	}
-	e.enforcer = enforce.NewReportEnforcer(e.Policies, e.Catalog, e.Tracer)
-	e.SetMetrics(obs.New())
-	e.SetRetryPolicy(fault.DefaultRetryPolicy())
+	e.Audit.SetMetrics(cfg.Metrics)
+	e.Audit.SetFaults(cfg.Faults)
+	e.Audit.SetRetryPolicy(cfg.retryFor(fault.SiteAuditSink))
+	e.enforcer = enforce.NewReportEnforcer(e.Policies, e.Catalog, e.Tracer, enforce.Config{
+		CacheSize: cfg.CacheSize, Workers: cfg.Workers, Metrics: cfg.Metrics, Faults: cfg.Faults})
 	return e
 }
 
-// SetMetrics replaces the engine's observability registry and rewires the
-// audit log and the report enforcer to record into it. Passing nil
-// disables instrumentation (every emission point degrades to a no-op).
-func (e *Engine) SetMetrics(m *obs.Metrics) {
-	e.obsp.Store(m)
-	e.Audit.SetMetrics(m)
-	e.enforcer.SetMetrics(m)
-	if s := e.segStore.Load(); s != nil {
-		s.SetMetrics(m)
-	}
-}
-
-// Obs returns the engine's observability registry (nil when detached; a
-// nil registry is safe to record into).
-func (e *Engine) Obs() *obs.Metrics { return e.obsp.Load() }
-
-// SetFaults attaches a fault injector to every instrumented boundary —
-// ETL steps and extraction, render workers, audit-sink writes — and
-// wires the engine's metrics into it. Passing nil detaches injection.
-func (e *Engine) SetFaults(fi *fault.Injector) {
-	fi.SetMetrics(e.Obs())
-	e.faults.Store(fi)
-	e.Audit.SetFaults(fi)
-	e.enforcer.SetFaults(fi)
-	if s := e.segStore.Load(); s != nil {
-		s.SetFaults(fi)
-	}
-}
+// Obs returns the engine's observability registry.
+func (e *Engine) Obs() *obs.Metrics { return e.cfg.Metrics }
 
 // Faults returns the attached injector (nil when none).
-func (e *Engine) Faults() *fault.Injector { return e.faults.Load() }
-
-// SetRetryPolicy replaces the default bounded-backoff policy applied at
-// the engine's retryable sites: audit-sink writes and ETL source reads.
-// Per-site overrides installed with SetRetryPolicyFor keep precedence.
-func (e *Engine) SetRetryPolicy(p fault.RetryPolicy) {
-	e.retryp.Store(&p)
-	e.Audit.SetRetryPolicy(e.RetryPolicyFor(fault.SiteAuditSink))
-	if s := e.segStore.Load(); s != nil {
-		s.SetRetryPolicy(e.RetryPolicyFor(fault.SiteSegmentRead))
-	}
-}
-
-// SetRetryPolicyFor overrides the retry policy at one named site
-// (fault.SiteAuditSink, fault.SiteETLExtract, ...), leaving the default
-// in force everywhere else — deployments that must retry audit-sink
-// writes harder than source reads tune each boundary independently.
-// Unknown site names install silently and simply never match.
-func (e *Engine) SetRetryPolicyFor(site string, p fault.RetryPolicy) {
-	for {
-		old := e.retrySites.Load()
-		next := map[string]fault.RetryPolicy{}
-		if old != nil {
-			for k, v := range *old {
-				next[k] = v
-			}
-		}
-		next[site] = p
-		if e.retrySites.CompareAndSwap(old, &next) {
-			break
-		}
-	}
-	if site == fault.SiteAuditSink {
-		e.Audit.SetRetryPolicy(p)
-	}
-	if site == fault.SiteSegmentRead {
-		if s := e.segStore.Load(); s != nil {
-			s.SetRetryPolicy(p)
-		}
-	}
-}
+func (e *Engine) Faults() *fault.Injector { return e.cfg.Faults }
 
 // SetSegmentStore roots the engine's out-of-core columnar storage at
-// dir and returns the store, pre-wired into the engine's metrics, fault
+// dir and returns the store, wired into the engine's metrics, fault
 // injector and segment-read retry policy. ETL staging tables that cross
-// the spill threshold (SetSpillThreshold) move into it, and later
-// reconfiguration of metrics/faults/retry follows through automatically.
+// the spill threshold (SetSpillThreshold) move into it.
 func (e *Engine) SetSegmentStore(dir string) *relation.SegmentStore {
 	s := relation.NewSegmentStore(dir)
-	s.SetMetrics(e.Obs())
-	s.SetFaults(e.Faults())
-	s.SetRetryPolicy(e.RetryPolicyFor(fault.SiteSegmentRead))
+	s.SetMetrics(e.cfg.Metrics)
+	s.SetFaults(e.cfg.Faults)
+	s.SetRetryPolicy(e.cfg.retryFor(fault.SiteSegmentRead))
 	e.segStore.Store(s)
 	return s
 }
-
-// SegmentStore returns the configured segment store (nil when the
-// engine is fully in-memory).
-func (e *Engine) SegmentStore() *relation.SegmentStore { return e.segStore.Load() }
 
 // SetSpillThreshold sets the staging-table row count at or above which
 // ETL outputs spill to the segment store; 0 (the default) disables
 // spilling even when a store is configured.
 func (e *Engine) SetSpillThreshold(n int) { e.spillRows.Store(int64(n)) }
-
-// SpillThreshold returns the configured spill threshold.
-func (e *Engine) SpillThreshold() int { return int(e.spillRows.Load()) }
-
-// RetryPolicy returns the engine's default retry policy.
-func (e *Engine) RetryPolicy() fault.RetryPolicy {
-	if p := e.retryp.Load(); p != nil {
-		return *p
-	}
-	return fault.RetryPolicy{}
-}
-
-// RetryPolicyFor returns the policy in force at one site: the per-site
-// override when installed, the engine default otherwise.
-func (e *Engine) RetryPolicyFor(site string) fault.RetryPolicy {
-	if m := e.retrySites.Load(); m != nil {
-		if p, ok := (*m)[site]; ok {
-			return p
-		}
-	}
-	return e.RetryPolicy()
-}
 
 // Close flushes and closes the engine's audit sink and marks the engine
 // closed. In-flight operations complete normally — Close does not
@@ -216,16 +171,6 @@ func (e *Engine) Close() error {
 	}
 	return e.Audit.CloseSink()
 }
-
-// SetFailClosed selects the audit-unavailability policy for renders.
-// Fail-closed deployments refuse to deliver report data whose render
-// cannot be recorded in the audit sink: Render returns an error wrapping
-// audit.ErrAuditUnavailable instead of the enforced table. The default
-// is fail-open (the drop is counted and delivery proceeds).
-func (e *Engine) SetFailClosed(on bool) { e.failClosed.Store(on) }
-
-// FailClosed reports whether audit unavailability blocks renders.
-func (e *Engine) FailClosed() bool { return e.failClosed.Load() }
 
 // MetricsSnapshot captures the engine's metrics, folding in the render
 // decision-cache counters (cache.*) which are kept authoritative inside
@@ -242,18 +187,6 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	s.Gauges["compile.generation"] = int64(e.enforcer.ProgramGeneration())
 	return s
 }
-
-// SetWorkers bounds parallelism for ETL waves and render row enforcement
-// (0 restores the default of one worker per CPU).
-func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	e.workers = n
-	e.mu.Unlock()
-	e.enforcer.SetWorkers(n)
-}
-
-// SetCacheSize bounds the render decision cache (0 restores the default).
-func (e *Engine) SetCacheSize(n int) { e.enforcer.SetCacheSize(n) }
 
 // CacheStats snapshots the render decision-cache counters.
 func (e *Engine) CacheStats() enforce.CacheStats { return e.enforcer.CacheStats() }
@@ -399,11 +332,6 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 	defer span.End()
 	ectx := e.newETLContext()
 	ectx.Observe = e.observeETL(ctx, span.ID())
-	if p.Workers == 0 {
-		e.mu.RLock()
-		p.Workers = e.workers
-		e.mu.RUnlock()
-	}
 	e.recordPipeline(p)
 	res, err := p.RunContext(ctx, ectx, continueOnViolation)
 	span.Set("violations", fmt.Sprint(len(res.Violations)))
@@ -429,15 +357,17 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 }
 
 // newETLContext builds a fresh staging context wired to the engine's
-// guard, provenance graph, metrics, fault injector and spill config.
+// guard, provenance graph, metrics, fault injector, worker bound and
+// spill config.
 func (e *Engine) newETLContext() *etl.Context {
 	ectx := etl.NewContext(enforce.NewPLAGuard(e.Policies))
 	ectx.Graph = e.Graph
-	ectx.Metrics = e.Obs()
-	ectx.Faults = e.Faults()
-	ectx.Retry = e.RetryPolicyFor(fault.SiteETLExtract)
-	ectx.SpillStore = e.SegmentStore()
-	ectx.SpillThreshold = e.SpillThreshold()
+	ectx.Metrics = e.cfg.Metrics
+	ectx.Faults = e.cfg.Faults
+	ectx.Retry = e.cfg.retryFor(fault.SiteETLExtract)
+	ectx.Workers = e.cfg.Workers
+	ectx.SpillStore = e.segStore.Load()
+	ectx.SpillThreshold = int(e.spillRows.Load())
 	return ectx
 }
 
@@ -726,8 +656,7 @@ func (e *Engine) DefineReport(d *report.Definition) error {
 // DeriveMetaReports computes the minimal covering meta-report set for the
 // current portfolio and marks the metas approved (standing in for the
 // owners' sign-off). Cached render decisions keyed to the previous
-// assignment stop validating (the enforcer configuration generation
-// moves).
+// assignment stop validating (the enforcer's scope generation moves).
 func (e *Engine) DeriveMetaReports() ([]*metareport.MetaReport, error) {
 	metas, assign, err := metareport.Derive(e.Catalog, e.Reports.All())
 	if err != nil {
@@ -927,7 +856,7 @@ func (e *Engine) RenderContext(ctx context.Context, reportID string, c report.Co
 			sinkErr = err
 		}
 	}
-	if sinkErr != nil && e.FailClosed() {
+	if sinkErr != nil && e.cfg.FailClosed {
 		m.Counter("render.audit_blocked").Inc()
 		span.Set("decision", "audit-blocked")
 		return nil, fmt.Errorf("core: render %q blocked fail-closed: %w", reportID, sinkErr)
@@ -965,19 +894,13 @@ func (e *Engine) Auditor() *audit.Auditor {
 // SourceEnforcer returns the Fig. 2a release filter over this engine's
 // policies and metadata.
 func (e *Engine) SourceEnforcer() *enforce.SourceEnforcer {
-	return &enforce.SourceEnforcer{Registry: e.Policies, Metadata: e.Metadata, Metrics: e.Obs(), Faults: e.Faults()}
+	return &enforce.SourceEnforcer{Registry: e.Policies, Metadata: e.Metadata, Metrics: e.cfg.Metrics, Faults: e.cfg.Faults}
 }
 
 // QueryRewriter returns the VPD-style rewriter over this engine's
 // policies and catalog.
 func (e *Engine) QueryRewriter() *enforce.QueryRewriter {
 	return enforce.NewQueryRewriter(e.Policies, e.Catalog)
-}
-
-// ViewManager returns the §3 view-based access-control manager: per-role
-// views over the registered tables embodying the PLA rewriting.
-func (e *Engine) ViewManager() *enforce.ViewManager {
-	return enforce.NewViewManager(e.Policies, e.Catalog)
 }
 
 // Enforcer exposes the report enforcer (for advanced callers and the

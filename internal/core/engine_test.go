@@ -1,20 +1,36 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"plabi/internal/audit"
 	"plabi/internal/enforce"
 	"plabi/internal/etl"
+	"plabi/internal/fault"
 	"plabi/internal/metareport"
+	"plabi/internal/obs"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
 	"plabi/internal/workload"
 )
+
+// buildScenario loads the healthcare scenario onto an engine built from
+// cfg; attach, when set, first gives the engine its storage (an audit
+// sink, a segment store).
+func buildScenario(wcfg workload.Config, cfg Config, attach func(*Engine)) (*Engine, *workload.Dataset, error) {
+	e := New(cfg)
+	if attach != nil {
+		attach(e)
+	}
+	ds, err := LoadHealthcareScenario(e, wcfg)
+	return e, ds, err
+}
 
 func smallEngine(t *testing.T) (*Engine, *workload.Dataset) {
 	t.Helper()
@@ -267,7 +283,7 @@ func TestQueryRewriterFromEngine(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	e := New()
+	e := New(Config{})
 	if err := e.AddPLAs("not a pla"); err == nil {
 		t.Error("bad DSL must fail")
 	}
@@ -276,6 +292,51 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := e.ComplianceSuite("nope", report.Consumer{}); err == nil {
 		t.Error("unknown report must fail")
+	}
+}
+
+// TestNewWiresTheConfiguration: New hands every substrate its part of the
+// configuration — the audit log its metrics, injector and per-site retry
+// override, the injector the engine's metrics.
+func TestNewWiresTheConfiguration(t *testing.T) {
+	m := obs.New()
+	fi := fault.NewInjector(1)
+	fi.Enable(fault.SiteAuditSink, fault.SiteConfig{ErrorRate: 1, Transient: true, Times: 2})
+	none := fault.RetryPolicy{}
+	e := New(Config{Metrics: m, Faults: fi, Retry: &none,
+		RetrySites: map[string]fault.RetryPolicy{fault.SiteAuditSink: fastRetry()}})
+	if e.Obs() != m || e.Faults() != fi {
+		t.Fatal("engine does not hold the configured registry and injector")
+	}
+	var sink bytes.Buffer
+	e.Audit.SetSink(&sink)
+	if _, err := e.Audit.AppendChecked(context.Background(), audit.Event{Kind: "render"}); err != nil {
+		t.Fatalf("the audit.sink.write override did not retry past two injected faults: %v", err)
+	}
+	if got := m.Counter("fault.injected").Value(); got != 2 {
+		t.Errorf("fault.injected = %d in the engine's registry, want 2", got)
+	}
+	if got := m.Counter("audit.events").Value(); got != 1 {
+		t.Errorf("audit.events = %d in the engine's registry, want 1", got)
+	}
+	if err := e.Close(); err != nil || sink.Len() == 0 {
+		t.Fatalf("Close = %v with %d sink bytes", err, sink.Len())
+	}
+}
+
+// TestRunETLLeavesThePipelineAlone: the engine's worker bound applies to
+// a run without being written into the caller's pipeline, so the same
+// pipeline run on another engine gets that engine's bound.
+func TestRunETLLeavesThePipelineAlone(t *testing.T) {
+	e := New(Config{Workers: 2})
+	e.AddSource(etl.NewSource("hospital", "hospital", workload.PrescriptionsFixture()))
+	src, _ := e.Source("hospital")
+	p := &etl.Pipeline{Name: "p", Steps: []etl.Step{etl.NewExtract("ext", src, "prescriptions", "")}}
+	if _, err := e.RunETL(p, false); err != nil {
+		t.Fatal(err)
+	}
+	if p.Workers != 0 {
+		t.Fatalf("RunETL set the caller's pipeline to %d workers", p.Workers)
 	}
 }
 
@@ -342,7 +403,7 @@ pla "purpose-rule" {
 	// Mismatched purpose: masked. The scenario's source-level drug allow
 	// has no purpose restriction, so this half runs on an engine whose only
 	// drug allow is bound to a purpose.
-	pe := New()
+	pe := New(Config{})
 	pe.AddSource(etl.NewSource("hospital", "hospital", workload.PrescriptionsFixture()))
 	if err := pe.AddPLAs(`
 pla "purpose-src" {

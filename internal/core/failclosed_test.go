@@ -29,11 +29,10 @@ func fastRetry() fault.RetryPolicy {
 }
 
 func TestRenderFailClosedBlocksWhenAuditDown(t *testing.T) {
-	e := buildConcurrencyEngine(t)
-	e.SetRetryPolicy(fastRetry())
+	r := fastRetry()
+	e := buildConcurrencyEngine(t, Config{Retry: &r, FailClosed: true})
 	w := &downWriter{}
 	e.Audit.SetSink(w)
-	e.SetFailClosed(true)
 
 	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 	_, err := e.Render("drug-consumption", c)
@@ -59,8 +58,8 @@ func TestRenderFailClosedBlocksWhenAuditDown(t *testing.T) {
 }
 
 func TestRenderFailOpenByDefaultWhenAuditDown(t *testing.T) {
-	e := buildConcurrencyEngine(t)
-	e.SetRetryPolicy(fastRetry())
+	r := fastRetry()
+	e := buildConcurrencyEngine(t, Config{Retry: &r})
 	e.Audit.SetSink(&downWriter{})
 
 	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
@@ -80,10 +79,10 @@ func TestRenderFailOpenByDefaultWhenAuditDown(t *testing.T) {
 // condition is decided by reading a segment-backed base table: base
 // prescriptions(patient, drug, disease) spilled two rows per partition,
 // rx_wide a filter step over it, and a report releasing patient and drug
-// under `allow attribute patient ... when disease <> 'HIV'`. It returns
-// the engine, the segment directory and the masked-cell count of the
-// intact render.
-func unreadableBaseEngine(t *testing.T) (e *Engine, dir string, masked int) {
+// under `allow attribute patient ... when disease <> 'HIV'`, on an engine
+// under the fault injector fi (nil for none). It returns the engine, the
+// segment directory and the masked-cell count of the intact render.
+func unreadableBaseEngine(t *testing.T, fi *fault.Injector) (e *Engine, dir string, masked int) {
 	t.Helper()
 	rx := relation.NewBase("prescriptions", relation.NewSchema(
 		relation.Col("patient", relation.TString), relation.Col("drug", relation.TString), relation.Col("disease", relation.TString)))
@@ -94,11 +93,11 @@ func unreadableBaseEngine(t *testing.T) (e *Engine, dir string, masked int) {
 		}
 		_ = rx.AppendVals(relation.Str(name), relation.Str("drug"), relation.Str(disease))
 	}
-	e = New()
+	r := fastRetry()
+	e = New(Config{Faults: fi, Retry: &r})
 	dir = t.TempDir()
 	e.SetSegmentStore(dir).SetPartitionRows(2)
 	e.SetSpillThreshold(1)
-	e.SetRetryPolicy(fastRetry())
 	e.AddSource(etl.NewSource("hospital", "hospital", rx))
 	if err := e.AddPLAs(`pla "rx" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute drug;
@@ -147,7 +146,7 @@ func requireNoRelease(t *testing.T, e *Engine, intactMasked int) {
 // readable from its materialization cache).
 func TestConditionFailsClosedOnUnreadableBase(t *testing.T) {
 	t.Run("files removed", func(t *testing.T) {
-		e, dir, masked := unreadableBaseEngine(t)
+		e, dir, masked := unreadableBaseEngine(t, nil)
 		parts, err := filepath.Glob(filepath.Join(dir, "prescriptions-*", "*"))
 		if err != nil || len(parts) == 0 {
 			t.Fatalf("no prescriptions partitions under %s (%v)", dir, err)
@@ -160,10 +159,9 @@ func TestConditionFailsClosedOnUnreadableBase(t *testing.T) {
 		requireNoRelease(t, e, masked)
 	})
 	t.Run("injected read fault", func(t *testing.T) {
-		e, _, masked := unreadableBaseEngine(t)
 		fi := fault.NewInjector(1)
+		e, _, masked := unreadableBaseEngine(t, fi)
 		fi.Enable(fault.SiteSegmentRead, fault.SiteConfig{ErrorRate: 1})
-		e.SetFaults(fi)
 		requireNoRelease(t, e, masked)
 	})
 }

@@ -18,20 +18,22 @@ import (
 // the hospital's PLA puts a min-3 threshold on its prescriptions.
 var refused = report.Consumer{Name: "rob", Role: "analyst", Purpose: "reimbursement"}
 
-// refusalEngine builds the healthcare engine at 3 000 prescriptions, its
-// staging tables spilled to segments when spill is set.
-func refusalEngine(t *testing.T, spill bool, configure func(*Engine)) *Engine {
+// refusalEngine builds the healthcare engine at 3 000 prescriptions under
+// the fault injector fi (nil for none), its staging tables spilled to
+// segments when spill is set.
+func refusalEngine(t *testing.T, spill bool, fi *fault.Injector) *Engine {
 	t.Helper()
-	cfg := workload.DefaultConfig(7)
-	cfg.Prescriptions = 3000
-	e, _, err := BuildHealthcareEngineWith(cfg, func(e *Engine) {
+	wcfg := workload.DefaultConfig(7)
+	wcfg.Prescriptions = 3000
+	cfg := Config{Faults: fi}
+	if spill {
+		r := fastRetry()
+		cfg.Retry = &r
+	}
+	e, _, err := buildScenario(wcfg, cfg, func(e *Engine) {
 		if spill {
 			e.SetSegmentStore(t.TempDir())
 			e.SetSpillThreshold(500)
-			e.SetRetryPolicy(fastRetry())
-		}
-		if configure != nil {
-			configure(e)
 		}
 	})
 	if err != nil {
@@ -69,14 +71,13 @@ func TestRefusalDoesNotDependOnReadableData(t *testing.T) {
 		t.Fatalf("intact refusal left %d events for %d decisions", len(wantTrail), len(want.Decisions))
 	}
 
-	e := refusalEngine(t, true, nil)
+	fi := fault.NewInjector(1)
+	e := refusalEngine(t, true, fi)
 	if tab, _ := e.Table("rx_wide"); len(tab.Rows) != 0 || tab.NumRows() == 0 {
 		t.Fatal("rx_wide is not segment-backed; the read fault pins nothing")
 	}
 	// Every partition read fails for good, before anything was materialized.
-	fi := fault.NewInjector(1)
 	fi.Enable(fault.SiteSegmentRead, fault.SiteConfig{ErrorRate: 1})
-	e.SetFaults(fi)
 	m := e.Obs()
 	reads := m.Counter("segment.read.partitions").Value()
 	execs := m.Histogram("enforce.exec.duration").Snapshot().Count

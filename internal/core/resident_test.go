@@ -36,7 +36,7 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 	cfg := workload.DefaultConfig(5)
 	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
 	fi := fault.NewInjector(5)
-	e, _, err := BuildHealthcareEngineWith(cfg, func(e *Engine) { e.SetFaults(fi) })
+	e, _, err := buildScenario(cfg, Config{Faults: fi}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 // reader of a fresh engine's wide table each build a column's vector at
 // most once and all end up reading the one that was published.
 func TestConcurrentFirstRendersShareVectors(t *testing.T) {
-	e := buildConcurrencyEngine(t)
+	e := buildConcurrencyEngine(t, Config{})
 	wide, ok := e.Catalog.Table("rx_wide")
 	if !ok {
 		t.Fatal("no rx_wide")

@@ -66,27 +66,36 @@ pla "report-drug-consumption" {
 `
 
 // BuildHealthcareEngine assembles the full Fig. 1 deployment over the
-// synthetic workload: sources registered, PLAs attached, guarded ETL run
-// (extraction, cleansing, entity resolution, permitted joins), and the
-// standard report portfolio defined.
+// synthetic workload on a default engine (see LoadHealthcareScenario).
 func BuildHealthcareEngine(cfg workload.Config) (*Engine, *workload.Dataset, error) {
 	return BuildHealthcareEngineWith(cfg, nil)
 }
 
 // BuildHealthcareEngineWith is BuildHealthcareEngine with a hook that
-// configures the fresh engine (fault injectors, retry policies, metrics)
-// before the scenario ETL runs, so injected faults and observability
-// cover the build itself.
+// attaches storage to the default engine (an audit sink, a segment
+// store) before the scenario ETL runs.
 func BuildHealthcareEngineWith(cfg workload.Config, configure func(*Engine)) (*Engine, *workload.Dataset, error) {
-	ds, err := workload.Generate(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := New()
+	e := New(Config{})
 	if configure != nil {
 		configure(e)
 	}
+	ds, err := LoadHealthcareScenario(e, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, ds, nil
+}
 
+// LoadHealthcareScenario loads the full Fig. 1 deployment over the
+// synthetic workload onto e: sources registered, PLAs attached, guarded
+// ETL run (extraction, cleansing, entity resolution, permitted joins),
+// and the standard report portfolio defined. The engine's configuration
+// (fault injection, retry policies, metrics) covers the load itself.
+func LoadHealthcareScenario(e *Engine, cfg workload.Config) (*workload.Dataset, error) {
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e.AddSource(etl.NewSource("hospital", "hospital", ds.Prescriptions))
 	e.AddSource(etl.NewSource("familydoctors", "familydoctors", ds.FamilyDoctor))
 	e.AddSource(etl.NewSource("healthagency", "healthagency", ds.DrugCost))
@@ -94,23 +103,23 @@ func BuildHealthcareEngineWith(cfg workload.Config, configure func(*Engine)) (*E
 	e.AddSource(etl.NewSource("municipality", "municipality", ds.Residents))
 
 	if err := e.AddPLAs(ScenarioPLAs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	p := HealthcarePipeline(e)
 	if _, err := e.RunETL(p, false); err != nil {
-		return nil, nil, fmt.Errorf("core: scenario ETL: %w", err)
+		return nil, fmt.Errorf("core: scenario ETL: %w", err)
 	}
 
 	for _, d := range StandardReports() {
 		if err := e.DefineReport(d); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if _, err := e.DeriveMetaReports(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return e, ds, nil
+	return ds, nil
 }
 
 // HealthcarePipeline builds the scenario's guarded ETL pipeline: extract

@@ -58,7 +58,7 @@ type State struct {
 // newEnforcer builds a throwaway enforcer over the state. Only the
 // static compilation path is used, so no tracer state accumulates.
 func (s *State) newEnforcer() *enforce.ReportEnforcer {
-	enf := enforce.NewReportEnforcer(s.Policies, s.Catalog, provenance.NewTracer())
+	enf := enforce.NewReportEnforcer(s.Policies, s.Catalog, provenance.NewTracer(), enforce.Config{})
 	if len(s.Scopes) > 0 {
 		enf.SetExtraScopes(s.Scopes)
 	}

@@ -330,7 +330,7 @@ func enforcerWith(t *testing.T, plas string) (*ReportEnforcer, *sql.Catalog) {
 	cat.Register(fig4)
 	tr.RegisterBase(fig4)
 	reg := registryWith(t, plas)
-	return NewReportEnforcer(reg, cat, tr), cat
+	return NewReportEnforcer(reg, cat, tr, Config{}), cat
 }
 
 func TestReportAggregationThreshold(t *testing.T) {
@@ -751,67 +751,6 @@ func TestRewriteStarDoesNotBypassMasking(t *testing.T) {
 	}
 }
 
-// TestViewManager exercises the §3 view-based access-control mechanism:
-// base tables stay private, consumers query per-role views that embody
-// the PLA rewriting — and newly inserted rows are covered automatically.
-func TestViewManager(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
-	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
-		allow attribute *;
-		deny attribute disease to roles analyst;
-		filter when drug <> 'DM';
-	}`)
-	m := NewViewManager(reg, cat)
-	name, decisions, err := m.CreateRoleView("prescriptions", "analyst", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "prescriptions__analyst" {
-		t.Errorf("name = %q", name)
-	}
-	if len(decisions) < 2 { // row filter + disease mask
-		t.Errorf("decisions = %v", decisions)
-	}
-	res, err := cat.Query("SELECT * FROM " + name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 4 { // DM row filtered
-		t.Fatalf("rows = %d", res.NumRows())
-	}
-	for i := 0; i < res.NumRows(); i++ {
-		if res.Get(i, "disease").S != "***" {
-			t.Error("disease leaked through view")
-		}
-	}
-	// New rows are covered without re-creating the view.
-	base, _ := cat.Table("prescriptions")
-	base.AppendVals(relation.Str("Dana"), relation.Str("Luis"), relation.Str("DH"),
-		relation.Str("HIV"), relation.DateYMD(2008, 6, 1))
-	res2, err := cat.Query("SELECT * FROM " + name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.NumRows() != 5 {
-		t.Errorf("new row not visible through view: %d", res2.NumRows())
-	}
-	if res2.Get(4, "disease").S != "***" {
-		t.Error("new row's disease leaked")
-	}
-
-	// Bulk creation covers all tables; none blocked here.
-	views, blocked, err := m.CreateRoleViews("analyst", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 3 || len(blocked) != 0 {
-		t.Errorf("views = %v blocked = %v", views, blocked)
-	}
-	if _, _, err := m.CreateRoleView("ghost", "analyst", ""); err == nil {
-		t.Error("unknown table must fail")
-	}
-}
-
 // Conditions and row filters are decided on base cells read through the
 // tracer. When those cells cannot be read, the render fails instead of
 // treating the condition as not applicable to the row.
@@ -832,7 +771,7 @@ func TestReportUnreadableSupportFailsRender(t *testing.T) {
 		}
 		tr.RegisterBase(seg)
 		def := &report.Definition{ID: "rx-list", Query: "SELECT patient, drug FROM prescriptions"}
-		e := NewReportEnforcer(registryWith(t, `pla "s" { owner "hospital"; level source; scope "prescriptions"; `+rules+` }`), cat, tr)
+		e := NewReportEnforcer(registryWith(t, `pla "s" { owner "hospital"; level source; scope "prescriptions"; `+rules+` }`), cat, tr, Config{})
 		intact, err := e.Render(def, report.Consumer{Role: "analyst"})
 		if err != nil || intact.MaskedCells+intact.SuppressedRows != 2 {
 			t.Fatalf("%s: intact render: %v, %+v", name, err, intact)

@@ -17,7 +17,7 @@ import (
 
 // bulkEnforcer builds an enforcer over a synthetic table large enough to
 // take the chunked worker-pool path (n >= minParallelRows with workers > 1).
-func bulkEnforcer(t *testing.T, rows int) (*ReportEnforcer, *report.Definition) {
+func bulkEnforcer(t *testing.T, rows int, cfg Config) (*ReportEnforcer, *report.Definition) {
 	t.Helper()
 	bulk := relation.NewBase("bulk", relation.NewSchema(
 		relation.Col("patient", relation.TString),
@@ -39,8 +39,7 @@ pla "r" { owner "hospital"; level report; scope "bulk-report";
 }
 pla "s" { owner "hospital"; level source; scope "bulk"; allow attribute *; }
 `)
-	e := NewReportEnforcer(reg, cat, tr)
-	e.SetWorkers(4)
+	e := NewReportEnforcer(reg, cat, tr, cfg)
 	def := &report.Definition{ID: "bulk-report",
 		Query: "SELECT patient, drug FROM bulk"}
 	return e, def
@@ -52,14 +51,13 @@ func consumer() report.Consumer {
 
 func TestRenderWorkerPanicIsolated(t *testing.T) {
 	defer fault.CheckLeaks(t)()
-	e, def := bulkEnforcer(t, 8*minParallelRows)
+	fi := fault.NewInjector(4)
+	e, def := bulkEnforcer(t, 8*minParallelRows, Config{Workers: 4, Faults: fi})
 	baseline, err := e.Render(def, consumer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi := fault.NewInjector(4)
 	fi.Enable(fault.SiteRenderWorker, fault.SiteConfig{PanicRate: 1, Times: 1})
-	e.SetFaults(fi)
 
 	_, err = e.Render(def, consumer())
 	var ie *fault.InternalError
@@ -86,10 +84,9 @@ func TestRenderWorkerPanicIsolated(t *testing.T) {
 
 func TestRenderWorkerInjectedErrorFailsRender(t *testing.T) {
 	defer fault.CheckLeaks(t)()
-	e, def := bulkEnforcer(t, 8*minParallelRows)
 	fi := fault.NewInjector(4)
 	fi.Enable(fault.SiteRenderWorker, fault.SiteConfig{ErrorRate: 1, Transient: true, Times: 1})
-	e.SetFaults(fi)
+	e, def := bulkEnforcer(t, 8*minParallelRows, Config{Workers: 4, Faults: fi})
 	if _, err := e.Render(def, consumer()); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("want injected worker error, got %v", err)
 	}
@@ -120,7 +117,7 @@ func (c *renderTrippingCtx) Deadline() (time.Time, bool) { return time.Time{}, f
 
 func TestRenderCancelledMidChunk(t *testing.T) {
 	defer fault.CheckLeaks(t)()
-	e, def := bulkEnforcer(t, 8*minParallelRows)
+	e, def := bulkEnforcer(t, 8*minParallelRows, Config{Workers: 4})
 	// Budget: the RenderContext entry check plus the first few chunk-top
 	// checks pass; with 2048 rows and in-chunk polling every
 	// cancelCheckRows rows the trip can only land inside a row loop.

@@ -18,7 +18,7 @@ type Generations struct {
 	Policy uint64
 	// Catalog is the sql.Catalog generation (bumped by table loads).
 	Catalog uint64
-	// Scope is the enforcer configuration generation (extra meta-report
+	// Scope is the enforcer's scope generation (extra meta-report
 	// scopes).
 	Scope uint64
 }

@@ -13,7 +13,7 @@ import (
 func programOver(t *testing.T, plas, query string) (*ReportEnforcer, *Program) {
 	t.Helper()
 	cat, tr := fixtureCatalogAndTracer()
-	e := NewReportEnforcer(registryWith(t, plas), cat, tr)
+	e := NewReportEnforcer(registryWith(t, plas), cat, tr, Config{})
 	p, _, err := e.ProgramFor(&report.Definition{ID: "r", Query: query}, "analyst", "quality")
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // condition on patient (every 5th row is HIV), a source row filter
 // (drug D3 suppressed) and a denied column (doctor). extraPLAs are added
 // to the registry.
-func mixedEnforcer(t *testing.T, rows int, extraPLAs string) (*ReportEnforcer, *report.Definition) {
+func mixedEnforcer(t *testing.T, rows int, extraPLAs string, cfg Config) (*ReportEnforcer, *report.Definition) {
 	t.Helper()
 	bulk := relation.NewBase("bulk", relation.NewSchema(
 		relation.Col("patient", relation.TString),
@@ -62,20 +62,19 @@ pla "s" { owner "hospital"; level source; scope "bulk";
 `+extraPLAs)
 	def := &report.Definition{ID: "mixed",
 		Query: "SELECT patient, drug, doctor, date FROM bulk"}
-	return NewReportEnforcer(reg, cat, tr), def
+	return NewReportEnforcer(reg, cat, tr, cfg), def
 }
 
 // TestRenderWorkersAgree pins what the merged row loop must keep: the
 // serial call over [0, n) and the pooled chunks produce the same table,
 // lineage, decisions (order included) and counters.
 func TestRenderWorkersAgree(t *testing.T) {
-	e, def := mixedEnforcer(t, 1200, "")
-	e.SetWorkers(1)
+	e, def := mixedEnforcer(t, 1200, "", Config{Workers: 1})
 	serial, err := e.Render(def, consumer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkers(4)
+	e, def = mixedEnforcer(t, 1200, "", Config{Workers: 4})
 	pooled, err := e.Render(def, consumer())
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +121,11 @@ func TestRenderWorkersAgree(t *testing.T) {
 func TestRenderWorkerSiteHits(t *testing.T) {
 	hits := func(rows, workers int) int {
 		t.Helper()
-		e, def := bulkEnforcer(t, rows)
-		e.SetWorkers(workers)
 		fi := fault.NewInjector(1)
 		// A zero-length latency fire on every call records the call
 		// without disturbing the render.
 		fi.Enable(fault.SiteRenderWorker, fault.SiteConfig{LatencyRate: 1})
-		e.SetFaults(fi)
+		e, def := bulkEnforcer(t, rows, Config{Workers: workers, Faults: fi})
 		if _, err := e.Render(def, consumer()); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +147,7 @@ func TestRenderWorkerSiteHits(t *testing.T) {
 // mutable with the next render's — cells, schema and column origins can
 // be overwritten freely.
 func TestRenderedTableIsCallers(t *testing.T) {
-	e, def := mixedEnforcer(t, 40, "")
+	e, def := mixedEnforcer(t, 40, "", Config{})
 	first, err := e.Render(def, consumer())
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +188,7 @@ func TestBlockedRenderCopiesNoRow(t *testing.T) {
 		// A threshold over a non-aggregated report folds to a static block.
 		e, def := mixedEnforcer(t, rows, `
 pla "t" { owner "hospital"; level report; scope "mixed"; aggregate min 3 by patient; }
-`)
+`, Config{})
 		enf, err := e.Render(def, consumer())
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +268,7 @@ pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute
 // and the render fail with the executor's error, whatever the table holds.
 func TestPlanBuildFailsAsTheRenderWould(t *testing.T) {
 	for _, rows := range []int{0, 10} {
-		e, _ := mixedEnforcer(t, rows, "")
+		e, _ := mixedEnforcer(t, rows, "", Config{})
 		def := &report.Definition{ID: "mixed", Query: "SELECT patient, drug FROM bulk WHERE nope = 1"}
 		_, err := e.StaticCheck(def, "analyst", "quality")
 		if err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
@@ -291,7 +288,7 @@ func TestPlanBuildFailsAsTheRenderWould(t *testing.T) {
 // failed to capture, simulated here — fails the render closed; it is not
 // enforced with plans made for other columns.
 func TestRenderRefusesSchemaDrift(t *testing.T) {
-	e, def := mixedEnforcer(t, 10, "")
+	e, def := mixedEnforcer(t, 10, "", Config{})
 	if _, err := e.Render(def, consumer()); err != nil {
 		t.Fatal(err)
 	}

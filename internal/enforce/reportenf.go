@@ -27,7 +27,7 @@ import (
 //
 // The enforcer is safe for concurrent use. Policy-independent work is
 // cached per (report, role, purpose) in a sharded plan cache validated
-// against the policy-registry, catalog and configuration generations, so
+// against the policy-registry, catalog and scope generations, so
 // repeated renders skip parsing, profiling and PLA composition entirely;
 // row-level enforcement fans out over a bounded worker pool.
 type ReportEnforcer struct {
@@ -35,17 +35,17 @@ type ReportEnforcer struct {
 	Catalog  *sql.Catalog
 	Tracer   *provenance.Tracer
 
-	// mu guards the configuration below; cfgGen is bumped on every
-	// configuration change so cached plans built under the previous
-	// configuration stop validating.
+	// mu guards the scope map below; scopeGen is bumped on every scope
+	// change so cached plans built under the previous scopes stop
+	// validating.
 	mu          sync.RWMutex
 	extraScopes map[string][]string
-	cfgGen      atomic.Uint64
+	scopeGen    atomic.Uint64
 
-	cache   atomic.Pointer[planCache]
-	workers atomic.Int32
-	metrics atomic.Pointer[obs.Metrics]
-	faults  atomic.Pointer[fault.Injector]
+	cache   *planCache
+	workers int
+	metrics *obs.Metrics
+	faults  *fault.Injector
 
 	// programGen counts residual programs compiled by this enforcer; it
 	// bumps on every plan build, so hot reloads and policy changes are
@@ -53,15 +53,32 @@ type ReportEnforcer struct {
 	programGen atomic.Uint64
 }
 
-// NewReportEnforcer builds an enforcer consulting every level, with the
-// default cache size and one render worker per CPU.
-func NewReportEnforcer(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer) *ReportEnforcer {
-	e := &ReportEnforcer{
+// Config is a report enforcer's fixed configuration. The zero value is
+// the default: a default-sized plan cache, one render worker per CPU, no
+// instrumentation and no fault injection.
+type Config struct {
+	// CacheSize bounds the plan cache at roughly this many entries (0
+	// selects the default).
+	CacheSize int
+	// Workers bounds the render worker pool (0: one per CPU).
+	Workers int
+	// Metrics receives query execution and row-enforcement timings and
+	// intervention counters (nil: none recorded).
+	Metrics *obs.Metrics
+	// Faults is consulted at the render.worker site (nil: no injection).
+	Faults *fault.Injector
+}
+
+// NewReportEnforcer builds an enforcer consulting every level.
+func NewReportEnforcer(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer, cfg Config) *ReportEnforcer {
+	return &ReportEnforcer{
 		Registry: reg, Catalog: cat, Tracer: tr,
 		extraScopes: map[string][]string{},
+		cache:       newPlanCache(cfg.CacheSize),
+		workers:     cfg.Workers,
+		metrics:     cfg.Metrics,
+		faults:      cfg.Faults,
 	}
-	e.cache.Store(newPlanCache(0))
-	return e
 }
 
 // SetExtraScopes replaces the report-id -> extra PLA scope map (e.g. the
@@ -74,39 +91,12 @@ func (e *ReportEnforcer) SetExtraScopes(scopes map[string][]string) {
 	e.mu.Lock()
 	e.extraScopes = cp
 	e.mu.Unlock()
-	e.cfgGen.Add(1)
+	e.scopeGen.Add(1)
 }
-
-// SetCacheSize replaces the plan cache with a fresh one bounded at
-// roughly n entries (n <= 0 selects the default). Counters restart.
-func (e *ReportEnforcer) SetCacheSize(n int) {
-	e.cache.Store(newPlanCache(n))
-}
-
-// SetWorkers bounds the render worker pool (0 = one per CPU).
-func (e *ReportEnforcer) SetWorkers(n int) {
-	e.workers.Store(int32(n))
-}
-
-// SetMetrics attaches an observability registry; query execution and
-// row-enforcement timings and intervention counters are recorded into it
-// (nil detaches).
-func (e *ReportEnforcer) SetMetrics(m *obs.Metrics) {
-	e.metrics.Store(m)
-}
-
-// obs returns the attached registry (nil — a no-op registry — when none
-// was set).
-func (e *ReportEnforcer) obs() *obs.Metrics { return e.metrics.Load() }
-
-// SetFaults attaches a fault injector consulted at the render.worker
-// site (nil detaches). Chaos suites use it to fail and panic render
-// workers mid-enforcement.
-func (e *ReportEnforcer) SetFaults(fi *fault.Injector) { e.faults.Store(fi) }
 
 // CacheStats snapshots the plan-cache counters.
 func (e *ReportEnforcer) CacheStats() CacheStats {
-	return e.cache.Load().stats()
+	return e.cache.stats()
 }
 
 // ProgramGeneration returns the number of residual programs this
@@ -188,26 +178,25 @@ func (e *ReportEnforcer) CompositeFor(def *report.Definition) (*policy.Composite
 // ProgramFor returns the program for (def, role, purpose) from the plan
 // cache, building and caching it on miss; the boolean reports a cache
 // hit. A program is valid only at the exact (definition version, policy
-// generation, catalog generation, enforcer configuration generation) it
-// was built at, so AddPLAs, catalog loads and meta-report re-derivation
-// invalidate implicitly. The program is shared: read-only.
+// generation, catalog generation, scope generation) it was built at, so
+// AddPLAs, catalog loads and meta-report re-derivation invalidate
+// implicitly. The program is shared: read-only.
 func (e *ReportEnforcer) ProgramFor(def *report.Definition, role, purpose string) (*Program, bool, error) {
 	key := planKey{report: def.ID, role: strings.ToLower(role), purpose: strings.ToLower(purpose)}
 	at := Generations{
 		Version: def.Version,
 		Policy:  e.Registry.Generation(),
 		Catalog: e.Catalog.Generation(),
-		Scope:   e.cfgGen.Load(),
+		Scope:   e.scopeGen.Load(),
 	}
-	cache := e.cache.Load()
-	if p, ok := cache.get(key, at); ok {
+	if p, ok := e.cache.get(key, at); ok {
 		return p, true, nil
 	}
 	p, err := e.buildProgram(def, role, purpose, at)
 	if err != nil {
 		return nil, false, err
 	}
-	cache.put(key, p)
+	e.cache.put(key, p)
 	return p, false, nil
 }
 
@@ -265,7 +254,7 @@ func (e *ReportEnforcer) buildProgram(def *report.Definition, role, purpose stri
 	p.LiveRules = p.TotalRules - len(p.Pruned)
 
 	e.programGen.Add(1)
-	m := e.obs()
+	m := e.metrics
 	m.Counter("compile.programs").Inc()
 	m.Counter("compile.pruned_rules").Add(uint64(len(p.Pruned)))
 	return p, nil
@@ -443,7 +432,7 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	// runs — the plan's header over no rows, the blocking decisions — so it
 	// reads no data and holds whatever state the data is in.
 	if blocked := Blocked(plan.Static); len(blocked) > 0 {
-		e.obs().Counter("enforce.static_blocks").Inc()
+		e.metrics.Counter("enforce.static_blocks").Inc()
 		return &Enforced{Def: def, Table: plan.header.Shell(), Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
 	}
 	return e.render(ctx, def, plan, hit)
@@ -454,7 +443,7 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 // output is built once — the executed header as a shell, then the single
 // copy enforceRow makes of each row it keeps.
 func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *Program, hit bool) (*Enforced, error) {
-	m := e.obs()
+	m := e.metrics
 	execStart := time.Now()
 	raw, err := e.Catalog.Exec(plan.sel)
 	if err != nil {
@@ -537,14 +526,13 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *Program, raw *re
 	n := len(raw.Rows)
 	results := make([]rowResult, n)
 	trace := needsTrace(plan)
-	fi := e.faults.Load()
 	// chunk enforces rows [start, end) under panic isolation: a panicking
 	// worker (organic or injected) fails this render with a typed
 	// *fault.InternalError instead of killing the process, and the pool
 	// drains cleanly through wg.Wait.
 	chunk := func(start, end int) error {
-		return fault.Safely(fault.SiteRenderWorker, e.obs(), func() error {
-			if err := fi.Hit(ctx, fault.SiteRenderWorker); err != nil {
+		return fault.Safely(fault.SiteRenderWorker, e.metrics, func() error {
+			if err := e.faults.Hit(ctx, fault.SiteRenderWorker); err != nil {
 				return err
 			}
 			for ri := start; ri < end; ri++ {
@@ -560,7 +548,7 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *Program, raw *re
 			return nil
 		})
 	}
-	workers := int(e.workers.Load())
+	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -94,6 +94,9 @@ type Context struct {
 	// etl.spill.errors on Metrics.
 	SpillStore     *relation.SegmentStore
 	SpillThreshold int
+	// Workers bounds per-wave parallelism for a pipeline that sets no
+	// Workers of its own (0 = one per CPU).
+	Workers int
 
 	// runCtx is the context of the executing pipeline run, exposed to
 	// steps via Ctx so long row loops can honour cancellation.
@@ -232,6 +235,9 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 	n := len(p.Steps)
 	deps := p.dependencies()
 	workers := p.Workers
+	if workers <= 0 {
+		workers = c.Workers
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -167,7 +167,7 @@ func E2Source() (*Result, error) {
 // permissions guard entity resolution.
 func E3ETL() (*Result, error) {
 	res := &Result{}
-	e := core.New()
+	e := core.New(core.Config{})
 	ds, err := workload.Generate(workload.DefaultConfig(42))
 	if err != nil {
 		return nil, err
@@ -252,7 +252,7 @@ pla "m" { owner "municipality"; level source; scope "residents";
 // aggregation-threshold sweep and the §5 intensional HIV condition.
 func E4Report() (*Result, error) {
 	res := &Result{}
-	e := core.New()
+	e := core.New(core.Config{})
 	fig4 := workload.Fig4Prescriptions(1)
 	e.AddSource(etl.NewSource("hospital", "hospital", fig4))
 	if err := e.AddPLAs(`
@@ -288,7 +288,7 @@ pla "r" { owner "hospital"; level report; scope "drug-consumption";
 	// Threshold sweep: groups below k distinct patients are suppressed.
 	res.addf("%-4s %-14s %s", "k", "groups-shown", "suppressed")
 	for _, k := range []int{2, 5, 10, 25} {
-		e2 := core.New()
+		e2 := core.New(core.Config{})
 		e2.AddSource(etl.NewSource("hospital", "hospital", workload.Fig4Prescriptions(1)))
 		if err := e2.AddPLAs(fmt.Sprintf(`
 pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute *; }
@@ -310,7 +310,7 @@ pla "r" { owner "hospital"; level report; scope "drug-consumption";
 
 	// Intensional HIV condition (§5): patient column masked exactly on
 	// HIV-supported rows.
-	e3 := core.New()
+	e3 := core.New(core.Config{})
 	e3.AddSource(etl.NewSource("hospital", "hospital", workload.Fig4Prescriptions(1)))
 	if err := e3.AddPLAs(`
 pla "s" { owner "hospital"; level source; scope "prescriptions"; allow attribute *; }

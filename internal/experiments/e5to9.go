@@ -170,7 +170,7 @@ func e7Trial(class string, seed int64) (bool, error) {
 	}
 
 	mkEngine := func(plas string) (*core.Engine, error) {
-		e := core.New()
+		e := core.New(core.Config{})
 		e.AddSource(etl.NewSource("hospital", "hospital", ds.Prescriptions))
 		e.AddSource(etl.NewSource("familydoctors", "familydoctors", ds.FamilyDoctor))
 		if err := e.AddPLAs(plas + `

@@ -56,6 +56,12 @@ func Sites() []string {
 	return []string{SiteETLExtract, SiteETLStep, SiteETLDelta, SiteRenderWorker, SiteAuditSink, SiteReleaseSource, SiteSegmentRead}
 }
 
+// RetrySites lists the sites that consult a retry policy; a per-site
+// override anywhere else would never be read.
+func RetrySites() []string {
+	return []string{SiteETLExtract, SiteAuditSink, SiteSegmentRead}
+}
+
 // ErrInjected is the sentinel behind every injected error, matched with
 // errors.Is.
 var ErrInjected = errors.New("injected fault")

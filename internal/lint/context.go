@@ -127,7 +127,7 @@ func (p *Pass) scopeGroups() []group {
 // static decision checks. Requires Catalog.
 func (p *Pass) enforcer() *enforce.ReportEnforcer {
 	if p.enf == nil {
-		p.enf = enforce.NewReportEnforcer(p.Registry, p.Catalog, provenance.NewTracer())
+		p.enf = enforce.NewReportEnforcer(p.Registry, p.Catalog, provenance.NewTracer(), enforce.Config{})
 		scopes := map[string][]string{}
 		for rid, mid := range p.Assign {
 			scopes[rid] = []string{mid}

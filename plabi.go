@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"plabi/internal/audit"
 	"plabi/internal/core"
@@ -137,7 +138,7 @@ func NewFaultInjector(seed int64) *FaultInjector { return fault.NewInjector(seed
 
 // FaultSites lists the canonical injection-site names the engine
 // consults: etl.extract, etl.step, etl.delta, render.worker,
-// audit.sink.write, release.source, segment.read.
+// audit.sink.write, release.source, relation.segment.read.
 func FaultSites() []string { return fault.Sites() }
 
 // DefaultRetryPolicy is the engine-wide default for retryable sites:
@@ -162,68 +163,39 @@ func NewSource(name, owner string, tables ...*Table) *Source {
 	return etl.NewSource(name, owner, tables...)
 }
 
-// Option configures an Engine at Open time.
-type Option func(*options)
+// Option configures an Engine at Open time. An option whose value no
+// engine configuration can mean returns the misuse as an error.
+type Option func(*options) error
 
+// options is what Open's options collect: the engine's fixed
+// configuration, plus the audit sink and the storage pair attached to
+// the engine before any data flows.
 type options struct {
+	cfg        core.Config
 	auditSink  io.Writer
-	cacheSize  int
-	workers    int
-	metrics    *obs.Metrics
-	metricsSet bool
-	faults     *fault.Injector
-	faultsSet  bool
-	retry      *fault.RetryPolicy
-	retrySites map[string]fault.RetryPolicy
-	failClosed bool
 	segmentDir string
-	segmentSet bool
 	spillRows  int
-	// allowNilMetrics preserves Open's documented WithMetrics(nil)
-	// semantics (disable instrumentation) through validation.
-	allowNilMetrics bool
 }
 
-// validate reports the first option misuse: values no engine
-// configuration can mean. Open forgives these by clamping (see
-// clampMisuse); OpenHealthcare surfaces them as a returned error.
-func (o *options) validate() error {
-	if o.workers < 0 {
-		return fmt.Errorf("plabi: WithWorkers(%d): worker count cannot be negative", o.workers)
-	}
-	if o.cacheSize < 0 {
-		return fmt.Errorf("plabi: WithCacheSize(%d): cache size cannot be negative", o.cacheSize)
-	}
-	if o.metricsSet && o.metrics == nil && !o.allowNilMetrics {
-		return fmt.Errorf("plabi: WithMetrics(nil): detaching instrumentation is an Open-only convenience; pass a registry (NewMetrics()) here")
-	}
-	if o.faultsSet && o.faults == nil {
-		return fmt.Errorf("plabi: WithFaultInjector(nil): injector cannot be nil; omit the option instead")
-	}
-	if o.retry != nil {
-		if err := validRetry("WithRetryPolicy", *o.retry); err != nil {
-			return err
+// newCore is the one constructor Open and OpenHealthcare share: apply the
+// options in order, stop at the first misuse, and build the engine they
+// configure.
+func newCore(opts []Option) (*core.Engine, error) {
+	var o options
+	for _, opt := range opts {
+		if err := opt(&o); err != nil {
+			return nil, err
 		}
 	}
-	if o.segmentSet && o.segmentDir == "" {
-		return fmt.Errorf("plabi: WithSegmentStore(\"\"): directory cannot be empty; omit the option instead")
+	ce := core.New(o.cfg)
+	if o.auditSink != nil {
+		ce.Audit.SetSink(o.auditSink)
 	}
-	if o.spillRows < 0 {
-		return fmt.Errorf("plabi: WithSpillThreshold(%d): threshold cannot be negative", o.spillRows)
+	if o.segmentDir != "" {
+		ce.SetSegmentStore(o.segmentDir)
 	}
-	known := map[string]bool{}
-	for _, s := range fault.Sites() {
-		known[s] = true
-	}
-	for site, p := range o.retrySites {
-		if !known[site] {
-			return fmt.Errorf("plabi: WithRetryPolicyFor(%q): unknown site (want one of %v)", site, fault.Sites())
-		}
-		if err := validRetry("WithRetryPolicyFor("+site+")", p); err != nil {
-			return err
-		}
-	}
-	return nil
+	ce.SetSpillThreshold(o.spillRows)
+	return ce, nil
 }
 
 func validRetry(opt string, p RetryPolicy) error {
@@ -238,142 +210,69 @@ func validRetry(opt string, p RetryPolicy) error {
 	return nil
 }
 
-// clampMisuse normalizes the values validate rejects, implementing
-// Open's documented clamp rules: negative worker and cache bounds fall
-// back to the defaults (as if 0 were passed), a nil fault injector is
-// ignored, retry overrides for unknown sites are dropped, and negative
-// retry-policy fields reset to the zero policy. WithMetrics(nil) is NOT
-// clamped — for Open it keeps its documented meaning of disabling
-// instrumentation entirely.
-func (o *options) clampMisuse() {
-	o.allowNilMetrics = true
-	if o.workers < 0 {
-		o.workers = 0
-	}
-	if o.cacheSize < 0 {
-		o.cacheSize = 0
-	}
-	if o.faultsSet && o.faults == nil {
-		o.faultsSet = false
-	}
-	if o.segmentSet && o.segmentDir == "" {
-		o.segmentSet = false
-	}
-	if o.spillRows < 0 {
-		o.spillRows = 0
-	}
-	if o.retry != nil && validRetry("", *o.retry) != nil {
-		o.retry = &RetryPolicy{}
-	}
-	known := map[string]bool{}
-	for _, s := range fault.Sites() {
-		known[s] = true
-	}
-	for site, p := range o.retrySites {
-		if !known[site] {
-			delete(o.retrySites, site)
-			continue
-		}
-		if validRetry("", p) != nil {
-			o.retrySites[site] = RetryPolicy{}
-		}
-	}
-}
-
-// apply configures a core engine from the collected options.
-func (o *options) apply(ce *core.Engine) {
-	if o.metricsSet {
-		ce.SetMetrics(o.metrics)
-	}
-	if o.auditSink != nil {
-		ce.Audit.SetSink(o.auditSink)
-	}
-	if o.cacheSize > 0 {
-		ce.SetCacheSize(o.cacheSize)
-	}
-	if o.workers > 0 {
-		ce.SetWorkers(o.workers)
-	}
-	if o.retry != nil {
-		ce.SetRetryPolicy(*o.retry)
-	}
-	for site, p := range o.retrySites {
-		ce.SetRetryPolicyFor(site, p)
-	}
-	if o.failClosed {
-		ce.SetFailClosed(true)
-	}
-	if o.faultsSet && o.faults != nil {
-		ce.SetFaults(o.faults)
-	}
-	// After metrics/faults/retry so the store inherits the final wiring.
-	if o.segmentSet {
-		ce.SetSegmentStore(o.segmentDir)
-	}
-	if o.spillRows > 0 {
-		ce.SetSpillThreshold(o.spillRows)
-	}
-}
-
-// newEngine is the single constructor both Open and OpenHealthcare route
-// through: collect options, validate them, and build the engine via the
-// supplied hook (an empty core for Open, the scenario builder for
-// OpenHealthcare), with the options applied before the hook runs any
-// data flow.
-func newEngine(build func(configure func(*core.Engine)) (*core.Engine, error), opts ...Option) (*Engine, error) {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	ce, err := build(o.apply)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{core: ce}, nil
-}
-
 // WithAuditSink streams every audit event to w as one JSON line at append
 // time, in sequence order, so the trail reaches stable storage while the
 // in-memory log stays queryable.
 func WithAuditSink(w io.Writer) Option {
-	return func(o *options) { o.auditSink = w }
+	return func(o *options) error { o.auditSink = w; return nil }
 }
 
 // WithCacheSize bounds the render decision cache at roughly n entries
-// (0 keeps the default of 1024).
+// (0 keeps the default of 1024; negative is misuse).
 func WithCacheSize(n int) Option {
-	return func(o *options) { o.cacheSize = n }
+	return func(o *options) error {
+		if n < 0 {
+			return fmt.Errorf("plabi: WithCacheSize(%d): cache size cannot be negative", n)
+		}
+		o.cfg.CacheSize = n
+		return nil
+	}
 }
 
 // WithWorkers bounds the worker pools used for ETL waves and render row
 // enforcement (0 keeps the default of one worker per CPU; 1 forces
-// serial execution).
+// serial execution; negative is misuse).
 func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
+	return func(o *options) error {
+		if n < 0 {
+			return fmt.Errorf("plabi: WithWorkers(%d): worker count cannot be negative", n)
+		}
+		o.cfg.Workers = n
+		return nil
+	}
 }
 
 // WithMetrics attaches an observability registry at Open time, replacing
 // the registry every engine otherwise creates for itself. Use it to share
 // one registry across engines or to pre-publish it (expvar, /metrics).
-// Passing nil disables instrumentation entirely.
+// A nil registry is misuse: omit the option for a fresh one.
 func WithMetrics(m *Metrics) Option {
-	return func(o *options) { o.metrics = m; o.metricsSet = true }
+	return func(o *options) error {
+		if m == nil {
+			return fmt.Errorf("plabi: WithMetrics(nil): registry cannot be nil; pass NewMetrics() or omit the option")
+		}
+		o.cfg.Metrics = m
+		return nil
+	}
 }
 
 // WithRetryPolicy replaces the default bounded-backoff policy applied at
-// the engine's retryable sites (audit-sink writes, ETL source reads).
-// The zero policy disables retries entirely.
+// the engine's retryable sites (audit-sink writes, ETL source reads,
+// segment partition reads). The zero policy disables retries entirely.
 func WithRetryPolicy(p RetryPolicy) Option {
-	return func(o *options) { o.retry = &p }
+	return func(o *options) error {
+		if err := validRetry("WithRetryPolicy", p); err != nil {
+			return err
+		}
+		o.cfg.Retry = &p
+		return nil
+	}
 }
 
-// WithRetryPolicyFor overrides the retry policy at one named site (see
-// FaultSites: etl.extract, audit.sink.write, ...), leaving the default —
-// or a WithRetryPolicy replacement — in force everywhere else. A
-// fail-closed deployment typically retries audit.sink.write far harder
+// WithRetryPolicyFor overrides the retry policy at one retryable site
+// (etl.extract, audit.sink.write, relation.segment.read), leaving the
+// default — or a WithRetryPolicy replacement — in force everywhere else.
+// A fail-closed deployment typically retries audit.sink.write far harder
 // than etl.extract, because an unavailable sink blocks every render:
 //
 //	plabi.Open(
@@ -382,14 +281,20 @@ func WithRetryPolicy(p RetryPolicy) Option {
 //	        MaxAttempts: 10, Base: 5 * time.Millisecond, Max: time.Second}),
 //	)
 //
-// OpenHealthcare rejects unknown site names; Open drops them (see the
-// clamp rules on Open).
+// Any other site never retries, so naming it is misuse.
 func WithRetryPolicyFor(site string, p RetryPolicy) Option {
-	return func(o *options) {
-		if o.retrySites == nil {
-			o.retrySites = map[string]fault.RetryPolicy{}
+	return func(o *options) error {
+		if !slices.Contains(fault.RetrySites(), site) {
+			return fmt.Errorf("plabi: WithRetryPolicyFor(%q): not a retry site (want one of %v)", site, fault.RetrySites())
 		}
-		o.retrySites[site] = p
+		if err := validRetry("WithRetryPolicyFor("+site+")", p); err != nil {
+			return err
+		}
+		if o.cfg.RetrySites == nil {
+			o.cfg.RetrySites = map[string]fault.RetryPolicy{}
+		}
+		o.cfg.RetrySites[site] = p
+		return nil
 	}
 }
 
@@ -399,7 +304,7 @@ func WithRetryPolicyFor(site string, p RetryPolicy) Option {
 // would leave no trace. The default is fail-open (drops are counted in
 // audit.sink_drops and delivery proceeds).
 func WithFailClosed() Option {
-	return func(o *options) { o.failClosed = true }
+	return func(o *options) error { o.cfg.FailClosed = true; return nil }
 }
 
 // WithSegmentStore roots the engine's out-of-core columnar storage at
@@ -407,27 +312,46 @@ func WithFailClosed() Option {
 // are written out as partitioned, zone-mapped segment files and queried
 // from disk with partition-pruned parallel scans, byte-identically to
 // the in-memory path. The directory is created lazily on first spill.
-// Omitting the option (the default) keeps every relation in memory.
-// OpenHealthcare rejects an empty dir; Open drops the option.
+// Omitting the option (the default) keeps every relation in memory; an
+// empty dir is misuse.
 func WithSegmentStore(dir string) Option {
-	return func(o *options) { o.segmentDir = dir; o.segmentSet = true }
+	return func(o *options) error {
+		if dir == "" {
+			return fmt.Errorf("plabi: WithSegmentStore(\"\"): directory cannot be empty; omit the option instead")
+		}
+		o.segmentDir = dir
+		return nil
+	}
 }
 
 // WithSpillThreshold sets the staging-table row count at or above which
 // ETL outputs spill to the WithSegmentStore directory. 0 (the default)
-// disables spilling even when a store is configured. OpenHealthcare
-// rejects negative thresholds; Open clamps them to 0.
+// disables spilling even when a store is configured; negative is misuse.
 func WithSpillThreshold(n int) Option {
-	return func(o *options) { o.spillRows = n }
+	return func(o *options) error {
+		if n < 0 {
+			return fmt.Errorf("plabi: WithSpillThreshold(%d): threshold cannot be negative", n)
+		}
+		o.spillRows = n
+		return nil
+	}
 }
 
 // WithFaultInjector attaches a fault injector to every instrumented
-// boundary — ETL extraction and steps, render workers, audit-sink
-// writes. For chaos tests and failure drills; production deployments
-// simply omit it. In OpenHealthcare the injector is active during the
-// scenario's own ETL build, so construction can be chaos-tested too.
+// boundary — ETL extraction, steps and deltas, render workers, audit-sink
+// writes, source-level releases and segment partition reads. For chaos
+// tests and failure drills; production deployments simply omit it. In
+// OpenHealthcare the injector is active during the scenario's own ETL
+// build, so construction can be chaos-tested too. A nil injector is
+// misuse: omit the option instead.
 func WithFaultInjector(fi *FaultInjector) Option {
-	return func(o *options) { o.faults = fi; o.faultsSet = true }
+	return func(o *options) error {
+		if fi == nil {
+			return fmt.Errorf("plabi: WithFaultInjector(nil): injector cannot be nil; omit the option instead")
+		}
+		o.cfg.Faults = fi
+		return nil
+	}
 }
 
 // Engine is one privacy-aware BI deployment: sources, PLAs, guarded ETL,
@@ -437,26 +361,15 @@ type Engine struct {
 	core *core.Engine
 }
 
-// Open builds an empty engine. Open cannot fail: option misuse is
-// clamped rather than reported — negative WithWorkers and WithCacheSize
-// values fall back to the defaults (as if 0 were passed), a nil
-// WithFaultInjector is ignored, WithRetryPolicyFor overrides naming an
-// unknown site are dropped, and retry policies with negative durations
-// reset to the zero (no-retry) policy. WithMetrics(nil) keeps its
-// documented meaning of disabling instrumentation. Use OpenHealthcare —
-// or validate inputs before calling — when misuse should surface as an
-// error instead.
+// Open builds an empty engine. Option misuse — a value no engine
+// configuration can mean, exactly what OpenHealthcare rejects — panics
+// with the error OpenHealthcare would return.
 func Open(opts ...Option) *Engine {
-	e, err := newEngine(func(configure func(*core.Engine)) (*core.Engine, error) {
-		ce := core.New()
-		configure(ce)
-		return ce, nil
-	}, append(opts, func(o *options) { o.clampMisuse() })...)
+	ce, err := newCore(opts)
 	if err != nil {
-		// Unreachable: clampMisuse normalizes everything validate rejects.
 		panic(err)
 	}
-	return e
+	return &Engine{core: ce}
 }
 
 // HealthcareConfig sizes the synthetic workload behind OpenHealthcare.
@@ -472,11 +385,11 @@ type HealthcareConfig struct {
 // into the warehouse, the standard report portfolio, and derived,
 // approved meta-reports.
 //
-// Unlike Open, which clamps, OpenHealthcare reports option misuse as an
-// error: negative WithWorkers/WithCacheSize values, WithMetrics(nil),
-// WithFaultInjector(nil), retry policies with negative durations or
-// jitter outside [0, 1], and WithRetryPolicyFor overrides naming an
-// unknown site are all rejected before any data flow runs.
+// Option misuse is returned as an error before any data flows: negative
+// WithWorkers, WithCacheSize or WithSpillThreshold values, WithMetrics(nil),
+// WithFaultInjector(nil), WithSegmentStore(""), retry policies with
+// negative durations or jitter outside [0, 1], and WithRetryPolicyFor
+// overrides naming a site that never retries.
 func OpenHealthcare(cfg HealthcareConfig, opts ...Option) (*Engine, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -487,12 +400,16 @@ func OpenHealthcare(cfg HealthcareConfig, opts ...Option) (*Engine, error) {
 	wcfg := workload.DefaultConfig(cfg.Seed)
 	wcfg.Prescriptions = cfg.Prescriptions
 	wcfg.Patients = cfg.Prescriptions / 10
-	// Options apply before the scenario ETL runs, so fault injection,
-	// retry policies and metrics cover engine construction itself.
-	return newEngine(func(configure func(*core.Engine)) (*core.Engine, error) {
-		ce, _, err := core.BuildHealthcareEngineWith(wcfg, configure)
-		return ce, err
-	}, opts...)
+	ce, err := newCore(opts)
+	if err != nil {
+		return nil, err
+	}
+	// The configuration is fixed before the scenario ETL runs, so fault
+	// injection, retry policies and metrics cover construction itself.
+	if _, err := core.LoadHealthcareScenario(ce, wcfg); err != nil {
+		return nil, err
+	}
+	return &Engine{core: ce}, nil
 }
 
 // AddSource registers a data provider; its tables become queryable and
@@ -657,8 +574,7 @@ func (e *Engine) Table(name string) (*Table, bool) { return e.core.Table(name) }
 // CacheStats snapshots the render decision-cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.core.CacheStats() }
 
-// Metrics returns the engine's observability registry (nil when
-// instrumentation was disabled with WithMetrics(nil)).
+// Metrics returns the engine's observability registry.
 func (e *Engine) Metrics() *Metrics { return e.core.Obs() }
 
 // MetricsSnapshot captures every counter, gauge and histogram, with the
@@ -685,14 +601,6 @@ func (e *Engine) WriteMetricsJSON(w io.Writer) error {
 func (e *Engine) DebugHandler() http.Handler {
 	return obs.DebugMux(e.core.MetricsSnapshot)
 }
-
-// SetWorkers re-bounds the worker pools at runtime (0 restores the
-// default of one worker per CPU).
-func (e *Engine) SetWorkers(n int) { e.core.SetWorkers(n) }
-
-// SetFailClosed switches the audit-unavailability policy at runtime (see
-// WithFailClosed).
-func (e *Engine) SetFailClosed(on bool) { e.core.SetFailClosed(on) }
 
 // Faults returns the attached fault injector (nil when none), exposing
 // its fired-fault schedule for chaos-run artifacts.

@@ -31,8 +31,8 @@ func (s *failingSink) Write(p []byte) (int, error) {
 func TestWithFaultInjectorDrivesPublicRenders(t *testing.T) {
 	fi := NewFaultInjector(7)
 	fi.Enable("render.worker", FaultConfig{ErrorRate: 1, Transient: true, Times: 1})
-	e := quickEngine(t)
-	e.core.SetFaults(fi)
+	e := Open(WithFaultInjector(fi))
+	seedQuickScenario(t, e)
 
 	_, err := e.Render(context.Background(), "rx-list", Consumer{Role: "analyst"})
 	if !errors.Is(err, ErrInjected) {
@@ -93,8 +93,8 @@ func TestOpenHealthcareWithFaultOptions(t *testing.T) {
 func TestInternalErrorExposesSiteAndStack(t *testing.T) {
 	fi := NewFaultInjector(5)
 	fi.Enable("render.worker", FaultConfig{PanicRate: 1, Times: 1})
-	e := quickEngine(t)
-	e.core.SetFaults(fi)
+	e := Open(WithFaultInjector(fi))
+	seedQuickScenario(t, e)
 
 	_, err := e.Render(context.Background(), "rx-list", Consumer{Role: "analyst"})
 	var ie *InternalError

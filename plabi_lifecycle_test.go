@@ -3,10 +3,15 @@ package plabi
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"plabi/internal/core"
+	"plabi/internal/enforce"
 )
 
 // closeTracker is an audit sink recording lifecycle calls.
@@ -67,21 +72,27 @@ func TestEngineCloseFlushesAndClosesSink(t *testing.T) {
 	}
 }
 
+// optionMisuse lists option values no engine configuration can mean, each
+// with a fragment its error must carry.
+var optionMisuse = []struct {
+	name string
+	opt  Option
+	want string
+}{
+	{"negative workers", WithWorkers(-2), "WithWorkers"},
+	{"negative cache", WithCacheSize(-1), "WithCacheSize"},
+	{"nil metrics", WithMetrics(nil), "WithMetrics(nil)"},
+	{"nil injector", WithFaultInjector(nil), "WithFaultInjector(nil)"},
+	{"bad jitter", WithRetryPolicy(RetryPolicy{Jitter: 2}), "jitter"},
+	{"negative backoff", WithRetryPolicy(RetryPolicy{Base: -time.Second}), "negative"},
+	{"unknown retry site", WithRetryPolicyFor("render.nope", RetryPolicy{}), "not a retry site"},
+	{"site that never retries", WithRetryPolicyFor("render.worker", RetryPolicy{MaxAttempts: 3}), "not a retry site"},
+	{"empty segment dir", WithSegmentStore(""), "WithSegmentStore"},
+	{"negative spill threshold", WithSpillThreshold(-1), "WithSpillThreshold"},
+}
+
 func TestOpenHealthcareRejectsOptionMisuse(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  Option
-		want string
-	}{
-		{"negative workers", WithWorkers(-2), "WithWorkers"},
-		{"negative cache", WithCacheSize(-1), "WithCacheSize"},
-		{"nil metrics", WithMetrics(nil), "WithMetrics(nil)"},
-		{"nil injector", WithFaultInjector(nil), "WithFaultInjector(nil)"},
-		{"bad jitter", WithRetryPolicy(RetryPolicy{Jitter: 2}), "jitter"},
-		{"negative backoff", WithRetryPolicy(RetryPolicy{Base: -time.Second}), "negative"},
-		{"unknown retry site", WithRetryPolicyFor("render.nope", RetryPolicy{}), "unknown site"},
-	}
-	for _, tc := range cases {
+	for _, tc := range optionMisuse {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := OpenHealthcare(HealthcareConfig{Prescriptions: 100}, tc.opt)
 			if err == nil {
@@ -94,21 +105,40 @@ func TestOpenHealthcareRejectsOptionMisuse(t *testing.T) {
 	}
 }
 
-func TestOpenClampsOptionMisuse(t *testing.T) {
-	// The same misuse OpenHealthcare rejects must leave Open fully
-	// functional: negatives fall back to defaults, unknown sites drop.
-	e := Open(
-		WithWorkers(-4),
-		WithCacheSize(-10),
-		WithFaultInjector(nil),
-		WithRetryPolicyFor("render.nope", RetryPolicy{MaxAttempts: 99}),
-		WithRetryPolicy(RetryPolicy{Base: -time.Second}),
-	)
-	if e == nil {
-		t.Fatal("Open returned nil")
+// TestOpenPanicsOnOptionMisuse: Open rejects exactly what OpenHealthcare
+// rejects, by panicking with the error OpenHealthcare returns.
+func TestOpenPanicsOnOptionMisuse(t *testing.T) {
+	for _, tc := range optionMisuse {
+		t.Run(tc.name, func(t *testing.T) {
+			_, want := OpenHealthcare(HealthcareConfig{Prescriptions: 100}, tc.opt)
+			defer func() {
+				got, _ := recover().(error)
+				if got == nil || want == nil || got.Error() != want.Error() {
+					t.Fatalf("Open panicked with %v, OpenHealthcare returned %v", got, want)
+				}
+			}()
+			Open(tc.opt)
+		})
 	}
-	if err := e.AddPLAs(`pla "p" { owner "o"; level source; scope "t"; allow attribute a; }`); err != nil {
-		t.Fatalf("clamped engine unusable: %v", err)
+}
+
+// TestNoRuntimeConfigurationSetters pins the method sets: an engine's
+// configuration is fixed at construction, so the only Set* methods left
+// are data mutations and the storage pair.
+func TestNoRuntimeConfigurationSetters(t *testing.T) {
+	for _, tc := range []struct {
+		typ   reflect.Type
+		allow []string
+	}{
+		{reflect.TypeOf((*core.Engine)(nil)), []string{"SetAssignment", "SetSegmentStore", "SetSpillThreshold"}},
+		{reflect.TypeOf((*enforce.ReportEnforcer)(nil)), []string{"SetExtraScopes"}},
+		{reflect.TypeOf((*Engine)(nil)), nil},
+	} {
+		for i := 0; i < tc.typ.NumMethod(); i++ {
+			if name := tc.typ.Method(i).Name; strings.HasPrefix(name, "Set") && !slices.Contains(tc.allow, name) {
+				t.Errorf("%s has the runtime setter %s", tc.typ, name)
+			}
+		}
 	}
 }
 

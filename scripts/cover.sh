@@ -2,14 +2,15 @@
 # Coverage gate: the packages that carry the enforcement semantics, the
 # relational kernel, the guarded ETL steps, the SQL executor whose header
 # is the one origin resolver enforcement, lint, diff and containment trust,
-# the provenance tracer thresholds count support with, and the linter and
-# policy model that share the dead-rule analysis must stay above
+# the provenance tracer thresholds count support with, the linter and
+# policy model that share the dead-rule analysis, the engine that wires
+# them together, the audit trail, and the serving layer must stay above
 # FLOOR percent statement coverage.
 # Writes coverage.out for the whole module so `go tool cover -html` works.
 set -euo pipefail
 
 FLOOR="${COVER_FLOOR:-80}"
-GATED_PKGS=(internal/relation internal/enforce internal/etl internal/sql internal/provenance internal/lint internal/policy)
+GATED_PKGS=(internal/relation internal/enforce internal/etl internal/sql internal/provenance internal/lint internal/policy internal/core internal/audit internal/serve)
 
 go test -coverprofile=coverage.out ./... >/dev/null
 
