@@ -80,15 +80,18 @@ chaos:
 # Short fuzz campaigns over the SQL parser, WHERE evaluation (a predicate
 # bound to a schema against the unbound expression), the PLA DSL parser,
 # the columnar segment decoder, DATE values (a day number against its text
-# and its neighbours), the entity-resolution matcher (against its
-# reference) and delta edit scripts (incremental refresh against a full
-# rebuild); the checked-in corpora under */testdata/fuzz replay first.
+# and its neighbours), packed group lineage (against the gathered refs,
+# and every operator against its materialized twin), the entity-resolution
+# matcher (against its reference) and delta edit scripts (incremental
+# refresh against a full rebuild); the checked-in corpora under
+# */testdata/fuzz replay first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSelect -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzWhereEval -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime $(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzDateValue -fuzztime $(FUZZTIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz FuzzGroupLineage -fuzztime $(FUZZTIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz FuzzMatcher -fuzztime $(FUZZTIME) ./internal/etl
 	$(GO) test -run '^$$' -fuzz FuzzChangeApply -fuzztime $(FUZZTIME) ./internal/etl
 

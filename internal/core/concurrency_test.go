@@ -63,12 +63,14 @@ func TestConcurrentRenderWithPolicyChurn(t *testing.T) {
 						errs <- err
 						return
 					}
-					// A rendered (non-blocked) table must carry exactly one
-					// lineage set per row — a torn row/lineage pair would
-					// indicate an unsynchronized mutation mid-render.
-					if len(enf.Table.Rows) != len(enf.Table.Lineage) {
-						errs <- errMismatch(d.ID, len(enf.Table.Rows), len(enf.Table.Lineage))
-						return
+					// Every row of a rendered (non-blocked) table must carry
+					// its lineage — a torn row/lineage pair would indicate an
+					// unsynchronized mutation mid-render.
+					for i := range enf.Table.Rows {
+						if n := len(enf.Table.RowLineage(i)); n == 0 {
+							errs <- errMismatch(d.ID, i, n)
+							return
+						}
 					}
 				}
 			}
@@ -142,8 +144,8 @@ func TestConcurrentRenderWithPolicyChurn(t *testing.T) {
 	}
 }
 
-func errMismatch(id string, rows, lins int) error {
-	return fmt.Errorf("torn table in %s: %d rows but %d lineage sets", id, rows, lins)
+func errMismatch(id string, row, refs int) error {
+	return fmt.Errorf("torn table in %s: row %d has %d lineage refs", id, row, refs)
 }
 
 func auditEvent(kind string) audit.Event { return audit.Event{Kind: kind} }

@@ -339,8 +339,9 @@ func runDeltaOracle(t *testing.T, seed int64) {
 		if (lerr == nil) != (merr == nil) {
 			t.Fatalf("TraceRow(%d): live err=%v mirror err=%v", ri, lerr, merr)
 		}
-		if fmt.Sprint(lrt.Rows) != fmt.Sprint(mrt.Rows) || fmt.Sprint(lrt.Support) != fmt.Sprint(mrt.Support) {
-			t.Errorf("row %d lineage diverges: %v vs %v", ri, lrt, mrt)
+		if lerr == nil && (fmt.Sprint(lw.RowLineage(ri)) != fmt.Sprint(mw.RowLineage(ri)) ||
+			live.Tracer.ThresholdSupport(lrt, "patient") != mirror.Tracer.ThresholdSupport(mrt, "patient")) {
+			t.Errorf("row %d lineage diverges: %v vs %v", ri, lw.RowLineage(ri), mw.RowLineage(ri))
 		}
 		lct, lerr := live.Tracer.TraceCell(lw, ri, "drug")
 		mct, merr := mirror.Tracer.TraceCell(mw, ri, "drug")

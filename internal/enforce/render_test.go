@@ -102,8 +102,10 @@ func TestRenderWorkersAgree(t *testing.T) {
 	if !reflect.DeepEqual(serial.Table.Schema, pooled.Table.Schema) {
 		t.Errorf("schemas differ: %s vs %s", serial.Table.Schema, pooled.Table.Schema)
 	}
-	if !reflect.DeepEqual(serial.Table.Lineage, pooled.Table.Lineage) {
-		t.Error("lineage differs between 1 and 4 workers")
+	for i := range serial.Table.Rows {
+		if !reflect.DeepEqual(serial.Table.RowLineage(i), pooled.Table.RowLineage(i)) {
+			t.Errorf("lineage of row %d differs between 1 and 4 workers", i)
+		}
 	}
 	if !reflect.DeepEqual(serial.Decisions, pooled.Decisions) {
 		t.Error("decisions differ between 1 and 4 workers")

@@ -441,7 +441,8 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 // render is the render body of a report that is not refused: execute the
 // query and run the plan's enforcement over the result in one pass. The
 // output is built once — the executed header as a shell, then the single
-// copy enforceRow makes of each row it keeps.
+// copy enforceRow makes of each row it keeps, its lineage forwarded as the
+// result holds it (a grouped result's stays packed).
 func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *Program, hit bool) (*Enforced, error) {
 	m := e.metrics
 	execStart := time.Now()
@@ -486,8 +487,7 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, pla
 			enf.SuppressedRows++
 			continue
 		}
-		out.Rows = append(out.Rows, r.row)
-		out.Lineage = append(out.Lineage, r.lineage)
+		out.AppendDerived(r.row, raw, ri)
 	}
 	// A column holding a placeholder holds strings now.
 	for ci := range placeholder {
@@ -513,7 +513,6 @@ func plaList(id string) []string {
 type rowResult struct {
 	keep      bool
 	row       relation.Row
-	lineage   relation.LineageSet
 	decisions []Decision
 	masked    int
 }
@@ -634,18 +633,7 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 	// evidence order is deterministic without per-row sorting).
 	for _, th := range plan.Thresholds {
 		by, k := th.By, th.Min
-		var support int
-		if by == "" {
-			support = len(rt.Rows)
-		} else {
-			support = 0
-			for table := range rt.Support {
-				if n := e.Tracer.DistinctSupport(rt, table, by); n > support {
-					support = n
-				}
-			}
-		}
-		if support < k {
+		if support := e.Tracer.ThresholdSupport(rt, by); support < k {
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressGroup, Rule: "aggregation-threshold",
 				Subject:  fmt.Sprintf("%s[%d]", raw.Name, ri),
@@ -703,7 +691,6 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 	}
 	res.keep = true
 	res.row = row
-	res.lineage = raw.RowLineage(ri)
 	return nil
 }
 
@@ -717,41 +704,50 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 // the program, so per-row evaluation performs no name lookups.
 func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []BoundPredicate) (bool, []string, error) {
 	for _, cond := range conds {
-		for _, ref := range rt.Rows {
+		var evidence []string
+		var readErr error
+		rt.Refs(func(ref relation.RowRef) bool {
 			vals := make(relation.Row, len(cond.Cols))
-			applicable := true
 			for i, col := range cond.Cols {
 				v, ok, err := e.Tracer.BaseValue(ref, col)
 				if err != nil {
-					return false, nil, err
+					readErr = err
+					return false
 				}
 				if !ok {
-					applicable = false
-					break
+					return true // the condition does not apply to this row
 				}
 				vals[i] = v
 			}
-			if !applicable {
-				continue
+			if ok, err := cond.Pred.Selected(vals); err != nil || !ok {
+				evidence = []string{fmt.Sprintf("%s fails %s", ref, cond.Expr)}
+				return false
 			}
-			ok, err := cond.Pred.Selected(vals)
-			if err != nil || !ok {
-				return false, []string{fmt.Sprintf("%s fails %s", ref, cond.Expr)}, nil
-			}
+			return true
+		})
+		if readErr != nil {
+			return false, nil, readErr
+		}
+		if evidence != nil {
+			return false, evidence, nil
 		}
 	}
 	return true, nil, nil
 }
 
+// lineageEvidence names the first eight supporting rows, and how many more
+// there are.
 func lineageEvidence(rt provenance.RowTrace) []string {
-	out := make([]string, 0, len(rt.Rows))
-	for i, ref := range rt.Rows {
-		if i >= 8 {
-			out = append(out, fmt.Sprintf("... %d more", len(rt.Rows)-i))
-			break
+	n := rt.Len()
+	out := make([]string, 0, min(n, 9))
+	rt.Refs(func(ref relation.RowRef) bool {
+		if len(out) == 8 {
+			out = append(out, fmt.Sprintf("... %d more", n-8))
+			return false
 		}
 		out = append(out, ref.String())
-	}
+		return true
+	})
 	return out
 }
 

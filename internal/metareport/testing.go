@@ -139,17 +139,7 @@ func GenerateTests(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer
 					if err != nil {
 						return false, err.Error()
 					}
-					support := 0
-					if rule.By == "" {
-						support = len(rt.Rows)
-					} else {
-						for table := range rt.Support {
-							if n := tr.DistinctSupport(rt, table, rule.By); n > support {
-								support = n
-							}
-						}
-					}
-					if support < rule.MinCount {
+					if support := tr.ThresholdSupport(rt, rule.By); support < rule.MinCount {
 						return false, fmt.Sprintf("row %d has support %d < %d", ri, support, rule.MinCount)
 					}
 				}
@@ -264,31 +254,32 @@ func supportSatisfies(tr *provenance.Tracer, produced *relation.Table, ri int, c
 	}
 	for _, cond := range conds {
 		refs := relation.ColumnsOf(cond)
-		for _, ref := range rt.Rows {
+		detail := ""
+		rt.Refs(func(ref relation.RowRef) bool {
 			vals := make(relation.Row, len(refs))
-			applicable := true
 			for i, col := range refs {
 				v, ok, err := tr.BaseValue(ref, col)
 				if err != nil {
-					return false, err.Error()
+					detail = err.Error()
+					return false
 				}
 				if !ok {
-					applicable = false
-					break
+					return true // the condition does not apply to this row
 				}
 				vals[i] = v
-			}
-			if !applicable {
-				continue
 			}
 			cols := make([]relation.Column, len(refs))
 			for i, c := range refs {
 				cols[i] = relation.Column{Name: c, Type: vals[i].Kind}
 			}
-			ok, err := relation.EvalPredicate(cond, vals, &relation.Schema{Columns: cols})
-			if err != nil || !ok {
-				return false, fmt.Sprintf("%s violates %s", ref, cond)
+			if ok, err := relation.EvalPredicate(cond, vals, &relation.Schema{Columns: cols}); err != nil || !ok {
+				detail = fmt.Sprintf("%s violates %s", ref, cond)
+				return false
 			}
+			return true
+		})
+		if detail != "" {
+			return false, detail
 		}
 	}
 	return true, ""

@@ -49,19 +49,70 @@ func (c CellTrace) String() string {
 	return fmt.Sprintf("cell[%d].%s=%v <- {%s}", c.Row, c.Column, c.Value, strings.Join(parts, ", "))
 }
 
-// RowTrace is the row-level lineage of one derived row, with per-table
-// support counts (the quantity aggregation thresholds are enforced on).
+// RowTrace is the row-level lineage of one derived row: the row itself,
+// read where it stands. Support is counted over the table's lineage parts
+// and refs are walked through a callback, so neither builds the row's
+// lineage set.
 type RowTrace struct {
-	Row     int
-	Rows    relation.LineageSet
-	Support map[string]int // base table -> number of contributing rows
+	Row int
+	tab *relation.Table
+}
+
+// Len returns the number of base rows the traced row derives from.
+func (rt RowTrace) Len() int {
+	n := 0
+	rt.tab.LineageParts(rt.Row, func(p relation.LineagePart) bool {
+		n += p.Len()
+		return true
+	})
+	return n
+}
+
+// Refs calls fn with each base row the traced row derives from, in (table,
+// row) order, until fn returns false.
+func (rt RowTrace) Refs(fn func(relation.RowRef) bool) {
+	rt.tab.LineageParts(rt.Row, func(p relation.LineagePart) bool {
+		return p.Rows(func(row int) bool { return fn(relation.RowRef{Table: p.Table, Row: row}) })
+	})
+}
+
+// ThresholdSupport is the support an aggregation threshold counts for the
+// traced row, the largest any one base table gives it: with by empty, the
+// number of that table's rows behind the row; otherwise the number of
+// distinct values of column by among them, over the tables carrying it.
+// Rows of different tables are never added up — a row joined to two lookup
+// rows is one row of support, not three.
+func (t *Tracer) ThresholdSupport(rt RowTrace, by string) int {
+	best := 0
+	rt.tab.LineageParts(rt.Row, func(p relation.LineagePart) bool {
+		n := p.Len()
+		if by != "" {
+			n = t.distinctSupport(p, by)
+		}
+		best = max(best, n)
+		return true
+	})
+	return best
 }
 
 // DistinctSupport returns the number of distinct values of column col among
 // the base rows of table that support this row — e.g. the number of
 // distinct patients behind an aggregate group.
 func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
-	base, ok := t.base(table)
+	n := 0
+	rt.tab.LineageParts(rt.Row, func(p relation.LineagePart) bool {
+		if p.Table == table {
+			n = t.distinctSupport(p, col)
+		}
+		return p.Table < table
+	})
+	return n
+}
+
+// distinctSupport is DistinctSupport over one table's share of a row's
+// lineage.
+func (t *Tracer) distinctSupport(p relation.LineagePart, col string) int {
+	base, ok := t.base(p.Table)
 	if !ok {
 		return 0
 	}
@@ -77,49 +128,26 @@ func (t *Tracer) DistinctSupport(rt RowTrace, table, col string) int {
 	if !ok {
 		// Segment-backed base whose store failed mid-build: fall back to
 		// the per-ref path, which degrades per cell instead of per column.
-		return t.distinctSupportRows(rt, base, table, ci)
+		return distinctSupportRows(p, base, ci)
 	}
-	seen := make([]uint64, (card+63)/64)
-	n := 0
-	for _, ref := range tableRun(rt.Rows, table) {
-		if ref.Row < 0 || ref.Row >= len(codes) {
-			continue
-		}
-		if c := codes[ref.Row]; seen[c>>6]&(1<<(c&63)) == 0 {
-			seen[c>>6] |= 1 << (c & 63)
-			n++
-		}
-	}
-	return n
-}
-
-// tableRun returns the refs of rows into table: one run, found by binary
-// search, since a lineage set is sorted by (table, row).
-func tableRun(rows relation.LineageSet, table string) relation.LineageSet {
-	lo := sort.Search(len(rows), func(i int) bool { return rows[i].Table >= table })
-	hi := lo
-	for hi < len(rows) && rows[hi].Table == table {
-		hi++
-	}
-	return rows[lo:hi]
+	return p.CountCodes(codes, make([]uint64, (card+63)/64))
 }
 
 // distinctSupportRows is the fallback distinct count: canonical string
 // keys, one lookup per supporting ref. ValueAt streams segment-backed
 // bases one partition at a time; an unreadable cell is skipped, which
 // can only lower the count — the fail-closed direction for thresholds.
-func (t *Tracer) distinctSupportRows(rt RowTrace, base *relation.Table, table string, ci int) int {
+func distinctSupportRows(p relation.LineagePart, base *relation.Table, ci int) int {
 	seen := map[string]bool{}
-	for _, ref := range tableRun(rt.Rows, table) {
-		if ref.Row < 0 || ref.Row >= base.NumRows() {
-			continue
+	p.Rows(func(row int) bool {
+		if row < 0 || row >= base.NumRows() {
+			return true
 		}
-		v, err := base.ValueAt(ref.Row, ci)
-		if err != nil {
-			continue
+		if v, err := base.ValueAt(row, ci); err == nil {
+			seen[v.Key()] = true
 		}
-		seen[v.Key()] = true
-	}
+		return true
+	})
 	return len(seen)
 }
 
@@ -205,19 +233,13 @@ func (t *Tracer) TraceCell(tab *relation.Table, row int, col string) (CellTrace,
 	return trace, nil
 }
 
-// TraceRow computes the row-level lineage of row i of tab.
+// TraceRow returns the row-level trace of row i of tab, which must not be
+// written while the trace is in use.
 func (t *Tracer) TraceRow(tab *relation.Table, i int) (RowTrace, error) {
 	if i < 0 || i >= tab.NumRows() {
 		return RowTrace{}, fmt.Errorf("provenance: row %d out of range", i)
 	}
-	rt := RowTrace{Row: i, Rows: tab.RowLineage(i), Support: map[string]int{}}
-	// The set is sorted by table: one map write per run, not per ref.
-	for lo, hi := 0, 0; lo < len(rt.Rows); lo = hi {
-		for hi = lo + 1; hi < len(rt.Rows) && rt.Rows[hi].Table == rt.Rows[lo].Table; hi++ {
-		}
-		rt.Support[rt.Rows[lo].Table] += hi - lo
-	}
-	return rt, nil
+	return RowTrace{Row: i, tab: tab}, nil
 }
 
 // BaseValue fetches a registered base cell's current value; ok reports

@@ -72,8 +72,8 @@ func TestTraceAggregateRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Support["prescriptions"] != 2 {
-		t.Errorf("support = %v", rt.Support)
+	if n := tr.ThresholdSupport(rt, ""); n != 2 {
+		t.Errorf("support = %d", n)
 	}
 	// Distinct patients behind the asthma group: Bob and Alice.
 	if n := tr.DistinctSupport(rt, "prescriptions", "patient"); n != 2 {
@@ -216,9 +216,15 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 
 	// The trace names more rows than any version holds; DistinctSupport
 	// counts the ones its base has.
-	var rt RowTrace
+	var refs relation.LineageSet
 	for r := 0; r < 2*nRows; r++ {
-		rt.Rows = append(rt.Rows, relation.RowRef{Table: "facts", Row: r})
+		refs = append(refs, relation.RowRef{Table: "facts", Row: r})
+	}
+	derived := &relation.Table{Name: "d", Schema: relation.NewSchema(relation.Col("x", relation.TInt)),
+		Rows: []relation.Row{{relation.Int(0)}}, Lineage: []relation.LineageSet{refs}}
+	rt, err := tr.TraceRow(derived, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	readerDone := make(chan struct{})

@@ -250,8 +250,7 @@ func (b *Batch) ToTable(name string, sel *Bitmap) (*Table, error) {
 	if b.part == nil {
 		for i := 0; i < sel.Len(); i++ {
 			if sel.Get(i) {
-				out.Rows = append(out.Rows, b.src.Rows[i])
-				out.Lineage = append(out.Lineage, b.src.RowLineage(i))
+				out.AppendDerived(b.src.Rows[i], b.src, i)
 			}
 		}
 		return out, nil

@@ -1,0 +1,423 @@
+package relation
+
+import (
+	"fmt"
+	"sync"
+)
+
+// GroupByState is the GroupBy accumulator — the one place rows are grouped
+// and aggregated. GroupBy feeds it a whole scan and emits once; the ETL
+// delta path retains it, feeds only the rows appended since and re-emits.
+// Group keys are interned to dense ids with no per-row key allocation: over
+// a frozen in-memory table through the version's dictionary (DistinctCodes),
+// one interner probe per distinct value, otherwise one per row. Numeric
+// aggregates accumulate over the typed column vectors of each batch, and a
+// group's lineage is packed on emit, per base table, without a RowRef made
+// (packed.go). Feeding a table in pieces is byte-identical to feeding it
+// whole: group order is first-seen, and float SUM/AVG accumulate in row
+// order within a group either way.
+type GroupByState struct {
+	template *Table // schema, name and provenance donor; never mutated
+	keys     []string
+	aggs     []AggSpec
+	keyIdx   []int
+	aggIdx   []int // -1 marks COUNT(*)
+	cols     []int // the columns add reads: the keys, then the aggregate inputs
+	keyer    *rowKeyer
+	// A single key needs no group index: groups open in the order its
+	// interner hands out ids, so a group's id is its key's id less one. Keys
+	// of none or two columns pack into a uint64, so the index can be a plain
+	// integer map — cheaper to hash than the composite struct.
+	byWide  map[uint64]int32
+	byKey   map[compositeKey]int32
+	groups  []gbGroup // first-seen order
+	srcRows int
+	// held is the per-batch row lists the groups' fresh rows point into,
+	// handed back to idBufs once Result has packed them.
+	held []*[]uint32
+}
+
+// gbGroup is one group's key, aggregate states (one per AggSpec) and
+// lineage. lineage is packed and shared with every table emitted so far, so
+// it is never written again; fresh names the member rows absorbed since,
+// whose refs the next emit folds in.
+type gbGroup struct {
+	key     Row
+	states  []aggState
+	lineage groupLineage
+	fresh   []gbRows
+}
+
+// gbRows is the rows of one batch that fell into one group: positions into
+// the batch's lineage sets, which are read, never written — or, when the
+// scanned table keeps lineage columns, into those, from the batch's first
+// row in them.
+type gbRows struct {
+	lin  []LineageSet
+	rows []uint32
+	cols *lineageCols
+	off  int
+}
+
+// NewGroupByState validates the keys and aggregates against t's schema
+// and returns an empty accumulator. t supplies schema, name and
+// provenance only; rows come from AddTable.
+func NewGroupByState(t *Table, keys []string, aggs []AggSpec) (*GroupByState, error) {
+	keyIdx := make([]int, len(keys))
+	for i, k := range keys {
+		idx := t.Schema.Index(k)
+		if idx < 0 {
+			return nil, fmt.Errorf("relation: group key %q not in %s", k, t.Schema)
+		}
+		keyIdx[i] = idx
+	}
+	aggIdx := make([]int, len(aggs))
+	for i, a := range aggs {
+		if a.Col == "" {
+			if a.Kind != AggCount {
+				return nil, fmt.Errorf("relation: aggregate %s requires a column", a.Kind)
+			}
+			aggIdx[i] = -1
+			continue
+		}
+		idx := t.Schema.Index(a.Col)
+		if idx < 0 {
+			return nil, fmt.Errorf("relation: aggregate column %q not in %s", a.Col, t.Schema)
+		}
+		aggIdx[i] = idx
+	}
+	capHint := min(t.NumRows(), 64) // most GROUP BYs a report runs have few groups
+	cols := append([]int(nil), keyIdx...)
+	for _, ci := range aggIdx {
+		if ci >= 0 {
+			cols = append(cols, ci)
+		}
+	}
+	s := &GroupByState{template: t, keys: keys, aggs: aggs, keyIdx: keyIdx, aggIdx: aggIdx, cols: cols,
+		keyer: newRowKeyer(keyIdx, capHint)}
+	switch {
+	case len(keyIdx) == 1:
+	case len(keyIdx) <= 2:
+		s.byWide = make(map[uint64]int32, capHint)
+	default:
+		s.byKey = make(map[compositeKey]int32, capHint)
+	}
+	return s, nil
+}
+
+// AddTable absorbs t's rows, batch by batch, carrying each row's lineage.
+// A segment scan decodes the key and aggregate columns and no other.
+func (s *GroupByState) AddTable(t *Table) error {
+	return eachBatch(t, nil, func(b *Batch) error { return b.load(s.cols) }, s.add)
+}
+
+// SourceRows returns the number of input rows absorbed so far. The ETL
+// layer compares it with the refreshed input's length to detect that a
+// rolled-back delta left the state behind the table, forcing a rebuild.
+func (s *GroupByState) SourceRows() int { return s.srcRows }
+
+// groupOf returns the dense id of the group of row ri, whose key cells have
+// the ids ids[i][ri], opening the group on first sight with the key cells
+// of row ri of the key vectors.
+func (s *GroupByState) groupOf(ids [][]uint32, keyVecs []*Vector, ri int) int32 {
+	gi := int32(len(s.groups))
+	switch {
+	case len(ids) == 1:
+		gi = int32(ids[0][ri]) - 1
+	case s.byWide != nil:
+		ck := s.keyer.vecKey(ids, ri)
+		if had, ok := s.byWide[ck.wide]; ok {
+			gi = had
+		} else {
+			s.byWide[ck.wide] = gi
+		}
+	default:
+		ck := s.keyer.vecKey(ids, ri)
+		if had, ok := s.byKey[ck]; ok {
+			gi = had
+		} else {
+			s.byKey[ck] = gi
+		}
+	}
+	if int(gi) < len(s.groups) {
+		return gi
+	}
+	key := make(Row, len(keyVecs))
+	for i, v := range keyVecs {
+		key[i] = v.Value(ri)
+	}
+	states := make([]aggState, len(s.aggs))
+	for i := range states {
+		states[i].allInt = true
+	}
+	s.groups = append(s.groups, gbGroup{key: key, states: states})
+	return gi
+}
+
+// add absorbs one batch, reading the key and aggregate columns as vectors
+// and the lineage of its rows — never rows, so a segment partition is
+// grouped without any being built. The key cells of an in-memory batch of a
+// frozen table are interned through the version's dictionary; any other
+// batch's, cell by cell. Scratch is per batch (key ids, group ids, one row
+// cursor per group), never per table.
+func (s *GroupByState) add(b *Batch) error {
+	n := b.Len()
+	keyVecs := make([]*Vector, len(s.keyIdx))
+	ids := make([][]uint32, len(s.keyIdx))
+	for i, ci := range s.keyIdx {
+		v, err := b.Col(ci)
+		if err != nil {
+			return err
+		}
+		buf := idBuf(n)
+		defer idBufs.Put(buf)
+		keyVecs[i], ids[i] = v, *buf
+		if codes, card, ok := b.dictCodes(ci); ok {
+			s.keyer.ins[i].codeIDs(v, codes, card, ids[i])
+		} else {
+			s.keyer.ins[i].vecIDs(v, ids[i])
+		}
+	}
+	aggVecs := make([]*Vector, len(s.aggs))
+	for ai, ci := range s.aggIdx {
+		if ci < 0 {
+			continue
+		}
+		v, err := b.Col(ci)
+		if err != nil {
+			return err
+		}
+		aggVecs[ai] = v
+	}
+	s.srcRows += n
+
+	// Pass 1: assign group ids and count the rows each group draws from this
+	// batch, then list the batch's rows group by group out of one
+	// exactly-sized array. The lineage itself stays where it is until emit,
+	// which packs it once per group.
+	buf := idBuf(n)
+	defer idBufs.Put(buf)
+	gids := *buf
+	cur := make([]int, len(s.groups), len(s.groups)+64)
+	for ri := range gids {
+		gi := s.groupOf(ids, keyVecs, ri)
+		if int(gi) == len(cur) {
+			cur = append(cur, 0)
+		}
+		gids[ri] = uint32(gi)
+		cur[gi]++
+	}
+	off := 0
+	for gi, n := range cur {
+		cur[gi] = off
+		off += n
+	}
+	held := idBuf(n)
+	s.held = append(s.held, held)
+	rows := *held
+	for ri, gi := range gids {
+		rows[cur[gi]] = uint32(ri)
+		cur[gi]++
+	}
+	var lin []LineageSet
+	linCols := b.src.lineageColumns()
+	if linCols == nil {
+		lin = b.lineage()
+	}
+	start := 0
+	for gi, end := range cur { // each cursor now sits at its slot's end
+		if end > start {
+			g := &s.groups[gi]
+			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end], cols: linCols, off: b.start()})
+		}
+		start = end
+	}
+
+	// Pass 2: accumulate aggregates column by column over vectors.
+	for ai, a := range s.aggs {
+		if s.aggIdx[ai] < 0 { // COUNT(*): one per member row
+			for _, gi := range gids {
+				s.groups[gi].states[ai].n++
+			}
+			continue
+		}
+		vec := aggVecs[ai]
+		switch {
+		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TInt:
+			for ri, x := range vec.I {
+				if vec.Null != nil && vec.Null[ri] {
+					continue
+				}
+				st := &s.groups[gids[ri]].states[ai]
+				st.n++
+				st.sumInt += x
+				st.sum += float64(x)
+			}
+		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TFloat:
+			for ri, f := range vec.F {
+				if vec.Null != nil && vec.Null[ri] {
+					continue
+				}
+				st := &s.groups[gids[ri]].states[ai]
+				st.n++
+				st.allInt = false
+				st.sum += f
+			}
+		default:
+			for ri := 0; ri < vec.Len(); ri++ {
+				v := vec.Value(ri)
+				if v.IsNull() {
+					continue
+				}
+				st := &s.groups[gids[ri]].states[ai]
+				st.n++
+				switch a.Kind {
+				case AggSum, AggAvg:
+					if v.Kind == TInt {
+						st.sumInt += v.I
+						st.sum += float64(v.I)
+					} else if f, ok := v.AsFloat(); ok {
+						st.allInt = false
+						st.sum += f
+					}
+				case AggMin:
+					if st.min.IsNull() {
+						st.min = v
+					} else if c, ok := v.Compare(st.min); ok && c < 0 {
+						st.min = v
+					}
+				case AggMax:
+					if st.max.IsNull() {
+						st.max = v
+					} else if c, ok := v.Compare(st.max); ok && c > 0 {
+						st.max = v
+					}
+				case AggCountDistinct:
+					if st.distinct == nil {
+						st.distinct = map[ValKey]bool{}
+					}
+					st.distinct[MapKey(v)] = true
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// dictCodes returns the dictionary codes of column ci for the rows of a
+// batch that is a whole frozen in-memory table — its version's, built by
+// the first reader to ask. ok is false for any other batch: a table that is
+// not frozen would build a dictionary per scan, and a segment partition is
+// a slice of one.
+func (b *Batch) dictCodes(ci int) (codes []int32, card int, ok bool) {
+	if b.part != nil || b.src.frozen() == nil {
+		return nil, 0, false
+	}
+	return b.src.DistinctCodes(ci)
+}
+
+// idBufs recycles add's per-batch arrays of key ids and group ids, which it
+// fills and is done with before it returns, its row lists, which Result is
+// done with once it has packed every group, and the ids a dictionary build
+// converts to codes: 4 bytes per row and column that a render would
+// otherwise leave behind as garbage.
+var idBufs sync.Pool // of *[]uint32
+
+func idBuf(n int) *[]uint32 {
+	if p, _ := idBufs.Get().(*[]uint32); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]uint32, n)
+	return &b
+}
+
+// settle folds the rows absorbed since the last emit into the group's packed
+// lineage and returns it: the settled parts' rows and the fresh rows' refs —
+// read from the scanned table's lineage columns, one int32 per row and base
+// table, or from its lineage sets — gathered per base table and packed anew.
+// Neither the input's lineage nor an emitted table is ever written.
+func (g *gbGroup) settle(sc *lineageScratch) groupLineage {
+	if len(g.fresh) == 0 {
+		return g.lineage
+	}
+	for _, p := range g.lineage {
+		sc.add(p)
+	}
+	for _, f := range g.fresh {
+		if f.cols != nil {
+			for ti, col := range f.cols.cols {
+				k := sc.bucket(f.cols.tables[ti])
+				for _, ri := range f.rows {
+					if ord := col[f.off+int(ri)]; ord >= 0 {
+						sc.rows[k] = append(sc.rows[k], int(ord))
+					}
+				}
+			}
+			continue
+		}
+		for _, ri := range f.rows {
+			for _, ref := range f.lin[ri] {
+				k := sc.bucket(ref.Table)
+				sc.rows[k] = append(sc.rows[k], ref.Row)
+			}
+		}
+	}
+	g.lineage, g.fresh = sc.pack(), nil
+	return g.lineage
+}
+
+// Result emits the grouped table, its lineage packed. The emitted table is
+// independent of the accumulator: further feeding followed by another
+// Result never mutates a previously emitted table.
+func (s *GroupByState) Result() *Table {
+	t := s.template
+	out := &Table{Name: t.Name + "_grp"}
+	cols := make([]Column, 0, len(s.keys)+len(s.aggs))
+	out.ColOrigin = make([]ColRefSet, 0, cap(cols))
+	for i, k := range s.keys {
+		cols = append(cols, Column{Name: baseName(k), Type: t.Schema.Columns[s.keyIdx[i]].Type})
+		out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.keyIdx[i]))
+	}
+	for i, a := range s.aggs {
+		cols = append(cols, Column{Name: a.outName(), Type: a.outType(t.Schema)})
+		if s.aggIdx[i] >= 0 {
+			out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.aggIdx[i]))
+		} else {
+			// COUNT(*) derives from the whole row; attribute it to all
+			// input columns so provenance over-approximates rather than
+			// under-approximates.
+			out.ColOrigin = append(out.ColOrigin, t.AllColumnOrigins())
+		}
+	}
+	out.Schema = &Schema{Columns: cols}
+
+	flat := make([]Value, 0, len(s.groups)*len(cols))
+	out.Rows = make([]Row, 0, len(s.groups))
+	out.packed = make([]groupLineage, 0, len(s.groups))
+	// A table's row list grows to what the largest group draws from it: once
+	// it holds one ref per member row, it does not grow again.
+	var sc lineageScratch
+	for gi := range s.groups {
+		n := 0
+		for _, f := range s.groups[gi].fresh {
+			n += len(f.rows)
+		}
+		sc.hint = max(sc.hint, n)
+	}
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		start := len(flat)
+		flat = append(flat, g.key...)
+		for ai, a := range s.aggs {
+			flat = append(flat, g.states[ai].result(a.Kind))
+		}
+		out.Rows = append(out.Rows, Row(flat[start:len(flat):len(flat)]))
+		out.packed = append(out.packed, g.settle(&sc))
+	}
+	for _, buf := range s.held {
+		idBufs.Put(buf)
+	}
+	s.held = s.held[:0]
+	return out
+}

@@ -89,7 +89,7 @@ func (in *interner) id(v Value) uint32 {
 	if id, ok := in.ids[k]; ok {
 		return id
 	}
-	id := uint32(len(in.ids) + len(in.strs) + 1)
+	id := uint32(in.len() + 1)
 	in.ids[k] = id
 	return id
 }
@@ -99,10 +99,13 @@ func (in *interner) str(s string) uint32 {
 	if id, ok := in.strs[s]; ok {
 		return id
 	}
-	id := uint32(len(in.ids) + len(in.strs) + 1)
+	id := uint32(in.len() + 1)
 	in.strs[s] = id
 	return id
 }
+
+// len returns the number of ids handed out.
+func (in *interner) len() int { return len(in.ids) + len(in.strs) }
 
 // vecIDs writes the dense id of every cell of v into out.
 func (in *interner) vecIDs(v *Vector, out []uint32) {
@@ -118,6 +121,22 @@ func (in *interner) vecIDs(v *Vector, out []uint32) {
 	}
 	for i := range out {
 		out[i] = in.id(v.Value(i))
+	}
+}
+
+// codeIDs is vecIDs over a column whose dictionary codes (card of them) are
+// known: the id of a code is looked up once, at the first row holding it, so
+// ids are handed out in row order exactly as vecIDs hands them out, whatever
+// order the codes were assigned in.
+func (in *interner) codeIDs(v *Vector, codes []int32, card int, out []uint32) {
+	byCode := make([]uint32, card)
+	for ri, c := range codes {
+		id := byCode[c]
+		if id == 0 {
+			id = in.id(v.Value(ri))
+			byCode[c] = id
+		}
+		out[ri] = id
 	}
 }
 

@@ -31,7 +31,7 @@ func selectOrd(t *Table, pred Expr, ord *[]int32) (*Table, error) {
 			return nil
 		}
 		out.Rows = append(out.Rows, sub.Rows...)
-		out.Lineage = append(out.Lineage, sub.Lineage...)
+		out.Lineage, out.packed = append(out.Lineage, sub.Lineage...), append(out.packed, sub.packed...)
 		return nil
 	})
 	if err != nil {
@@ -360,9 +360,9 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 		}
 		return false
 	})
+	out.reserve(t, len(perm))
 	for _, p := range perm {
-		out.Rows = append(out.Rows, t.Rows[p])
-		out.Lineage = append(out.Lineage, t.RowLineage(p))
+		out.AppendDerived(t.Rows[p], t, p)
 	}
 	return out, nil
 }
@@ -375,8 +375,7 @@ func Limit(t *Table, n int) *Table {
 		n = len(t.Rows)
 	}
 	for i := 0; i < n; i++ {
-		out.Rows = append(out.Rows, t.Rows[i])
-		out.Lineage = append(out.Lineage, t.RowLineage(i))
+		out.AppendDerived(t.Rows[i], t, i)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 	"strings"
 )
 
@@ -337,6 +339,52 @@ func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 		out.Lineage = append(out.Lineage, g.lineage.normalize())
 	}
 	return out, nil
+}
+
+// emitGroupLineage is the group lineage emit GroupBy had before it kept
+// lineage packed, an oracle beside LineageSet.normalize: a group's gathered
+// refs bucketed by table, tables ascending; a table's rows swept through a
+// bitset when they are unsorted and dense (none negative, the largest below
+// 4n+1024), sorted otherwise; then written out as refs, deduplicated.
+func emitGroupLineage(refs LineageSet) LineageSet {
+	buckets := map[string][]int{}
+	var tables []string
+	for _, r := range refs {
+		if _, ok := buckets[r.Table]; !ok {
+			tables = append(tables, r.Table)
+		}
+		buckets[r.Table] = append(buckets[r.Table], r.Row)
+	}
+	sort.Strings(tables)
+	var out LineageSet
+	for _, table := range tables {
+		rows := buckets[table]
+		if !sort.IntsAreSorted(rows) {
+			lo, hi := rows[0], rows[0]
+			for _, r := range rows {
+				lo, hi = min(lo, r), max(hi, r)
+			}
+			if lo >= 0 && hi < 4*len(rows)+1024 {
+				words := make([]uint64, hi/64+1)
+				for _, r := range rows {
+					words[r>>6] |= 1 << (uint(r) & 63)
+				}
+				for wi, w := range words {
+					for ; w != 0; w &= w - 1 {
+						out = append(out, RowRef{Table: table, Row: wi<<6 | bits.TrailingZeros64(w)})
+					}
+				}
+				continue
+			}
+			sort.Ints(rows)
+		}
+		for i, r := range rows {
+			if i == 0 || r != rows[i-1] {
+				out = append(out, RowRef{Table: table, Row: r})
+			}
+		}
+	}
+	return out
 }
 
 // distinctRows is the row-at-a-time reference implementation of Distinct.

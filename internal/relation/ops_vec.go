@@ -3,9 +3,6 @@ package relation
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
-	"sync"
 )
 
 // This file holds the vectorized kernels behind the public operators
@@ -46,8 +43,7 @@ func selectVec(b *Batch, pred Expr, ord *[]int32) (*Table, error) {
 			return nil, err
 		}
 		if ok {
-			out.Rows = append(out.Rows, r)
-			out.Lineage = append(out.Lineage, t.RowLineage(i))
+			out.AppendDerived(r, t, i)
 			if ord != nil {
 				*ord = append(*ord, int32(b.start()+i))
 			}
@@ -86,8 +82,7 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 		exprs[j] = bind(p.Expr, t.Schema)
 	}
 	flat := make([]Value, len(t.Rows)*k)
-	out.Rows = make([]Row, 0, len(t.Rows))
-	out.Lineage = make([]LineageSet, 0, len(t.Rows))
+	out.reserve(t, len(t.Rows))
 	for i, r := range t.Rows {
 		nr := flat[i*k : i*k+k : i*k+k]
 		for j := range exprs {
@@ -100,8 +95,7 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 				out.Schema.Columns[j].Type = v.Kind
 			}
 		}
-		out.Rows = append(out.Rows, Row(nr))
-		out.Lineage = append(out.Lineage, t.RowLineage(i))
+		out.AppendDerived(Row(nr), t, i)
 	}
 	return out, nil
 }
@@ -123,8 +117,7 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 	be := bind(e, t.Schema)
 	w := t.Schema.Len() + 1
 	flat := make([]Value, len(t.Rows)*w)
-	out.Rows = make([]Row, 0, len(t.Rows))
-	out.Lineage = make([]LineageSet, 0, len(t.Rows))
+	out.reserve(t, len(t.Rows))
 	for i, r := range t.Rows {
 		v, err := be.Eval(r, t.Schema)
 		if err != nil {
@@ -133,8 +126,7 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 		nr := flat[i*w : i*w+w : i*w+w]
 		copy(nr, r)
 		nr[w-1] = v
-		out.Rows = append(out.Rows, Row(nr))
-		out.Lineage = append(out.Lineage, t.RowLineage(i))
+		out.AppendDerived(Row(nr), t, i)
 	}
 	return out, nil
 }
@@ -564,593 +556,6 @@ func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]in
 		}
 	}
 	return nil
-}
-
-// GroupByState is the GroupBy accumulator — the one place rows are grouped
-// and aggregated. GroupBy feeds it a whole scan and emits once; the ETL
-// delta path retains it, feeds only the rows appended since and re-emits.
-// Group keys are interned to dense ids (one map probe per row, no per-row
-// key allocation), numeric aggregates accumulate over the typed column
-// vectors of each batch, and lineage refs are copied once, on emit, into
-// each group's exactly-sized set. Feeding a table in pieces is
-// byte-identical to feeding it whole: group order is first-seen, and float
-// SUM/AVG accumulate in row order within a group either way.
-type GroupByState struct {
-	template *Table // schema, name and provenance donor; never mutated
-	keys     []string
-	aggs     []AggSpec
-	keyIdx   []int
-	aggIdx   []int // -1 marks COUNT(*)
-	cols     []int // the columns add reads: the keys, then the aggregate inputs
-	keyer    *rowKeyer
-	// Keys of up to two columns pack into a uint64, so the group index can
-	// be a plain integer map — cheaper to hash than the composite struct.
-	byWide  map[uint64]int32
-	byKey   map[compositeKey]int32
-	groups  []gbGroup // first-seen order
-	srcRows int
-}
-
-// gbGroup is one group's key, aggregate states (one per AggSpec) and
-// lineage. lineage is normalized and shared with every table emitted so
-// far, so it is never written again; fresh names the member rows absorbed
-// since, whose refs the next emit folds in.
-type gbGroup struct {
-	key       Row
-	states    []aggState
-	lineage   LineageSet
-	fresh     []gbRows
-	freshRefs int // refs the fresh rows carry, or a bound on them
-}
-
-// gbRows is the rows of one batch that fell into one group: positions into
-// the batch's lineage sets, which are read, never written — and, when the
-// scanned table keeps lineage columns, those and the batch's first row in
-// them.
-type gbRows struct {
-	lin  []LineageSet
-	rows []int32
-	cols *lineageCols
-	off  int
-}
-
-// NewGroupByState validates the keys and aggregates against t's schema
-// and returns an empty accumulator. t supplies schema, name and
-// provenance only; rows come from AddTable.
-func NewGroupByState(t *Table, keys []string, aggs []AggSpec) (*GroupByState, error) {
-	keyIdx := make([]int, len(keys))
-	for i, k := range keys {
-		idx := t.Schema.Index(k)
-		if idx < 0 {
-			return nil, fmt.Errorf("relation: group key %q not in %s", k, t.Schema)
-		}
-		keyIdx[i] = idx
-	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Col == "" {
-			if a.Kind != AggCount {
-				return nil, fmt.Errorf("relation: aggregate %s requires a column", a.Kind)
-			}
-			aggIdx[i] = -1
-			continue
-		}
-		idx := t.Schema.Index(a.Col)
-		if idx < 0 {
-			return nil, fmt.Errorf("relation: aggregate column %q not in %s", a.Col, t.Schema)
-		}
-		aggIdx[i] = idx
-	}
-	capHint := min(t.NumRows(), 1024)
-	cols := append([]int(nil), keyIdx...)
-	for _, ci := range aggIdx {
-		if ci >= 0 {
-			cols = append(cols, ci)
-		}
-	}
-	s := &GroupByState{template: t, keys: keys, aggs: aggs, keyIdx: keyIdx, aggIdx: aggIdx, cols: cols,
-		keyer: newRowKeyer(keyIdx, capHint)}
-	if len(keyIdx) <= 2 {
-		s.byWide = make(map[uint64]int32, capHint)
-	} else {
-		s.byKey = make(map[compositeKey]int32, capHint)
-	}
-	return s, nil
-}
-
-// AddTable absorbs t's rows, batch by batch, carrying each row's lineage.
-// A segment scan decodes the key and aggregate columns and no other.
-func (s *GroupByState) AddTable(t *Table) error {
-	return eachBatch(t, nil, func(b *Batch) error { return b.load(s.cols) }, s.add)
-}
-
-// SourceRows returns the number of input rows absorbed so far. The ETL
-// layer compares it with the refreshed input's length to detect that a
-// rolled-back delta left the state behind the table, forcing a rebuild.
-func (s *GroupByState) SourceRows() int { return s.srcRows }
-
-// groupOf returns the dense id of the group keyed ck, opening it on first
-// sight with the key cells of row ri of the key vectors.
-func (s *GroupByState) groupOf(ck compositeKey, keyVecs []*Vector, ri int) int32 {
-	var gi int32
-	var ok bool
-	if s.byWide != nil {
-		gi, ok = s.byWide[ck.wide]
-	} else {
-		gi, ok = s.byKey[ck]
-	}
-	if ok {
-		return gi
-	}
-	gi = int32(len(s.groups))
-	if s.byWide != nil {
-		s.byWide[ck.wide] = gi
-	} else {
-		s.byKey[ck] = gi
-	}
-	key := make(Row, len(keyVecs))
-	for i, v := range keyVecs {
-		key[i] = v.Value(ri)
-	}
-	states := make([]aggState, len(s.aggs))
-	for i := range states {
-		states[i].allInt = true
-	}
-	s.groups = append(s.groups, gbGroup{key: key, states: states})
-	return gi
-}
-
-// add absorbs one batch, reading the key and aggregate columns as vectors
-// and the lineage of its rows — never rows, so a segment partition is
-// grouped without any being built. Scratch is per batch (key ids, group
-// ids, one row cursor per group), never per table.
-func (s *GroupByState) add(b *Batch) error {
-	n := b.Len()
-	keyVecs := make([]*Vector, len(s.keyIdx))
-	ids := make([][]uint32, len(s.keyIdx))
-	for i, ci := range s.keyIdx {
-		v, err := b.Col(ci)
-		if err != nil {
-			return err
-		}
-		buf := idBuf(n)
-		defer idBufs.Put(buf)
-		keyVecs[i], ids[i] = v, *buf
-		s.keyer.ins[i].vecIDs(v, ids[i])
-	}
-	aggVecs := make([]*Vector, len(s.aggs))
-	for ai, ci := range s.aggIdx {
-		if ci < 0 {
-			continue
-		}
-		v, err := b.Col(ci)
-		if err != nil {
-			return err
-		}
-		aggVecs[ai] = v
-	}
-	s.srcRows += n
-
-	// Pass 1: assign group ids and count the rows and lineage refs each group
-	// draws from this batch, then list the batch's rows group by group out
-	// of one exactly-sized array. The refs themselves stay where they are
-	// until emit, which copies them once into the group's set — copying them
-	// here as well would turn the input's whole lineage into garbage on
-	// every pass.
-	lin, linCols := b.lineage(), b.src.lineageColumns()
-	buf := idBuf(n)
-	defer idBufs.Put(buf)
-	gids := *buf
-	cur := make([]int, len(s.groups), len(s.groups)+64)
-	refs := make([]int, len(s.groups), len(s.groups)+64)
-	for ri := range gids {
-		gi := s.groupOf(s.keyer.vecKey(ids, ri), keyVecs, ri)
-		if int(gi) == len(cur) {
-			cur, refs = append(cur, 0), append(refs, 0)
-		}
-		gids[ri] = uint32(gi)
-		cur[gi]++
-		if linCols == nil {
-			refs[gi] += len(lin[ri])
-		}
-	}
-	off := 0
-	for gi, n := range cur {
-		if linCols != nil { // at most one ref per base table: a bound, without reading the sets
-			refs[gi] = n * len(linCols.tables)
-		}
-		cur[gi] = off
-		off += n
-	}
-	rows := make([]int32, n)
-	for ri, gi := range gids {
-		rows[cur[gi]] = int32(ri)
-		cur[gi]++
-	}
-	start := 0
-	for gi, end := range cur { // each cursor now sits at its slot's end
-		if end > start {
-			g := &s.groups[gi]
-			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end], cols: linCols, off: b.start()})
-			g.freshRefs += refs[gi]
-		}
-		start = end
-	}
-
-	// Pass 2: accumulate aggregates column by column over vectors.
-	for ai, a := range s.aggs {
-		if s.aggIdx[ai] < 0 { // COUNT(*): one per member row
-			for _, gi := range gids {
-				s.groups[gi].states[ai].n++
-			}
-			continue
-		}
-		vec := aggVecs[ai]
-		switch {
-		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TInt:
-			for ri, x := range vec.I {
-				if vec.Null != nil && vec.Null[ri] {
-					continue
-				}
-				st := &s.groups[gids[ri]].states[ai]
-				st.n++
-				st.sumInt += x
-				st.sum += float64(x)
-			}
-		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TFloat:
-			for ri, f := range vec.F {
-				if vec.Null != nil && vec.Null[ri] {
-					continue
-				}
-				st := &s.groups[gids[ri]].states[ai]
-				st.n++
-				st.allInt = false
-				st.sum += f
-			}
-		default:
-			for ri := 0; ri < vec.Len(); ri++ {
-				v := vec.Value(ri)
-				if v.IsNull() {
-					continue
-				}
-				st := &s.groups[gids[ri]].states[ai]
-				st.n++
-				switch a.Kind {
-				case AggSum, AggAvg:
-					if v.Kind == TInt {
-						st.sumInt += v.I
-						st.sum += float64(v.I)
-					} else if f, ok := v.AsFloat(); ok {
-						st.allInt = false
-						st.sum += f
-					}
-				case AggMin:
-					if st.min.IsNull() {
-						st.min = v
-					} else if c, ok := v.Compare(st.min); ok && c < 0 {
-						st.min = v
-					}
-				case AggMax:
-					if st.max.IsNull() {
-						st.max = v
-					} else if c, ok := v.Compare(st.max); ok && c > 0 {
-						st.max = v
-					}
-				case AggCountDistinct:
-					if st.distinct == nil {
-						st.distinct = map[ValKey]bool{}
-					}
-					st.distinct[MapKey(v)] = true
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// idBufs recycles add's per-batch arrays of key ids and group ids, which it
-// fills and is done with before it returns: 4 bytes per row and key column
-// that a render would otherwise leave behind as garbage.
-var idBufs sync.Pool // of *[]uint32
-
-func idBuf(n int) *[]uint32 {
-	if p, _ := idBufs.Get().(*[]uint32); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]uint32, n)
-	return &b
-}
-
-// pending bounds how many refs settle will gather: none when nothing was
-// absorbed since the last emit.
-func (g *gbGroup) pending() int {
-	if len(g.fresh) == 0 {
-		return 0
-	}
-	return len(g.lineage) + g.freshRefs
-}
-
-// settle folds the refs of the rows absorbed since the last emit into the
-// group's normalized lineage and returns it, carved out of the emit's arena:
-// neither the input's lineage nor an emitted table is ever mutated. A group
-// emitted for the first time whose rows all come from one frozen table reads
-// that table's lineage columns — one int32 per (row, base table); any other
-// gathers the refs themselves, the settled ones first.
-func (g *gbGroup) settle(sc *lineageScratch) LineageSet {
-	n := g.pending()
-	if n == 0 {
-		return g.lineage
-	}
-	sc.pending, sc.gathered = sc.pending-n, sc.gathered+n
-	lc := g.fresh[0].cols
-	for _, f := range g.fresh[1:] {
-		if f.cols != lc {
-			lc = nil
-		}
-	}
-	if len(g.lineage) > 0 {
-		lc = nil
-	}
-	if lc != nil {
-		for ti, col := range lc.cols {
-			start := len(sc.rows)
-			for _, f := range g.fresh {
-				for _, ri := range f.rows {
-					if ord := col[f.off+int(ri)]; ord >= 0 {
-						sc.rows = append(sc.rows, int(ord))
-					}
-				}
-			}
-			sc.add(lc.tables[ti], sc.rows[start:])
-		}
-		g.lineage = sc.emit()
-	} else {
-		if cap(sc.refs) < n {
-			sc.refs = make(LineageSet, 0, sc.largest)
-		}
-		all := append(sc.refs[:0], g.lineage...)
-		for _, f := range g.fresh {
-			for _, ri := range f.rows {
-				all = append(all, f.lin[ri]...)
-			}
-		}
-		g.lineage = normalizeGroupLineage(all, sc)
-	}
-	g.fresh, g.freshRefs = nil, 0
-	return g.lineage
-}
-
-// Result emits the grouped table. The emitted table is independent of
-// the accumulator: further feeding followed by another Result never
-// mutates a previously emitted table.
-func (s *GroupByState) Result() *Table {
-	t := s.template
-	out := &Table{Name: t.Name + "_grp"}
-	cols := make([]Column, 0, len(s.keys)+len(s.aggs))
-	out.ColOrigin = make([]ColRefSet, 0, cap(cols))
-	for i, k := range s.keys {
-		cols = append(cols, Column{Name: baseName(k), Type: t.Schema.Columns[s.keyIdx[i]].Type})
-		out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.keyIdx[i]))
-	}
-	for i, a := range s.aggs {
-		cols = append(cols, Column{Name: a.outName(), Type: a.outType(t.Schema)})
-		if s.aggIdx[i] >= 0 {
-			out.ColOrigin = append(out.ColOrigin, t.ColumnOrigin(s.aggIdx[i]))
-		} else {
-			// COUNT(*) derives from the whole row; attribute it to all
-			// input columns so provenance over-approximates rather than
-			// under-approximates.
-			out.ColOrigin = append(out.ColOrigin, t.AllColumnOrigins())
-		}
-	}
-	out.Schema = &Schema{Columns: cols}
-
-	flat := make([]Value, 0, len(s.groups)*len(cols))
-	var sc lineageScratch
-	for gi := range s.groups {
-		n := s.groups[gi].pending()
-		sc.pending += n
-		sc.largest = max(sc.largest, n)
-	}
-	sc.rows = make([]int, 0, sc.largest)
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		start := len(flat)
-		flat = append(flat, g.key...)
-		for ai, a := range s.aggs {
-			flat = append(flat, g.states[ai].result(a.Kind))
-		}
-		out.Rows = append(out.Rows, Row(flat[start:len(flat):len(flat)]))
-		out.Lineage = append(out.Lineage, g.settle(&sc))
-	}
-	return out
-}
-
-// lineageScratch is what one emit's settles share: the arena their sets are
-// carved from, and the working memory of the group being settled — its refs
-// when they are gathered one by one, its row ordinals table after table,
-// the bitsets that sort the dense tables, and the resulting parts.
-type lineageScratch struct {
-	// arena is the chunk being carved; its length is what is taken. A chunk
-	// is sized by what is emitted: the set at hand, plus what the groups to
-	// come will need if their refs — pending bounds them — deduplicate as
-	// those gathered so far did. A small GROUP BY takes a small chunk.
-	arena                      LineageSet
-	pending, gathered, emitted int
-	largest                    int // the most refs any one group gathers
-	refs                       LineageSet
-	rows                       []int
-	words                      []uint64
-	parts                      []linPart
-}
-
-// linPart is one base table's share of a group's lineage, ascending and
-// distinct: a bitset over the ordinals when they are dense, the ordinals
-// themselves otherwise.
-type linPart struct {
-	table string
-	rows  []int
-	words []uint64
-	n     int
-}
-
-// carve takes room for n refs from the arena; no room is the nil set, as
-// the lineage of a group that gathered nothing has always been.
-func (sc *lineageScratch) carve(n int) LineageSet {
-	if n == 0 {
-		return nil
-	}
-	sc.emitted += n
-	if cap(sc.arena)-len(sc.arena) < n {
-		rest := sc.pending * sc.emitted / sc.gathered
-		sc.arena = make(LineageSet, 0, n+min(rest+rest/8, maxGroupChunk))
-	}
-	start := len(sc.arena)
-	sc.arena = sc.arena[:start+n]
-	return sc.arena[start : start : start+n]
-}
-
-// maxGroupChunk bounds what an emit-arena chunk holds for the groups to come
-// (refs): large enough that the room a chunk's last group leaves unused is a
-// few percent of it.
-const maxGroupChunk = 1 << 16
-
-// add takes the ordinals the group at hand draws from one base table, in
-// any order and with repeats, and sorts them in place. Tables must be added
-// in ascending order. Dense ordinals (the normal case: lineage points into
-// a contiguous base table) go through a bitset, which yields them sorted
-// and deduplicated in one sweep with no comparison sort.
-func (sc *lineageScratch) add(table string, rows []int) {
-	if len(rows) == 0 {
-		return
-	}
-	p := linPart{table: table}
-	if !sort.IntsAreSorted(rows) {
-		minRow, maxRow := rows[0], rows[0]
-		for _, r := range rows {
-			minRow, maxRow = min(minRow, r), max(maxRow, r)
-		}
-		if nw := maxRow/64 + 1; minRow >= 0 && maxRow < 4*len(rows)+1024 {
-			if len(sc.words)+nw > cap(sc.words) {
-				sc.words = make([]uint64, 0, max(nw, 2*cap(sc.words)))
-			}
-			p.words = sc.words[len(sc.words) : len(sc.words)+nw]
-			sc.words = sc.words[:len(sc.words)+nw]
-			clear(p.words)
-			for _, r := range rows {
-				p.words[r>>6] |= 1 << (uint(r) & 63)
-			}
-			for _, w := range p.words {
-				p.n += bits.OnesCount64(w)
-			}
-			sc.parts = append(sc.parts, p)
-			return
-		}
-		sort.Ints(rows)
-	}
-	p.rows = rows[:1]
-	for _, r := range rows[1:] {
-		if r != p.rows[len(p.rows)-1] {
-			p.rows = append(p.rows, r)
-		}
-	}
-	p.n = len(p.rows)
-	sc.parts = append(sc.parts, p)
-}
-
-// emit carves the set the added parts make up and readies the scratch for
-// the next group.
-func (sc *lineageScratch) emit() LineageSet {
-	n := 0
-	for _, p := range sc.parts {
-		n += p.n
-	}
-	out := sc.carve(n)
-	for _, p := range sc.parts {
-		for _, r := range p.rows {
-			out = append(out, RowRef{Table: p.table, Row: r})
-		}
-		for wi, w := range p.words {
-			for ; w != 0; w &= w - 1 {
-				out = append(out, RowRef{Table: p.table, Row: wi<<6 | bits.TrailingZeros64(w)})
-			}
-		}
-	}
-	sc.parts, sc.rows, sc.words = sc.parts[:0], sc.rows[:0], sc.words[:0]
-	return out
-}
-
-// normalizeGroupLineage sorts and deduplicates a group's gathered row refs
-// into a set carved from sc's arena; refs is scratch. Output is identical to
-// LineageSet.normalize — ascending (table, row), unique — but it buckets
-// refs by table first (groups draw from a handful of base tables) and sorts
-// plain ints per bucket, instead of string-comparing tables inside every
-// comparison of a reflective sort.Slice.
-func normalizeGroupLineage(refs LineageSet, sc *lineageScratch) LineageSet {
-	if len(refs) <= 1 {
-		return append(sc.carve(len(refs)), refs...)
-	}
-	// Bucket rows by table. A group draws from a handful of tables, so a
-	// linear probe over the names beats a map: no hashing, and the
-	// previous ref's table matches the next one often enough (per-row
-	// lineage sets are themselves sorted) that the probe usually stops at
-	// its cached index via a pointer-equal string compare.
-	names := make([]string, 0, 4)
-	var counts [16]int
-	cur := -1
-	probe := func(table string) int {
-		if cur >= 0 && names[cur] == table {
-			return cur
-		}
-		cur = -1
-		for i, nm := range names {
-			if nm == table {
-				cur = i
-				break
-			}
-		}
-		if cur < 0 {
-			names = append(names, table)
-			cur = len(names) - 1
-		}
-		return cur
-	}
-	wide := false
-	for _, r := range refs {
-		bi := probe(r.Table)
-		if bi < len(counts) {
-			counts[bi]++
-		} else {
-			wide = true
-		}
-	}
-	if wide {
-		// Pathological table fan-out: fall back to the generic normalize.
-		refs = refs.normalize()
-		return append(sc.carve(len(refs)), refs...)
-	}
-	rowArena := sc.rows[:len(refs)]
-	buckets := make([][]int, len(names))
-	off := 0
-	for i := range names {
-		buckets[i] = rowArena[off : off : off+counts[i]]
-		off += counts[i]
-	}
-	cur = -1
-	for _, r := range refs {
-		bi := probe(r.Table)
-		buckets[bi] = append(buckets[bi], r.Row)
-	}
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
-	for _, bi := range order {
-		sc.add(names[bi], buckets[bi])
-	}
-	return sc.emit()
 }
 
 // distinctVec is the vectorized Distinct: whole-row keys are interned per

@@ -33,30 +33,25 @@ type resident struct {
 }
 
 // valueDict is one column's DistinctCodes. Readers touch codes and card
-// only; ids, the value-to-code assignment, is append-only, written by the
-// build and then only by the one successor that claims it (carry).
+// only; in, the value-to-code assignment (a code is an interner id less
+// one), is append-only, written by the build and then only by the one
+// successor that claims it (carry).
 type valueDict struct {
 	codes   []int32
 	card    int
-	ids     map[ValKey]int32
+	in      *interner
 	claimed atomic.Bool
 }
 
 // encode returns the code of v, assigning the next free one to a new value.
-func (d *valueDict) encode(v Value) int32 {
-	k := MapKey(v)
-	if id, ok := d.ids[k]; ok {
-		return id
-	}
-	d.ids[k] = int32(len(d.ids))
-	return d.ids[k]
-}
+func (d *valueDict) encode(v Value) int32 { return int32(d.in.id(v)) - 1 }
 
 // DistinctCodes returns column ci's distinct-support dictionary: rows share
 // a code exactly when their values are equal under MapKey (NULL included),
 // and card bounds every code. A frozen table builds it once per version, in
-// first-seen order, from its column vector or by a sequential ValueAt walk,
-// and ApplyEdit carries it on. ok is false when a cell cannot be read.
+// first-seen order — by the interner's pass over its column vector, or a
+// sequential ValueAt walk — and ApplyEdit carries it on. GroupBy reads its
+// keys through it. ok is false when a cell cannot be read.
 func (t *Table) DistinctCodes(ci int) (codes []int32, card int, ok bool) {
 	r := t.frozen()
 	if r != nil {
@@ -64,20 +59,25 @@ func (t *Table) DistinctCodes(ci int) (codes []int32, card int, ok bool) {
 			return d.codes, d.card, true
 		}
 	}
-	at := func(ri int) (Value, error) { return t.ValueAt(ri, ci) }
+	n := t.NumRows()
+	d := &valueDict{codes: make([]int32, n), in: newInterner(min(n, 1024))}
 	if t.seg == nil {
-		vec := t.column(ci)
-		at = func(ri int) (Value, error) { return vec.Value(ri), nil }
-	}
-	d := &valueDict{codes: make([]int32, t.NumRows()), ids: make(map[ValKey]int32, t.NumRows())}
-	for ri := range d.codes {
-		v, err := at(ri)
-		if err != nil {
-			return nil, 0, false
+		ids := idBuf(n)
+		d.in.vecIDs(t.column(ci), *ids)
+		for ri, id := range *ids {
+			d.codes[ri] = int32(id) - 1
 		}
-		d.codes[ri] = d.encode(v)
+		idBufs.Put(ids)
+	} else {
+		for ri := range d.codes {
+			v, err := t.ValueAt(ri, ci)
+			if err != nil {
+				return nil, 0, false
+			}
+			d.codes[ri] = d.encode(v)
+		}
 	}
-	d.card = len(d.ids)
+	d.card = d.in.len()
 	if r != nil && !r.dict[ci].CompareAndSwap(nil, d) {
 		d = r.dict[ci].Load()
 	}
@@ -117,8 +117,12 @@ var notColumnar = &lineageCols{}
 // concurrent readers — sql.Catalog.Register and Refresh, and the provenance
 // tracer's RegisterBase — and must be called before the table is shared.
 // Append drops the form again; a write into a frozen table's rows or
-// lineage sets is a bug VerifyResident finds.
+// lineage sets is a bug VerifyResident finds. Packed lineage is
+// materialized into Lineage: a published table is never packed.
 func (t *Table) Freeze() {
+	if t.packed != nil {
+		t.Lineage, t.packed = materialize(t.packed), nil
+	}
 	if t.res != nil && t.res.rows == t.NumRows() {
 		return
 	}
@@ -342,11 +346,11 @@ func editVector(v *Vector, out *Table, ci int, e Edit, dirty []int, grow bool) *
 // in use; once it outgrows the table twice over, out's readers build anew.
 func editDict(d *valueDict, out *Table, ci int, e Edit, dirty []int, grow bool) *valueDict {
 	n := len(out.Rows)
-	nd := &valueDict{codes: editArray(d.codes, e, n, grow), ids: d.ids}
+	nd := &valueDict{codes: editArray(d.codes, e, n, grow), in: d.in}
 	for _, ri := range dirty {
 		nd.codes[ri] = nd.encode(out.Rows[ri][ci])
 	}
-	if nd.card = len(nd.ids); nd.card > 2*n+64 {
+	if nd.card = nd.in.len(); nd.card > 2*n+64 {
 		return nil
 	}
 	return nd

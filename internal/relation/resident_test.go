@@ -186,8 +186,8 @@ func TestGroupByStateOverFrozenPieces(t *testing.T) {
 		want, got := run(false, between), run(true, between)
 		for i := range want {
 			requireSameTable(t, fmt.Sprintf("emitBetween=%v emit %d", between, i), got[i], want[i])
-			if got[i].Lineage[0] != nil {
-				t.Errorf("emitBetween=%v emit %d: group without refs has lineage %#v, want nil", between, i, got[i].Lineage[0])
+			if got[i].RowLineage(0) != nil {
+				t.Errorf("emitBetween=%v emit %d: group without refs has lineage %#v, want nil", between, i, got[i].RowLineage(0))
 			}
 		}
 	}
@@ -404,7 +404,7 @@ func TestFreezeLifecycle(t *testing.T) {
 	rows, vals := snapshot(t, edited)
 	first, _ := appendWide(t, edited, nb, 2)
 	requireUnchanged(t, "after the first successor", edited, rows, vals)
-	firstIDs := maps.Clone(first.res.dict[0].Load().ids)
+	firstIDs := maps.Clone(first.res.dict[0].Load().in.strs)
 	second, _ := appendWide(t, edited, nb, 3)
 	requireUnchanged(t, "after the second successor", edited, rows, vals)
 	if second.res.dict[0].Load() != nil {
@@ -419,7 +419,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Errorf("first successor grew in place: %v, second: %v; want only the first", shares(first, edited), shares(second, edited))
 	}
 	codes(t, second, 0)
-	if ids := first.res.dict[0].Load().ids; reflect.ValueOf(ids).Pointer() == reflect.ValueOf(second.res.dict[0].Load().ids).Pointer() || !maps.Equal(ids, firstIDs) {
+	if in := first.res.dict[0].Load().in; in == second.res.dict[0].Load().in || !maps.Equal(in.strs, firstIDs) {
 		t.Error("the second successor shares, or wrote, the first's value-to-code assignment")
 	}
 	for _, s := range []*Table{first, second} {
@@ -509,7 +509,7 @@ func TestApplyEditCarriesDictionaries(t *testing.T) {
 	if got := distinct(cur); got != 4 {
 		t.Fatalf("distinct patients = %d, want 4", got)
 	}
-	ids := reflect.ValueOf(cur.res.dict[0].Load().ids).Pointer()
+	in := cur.res.dict[0].Load().in
 	for _, st := range []struct {
 		name string
 		edit Edit
@@ -529,7 +529,7 @@ func TestApplyEditCarriesDictionaries(t *testing.T) {
 		if d == nil || len(d.codes) != next.NumRows() {
 			t.Fatalf("%s: dictionary dropped or short: %+v", st.name, d)
 		}
-		if reflect.ValueOf(d.ids).Pointer() != ids {
+		if d.in != in {
 			t.Errorf("%s: the value-to-code assignment was rebuilt", st.name)
 		}
 		if got, want := distinct(next), distinct(plainCopy(next)); got != want || got != st.want {
@@ -592,7 +592,7 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprint(g, g.Lineage, j, j.Lineage), nil
+		return fmt.Sprint(g, g.lineage(), j, j.Lineage), nil
 	}
 	wantRender, err := render(plainCopy(k))
 	if err != nil {

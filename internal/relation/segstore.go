@@ -245,6 +245,9 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	m.Counter("segment.spill.rows").Add(uint64(len(t.Rows)))
 	out.Base = t.Base
 	out.Lineage = capped(t.Lineage)
+	if t.packed != nil {
+		out.Lineage = materialize(t.packed)
+	}
 	out.ColOrigin = t.ColOrigin
 	return out, nil
 }

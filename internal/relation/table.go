@@ -169,8 +169,14 @@ type Table struct {
 	Base bool
 
 	// Lineage holds, for each row, the set of base rows it derives from.
-	// For base tables it is nil and computed on demand.
+	// For base tables it is nil and computed on demand, and so it is for a
+	// grouped table, which keeps its rows' lineage packed (see packed.go):
+	// read any table's with RowLineage.
 	Lineage []LineageSet
+
+	// packed, when non-nil, is the lineage of each row kept packed per base
+	// table instead of Lineage.
+	packed []groupLineage
 
 	// ColOrigin holds, for each column, the set of base (table, column)
 	// pairs it derives from. For base tables it is nil.
@@ -239,8 +245,14 @@ func (t *Table) NumRows() int {
 }
 
 // RowLineage returns the lineage set of row i. For base tables this is the
-// singleton {t#i}.
+// singleton {t#i}; a packed row's is materialized.
 func (t *Table) RowLineage(i int) LineageSet {
+	if t.packed != nil {
+		if n := t.packed[i].refs(); n > 0 {
+			return t.packed[i].appendTo(make(LineageSet, 0, n))
+		}
+		return nil
+	}
 	if t.Base || t.Lineage == nil {
 		if !t.Base && t.seg != nil {
 			// A renamed segment-backed table keeps lineage implicit:
@@ -253,8 +265,12 @@ func (t *Table) RowLineage(i int) LineageSet {
 }
 
 // lineage returns the per-row lineage sets of an in-memory table:
-// t.Lineage when explicit, otherwise the positional singletons {t#i}.
+// t.Lineage when explicit, packed lineage materialized, otherwise the
+// positional singletons {t#i}.
 func (t *Table) lineage() []LineageSet {
+	if t.packed != nil {
+		return materialize(t.packed)
+	}
 	if t.Base || t.Lineage == nil {
 		return positionalLineage(t.Name, 0, len(t.Rows))
 	}
@@ -327,7 +343,9 @@ func (t *Table) Clone() *Table {
 	for i, r := range t.Rows {
 		c.Rows[i] = r.Clone()
 	}
-	if t.Lineage != nil {
+	if t.packed != nil {
+		c.Lineage = materialize(t.packed)
+	} else if t.Lineage != nil {
 		c.Lineage = make([]LineageSet, len(t.Lineage))
 		for i, l := range t.Lineage {
 			c.Lineage[i] = append(LineageSet(nil), l...)

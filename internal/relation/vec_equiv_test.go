@@ -59,12 +59,9 @@ func requireSameTable(t *testing.T, label string, vec, row *Table) {
 			t.Fatalf("%s: row %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, vec.Rows[i], row.Rows[i])
 		}
 	}
-	if len(vec.Lineage) != len(row.Lineage) {
-		t.Fatalf("%s: lineage length mismatch: %d vs %d", label, len(vec.Lineage), len(row.Lineage))
-	}
-	for i := range vec.Lineage {
-		if !reflect.DeepEqual(vec.Lineage[i], row.Lineage[i]) {
-			t.Fatalf("%s: lineage %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, vec.Lineage[i], row.Lineage[i])
+	for i := range vec.Rows {
+		if got, want := vec.RowLineage(i), row.RowLineage(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: lineage %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, got, want)
 		}
 	}
 	if len(vec.ColOrigin) != len(row.ColOrigin) {
@@ -397,6 +394,11 @@ func TestGroupByEquivalence(t *testing.T) {
 		vec, ve := GroupBy(tab, keys, aggs)
 		row, re := groupByRows(tab, keys, aggs)
 		requireSameOutcome(t, fmt.Sprintf("groupby seed=%d keys=%v", seed, keys), vec, row, ve, re)
+		// Frozen, the keys are read through the version's dictionary.
+		frozen := plainCopy(tab)
+		frozen.Freeze()
+		vec, ve = GroupBy(frozen, keys, aggs)
+		requireSameOutcome(t, fmt.Sprintf("groupby frozen seed=%d keys=%v", seed, keys), vec, row, ve, re)
 	}
 }
 
@@ -534,6 +536,8 @@ func TestWorkloadShapedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		frozen := plainCopy(wide) // keys through the dictionary, lineage through its columns
+		frozen.Freeze()
 		aggs := []AggSpec{
 			{Kind: AggCount}, {Kind: AggSum, Col: "rx.qty"}, {Kind: AggAvg, Col: "rx.cost"},
 			{Kind: AggMin, Col: "rx.day"}, {Kind: AggMax, Col: "rx.drug"},
@@ -550,6 +554,8 @@ func TestWorkloadShapedEquivalence(t *testing.T) {
 			vec, ve := GroupBy(wide, keys, aggs)
 			row, re := groupByRows(wide, keys, aggs)
 			requireSameOutcome(t, label(fmt.Sprintf("groupby %v", keys)), vec, row, ve, re)
+			vec, ve = GroupBy(frozen, keys, aggs)
+			requireSameOutcome(t, label(fmt.Sprintf("groupby frozen %v", keys)), vec, row, ve, re)
 		}
 
 		lowCard, err := ProjectCols(wide, "rx.drug", "rx.year", "p.region", "rx.cost")

@@ -125,8 +125,10 @@ func TestPushdownEquivalence(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("%s:\npushdown:\n%s\nreference:\n%s", q, got.String(), want.String())
 		}
-		if !reflect.DeepEqual(got.Lineage, want.Lineage) {
-			t.Errorf("%s: lineage diverged", q)
+		for i := range got.Rows {
+			if !reflect.DeepEqual(got.RowLineage(i), want.RowLineage(i)) {
+				t.Errorf("%s: lineage of row %d diverged", q, i)
+			}
 		}
 	}
 }
