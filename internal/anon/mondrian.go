@@ -83,8 +83,7 @@ func KAnonymize(t *relation.Table, k int, qi []string) (*relation.Table, Stats, 
 			for qi, qc := range qiIdx {
 				nr[qc] = gen[qi]
 			}
-			out.Rows = append(out.Rows, nr)
-			out.Lineage = append(out.Lineage, t.RowLineage(ri))
+			out.AppendDerived(nr, t, ri)
 		}
 	}
 	stats.Discernibility += int64(stats.Suppressed) * int64(t.NumRows())
@@ -325,8 +324,7 @@ func EnforceLDiversity(t *relation.Table, l int, qi []string, sensitive string) 
 			suppressed++
 			continue
 		}
-		out.Rows = append(out.Rows, t.Rows[ri])
-		out.Lineage = append(out.Lineage, t.RowLineage(ri))
+		out.AppendDerived(t.Rows[ri], t, ri)
 	}
 	return out, suppressed, nil
 }

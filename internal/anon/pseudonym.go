@@ -140,8 +140,7 @@ func mapColumn(t *relation.Table, col string, newType relation.Type, fn func(rel
 	for ri, r := range t.Rows {
 		nr := r.Clone()
 		nr[ci] = fn(r[ci])
-		out.Rows = append(out.Rows, nr)
-		out.Lineage = append(out.Lineage, t.RowLineage(ri))
+		out.AppendDerived(nr, t, ri)
 	}
 	return out, nil
 }

@@ -397,8 +397,7 @@ func mapCol(ctx context.Context, t *relation.Table, ci int, fn func(relation.Val
 		}
 		nr := r.Clone()
 		nr[ci] = fn(r[ci])
-		out.Rows = append(out.Rows, nr)
-		out.Lineage = append(out.Lineage, t.RowLineage(ri))
+		out.AppendDerived(nr, t, ri)
 	}
 	return out, nil
 }

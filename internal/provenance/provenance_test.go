@@ -215,13 +215,16 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	tr.RegisterBase(base)
 
 	// The trace names more rows than any version holds; DistinctSupport
-	// counts the ones its base has.
-	var refs relation.LineageSet
+	// counts the ones its base has. One group over a twice-as-long "facts"
+	// draws on all of its rows.
+	longer := relation.NewBase("facts", schema)
 	for r := 0; r < 2*nRows; r++ {
-		refs = append(refs, relation.RowRef{Table: "facts", Row: r})
+		longer.Rows = append(longer.Rows, rowAt(r))
 	}
-	derived := &relation.Table{Name: "d", Schema: relation.NewSchema(relation.Col("x", relation.TInt)),
-		Rows: []relation.Row{{relation.Int(0)}}, Lineage: []relation.LineageSet{refs}}
+	derived, err := relation.GroupBy(longer, nil, []relation.AggSpec{{Kind: relation.AggCount}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt, err := tr.TraceRow(derived, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -131,9 +131,8 @@ func (b *Batch) load(cols []int) error {
 // table returns the batch as an in-memory table for the operators that
 // read rows (the join probe, the bound-predicate fallback of Select):
 // the scanned table itself, or the partition's rows assembled from its
-// vectors under the table's name, schema and origins, with the lineage of
-// its row range — so an operator over it emits exactly what it would over
-// the same range of the in-memory table.
+// vectors under the table's name, schema and origins. Its lineage is the
+// scanned table's, read there at the batch's ordinals (start).
 func (b *Batch) table() (*Table, error) {
 	if b.part == nil {
 		return b.src, nil
@@ -143,7 +142,7 @@ func (b *Batch) table() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.tab = &Table{Name: b.src.Name, Schema: b.src.Schema, Rows: rows, ColOrigin: b.src.ColOrigin, Lineage: b.lineage()}
+		b.tab = &Table{Name: b.src.Name, Schema: b.src.Schema, Rows: rows, ColOrigin: b.src.ColOrigin}
 	}
 	return b.tab, nil
 }
@@ -173,20 +172,6 @@ func (b *Batch) rows(idx []int) ([]Row, error) {
 		out[k] = Row(flat[k*nc : (k+1)*nc : (k+1)*nc])
 	}
 	return out, nil
-}
-
-// lineage returns the lineage sets of the batch's rows. A partition's rows
-// carry the table's explicit lineage for their range, or the positional
-// references {origin#row}.
-func (b *Batch) lineage() []LineageSet {
-	switch {
-	case b.part == nil:
-		return b.src.lineage()
-	case b.src.Lineage != nil:
-		return b.src.Lineage[b.part.start : b.part.start+b.n]
-	default:
-		return positionalLineage(b.seg.origin, b.part.start, b.n)
-	}
 }
 
 // release ends a segment batch's hold on its partition, once: it reports
@@ -241,39 +226,27 @@ func (b *Batch) Filter(pred Expr) (sel *Bitmap, ok bool, err error) {
 	return sel, true, nil
 }
 
-// ToTable materializes the selected rows as a derived table. Rows of an
-// in-memory batch are shared with the source (not copied); a segment
-// batch builds rows for the selected positions only, and none — decoding
-// no further column — when nothing is selected.
-func (b *Batch) ToTable(name string, sel *Bitmap) (*Table, error) {
-	out := b.src.derived(name)
-	if b.part == nil {
-		for i := 0; i < sel.Len(); i++ {
-			if sel.Get(i) {
-				out.AppendDerived(b.src.Rows[i], b.src, i)
-			}
-		}
-		return out, nil
-	}
-	idx := make([]int, 0, sel.Count())
+// selected appends to rows the rows sel selects and to ord their ordinals
+// in the scanned table.
+func (b *Batch) selected(sel *Bitmap, rows []Row, ord []int32) ([]Row, []int32, error) {
+	from := len(ord)
 	for i := 0; i < sel.Len(); i++ {
 		if sel.Get(i) {
-			idx = append(idx, i)
+			ord = append(ord, int32(b.start()+i))
+			if b.part == nil {
+				rows = append(rows, b.src.Rows[i])
+			}
 		}
 	}
-	if len(idx) == 0 {
-		return out, nil
+	if b.part == nil || len(ord) == from {
+		return rows, ord, nil
 	}
-	rows, err := b.rows(idx)
-	if err != nil {
-		return nil, err
+	idx := make([]int, len(ord)-from)
+	for k, o := range ord[from:] {
+		idx[k] = int(o) - b.start()
 	}
-	out.Rows, out.Lineage = rows, make([]LineageSet, len(idx))
-	lin := b.lineage()
-	for k, i := range idx {
-		out.Lineage[k] = lin[i]
-	}
-	return out, nil
+	part, err := b.rows(idx)
+	return append(rows, part...), ord, err
 }
 
 // evalVecPred evaluates a predicate tree over the batch using the truth

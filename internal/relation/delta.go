@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -14,25 +14,24 @@ import (
 // applied; an append writes only past the end of the old version's arrays.
 
 // SliceRows builds a derived in-memory table holding exactly t's rows at
-// the given indices, in order, with explicit row lineage and t's column
-// origins. Operators applied to the slice (mapCol, Rename+Join) produce
-// rows and provenance byte-identical to the same operator applied to the
-// full table at those positions — the basis for row-wise delta splicing.
+// the given indices, in order, with their lineage and t's column origins.
+// Operators applied to the slice (mapCol, Rename+Join) produce rows and
+// provenance byte-identical to the same operator applied to the full table
+// at those positions — the basis for row-wise delta splicing.
 func SliceRows(t *Table, idx []int) (*Table, error) {
 	m, err := t.Materialize()
 	if err != nil {
 		return nil, err
 	}
 	out := t.derived(t.Name)
-	out.Rows = make([]Row, 0, len(idx))
-	out.Lineage = make([]LineageSet, 0, len(idx))
-	for _, ri := range idx {
+	out.Rows = make([]Row, len(idx))
+	for k, ri := range idx {
 		if ri < 0 || ri >= len(m.Rows) {
 			return nil, fmt.Errorf("relation: slice row %d out of range [0,%d)", ri, len(m.Rows))
 		}
-		out.Rows = append(out.Rows, m.Rows[ri])
-		out.Lineage = append(out.Lineage, m.RowLineage(ri))
+		out.Rows[k] = m.Rows[ri]
 	}
+	gatherLineage(out, m, idx)
 	return out, nil
 }
 
@@ -99,9 +98,10 @@ func (e Edit) Dirty(newLen int) ([]int, error) {
 // old's rows and lineage read the same afterwards, and kept rows share their
 // storage. repl holds the new content in Dirty order — one row per updated
 // row, then the appended rows — and may be nil when there is none. One pass
-// drops the removed ranges, and kept rows whose lineage names a base row
-// past a lost one get a renumbered lineage set (a kept row naming a lost
-// row itself is an error: the caller's removals are incomplete). A base
+// drops the removed ranges from the rows and from each lineage column, and
+// the ordinals of kept rows are renumbered past the base rows e.Shift says
+// their table lost (a kept row naming a lost row itself is an error: the
+// caller's removals are incomplete); the dirty rows take repl's. A base
 // table stays one: its rows are their own origin and renumber by position.
 // The result is byte-identical, values and lineage, to recomputing the
 // table from the edited inputs.
@@ -117,23 +117,17 @@ func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	var lin []LineageSet
+	rm := &Table{Schema: om.Schema}
 	if repl != nil {
-		rm, err := repl.Materialize()
-		if err != nil {
+		if rm, err = repl.Materialize(); err != nil {
 			return nil, err
 		}
 		if !om.Schema.Equal(rm.Schema) {
 			return nil, fmt.Errorf("relation: edit schema mismatch (%s vs %s)", om.Schema, rm.Schema)
 		}
-		rows = rm.Rows
-		if !om.Base {
-			lin = rm.lineage()
-		}
 	}
-	if len(rows) != len(e.Updated)+e.Appended {
-		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", len(rows), len(e.Updated), e.Appended)
+	if len(rm.Rows) != len(e.Updated)+e.Appended {
+		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", len(rm.Rows), len(e.Updated), e.Appended)
 	}
 	n := len(om.Rows) - len(e.Removed) + e.Appended
 	dirty, err := e.Dirty(n)
@@ -146,21 +140,88 @@ func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 		out = &Table{Name: old.Name, Schema: old.Schema, Base: true}
 	} else {
 		out = old.derived(old.Name)
-		out.Lineage = editArray(om.lineage(), e, n, grow)
-		if err := shiftLineage(out.Lineage, e.Shift); err != nil {
+		if err := editLineage(out, om, rm, e, dirty, grow); err != nil {
 			return nil, fmt.Errorf("relation: edit of %s: %w", old.Name, err)
 		}
 	}
 	out.Rows = editArray(om.Rows, e, n, grow)
 	for i, ri := range dirty {
-		out.Rows[ri] = rows[i]
-		if !om.Base {
-			out.Lineage[ri] = lin[i]
-		}
+		out.Rows[ri] = rm.Rows[i]
 	}
 	out.tail = new(atomic.Bool)
 	out.res = carry(old, out, e, dirty, grow)
 	return out, nil
+}
+
+// editLineage gives out, the version of the derived table om that edit e
+// leads to, its lineage: om's, edited like the rows, its kept rows'
+// ordinals renumbered by e.Shift, and repl's for the dirty rows. Columns
+// stay columns — each aligned by table with repl's, grown in place under
+// grow — and lineage becomes packed when either side's is.
+func editLineage(out, om, repl *Table, e Edit, dirty []int, grow bool) error {
+	n := len(om.Rows) - len(e.Removed) + e.Appended
+	kept := n - e.Appended // the rows that hold om's lineage until the dirty ones take repl's
+	if om.packed != nil || repl.packed != nil {
+		var sc lineageScratch
+		out.packed = editArray(packedRows(om), e, n, grow)
+		rp := packedRows(repl)
+		for ri, gl := range out.packed[:kept] {
+			if !slices.ContainsFunc(gl, func(p LineagePart) bool { return len(e.Shift[p.Table]) > 0 }) {
+				continue
+			}
+			for _, p := range gl {
+				if err := sc.addShifted(p, e.Shift[p.Table], ri); err != nil {
+					return err
+				}
+			}
+			out.packed[ri] = sc.pack()
+		}
+		for i, ri := range dirty {
+			out.packed[ri] = rp[i]
+		}
+		return nil
+	}
+	oc, rc := om.columns(), repl.columns()
+	tables, oi, ri := alignTables(oc.tables, rc.tables)
+	out.lin = lineageCols{tables: tables, cols: make([][]int32, len(tables))}
+	for k, table := range tables {
+		col := editArray(oc.column(oi[k], len(om.Rows)), e, n, grow)
+		if lost := e.Shift[table]; len(lost) > 0 {
+			for r, ord := range col[:kept] {
+				if int(ord) < lost[0] {
+					continue
+				}
+				x, gone := slices.BinarySearch(lost, int(ord))
+				if gone {
+					return fmt.Errorf("row %d is kept but derives from the removed %s#%d", r, table, ord)
+				}
+				col[r] = ord - int32(x)
+			}
+		}
+		from := rc.column(ri[k], len(repl.Rows))
+		for i, r := range dirty {
+			col[r] = from[i]
+		}
+		out.lin.cols[k] = col
+	}
+	return nil
+}
+
+// addShifted gathers the rows of part p of row ri's lineage, renumbered
+// past the rows lost (sorted) of its table.
+func (sc *lineageScratch) addShifted(p LineagePart, lost []int, ri int) error {
+	k := sc.bucket(p.Table)
+	var err error
+	p.Rows(func(r int) bool {
+		x, gone := slices.BinarySearch(lost, r)
+		if gone {
+			err = fmt.Errorf("row %d is kept but derives from the removed %s#%d", ri, p.Table, r)
+			return false
+		}
+		sc.rows[k] = append(sc.rows[k], r-x)
+		return true
+	})
+	return err
 }
 
 // claimTail reports whether the caller may write past the end of t's rows,
@@ -191,71 +252,6 @@ func editArray[T any](a []T, e Edit, n int, grow bool) []T {
 	}
 	copy(out[w:], a[from:])
 	return out
-}
-
-// shiftChunk is how many renumbered refs shiftLineage allocates at a time.
-const shiftChunk = 4096
-
-// shiftLineage renumbers, in place in lin (whose sets are shared and
-// never written), every set naming a row of a base table past the first
-// row that table lost. Renumbering is monotone within a table, so a set
-// stays sorted and distinct.
-func shiftLineage(lin []LineageSet, shift map[string][]int) error {
-	type lostRows struct {
-		table string
-		rows  []int
-	}
-	var lost []lostRows
-	for table, rows := range shift {
-		if len(rows) > 0 {
-			lost = append(lost, lostRows{table, rows})
-		}
-	}
-	if len(lost) == 0 {
-		return nil
-	}
-	var arena []RowRef
-	for i, set := range lin {
-		moved := false
-		for _, ref := range set {
-			for _, l := range lost {
-				if ref.Row >= l.rows[0] && ref.Table == l.table {
-					moved = true
-				}
-			}
-		}
-		if !moved {
-			continue
-		}
-		if len(arena)+len(set) > cap(arena) {
-			arena = make([]RowRef, 0, max(shiftChunk, len(set)))
-		}
-		start := len(arena)
-		for _, ref := range set {
-			for _, l := range lost {
-				if ref.Table != l.table {
-					continue
-				}
-				k := sort.SearchInts(l.rows, ref.Row)
-				if k < len(l.rows) && l.rows[k] == ref.Row {
-					return fmt.Errorf("row %d is kept but derives from the removed %s", i, ref)
-				}
-				ref.Row -= k
-			}
-			arena = append(arena, ref)
-		}
-		lin[i] = LineageSet(arena[start:len(arena):len(arena)])
-	}
-	return nil
-}
-
-// SelectOrdinals is Select reporting, beside the selected rows, the
-// ordinal in t of the row each one is: what a filter step retains to
-// place a later edit of t in its output.
-func SelectOrdinals(t *Table, pred Expr) (*Table, []int32, error) {
-	ord := []int32{}
-	out, err := selectOrd(t, pred, &ord)
-	return out, ord, err
 }
 
 // JoinOrdinals is Join reporting, beside the joined rows, the ordinal in

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -17,11 +18,12 @@ func deriveWide(b *Table) *Table {
 	for c := range out.ColOrigin {
 		out.ColOrigin[c] = ColRefSet{{Table: "b", Column: b.Schema.Columns[c].Name}}
 	}
+	var lin []LineageSet
 	for i, r := range b.Rows {
 		out.Rows = append(out.Rows, r)
-		out.Lineage = append(out.Lineage, LineageSet{{Table: "a", Row: len(r[0].String()) % 3}, {Table: "b", Row: i}, {Table: "c", Row: 7}})
+		lin = append(lin, LineageSet{{Table: "a", Row: len(r[0].String()) % 3}, {Table: "b", Row: i}, {Table: "c", Row: 7}})
 	}
-	return out
+	return setLineage(out, lin)
 }
 
 // randEdit draws an edit of a table of n rows: disjoint removed and
@@ -94,7 +96,7 @@ func TestApplyEditMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed + 4200))
 		b := randTable(rng, "b", 1+rng.Intn(3), rng.Intn(40))
-		b.Base, b.Lineage, b.ColOrigin = true, nil, nil
+		b.Base, b.lin, b.ColOrigin = true, lineageCols{}, nil
 		old := deriveWide(b)
 		before := old.Clone()
 		e := randEdit(rng, b.NumRows())
@@ -122,7 +124,7 @@ func TestApplyEditMatchesRebuild(t *testing.T) {
 }
 
 // publish has readers build every part of tb's resident form: each column's
-// vector, join index and dictionary, and the lineage columns.
+// vector, join index and dictionary.
 func publish(t *testing.T, tb *Table) {
 	t.Helper()
 	for ci := range tb.Schema.Columns {
@@ -130,7 +132,6 @@ func publish(t *testing.T, tb *Table) {
 		tb.hashIndex(ci)
 		codes(t, tb, ci)
 	}
-	tb.lineageColumns()
 }
 
 // TestApplyEditChainCarriesResident: a chain of random edits over a frozen
@@ -147,7 +148,7 @@ func TestApplyEditChainCarriesResident(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed + 3200))
 		b := randTable(rng, "b", 1+rng.Intn(3), rng.Intn(40))
-		b.Base, b.Lineage, b.ColOrigin = true, nil, nil
+		b.Base, b.lin, b.ColOrigin = true, lineageCols{}, nil
 		cur := deriveWide(b)
 		var seen []version
 		for step := 0; step < 8; step++ {
@@ -181,8 +182,8 @@ func TestApplyEditChainCarriesResident(t *testing.T) {
 }
 
 // BenchmarkApplyEdit is a delta's edit of the wide table at benchmark size —
-// 50k rows, three refs per row, both vectors and the lineage columns
-// published — by an append of 50 rows, which grows the version in place (its
+// 50k rows, three lineage columns, both vectors published — by an append of
+// 50 rows, which grows the version in place (its
 // tail claim is handed back before each one), and by an update of 10 rows,
 // which copies it.
 func BenchmarkApplyEdit(b *testing.B) {
@@ -194,7 +195,6 @@ func BenchmarkApplyEdit(b *testing.B) {
 	tb.Freeze()
 	tb.column(0)
 	tb.column(1)
-	tb.lineageColumns()
 	v0, err := ApplyEdit(tb, Edit{Appended: 1}, linTable("rx_wide", 1, 25, func(int) LineageSet { return star(n) }))
 	if err != nil {
 		b.Fatal(err)
@@ -224,15 +224,15 @@ func BenchmarkApplyEdit(b *testing.B) {
 	}
 }
 
-// TestApplyEditSharesUntouchedLineage: only rows behind the first lost
-// base row get a new lineage set; a tail removal renumbers nobody.
+// TestApplyEditSharesUntouchedLineage: only ordinals past the first lost
+// base row are renumbered, in the one column of the table that lost it; a
+// tail removal renumbers nobody.
 func TestApplyEditSharesUntouchedLineage(t *testing.T) {
 	b := NewBase("b", NewSchema(Col("v", TInt)))
 	for i := 0; i < 10; i++ {
 		b.AppendVals(Int(int64(i)))
 	}
 	old := deriveWide(b)
-	shared := func(a, b LineageSet) bool { return &a[0] == &b[0] }
 	got, err := ApplyEdit(old, Edit{Removed: []int{4}, Shift: map[string][]int{"b": {4}}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -242,20 +242,19 @@ func TestApplyEditSharesUntouchedLineage(t *testing.T) {
 		if i >= 4 {
 			from++
 		}
-		if want := i < 4; shared(got.Lineage[i], old.Lineage[from]) != want {
-			t.Errorf("row %d: lineage shared = %v, want %v", i, !want, want)
-		}
-		if !got.Lineage[i].Contains(RowRef{Table: "b", Row: i}) {
-			t.Errorf("row %d: lineage %v does not name b#%d", i, got.Lineage[i], i)
+		want := append(LineageSet(nil), old.RowLineage(from)...)
+		want[1].Row = i // b#from becomes b#i
+		if !reflect.DeepEqual(got.RowLineage(i), want) {
+			t.Errorf("row %d: lineage %v, want %v", i, got.RowLineage(i), want)
 		}
 	}
 	tail, err := ApplyEdit(old, Edit{Removed: []int{8, 9}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tail.Lineage {
-		if !shared(tail.Lineage[i], old.Lineage[i]) {
-			t.Errorf("tail removal rewrote the lineage of row %d", i)
+	for i := 0; i < tail.NumRows(); i++ {
+		if !reflect.DeepEqual(tail.RowLineage(i), old.RowLineage(i)) {
+			t.Errorf("tail removal rewrote the lineage of row %d: %v, was %v", i, tail.RowLineage(i), old.RowLineage(i))
 		}
 	}
 }
@@ -353,6 +352,7 @@ func TestOrdinalsPlaceEveryOutputRow(t *testing.T) {
 						continue
 					}
 					var wantOrd []int32
+					var lin []LineageSet
 					piecewise := newJoinShell(mem, right)
 					for i := 0; i < mem.NumRows(); i++ {
 						one, err := SliceRows(mem, []int{i})
@@ -364,12 +364,12 @@ func TestOrdinalsPlaceEveryOutputRow(t *testing.T) {
 							t.Fatalf("%s: row %d alone: %v", label, i, err)
 						}
 						piecewise.Rows = append(piecewise.Rows, part.Rows...)
-						piecewise.Lineage = append(piecewise.Lineage, part.Lineage...)
-						for range part.Rows {
+						for k := range part.Rows {
 							wantOrd = append(wantOrd, int32(i))
+							lin = append(lin, part.RowLineage(k))
 						}
 					}
-					requireSameTable(t, label+" row by row", piecewise, ref)
+					requireSameTable(t, label+" row by row", setLineage(piecewise, lin), ref)
 					if fmt.Sprint(ord) != fmt.Sprint(wantOrd) && len(ord)+len(wantOrd) > 0 {
 						t.Fatalf("%s: ordinals %v, want %v", label, ord, wantOrd)
 					}

@@ -13,7 +13,7 @@ import (
 // one interner probe per distinct value, otherwise one per row. Numeric
 // aggregates accumulate over the typed column vectors of each batch, and a
 // group's lineage is packed on emit, per base table, without a RowRef made
-// (packed.go). Feeding a table in pieces is byte-identical to feeding it
+// (lineage.go). Feeding a table in pieces is byte-identical to feeding it
 // whole: group order is first-seen, and float SUM/AVG accumulate in row
 // order within a group either way.
 type GroupByState struct {
@@ -48,15 +48,13 @@ type gbGroup struct {
 	fresh   []gbRows
 }
 
-// gbRows is the rows of one batch that fell into one group: positions into
-// the batch's lineage sets, which are read, never written — or, when the
-// scanned table keeps lineage columns, into those, from the batch's first
-// row in them.
+// gbRows is the rows of one batch that fell into one group: rows off+r of
+// the scanned table src, r in rows, whose lineage is read there, never
+// written.
 type gbRows struct {
-	lin  []LineageSet
-	rows []uint32
-	cols *lineageCols
+	src  *Table
 	off  int
+	rows []uint32
 }
 
 // NewGroupByState validates the keys and aggregates against t's schema
@@ -219,16 +217,11 @@ func (s *GroupByState) add(b *Batch) error {
 		rows[cur[gi]] = uint32(ri)
 		cur[gi]++
 	}
-	var lin []LineageSet
-	linCols := b.src.lineageColumns()
-	if linCols == nil {
-		lin = b.lineage()
-	}
 	start := 0
 	for gi, end := range cur { // each cursor now sits at its slot's end
 		if end > start {
 			g := &s.groups[gi]
-			g.fresh = append(g.fresh, gbRows{lin: lin, rows: rows[start:end:end], cols: linCols, off: b.start()})
+			g.fresh = append(g.fresh, gbRows{src: b.src, off: b.start(), rows: rows[start:end:end]})
 		}
 		start = end
 	}
@@ -333,10 +326,10 @@ func idBuf(n int) *[]uint32 {
 }
 
 // settle folds the rows absorbed since the last emit into the group's packed
-// lineage and returns it: the settled parts' rows and the fresh rows' refs —
-// read from the scanned table's lineage columns, one int32 per row and base
-// table, or from its lineage sets — gathered per base table and packed anew.
-// Neither the input's lineage nor an emitted table is ever written.
+// lineage and returns it: the settled parts' rows and the fresh rows' refs,
+// read from the scanned table in whatever form it keeps them, gathered per
+// base table and packed anew. Neither the input's lineage nor an emitted
+// table is ever written.
 func (g *gbGroup) settle(sc *lineageScratch) groupLineage {
 	if len(g.fresh) == 0 {
 		return g.lineage
@@ -345,23 +338,7 @@ func (g *gbGroup) settle(sc *lineageScratch) groupLineage {
 		sc.add(p)
 	}
 	for _, f := range g.fresh {
-		if f.cols != nil {
-			for ti, col := range f.cols.cols {
-				k := sc.bucket(f.cols.tables[ti])
-				for _, ri := range f.rows {
-					if ord := col[f.off+int(ri)]; ord >= 0 {
-						sc.rows[k] = append(sc.rows[k], int(ord))
-					}
-				}
-			}
-			continue
-		}
-		for _, ri := range f.rows {
-			for _, ref := range f.lin[ri] {
-				k := sc.bucket(ref.Table)
-				sc.rows[k] = append(sc.rows[k], ref.Row)
-			}
-		}
+		sc.addRows(f.src, f.off, f.rows)
 	}
 	g.lineage, g.fresh = sc.pack(), nil
 	return g.lineage

@@ -2,45 +2,39 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Select returns the rows of t satisfying pred, preserving lineage and
 // column origins. Each scanned batch is filtered by the kernel and the
-// results concatenated in scan order; a single-batch scan (every in-memory
-// table) returns the kernel's table as is. The scan decodes the predicate's
-// columns; a segment partition's other columns are decoded, and its rows
-// built, only for the positions selected.
+// selected rows concatenated in scan order, their lineage gathered from t
+// by ordinal. The scan decodes the predicate's columns; a segment
+// partition's other columns are decoded, and its rows built, only for the
+// positions selected.
 func Select(t *Table, pred Expr) (*Table, error) {
-	return selectOrd(t, pred, nil)
+	out, _, err := SelectOrdinals(t, pred)
+	return out, err
 }
 
-// selectOrd is Select; a non-nil ord also collects each selected row's
-// ordinal in t.
-func selectOrd(t *Table, pred Expr, ord *[]int32) (*Table, error) {
-	var out *Table
+// SelectOrdinals is Select reporting, beside the selected rows, the
+// ordinal in t of the row each one is: what a filter step retains to
+// place a later edit of t in its output.
+func SelectOrdinals(t *Table, pred Expr) (*Table, []int32, error) {
+	out := t.derived(t.Name + "_sel")
+	ord := []int32{}
 	cols := predCols(pred, t.Schema)
 	err := eachBatch(t, pred, func(b *Batch) error { return b.load(cols) }, func(b *Batch) error {
-		sub, err := selectVec(b, pred, ord)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			out = sub
-			return nil
-		}
-		out.Rows = append(out.Rows, sub.Rows...)
-		out.Lineage, out.packed = append(out.Lineage, sub.Lineage...), append(out.packed, sub.packed...)
-		return nil
+		var err error
+		out.Rows, ord, err = selectVec(b, pred, out.Rows, ord)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if out == nil { // no batch survived pruning
-		out = t.derived(t.Name + "_sel")
-	}
-	return out, nil
+	gatherLineage(out, t, ord)
+	return out, ord, nil
 }
 
 // ProjCol describes one output column of a projection: an expression and an
@@ -102,11 +96,8 @@ func Rename(t *Table, name string) *Table {
 	out := t.derived(name)
 	out.Schema = t.Schema.Qualify(name)
 	out.res = t.res
-	if t.shareBacking(out) {
-		return out
-	}
-	out.Rows = capped(t.Rows)
-	out.Lineage = capped(t.lineage())
+	out.shareLineage(t, t.NumRows())
+	out.Rows, out.seg = capped(t.Rows), t.seg
 	return out
 }
 
@@ -306,7 +297,16 @@ func Union(a, b *Table) (*Table, error) {
 		out.ColOrigin[c] = out.ColOrigin[c].Union(b.ColumnOrigin(c))
 	}
 	out.Rows = append(append(out.Rows, a.Rows...), b.Rows...)
-	out.Lineage = append(append(out.Lineage, a.lineage()...), b.lineage()...)
+	if a.packed != nil || b.packed != nil {
+		out.packed = slices.Concat(packedRows(a), packedRows(b))
+		return out, nil
+	}
+	ac, bc := a.columns(), b.columns()
+	tables, ai, bi := alignTables(ac.tables, bc.tables)
+	out.lin = lineageCols{tables: tables, cols: make([][]int32, len(tables))}
+	for k := range tables {
+		out.lin.cols[k] = slices.Concat(ac.column(ai[k], len(a.Rows)), bc.column(bi[k], len(b.Rows)))
+	}
 	return out, nil
 }
 
@@ -360,10 +360,11 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 		}
 		return false
 	})
-	out.reserve(t, len(perm))
-	for _, p := range perm {
-		out.AppendDerived(t.Rows[p], t, p)
+	out.Rows = make([]Row, len(perm))
+	for j, p := range perm {
+		out.Rows[j] = t.Rows[p]
 	}
+	gatherLineage(out, t, perm)
 	return out, nil
 }
 
@@ -371,11 +372,8 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 func Limit(t *Table, n int) *Table {
 	t = t.mustMaterialize()
 	out := t.derived(t.Name + "_lim")
-	if n > len(t.Rows) {
-		n = len(t.Rows)
-	}
-	for i := 0; i < n; i++ {
-		out.AppendDerived(t.Rows[i], t, i)
-	}
+	n = max(0, min(n, len(t.Rows)))
+	out.Rows = t.Rows[:n:n]
+	out.shareLineage(t, n)
 	return out
 }

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -14,10 +16,113 @@ import (
 // byte for byte — same rows in the same order, same lineage sets, same
 // column origins, same errors. vec_equiv_test.go and segment_test.go call
 // each reference directly beside its production twin.
+//
+// The references compute lineage the way it is defined, as LineageSets —
+// a join row's is the merge of its two rows' sets, a group's the
+// normalized union of its members' — and store the sets on their output
+// with setLineage, which production never does.
+
+// mergeLineage unions two sorted LineageSets.
+func mergeLineage(a, b LineageSet) LineageSet {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make(LineageSet, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch cmpRef(a[i], b[j]) {
+		case -1:
+			out = append(out, a[i])
+			i++
+		case 1:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}
+
+// normalize sorts and deduplicates the set in place, returning it.
+func (l LineageSet) normalize() LineageSet {
+	sort.Slice(l, func(i, j int) bool { return cmpRef(l[i], l[j]) < 0 })
+	out := l[:0]
+	for i, r := range l {
+		if i == 0 || cmpRef(r, out[len(out)-1]) != 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// setLineage stores sets, one set per row, as t's lineage: by column — as
+// many columns for a table as a row has refs into it — when every ref is an
+// ordinal an int32 holds, packed otherwise. It returns t.
+func setLineage(t *Table, sets []LineageSet) *Table {
+	t.lin, t.packed, t.origin = lineageCols{}, nil, ""
+	width := map[string]int{}
+	fits := true
+	sets = slices.Clone(sets)
+	for i, set := range sets {
+		set = append(LineageSet(nil), set...).normalize()
+		sets[i] = set
+		for lo, hi := 0, 0; lo < len(set); lo = hi {
+			for hi = lo; hi < len(set) && set[hi].Table == set[lo].Table; hi++ {
+				fits = fits && set[hi].Row >= 0 && set[hi].Row <= math.MaxInt32
+			}
+			width[set[lo].Table] = max(width[set[lo].Table], hi-lo)
+		}
+	}
+	if !fits {
+		var sc lineageScratch
+		t.packed = make([]groupLineage, len(sets))
+		for i, set := range sets {
+			for _, ref := range set {
+				k := sc.bucket(ref.Table)
+				sc.rows[k] = append(sc.rows[k], ref.Row)
+			}
+			t.packed[i] = sc.pack()
+		}
+		return t
+	}
+	tables := make([]string, 0, len(width))
+	for table := range width {
+		tables = append(tables, table)
+	}
+	sort.Strings(tables)
+	for _, table := range tables {
+		for range width[table] {
+			col := make([]int32, len(sets))
+			for i := range col {
+				col[i] = -1
+			}
+			t.lin.tables, t.lin.cols = append(t.lin.tables, table), append(t.lin.cols, col)
+		}
+	}
+	for i, set := range sets {
+		k := 0
+		for _, ref := range set {
+			for t.lin.tables[k] != ref.Table || t.lin.cols[k][i] >= 0 {
+				k++
+			}
+			t.lin.cols[k][i] = int32(ref.Row)
+		}
+	}
+	return t
+}
 
 // selectRows is the row-at-a-time reference implementation of Select.
 func selectRows(t *Table, pred Expr) (*Table, error) {
 	out := t.derived(t.Name + "_sel")
+	var lin []LineageSet
 	for i, r := range t.Rows {
 		ok, err := EvalPredicate(pred, r, t.Schema)
 		if err != nil {
@@ -25,10 +130,10 @@ func selectRows(t *Table, pred Expr) (*Table, error) {
 		}
 		if ok {
 			out.Rows = append(out.Rows, r)
-			out.Lineage = append(out.Lineage, t.RowLineage(i))
+			lin = append(lin, t.RowLineage(i))
 		}
 	}
-	return out, nil
+	return setLineage(out, lin), nil
 }
 
 // projectRows is the row-at-a-time reference implementation of Project.
@@ -52,6 +157,7 @@ func projectRows(t *Table, cols ...ProjCol) (*Table, error) {
 		out.ColOrigin[i] = origin.normalize()
 	}
 	out.Schema = &Schema{Columns: schemaCols}
+	var lin []LineageSet
 	for i, r := range t.Rows {
 		nr := make(Row, len(cols))
 		for j, p := range cols {
@@ -65,9 +171,9 @@ func projectRows(t *Table, cols ...ProjCol) (*Table, error) {
 			}
 		}
 		out.Rows = append(out.Rows, nr)
-		out.Lineage = append(out.Lineage, t.RowLineage(i))
+		lin = append(lin, t.RowLineage(i))
 	}
-	return out, nil
+	return setLineage(out, lin), nil
 }
 
 // extendRows is the row-at-a-time reference implementation of Extend.
@@ -83,6 +189,7 @@ func extendRows(t *Table, name string, e Expr) (*Table, error) {
 		origin = append(origin, t.ColumnOrigin(ci)...)
 	}
 	out.ColOrigin = append(out.ColOrigin, origin.normalize())
+	var lin []LineageSet
 	for i, r := range t.Rows {
 		v, err := e.Eval(r, t.Schema)
 		if err != nil {
@@ -92,9 +199,9 @@ func extendRows(t *Table, name string, e Expr) (*Table, error) {
 		copy(nr, r)
 		nr[len(r)] = v
 		out.Rows = append(out.Rows, nr)
-		out.Lineage = append(out.Lineage, t.RowLineage(i))
+		lin = append(lin, t.RowLineage(i))
 	}
-	return out, nil
+	return setLineage(out, lin), nil
 }
 
 // NestedLoopJoin joins l and r by evaluating pred on every row pair, with
@@ -110,7 +217,7 @@ func NestedLoopJoin(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 		return nil, err
 	}
 	out := newJoinShell(lm, rm)
-	if err := nestedLoopInto(out, lm, rm, pred, kind, nil, 0); err != nil {
+	if err := nestedLoopInto(newJoinEmitter(out, lm, rm, nil), lm, 0, pred, kind); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -132,6 +239,7 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 	}
 
 	joined := out.Schema
+	var lin []LineageSet
 	// Fast path: equi-join on a simple column pair.
 	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
 		idx := make(map[string][]int, len(r.Rows))
@@ -150,7 +258,7 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 					nr = append(nr, lr...)
 					nr = append(nr, r.Rows[j]...)
 					out.Rows = append(out.Rows, nr)
-					out.Lineage = append(out.Lineage, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
+					lin = append(lin, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
 					matched = true
 				}
 			}
@@ -158,10 +266,10 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 				nr := make(Row, len(cols))
 				copy(nr, lr)
 				out.Rows = append(out.Rows, nr)
-				out.Lineage = append(out.Lineage, l.RowLineage(i))
+				lin = append(lin, l.RowLineage(i))
 			}
 		}
-		return out, nil
+		return setLineage(out, lin), nil
 	}
 
 	// General nested-loop join.
@@ -177,7 +285,7 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 			}
 			if ok {
 				out.Rows = append(out.Rows, nr)
-				out.Lineage = append(out.Lineage, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
+				lin = append(lin, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
 				matched = true
 			}
 		}
@@ -185,10 +293,10 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 			nr := make(Row, len(cols))
 			copy(nr, lr)
 			out.Rows = append(out.Rows, nr)
-			out.Lineage = append(out.Lineage, l.RowLineage(i))
+			lin = append(lin, l.RowLineage(i))
 		}
 	}
-	return out, nil
+	return setLineage(out, lin), nil
 }
 
 // groupByRows is the row-at-a-time reference implementation of GroupBy:
@@ -307,6 +415,7 @@ func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 		}
 	}
 	out.Schema = &Schema{Columns: cols}
+	var lin []LineageSet
 	for _, gk := range order {
 		g := groups[gk]
 		nr := append(Row(nil), g.key...)
@@ -336,9 +445,9 @@ func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 			nr = append(nr, v)
 		}
 		out.Rows = append(out.Rows, nr)
-		out.Lineage = append(out.Lineage, g.lineage.normalize())
+		lin = append(lin, g.lineage.normalize())
 	}
-	return out, nil
+	return setLineage(out, lin), nil
 }
 
 // emitGroupLineage is the group lineage emit GroupBy had before it kept
@@ -387,9 +496,43 @@ func emitGroupLineage(refs LineageSet) LineageSet {
 	return out
 }
 
+// unionRows is the row-at-a-time reference implementation of Union.
+func unionRows(a, b *Table) (*Table, error) {
+	if a.Schema.Len() != b.Schema.Len() {
+		return nil, fmt.Errorf("relation: union arity mismatch: %s vs %s", a.Schema, b.Schema)
+	}
+	out := a.derived(a.Name + "_union")
+	for c := range out.ColOrigin {
+		out.ColOrigin[c] = out.ColOrigin[c].Union(b.ColumnOrigin(c))
+	}
+	var lin []LineageSet
+	for _, t := range []*Table{a, b} {
+		for i, r := range t.Rows {
+			out.Rows = append(out.Rows, r)
+			lin = append(lin, t.RowLineage(i))
+		}
+	}
+	return setLineage(out, lin), nil
+}
+
+// sliceRowsRef is the row-at-a-time reference implementation of SliceRows.
+func sliceRowsRef(t *Table, idx []int) (*Table, error) {
+	out := t.derived(t.Name)
+	var lin []LineageSet
+	for _, ri := range idx {
+		if ri < 0 || ri >= len(t.Rows) {
+			return nil, fmt.Errorf("relation: slice row %d out of range [0,%d)", ri, len(t.Rows))
+		}
+		out.Rows = append(out.Rows, t.Rows[ri])
+		lin = append(lin, t.RowLineage(ri))
+	}
+	return setLineage(out, lin), nil
+}
+
 // distinctRows is the row-at-a-time reference implementation of Distinct.
 func distinctRows(t *Table) *Table {
 	out := t.derived(t.Name + "_dist")
+	var lin []LineageSet
 	index := map[string]int{}
 	for i, r := range t.Rows {
 		var kb strings.Builder
@@ -399,15 +542,15 @@ func distinctRows(t *Table) *Table {
 		}
 		k := kb.String()
 		if j, ok := index[k]; ok {
-			out.Lineage[j] = append(out.Lineage[j], t.RowLineage(i)...)
+			lin[j] = append(lin[j], t.RowLineage(i)...)
 			continue
 		}
 		index[k] = len(out.Rows)
 		out.Rows = append(out.Rows, r)
-		out.Lineage = append(out.Lineage, append(LineageSet(nil), t.RowLineage(i)...))
+		lin = append(lin, append(LineageSet(nil), t.RowLineage(i)...))
 	}
-	for j := range out.Lineage {
-		out.Lineage[j] = out.Lineage[j].normalize()
+	for j := range lin {
+		lin[j] = lin[j].normalize()
 	}
-	return out
+	return setLineage(out, lin)
 }

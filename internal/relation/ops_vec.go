@@ -13,43 +13,34 @@ import (
 // property tests in vec_equiv_test.go enforce this on randomized and
 // workload-shaped inputs.
 
-// selectVec is the vectorized Select over one batch: kernel filtering over
-// column vectors when the predicate shape supports it, the predicate bound
-// to column positions and evaluated over the batch's rows otherwise.
-func selectVec(b *Batch, pred Expr, ord *[]int32) (*Table, error) {
+// selectVec is the vectorized Select over one batch: it appends the rows
+// pred selects to rows, and their ordinals in the scanned table to ord.
+// Kernel filtering over column vectors when the predicate shape supports
+// it, the predicate bound to column positions and evaluated over the
+// batch's rows otherwise.
+func selectVec(b *Batch, pred Expr, rows []Row, ord []int32) ([]Row, []int32, error) {
 	sel, ok, err := b.Filter(pred)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ok {
-		if ord != nil {
-			for i := 0; i < sel.Len(); i++ {
-				if sel.Get(i) {
-					*ord = append(*ord, int32(b.start()+i))
-				}
-			}
-		}
-		return b.ToTable(b.src.Name+"_sel", sel)
+		return b.selected(sel, rows, ord)
 	}
 	t, err := b.table()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := t.derived(t.Name + "_sel")
 	p := CompilePredicate(pred, t.Schema)
 	for i, r := range t.Rows {
 		ok, err := p.Selected(r)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if ok {
-			out.AppendDerived(r, t, i)
-			if ord != nil {
-				*ord = append(*ord, int32(b.start()+i))
-			}
+			rows, ord = append(rows, r), append(ord, int32(b.start()+i))
 		}
 	}
-	return out, nil
+	return rows, ord, nil
 }
 
 // projectVec is the vectorized Project: expressions are bound to column
@@ -82,7 +73,7 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 		exprs[j] = bind(p.Expr, t.Schema)
 	}
 	flat := make([]Value, len(t.Rows)*k)
-	out.reserve(t, len(t.Rows))
+	out.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
 		nr := flat[i*k : i*k+k : i*k+k]
 		for j := range exprs {
@@ -95,8 +86,9 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 				out.Schema.Columns[j].Type = v.Kind
 			}
 		}
-		out.AppendDerived(Row(nr), t, i)
+		out.Rows[i] = Row(nr)
 	}
+	out.shareLineage(t, len(t.Rows))
 	return out, nil
 }
 
@@ -117,7 +109,7 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 	be := bind(e, t.Schema)
 	w := t.Schema.Len() + 1
 	flat := make([]Value, len(t.Rows)*w)
-	out.reserve(t, len(t.Rows))
+	out.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
 		v, err := be.Eval(r, t.Schema)
 		if err != nil {
@@ -126,8 +118,9 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 		nr := flat[i*w : i*w+w : i*w+w]
 		copy(nr, r)
 		nr[w-1] = v
-		out.AppendDerived(Row(nr), t, i)
+		out.Rows[i] = Row(nr)
 	}
+	out.shareLineage(t, len(t.Rows))
 	return out, nil
 }
 
@@ -159,40 +152,67 @@ func joinMapKey(v Value) ValKey {
 	}
 }
 
-// joinEmitter materializes join output rows and lineage out of shared
-// arenas, eliminating the per-row allocations of the reference join.
-// Arenas grow in fixed-size chunks rather than by append-doubling: output
-// size is unknown upfront, and doubling a multi-megabyte []Value arena
-// re-copies every element through write barriers (a Value's string is a
-// pointer) and re-zeroes the new block — measurably slower than the
-// per-row reference at 100k rows. A fresh chunk costs one allocation and
-// leaves all previously emitted rows untouched.
+// joinEmitter materializes join output rows out of a shared arena, and
+// their lineage as columns: each output column takes one lineage column of
+// l or r, or the ordinal itself for a side that keeps its lineage
+// implicit, so no lineage is allocated but the ordinals. A packed side
+// makes every output row packed, l's row and r's packed together.
+//
+// The value arena grows in fixed-size chunks rather than by append-doubling:
+// output size is unknown upfront, and doubling a multi-megabyte []Value
+// arena re-copies every element through write barriers (a Value's string is
+// a pointer) and re-zeroes the new block. A fresh chunk costs one
+// allocation and leaves all previously emitted rows untouched.
 type joinEmitter struct {
 	out       *Table
-	l, r      *Table // l is the left batch being probed
+	l, r      *Table // l is the whole left input, r the materialized right
+	batch     *Table // the left batch being probed, row i of it row lStart+i of l
 	lw, rw    int
 	leftRows  int // rows of the whole left input: the output-size estimate
 	flatChunk int // value-arena chunk size, scaled to the expected output
-	linChunk  int
 	flat      []Value
-	lin       []RowRef
-	lLin      []LineageSet // per-row lineage of l and r
-	rLin      []LineageSet
+	from      []linSource     // per output lineage column
+	sc        *lineageScratch // non-nil when a side is packed: packs each output row
 	// ord, when non-nil, collects per emitted row the ordinal of its left
-	// row in the whole left input: lStart, the batch's first row, plus i.
+	// row in the whole left input.
 	ord    *[]int32
 	lStart int
 }
 
-// Arena chunk-size ceilings (elements): 1.25 MiB of 40-byte Values and
-// 384 KiB of 24-byte RowRefs. Large enough to amortize allocation, small
-// enough that a mostly-empty final chunk is cheap. The emitter starts from
-// the foreign-key estimate (about one output row per probe row) so small
-// joins never allocate a megabyte chunk.
-const (
-	maxFlatChunk = 1 << 15
-	maxLinChunk  = 1 << 14
-)
+// linSource is where one output lineage column's ordinals come from: a
+// lineage column of one side, or — col nil — that side's row ordinal.
+type linSource struct {
+	right bool
+	col   []int32
+}
+
+// at returns the ordinal of row i of the side (-1: no row).
+func (s linSource) at(i int) int32 {
+	switch {
+	case i < 0:
+		return -1
+	case s.col == nil:
+		return int32(i)
+	}
+	return s.col[i]
+}
+
+// linSources lists the lineage columns of one join side, by table.
+func linSources(t *Table, right bool) (tables []string, from []linSource) {
+	if origin, ok := t.implicit(); ok {
+		return []string{origin}, []linSource{{right: right}}
+	}
+	for _, col := range t.lin.cols {
+		from = append(from, linSource{right: right, col: col})
+	}
+	return t.lin.tables, from
+}
+
+// Arena chunk-size ceiling: 1.25 MiB of 40-byte Values. Large enough to
+// amortize allocation, small enough that a mostly-empty final chunk is
+// cheap. The emitter starts from the foreign-key estimate (about one output
+// row per probe row) so small joins never allocate a megabyte chunk.
+const maxFlatChunk = 1 << 15
 
 // rowSlot returns a zero-length slice with capacity n carved from the
 // value arena, starting a new chunk when the current one is full.
@@ -209,105 +229,88 @@ func (e *joinEmitter) rowSlot(n int) []Value {
 	return e.flat[start : start : start+n]
 }
 
-// ensureLin guarantees the lineage arena can take n more refs without
-// reallocating (which would detach previously returned slices' backing
-// from e.lin growth, and re-copy on doubling).
-func (e *joinEmitter) ensureLin(n int) {
-	if len(e.lin)+n > cap(e.lin) {
-		c := e.linChunk
-		if n > c {
-			c = n
-		}
-		e.lin = make([]RowRef, 0, c)
-	}
-}
-
-// newJoinEmitter sizes the arenas for l ⋈ r from l's total row count; the
-// batches of l are then probed one at a time through setLeft.
+// newJoinEmitter sizes the arena for l ⋈ r from l's total row count and
+// lays out out's lineage; the batches of l are then probed one at a time
+// through setLeft.
 func newJoinEmitter(out *Table, l, r *Table, ord *[]int32) *joinEmitter {
-	e := &joinEmitter{out: out, r: r, rLin: r.lineage(), lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows(), ord: ord}
-	e.flatChunk = e.leftRows * (e.lw + e.rw)
-	if e.flatChunk > maxFlatChunk {
-		e.flatChunk = maxFlatChunk
-	} else if e.flatChunk < 64 {
-		e.flatChunk = 64
+	e := &joinEmitter{out: out, l: l, r: r, lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows(), ord: ord}
+	e.flatChunk = min(max(e.leftRows*(e.lw+e.rw), 64), maxFlatChunk)
+	if l.packed != nil || r.packed != nil {
+		e.sc, out.packed = new(lineageScratch), []groupLineage{}
+		return e
 	}
-	e.linChunk = e.leftRows * 2
-	if e.linChunk > maxLinChunk {
-		e.linChunk = maxLinChunk
-	} else if e.linChunk < 64 {
-		e.linChunk = 64
+	lt, lf := linSources(l, false)
+	rt, rf := linSources(r, true)
+	tables, li, ri := alignTables(lt, rt)
+	for k, table := range tables { // both sides' columns, a name twice for a self-join
+		if li[k] >= 0 {
+			out.lin.tables, e.from = append(out.lin.tables, table), append(e.from, lf[li[k]])
+		}
+		if ri[k] >= 0 {
+			out.lin.tables, e.from = append(out.lin.tables, table), append(e.from, rf[ri[k]])
+		}
 	}
+	out.lin.cols = make([][]int32, len(e.from))
 	return e
 }
 
 // setLeft points the emitter at the next left batch, which starts at row
 // start of the left input.
-func (e *joinEmitter) setLeft(l *Table, start int) {
+func (e *joinEmitter) setLeft(batch *Table, start int) {
 	if e.out.Rows == nil {
 		// Foreign-key-shaped joins emit about one row per probe row; header
 		// doubling from zero would re-copy the slice headers several times.
 		e.out.Rows = make([]Row, 0, e.leftRows)
-		e.out.Lineage = make([]LineageSet, 0, e.leftRows)
-	}
-	e.l, e.lLin, e.lStart = l, l.lineage(), start
-}
-
-// emitted records the left ordinal of the row just appended.
-func (e *joinEmitter) emitted(i int) {
-	if e.ord != nil {
-		*e.ord = append(*e.ord, int32(e.lStart+i))
-	}
-}
-
-// mergeLin merges two sorted lineage sets into the shared arena.
-func (e *joinEmitter) mergeLin(a, b LineageSet) LineageSet {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	e.ensureLin(len(a) + len(b))
-	start := len(e.lin)
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		switch cmpRef(a[x], b[y]) {
-		case -1:
-			e.lin = append(e.lin, a[x])
-			x++
-		case 1:
-			e.lin = append(e.lin, b[y])
-			y++
-		default:
-			e.lin = append(e.lin, a[x])
-			x++
-			y++
+		if e.sc != nil {
+			e.out.packed = make([]groupLineage, 0, e.leftRows)
+		}
+		for k := range e.out.lin.cols {
+			e.out.lin.cols[k] = make([]int32, 0, e.leftRows)
 		}
 	}
-	e.lin = append(e.lin, a[x:]...)
-	e.lin = append(e.lin, b[y:]...)
-	return LineageSet(e.lin[start:len(e.lin):len(e.lin)])
+	e.batch, e.lStart = batch, start
 }
 
-// emit appends the joined row (l[i] ++ r[j]) and its merged lineage.
+// lineage appends the lineage of the row joining left row i of the batch
+// with right row j (-1: none).
+func (e *joinEmitter) lineage(i, j int) {
+	li := e.lStart + i
+	if e.ord != nil {
+		*e.ord = append(*e.ord, int32(li))
+	}
+	if e.sc != nil {
+		e.sc.addRows(e.l, li, oneRow)
+		if j >= 0 {
+			e.sc.addRows(e.r, j, oneRow)
+		}
+		e.out.packed = append(e.out.packed, e.sc.pack())
+		return
+	}
+	for k, s := range e.from {
+		if s.right {
+			e.out.lin.cols[k] = append(e.out.lin.cols[k], s.at(j))
+		} else {
+			e.out.lin.cols[k] = append(e.out.lin.cols[k], s.at(li))
+		}
+	}
+}
+
+// emit appends the joined row (l[i] ++ r[j]) and its lineage.
 func (e *joinEmitter) emit(i, j int) {
 	nr := e.rowSlot(e.lw + e.rw)
-	nr = append(nr, e.l.Rows[i]...)
+	nr = append(nr, e.batch.Rows[i]...)
 	nr = append(nr, e.r.Rows[j]...)
 	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.out.Lineage = append(e.out.Lineage, e.mergeLin(e.lLin[i], e.rLin[j]))
-	e.emitted(i)
+	e.lineage(i, j)
 }
 
 // emitLeftNull appends l[i] null-extended on the right (LEFT JOIN miss).
 func (e *joinEmitter) emitLeftNull(i int) {
 	nr := e.rowSlot(e.lw + e.rw)
-	nr = append(nr, e.l.Rows[i]...)
+	nr = append(nr, e.batch.Rows[i]...)
 	nr = nr[:e.lw+e.rw] // the null extension: fresh arena cells are zero Values
 	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.out.Lineage = append(e.out.Lineage, e.lLin[i])
-	e.emitted(i)
+	e.lineage(i, -1)
 }
 
 // joinProber chooses the join plan from the predicate, builds its index
@@ -320,10 +323,10 @@ func (e *joinEmitter) emitLeftNull(i int) {
 // hash on all pairs with Compare verification plus a bound residual;
 // anything else runs the nested-loop reference.
 func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32) func(batch *Table, start int) error {
+	em := newJoinEmitter(out, l, r, ord)
 	// Single equi pair: exactly the reference fast path, interned.
 	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
 		idx := r.hashIndex(rc)
-		em := newJoinEmitter(out, l, r, ord)
 		return func(batch *Table, start int) error {
 			em.setLeft(batch, start)
 			for i, lr := range batch.Rows {
@@ -342,14 +345,14 @@ func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32)
 		}
 	}
 
-	nested := func(batch *Table, start int) error { return nestedLoopInto(out, batch, r, pred, kind, ord, start) }
+	nested := func(batch *Table, start int) error { return nestedLoopInto(em, batch, start, pred, kind) }
 	// Conjunction with equality pairs: multi-key hash join with
 	// verification, as long as the residual can never error (otherwise
 	// the hash plan could skip rows the reference would have errored on).
 	if pairs, residual := extractJoinPairs(pred, l.Schema, r.Schema); len(pairs) > 0 {
 		res := CompilePredicate(residual, out.Schema)
 		if res.Safe() && !nanInKeys(r.Rows, pairs, true) {
-			hashProbe := hashJoinMulti(newJoinEmitter(out, l, r, ord), r, pairs, res, kind)
+			hashProbe := hashJoinMulti(em, r, pairs, res, kind)
 			return func(batch *Table, start int) error {
 				if nanInKeys(batch.Rows, pairs, false) {
 					return nested(batch, start)
@@ -519,71 +522,80 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual Compile
 }
 
 // nestedLoopInto is the general join body: the plan for predicates no hash
-// plan covers, and the test suite's nested-loop oracle. pred is bound
-// against the joined schema once, not looked up per row pair. A non-nil ord
-// collects each output row's left ordinal, l starting at row start of the
-// left input.
-func nestedLoopInto(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32, start int) error {
-	cols := out.Schema.Len()
-	p := CompilePredicate(pred, out.Schema)
+// plan covers, and the test suite's nested-loop oracle. It probes the left
+// batch l, which starts at row start of the left input, against every
+// right row; pred is bound against the joined schema once, not looked up
+// per row pair.
+func nestedLoopInto(em *joinEmitter, l *Table, start int, pred Expr, kind JoinKind) error {
+	p := CompilePredicate(pred, em.out.Schema)
+	em.setLeft(l, start)
+	scratch := make(Row, em.lw+em.rw)
 	for i, lr := range l.Rows {
-		from := len(out.Rows)
+		copy(scratch, lr)
 		matched := false
-		for j, rr := range r.Rows {
-			nr := make(Row, 0, cols)
-			nr = append(nr, lr...)
-			nr = append(nr, rr...)
-			ok, err := p.Selected(nr)
+		for j, rr := range em.r.Rows {
+			copy(scratch[len(lr):], rr)
+			ok, err := p.Selected(scratch)
 			if err != nil {
 				return err
 			}
 			if ok {
-				out.Rows = append(out.Rows, nr)
-				out.Lineage = append(out.Lineage, mergeLineage(l.RowLineage(i), r.RowLineage(j)))
+				em.emit(i, j)
 				matched = true
 			}
 		}
 		if !matched && kind == LeftJoin {
-			nr := make(Row, cols)
-			copy(nr, lr)
-			out.Rows = append(out.Rows, nr)
-			out.Lineage = append(out.Lineage, l.RowLineage(i))
-		}
-		if ord != nil {
-			for ; from < len(out.Rows); from++ {
-				*ord = append(*ord, int32(start+i))
-			}
+			em.emitLeftNull(i)
 		}
 	}
 	return nil
 }
 
 // distinctVec is the vectorized Distinct: whole-row keys are interned per
-// column instead of concatenating Key() strings.
+// column instead of concatenating Key() strings, and each surviving row's
+// lineage — its duplicates' together — is packed.
 func distinctVec(t *Table) *Table {
 	out := t.derived(t.Name + "_dist")
 	allCols := make([]int, t.Schema.Len())
 	for i := range allCols {
 		allCols[i] = i
 	}
-	capHint := len(t.Rows)
-	if capHint > 1024 {
-		capHint = 1024
-	}
+	capHint := min(len(t.Rows), 1024)
 	keyer := newRowKeyer(allCols, capHint)
 	index := make(map[compositeKey]int, capHint)
+	of := make([]int, len(t.Rows)) // the output row each input row falls into
 	for i, r := range t.Rows {
 		k := keyer.key(r)
-		if j, ok := index[k]; ok {
-			out.Lineage[j] = append(out.Lineage[j], t.RowLineage(i)...)
-			continue
+		j, ok := index[k]
+		if !ok {
+			j = len(out.Rows)
+			index[k] = j
+			out.Rows = append(out.Rows, r)
 		}
-		index[k] = len(out.Rows)
-		out.Rows = append(out.Rows, r)
-		out.Lineage = append(out.Lineage, append(LineageSet(nil), t.RowLineage(i)...))
+		of[i] = j
 	}
-	for j := range out.Lineage {
-		out.Lineage[j] = out.Lineage[j].normalize()
+	// The input rows of each output row, out of one array.
+	end := make([]int, len(out.Rows))
+	for _, j := range of {
+		end[j]++
+	}
+	for j := 1; j < len(end); j++ {
+		end[j] += end[j-1]
+	}
+	members := make([]uint32, len(of))
+	for i := len(of) - 1; i >= 0; i-- {
+		end[of[i]]--
+		members[end[of[i]]] = uint32(i)
+	}
+	out.packed = make([]groupLineage, len(out.Rows))
+	var sc lineageScratch
+	for j := range out.packed {
+		hi := len(members)
+		if j+1 < len(end) {
+			hi = end[j+1]
+		}
+		sc.addRows(t, 0, members[end[j]:hi])
+		out.packed[j] = sc.pack()
 	}
 	return out
 }

@@ -2,21 +2,19 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
 // resident is the columnar form of one version of a table: what every
-// render over that version would otherwise derive again from its rows and
-// lineage sets. It hangs off the table it describes (Table.Freeze), is
-// shared by the views that share the table's rows (Rename) and by no table
-// that builds rows of its own, and is garbage with the version — so nothing
-// ever invalidates it. Each part is built by the first reader that asks and
+// render over that version would otherwise derive again from its rows. It
+// hangs off the table it describes (Table.Freeze), is shared by the views
+// that share the table's rows (Rename) and by no table that builds rows of
+// its own, and is garbage with the version — so nothing ever invalidates
+// it. Each part is built by the first reader that asks and
 // published with an atomic pointer; a reader losing that race drops its
 // copy and uses the published one. ApplyEdit hands the next version the
-// published vectors, dictionaries and lineage columns, edited alike (carry).
+// published vectors and dictionaries, edited alike (carry).
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -29,7 +27,6 @@ type resident struct {
 	keys []atomic.Pointer[joinIndex]
 	// dict holds each column's distinct-support dictionary (DistinctCodes).
 	dict []atomic.Pointer[valueDict]
-	lin  atomic.Pointer[lineageCols]
 }
 
 // valueDict is one column's DistinctCodes. Readers touch codes and card
@@ -100,29 +97,13 @@ func newJoinIndex(rows []Row, ci int) joinIndex {
 	return idx
 }
 
-// lineageCols is explicit row lineage by column: for each base table the
-// lineage names, the ordinal of the one row of it that each row derives
-// from, or -1. Only lineage in which no row has two refs into one base
-// table and every ordinal fits an int32 has this form; for any other the
-// resident caches notColumnar and readers keep to the lineage sets.
-type lineageCols struct {
-	tables []string // ascending
-	cols   [][]int32
-}
-
-var notColumnar = &lineageCols{}
-
 // Freeze declares the table's rows and lineage final and lets readers keep
 // their columnar form beside it. It is for whoever publishes a table to
 // concurrent readers — sql.Catalog.Register and Refresh, and the provenance
 // tracer's RegisterBase — and must be called before the table is shared.
-// Append drops the form again; a write into a frozen table's rows or
-// lineage sets is a bug VerifyResident finds. Packed lineage is
-// materialized into Lineage: a published table is never packed.
+// Append drops the form again; a write into a frozen table's rows is a bug
+// VerifyResident finds. Lineage keeps the form it has.
 func (t *Table) Freeze() {
-	if t.packed != nil {
-		t.Lineage, t.packed = materialize(t.packed), nil
-	}
 	if t.res != nil && t.res.rows == t.NumRows() {
 		return
 	}
@@ -177,71 +158,10 @@ func (t *Table) hashIndex(ci int) joinIndex {
 	return *r.keys[ci].Load()
 }
 
-// lineageColumns returns the table's explicit lineage by column, or nil
-// when the table is not frozen, keeps its lineage implicit or has lineage
-// without that form.
-func (t *Table) lineageColumns() *lineageCols {
-	r := t.frozen()
-	if r == nil || t.Base || t.Lineage == nil || len(t.Lineage) != r.rows {
-		return nil
-	}
-	lc := r.lin.Load()
-	if lc == nil {
-		r.lin.CompareAndSwap(nil, newLineageCols(t.Lineage))
-		lc = r.lin.Load()
-	}
-	if lc == notColumnar {
-		return nil
-	}
-	return lc
-}
-
-// newLineageCols transposes lin, or returns notColumnar.
-func newLineageCols(lin []LineageSet) *lineageCols {
-	lc := &lineageCols{}
-	for ri, set := range lin {
-		for k, ref := range set {
-			if ref.Row < 0 || ref.Row > math.MaxInt32 {
-				return notColumnar
-			}
-			// Sets are sorted by table and most rows name every table, so
-			// the k-th ref is usually into the k-th table met.
-			ti := k
-			if ti >= len(lc.tables) || lc.tables[ti] != ref.Table {
-				for ti = 0; ti < len(lc.tables) && lc.tables[ti] != ref.Table; ti++ {
-				}
-			}
-			if ti == len(lc.tables) {
-				col := make([]int32, len(lin))
-				for i := range col {
-					col[i] = -1
-				}
-				lc.tables, lc.cols = append(lc.tables, ref.Table), append(lc.cols, col)
-			}
-			if lc.cols[ti][ri] >= 0 {
-				return notColumnar
-			}
-			lc.cols[ti][ri] = int32(ref.Row)
-		}
-	}
-	if len(lc.tables) == 0 {
-		return notColumnar
-	}
-	sort.Sort(lc)
-	return lc
-}
-
-func (lc *lineageCols) Len() int           { return len(lc.tables) }
-func (lc *lineageCols) Less(i, j int) bool { return lc.tables[i] < lc.tables[j] }
-func (lc *lineageCols) Swap(i, j int) {
-	lc.tables[i], lc.tables[j] = lc.tables[j], lc.tables[i]
-	lc.cols[i], lc.cols[j] = lc.cols[j], lc.cols[i]
-}
-
 // carry returns the resident form of out, the version of old that edit e
-// leads to (dirty: the rows it brought, final in out): each vector,
-// dictionary and the lineage columns readers published on old, edited the
-// same way, and nothing else — a part not published, a join index and a
+// leads to (dirty: the rows it brought, final in out): each vector and
+// dictionary readers published on old, edited the same way, and nothing
+// else — a part not published, a join index and a
 // dictionary an earlier successor claimed stay for out's readers to build,
 // as does a part whose edited form would differ from what they would build.
 // grow says the caller holds old's tail: arrays with room grow in place.
@@ -263,11 +183,6 @@ func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
 			if nd := editDict(d, out, ci, e, dirty, grow); nd != nil {
 				nr.dict[ci].Store(nd)
 			}
-		}
-	}
-	if lc := r.lin.Load(); lc != nil && lc != notColumnar && out.Lineage != nil {
-		if nl := editLineageCols(lc, out, e, dirty, grow); nl != nil {
-			nr.lin.Store(nl)
 		}
 	}
 	return nr
@@ -356,52 +271,9 @@ func editDict(d *valueDict, out *Table, ci int, e Edit, dirty []int, grow bool) 
 	return nd
 }
 
-// editLineageCols is lc, the lineage columns of the version an edit came
-// from, spliced for out: each column cut and grown with editArray, the
-// ordinals of kept rows renumbered past the rows e.Shift says their table
-// lost, the dirty rows transposed from out.Lineage. It is nil where
-// newLineageCols(out.Lineage) would list other tables: a dirty row naming a
-// table lc does not, or one table twice, or a table no row names any more.
-func editLineageCols(lc *lineageCols, out *Table, e Edit, dirty []int, grow bool) *lineageCols {
-	n := len(out.Rows)
-	nl := &lineageCols{tables: lc.tables, cols: make([][]int32, len(lc.cols))}
-	for ti, col := range lc.cols {
-		c := editArray(col, e, n, grow)
-		if lost := e.Shift[lc.tables[ti]]; len(lost) > 0 {
-			for ri, ord := range c {
-				if int(ord) >= lost[0] {
-					c[ri] = ord - int32(sort.SearchInts(lost, int(ord)))
-				}
-			}
-		}
-		nl.cols[ti] = c
-	}
-	for _, ri := range dirty {
-		for _, c := range nl.cols {
-			c[ri] = -1
-		}
-		for _, ref := range out.Lineage[ri] {
-			ti, ok := slices.BinarySearch(nl.tables, ref.Table)
-			if !ok || ref.Row < 0 || ref.Row > math.MaxInt32 || nl.cols[ti][ri] >= 0 {
-				return nil
-			}
-			nl.cols[ti][ri] = int32(ref.Row)
-		}
-	}
-	if len(e.Removed) > 0 || len(e.Updated) > 0 {
-		for _, c := range nl.cols {
-			if !slices.ContainsFunc(c, func(ord int32) bool { return ord >= 0 }) {
-				return nil
-			}
-		}
-	}
-	return nl
-}
-
 // VerifyResident re-derives whatever columnar form readers have published
 // for t, or an edit carried to it — each column vector and join index from
-// t.Rows, each dictionary from t's cells, the lineage columns from
-// t.Lineage — and reports the first cell
+// t.Rows, each dictionary from t's cells — and reports the first cell
 // where the published form differs: the trace of a write into a table after
 // it was frozen, or of a carry that edited a part wrongly. Tests call it
 // after runs, or rounds, that interleave renders with writes.
@@ -461,29 +333,6 @@ func VerifyResident(t *Table) error {
 					t.Name, t.Schema.Columns[ci].Name, v, ri, c, d.card)
 			}
 			keys[MapKey(v)], used[c] = c, true
-		}
-	}
-	got := r.lin.Load()
-	if got == nil {
-		return nil
-	}
-	lin := t.Lineage
-	if lin == nil && t.seg == nil {
-		lin = t.lineage() // a renamed view of a base table published them
-	}
-	want := newLineageCols(lin)
-	if !slices.Equal(got.tables, want.tables) {
-		return fmt.Errorf("relation: %s: resident lineage columns cover tables %v, the lineage %v", t.Name, got.tables, want.tables)
-	}
-	for ti, table := range want.tables {
-		if len(got.cols[ti]) != len(want.cols[ti]) {
-			return fmt.Errorf("relation: %s: resident lineage column %s has %d rows, the lineage %d", t.Name, table, len(got.cols[ti]), len(want.cols[ti]))
-		}
-		for ri, ord := range want.cols[ti] {
-			if got.cols[ti][ri] != ord {
-				return fmt.Errorf("relation: %s: resident lineage column %s holds %d at row %d, the lineage %d",
-					t.Name, table, got.cols[ti][ri], ri, ord)
-			}
 		}
 	}
 	return nil

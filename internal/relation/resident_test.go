@@ -17,24 +17,26 @@ import (
 func linTable(name string, n, groups int, refs func(i int) LineageSet) *Table {
 	t := &Table{Name: name, Schema: NewSchema(Col("key", TString), Col("n", TInt))}
 	t.ColOrigin = []ColRefSet{{{Table: "src", Column: "key"}}, {{Table: "src", Column: "n"}}}
-	for i := 0; i < n; i++ {
+	lin := make([]LineageSet, n)
+	for i := range lin {
 		t.Rows = append(t.Rows, Row{Str(fmt.Sprintf("k%02d", (i*7)%groups)), Int(int64(i))})
-		t.Lineage = append(t.Lineage, refs(i))
+		lin[i] = refs(i)
 	}
-	return t
+	return setLineage(t, lin)
 }
 
 // plainCopy shares t's rows and lineage under a table that was never frozen.
 func plainCopy(t *Table) *Table {
-	return &Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows, Lineage: t.Lineage, ColOrigin: t.ColOrigin, Base: t.Base}
+	return headOf(t, t.NumRows())
 }
 
 var residentAggs = []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: "n"}}
 
 // TestGroupByFrozenEqualsPlain: GroupBy over a frozen table reads resident
-// vectors and lineage columns; over the same rows never frozen it reads the
-// rows and gathers the refs. Rows and lineage must agree on every shape the
-// column form takes or declines.
+// vectors; over the same rows never frozen it reads the rows. Rows and
+// lineage must agree on every shape of lineage: by column, with a column of
+// -1s, with two columns of one table, and packed where refs are no
+// ordinals.
 func TestGroupByFrozenEqualsPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	star := func(i int) LineageSet { // the rx_wide shape: fact row, small dimension, shared dimension
@@ -42,21 +44,20 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 	}
 	perm := rng.Perm(4000)
 	cases := []struct {
-		name     string
-		table    *Table
-		columnar bool
+		name  string
+		table *Table
 	}{
-		{"scenario-shaped", linTable("rx_wide", 4000, 25, star), true},
+		{"scenario-shaped", linTable("rx_wide", 4000, 25, star)},
 		{"empty sets among the rows", linTable("gaps", 600, 7, func(i int) LineageSet {
 			if i%3 == 0 {
 				return nil
 			}
 			return star(i)
-		}), true},
-		{"every set empty", linTable("void", 50, 3, func(int) LineageSet { return nil }), false},
+		})},
+		{"every set empty", linTable("void", 50, 3, func(int) LineageSet { return nil })},
 		{"a table sparse for each group", linTable("sparse", 4000, 40, func(i int) LineageSet {
 			return LineageSet{{Table: "events", Row: perm[i] * 1000}, {Table: "hosts", Row: perm[i] % 9}}
-		}), true},
+		})},
 		{"twenty base tables", linTable("fanout", 500, 5, func(i int) LineageSet {
 			var set LineageSet
 			for b := 0; b < 20; b++ {
@@ -65,16 +66,16 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 				}
 			}
 			return set
-		}), true},
+		})},
 		{"a negative ordinal", linTable("neg", 300, 4, func(i int) LineageSet {
 			return LineageSet{{Table: "a", Row: i - 1}}
-		}), false},
+		})},
 		{"an ordinal past int32", linTable("big", 300, 4, func(i int) LineageSet {
 			return LineageSet{{Table: "a", Row: math.MaxInt32 + i}}
-		}), false},
+		})},
 		{"two refs into one table", linTable("pair", 300, 4, func(i int) LineageSet {
 			return LineageSet{{Table: "a", Row: i}, {Table: "a", Row: i + 300}, {Table: "b", Row: i % 5}}
-		}), false},
+		})},
 	}
 	for _, tc := range cases {
 		want, err := GroupBy(plainCopy(tc.table), []string{"key"}, residentAggs)
@@ -88,10 +89,6 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameTable(t, tc.name, got, want)
-		}
-		lc := tc.table.res.lin.Load()
-		if tc.columnar == (lc == notColumnar) || lc == nil {
-			t.Errorf("%s: lineage columns published as %v, want columnar=%v", tc.name, lc, tc.columnar)
 		}
 		for ci := range tc.table.res.cols {
 			if tc.table.res.cols[ci].Load() == nil {
@@ -110,9 +107,9 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 	}
 }
 
-// TestGroupBySegmentLineageColumns: a segment-backed table with explicit
-// lineage is scanned a partition at a time; each batch reads the table's
-// lineage columns from its own row offset.
+// TestGroupBySegmentLineageColumns: a segment-backed table keeps its
+// lineage columns in memory and is scanned a partition at a time; each
+// batch reads the columns from its own row offset.
 func TestGroupBySegmentLineageColumns(t *testing.T) {
 	mem := linTable("spilled", 1000, 9, func(i int) LineageSet {
 		return LineageSet{{Table: "facts", Row: 999 - i}, {Table: "dims", Row: i % 13}}
@@ -131,8 +128,8 @@ func TestGroupBySegmentLineageColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameTable(t, "segment-backed", got, want)
-	if lc := seg.res.lin.Load(); lc == nil || lc == notColumnar {
-		t.Fatalf("segment-backed table published lineage columns %v", lc)
+	if !slices.Equal(seg.lin.tables, []string{"dims", "facts"}) {
+		t.Fatalf("segment-backed table keeps lineage columns of %v", seg.lin.tables)
 	}
 	if seg.res.cols != nil {
 		t.Error("a segment-backed table keeps resident vectors")
@@ -191,6 +188,15 @@ func TestGroupByStateOverFrozenPieces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lineageOf returns every row's lineage set.
+func lineageOf(tb *Table) []LineageSet {
+	lin := make([]LineageSet, tb.NumRows())
+	for i := range lin {
+		lin[i] = tb.RowLineage(i)
+	}
+	return lin
 }
 
 // codes reads column ci of tb's dictionary codes the way the tracer does.
@@ -259,8 +265,8 @@ func applyWide(t *testing.T, old, nb *Table, e Edit) *Table {
 }
 
 // requireFreshParts fails unless every part carried to tb is what tb's own
-// readers would build: each vector array for array, the lineage columns
-// table for table, each dictionary up to the order of its codes.
+// readers would build: each vector array for array, each dictionary up to
+// the order of its codes.
 func requireFreshParts(t *testing.T, label string, tb *Table) {
 	t.Helper()
 	if tb.res == nil {
@@ -273,9 +279,6 @@ func requireFreshParts(t *testing.T, label string, tb *Table) {
 		if v := tb.res.cols[ci].Load(); v != nil && !sameVector(v, NewVector(tb, ci)) {
 			t.Fatalf("%s: carried vector of column %d is %+v, a fresh build %+v", label, ci, v, NewVector(tb, ci))
 		}
-	}
-	if lc := tb.res.lin.Load(); lc != nil && !reflect.DeepEqual(lc, newLineageCols(tb.Lineage)) {
-		t.Fatalf("%s: carried lineage columns %+v, a fresh build %+v", label, lc, newLineageCols(tb.Lineage))
 	}
 }
 
@@ -344,7 +347,6 @@ func TestFreezeLifecycle(t *testing.T) {
 	if reflect.ValueOf(Rename(base, "f").hashIndex(0)).Pointer() != reflect.ValueOf(idx).Pointer() {
 		t.Error("Rename does not share the resident join index")
 	}
-	base.lineageColumns()
 	dict := codes(t, base, 0)
 	if &codes(t, base, 0)[0] != &dict[0] || &codes(t, Rename(base, "f"), 0)[0] != &dict[0] {
 		t.Error("a frozen table, or its renamed view, built its dictionary twice")
@@ -367,9 +369,9 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Errorf("Materialize of a frozen segment-backed table: %v, res %v", err, m.res)
 	}
 
-	// An edit carries what readers published — column 0 and the lineage
-	// columns, each equal to a fresh build (applyWide checks) — and leaves
-	// column 1 and the join index to the new version's readers.
+	// An edit carries what readers published — column 0, equal to a fresh
+	// build (applyWide checks) — and leaves column 1 and the join index to
+	// the new version's readers.
 	nb := NewBase("b", b.Schema)
 	for i, r := range b.Rows {
 		switch i {
@@ -382,7 +384,7 @@ func TestFreezeLifecycle(t *testing.T) {
 	}
 	nb.AppendVals(Null(), Int(40))
 	edited := applyWide(t, base, nb, Edit{Removed: []int{5}, Updated: []int{3}, Appended: 1, Shift: map[string][]int{"b": {5}}})
-	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.lin.Load() == nil || edited.res.dict[0].Load() == nil {
+	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.dict[0].Load() == nil {
 		t.Fatal("ApplyEdit of a frozen table did not carry the published parts")
 	}
 	if edited.res.cols[1].Load() != nil || edited.res.keys[0].Load() != nil || edited.res.dict[1].Load() != nil {
@@ -391,7 +393,7 @@ func TestFreezeLifecycle(t *testing.T) {
 	if err := VerifyResident(edited); err != nil {
 		t.Error(err)
 	}
-	if view := Rename(edited, "f"); cap(view.Rows) != len(view.Rows) || cap(view.Lineage) != len(view.Lineage) {
+	if view := Rename(edited, "f"); cap(view.Rows) != len(view.Rows) || cap(view.lin.cols[0]) != len(view.lin.cols[0]) {
 		t.Error("a renamed view reaches the room behind the version's rows")
 	}
 
@@ -411,9 +413,8 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Error("the second successor of a version carried its dictionary")
 	}
 	shares := func(a, b *Table) bool {
-		return &a.Rows[0] == &b.Rows[0] && &a.Lineage[0] == &b.Lineage[0] &&
-			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &a.lineageColumns().cols[0][0] == &b.lineageColumns().cols[0][0] &&
-			&codes(t, a, 0)[0] == &codes(t, b, 0)[0]
+		return &a.Rows[0] == &b.Rows[0] && &a.lin.cols[0][0] == &b.lin.cols[0][0] &&
+			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &codes(t, a, 0)[0] == &codes(t, b, 0)[0]
 	}
 	if !shares(first, edited) || shares(second, edited) {
 		t.Errorf("first successor grew in place: %v, second: %v; want only the first", shares(first, edited), shares(second, edited))
@@ -427,12 +428,13 @@ func TestFreezeLifecycle(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	// A row naming a base table the lineage columns do not list leaves them
-	// for the new version's readers to build.
-	odd, err := ApplyEdit(second, Edit{Appended: 1}, &Table{Name: second.Name, Schema: second.Schema,
-		Rows: []Row{{Str("k1"), Int(99)}}, Lineage: []LineageSet{{{Table: "bb", Row: 0}}}})
-	if err != nil || odd.res.lin.Load() != nil {
-		t.Errorf("an append naming a new base table: %v, lineage columns carried %v", err, odd.res.lin.Load())
+	// A row naming a base table the version's lineage does not list adds
+	// its column, -1 for every row before.
+	odd, err := ApplyEdit(second, Edit{Appended: 1}, setLineage(&Table{Name: second.Name, Schema: second.Schema,
+		Rows: []Row{{Str("k1"), Int(99)}}}, []LineageSet{{{Table: "bb", Row: 0}}}))
+	if err != nil || !reflect.DeepEqual(odd.RowLineage(odd.NumRows()-1), LineageSet{{Table: "bb", Row: 0}}) ||
+		!reflect.DeepEqual(odd.RowLineage(0), second.RowLineage(0)) {
+		t.Errorf("an append naming a new base table: %v, lineage %v after %v", err, odd.RowLineage(odd.NumRows()-1), odd.RowLineage(0))
 	}
 	if err := VerifyResident(odd); err != nil {
 		t.Error(err)
@@ -453,29 +455,45 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Errorf("a tail delete of 99 of 100 distinct rows: %v, dictionary carried %v", err, shrunk.res.dict[0].Load())
 	}
 
-	// Append takes the claim or copies: the claim on edited is gone, so an
-	// Append to it leaves the first successor's rows alone.
-	frows, fvals := snapshot(t, first)
-	edited.AppendVals(Str("k0"), Int(40))
-	requireUnchanged(t, "first successor after an Append to its version", first, frows, fvals)
+	// Append takes the claim or copies: once a successor of a base table's
+	// version holds its room, an Append to the version leaves the
+	// successor's rows alone.
+	one := func(k string, v int64) *Table {
+		return &Table{Name: nb.Name, Schema: nb.Schema, Base: true, Rows: []Row{{Str(k), Int(v)}}}
+	}
+	bv, err := ApplyEdit(nb, Edit{Appended: 1}, one("k5", 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bnext, err := ApplyEdit(bv, Edit{Appended: 1}, one("k6", 42))
+	if err != nil || &bnext.Rows[0] != &bv.Rows[0] {
+		t.Fatalf("the first successor of a base version did not grow it in place: %v", err)
+	}
+	frows, fvals := snapshot(t, bnext)
+	if err := bv.AppendVals(Str("k0"), Int(40)); err != nil {
+		t.Fatal(err)
+	}
+	requireUnchanged(t, "first successor after an Append to its version", bnext, frows, fvals)
 
-	view := Rename(base, "f") // taken before the append: keeps the 40 rows it saw
-	base.Lineage = append(base.Lineage, nil)
-	base.AppendVals(Str("k0"), Int(40))
-	if base.res != nil {
+	n := nb.NumRows()
+	nb.Freeze()
+	nv := col(t, nb, 0)
+	view := Rename(nb, "f") // taken before the append: keeps the rows it saw
+	nb.AppendVals(Str("k0"), Int(40))
+	if nb.res != nil {
 		t.Error("Append kept the resident form")
 	}
-	if got := col(t, base, 1); got.Len() != 41 || got == col(t, base, 1) {
+	if got := col(t, nb, 1); got.Len() != n+1 || got == col(t, nb, 1) {
 		t.Errorf("after Append the vector has %d cells, or is still resident", got.Len())
 	}
-	if got := col(t, view, 0); got != v || got.Len() != 40 {
+	if got := col(t, view, 0); got != nv || got.Len() != n {
 		t.Error("a view taken before the Append lost the form it shares")
 	}
 	// A frozen table grown behind Append's back is read as never frozen.
-	base.Freeze()
-	base.Rows = append(base.Rows, Row{Str("k1"), Int(41)})
-	if got := col(t, base, 1); got.Len() != 42 {
-		t.Errorf("stale resident vector served: %d cells for 42 rows", got.Len())
+	nb.Freeze()
+	nb.Rows = append(nb.Rows, Row{Str("k1"), Int(41)})
+	if got := col(t, nb, 1); got.Len() != n+2 {
+		t.Errorf("stale resident vector served: %d cells for %d rows", got.Len(), n+2)
 	}
 }
 
@@ -562,7 +580,7 @@ func TestApplyEditCarriesDictionaries(t *testing.T) {
 }
 
 // TestGrowInPlaceUnderReaders: readers scan one version of a table — its
-// rows and lineage, its vectors through Batch.Col, its lineage columns, a
+// rows, its vectors through Batch.Col, its lineage and lineage columns, a
 // GroupBy and a join over it — while a writer builds the versions after it
 // by appends that grow its arrays in place. Under -race this shows that no
 // write lands where a reader of the version looks; without it, that every
@@ -592,18 +610,18 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprint(g, g.lineage(), j, j.Lineage), nil
+		return fmt.Sprint(g, lineageOf(g), j, lineageOf(j)), nil
 	}
 	wantRender, err := render(plainCopy(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, wantLin := k.String(), fmt.Sprint(k.Lineage)
-	wantCols := fmt.Sprint(newLineageCols(k.Lineage).cols)
+	wantRows, wantLin := k.String(), fmt.Sprint(lineageOf(k))
+	wantCols := fmt.Sprint(k.lin.cols)
 	_, wantVals := snapshot(t, k)
 
 	read := func() bool {
-		if k.String() != wantRows || fmt.Sprint(k.Lineage) != wantLin {
+		if k.String() != wantRows || fmt.Sprint(lineageOf(k)) != wantLin {
 			t.Error("a reader saw the version's rows or lineage change")
 			return false
 		}
@@ -621,7 +639,7 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 				}
 			}
 		}
-		if fmt.Sprint(k.lineageColumns().cols) != wantCols {
+		if fmt.Sprint(k.lin.cols) != wantCols {
 			t.Error("a reader saw the version's lineage columns change")
 			return false
 		}
@@ -661,7 +679,7 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if &cur.Rows[0] != &k.Rows[0] || &col(t, cur, 0).S[0] != &col(t, k, 0).S[0] {
+	if &cur.Rows[0] != &k.Rows[0] || &col(t, cur, 0).S[0] != &col(t, k, 0).S[0] || &cur.lin.cols[0][0] != &k.lin.cols[0][0] {
 		t.Error("the writer copied instead of growing the version's arrays in place")
 	}
 	if err := VerifyResident(cur); err != nil {
@@ -670,7 +688,7 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 }
 
 // TestVerifyResidentFindsInPlaceWrites: the safety net reports a cell, a
-// lineage ref or a join key written after the form it contradicts was
+// join key or a dictionary code written after the form it contradicts was
 // published.
 func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	tb := linTable("w", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}, {Table: "b", Row: i % 3}} })
@@ -686,10 +704,6 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 		t.Errorf("cell write not reported: %v", err)
 	}
 	tb.Rows[10][1] = Int(10)
-	tb.Lineage[21][1].Row = 2
-	if err := VerifyResident(tb); err == nil || !strings.Contains(err.Error(), "row 21") {
-		t.Errorf("lineage write not reported: %v", err)
-	}
 	if err := VerifyResident(plainCopy(tb)); err != nil {
 		t.Errorf("a table never frozen: %v", err)
 	}

@@ -238,7 +238,7 @@ func TestSegmentOpsEquivalence(t *testing.T) {
 // by one or four workers, or a prefix then the tail (each in memory, and
 // each spilled) — the grouped table is the reference's, a table emitted
 // mid-way is never touched by later feeding, and neither is the input, whose
-// lineage sets the accumulator reads in place until it emits.
+// lineage the accumulator reads in place until it emits.
 func TestGroupByStateFeeding(t *testing.T) {
 	rx, patient, _ := workloadTables(rand.New(rand.NewSource(7100)), 5000)
 	wide, err := Join(Rename(patient, "p"), Rename(rx, "rx"), Eq(ColRefExpr("rx.patient"), ColRefExpr("p.pid")), InnerJoin)
@@ -265,10 +265,7 @@ func TestGroupByStateFeeding(t *testing.T) {
 		tab := in.tab
 		input := tab.Clone()
 		cut := tab.NumRows()*2/3 + 5 // not a partition boundary
-		head := &Table{Name: tab.Name, Schema: tab.Schema, Rows: tab.Rows[:cut], Base: tab.Base, ColOrigin: tab.ColOrigin}
-		if tab.Lineage != nil {
-			head.Lineage = tab.Lineage[:cut]
-		}
+		head := headOf(tab, cut)
 		idx := make([]int, 0, tab.NumRows()-cut)
 		for i := cut; i < tab.NumRows(); i++ {
 			idx = append(idx, i)

@@ -218,9 +218,9 @@ func (w *SegmentWriter) Abort() {
 
 // Spill converts an in-memory table into a segment-backed one, writing
 // its rows out and preserving name, schema, base flag, lineage and
-// column origins. Derived-table lineage stays resident (only the rows
-// move out of core); a table that is already segment-backed is returned
-// unchanged.
+// column origins. Only the rows move out of core: lineage keeps its form,
+// an implicit one stored nowhere, columns and packed rows in memory; a
+// table that is already segment-backed is returned unchanged.
 func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	if t.seg != nil {
 		return t, nil
@@ -244,10 +244,7 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	m.Counter("segment.spill.tables").Inc()
 	m.Counter("segment.spill.rows").Add(uint64(len(t.Rows)))
 	out.Base = t.Base
-	out.Lineage = capped(t.Lineage)
-	if t.packed != nil {
-		out.Lineage = materialize(t.packed)
-	}
+	out.shareLineage(t, len(t.Rows))
 	out.ColOrigin = t.ColOrigin
 	return out, nil
 }

@@ -9,12 +9,14 @@ package relation
 // Batch of an in-memory table), every other operator calls Materialize
 // (a no-op in memory), and Rename shares the backing.
 //
-// Lineage stays implicit: a segment-backed base table's row i has
-// lineage {origin#i} exactly like an in-memory base table, so renames
-// and partition sub-tables reconstruct lineage positionally instead of
-// materializing one LineageSet per row.
+// Lineage stays in memory, in the form the table had (lineage.go): a
+// segment-backed base table, and a view of one, keep it implicit, so a
+// partition's row i is origin#(start+i) and an operator reading a batch
+// reads its lineage from the scanned table at that ordinal.
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,9 +37,8 @@ type segPart struct {
 // renames; only the cache mutates, under its own lock.
 type segBacking struct {
 	store *SegmentStore
-	// origin is the lineage origin: the name the table was written
-	// under. Renames keep it, exactly as in-memory Rename materializes
-	// lineage pointing at the pre-rename name.
+	// origin is the name the table was written under, which every
+	// partition's header must carry.
 	origin string
 	// cols are the column names the table was written under; with origin
 	// and each partition's slot they identify the files read back.
@@ -86,8 +87,7 @@ type segCache struct {
 // Materialize returns an in-memory view of the table: t itself when it
 // already holds its rows, otherwise a shallow copy with every partition
 // decoded (cached on the shared backing, so repeated calls read disk
-// once). Derived tables without explicit lineage get it materialized
-// positionally, matching what the in-memory operators would have built.
+// once), its lineage t's.
 func (t *Table) Materialize() (*Table, error) {
 	if t.seg == nil {
 		return t, nil
@@ -97,29 +97,9 @@ func (t *Table) Materialize() (*Table, error) {
 		return nil, err
 	}
 	c := *t
-	c.Rows, c.Lineage = capped(rows), capped(t.Lineage)
+	c.Rows = capped(rows)
 	c.seg, c.res = nil, nil
-	if !c.Base && c.Lineage == nil {
-		c.Lineage = positionalLineage(t.seg.origin, 0, len(rows))
-	}
 	return &c, nil
-}
-
-// shareBacking makes out — the renamed shell of t — read t's segments, and
-// reports whether t is segment-backed. Per-row lineage is not
-// materialized: the copied backing keeps its origin, and RowLineage
-// reconstructs {origin#i} positionally — exactly the sets the in-memory
-// Rename materializes.
-func (t *Table) shareBacking(out *Table) bool {
-	if t.seg == nil {
-		return false
-	}
-	b := *t.seg
-	out.seg = &b
-	if !t.Base && t.Lineage != nil {
-		out.Lineage = capped(t.Lineage)
-	}
-	return true
 }
 
 // mustMaterialize is Materialize for operators without an error return
@@ -363,8 +343,12 @@ func (sc *Scanner) Close() {
 
 // eachBatch scans t (pred, optional, prunes partitions) and hands fn every
 // batch in order, stopping at the first error. need (optional) is what fn
-// reads from a batch, decoded ahead on the scan's workers.
+// reads from a batch, decoded ahead on the scan's workers. A table whose
+// rows an int32 lineage ordinal cannot address is refused.
 func eachBatch(t *Table, pred Expr, need func(*Batch) error, fn func(*Batch) error) error {
+	if n := t.NumRows(); n > math.MaxInt32 {
+		return fmt.Errorf("relation: %s has %d rows, more than lineage ordinals address", t.Name, n)
+	}
 	sc := NewScanner(t, pred)
 	sc.need = need
 	defer sc.Close()

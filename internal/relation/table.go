@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -28,37 +29,9 @@ type RowRef struct {
 // String renders the reference as "table#row".
 func (r RowRef) String() string { return fmt.Sprintf("%s#%d", r.Table, r.Row) }
 
-// LineageSet is a set of base-row references, kept sorted and deduplicated.
+// LineageSet is a set of base-row references, kept sorted and deduplicated:
+// what RowLineage makes of a row's stored lineage (lineage.go) on demand.
 type LineageSet []RowRef
-
-// mergeLineage unions two sorted LineageSets.
-func mergeLineage(a, b LineageSet) LineageSet {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make(LineageSet, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch cmpRef(a[i], b[j]) {
-		case -1:
-			out = append(out, a[i])
-			i++
-		case 1:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
 
 func cmpRef(a, b RowRef) int {
 	if a.Table != b.Table {
@@ -75,18 +48,6 @@ func cmpRef(a, b RowRef) int {
 	default:
 		return 0
 	}
-}
-
-// normalize sorts and deduplicates the set in place, returning it.
-func (l LineageSet) normalize() LineageSet {
-	sort.Slice(l, func(i, j int) bool { return cmpRef(l[i], l[j]) < 0 })
-	out := l[:0]
-	for i, r := range l {
-		if i == 0 || cmpRef(r, out[len(out)-1]) != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Contains reports whether the set contains ref.
@@ -155,10 +116,11 @@ func (c ColRefSet) Union(o ColRefSet) ColRefSet {
 
 // Table is an in-memory relation with provenance. A Table is *base* when
 // Base is true: its rows are the units of lineage and its columns the units
-// of where-provenance. Derived tables carry explicit Lineage (one set per
-// row) and ColOrigin (one set per column). A table is written while it is
-// being built and not after it is published: operators share rows and
-// lineage sets between input and output, and Freeze lets readers keep a
+// of where-provenance. A derived table keeps its rows' lineage in one of the
+// forms lineage.go describes — implicit, by column or packed — and
+// ColOrigin (one set per column). A table is written while it is being
+// built and not after it is published: operators share rows and lineage
+// columns between input and output, and Freeze lets readers keep a
 // columnar form of a published version.
 type Table struct {
 	Name   string
@@ -168,15 +130,13 @@ type Table struct {
 	// Base marks the table as a provenance origin.
 	Base bool
 
-	// Lineage holds, for each row, the set of base rows it derives from.
-	// For base tables it is nil and computed on demand, and so it is for a
-	// grouped table, which keeps its rows' lineage packed (see packed.go):
-	// read any table's with RowLineage.
-	Lineage []LineageSet
-
-	// packed, when non-nil, is the lineage of each row kept packed per base
-	// table instead of Lineage.
+	// lin, when it lists tables, is the rows' lineage by column; packed,
+	// when non-nil, is each row's lineage packed per base table. A table
+	// with neither keeps it implicit: a base table's row i is its own, a
+	// view's is origin#i. Read any table's with RowLineage or LineageParts.
+	lin    lineageCols
 	packed []groupLineage
+	origin string
 
 	// ColOrigin holds, for each column, the set of base (table, column)
 	// pairs it derives from. For base tables it is nil.
@@ -192,7 +152,7 @@ type Table struct {
 	res *resident
 
 	// tail, set on a version ApplyEdit built, guards the room it left
-	// behind the version's arrays — rows, lineage, resident columns: the
+	// behind the version's arrays — rows, lineage columns, resident ones: the
 	// first to claim it (claimTail) may write there, everyone else copies.
 	// Views sharing those arrays cap them at their length, so nothing else
 	// can reach the room.
@@ -204,21 +164,22 @@ func NewBase(name string, schema *Schema) *Table {
 	return &Table{Name: name, Schema: schema, Base: true}
 }
 
-// Append adds a row to the table, validating arity. For derived tables the
-// caller must maintain Lineage alongside; Append is intended for base
-// tables and simple construction. On a version ApplyEdit built, it writes
-// into the room behind the rows only if it claims that room first, and
-// copies the rows otherwise.
+// Append adds a row to a base table, validating arity; a derived table's
+// rows come with their lineage, from the operators and AppendDerived. On a
+// version ApplyEdit built, it writes into the room behind the rows only if
+// it claims that room first, and copies the rows otherwise.
 func (t *Table) Append(r Row) error {
-	if t.seg != nil {
+	switch {
+	case !t.Base:
+		return fmt.Errorf("relation: cannot append to derived table %s", t.Name)
+	case t.seg != nil:
 		return fmt.Errorf("relation: cannot append to segment-backed table %s", t.Name)
-	}
-	if len(r) != t.Schema.Len() {
+	case len(r) != t.Schema.Len():
 		return fmt.Errorf("relation: row arity %d does not match schema %s", len(r), t.Schema)
 	}
 	if t.tail != nil && !t.claimTail() {
 		// A later version owns the room: grow into fresh arrays.
-		t.Rows, t.Lineage = capped(t.Rows), capped(t.Lineage)
+		t.Rows = capped(t.Rows)
 	}
 	t.Rows = append(t.Rows, r)
 	t.res, t.tail = nil, nil
@@ -242,51 +203,6 @@ func (t *Table) NumRows() int {
 		return t.seg.rows
 	}
 	return len(t.Rows)
-}
-
-// RowLineage returns the lineage set of row i. For base tables this is the
-// singleton {t#i}; a packed row's is materialized.
-func (t *Table) RowLineage(i int) LineageSet {
-	if t.packed != nil {
-		if n := t.packed[i].refs(); n > 0 {
-			return t.packed[i].appendTo(make(LineageSet, 0, n))
-		}
-		return nil
-	}
-	if t.Base || t.Lineage == nil {
-		if !t.Base && t.seg != nil {
-			// A renamed segment-backed table keeps lineage implicit:
-			// row i derives from {origin#i}, the name it was written under.
-			return LineageSet{{Table: t.seg.origin, Row: i}}
-		}
-		return LineageSet{{Table: t.Name, Row: i}}
-	}
-	return t.Lineage[i]
-}
-
-// lineage returns the per-row lineage sets of an in-memory table:
-// t.Lineage when explicit, packed lineage materialized, otherwise the
-// positional singletons {t#i}.
-func (t *Table) lineage() []LineageSet {
-	if t.packed != nil {
-		return materialize(t.packed)
-	}
-	if t.Base || t.Lineage == nil {
-		return positionalLineage(t.Name, 0, len(t.Rows))
-	}
-	return t.Lineage
-}
-
-// positionalLineage builds the singleton sets {origin#start} …
-// {origin#start+n-1} out of one arena.
-func positionalLineage(origin string, start, n int) []LineageSet {
-	refs := make([]RowRef, n)
-	lin := make([]LineageSet, n)
-	for i := range refs {
-		refs[i] = RowRef{Table: origin, Row: start + i}
-		lin[i] = LineageSet(refs[i : i+1 : i+1])
-	}
-	return lin
 }
 
 // ColumnOrigin returns the where-provenance of column c. For base tables
@@ -336,20 +252,17 @@ func (t *Table) Shell() *Table {
 	return c
 }
 
-// Clone returns a deep copy of the table (rows, lineage and origins).
+// Clone returns a deep copy of the table (rows, lineage and origins); a
+// packed row's lineage, which is never written, is shared.
 func (t *Table) Clone() *Table {
 	c := t.Shell()
 	c.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
 		c.Rows[i] = r.Clone()
 	}
-	if t.packed != nil {
-		c.Lineage = materialize(t.packed)
-	} else if t.Lineage != nil {
-		c.Lineage = make([]LineageSet, len(t.Lineage))
-		for i, l := range t.Lineage {
-			c.Lineage[i] = append(LineageSet(nil), l...)
-		}
+	c.shareLineage(t, t.NumRows())
+	for k, col := range c.lin.cols {
+		c.lin.cols[k] = slices.Clone(col)
 	}
 	// The segment backing is immutable; clones share it (and its cache).
 	c.seg = t.seg

@@ -4,9 +4,10 @@
 // pipeline, the warehouse, and the report engine are built.
 //
 // Tables are immutable from the point of view of operators: every operator
-// returns a new Table whose Lineage and ColOrigin fields record, for each
-// derived row, the set of base rows it was computed from, and, for each
-// derived column, the set of base (table, column) pairs it was derived from.
+// returns a new Table whose row lineage (RowLineage, LineageParts) and
+// ColOrigin record, for each derived row, the set of base rows it was
+// computed from, and, for each derived column, the set of base (table,
+// column) pairs it was derived from.
 // This is the machinery the paper's provenance-based auditing (§4) and
 // intensional report conditions (§5) rely on.
 package relation

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -23,11 +24,13 @@ type relOps struct {
 	join     func(l, r *Table, pred Expr, kind JoinKind) (*Table, error)
 	groupBy  func(*Table, []string, []AggSpec) (*Table, error)
 	distinct func(*Table) *Table
+	union    func(a, b *Table) (*Table, error)
+	slice    func(*Table, []int) (*Table, error)
 }
 
 var (
-	prodOps = relOps{Select, Join, GroupBy, Distinct}
-	refOps  = relOps{selectRows, joinRows, groupByRows, distinctRows}
+	prodOps = relOps{Select, Join, GroupBy, Distinct, Union, SliceRows}
+	refOps  = relOps{selectRows, joinRows, groupByRows, distinctRows, unionRows, sliceRowsRef}
 )
 
 // requireSameOutcome fails the test unless the two paths produced the
@@ -62,6 +65,9 @@ func requireSameTable(t *testing.T, label string, vec, row *Table) {
 	for i := range vec.Rows {
 		if got, want := vec.RowLineage(i), row.RowLineage(i); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: lineage %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, got, want)
+		}
+		if got, want := partsOf(vec, i), partsOf(row, i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: lineage parts %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, got, want)
 		}
 	}
 	if len(vec.ColOrigin) != len(row.ColOrigin) {
@@ -161,18 +167,24 @@ func randTable(rng *rand.Rand, name string, nCols, nRows int) *Table {
 }
 
 // deriveSynthetic turns t into a derived table with synthetic multi-ref
-// lineage and column origins.
+// lineage — stored by column, or packed when t has an odd number of rows —
+// and column origins.
 func deriveSynthetic(rng *rand.Rand, t *Table) {
 	nRows, nCols := len(t.Rows), t.Schema.Len()
 	t.Base = false
-	t.Lineage = make([]LineageSet, nRows)
+	lin := make([]LineageSet, nRows)
 	t.ColOrigin = make([]ColRefSet, nCols)
 	for r := 0; r < nRows; r++ {
 		var ls LineageSet
 		for k := 0; k <= rng.Intn(3); k++ {
 			ls = append(ls, RowRef{Table: "src" + string(rune('a'+rng.Intn(2))), Row: rng.Intn(10)})
 		}
-		t.Lineage[r] = ls.normalize()
+		lin[r] = ls.normalize()
+	}
+	setLineage(t, lin)
+	if nRows%2 == 1 { // the same sets packed, as a grouped table keeps them
+		packed := packedRows(t)
+		t.lin, t.packed = lineageCols{}, packed
 	}
 	for c := 0; c < nCols; c++ {
 		t.ColOrigin[c] = ColRefSet{{Table: "srca", Column: fmt.Sprintf("o%d", c)}}.normalize()
@@ -366,6 +378,48 @@ func TestJoinEquivalence(t *testing.T) {
 				}
 			}
 		}
+
+		// A self-join pairs each row with itself — one ref for a base row —
+		// and with the other rows of its key; a NULL key misses.
+		self := Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0"))
+		for _, kind := range []JoinKind{InnerJoin, LeftJoin} {
+			vec, ve = Join(lq, Rename(l, "r"), self, kind)
+			row, re = joinRows(lq, Rename(l, "r"), self, kind)
+			requireSameOutcome(t, fmt.Sprintf("self-join seed=%d kind=%d", seed, kind), vec, row, ve, re)
+		}
+		// An edit of the base table a self-join read, with a Shift: the
+		// output rows naming a removed row go and the rest renumber, as
+		// joining the edited base does.
+		if !l.Base {
+			continue
+		}
+		old, err := Join(lq, Rename(l, "r"), self, InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var removed []int
+		kept := NewBase(l.Name, l.Schema)
+		for i, r := range l.Rows {
+			if rng.Intn(3) == 0 {
+				removed = append(removed, i)
+			} else {
+				kept.Rows = append(kept.Rows, r)
+			}
+		}
+		e := Edit{Shift: map[string][]int{l.Name: removed}}
+		for i := 0; i < old.NumRows(); i++ {
+			if slices.ContainsFunc(old.RowLineage(i), func(ref RowRef) bool { return slices.Contains(removed, ref.Row) }) {
+				e.Removed = append(e.Removed, i)
+			}
+		}
+		want, err := joinRows(Rename(kept, "l"), Rename(kept, "r"), self, InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []*Table{old, twinOf(old)} { // by column and packed
+			got, err := ApplyEdit(in, e, nil)
+			requireSameOutcome(t, fmt.Sprintf("self-join edited seed=%d packed=%v removed=%v", seed, in.packed != nil, removed), got, want, err, nil)
+		}
 	}
 }
 
@@ -407,6 +461,16 @@ func TestDistinctEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 4000))
 		tab := randTable(rng, "t", 1+rng.Intn(3), rng.Intn(60))
 		requireSameTable(t, fmt.Sprintf("distinct seed=%d", seed), Distinct(tab), distinctRows(tab))
+		// Over a self-join: two lineage columns of one table per row.
+		j, err := Join(Rename(tab, "l"), Rename(tab, "r"), Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0")), LeftJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ProjectCols(j, "l.c0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, fmt.Sprintf("distinct self-join seed=%d", seed), Distinct(p), distinctRows(p))
 	}
 }
 
@@ -437,6 +501,55 @@ func TestPipelineEquivalence(t *testing.T) {
 		vec, ve := run(prodOps)
 		row, re := run(refOps)
 		requireSameOutcome(t, fmt.Sprintf("pipeline seed=%d", seed), vec, row, ve, re)
+
+		// Unions of lineage by column with packed lineage, and of inputs
+		// over different base tables; a slice of the packed result.
+		mixed := func(o relOps) (*Table, error) {
+			j, err := o.join(Rename(l, "l"), Rename(r, "r"), Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0")), LeftJoin)
+			if err != nil {
+				return nil, err
+			}
+			g, err := o.groupBy(j, []string{"l.c0"}, []AggSpec{{Kind: AggCount, As: "n"}})
+			if err != nil {
+				return nil, err
+			}
+			jp, err := ProjectCols(j, "l.c0", "r.c1")
+			if err != nil {
+				return nil, err
+			}
+			u, err := o.union(jp, g)
+			if err != nil {
+				return nil, err
+			}
+			lp, err := ProjectCols(l, "c0", "c1")
+			if err != nil {
+				return nil, err
+			}
+			rp, err := ProjectCols(r, "c0", "c1")
+			if err != nil {
+				return nil, err
+			}
+			sides, err := o.union(lp, rp)
+			if err != nil {
+				return nil, err
+			}
+			all, err := o.union(sides, u)
+			if err != nil {
+				return nil, err
+			}
+			var idx []int
+			for i := all.NumRows() - 1; i >= 0; i -= 2 {
+				idx = append(idx, i)
+			}
+			s, err := o.slice(all, idx)
+			if err != nil {
+				return nil, err
+			}
+			return Sort(o.distinct(s), SortKey{Col: "c0"})
+		}
+		vec, ve = mixed(prodOps)
+		row, re = mixed(refOps)
+		requireSameOutcome(t, fmt.Sprintf("union pipeline seed=%d", seed), vec, row, ve, re)
 	}
 }
 

@@ -26,7 +26,7 @@ func checkHeaderIsExecuted(t *testing.T, c *Catalog, q string) {
 	if err != nil {
 		t.Fatalf("Header(%q): %v", q, err)
 	}
-	if got.NumRows() != 0 || got.Lineage != nil {
+	if got.NumRows() != 0 {
 		t.Errorf("Header(%q) carries %d rows", q, got.NumRows())
 	}
 	if got.Name != want.Name || got.Base != want.Base {
