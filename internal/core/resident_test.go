@@ -157,7 +157,9 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 
 // TestConcurrentFirstRendersShareVectors: goroutines racing to be the first
 // reader of a fresh engine's wide table each build a column's vector at
-// most once and all end up reading the one that was published.
+// most once and all end up reading the one that was published. Their
+// grouped renders by drug race to build the version's grouping: one is
+// published, and the renders after read it instead of building another.
 func TestConcurrentFirstRendersShareVectors(t *testing.T) {
 	e := buildConcurrencyEngine(t, Config{})
 	wide, ok := e.Catalog.Table("rx_wide")
@@ -196,6 +198,18 @@ func TestConcurrentFirstRendersShareVectors(t *testing.T) {
 				t.Fatalf("worker %d read its own vector of column %d", w, ci)
 			}
 		}
+	}
+	g := publishedGrouping(wide, "drug")
+	if g == 0 {
+		t.Fatal("the grouped renders published no grouping of rx_wide.drug")
+	}
+	for _, id := range []string{"drug-consumption", "age-profile"} {
+		if _, err := e.Render(id, analyst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again := publishedGrouping(wide, "drug"); again != g {
+		t.Errorf("a render after the race published grouping %#x over %#x", again, g)
 	}
 	verifyResident(t, e)
 }

@@ -15,7 +15,9 @@ import (
 // group's lineage is packed on emit, per base table, without a RowRef made
 // (lineage.go). Feeding a table in pieces is byte-identical to feeding it
 // whole: group order is first-seen, and float SUM/AVG accumulate in row
-// order within a group either way.
+// order within a group either way. Only GroupBy, grouping a frozen
+// in-memory table whole by one column, reads or publishes the version's
+// grouping; a state fed through AddTable does neither.
 type GroupByState struct {
 	template *Table // schema, name and provenance donor; never mutated
 	keys     []string
@@ -226,32 +228,66 @@ func (s *GroupByState) add(b *Batch) error {
 		start = end
 	}
 
-	// Pass 2: accumulate aggregates column by column over vectors.
+	// Pass 2: the aggregates.
+	aggregate(s, gids, nil, aggVecs, nil)
+	return nil
+}
+
+// aggregate accumulates the aggregates of one batch, column by column over
+// its vectors: row ri into the group of class cls[ri], class c being group
+// c, or group group[c] when group is not nil (-1: no row is of class c).
+// counts, when not nil, is each group's member rows in the batch, which
+// COUNT(*) then adds instead of counting them.
+func aggregate[C int32 | uint32](s *GroupByState, cls []C, group []int32, aggVecs []*Vector, counts []int32) {
+	groups := s.groups
 	for ai, a := range s.aggs {
+		if s.aggIdx[ai] < 0 && counts != nil {
+			for gi, n := range counts {
+				groups[gi].states[ai].n += int64(n)
+			}
+			continue
+		}
+		// This aggregate's state per class, one load from a row's class.
+		classes := len(groups)
+		if group != nil {
+			classes = len(group)
+		}
+		sts := make([]*aggState, classes)
+		for c := range sts {
+			gi := int32(c)
+			if group != nil {
+				gi = group[c]
+			}
+			if gi >= 0 {
+				sts[c] = &groups[gi].states[ai]
+			}
+		}
 		if s.aggIdx[ai] < 0 { // COUNT(*): one per member row
-			for _, gi := range gids {
-				s.groups[gi].states[ai].n++
+			for _, c := range cls {
+				sts[c].n++
 			}
 			continue
 		}
 		vec := aggVecs[ai]
 		switch {
 		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TInt:
+			null := vec.Null
 			for ri, x := range vec.I {
-				if vec.Null != nil && vec.Null[ri] {
+				if null != nil && null[ri] {
 					continue
 				}
-				st := &s.groups[gids[ri]].states[ai]
+				st := sts[cls[ri]]
 				st.n++
 				st.sumInt += x
 				st.sum += float64(x)
 			}
 		case (a.Kind == AggSum || a.Kind == AggAvg) && vec.V == nil && vec.Kind == TFloat:
+			null := vec.Null
 			for ri, f := range vec.F {
-				if vec.Null != nil && vec.Null[ri] {
+				if null != nil && null[ri] {
 					continue
 				}
-				st := &s.groups[gids[ri]].states[ai]
+				st := sts[cls[ri]]
 				st.n++
 				st.allInt = false
 				st.sum += f
@@ -262,7 +298,7 @@ func (s *GroupByState) add(b *Batch) error {
 				if v.IsNull() {
 					continue
 				}
-				st := &s.groups[gids[ri]].states[ai]
+				st := sts[cls[ri]]
 				st.n++
 				switch a.Kind {
 				case AggSum, AggAvg:
@@ -294,7 +330,77 @@ func (s *GroupByState) add(b *Batch) error {
 			}
 		}
 	}
-	return nil
+}
+
+// grouping is what GroupBy by one column forms over a frozen in-memory
+// version whatever its aggregates: the groups, first-seen, with each one's
+// key, member count and packed lineage, and the group of each of the
+// column's dictionary codes. The first such GroupBy builds it from its
+// result and publishes it on the version (resident.groups); every later one
+// reads a row's group off its code and runs the aggregate pass alone
+// (regroup). Its lineage is shared by every table emitted since and never
+// written.
+type grouping struct {
+	byCode  []int32 // per code, its group, or -1 for a code no row holds
+	keys    []Value
+	counts  []int32
+	lineage []groupLineage
+}
+
+// groupingOf returns the grouping of t, frozen and in memory, that s holds
+// once fed t whole by its one key column, but for its lineage, which s
+// packs on emit. s met t's codes in row order and opened a group at each
+// new one (codeIDs), so the groups are the codes in order of first sight.
+func (s *GroupByState) groupingOf(t *Table) *grouping {
+	codes, card, _ := t.DistinctCodes(s.keyIdx[0])
+	g := &grouping{byCode: make([]int32, card), keys: make([]Value, len(s.groups)), counts: make([]int32, len(s.groups))}
+	for c := range g.byCode {
+		g.byCode[c] = -1
+	}
+	opened := 0
+	for _, c := range codes {
+		if opened == len(s.groups) {
+			break
+		}
+		if g.byCode[c] < 0 {
+			g.byCode[c] = int32(opened)
+			opened++
+		}
+	}
+	for gi, grp := range s.groups {
+		g.keys[gi] = grp.key[0]
+		for _, f := range grp.fresh {
+			g.counts[gi] += int32(len(f.rows))
+		}
+	}
+	return g
+}
+
+// regroup is GroupBy over t, frozen and in memory, through g, its version's
+// grouping by s's one key column: the groups and their lineage are g's, and
+// only the aggregates are computed — COUNT(*) from g's member counts, the
+// others over t's column vectors, a row's group read off its code.
+func (s *GroupByState) regroup(t *Table, g *grouping) *Table {
+	na := len(s.aggs)
+	states := make([]aggState, len(g.keys)*na)
+	s.groups = make([]gbGroup, len(g.keys))
+	for gi := range s.groups {
+		st := states[gi*na : (gi+1)*na : (gi+1)*na]
+		for i := range st {
+			st[i].allInt = true
+		}
+		s.groups[gi] = gbGroup{key: g.keys[gi : gi+1 : gi+1], states: st, lineage: g.lineage[gi]}
+	}
+	aggVecs := make([]*Vector, na)
+	for ai, ci := range s.aggIdx {
+		if ci >= 0 {
+			aggVecs[ai] = t.column(ci)
+		}
+	}
+	codes, _, _ := t.DistinctCodes(s.keyIdx[0])
+	s.srcRows = len(codes)
+	aggregate(s, codes, g.byCode, aggVecs, g.counts)
+	return s.Result()
 }
 
 // dictCodes returns the dictionary codes of column ci for the rows of a

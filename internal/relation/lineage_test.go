@@ -161,9 +161,11 @@ func headOf(t *Table, n int) *Table {
 // read by column or packed, fed whole or in two pieces, frozen or not —
 // materializes to exactly what the reference GroupBy gathers and
 // normalizes, and what the emit before packing wrote (emitGroupLineage);
-// every operator fed the input, and fed the grouped table, equals the same
-// operator fed the same lineage in the other form, and the reference fed
-// either; and Freeze keeps the form a table has.
+// grouping a frozen copy twice, the second time through the grouping the
+// first published, equals grouping the unfrozen table; every operator fed
+// the input, and fed the grouped table, equals the same operator fed the
+// same lineage in the other form, and the reference fed either; and Freeze
+// keeps the form a table has.
 func FuzzGroupLineage(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 1, 2, 2, 3, 1, 2, 0, 1, 65, 9, 0, 1, 2, 0, 130, 7, 1, 3, 0, 5, 192, 4, 2, 9})
 	f.Add([]byte{3, 1, 0, 0, 3, 1, 0, 0, 4, 2, 1, 200, 1, 100, 5, 0})
@@ -192,7 +194,7 @@ func FuzzGroupLineage(f *testing.F) {
 			}
 			frozen := plainCopy(tab)
 			frozen.Freeze()
-			for _, in := range []*Table{tab, frozen, twinOf(tab)} {
+			for _, in := range []*Table{tab, frozen, frozen, twinOf(tab)} {
 				got, err := GroupBy(in, keys, aggs)
 				requireSameOutcome(t, fmt.Sprintf("keys=%v", keys), got, want, err, nil)
 				requirePartsMatch(t, got)
@@ -476,5 +478,34 @@ func TestLineageAllocationBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { out.LineageParts(n/2, count) }); allocs != 0 || refs == 0 {
 		t.Errorf("LineageParts over a row of lineage columns: %v allocations, %d refs", allocs, refs)
+	}
+}
+
+// TestGroupingAllocationBudget holds a repeat GroupBy by one key of a frozen
+// table to its output, on one P: over a 50k-row join with lineage columns,
+// the second GroupBy reads the grouping the first published and allocates
+// no more than 64 KB — no per-row list, no packed lineage, whatever the
+// aggregates.
+func TestGroupingAllocationBudget(t *testing.T) {
+	const n, budget = 50000, 64 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	facts, lookup := starTables(n)
+	wide, _, err := JoinOrdinals(Rename(facts, "f"), Rename(lookup, "d"), Eq(ColRefExpr("f.drug"), ColRefExpr("d.name")), InnerJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.Freeze()
+	for _, aggs := range [][]AggSpec{{{Kind: AggCount}}, {{Kind: AggCount}, {Kind: AggSum, Col: "cost"}, {Kind: AggAvg, Col: "id"}}} {
+		group := func() {
+			if out, err := GroupBy(wide, []string{"drug"}, aggs); err != nil || out.NumRows() != 25 {
+				t.Fatalf("GroupBy = %v rows, %v", out.NumRows(), err)
+			}
+		}
+		first := allocated(group)
+		again := allocated(group)
+		t.Logf("GroupBy by drug of %d rows, %d aggregates: first %d bytes, again %d", n, len(aggs), first, again)
+		if again > budget {
+			t.Errorf("a repeat GroupBy of %d rows with %d aggregates allocated %d bytes, more than %d", n, len(aggs), again, budget)
+		}
 	}
 }

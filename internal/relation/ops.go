@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Select returns the rows of t satisfying pred, preserving lineage and
@@ -260,16 +261,31 @@ func (st *aggState) result(kind AggKind) Value {
 // output schema is keys followed by aggregates. Row lineage of each group
 // is the union of its members' lineage — the basis for the paper's
 // aggregation-threshold enforcement (a group's base-row support is exactly
-// the size of its patient-level lineage).
+// the size of its patient-level lineage). Grouped by one column of a
+// frozen in-memory table, it reads and publishes that version's grouping.
 func GroupBy(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 	st, err := NewGroupByState(t, keys, aggs)
 	if err != nil {
 		return nil, err
 	}
+	var slot *atomic.Pointer[grouping]
+	if r := t.frozen(); r != nil && r.groups != nil && len(keys) == 1 {
+		slot = &r.groups[st.keyIdx[0]]
+		if g := slot.Load(); g != nil {
+			return st.regroup(t, g), nil
+		}
+	}
 	if err := st.AddTable(t); err != nil {
 		return nil, err
 	}
-	return st.Result(), nil
+	if slot == nil {
+		return st.Result(), nil
+	}
+	g := st.groupingOf(t)
+	out := st.Result()
+	g.lineage = slices.Clone(out.packed)
+	slot.CompareAndSwap(nil, g)
+	return out, nil
 }
 
 // Distinct removes duplicate rows; the surviving row's lineage is the union

@@ -14,7 +14,9 @@ import (
 // it. Each part is built by the first reader that asks and
 // published with an atomic pointer; a reader losing that race drops its
 // copy and uses the published one. ApplyEdit hands the next version the
-// published vectors and dictionaries, edited alike (carry).
+// published vectors and dictionaries, edited alike (carry); a join index
+// and a grouping are never carried, and the next version's first reader
+// builds its own.
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -27,6 +29,9 @@ type resident struct {
 	keys []atomic.Pointer[joinIndex]
 	// dict holds each column's distinct-support dictionary (DistinctCodes).
 	dict []atomic.Pointer[valueDict]
+	// groups holds, per column of an in-memory table, the groups a
+	// whole-table GroupBy by that column alone forms (grouping).
+	groups []atomic.Pointer[grouping]
 }
 
 // valueDict is one column's DistinctCodes. Readers touch codes and card
@@ -116,6 +121,7 @@ func newResident(t *Table) *resident {
 	if t.seg == nil {
 		r.cols = make([]atomic.Pointer[Vector], t.Schema.Len())
 		r.keys = make([]atomic.Pointer[joinIndex], t.Schema.Len())
+		r.groups = make([]atomic.Pointer[grouping], t.Schema.Len())
 	}
 	return r
 }
@@ -161,7 +167,7 @@ func (t *Table) hashIndex(ci int) joinIndex {
 // carry returns the resident form of out, the version of old that edit e
 // leads to (dirty: the rows it brought, final in out): each vector and
 // dictionary readers published on old, edited the same way, and nothing
-// else — a part not published, a join index and a
+// else — a part not published, a join index, a grouping and a
 // dictionary an earlier successor claimed stay for out's readers to build,
 // as does a part whose edited form would differ from what they would build.
 // grow says the caller holds old's tail: arrays with room grow in place.
@@ -273,10 +279,11 @@ func editDict(d *valueDict, out *Table, ci int, e Edit, dirty []int, grow bool) 
 
 // VerifyResident re-derives whatever columnar form readers have published
 // for t, or an edit carried to it — each column vector and join index from
-// t.Rows, each dictionary from t's cells — and reports the first cell
-// where the published form differs: the trace of a write into a table after
-// it was frozen, or of a carry that edited a part wrongly. Tests call it
-// after runs, or rounds, that interleave renders with writes.
+// t.Rows, each dictionary from t's cells, each grouping from its cells and
+// lineage — and reports the first cell where the published form differs:
+// the trace of a write into a table after it was frozen, or of a carry that
+// edited a part wrongly. Tests call it after runs, or rounds, that
+// interleave renders with writes.
 func VerifyResident(t *Table) error {
 	r := t.frozen()
 	if r == nil {
@@ -333,6 +340,56 @@ func VerifyResident(t *Table) error {
 					t.Name, t.Schema.Columns[ci].Name, v, ri, c, d.card)
 			}
 			keys[MapKey(v)], used[c] = c, true
+		}
+	}
+	for ci := range r.groups {
+		if g := r.groups[ci].Load(); g != nil {
+			if err := verifyGrouping(t, ci, g); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// verifyGrouping re-derives column ci's groups from t's cells and lineage —
+// first-seen keys, member rows, packed lineage — and reports the first
+// group or row where g, its published grouping, differs.
+func verifyGrouping(t *Table, ci int, g *grouping) error {
+	name := t.Schema.Columns[ci].Name
+	d := t.res.dict[ci].Load()
+	if d == nil || len(g.counts) != len(g.keys) || len(g.lineage) != len(g.keys) {
+		return fmt.Errorf("relation: %s: grouping of column %s is malformed", t.Name, name)
+	}
+	byKey := map[ValKey]int32{}
+	var members [][]uint32
+	for ri, row := range t.Rows {
+		v := row[ci]
+		gi, ok := byKey[MapKey(v)]
+		if !ok {
+			gi = int32(len(members))
+			if int(gi) >= len(g.keys) || g.keys[gi].Kind != v.Kind || g.keys[gi].Key() != v.Key() {
+				return fmt.Errorf("relation: %s: grouping of column %s opens group %d at row %d, whose key is %v", t.Name, name, gi, ri, v)
+			}
+			byKey[MapKey(v)], members = gi, append(members, nil)
+		}
+		members[gi] = append(members[gi], uint32(ri))
+		if c := d.codes[ri]; int(c) >= len(g.byCode) || g.byCode[c] != gi {
+			return fmt.Errorf("relation: %s: grouping of column %s does not put row %d in group %d", t.Name, name, ri, gi)
+		}
+	}
+	if len(members) != len(g.keys) {
+		return fmt.Errorf("relation: %s: grouping of column %s has %d groups, the table %d", t.Name, name, len(g.keys), len(members))
+	}
+	var sc lineageScratch
+	for gi, rows := range members {
+		if int(g.counts[gi]) != len(rows) {
+			return fmt.Errorf("relation: %s: grouping of column %s counts %d rows in group %d, the table %d", t.Name, name, g.counts[gi], gi, len(rows))
+		}
+		sc.addRows(t, 0, rows)
+		if got, want := g.lineage[gi].appendTo(nil), sc.pack().appendTo(nil); !slices.Equal(got, want) {
+			return fmt.Errorf("relation: %s: grouping of column %s holds other lineage in group %d: %d refs, its rows' %d",
+				t.Name, name, gi, len(got), len(want))
 		}
 	}
 	return nil

@@ -32,17 +32,60 @@ func plainCopy(t *Table) *Table {
 
 var residentAggs = []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: "n"}}
 
+// keyed is a base table (key STRING, n INT) of n rows over `groups` key
+// values, every fifth key NULL.
+func keyed(name string, n, groups int) *Table {
+	t := NewBase(name, NewSchema(Col("key", TString), Col("n", TInt)))
+	for i := 0; i < n; i++ {
+		key := Str(fmt.Sprintf("k%02d", (i*7)%groups))
+		if i%5 == 3 {
+			key = Null()
+		}
+		t.AppendVals(key, Int(int64(i)))
+	}
+	return t
+}
+
+// grouped returns the grouping tb's version published for column key.
+func grouped(tb *Table) *grouping {
+	if tb.frozen() == nil {
+		return nil
+	}
+	return tb.res.groups[tb.Schema.Index("key")].Load()
+}
+
 // TestGroupByFrozenEqualsPlain: GroupBy over a frozen table reads resident
-// vectors; over the same rows never frozen it reads the rows. Rows and
-// lineage must agree on every shape of lineage: by column, with a column of
-// -1s, with two columns of one table, and packed where refs are no
-// ordinals.
+// vectors, and by its one key publishes the version's grouping, which the
+// next GroupBy over the version or a view of it reads instead of grouping
+// the rows; over an unfrozen copy it reads the rows. Rows, lineage and
+// lineage parts must agree with the reference on every shape of lineage:
+// implicit, by column, with a column of -1s, with two columns of one table,
+// and packed — where refs are no ordinals, or the input is grouped — and
+// over NULL keys and no rows. The successor ApplyEdit makes, and a base
+// table Append grows, group their own rows.
 func TestGroupByFrozenEqualsPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	star := func(i int) LineageSet { // the rx_wide shape: fact row, small dimension, shared dimension
 		return LineageSet{{Table: "drugcost", Row: (i * 7) % 25}, {Table: "prescriptions", Row: i}, {Table: "residents", Row: (i * 31) % 700}}
 	}
 	perm := rng.Perm(4000)
+	facts, lookup := keyed("facts", 3000, 30), keyed("drugs", 20, 20)
+	lookup.Rows = slices.DeleteFunc(lookup.Rows, func(r Row) bool { return r[0].IsNull() }) // a key joins at most one row
+	leftJoin, err := Join(Rename(facts, "f"), Rename(lookup, "d"), Eq(ColRefExpr("f.key"), ColRefExpr("d.key")), LeftJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucketed, err := Extend(linTable("inner", 4000, 25, star), "b", Bin(OpMod, ColRefExpr("n"), Lit(Int(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrouped, err := GroupBy(bucketed, []string{"key", "b"}, []AggSpec{{Kind: AggSum, Col: "n", As: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(leftJoin.lin.cols[slices.Index(leftJoin.lin.tables, "drugs")], -1) || regrouped.packed == nil {
+		t.Fatal("the LEFT JOIN misses no row, or the grouped input is not packed: the cases pin nothing")
+	}
 	cases := []struct {
 		name  string
 		table *Table
@@ -76,34 +119,88 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 		{"two refs into one table", linTable("pair", 300, 4, func(i int) LineageSet {
 			return LineageSet{{Table: "a", Row: i}, {Table: "a", Row: i + 300}, {Table: "b", Row: i % 5}}
 		})},
+		{"a base table with NULL keys", keyed("base", 3000, 30)},
+		{"a LEFT JOIN miss", leftJoin},
+		{"a grouped input", regrouped},
+		{"no rows", linTable("none", 0, 1, nil)},
 	}
-	for _, tc := range cases {
-		want, err := GroupBy(plainCopy(tc.table), []string{"key"}, residentAggs)
+	check := func(label string, tb *Table) {
+		t.Helper()
+		want, err := groupByRows(plainCopy(tb), []string{"key"}, residentAggs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.table.Freeze()
-		for pass := 0; pass < 2; pass++ { // the second pass reads what the first published
-			got, err := GroupBy(tc.table, []string{"key"}, residentAggs)
+		got, err := GroupBy(tb.Clone(), []string{"key"}, residentAggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, label+" unfrozen", got, want)
+		tb.Freeze()
+		var first *grouping
+		for pass, name := range []string{"build", "hit"} {
+			got, err := GroupBy(tb, []string{"key"}, residentAggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameTable(t, tc.name, got, want)
-		}
-		for ci := range tc.table.res.cols {
-			if tc.table.res.cols[ci].Load() == nil {
-				t.Errorf("%s: column %d has no resident vector after two GroupBys", tc.name, ci)
+			requireSameTable(t, label+" "+name, got, want)
+			if g := grouped(tb); g == nil || pass > 0 && g != first {
+				t.Fatalf("%s: pass %d left grouping %p, the first %p", label, pass, g, first)
+			} else {
+				first = g
 			}
 		}
-		if err := VerifyResident(tc.table); err != nil {
-			t.Errorf("%s: %v", tc.name, err)
+		for _, name := range []string{"key", "n"} {
+			if tb.res.cols[tb.Schema.Index(name)].Load() == nil {
+				t.Errorf("%s: column %s has no resident vector after two GroupBys", label, name)
+			}
 		}
-		// Through the view a query reads a registered table by.
-		got, err := GroupBy(Rename(tc.table, "v"), []string{"v.key"}, []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: "v.n"}})
+		if err := VerifyResident(tb); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+		// Through the view a query reads a registered table by: it shares
+		// the version and its grouping.
+		v := Rename(tb, "v")
+		got, err = GroupBy(v, []string{"v.key"}, []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: "v.n"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTable(t, tc.name+" renamed", got, want)
+		requireSameTable(t, label+" renamed", got, want)
+		if grouped(v) != first {
+			t.Errorf("%s: the renamed view reads a grouping of its own", label)
+		}
+	}
+	for _, tc := range cases {
+		check(tc.name, tc.table)
+		n := tc.table.NumRows()
+		if n == 0 {
+			continue
+		}
+		// The next version: row 0 takes the last row's key, one row comes.
+		repl, err := SliceRows(tc.table, []int{n - 1, n / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := ApplyEdit(tc.table, Edit{Updated: []int{0}, Appended: 1}, repl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped(next) != nil {
+			t.Fatalf("%s: the edit carried the grouping", tc.name)
+		}
+		check(tc.name+" edited", next)
+	}
+
+	// Append drops the version: the grown table groups its own rows.
+	base := keyed("grown", 500, 9)
+	check("base", base)
+	old := grouped(base)
+	base.AppendVals(Str("k99"), Int(-1))
+	if grouped(base) != nil {
+		t.Fatal("Append kept the form")
+	}
+	check("base appended", base)
+	if grouped(base) == old {
+		t.Error("the grown table reads the grouping of the version before")
 	}
 }
 
@@ -688,8 +785,8 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 }
 
 // TestVerifyResidentFindsInPlaceWrites: the safety net reports a cell, a
-// join key or a dictionary code written after the form it contradicts was
-// published.
+// join key, a dictionary code or a grouping written after the form it
+// contradicts was published.
 func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	tb := linTable("w", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}, {Table: "b", Row: i % 3}} })
 	tb.Freeze()
@@ -738,6 +835,33 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	c[3], c[4] = own, own // k00 under k01's code as well as its own
 	if err := VerifyResident(dt); err == nil || !strings.Contains(err.Error(), "row 4") {
 		t.Errorf("one value under two codes not reported: %v", err)
+	}
+
+	// A grouping that puts a key's rows in another group, miscounts a
+	// group, or holds another group's lineage.
+	g := grouped(tb)
+	if g == nil {
+		t.Fatal("GroupBy by key published no grouping")
+	}
+	k := codes(t, tb, 0)[0]
+	corrupt := []struct {
+		name, report string
+		write, undo  func()
+	}{
+		{"a row moved", "does not put row 0 in group 0", func() { g.byCode[k] ^= 1 }, func() { g.byCode[k] ^= 1 }},
+		{"a count", "counts 17 rows in group 2", func() { g.counts[2]++ }, func() { g.counts[2]-- }},
+		{"two lineages swapped", "lineage in group 0", func() { g.lineage[0], g.lineage[1] = g.lineage[1], g.lineage[0] },
+			func() { g.lineage[0], g.lineage[1] = g.lineage[1], g.lineage[0] }},
+	}
+	for _, c := range corrupt {
+		c.write()
+		if err := VerifyResident(tb); err == nil || !strings.Contains(err.Error(), "grouping of column key") || !strings.Contains(err.Error(), c.report) {
+			t.Errorf("%s not reported: %v", c.name, err)
+		}
+		c.undo()
+	}
+	if err := VerifyResident(tb); err != nil {
+		t.Error(err)
 	}
 }
 
