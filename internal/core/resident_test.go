@@ -93,9 +93,14 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 
 // TestRendersDuringInsertDeltas: renders run while insert-only deltas
 // commit, each of which grows the arrays of the versions the renders may be
-// reading. Under -race no render reads what a commit writes; every render
-// succeeds, none sees fewer prescriptions than one before it, and every
-// version left behind passes VerifyResident.
+// reading and hands each new version of rx_wide the grouping by drug of the
+// one before, extended. Under -race no render reads what a commit writes;
+// every render succeeds, none sees fewer prescriptions than one before it,
+// every insert's version of rx_wide has its grouping when the delta
+// returns — every other delta commits while the renderers wait, so no
+// render can have built it — and every version left behind passes
+// VerifyResident. An update batch after them carries no grouping: the
+// render after it builds one.
 func TestRendersDuringInsertDeltas(t *testing.T) {
 	cfg := workload.DefaultConfig(8)
 	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
@@ -120,13 +125,16 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	var gate sync.RWMutex // held by the writer while renders must wait
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var last int64
 			for {
+				gate.RLock()
 				n, err := total()
+				gate.RUnlock()
 				if err != nil || n < last {
 					t.Errorf("render during deltas: %d prescriptions after %d, %v", n, last, err)
 					return
@@ -146,12 +154,41 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			d.Inserts = append(d.Inserts, randRxRow(rng, ds, 10*i+j))
 		}
-		if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{d}}); err != nil {
+		if i%2 == 1 {
+			gate.Lock()
+		}
+		_, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{d}})
+		wide, _ := e.Catalog.Table("rx_wide")
+		carried := publishedGrouping(wide, "drug") != 0
+		if i%2 == 1 {
+			gate.Unlock()
+		}
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !carried {
+			t.Fatalf("insert delta %d: the new version of rx_wide has no grouping by drug", i)
 		}
 	}
 	close(done)
 	wg.Wait()
+	verifyResident(t, e)
+
+	update := etl.Delta{Source: "hospital", Table: "prescriptions",
+		Updates: []etl.RowUpdate{{Row: 0, Vals: randRxRow(rng, ds, 1000)}}}
+	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{update}}); err != nil {
+		t.Fatal(err)
+	}
+	wide, _ := e.Catalog.Table("rx_wide")
+	if publishedGrouping(wide, "drug") != 0 {
+		t.Fatal("an update delta carried the grouping of rx_wide by drug")
+	}
+	if _, err := total(); err != nil {
+		t.Fatal(err)
+	}
+	if publishedGrouping(wide, "drug") == 0 {
+		t.Error("the render after an update delta published no grouping of rx_wide by drug")
+	}
 	verifyResident(t, e)
 }
 

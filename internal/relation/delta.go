@@ -60,7 +60,13 @@ type Edit struct {
 
 // Empty reports whether the edit changes nothing, rows or lineage.
 func (e Edit) Empty() bool {
-	return e.Appended == 0 && len(e.Updated) == 0 && len(e.Removed) == 0 && len(e.Shift) == 0
+	return e.Appended == 0 && e.onlyAppends()
+}
+
+// onlyAppends reports whether the edit leaves every row of the previous
+// version, and its lineage, as it was.
+func (e Edit) onlyAppends() bool {
+	return len(e.Updated) == 0 && len(e.Removed) == 0 && len(e.Shift) == 0
 }
 
 // Dirty lists the rows of the new version (newLen rows) whose content the
@@ -134,7 +140,7 @@ func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	grow := len(e.Removed) == 0 && len(e.Updated) == 0 && len(e.Shift) == 0 && old.claimTail()
+	grow := e.onlyAppends() && old.claimTail()
 	var out *Table
 	if om.Base {
 		out = &Table{Name: old.Name, Schema: old.Schema, Base: true}

@@ -185,7 +185,10 @@ func TestApplyEditChainCarriesResident(t *testing.T) {
 // 50k rows, three lineage columns, both vectors published — by an append of
 // 50 rows, which grows the version in place (its
 // tail claim is handed back before each one), and by an update of 10 rows,
-// which copies it.
+// which copies it. append-group is the render after an insert delta: the
+// same append to a version whose grouping by key is published (the claims
+// on its tail and dictionary handed back before each one), which carries
+// the grouping, then a GroupBy of the successor, which reads it.
 func BenchmarkApplyEdit(b *testing.B) {
 	const n = 50000
 	star := func(i int) LineageSet {
@@ -222,6 +225,30 @@ func BenchmarkApplyEdit(b *testing.B) {
 			}
 		})
 	}
+	if _, err := GroupBy(v0, []string{"key"}, residentAggs); err != nil {
+		b.Fatal(err)
+	}
+	// The version after v0 has its dictionary codes copied with room behind
+	// them, as a delta's versions do.
+	v1, err := ApplyEdit(v0, Edit{Appended: 1}, linTable("rx_wide", 1, 25, func(int) LineageSet { return star(n + 1) }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	repl := linTable("rx_wide", 50, 25, func(i int) LineageSet { return star(n + 2 + i) })
+	b.Run("append-group", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v1.tail.Store(false)
+			v1.res.dict[0].Load().claimed.Store(false)
+			out, err := ApplyEdit(v1, Edit{Appended: 50}, repl)
+			if err != nil || grouped(out) == nil {
+				b.Fatalf("%v: the append carried no grouping", err)
+			}
+			if _, err := GroupBy(out, []string{"key"}, residentAggs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestApplyEditSharesUntouchedLineage: only ordinals past the first lost

@@ -17,7 +17,8 @@ import (
 // whole: group order is first-seen, and float SUM/AVG accumulate in row
 // order within a group either way. Only GroupBy, grouping a frozen
 // in-memory table whole by one column, reads or publishes the version's
-// grouping; a state fed through AddTable does neither.
+// grouping, which an append carries to the next version (extendGrouping);
+// a state fed through AddTable does neither.
 type GroupByState struct {
 	template *Table // schema, name and provenance donor; never mutated
 	keys     []string
@@ -338,8 +339,10 @@ func aggregate[C int32 | uint32](s *GroupByState, cls []C, group []int32, aggVec
 // column's dictionary codes. The first such GroupBy builds it from its
 // result and publishes it on the version (resident.groups); every later one
 // reads a row's group off its code and runs the aggregate pass alone
-// (regroup). Its lineage is shared by every table emitted since and never
-// written.
+// (regroup). An edit that only appends hands the next version a copy
+// extended by the appended rows (extendGrouping), sharing every part they
+// do not touch. Its lineage is shared by every table emitted since, and by
+// the groupings of the versions after, and never written.
 type grouping struct {
 	byCode  []int32 // per code, its group, or -1 for a code no row holds
 	keys    []Value

@@ -371,6 +371,82 @@ func (gl groupLineage) appendTo(dst LineageSet) LineageSet {
 	return dst
 }
 
+// union returns gl with the refs of add, a few rows' lineage packed, merged
+// in part by part: a part of a table only one side names is that side's,
+// shared; a table both name gets the union of the two parts. Neither gl nor
+// add is written.
+func (gl groupLineage) union(add groupLineage) groupLineage {
+	out := make(groupLineage, 0, max(len(gl), len(add))) // add mostly names tables gl does
+	i, j := 0, 0
+	for i < len(gl) || j < len(add) {
+		switch {
+		case j == len(add) || i < len(gl) && gl[i].Table < add[j].Table:
+			out = append(out, gl[i])
+			i++
+		case i == len(gl) || add[j].Table < gl[i].Table:
+			out = append(out, add[j])
+			j++
+		default:
+			out = append(out, gl[i].union(add[j]))
+			i, j = i+1, j+1
+		}
+	}
+	return out
+}
+
+// union returns the part holding p's rows and q's, q being few: p itself
+// when it holds them all; else p's bitset copied into one wide enough for
+// the new rows, below, inside or past it, and marked — unless that would
+// take more words than the part has rows — or p's rows and q's merged into
+// a run, which is what a run or a single row becomes. p is never written.
+func (p LineagePart) union(q LineagePart) LineagePart {
+	var add []int // q's rows p lacks, ascending
+	q.Rows(func(r int) bool {
+		if !p.has(r) {
+			add = append(add, r)
+		}
+		return true
+	})
+	if len(add) == 0 {
+		return p
+	}
+	out := LineagePart{Table: p.Table, n: p.n + len(add)}
+	if p.words != nil {
+		lo, hi := min(p.base, add[0]&^63), max(p.base+len(p.words)<<6-1, add[len(add)-1])
+		if nw := (hi-lo)>>6 + 1; hi-lo >= 0 && nw <= out.n {
+			out.base, out.words = lo, make([]uint64, nw)
+			copy(out.words[(p.base-lo)>>6:], p.words)
+			for _, r := range add {
+				out.words[(r-lo)>>6] |= 1 << (uint(r-lo) & 63)
+			}
+			return out
+		}
+	}
+	out.rows = make([]int, 0, out.n)
+	p.Rows(func(r int) bool {
+		for ; len(add) > 0 && add[0] < r; add = add[1:] {
+			out.rows = append(out.rows, add[0])
+		}
+		out.rows = append(out.rows, r)
+		return true
+	})
+	out.rows = append(out.rows, add...)
+	return out
+}
+
+// has reports whether row r is one of the part's.
+func (p LineagePart) has(r int) bool {
+	switch {
+	case p.single():
+		return r == p.base
+	case p.words != nil:
+		i := r - p.base
+		return i >= 0 && i>>6 < len(p.words) && p.words[i>>6]&(1<<(uint(i)&63)) != 0
+	}
+	_, ok := slices.BinarySearch(p.rows, r)
+	return ok
+}
+
 // lineageScratch is the one packer: the working memory the rows packed one
 // after another share — per base table met so far, the rows the packed row
 // at hand draws from it, in any order and with repeats.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,7 +166,9 @@ func headOf(t *Table, n int) *Table {
 // first published, equals grouping the unfrozen table; every operator fed
 // the input, and fed the grouped table, equals the same operator fed the
 // same lineage in the other form, and the reference fed either; and Freeze
-// keeps the form a table has.
+// keeps the form a table has. Grouping a frozen head of the table, then
+// appending the rest through ApplyEdit, the successor groups through the
+// grouping the append carried exactly as the table does unfrozen.
 func FuzzGroupLineage(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 1, 2, 2, 3, 1, 2, 0, 1, 65, 9, 0, 1, 2, 0, 130, 7, 1, 3, 0, 5, 192, 4, 2, 9})
 	f.Add([]byte{3, 1, 0, 0, 3, 1, 0, 0, 4, 2, 1, 200, 1, 100, 5, 0})
@@ -235,6 +238,40 @@ func FuzzGroupLineage(f *testing.F) {
 			}
 			requireSameTable(t, "frozen", packed, want)
 		}
+
+		// Group a frozen head of the table, append the rest through
+		// ApplyEdit: the successor groups through the grouping the append
+		// carried as the table does unfrozen, and the head's stays as it was.
+		cut := len(tab.Rows) / 3
+		head := headOf(tab, cut)
+		head.Freeze()
+		if _, err := GroupBy(head, []string{"k"}, aggs); err != nil {
+			t.Fatal(err)
+		}
+		before := fmt.Sprint(*head.res.groups[0].Load())
+		tail, err := SliceRows(tab, seq(cut, len(tab.Rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := ApplyEdit(head, Edit{Appended: len(tab.Rows) - cut}, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.res.groups[0].Load() == nil {
+			t.Fatal("the append carried no grouping")
+		}
+		want, err := GroupBy(plainCopy(next), []string{"k"}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GroupBy(next, []string{"k"}, aggs)
+		requireSameOutcome(t, "appended to a grouped head", got, want, err, nil)
+		if err := VerifyResident(next); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(*head.res.groups[0].Load()) != before {
+			t.Fatal("the append moved the head's grouping")
+		}
 	})
 }
 
@@ -261,6 +298,49 @@ func partsOf(tb *Table, i int) []string {
 		return true
 	})
 	return parts
+}
+
+// TestLineagePartUnion: the union of a part in each form — one row, a run,
+// a bitset — with a few rows below, inside, past or far past it, or already
+// in it, holds exactly the rows of both; a part that held them all comes
+// back as it was, and neither part is written.
+func TestLineagePartUnion(t *testing.T) {
+	packOf := func(rows ...int) LineagePart {
+		var sc lineageScratch
+		k := sc.bucket("a")
+		sc.rows[k] = append(sc.rows[k], rows...)
+		return sc.pack()[0]
+	}
+	rowsOf := func(p LineagePart) (rows []int) {
+		p.Rows(func(r int) bool {
+			rows = append(rows, r)
+			return true
+		})
+		return rows
+	}
+	one, bitset, run := LineagePart{Table: "a", n: 1, base: 130}, packOf(130, 131, 190, 200), packOf(130, 5000, 90000)
+	if bitset.words == nil || run.rows == nil {
+		t.Fatalf("bitset %+v, run %+v: the cases pin nothing", bitset, run)
+	}
+	for _, p := range []LineagePart{one, bitset, run} {
+		for _, add := range [][]int{{130}, {3}, {131, 160}, {-70, 129, 250}, {1 << 20}} {
+			q := packOf(add...)
+			was, wasQ := fmt.Sprint(p), fmt.Sprint(q)
+			got := p.union(q)
+			want := append(rowsOf(p), add...)
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if !slices.Equal(rowsOf(got), want) || got.Len() != len(want) || got.Table != "a" {
+				t.Errorf("%v ∪ %v = %v (%d rows), want %v", rowsOf(p), add, rowsOf(got), got.Len(), want)
+			}
+			if fmt.Sprint(p) != was || fmt.Sprint(q) != wasQ {
+				t.Errorf("%v ∪ %v wrote a part", rowsOf(p), add)
+			}
+			if len(want) == p.Len() && fmt.Sprint(got) != was {
+				t.Errorf("%v ∪ %v: the part holding every row came back as %+v", rowsOf(p), add, got)
+			}
+		}
+	}
 }
 
 // requirePartsMatch fails unless every row's lineage parts are its lineage
@@ -481,31 +561,80 @@ func TestLineageAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestGroupingAllocationBudget holds a repeat GroupBy by one key of a frozen
-// table to its output, on one P: over a 50k-row join with lineage columns,
-// the second GroupBy reads the grouping the first published and allocates
-// no more than 64 KB — no per-row list, no packed lineage, whatever the
-// aggregates.
+// TestGroupingAllocationBudget holds a GroupBy by one key of a frozen table
+// that reads a grouping to its output, on one P: over a 50k-row join with
+// lineage columns, the second GroupBy reads the grouping the first published
+// and allocates no more than 64 KB — no per-row list, no packed lineage,
+// whatever the aggregates — and so does the first GroupBy over the version a
+// 50-row append leads to, which reads the grouping the append carried. The
+// append itself, made to a version the edit path built (so its arrays grow
+// in place), allocates the new lineage parts of the groups it touched —
+// here all 25, each a 783-word bitset of fact rows: 156 KB, rounded up by
+// the allocator's size classes by at most an eighth — and at most 16 KB
+// besides: 177 KB in all on amd64.
 func TestGroupingAllocationBudget(t *testing.T) {
-	const n, budget = 50000, 64 << 10
+	const n, m, budget, slack = 50000, 50, 64 << 10, 16 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	facts, lookup := starTables(n)
-	wide, _, err := JoinOrdinals(Rename(facts, "f"), Rename(lookup, "d"), Eq(ColRefExpr("f.drug"), ColRefExpr("d.name")), InnerJoin)
+	facts, lookup := starTables(n + 1 + m)
+	all, _, err := JoinOrdinals(Rename(facts, "f"), Rename(lookup, "d"), Eq(ColRefExpr("f.drug"), ColRefExpr("d.name")), InnerJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide := headOf(all, n)
 	wide.Freeze()
-	for _, aggs := range [][]AggSpec{{{Kind: AggCount}}, {{Kind: AggCount}, {Kind: AggSum, Col: "cost"}, {Kind: AggAvg, Col: "id"}}} {
-		group := func() {
-			if out, err := GroupBy(wide, []string{"drug"}, aggs); err != nil || out.NumRows() != 25 {
+	aggs := [][]AggSpec{{{Kind: AggCount}}, {{Kind: AggCount}, {Kind: AggSum, Col: "cost"}, {Kind: AggAvg, Col: "id"}}}
+	group := func(tb *Table, aggs []AggSpec) func() {
+		return func() {
+			if out, err := GroupBy(tb, []string{"drug"}, aggs); err != nil || out.NumRows() != 25 {
 				t.Fatalf("GroupBy = %v rows, %v", out.NumRows(), err)
 			}
 		}
-		first := allocated(group)
-		again := allocated(group)
+	}
+	for _, aggs := range aggs {
+		first := allocated(group(wide, aggs))
+		again := allocated(group(wide, aggs))
 		t.Logf("GroupBy by drug of %d rows, %d aggregates: first %d bytes, again %d", n, len(aggs), first, again)
 		if again > budget {
 			t.Errorf("a repeat GroupBy of %d rows with %d aggregates allocated %d bytes, more than %d", n, len(aggs), again, budget)
 		}
+	}
+
+	rows := func(lo, hi int) *Table {
+		repl, err := SliceRows(all, seq(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return repl
+	}
+	v0, err := ApplyEdit(wide, Edit{Appended: 1}, rows(n, n+1)) // copies, with room behind
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := rows(n+1, n+1+m)
+	var v1 *Table
+	edit := allocated(func() {
+		if v1, err = ApplyEdit(v0, Edit{Appended: m}, repl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	drug := wide.Schema.Index("drug")
+	g0, g1 := v0.res.groups[drug].Load(), v1.res.groups[drug].Load()
+	if g0 == nil || g1 == nil {
+		t.Fatal("an append did not carry the grouping")
+	}
+	var parts uint64 // the bytes of the parts g1 does not share with g0
+	for gi, gl := range g1.lineage {
+		for j, p := range gl {
+			if q := g0.lineage[gi][j]; len(p.words) > 0 && &p.words[0] != &q.words[0] || len(p.rows) > 0 && &p.rows[0] != &q.rows[0] {
+				parts += 8 * uint64(len(p.words)+len(p.rows))
+			}
+		}
+	}
+	t.Logf("a %d-row append to %d rows allocated %d bytes, %d of them new lineage parts", m, n+1, edit, parts)
+	if edit > parts+parts/8+slack {
+		t.Errorf("a %d-row append allocated %d bytes: more than its %d bytes of new lineage parts, an eighth, and %d", m, edit, parts, slack)
+	}
+	if regroup := allocated(group(v1, aggs[1])); regroup > budget {
+		t.Errorf("the first GroupBy after a %d-row append allocated %d bytes, more than %d", m, regroup, budget)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // it. Each part is built by the first reader that asks and
 // published with an atomic pointer; a reader losing that race drops its
 // copy and uses the published one. ApplyEdit hands the next version the
-// published vectors and dictionaries, edited alike (carry); a join index
-// and a grouping are never carried, and the next version's first reader
-// builds its own.
+// published vectors and dictionaries, edited alike, and — when the edit only
+// appends — the published groupings, extended by the appended rows (carry);
+// a join index is never carried, nor a grouping across any other edit, and
+// the next version's first reader builds its own.
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -166,11 +167,16 @@ func (t *Table) hashIndex(ci int) joinIndex {
 
 // carry returns the resident form of out, the version of old that edit e
 // leads to (dirty: the rows it brought, final in out): each vector and
-// dictionary readers published on old, edited the same way, and nothing
-// else — a part not published, a join index, a grouping and a
-// dictionary an earlier successor claimed stay for out's readers to build,
-// as does a part whose edited form would differ from what they would build.
-// grow says the caller holds old's tail: arrays with room grow in place.
+// dictionary readers published on old, edited the same way, and — when e
+// only appends — each grouping, extended by the appended rows through the
+// dictionary carried with it; and nothing else. A part not published, a
+// join index, a dictionary an earlier successor claimed and a grouping
+// whose dictionary did not come along stay for out's readers to build, as
+// does a part whose edited form would differ from what they would build,
+// and a grouping across an update, a removal or a Shift: a rewritten or
+// removed row's group cannot give back its lineage without its member
+// list. grow says the caller holds old's tail: arrays with room grow in
+// place.
 func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
 	r := old.frozen()
 	if r == nil {
@@ -191,7 +197,53 @@ func carry(old, out *Table, e Edit, dirty []int, grow bool) *resident {
 			}
 		}
 	}
+	if !e.onlyAppends() {
+		return nr
+	}
+	for ci := range r.groups {
+		if g, nd := r.groups[ci].Load(), nr.dict[ci].Load(); g != nil && nd != nil {
+			nr.groups[ci].Store(extendGrouping(g, nd, out, ci, r.rows))
+		}
+	}
 	return nr
+}
+
+// extendGrouping is g, column ci's grouping of the version an append came
+// from, extended for out by its rows from on, whose codes d holds (carried
+// from the dictionary g was built through). A row of a known group counts
+// in it; a row of an unseen code opens a group at the end, which is where
+// first sight puts it, since the appended rows follow every kept one. Only
+// a group the append touched gets new lineage — its parts widened or merged
+// with its new rows' refs (groupLineage.union) — and every other group, and
+// every part the append names nothing of, stays shared. g is copied, never
+// written: its readers see nothing move.
+func extendGrouping(g *grouping, d *valueDict, out *Table, ci, from int) *grouping {
+	ng := &grouping{byCode: make([]int32, d.card), keys: slices.Clone(g.keys),
+		counts: slices.Clone(g.counts), lineage: slices.Clone(g.lineage)}
+	for c := copy(ng.byCode, g.byCode); c < len(ng.byCode); c++ {
+		ng.byCode[c] = -1
+	}
+	fresh := make([][]uint32, len(g.keys)) // per group, the appended rows it draws
+	for ri := from; ri < len(out.Rows); ri++ {
+		c := d.codes[ri]
+		gi := ng.byCode[c]
+		if gi < 0 {
+			gi = int32(len(ng.keys))
+			ng.byCode[c] = gi
+			ng.keys, ng.counts, ng.lineage = append(ng.keys, out.Rows[ri][ci]), append(ng.counts, 0), append(ng.lineage, nil)
+			fresh = append(fresh, nil)
+		}
+		ng.counts[gi]++
+		fresh[gi] = append(fresh[gi], uint32(ri))
+	}
+	var sc lineageScratch
+	for gi, rows := range fresh {
+		if rows != nil {
+			sc.addRows(out, 0, rows)
+			ng.lineage[gi] = ng.lineage[gi].union(sc.pack())
+		}
+	}
+	return ng
 }
 
 // editVector is v, column ci of the version an edit came from, spliced for

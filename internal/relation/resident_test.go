@@ -676,6 +676,197 @@ func TestApplyEditCarriesDictionaries(t *testing.T) {
 	}
 }
 
+// carryTable is a derived table (key STRING, n INT) of the given keys — any
+// kind, schemas being advisory — row i's n being from+i and its lineage
+// refs[i], or carryRefs(from+i) where refs holds no set.
+func carryTable(keys []Value, from int, refs ...LineageSet) *Table {
+	t := &Table{Name: "g", Schema: NewSchema(Col("key", TString), Col("n", TInt))}
+	t.ColOrigin = []ColRefSet{{{Table: "src", Column: "key"}}, {{Table: "src", Column: "n"}}}
+	lin := make([]LineageSet, len(keys))
+	for i, k := range keys {
+		t.Rows = append(t.Rows, Row{k, Int(int64(from + i))})
+		if lin[i] = carryRefs(from + i); i < len(refs) && refs[i] != nil {
+			lin[i] = refs[i]
+		}
+	}
+	return setLineage(t, lin)
+}
+
+// carryRefs is row i's lineage in carryTable: a dense fact table, which a
+// group packs as a bitset; a sparse one, every third row, packed as a run;
+// and a five-row dimension.
+func carryRefs(i int) LineageSet {
+	set := LineageSet{{Table: "a", Row: 100 + i}, {Table: "d", Row: i % 5}}
+	if i%3 == 0 {
+		set = append(set, RowRef{Table: "s", Row: i * 1000})
+	}
+	return set
+}
+
+// TestApplyEditCarriesGroupings: an edit that only appends hands the next
+// version its predecessor's groupings, extended by the appended rows, over
+// versions no GroupBy reads as well as over read ones. Every version groups
+// as a copy never frozen does — rows, lineage and lineage parts — passes
+// VerifyResident, and leaves the grouping of the version before as it was.
+// The appends count rows into known groups and open new ones, hold NULL keys
+// and INT and FLOAT keys that share a group, reuse the code of a value an
+// update took out of the table, and name base rows below, inside and past a
+// group's bitset, far past it, and into a run. An update, a removal, a
+// Shift, a second successor and an update that gives up the dictionary
+// publish no grouping; the version's first GroupBy builds one.
+func TestApplyEditCarriesGroupings(t *testing.T) {
+	var versions []*Table
+	snaps := map[*Table]string{}
+	record := func(tb *Table) {
+		if g := grouped(tb); g != nil && snaps[tb] == "" {
+			snaps[tb] = fmt.Sprint(*g)
+		}
+	}
+	render := func(tb *Table) {
+		t.Helper()
+		if _, err := GroupBy(tb, []string{"key"}, residentAggs); err != nil {
+			t.Fatal(err)
+		}
+		record(tb)
+	}
+	edit := func(label string, cur *Table, e Edit, repl *Table, carries bool) *Table {
+		t.Helper()
+		record(cur)
+		next, err := ApplyEdit(cur, e, repl)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got := grouped(next) != nil; got != carries {
+			t.Fatalf("%s: grouping carried: %v, want %v", label, got, carries)
+		}
+		if err := VerifyResident(next); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if g := grouped(cur); g != nil && fmt.Sprint(*g) != snaps[cur] {
+			t.Fatalf("%s: the grouping of the version before moved", label)
+		}
+		versions = append(versions, next)
+		record(next)
+		return next
+	}
+	appendKeys := func(label string, cur *Table, carries bool, keys []Value, refs ...LineageSet) *Table {
+		t.Helper()
+		return edit(label, cur, Edit{Appended: len(keys)}, carryTable(keys, cur.NumRows(), refs...), carries)
+	}
+	part := func(g *grouping, gi int, table string) LineagePart {
+		t.Helper()
+		for _, p := range g.lineage[gi] {
+			if p.Table == table {
+				return p
+			}
+		}
+		t.Fatalf("group %d names no row of %s", gi, table)
+		return LineagePart{}
+	}
+	x, y, z := Str("x"), Str("y"), Str("z")
+
+	// A derived table with lineage columns.
+	cycle := []Value{x, y, Null(), Int(1), Float(1), z, Int(2), Float(2.5)}
+	var keys []Value
+	for i := 0; i < 200; i++ {
+		keys = append(keys, cycle[i%len(cycle)])
+	}
+	cur := carryTable(keys, 0)
+	cur.Freeze()
+	versions = append(versions, cur)
+	render(cur)
+	g := grouped(cur)
+	if a, s := part(g, 0, "a"), part(g, 0, "s"); a.words == nil || a.base == 0 || s.rows == nil {
+		t.Fatalf("group x: part a %+v, part s %+v; want a bitset above row 0 and a run", a, s)
+	}
+	cur = appendKeys("known groups", cur, true, []Value{x, x, x, Float(1), y},
+		LineageSet{{Table: "a", Row: 3}}, LineageSet{{Table: "a", Row: 150}, {Table: "s", Row: 5}},
+		LineageSet{{Table: "a", Row: 1000}}, nil, LineageSet{})
+	cur = appendKeys("new groups", cur, true, []Value{Str("w"), Null(), Float(3), Int(3), Str("w")})
+	render(cur)
+	var gone []int
+	for ri, row := range cur.Rows {
+		if row[0] == z {
+			gone = append(gone, ri)
+		}
+	}
+	ys := make([]Value, len(gone))
+	for i := range ys {
+		ys[i] = y
+	}
+	repl := carryTable(ys, 0)
+	cur = edit("z updated away", cur, Edit{Updated: gone}, repl, false)
+	render(cur)
+	if !slices.Contains(grouped(cur).byCode, -1) {
+		t.Fatal("no code is left without a row: the case pins nothing")
+	}
+	cur = appendKeys("a code no row held", cur, true, []Value{z, x}, nil, LineageSet{{Table: "a", Row: 1 << 20}})
+	if a := part(grouped(cur), 0, "a"); a.rows == nil {
+		t.Fatalf("a row far past group x's bitset left it a bitset of %d words", len(a.words))
+	}
+	cur = appendKeys("after a read", cur, true, []Value{z, Float(2.5), Int(2)})
+	render(cur)
+	// Each edit below is the first successor of a version with a grouping,
+	// so it holds the dictionary's claim.
+	cur = edit("update", cur, Edit{Updated: []int{0}}, carryTable([]Value{y}, 0), false)
+	render(cur)
+	cur = edit("removal", cur, Edit{Removed: []int{cur.NumRows() - 1}}, nil, false)
+	render(cur)
+	cur = edit("shift", cur, Edit{Appended: 1, Shift: map[string][]int{"b": {0}}}, carryTable([]Value{x}, cur.NumRows()), false)
+	render(cur)
+	appendKeys("first successor", cur, true, []Value{x})
+	appendKeys("second successor", cur, false, []Value{x})
+
+	// An update that leaves the dictionary's codes twice the table's rows
+	// gives it up. (An append cannot: it adds no more codes than rows.)
+	small := carryTable([]Value{x, y}, 0)
+	small.Freeze()
+	versions = append(versions, small)
+	for i := 0; small.res.dict[0].Load() != nil || i == 0; i++ {
+		render(small)
+		small = edit(fmt.Sprint("churn ", i), small, Edit{Updated: []int{0}}, carryTable([]Value{Str(fmt.Sprint("p", i))}, 0), false)
+	}
+	render(small)
+	appendKeys("after the dictionary was built again", small, true, []Value{y, Str("q")})
+
+	// A base table: implicit lineage, every appended row past every part.
+	base := keyed("rx", 300, 9)
+	base.Freeze()
+	versions = append(versions, base)
+	render(base)
+	grow := func(label string, cur *Table, keys ...Value) *Table {
+		t.Helper()
+		repl := &Table{Name: cur.Name, Schema: cur.Schema, Base: true}
+		for i, k := range keys {
+			repl.Rows = append(repl.Rows, Row{k, Int(int64(cur.NumRows() + i))})
+		}
+		return edit(label, cur, Edit{Appended: len(keys)}, repl, true)
+	}
+	base = grow("base: known groups", base, Str("k00"), Str("k01"))
+	base = grow("base: new groups and NULL", base, Str("k99"), Null(), Str("k99"))
+	render(base)
+	grow("base: one more", base, Str("k05"))
+
+	for i, tb := range versions {
+		want, err := GroupBy(plainCopy(tb), []string{"key"}, residentAggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("version %d (%s, %d rows)", i, tb.Name, tb.NumRows())
+		if g := grouped(tb); g != nil && fmt.Sprint(*g) != snaps[tb] {
+			t.Fatalf("%s: its grouping moved", label)
+		}
+		got, err := GroupBy(tb, []string{"key"}, residentAggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, label, got, want)
+		if err := VerifyResident(tb); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+}
+
 // TestGrowInPlaceUnderReaders: readers scan one version of a table — its
 // rows, its vectors through Batch.Col, its lineage and lineage columns, a
 // GroupBy and a join over it — while a writer builds the versions after it
