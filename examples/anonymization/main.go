@@ -11,6 +11,7 @@ import (
 
 	"plabi"
 	"plabi/internal/anon"
+	"plabi/internal/relation"
 	"plabi/internal/workload"
 )
 
@@ -44,11 +45,7 @@ func main() {
 
 	// Show a few released rows: identities are pseudonyms, QI are ranges.
 	fmt.Println("sample of the BI-accessible data:")
-	sample := released.Clone()
-	if sample.NumRows() > 5 {
-		sample.Rows = sample.Rows[:5]
-	}
-	fmt.Println(sample)
+	fmt.Println(relation.Limit(released, 5))
 
 	// Verify the guarantees hold on what actually left the source.
 	okK, _, err := anon.CheckKAnonymity(released, 5, []string{"age", "zip"})

@@ -76,7 +76,7 @@ func TestKAnonymizePreservesNonQI(t *testing.T) {
 	// Disease values multiset must be preserved (only QI generalized).
 	count := func(tb *relation.Table) map[string]int {
 		m := map[string]int{}
-		for i := range tb.Rows {
+		for i := range tb.NumRows() {
 			m[tb.Get(i, "disease").S]++
 		}
 		return m
@@ -95,7 +95,7 @@ func TestKAnonymizeLineagePreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		lin := out.RowLineage(i)
 		if len(lin) != 1 || lin[0].Table != "patients" {
 			t.Fatalf("row %d lineage = %v", i, lin)
@@ -297,7 +297,7 @@ func TestSuppressColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		if !out.Get(i, "name").IsNull() {
 			t.Error("suppressed column must be NULL")
 		}
@@ -313,7 +313,7 @@ func TestGeneralizeColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		s := out.Get(i, "age").S
 		if len(s) == 0 || s[0] != '[' {
 			t.Errorf("age not generalized: %q", s)
@@ -339,7 +339,7 @@ func TestPerturbPreservesSum(t *testing.T) {
 	}
 	var got float64
 	changed := 0
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		got += out.Get(i, "cost").F
 		if math.Abs(out.Get(i, "cost").F-tb.Get(i, "cost").F) > 1e-9 {
 			changed++
@@ -363,7 +363,7 @@ func TestPerturbDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Rows {
+	for i := range a.NumRows() {
 		if a.Get(i, "age").I != b.Get(i, "age").I {
 			t.Fatal("perturbation must be deterministic for fixed seed")
 		}

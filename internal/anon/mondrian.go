@@ -30,6 +30,10 @@ type Stats struct {
 // that cannot be covered are suppressed. Row lineage is preserved so
 // provenance and aggregation-threshold checks still work downstream.
 func KAnonymize(t *relation.Table, k int, qi []string) (*relation.Table, Stats, error) {
+	t, err := t.Materialize() // the partitioning reads rows
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	if k < 2 {
 		return nil, Stats{}, fmt.Errorf("anon: k must be >= 2, got %d", k)
 	}
@@ -238,6 +242,10 @@ func summarizeColumn(t *relation.Table, part []int, col int) relation.Value {
 // columns has at least k members; violating class sizes are returned for
 // diagnostics.
 func CheckKAnonymity(t *relation.Table, k int, qi []string) (bool, []int, error) {
+	t, err := t.Materialize() // the partitioning reads rows
+	if err != nil {
+		return false, nil, err
+	}
 	qiIdx := make([]int, len(qi))
 	for i, q := range qi {
 		idx := t.Schema.Index(q)
@@ -261,6 +269,10 @@ func CheckKAnonymity(t *relation.Table, k int, qi []string) (bool, []int, error)
 // least l distinct values of the sensitive attribute (distinct
 // l-diversity).
 func CheckLDiversity(t *relation.Table, l int, qi []string, sensitive string) (bool, error) {
+	t, err := t.Materialize() // the partitioning reads rows
+	if err != nil {
+		return false, err
+	}
 	si := t.Schema.Index(sensitive)
 	if si < 0 {
 		return false, fmt.Errorf("anon: sensitive attribute %q not in %s", sensitive, t.Schema)
@@ -293,6 +305,10 @@ func CheckLDiversity(t *relation.Table, l int, qi []string, sensitive string) (b
 // distinct l-diversity, returning the filtered table and the number of
 // suppressed rows. Apply after KAnonymize to obtain both guarantees.
 func EnforceLDiversity(t *relation.Table, l int, qi []string, sensitive string) (*relation.Table, int, error) {
+	t, err := t.Materialize() // the partitioning reads rows
+	if err != nil {
+		return nil, 0, err
+	}
 	si := t.Schema.Index(sensitive)
 	if si < 0 {
 		return nil, 0, fmt.Errorf("anon: sensitive attribute %q not in %s", sensitive, t.Schema)

@@ -63,6 +63,10 @@ func GeneralizeColumn(t *relation.Table, col string, h Hierarchy, level int) (*r
 // ints, so aggregate reports keep their shape while individual values are
 // masked (Verykios et al. [13]).
 func PerturbColumn(t *relation.Table, col string, pct int, seed int64) (*relation.Table, error) {
+	t, err := t.Materialize() // reads rows
+	if err != nil {
+		return nil, err
+	}
 	ci := t.Schema.Index(col)
 	if ci < 0 {
 		return nil, colErr(t, col)
@@ -129,18 +133,12 @@ func mapColumn(t *relation.Table, col string, newType relation.Type, fn func(rel
 	if ci < 0 {
 		return nil, colErr(t, col)
 	}
-	out := &relation.Table{Name: t.Name, Schema: t.Schema.Clone()}
+	out, err := relation.MapColumn(t, ci, func(_ int, v relation.Value) (relation.Value, error) { return fn(v), nil })
+	if err != nil {
+		return nil, err
+	}
 	if newType != relation.TNull {
 		out.Schema.Columns[ci].Type = newType
-	}
-	out.ColOrigin = make([]relation.ColRefSet, t.Schema.Len())
-	for c := range out.ColOrigin {
-		out.ColOrigin[c] = t.ColumnOrigin(c)
-	}
-	for ri, r := range t.Rows {
-		nr := r.Clone()
-		nr[ci] = fn(r[ci])
-		out.AppendDerived(nr, t, ri)
 	}
 	return out, nil
 }

@@ -65,6 +65,13 @@ func (r Result) String() string {
 // Run executes the linkage attack.
 func Run(l Linkage) (Result, error) {
 	var res Result
+	var err error
+	if l.Released, err = l.Released.Materialize(); err != nil {
+		return res, err
+	}
+	if l.External, err = l.External.Materialize(); err != nil {
+		return res, err
+	}
 	qiRel := make([]int, len(l.QI))
 	qiExt := make([]int, len(l.QI))
 	for i, q := range l.QI {

@@ -102,7 +102,7 @@ func TestResolveDispute(t *testing.T) {
 	a := &Auditor{Registry: reg, Tracer: tr, Graph: g}
 	// Find the DR row (count 2).
 	drRow := -1
-	for i := range grouped.Rows {
+	for i := range grouped.NumRows() {
 		if grouped.Get(i, "drug").S == "DR" {
 			drRow = i
 		}

@@ -553,8 +553,8 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 
 	// Phase 4: commit. Changed source tables and staging outputs swap
 	// into the catalog via Refresh (new version, no generation bump) and
-	// into the tracer; an edited version brings the columnar form, its
-	// dictionaries included, that relation.ApplyEdit carried to it.
+	// into the tracer; an edited version brings the dictionaries and
+	// groupings relation.ApplyEdit carried to it.
 	committed := map[string]bool{}
 	refreshTable := func(t *relation.Table) {
 		key := strings.ToLower(t.Name)

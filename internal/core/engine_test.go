@@ -509,7 +509,7 @@ func TestGraphHoldsEachStepOnce(t *testing.T) {
 	// Every source changes, so the delta runs through every step.
 	delta := func(round int) {
 		row := func(source, table string, ri int) relation.Row {
-			return sourceTable(t, e, source, table).Rows[ri].Clone()
+			return sourceTable(t, e, source, table).Row(ri).Clone()
 		}
 		cost := row("healthagency", "drugcost", 0)
 		cost[1] = relation.Int(int64(10 + round))

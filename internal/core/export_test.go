@@ -8,6 +8,11 @@ import (
 	"plabi/internal/relation"
 )
 
+// segmentBacked reports whether tb's cells are on-disk segments.
+func segmentBacked(tb *relation.Table) bool {
+	return !reflect.ValueOf(tb).Elem().FieldByName("seg").IsNil()
+}
+
 // publishedGrouping returns the address of the grouping tb's version has
 // published for column col, or 0 when it has none. relation keeps its
 // resident parts unexported, so the hook finds the slot by reflection and

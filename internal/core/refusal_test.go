@@ -73,7 +73,7 @@ func TestRefusalDoesNotDependOnReadableData(t *testing.T) {
 
 	fi := fault.NewInjector(1)
 	e := refusalEngine(t, true, fi)
-	if tab, _ := e.Table("rx_wide"); len(tab.Rows) != 0 || tab.NumRows() == 0 {
+	if tab, _ := e.Table("rx_wide"); !segmentBacked(tab) || tab.NumRows() == 0 {
 		t.Fatal("rx_wide is not segment-backed; the read fault pins nothing")
 	}
 	// Every partition read fails for good, before anything was materialized.

@@ -11,24 +11,25 @@ import (
 	"plabi/internal/fault"
 	"plabi/internal/provenance"
 	"plabi/internal/relation"
+	"plabi/internal/relation/reltest"
 	"plabi/internal/report"
 	"plabi/internal/workload"
 )
 
-// verifyResident re-derives the columnar form renders have published for
-// every registered table from the table itself: a write into a registered
-// table fails the test here instead of reaching a report as a stale cell.
+// verifyResident re-derives what renders have published for every
+// registered table from the table itself: a write into a registered table
+// fails the test here instead of reaching a report as a stale cell.
 func verifyResident(t *testing.T, e *Engine) {
 	t.Helper()
 	for _, name := range e.Catalog.TableNames() {
 		tb, _ := e.Catalog.Table(name)
-		if err := relation.VerifyResident(tb); err != nil {
+		if err := reltest.VerifyResident(tb); err != nil {
 			t.Error(err)
 		}
 	}
 }
 
-// TestRenderReadsTheRegisteredVersion: the resident vectors and lineage
+// TestRenderReadsTheRegisteredVersion: the stored vectors and lineage
 // columns belong to one version of a table. A committed delta registers a
 // new version, which the next render reads; a rolled-back delta registers
 // nothing, and the render after it reads the version before.
@@ -56,7 +57,7 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 	var from, to string
 	rx := sourceTable(t, e, "hospital", "prescriptions")
 	drugCol := rx.Schema.Index("drug")
-	from = rx.Rows[0][drugCol].S
+	from = rx.Row(0)[drugCol].S
 	for drug := range before {
 		if drug != from && (to == "" || drug < to) {
 			to = drug
@@ -66,7 +67,7 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 		t.Fatalf("fixture: %q has %d prescriptions, other drug %q", from, before[from], to)
 	}
 	moveRow0 := func(drug string) etl.Batch {
-		vals := sourceTable(t, e, "hospital", "prescriptions").Rows[0].Clone()
+		vals := sourceTable(t, e, "hospital", "prescriptions").Row(0).Clone()
 		vals[drugCol] = relation.Str(drug)
 		return etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
 			Updates: []etl.RowUpdate{{Row: 0, Vals: vals}}}}}
@@ -193,10 +194,10 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 }
 
 // TestConcurrentFirstRendersShareVectors: goroutines racing to be the first
-// reader of a fresh engine's wide table each build a column's vector at
-// most once and all end up reading the one that was published. Their
-// grouped renders by drug race to build the version's grouping: one is
-// published, and the renders after read it instead of building another.
+// reader of a fresh engine's wide table all read one vector per column —
+// the stored table's own; no reader builds one. Their grouped renders by
+// drug race to build the version's grouping: one is published, and the
+// renders after read it instead of building another.
 func TestConcurrentFirstRendersShareVectors(t *testing.T) {
 	e := buildConcurrencyEngine(t, Config{})
 	wide, ok := e.Catalog.Table("rx_wide")
@@ -287,8 +288,8 @@ func TestRebuildKeepsDictionary(t *testing.T) {
 
 	rx := sourceTable(t, e, "hospital", "prescriptions")
 	pc := rx.Schema.Index("patient")
-	stranger, known := rx.Rows[1].Clone(), rx.Rows[2].Clone()
-	stranger[pc], known[pc] = relation.Str("Nobody Of Nowhere"), rx.Rows[5][pc]
+	stranger, known := rx.Row(1).Clone(), rx.Row(2).Clone()
+	stranger[pc], known[pc] = relation.Str("Nobody Of Nowhere"), rx.Row(5)[pc]
 	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
 		Updates: []etl.RowUpdate{{Row: 1, Vals: stranger}, {Row: 2, Vals: known}},
 		Deletes: []int{0, 7, rx.NumRows() - 1}}}}); err != nil {

@@ -350,7 +350,11 @@ func (s *Scenario) extendWarehouse(col string) error {
 		Columns: append(append([]relation.Column(nil), dwh.Schema.Columns...),
 			relation.Col(col, relation.TString)),
 	})
-	for _, r := range dwh.Rows {
+	cur, err := dwh.Materialize()
+	if err != nil {
+		return err
+	}
+	for _, r := range cur.Rows {
 		nr := make(relation.Row, len(r)+1)
 		copy(nr, r)
 		nr[len(r)] = relation.Str("x")

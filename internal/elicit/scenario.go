@@ -77,6 +77,9 @@ func BuildHealthcareScenario(seed int64, nReports int) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elicit: build warehouse: %w", err)
 	}
+	if wide, err = wide.Materialize(); err != nil {
+		return nil, fmt.Errorf("elicit: build warehouse: %w", err)
+	}
 	dwh := relation.NewBase("dwh", wide.Schema.Clone())
 	dwh.Rows = wide.Rows
 	cat.Register(dwh)

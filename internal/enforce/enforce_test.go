@@ -608,7 +608,7 @@ func TestSourceReleaseRetention(t *testing.T) {
 	// Cutoff is 2007-06-02: the two early-2007 rows fall out of the
 	// window; the later three remain.
 	if out.NumRows() != 3 || out.Get(2, "date").String() != "2008-04-15" {
-		t.Errorf("rows = %v", out.Rows)
+		t.Errorf("rows = %v", out)
 	}
 	if rep.RowsFiltered != 2 {
 		t.Errorf("filtered = %d", rep.RowsFiltered)
@@ -652,7 +652,7 @@ func TestSourceReleaseRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out3.NumRows() != 1 || out3.Get(0, "patient").S != "Alice" {
-		t.Errorf("rows = %v", out3.Rows)
+		t.Errorf("rows = %v", out3)
 	}
 }
 
@@ -707,7 +707,7 @@ func TestRewriteConditionBecomesFilter(t *testing.T) {
 	}
 	for i := 0; i < res2.NumRows(); i++ {
 		if res2.Get(i, "cost").S != "***" {
-			t.Errorf("unresolvable condition must mask: %v", res2.Rows[i])
+			t.Errorf("unresolvable condition must mask: %v", res2.Row(i))
 		}
 	}
 	foundUnres := false
@@ -743,7 +743,7 @@ func TestRewriteStarDoesNotBypassMasking(t *testing.T) {
 	}
 	for i := 0; i < res.NumRows(); i++ {
 		if res.Get(i, "disease").S != "***" {
-			t.Fatalf("SELECT * leaked disease: %v", res.Rows[i])
+			t.Fatalf("SELECT * leaked disease: %v", res.Row(i))
 		}
 		if res.Get(i, "patient").S == "***" {
 			t.Fatal("allowed column wrongly masked")

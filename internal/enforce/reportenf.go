@@ -451,6 +451,11 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, pla
 		return nil, fmt.Errorf("report %s: %w", def.ID, err)
 	}
 	m.Histogram("enforce.exec.duration").Observe(time.Since(execStart))
+	// The result reaches the consumer as rows: its edge form, built from
+	// the (small, executed) result, never from a stored table.
+	if raw, err = raw.Materialize(); err != nil {
+		return nil, fmt.Errorf("report %s: %w", def.ID, err)
+	}
 	raw.Name = def.ID
 	out := raw.Shell()
 	enf := &Enforced{Def: def, Table: out, CacheHit: hit, Inputs: plan.from}

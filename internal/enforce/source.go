@@ -204,7 +204,11 @@ func (e *SourceEnforcer) Release(t *relation.Table) (*relation.Table, *ReleaseRe
 // applyConsent masks cells whose per-row metadata carries
 // Show<Column>=false (Fig. 2b).
 func (e *SourceEnforcer) applyConsent(t *relation.Table, originalName string, rep *ReleaseReport) (*relation.Table, int, error) {
-	out := t.Clone()
+	mem, err := t.Materialize()
+	if err != nil {
+		return nil, 0, err
+	}
+	out := mem.Clone()
 	out.Name = originalName
 	masked := 0
 	// Pre-compute the columns any Show* key could refer to.

@@ -46,7 +46,7 @@ func TestDeltaApplyCopyOnWrite(t *testing.T) {
 		t.Fatal("Apply mutated the old version")
 	}
 	if next.NumRows() != 6 || next.Get(2, "disease").S != "flu" || next.Get(5, "patient").S != "Zoe" {
-		t.Fatalf("next = %v", next.Rows)
+		t.Fatalf("next = %v", next)
 	}
 	if ch.Appended != 1 || len(ch.Updated) != 1 || ch.Updated[0] != 2 || ch.Rebuilt {
 		t.Fatalf("change = %+v", ch)
@@ -58,7 +58,7 @@ func TestDeltaApplyCopyOnWrite(t *testing.T) {
 	}
 	if ch2.Rebuilt || fmt.Sprint(ch2.Removed) != "[0 3]" || del.NumRows() != 3 ||
 		del.Get(0, "patient").S != "Chris" || del.Get(2, "drug").S != "DR" {
-		t.Fatalf("delete change = %+v, rows = %v", ch2, del.Rows)
+		t.Fatalf("delete change = %+v, rows = %v", ch2, del)
 	}
 	if dump(base) != before {
 		t.Fatal("Apply with deletes mutated the old version")

@@ -95,13 +95,13 @@ func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, er
 	if ci < 0 {
 		return nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
 	}
-	canon, err = canon.Materialize()
-	if err != nil {
-		return nil, err
-	}
 	matcher := newMatcher()
-	for _, r := range canon.Rows {
-		if v := r[ci]; v.Kind == relation.TString {
+	for ri := 0; ri < canon.NumRows(); ri++ {
+		v, err := canon.ValueAt(ri, ci)
+		if err != nil {
+			return nil, err
+		}
+		if v.Kind == relation.TString {
 			matcher.add(v.S)
 		}
 	}

@@ -224,8 +224,8 @@ func TestResolveOutputPinned(t *testing.T) {
 	}
 
 	ref := newRefMatcher()
-	for _, r := range ds.Residents.Rows {
-		ref.add(r[0].S)
+	for i := range ds.Residents.NumRows() {
+		ref.add(ds.Residents.Row(i)[0].S)
 	}
 	// check resolves familydoctor_clean through the reference and compares;
 	// it returns the reference's stats over the rows at idx (nil = all).

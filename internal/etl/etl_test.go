@@ -56,7 +56,7 @@ func TestExtractAndTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 2 || out.Schema.Len() != 2 {
-		t.Errorf("out = %v", out.Rows)
+		t.Errorf("out = %v", out)
 	}
 	// Lineage must reach the original source rows.
 	if !out.RowLineage(0).Contains(relation.RowRef{Table: "prescriptions", Row: 2}) {
@@ -368,6 +368,6 @@ func TestDeriveStep(t *testing.T) {
 	}
 	out, _ := c.Get("with_year")
 	if !out.Schema.HasColumn("year") || out.Get(0, "year").I != 2007 {
-		t.Errorf("derive = %v", out.Rows[0])
+		t.Errorf("derive = %v", out.Row(0))
 	}
 }

@@ -380,24 +380,12 @@ func (a *AggregateStep) Run(c *Context) error {
 // The row loop polls ctx so cancellation lands mid-step on large tables,
 // not only at the next wave boundary.
 func mapCol(ctx context.Context, t *relation.Table, ci int, fn func(relation.Value) relation.Value) (*relation.Table, error) {
-	t, err := t.Materialize() // column rewrites read every row anyway
-	if err != nil {
-		return nil, err
-	}
-	out := &relation.Table{Name: t.Name, Schema: t.Schema.Clone()}
-	out.ColOrigin = make([]relation.ColRefSet, t.Schema.Len())
-	for c := range out.ColOrigin {
-		out.ColOrigin[c] = t.ColumnOrigin(c)
-	}
-	for ri, r := range t.Rows {
-		if ri%cancelCheckRows == 0 {
+	return relation.MapColumn(t, ci, func(i int, v relation.Value) (relation.Value, error) {
+		if i%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return relation.Value{}, err
 			}
 		}
-		nr := r.Clone()
-		nr[ci] = fn(r[ci])
-		out.AppendDerived(nr, t, ri)
-	}
-	return out, nil
+		return fn(v), nil
+	})
 }

@@ -368,9 +368,8 @@ func E8Anonymization() (*Result, error) {
 
 func drugCounts(t *relation.Table) map[string]int64 {
 	out := map[string]int64{}
-	ci := t.Schema.Index("drug")
-	for _, r := range t.Rows {
-		out[r[ci].S]++
+	for i := 0; i < t.NumRows(); i++ {
+		out[t.Get(i, "drug").S]++
 	}
 	return out
 }

@@ -39,7 +39,7 @@ func (a *Association) Matches(t *relation.Table, row int) (bool, error) {
 	if a.When == nil {
 		return true, nil
 	}
-	return relation.EvalPredicate(a.When, t.Rows[row], t.Schema)
+	return relation.EvalPredicate(a.When, t.Row(row), t.Schema)
 }
 
 // Store holds intensional associations and extensional keyed-policy
@@ -135,20 +135,21 @@ func (s *Store) RowMetadata(t *relation.Table, i int) ([]Tag, error) {
 		if di < 0 {
 			continue
 		}
-		key := t.Rows[i][di]
+		key, _ := t.ValueAt(i, di)
 		if key.IsNull() {
 			continue
 		}
 		mi := k.Meta.Schema.Index(k.MetaKey)
 		for r := 0; r < k.Meta.NumRows(); r++ {
-			if !k.Meta.Rows[r][mi].Equal(key) {
+			meta := k.Meta.Row(r)
+			if !meta[mi].Equal(key) {
 				continue
 			}
 			for c, col := range k.Meta.Schema.Columns {
 				if c == mi {
 					continue
 				}
-				tags = append(tags, Tag{Source: k.Name, Key: col.Name, Value: k.Meta.Rows[r][c]})
+				tags = append(tags, Tag{Source: k.Name, Key: col.Name, Value: meta[c]})
 			}
 		}
 	}
@@ -205,7 +206,7 @@ func (s *Store) MatchingRows(t *relation.Table, name string) ([]int, error) {
 		return nil, fmt.Errorf("metadata: unknown association %q", name)
 	}
 	var rows []int
-	for i := range t.Rows {
+	for i := 0; i < t.NumRows(); i++ {
 		ok, err := assoc.Matches(t, i)
 		if err != nil {
 			return nil, err

@@ -207,6 +207,10 @@ func GenerateTests(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer
 // RunTests evaluates a suite against a produced table, returning the
 // failures.
 func RunTests(tests []ComplianceTest, produced *relation.Table) []string {
+	produced, err := produced.Materialize()
+	if err != nil {
+		return []string{err.Error()}
+	}
 	var failures []string
 	for _, tc := range tests {
 		if ok, detail := tc.Verify(produced); !ok {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"plabi/internal/relation"
+	"plabi/internal/relation/reltest"
 )
 
 func fixtures() (*relation.Table, *relation.Table, *Tracer) {
@@ -63,7 +64,7 @@ func TestTraceAggregateRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var asthmaRow = -1
-	for i := range g.Rows {
+	for i := range g.NumRows() {
 		if g.Get(i, "disease").S == "asthma" {
 			asthmaRow = i
 		}
@@ -276,7 +277,7 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	readers.Wait()
 	close(readerDone)
 	wg.Wait()
-	if err := relation.VerifyResident(cur); err != nil {
+	if err := reltest.VerifyResident(cur); err != nil {
 		t.Error(err)
 	}
 }

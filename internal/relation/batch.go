@@ -36,16 +36,14 @@ func (b *Bitmap) Count() int {
 
 // Batch is what a scan hands to the operators: every row of an in-memory
 // table, or one partition of a segment-backed one. Operators read it by
-// column. Col extracts a column on first use (a kernel touching two columns
-// of a twelve-column table pays for those two): the resident vector of a
-// frozen in-memory table (built once per table version, see resident.go),
-// a transposition of the rows of one that is not, or the partition's
-// verified block decoded straight into typed storage — a segment batch holds
-// no rows until an operator that emits them asks (table, ToTable). Vectors
-// are read-only: a frozen table's are shared by every scan of it. The
-// row-oriented Table API stays the interchange format between packages.
+// column, through Col, and by nothing else: a stored table hands over its
+// own vectors, an edge-form table (a literal, a loader's table, a delta's
+// rows) is transposed column by column on first use (a kernel touching two
+// columns of a twelve-column table pays for those two), and a partition's
+// verified block is decoded straight into typed storage. Vectors are
+// read-only: a stored table's are shared by every scan of it.
 type Batch struct {
-	src  *Table // the scanned table: name, schema, provenance; the rows when in memory
+	src  *Table // the scanned table: name, schema, provenance; the cells when in memory
 	n    int
 	cols []*Vector
 
@@ -57,7 +55,6 @@ type Batch struct {
 	hdr      *segHeader
 	blocks   [][]byte
 	buf      *[]byte
-	tab      *Table // the row view, assembled at most once
 	released bool
 }
 
@@ -65,7 +62,7 @@ type Batch struct {
 // not be written while the batch is in use; a registered table is never
 // written again (the contract of sql.Catalog.Register and Refresh).
 func NewBatch(t *Table) *Batch {
-	return &Batch{src: t, n: len(t.Rows), cols: make([]*Vector, t.Schema.Len())}
+	return &Batch{src: t, n: t.NumRows(), cols: make([]*Vector, t.Schema.Len())}
 }
 
 // Len returns the row count.
@@ -128,48 +125,44 @@ func (b *Batch) load(cols []int) error {
 	return nil
 }
 
-// table returns the batch as an in-memory table for the operators that
-// read rows (the join probe, the bound-predicate fallback of Select):
-// the scanned table itself, or the partition's rows assembled from its
-// vectors under the table's name, schema and origins. Its lineage is the
-// scanned table's, read there at the batch's ordinals (start).
-func (b *Batch) table() (*Table, error) {
-	if b.part == nil {
-		return b.src, nil
-	}
-	if b.tab == nil {
-		rows, err := b.rows(nil)
+// row fills dst with row i of the batch, for the kernels that bind a
+// predicate to a row (the fallback of Select); it decodes whatever columns
+// are still encoded.
+func (b *Batch) row(i int, dst Row) error {
+	for ci := range dst {
+		v, err := b.Col(ci)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b.tab = &Table{Name: b.src.Name, Schema: b.src.Schema, Rows: rows, ColOrigin: b.src.ColOrigin}
+		dst[ci] = v.Value(i)
 	}
-	return b.tab, nil
+	return nil
 }
 
-// rows assembles the rows of a segment batch at the positions idx (nil:
-// every row) out of one arena, decoding whatever columns are still encoded.
-func (b *Batch) rows(idx []int) ([]Row, error) {
-	if idx == nil {
-		idx = make([]int, b.n)
-		for i := range idx {
-			idx[i] = i
+// gather returns every column of the batch at the rows ord names by their
+// ordinals in the scanned table: the batch's own vectors, shared, when ord
+// names every row in order.
+func (b *Batch) gather(ord []int32) ([]*Vector, error) {
+	idx, start := ord, int32(b.start())
+	if start != 0 {
+		idx = make([]int32, len(ord))
+		for k, o := range ord {
+			idx[k] = o - start
 		}
 	}
-	nc := len(b.cols)
-	flat := make([]Value, len(idx)*nc)
-	for ci := range b.cols {
+	every := len(idx) == b.n
+	for k := 0; every && k < len(idx); k++ {
+		every = idx[k] == int32(k)
+	}
+	out := make([]*Vector, len(b.cols))
+	for ci := range out {
 		v, err := b.Col(ci)
 		if err != nil {
 			return nil, err
 		}
-		for k, i := range idx {
-			flat[k*nc+ci] = v.Value(i)
+		if out[ci] = v; !every {
+			out[ci] = v.gather(idx)
 		}
-	}
-	out := make([]Row, len(idx))
-	for k := range out {
-		out[k] = Row(flat[k*nc : (k+1)*nc : (k+1)*nc])
 	}
 	return out, nil
 }
@@ -226,27 +219,15 @@ func (b *Batch) Filter(pred Expr) (sel *Bitmap, ok bool, err error) {
 	return sel, true, nil
 }
 
-// selected appends to rows the rows sel selects and to ord their ordinals
-// in the scanned table.
-func (b *Batch) selected(sel *Bitmap, rows []Row, ord []int32) ([]Row, []int32, error) {
-	from := len(ord)
+// selected appends to ord the ordinals, in the scanned table, of the rows
+// sel selects.
+func (b *Batch) selected(sel *Bitmap, ord []int32) []int32 {
 	for i := 0; i < sel.Len(); i++ {
 		if sel.Get(i) {
 			ord = append(ord, int32(b.start()+i))
-			if b.part == nil {
-				rows = append(rows, b.src.Rows[i])
-			}
 		}
 	}
-	if b.part == nil || len(ord) == from {
-		return rows, ord, nil
-	}
-	idx := make([]int, len(ord)-from)
-	for k, o := range ord[from:] {
-		idx[k] = int(o) - b.start()
-	}
-	part, err := b.rows(idx)
-	return append(rows, part...), ord, err
+	return ord
 }
 
 // evalVecPred evaluates a predicate tree over the batch using the truth

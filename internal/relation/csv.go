@@ -14,8 +14,12 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(t.Schema.ColumnNames()); err != nil {
 		return fmt.Errorf("relation: write csv header: %w", err)
 	}
+	m, err := t.Materialize()
+	if err != nil {
+		return err
+	}
 	record := make([]string, t.Schema.Len())
-	for _, row := range t.Rows {
+	for _, row := range m.Rows {
 		for i, v := range row {
 			if v.IsNull() {
 				record[i] = ""

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the copy-on-write row helpers the ETL delta propagation
+// This file holds the copy-on-write helpers the ETL delta propagation
 // composes per-step outputs from: SliceRows cuts the changed rows out of a
 // step's input, ApplyEdit applies the resulting edit script to the step's
 // previous output. Neither ever changes what an input table reads —
@@ -14,24 +14,36 @@ import (
 // applied; an append writes only past the end of the old version's arrays.
 
 // SliceRows builds a derived in-memory table holding exactly t's rows at
-// the given indices, in order, with their lineage and t's column origins.
+// the given indices, in order, with their lineage and t's column origins:
+// each column gathered at idx, so a stored t is never materialized.
 // Operators applied to the slice (mapCol, Rename+Join) produce rows and
 // provenance byte-identical to the same operator applied to the full table
 // at those positions — the basis for row-wise delta splicing.
 func SliceRows(t *Table, idx []int) (*Table, error) {
-	m, err := t.Materialize()
-	if err != nil {
-		return nil, err
+	n := t.NumRows()
+	ord := make([]int32, len(idx))
+	for k, ri := range idx {
+		if ri < 0 || ri >= n {
+			return nil, fmt.Errorf("relation: slice row %d out of range [0,%d)", ri, n)
+		}
+		ord[k] = int32(ri)
 	}
 	out := t.derived(t.Name)
-	out.Rows = make([]Row, len(idx))
-	for k, ri := range idx {
-		if ri < 0 || ri >= len(m.Rows) {
-			return nil, fmt.Errorf("relation: slice row %d out of range [0,%d)", ri, len(m.Rows))
+	if t.vecs == nil && t.seg == nil { // edge form: transpose the slice alone
+		rows := make([]Row, len(idx))
+		for k, ri := range idx {
+			rows[k] = t.Rows[ri]
 		}
-		out.Rows[k] = m.Rows[ri]
+		vecs, _ := (&Table{Schema: t.Schema, Rows: rows}).vectors()
+		out.stored(vecs, len(idx))
+	} else {
+		vecs, err := t.vectors()
+		if err != nil {
+			return nil, err
+		}
+		out.stored(gatherAll(vecs, ord), len(idx))
 	}
-	gatherLineage(out, m, idx)
+	gatherLineage(out, t, ord)
 	return out, nil
 }
 
@@ -100,11 +112,11 @@ func (e Edit) Dirty(newLen int) ([]int, error) {
 	return dirty, nil
 }
 
-// ApplyEdit returns the version of old the edit leads to, copy-on-write:
-// old's rows and lineage read the same afterwards, and kept rows share their
-// storage. repl holds the new content in Dirty order — one row per updated
-// row, then the appended rows — and may be nil when there is none. One pass
-// drops the removed ranges from the rows and from each lineage column, and
+// ApplyEdit returns the version of old the edit leads to, stored, and
+// copy-on-write: old's cells and lineage read the same afterwards. repl
+// holds the new content in Dirty order — one row per updated row, then the
+// appended rows — and may be nil when there is none. One pass per array
+// drops the removed ranges from each column vector and lineage column, and
 // the ordinals of kept rows are renumbered past the base rows e.Shift says
 // their table lost (a kept row naming a lost row itself is an error: the
 // caller's removals are incomplete); the dirty rows take repl's. A base
@@ -112,48 +124,54 @@ func (e Edit) Dirty(newLen int) ([]int, error) {
 // The result is byte-identical, values and lineage, to recomputing the
 // table from the edited inputs.
 //
-// The new version inherits the columnar form readers published on old (see
-// carry). An edit that only appends, made to a version the edit path built,
+// The new version inherits what readers published on old (see carry). An edit that only appends, made to a version the edit path built,
 // writes into the room it left behind old's arrays — old's readers never
 // look past its length — as long as it is the first to claim that room;
 // any other edit, and a second successor of one version, copies once into
 // arrays with room to spare.
 func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
-	om, err := old.Materialize()
+	ov, err := old.vectors()
 	if err != nil {
 		return nil, err
 	}
-	rm := &Table{Schema: om.Schema}
-	if repl != nil {
-		if rm, err = repl.Materialize(); err != nil {
-			return nil, err
-		}
-		if !om.Schema.Equal(rm.Schema) {
-			return nil, fmt.Errorf("relation: edit schema mismatch (%s vs %s)", om.Schema, rm.Schema)
-		}
+	if repl == nil {
+		repl = &Table{Schema: old.Schema, vecs: []*Vector{}}
+	} else if !old.Schema.Equal(repl.Schema) {
+		return nil, fmt.Errorf("relation: edit schema mismatch (%s vs %s)", old.Schema, repl.Schema)
 	}
-	if len(rm.Rows) != len(e.Updated)+e.Appended {
-		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", len(rm.Rows), len(e.Updated), e.Appended)
+	if rn := repl.NumRows(); rn != len(e.Updated)+e.Appended {
+		return nil, fmt.Errorf("relation: edit brings %d rows for %d updated and %d appended", rn, len(e.Updated), e.Appended)
 	}
-	n := len(om.Rows) - len(e.Removed) + e.Appended
+	n := old.NumRows() - len(e.Removed) + e.Appended
 	dirty, err := e.Dirty(n)
 	if err != nil {
 		return nil, err
 	}
+	var rv []*Vector
+	if len(dirty) > 0 {
+		if rv, err = repl.vectors(); err != nil {
+			return nil, err
+		}
+	}
 	grow := e.onlyAppends() && old.claimTail()
 	var out *Table
-	if om.Base {
+	if old.Base {
 		out = &Table{Name: old.Name, Schema: old.Schema, Base: true}
 	} else {
 		out = old.derived(old.Name)
-		if err := editLineage(out, om, rm, e, dirty, grow); err != nil {
+		if err := editLineage(out, old, repl, e, dirty, grow); err != nil {
 			return nil, fmt.Errorf("relation: edit of %s: %w", old.Name, err)
 		}
 	}
-	out.Rows = editArray(om.Rows, e, n, grow)
-	for i, ri := range dirty {
-		out.Rows[ri] = rm.Rows[i]
+	vecs := make([]*Vector, len(ov))
+	for ci, v := range ov {
+		var from *Vector
+		if rv != nil {
+			from = rv[ci]
+		}
+		vecs[ci] = editVector(v, e, n, dirty, from)
 	}
+	out.stored(vecs, n)
 	out.tail = new(atomic.Bool)
 	out.res = carry(old, out, e, dirty, grow)
 	return out, nil
@@ -165,7 +183,7 @@ func ApplyEdit(old *Table, e Edit, repl *Table) (*Table, error) {
 // stay columns — each aligned by table with repl's, grown in place under
 // grow — and lineage becomes packed when either side's is.
 func editLineage(out, om, repl *Table, e Edit, dirty []int, grow bool) error {
-	n := len(om.Rows) - len(e.Removed) + e.Appended
+	n := om.NumRows() - len(e.Removed) + e.Appended
 	kept := n - e.Appended // the rows that hold om's lineage until the dirty ones take repl's
 	if om.packed != nil || repl.packed != nil {
 		var sc lineageScratch
@@ -191,7 +209,7 @@ func editLineage(out, om, repl *Table, e Edit, dirty []int, grow bool) error {
 	tables, oi, ri := alignTables(oc.tables, rc.tables)
 	out.lin = lineageCols{tables: tables, cols: make([][]int32, len(tables))}
 	for k, table := range tables {
-		col := editArray(oc.column(oi[k], len(om.Rows)), e, n, grow)
+		col := editArray(oc.column(oi[k], om.NumRows()), e, n, grow)
 		if lost := e.Shift[table]; len(lost) > 0 {
 			for r, ord := range col[:kept] {
 				if int(ord) < lost[0] {
@@ -204,7 +222,7 @@ func editLineage(out, om, repl *Table, e Edit, dirty []int, grow bool) error {
 				col[r] = ord - int32(x)
 			}
 		}
-		from := rc.column(ri[k], len(repl.Rows))
+		from := rc.column(ri[k], repl.NumRows())
 		for i, r := range dirty {
 			col[r] = from[i]
 		}
@@ -230,9 +248,11 @@ func (sc *lineageScratch) addShifted(p LineagePart, lost []int, ri int) error {
 	return err
 }
 
-// claimTail reports whether the caller may write past the end of t's rows,
-// lineage and resident arrays: t is a version the edit path built, and no
-// one has claimed the room behind it before. The claim is one-shot.
+// claimTail reports whether the caller may write past the end of t's
+// lineage columns and dictionary codes: t is a version the edit path
+// built, and no one has claimed the room behind it before. The claim is
+// one-shot. A vector, which versions of several tables may share, has a
+// claim of its own (editVector).
 func (t *Table) claimTail() bool {
 	return t.tail != nil && t.tail.CompareAndSwap(false, true)
 }
@@ -243,8 +263,8 @@ func roomFor(n int) int { return n + n/8 + 64 }
 
 // editArray returns a, one array of a version, edited into n elements for
 // the next: the removed elements dropped, the rest moved down, the tail up
-// to n left for the caller to fill. When grow (the caller holds the tail
-// claim of a's version and the edit only appends) and a has the room, the
+// to n left for the caller to fill. When grow (the caller holds the claim
+// on a's room and the edit only appends) and a has the room, the
 // result is a itself, grown; otherwise a fresh array with roomFor(n).
 func editArray[T any](a []T, e Edit, n int, grow bool) []T {
 	if grow && n <= cap(a) {
@@ -266,7 +286,5 @@ func editArray[T any](a []T, e Edit, n int, grow bool) []T {
 // run — what a join step retains to place a later edit of l in its
 // output.
 func JoinOrdinals(l, r *Table, pred Expr, kind JoinKind) (*Table, []int32, error) {
-	ord := make([]int32, 0, l.NumRows()) // about one output row per left row
-	out, err := joinOrd(l, r, pred, kind, &ord)
-	return out, ord, err
+	return joinOrd(l, r, pred, kind, false)
 }

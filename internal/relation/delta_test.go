@@ -123,13 +123,12 @@ func TestApplyEditMatchesRebuild(t *testing.T) {
 	}
 }
 
-// publish has readers build every part of tb's resident form: each column's
-// vector, join index and dictionary.
+// publish has readers build every index tb's version keeps: each
+// column's join index and dictionary.
 func publish(t *testing.T, tb *Table) {
 	t.Helper()
 	for ci := range tb.Schema.Columns {
-		col(t, tb, ci)
-		tb.hashIndex(ci)
+		tb.hashIndex(ci, tb.column(ci))
 		codes(t, tb, ci)
 	}
 }
@@ -165,12 +164,12 @@ func TestApplyEditChainCarriesResident(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				rows, vals := snapshot(t, next)
 				retry, _ := editWide(t, rng, cur, b, e)
-				if err := VerifyResident(retry); err != nil {
+				if err := verifyResident(retry); err != nil {
 					t.Fatalf("seed %d step %d retry of %+v: %v", seed, step, e, err)
 				}
 				requireUnchanged(t, fmt.Sprintf("seed %d step %d: the first successor after the retry", seed, step), next, rows, vals)
 			}
-			if err := VerifyResident(next); err != nil {
+			if err := verifyResident(next); err != nil {
 				t.Fatalf("seed %d step %d edit %+v: %v", seed, step, e, err)
 			}
 			for i, v := range seen {
@@ -182,7 +181,7 @@ func TestApplyEditChainCarriesResident(t *testing.T) {
 }
 
 // BenchmarkApplyEdit is a delta's edit of the wide table at benchmark size —
-// 50k rows, three lineage columns, both vectors published — by an append of
+// 50k rows, stored, three lineage columns — by an append of
 // 50 rows, which grows the version in place (its
 // tail claim is handed back before each one), and by an update of 10 rows,
 // which copies it. append-group is the render after an insert delta: the
@@ -196,8 +195,6 @@ func BenchmarkApplyEdit(b *testing.B) {
 	}
 	tb := linTable("rx_wide", n, 25, star)
 	tb.Freeze()
-	tb.column(0)
-	tb.column(1)
 	v0, err := ApplyEdit(tb, Edit{Appended: 1}, linTable("rx_wide", 1, 25, func(int) LineageSet { return star(n) }))
 	if err != nil {
 		b.Fatal(err)
@@ -219,7 +216,7 @@ func BenchmarkApplyEdit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v0.tail.Store(false)
 				out, err := ApplyEdit(v0, bc.e, bc.repl)
-				if err != nil || out.res.cols[1].Load() == nil {
+				if err != nil || out.res == nil || out.vecs == nil {
 					b.Fatalf("%v, resident %+v", err, out.res)
 				}
 			}
@@ -390,8 +387,8 @@ func TestOrdinalsPlaceEveryOutputRow(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: row %d alone: %v", label, i, err)
 						}
-						piecewise.Rows = append(piecewise.Rows, part.Rows...)
-						for k := range part.Rows {
+						piecewise.Rows = append(piecewise.Rows, cells(part)...)
+						for k := range part.NumRows() {
 							wantOrd = append(wantOrd, int32(i))
 							lin = append(lin, part.RowLineage(k))
 						}

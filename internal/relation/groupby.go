@@ -478,9 +478,7 @@ func (s *GroupByState) Result() *Table {
 	}
 	out.Schema = &Schema{Columns: cols}
 
-	flat := make([]Value, 0, len(s.groups)*len(cols))
-	out.Rows = make([]Row, 0, len(s.groups))
-	out.packed = make([]groupLineage, 0, len(s.groups))
+	out.packed = make([]groupLineage, len(s.groups))
 	// A table's row list grows to what the largest group draws from it: once
 	// it holds one ref per member row, it does not grow again.
 	var sc lineageScratch
@@ -492,15 +490,20 @@ func (s *GroupByState) Result() *Table {
 		sc.hint = max(sc.hint, n)
 	}
 	for gi := range s.groups {
-		g := &s.groups[gi]
-		start := len(flat)
-		flat = append(flat, g.key...)
-		for ai, a := range s.aggs {
-			flat = append(flat, g.states[ai].result(a.Kind))
-		}
-		out.Rows = append(out.Rows, Row(flat[start:len(flat):len(flat)]))
-		out.packed = append(out.packed, g.settle(&sc))
+		out.packed[gi] = s.groups[gi].settle(&sc)
 	}
+	vecs := make([]*Vector, len(cols))
+	for k := range s.keys {
+		vecs[k] = vectorOf(len(s.groups), func(gi int) Value { return s.groups[gi].key[k] })
+	}
+	for ai, a := range s.aggs {
+		vals := make([]Value, len(s.groups))
+		for gi := range vals {
+			vals[gi] = s.groups[gi].states[ai].result(a.Kind)
+		}
+		vecs[len(s.keys)+ai] = vectorOf(len(vals), func(gi int) Value { return vals[gi] })
+	}
+	out.stored(vecs, len(s.groups))
 	for _, buf := range s.held {
 		idBufs.Put(buf)
 	}

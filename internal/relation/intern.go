@@ -110,11 +110,23 @@ func (in *interner) len() int { return len(in.ids) + len(in.strs) }
 // vecIDs writes the dense id of every cell of v into out.
 func (in *interner) vecIDs(v *Vector, out []uint32) {
 	if v.V == nil && v.Kind == TString {
-		for i, s := range v.S {
-			if v.Null != nil && v.Null[i] {
+		// One probe per distinct string, when the dictionary is no larger
+		// than the column; ids still go out in row order.
+		var byCode []uint32
+		if len(v.Dict) <= len(out) {
+			byCode = make([]uint32, len(v.Dict))
+		}
+		for i, c := range v.S {
+			switch {
+			case v.Null != nil && v.Null[i]:
 				out[i] = in.id(Null())
-			} else {
-				out[i] = in.str(s)
+			case byCode == nil:
+				out[i] = in.str(v.Dict[c])
+			case byCode[c] == 0:
+				byCode[c] = in.str(v.Dict[c])
+				out[i] = byCode[c]
+			default:
+				out[i] = byCode[c]
 			}
 		}
 		return

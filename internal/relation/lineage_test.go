@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // dictTable is a derived table (k INT, s STRING, n INT) whose key columns
@@ -59,7 +58,7 @@ func TestGroupByDictionaryPath(t *testing.T) {
 				t.Errorf("%s: GroupBy did not read column %d through the dictionary", label, ci)
 			}
 		}
-		if err := VerifyResident(tb); err != nil {
+		if err := verifyResident(tb); err != nil {
 			t.Errorf("%s: %v", label, err)
 		}
 	}
@@ -112,7 +111,7 @@ func TestGroupByFirstRendersShareOneDictionary(t *testing.T) {
 		for w := range got {
 			requireSameOutcome(t, fmt.Sprintf("round %d reader %d", round, w), got[w], want, errs[w], nil)
 		}
-		if err := VerifyResident(tb); err != nil {
+		if err := verifyResident(tb); err != nil {
 			t.Error(err)
 		}
 	}
@@ -153,7 +152,7 @@ func fuzzLineageTable(data []byte) *Table {
 // headOf is the first n rows of t under t's name, schema, base flag and
 // origins, their lineage t's.
 func headOf(t *Table, n int) *Table {
-	h := &Table{Name: t.Name, Schema: t.Schema, Base: t.Base, ColOrigin: t.ColOrigin, Rows: t.Rows[:n:n]}
+	h := &Table{Name: t.Name, Schema: t.Schema, Base: t.Base, ColOrigin: t.ColOrigin, Rows: cells(t)[:n:n]}
 	h.shareLineage(t, n)
 	return h
 }
@@ -175,6 +174,7 @@ func FuzzGroupLineage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := fuzzLineageTable(data)
 		requireOperatorsAgree(t, tab)
+		requireOperatorsAgree(t, storedTwin(tab))
 		aggs := []AggSpec{{Kind: AggCount}}
 		for _, keys := range [][]string{{"k"}, nil} {
 			want, err := groupByRows(tab, keys, aggs)
@@ -266,7 +266,7 @@ func FuzzGroupLineage(f *testing.F) {
 		}
 		got, err := GroupBy(next, []string{"k"}, aggs)
 		requireSameOutcome(t, "appended to a grouped head", got, want, err, nil)
-		if err := VerifyResident(next); err != nil {
+		if err := verifyResident(next); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(*head.res.groups[0].Load()) != before {
@@ -368,7 +368,7 @@ func requirePartsMatch(t *testing.T, tb *Table) {
 // for a table kept by column or implicit, by column for a packed one (or
 // packed again when its refs do not fit a column).
 func twinOf(x *Table) *Table {
-	twin := &Table{Name: x.Name, Schema: x.Schema, ColOrigin: x.ColOrigin, Rows: x.Rows}
+	twin := &Table{Name: x.Name, Schema: x.Schema, ColOrigin: x.ColOrigin, Rows: cells(x)}
 	lin := make([]LineageSet, x.NumRows())
 	for i := range lin {
 		lin[i] = x.RowLineage(i)
@@ -447,7 +447,7 @@ func requireOperatorsAgree(t *testing.T, x *Table) {
 		{"append derived", func(x *Table) (*Table, error) {
 			out := x.Shell()
 			for i := x.NumRows() - 1; i >= 0; i-- {
-				out.AppendDerived(x.Rows[i].Clone(), x, i)
+				out.AppendDerived(x.Row(i).Clone(), x, i)
 			}
 			return out, nil
 		}, nil},
@@ -497,6 +497,24 @@ func TestAppendRejectsDerived(t *testing.T) {
 	}
 }
 
+// cellBytes is the bytes a row of schema s takes in typed vectors without
+// nulls: a string's dictionary code and a date's day take four, a bool
+// one, a number eight.
+func cellBytes(s *Schema) uint64 {
+	var w uint64
+	for _, c := range s.Columns {
+		switch c.Type {
+		case TString, TDate:
+			w += 4
+		case TBool:
+			w++
+		default:
+			w += 8
+		}
+	}
+	return w
+}
+
 // allocated returns the bytes fn allocates, after a collection.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -522,10 +540,11 @@ func starTables(n int) (facts, lookup *Table) {
 }
 
 // TestLineageAllocationBudget holds lineage to its ordinals, on one P: a
-// foreign-key join of 50k rows allocates its row arena — the values, the
-// row headers, the ordinals JoinOrdinals reports — plus 4 bytes per row and
-// base table and a fixed slack; a Rename of a base table allocates nothing
-// per row; LineageParts over a row of lineage columns allocates nothing.
+// foreign-key join of 50k rows allocates the typed vectors of its output's
+// cells, the fact table's rows transposed on entry (it is a row literal),
+// the two sides' ordinals, 4 bytes per row and base table for the lineage
+// and a fixed slack; a Rename of a base table allocates nothing per row;
+// LineageParts over a row of lineage columns allocates nothing.
 func TestLineageAllocationBudget(t *testing.T) {
 	const n = 50000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -538,13 +557,12 @@ func TestLineageAllocationBudget(t *testing.T) {
 			t.Fatalf("JoinOrdinals = %v rows, %v", out.NumRows(), err)
 		}
 	})
-	width := uint64(facts.Schema.Len() + lookup.Schema.Len())
-	arena := n*width*uint64(unsafe.Sizeof(Value{})) + n*uint64(unsafe.Sizeof(Row{})) + n*4
+	cells := n * (2*cellBytes(facts.Schema) + cellBytes(lookup.Schema))
 	tables := uint64(len(out.lin.tables))
-	slack := uint64(maxFlatChunk)*uint64(unsafe.Sizeof(Value{})) + 64<<10
-	t.Logf("join of %d rows over %d base tables allocated %d bytes; row arena %d", n, tables, join, arena)
-	if tables != 2 || join > arena+n*4*tables+slack {
-		t.Errorf("join allocated %d bytes, more than its row arena %d, %d per row and base table and %d slack", join, arena, 4*tables, slack)
+	const slack = 64 << 10
+	t.Logf("join of %d rows over %d base tables allocated %d bytes; cells %d", n, tables, join, cells)
+	if tables != 2 || join > cells+n*8+n*4*tables+slack {
+		t.Errorf("join allocated %d bytes, more than its cells %d, 8 bytes of ordinals per row, %d per row and base table and %d slack", join, cells, 4*tables, slack)
 	}
 
 	if renamed := allocated(func() { Rename(facts, "f") }); renamed > 4<<10 {

@@ -9,11 +9,11 @@ import (
 )
 
 // Select returns the rows of t satisfying pred, preserving lineage and
-// column origins. Each scanned batch is filtered by the kernel and the
-// selected rows concatenated in scan order, their lineage gathered from t
-// by ordinal. The scan decodes the predicate's columns; a segment
-// partition's other columns are decoded, and its rows built, only for the
-// positions selected.
+// column origins. Each scanned batch is filtered by the kernel and its
+// selected rows' cells gathered column by column, in scan order, their
+// lineage gathered from t by ordinal. The scan decodes the predicate's
+// columns; a segment partition's other columns are decoded, and gathered,
+// only where it selects a row.
 func Select(t *Table, pred Expr) (*Table, error) {
 	out, _, err := SelectOrdinals(t, pred)
 	return out, err
@@ -25,17 +25,48 @@ func Select(t *Table, pred Expr) (*Table, error) {
 func SelectOrdinals(t *Table, pred Expr) (*Table, []int32, error) {
 	out := t.derived(t.Name + "_sel")
 	ord := []int32{}
+	var parts [][]*Vector
 	cols := predCols(pred, t.Schema)
 	err := eachBatch(t, pred, func(b *Batch) error { return b.load(cols) }, func(b *Batch) error {
+		from := len(ord)
 		var err error
-		out.Rows, ord, err = selectVec(b, pred, out.Rows, ord)
+		if ord, err = selectVec(b, pred, ord); err != nil || len(ord) == from {
+			return err
+		}
+		vecs, err := b.gather(ord[from:])
+		parts = append(parts, vecs)
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	out.stored(concatParts(parts, t.Schema.Len()), len(ord))
 	gatherLineage(out, t, ord)
 	return out, ord, nil
+}
+
+// concatParts returns the w columns of the batches' parts one after
+// another: the one part itself, or empty columns when there is none.
+func concatParts(parts [][]*Vector, w int) []*Vector {
+	switch len(parts) {
+	case 0:
+		vecs := make([]*Vector, w)
+		for ci := range vecs {
+			vecs[ci] = &Vector{V: []Value{}}
+		}
+		return vecs
+	case 1:
+		return parts[0]
+	}
+	vecs := make([]*Vector, w)
+	col := make([]*Vector, len(parts))
+	for ci := range vecs {
+		for pi, p := range parts {
+			col[pi] = p[ci]
+		}
+		vecs[ci] = concatVectors(col...)
+	}
+	return vecs
 }
 
 // ProjCol describes one output column of a projection: an expression and an
@@ -64,12 +95,9 @@ func (p ProjCol) outName() string {
 
 // Project evaluates the given projections for each row. Column origins of
 // each output column are the union of origins of every input column the
-// expression references; row lineage is preserved.
+// expression references; row lineage is preserved. A projected column is
+// the input's vector, shared; a computed one is evaluated row by row.
 func Project(t *Table, cols ...ProjCol) (*Table, error) {
-	t, err := t.Materialize()
-	if err != nil {
-		return nil, err
-	}
 	return projectVec(t, cols...)
 }
 
@@ -82,13 +110,33 @@ func ProjectCols(t *Table, names ...string) (*Table, error) {
 	return Project(t, cols...)
 }
 
-// Extend appends one computed column to every row.
+// Extend appends one computed column to every row; the others are the
+// input's vectors, shared.
 func Extend(t *Table, name string, e Expr) (*Table, error) {
-	t, err := t.Materialize()
+	return extendVec(t, name, e)
+}
+
+// MapColumn returns t with column ci rewritten by fn, called with each
+// row's index and cell in row order and stopping at its first error; the
+// other columns, the lineage and the column origins are t's, shared.
+func MapColumn(t *Table, ci int, fn func(i int, v Value) (Value, error)) (*Table, error) {
+	in, err := t.vectors()
 	if err != nil {
 		return nil, err
 	}
-	return extendVec(t, name, e)
+	n := t.NumRows()
+	vals := make([]Value, n)
+	for i := range vals {
+		if vals[i], err = fn(i, in[ci].Value(i)); err != nil {
+			return nil, err
+		}
+	}
+	vecs := append([]*Vector(nil), in...)
+	vecs[ci] = vectorOf(n, func(i int) Value { return vals[i] })
+	out := t.derived(t.Name)
+	out.stored(vecs, n)
+	out.shareLineage(t, n)
+	return out, nil
 }
 
 // Rename returns t with the table renamed and columns qualified by the new
@@ -98,7 +146,7 @@ func Rename(t *Table, name string) *Table {
 	out.Schema = t.Schema.Qualify(name)
 	out.res = t.res
 	out.shareLineage(t, t.NumRows())
-	out.Rows, out.seg = capped(t.Rows), t.seg
+	out.Rows, out.vecs, out.n, out.seg = capped(t.Rows), t.vecs, t.n, t.seg
 	return out
 }
 
@@ -114,34 +162,48 @@ const (
 // Join performs a (hash-partitioned when possible) join of l and r on pred.
 // Output columns are l's columns followed by r's; lineage of each output
 // row is the union of the matched input rows' lineage. The right side is
-// materialized and indexed once (it is the build side of every hash
-// plan); the left side is scanned and probes that index batch by batch,
-// so output order is left-major whatever the storage.
+// read by column and indexed once (it is the build side of every hash
+// plan; a stored one keeps its index); the left side is scanned and probes
+// that index batch by batch, so output order is left-major whatever the
+// storage. The output's cells are gathered, each side's columns through
+// the ordinals of the matched rows.
 func Join(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
-	return joinOrd(l, r, pred, kind, nil)
+	out, _, err := joinOrd(l, r, pred, kind, false)
+	return out, err
 }
 
-// joinOrd is Join; a non-nil ord also collects, per output row, the
-// ordinal in l of its left row.
-func joinOrd(l, r *Table, pred Expr, kind JoinKind, ord *[]int32) (*Table, error) {
-	r, err := r.Materialize()
+// joinOrd is Join also returning, per output row, the ordinal in l of its
+// left row; nested forces the nested-loop plan.
+func joinOrd(l, r *Table, pred Expr, kind JoinKind, nested bool) (*Table, []int32, error) {
+	rv, err := r.vectors()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := newJoinShell(l, r)
-	probe := joinProber(out, l, r, pred, kind, ord)
-	rows := func(b *Batch) error { _, err := b.table(); return err }
-	err = eachBatch(l, nil, rows, func(b *Batch) error {
-		bt, err := b.table()
-		if err != nil {
+	probe := joinProber(out, l, r, rv, pred, kind, nested)
+	lo := make([]int32, 0, l.NumRows()) // about one output row per left row
+	ro := make([]int32, 0, l.NumRows())
+	var parts [][]*Vector
+	err = eachBatch(l, nil, nil, func(b *Batch) error {
+		from := len(lo)
+		var err error
+		if lo, ro, err = probe(b, lo, ro); err != nil || len(lo) == from {
 			return err
 		}
-		return probe(bt, b.start())
+		vecs, err := b.gather(lo[from:])
+		parts = append(parts, vecs)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	vecs := concatParts(parts, l.Schema.Len())
+	for _, v := range rv {
+		vecs = append(vecs, v.gather(ro))
+	}
+	out.stored(vecs, len(lo))
+	joinLineage(out, l, r, lo, ro)
+	return out, lo, nil
 }
 
 // equiJoinCols recognizes predicates of the form lcol = rcol where lcol is
@@ -291,28 +353,33 @@ func GroupBy(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
 // Distinct removes duplicate rows; the surviving row's lineage is the union
 // of all duplicates' lineage (the duplicates all "support" the output row).
 func Distinct(t *Table) *Table {
-	return distinctVec(t.mustMaterialize())
+	return distinctVec(t, t.mustVectors())
 }
 
 // Union appends the rows of b to a (schemas must be compatible), keeping
 // duplicates (UNION ALL semantics); wrap with Distinct for set union.
 func Union(a, b *Table) (*Table, error) {
-	a, err := a.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	b, err = b.Materialize()
-	if err != nil {
-		return nil, err
-	}
 	if a.Schema.Len() != b.Schema.Len() {
 		return nil, fmt.Errorf("relation: union arity mismatch: %s vs %s", a.Schema, b.Schema)
+	}
+	av, err := a.vectors()
+	if err != nil {
+		return nil, err
+	}
+	bv, err := b.vectors()
+	if err != nil {
+		return nil, err
 	}
 	out := a.derived(a.Name + "_union")
 	for c := range out.ColOrigin {
 		out.ColOrigin[c] = out.ColOrigin[c].Union(b.ColumnOrigin(c))
 	}
-	out.Rows = append(append(out.Rows, a.Rows...), b.Rows...)
+	vecs := make([]*Vector, len(av))
+	for ci := range vecs {
+		vecs[ci] = concatVectors(av[ci], bv[ci])
+	}
+	an, bn := a.NumRows(), b.NumRows()
+	out.stored(vecs, an+bn)
 	if a.packed != nil || b.packed != nil {
 		out.packed = slices.Concat(packedRows(a), packedRows(b))
 		return out, nil
@@ -321,7 +388,7 @@ func Union(a, b *Table) (*Table, error) {
 	tables, ai, bi := alignTables(ac.tables, bc.tables)
 	out.lin = lineageCols{tables: tables, cols: make([][]int32, len(tables))}
 	for k := range tables {
-		out.lin.cols[k] = slices.Concat(ac.column(ai[k], len(a.Rows)), bc.column(bi[k], len(b.Rows)))
+		out.lin.cols[k] = slices.Concat(ac.column(ai[k], an), bc.column(bi[k], bn))
 	}
 	return out, nil
 }
@@ -332,29 +399,30 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort orders the table by the given keys (stable).
+// Sort orders the table by the given keys (stable): the order is decided
+// over the key columns, and every column gathered through it.
 func Sort(t *Table, keys ...SortKey) (*Table, error) {
-	t, err := t.Materialize()
+	vecs, err := t.vectors()
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(keys))
+	n := t.NumRows()
+	kv := make([][]Value, len(keys)) // each key's cells, read once
 	for i, k := range keys {
 		ci := t.Schema.Index(k.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("relation: sort key %q not in %s", k.Col, t.Schema)
 		}
-		idx[i] = ci
+		kv[i] = vecs[ci].values(0, n)
 	}
 	out := t.derived(t.Name + "_sort")
-	perm := make([]int, len(t.Rows))
+	perm := make([]int32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
 	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := t.Rows[perm[a]], t.Rows[perm[b]]
-		for i, ci := range idx {
-			va, vb := ra[ci], rb[ci]
+		for i, v := range kv {
+			va, vb := v[perm[a]], v[perm[b]]
 			// NULLs sort first.
 			if va.IsNull() && vb.IsNull() {
 				continue
@@ -376,20 +444,30 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 		}
 		return false
 	})
-	out.Rows = make([]Row, len(perm))
-	for j, p := range perm {
-		out.Rows[j] = t.Rows[p]
-	}
+	out.stored(gatherAll(vecs, perm), len(perm))
 	gatherLineage(out, t, perm)
 	return out, nil
 }
 
-// Limit returns the first n rows.
+// gatherAll gathers every vector of vecs through idx.
+func gatherAll(vecs []*Vector, idx []int32) []*Vector {
+	out := make([]*Vector, len(vecs))
+	for ci, v := range vecs {
+		out[ci] = v.gather(idx)
+	}
+	return out
+}
+
+// Limit returns the first n rows, sharing t's vectors.
 func Limit(t *Table, n int) *Table {
-	t = t.mustMaterialize()
+	vecs := t.mustVectors()
 	out := t.derived(t.Name + "_lim")
-	n = max(0, min(n, len(t.Rows)))
-	out.Rows = t.Rows[:n:n]
+	n = max(0, min(n, t.NumRows()))
+	heads := make([]*Vector, len(vecs))
+	for ci, v := range vecs {
+		heads[ci] = v.slice(0, n)
+	}
+	out.stored(heads, n)
 	out.shareLineage(t, n)
 	return out
 }

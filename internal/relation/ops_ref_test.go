@@ -121,6 +121,7 @@ func setLineage(t *Table, sets []LineageSet) *Table {
 
 // selectRows is the row-at-a-time reference implementation of Select.
 func selectRows(t *Table, pred Expr) (*Table, error) {
+	t = t.mustMaterialize()
 	out := t.derived(t.Name + "_sel")
 	var lin []LineageSet
 	for i, r := range t.Rows {
@@ -138,6 +139,7 @@ func selectRows(t *Table, pred Expr) (*Table, error) {
 
 // projectRows is the row-at-a-time reference implementation of Project.
 func projectRows(t *Table, cols ...ProjCol) (*Table, error) {
+	t = t.mustMaterialize()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relation: empty projection")
 	}
@@ -178,6 +180,7 @@ func projectRows(t *Table, cols ...ProjCol) (*Table, error) {
 
 // extendRows is the row-at-a-time reference implementation of Extend.
 func extendRows(t *Table, name string, e Expr) (*Table, error) {
+	t = t.mustMaterialize()
 	out := t.derived(t.Name + "_ext")
 	out.Schema.Columns = append(out.Schema.Columns, Column{Name: name, Type: InferType(e, t.Schema)})
 	var origin ColRefSet
@@ -205,26 +208,17 @@ func extendRows(t *Table, name string, e Expr) (*Table, error) {
 }
 
 // NestedLoopJoin joins l and r by evaluating pred on every row pair, with
-// no hash fast path. It is the semantic reference the hash joins must
-// match and the baseline the benchmark suite measures them against.
+// no hash fast path: the production nested-loop plan, forced. It is the
+// semantic reference the hash joins must match and the baseline the
+// benchmark suite measures them against.
 func NestedLoopJoin(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
-	lm, err := l.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	rm, err := r.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	out := newJoinShell(lm, rm)
-	if err := nestedLoopInto(newJoinEmitter(out, lm, rm, nil), lm, 0, pred, kind); err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := joinOrd(l, r, pred, kind, true)
+	return out, err
 }
 
 // joinRows is the row-at-a-time reference implementation of Join.
 func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
+	l, r = l.mustMaterialize(), r.mustMaterialize()
 	out := &Table{Name: l.Name + "_join_" + r.Name}
 	cols := make([]Column, 0, l.Schema.Len()+r.Schema.Len())
 	cols = append(cols, l.Schema.Columns...)
@@ -304,6 +298,7 @@ func joinRows(l, r *Table, pred Expr, kind JoinKind) (*Table, error) {
 // generic lineage normalization. It shares nothing with the production
 // accumulator (GroupByState) beyond the AggSpec naming helpers.
 func groupByRows(t *Table, keys []string, aggs []AggSpec) (*Table, error) {
+	t = t.mustMaterialize()
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
 		idx := t.Schema.Index(k)
@@ -498,6 +493,7 @@ func emitGroupLineage(refs LineageSet) LineageSet {
 
 // unionRows is the row-at-a-time reference implementation of Union.
 func unionRows(a, b *Table) (*Table, error) {
+	a, b = a.mustMaterialize(), b.mustMaterialize()
 	if a.Schema.Len() != b.Schema.Len() {
 		return nil, fmt.Errorf("relation: union arity mismatch: %s vs %s", a.Schema, b.Schema)
 	}
@@ -517,6 +513,7 @@ func unionRows(a, b *Table) (*Table, error) {
 
 // sliceRowsRef is the row-at-a-time reference implementation of SliceRows.
 func sliceRowsRef(t *Table, idx []int) (*Table, error) {
+	t = t.mustMaterialize()
 	out := t.derived(t.Name)
 	var lin []LineageSet
 	for _, ri := range idx {
@@ -531,6 +528,7 @@ func sliceRowsRef(t *Table, idx []int) (*Table, error) {
 
 // distinctRows is the row-at-a-time reference implementation of Distinct.
 func distinctRows(t *Table) *Table {
+	t = t.mustMaterialize()
 	out := t.derived(t.Name + "_dist")
 	var lin []LineageSet
 	index := map[string]int{}

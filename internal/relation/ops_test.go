@@ -58,7 +58,7 @@ func TestSelectNullPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 1 || out.Get(0, "patient").S != "Bob" {
-		t.Errorf("got %v", out.Rows)
+		t.Errorf("got %v", cells(out))
 	}
 }
 
@@ -133,7 +133,7 @@ func TestJoinEquiHash(t *testing.T) {
 	}
 	// Alice/DH row joins with cost 60 and carries lineage from both bases.
 	found := false
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		if out.Get(i, "p.patient").S == "Alice" && out.Get(i, "p.drug").S == "DH" {
 			found = true
 			if out.Get(i, "c.cost").I != 60 {
@@ -159,7 +159,7 @@ func TestJoinLeft(t *testing.T) {
 	}
 	// DD row must survive with NULL right side.
 	foundDD := false
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		if out.Get(i, "c.drug").S == "DD" {
 			foundDD = true
 			if !out.Get(i, "p.patient").IsNull() {
@@ -193,14 +193,14 @@ func TestGroupByCountAndLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int64{}
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		counts[out.Get(i, "disease").S] = out.Get(i, "count").I
 	}
 	if counts["HIV"] != 2 || counts["asthma"] != 2 || counts["diabetes"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 	// The HIV group's lineage must contain exactly base rows 0 and 1.
-	for i := range out.Rows {
+	for i := range out.NumRows() {
 		if out.Get(i, "disease").S == "HIV" {
 			lin := out.RowLineage(i)
 			if len(lin) != 2 || !lin.Contains(RowRef{"prescriptions", 0}) || !lin.Contains(RowRef{"prescriptions", 1}) {
@@ -226,7 +226,7 @@ func TestGroupByAggregates(t *testing.T) {
 	if all.NumRows() != 1 {
 		t.Fatalf("rows = %d", all.NumRows())
 	}
-	r := all.Rows[0]
+	r := all.Row(0)
 	if r[0].I != 160 {
 		t.Errorf("sum = %v", r[0])
 	}
@@ -256,7 +256,7 @@ func TestGroupByNullsIgnoredInAggs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Get(0, "cnt").I != 1 || out.Get(0, "s").I != 1 {
-		t.Errorf("rows = %v", out.Rows)
+		t.Errorf("rows = %v", cells(out))
 	}
 }
 
@@ -271,7 +271,7 @@ func TestDistinctMergesLineage(t *testing.T) {
 		t.Fatalf("rows = %d", d.NumRows())
 	}
 	// Alice appears at base rows 0 and 4; the surviving row carries both.
-	for i := range d.Rows {
+	for i := range d.NumRows() {
 		if d.Get(i, "patient").S == "Alice" {
 			lin := d.RowLineage(i)
 			if !lin.Contains(RowRef{"prescriptions", 0}) || !lin.Contains(RowRef{"prescriptions", 4}) {
@@ -332,8 +332,8 @@ func TestSortNullsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rows[0][0].IsNull() || out.Rows[1][0].I != 1 {
-		t.Errorf("rows = %v", out.Rows)
+	if !out.Row(0)[0].IsNull() || out.Row(1)[0].I != 1 {
+		t.Errorf("rows = %v", cells(out))
 	}
 }
 
@@ -370,8 +370,8 @@ func TestTableClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sel.Clone()
-	c.Rows[0][0] = Str("Mallory")
-	if sel.Rows[0][0].S == "Mallory" {
+	c.vecs[0].Dict[c.vecs[0].S[0]] = "Mallory"
+	if sel.Row(0)[0].S == "Mallory" {
 		t.Error("clone aliases rows")
 	}
 }
@@ -403,8 +403,8 @@ func TestSelectPropertyLineagePreserved(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range out.Rows {
-			if out.Rows[i][0].I <= 0 {
+		for i := range out.NumRows() {
+			if out.Row(i)[0].I <= 0 {
 				return false
 			}
 			lin := out.RowLineage(i)
@@ -412,7 +412,7 @@ func TestSelectPropertyLineagePreserved(t *testing.T) {
 				return false
 			}
 			// The referenced base row must hold the same value.
-			if b.Rows[lin[0].Row][0].I != out.Rows[i][0].I {
+			if b.Rows[lin[0].Row][0].I != out.Row(i)[0].I {
 				return false
 			}
 		}
@@ -437,7 +437,7 @@ func TestGroupByPropertyPartition(t *testing.T) {
 		}
 		var total int64
 		covered := map[int]bool{}
-		for i := range out.Rows {
+		for i := range out.NumRows() {
 			total += out.Get(i, "count").I
 			for _, ref := range out.RowLineage(i) {
 				if covered[ref.Row] {

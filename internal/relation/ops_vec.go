@@ -6,46 +6,82 @@ import (
 )
 
 // This file holds the vectorized kernels behind the public operators
-// (ops.go feeds them the batches of a Scanner, or a materialized table).
+// (ops.go feeds them the batches of a Scanner, or a table's vectors).
 // Every function here must be observationally identical to its
 // row-at-a-time reference in ops_ref_test.go: same rows in the same order,
 // same lineage sets, same column origins, same errors. The equivalence
 // property tests in vec_equiv_test.go enforce this on randomized and
-// workload-shaped inputs.
+// workload-shaped inputs, each built both as a row literal and as a stored
+// table.
 
-// selectVec is the vectorized Select over one batch: it appends the rows
-// pred selects to rows, and their ordinals in the scanned table to ord.
-// Kernel filtering over column vectors when the predicate shape supports
-// it, the predicate bound to column positions and evaluated over the
-// batch's rows otherwise.
-func selectVec(b *Batch, pred Expr, rows []Row, ord []int32) ([]Row, []int32, error) {
+// selectVec is the vectorized Select over one batch: it appends the
+// ordinals, in the scanned table, of the rows pred selects to ord. Kernel
+// filtering over column vectors when the predicate shape supports it, the
+// predicate bound to column positions and evaluated over each row,
+// assembled from the batch's columns, otherwise.
+func selectVec(b *Batch, pred Expr, ord []int32) ([]int32, error) {
 	sel, ok, err := b.Filter(pred)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if ok {
-		return b.selected(sel, rows, ord)
+		return b.selected(sel, ord), nil
 	}
-	t, err := b.table()
-	if err != nil {
-		return nil, nil, err
-	}
-	p := CompilePredicate(pred, t.Schema)
-	for i, r := range t.Rows {
-		ok, err := p.Selected(r)
+	p := CompilePredicate(pred, b.Schema())
+	row := make(Row, b.Schema().Len())
+	for i := 0; i < b.Len(); i++ {
+		if err := b.row(i, row); err != nil {
+			return nil, err
+		}
+		ok, err := p.Selected(row)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ok {
-			rows, ord = append(rows, r), append(ord, int32(b.start()+i))
+			ord = append(ord, int32(b.start()+i))
 		}
 	}
-	return rows, ord, nil
+	return ord, nil
 }
 
-// projectVec is the vectorized Project: expressions are bound to column
-// indices once and output rows are carved out of one flat arena instead
-// of being allocated per row.
+// evalRows evaluates the bound expression e over each of t's n rows, the
+// columns it reads (refs) filled into a scratch row from vecs, and returns
+// the results as a vector.
+func evalRows(e Expr, s *Schema, vecs []*Vector, n int) (*Vector, error) {
+	var refs []int
+	for _, name := range ColumnsOf(e) {
+		if ci := s.Index(name); ci >= 0 {
+			refs = append(refs, ci)
+		}
+	}
+	be := bind(e, s)
+	row := make(Row, s.Len())
+	vals := make([]Value, n)
+	for i := range vals {
+		for _, ci := range refs {
+			row[ci] = vecs[ci].Value(i)
+		}
+		v, err := be.Eval(row, s)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vectorOf(n, func(i int) Value { return vals[i] }), nil
+}
+
+// firstKind returns the kind of v's first cell that is not NULL, or TNull.
+func (v *Vector) firstKind() Type {
+	for i := 0; i < v.n; i++ {
+		if c := v.Value(i); !c.IsNull() {
+			return c.Kind
+		}
+	}
+	return TNull
+}
+
+// projectVec is the vectorized Project: a column reference shares the
+// input's vector, any other expression is evaluated once per row.
 func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relation: empty projection")
@@ -66,33 +102,28 @@ func projectVec(t *Table, cols ...ProjCol) (*Table, error) {
 		out.ColOrigin[i] = origin.normalize()
 	}
 	out.Schema = &Schema{Columns: schemaCols}
-
-	k := len(cols)
-	exprs := make([]Expr, k)
+	in, err := t.vectors()
+	if err != nil {
+		return nil, err
+	}
+	n := t.NumRows()
+	vecs := make([]*Vector, len(cols))
 	for j, p := range cols {
-		exprs[j] = bind(p.Expr, t.Schema)
-	}
-	flat := make([]Value, len(t.Rows)*k)
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		nr := flat[i*k : i*k+k : i*k+k]
-		for j := range exprs {
-			v, err := exprs[j].Eval(r, t.Schema)
-			if err != nil {
-				return nil, err
-			}
-			nr[j] = v
-			if out.Schema.Columns[j].Type == TNull && !v.IsNull() {
-				out.Schema.Columns[j].Type = v.Kind
-			}
+		if c, ok := p.Expr.(*ColExpr); ok {
+			vecs[j] = in[t.Schema.Index(c.Name)]
+		} else if vecs[j], err = evalRows(p.Expr, t.Schema, in, n); err != nil {
+			return nil, err
 		}
-		out.Rows[i] = Row(nr)
+		if out.Schema.Columns[j].Type == TNull {
+			out.Schema.Columns[j].Type = vecs[j].firstKind()
+		}
 	}
-	out.shareLineage(t, len(t.Rows))
+	out.stored(vecs, n)
+	out.shareLineage(t, n)
 	return out, nil
 }
 
-// extendVec is the vectorized Extend: one bound expression, arena rows.
+// extendVec is the vectorized Extend: t's vectors shared, one computed.
 func extendVec(t *Table, name string, e Expr) (*Table, error) {
 	out := t.derived(t.Name + "_ext")
 	out.Schema.Columns = append(out.Schema.Columns, Column{Name: name, Type: InferType(e, t.Schema)})
@@ -105,22 +136,17 @@ func extendVec(t *Table, name string, e Expr) (*Table, error) {
 		origin = append(origin, t.ColumnOrigin(ci)...)
 	}
 	out.ColOrigin = append(out.ColOrigin, origin.normalize())
-
-	be := bind(e, t.Schema)
-	w := t.Schema.Len() + 1
-	flat := make([]Value, len(t.Rows)*w)
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		v, err := be.Eval(r, t.Schema)
-		if err != nil {
-			return nil, err
-		}
-		nr := flat[i*w : i*w+w : i*w+w]
-		copy(nr, r)
-		nr[w-1] = v
-		out.Rows[i] = Row(nr)
+	in, err := t.vectors()
+	if err != nil {
+		return nil, err
 	}
-	out.shareLineage(t, len(t.Rows))
+	n := t.NumRows()
+	v, err := evalRows(e, t.Schema, in, n)
+	if err != nil {
+		return nil, err
+	}
+	out.stored(append(in[:len(in):len(in)], v), n)
+	out.shareLineage(t, n)
 	return out, nil
 }
 
@@ -152,231 +178,154 @@ func joinMapKey(v Value) ValKey {
 	}
 }
 
-// joinEmitter materializes join output rows out of a shared arena, and
-// their lineage as columns: each output column takes one lineage column of
-// l or r, or the ordinal itself for a side that keeps its lineage
-// implicit, so no lineage is allocated but the ordinals. A packed side
-// makes every output row packed, l's row and r's packed together.
-//
-// The value arena grows in fixed-size chunks rather than by append-doubling:
-// output size is unknown upfront, and doubling a multi-megabyte []Value
-// arena re-copies every element through write barriers (a Value's string is
-// a pointer) and re-zeroes the new block. A fresh chunk costs one
-// allocation and leaves all previously emitted rows untouched.
-type joinEmitter struct {
-	out       *Table
-	l, r      *Table // l is the whole left input, r the materialized right
-	batch     *Table // the left batch being probed, row i of it row lStart+i of l
-	lw, rw    int
-	leftRows  int // rows of the whole left input: the output-size estimate
-	flatChunk int // value-arena chunk size, scaled to the expected output
-	flat      []Value
-	from      []linSource     // per output lineage column
-	sc        *lineageScratch // non-nil when a side is packed: packs each output row
-	// ord, when non-nil, collects per emitted row the ordinal of its left
-	// row in the whole left input.
-	ord    *[]int32
-	lStart int
-}
+// probeFn probes the index of a join plan with one left batch, appending
+// per matched pair the ordinal of its left row in the left input to lo and
+// that of its right row to ro (-1: a LEFT JOIN miss).
+type probeFn func(b *Batch, lo, ro []int32) ([]int32, []int32, error)
 
-// linSource is where one output lineage column's ordinals come from: a
-// lineage column of one side, or — col nil — that side's row ordinal.
-type linSource struct {
-	right bool
-	col   []int32
-}
-
-// at returns the ordinal of row i of the side (-1: no row).
-func (s linSource) at(i int) int32 {
-	switch {
-	case i < 0:
-		return -1
-	case s.col == nil:
-		return int32(i)
-	}
-	return s.col[i]
-}
-
-// linSources lists the lineage columns of one join side, by table.
-func linSources(t *Table, right bool) (tables []string, from []linSource) {
-	if origin, ok := t.implicit(); ok {
-		return []string{origin}, []linSource{{right: right}}
-	}
-	for _, col := range t.lin.cols {
-		from = append(from, linSource{right: right, col: col})
-	}
-	return t.lin.tables, from
-}
-
-// Arena chunk-size ceiling: 1.25 MiB of 40-byte Values. Large enough to
-// amortize allocation, small enough that a mostly-empty final chunk is
-// cheap. The emitter starts from the foreign-key estimate (about one output
-// row per probe row) so small joins never allocate a megabyte chunk.
-const maxFlatChunk = 1 << 15
-
-// rowSlot returns a zero-length slice with capacity n carved from the
-// value arena, starting a new chunk when the current one is full.
-func (e *joinEmitter) rowSlot(n int) []Value {
-	if len(e.flat)+n > cap(e.flat) {
-		c := e.flatChunk
-		if n > c {
-			c = n
-		}
-		e.flat = make([]Value, 0, c)
-	}
-	start := len(e.flat)
-	e.flat = e.flat[:start+n]
-	return e.flat[start : start : start+n]
-}
-
-// newJoinEmitter sizes the arena for l ⋈ r from l's total row count and
-// lays out out's lineage; the batches of l are then probed one at a time
-// through setLeft.
-func newJoinEmitter(out *Table, l, r *Table, ord *[]int32) *joinEmitter {
-	e := &joinEmitter{out: out, l: l, r: r, lw: l.Schema.Len(), rw: r.Schema.Len(), leftRows: l.NumRows(), ord: ord}
-	e.flatChunk = min(max(e.leftRows*(e.lw+e.rw), 64), maxFlatChunk)
+// joinLineage gives out, the join of l and r whose row k joins row lo[k]
+// of l with row ro[k] of r (-1: none), its lineage. Each output lineage
+// column is one lineage column of l or r, or that side's ordinals for a
+// side that keeps its lineage implicit, gathered through the matched
+// ordinals. A packed side makes every output row packed, l's row and r's
+// packed together.
+func joinLineage(out, l, r *Table, lo, ro []int32) {
 	if l.packed != nil || r.packed != nil {
-		e.sc, out.packed = new(lineageScratch), []groupLineage{}
-		return e
+		var sc lineageScratch
+		out.packed = make([]groupLineage, len(lo))
+		for k := range lo {
+			sc.addRows(l, int(lo[k]), oneRow)
+			if ro[k] >= 0 {
+				sc.addRows(r, int(ro[k]), oneRow)
+			}
+			out.packed[k] = sc.pack()
+		}
+		return
 	}
-	lt, lf := linSources(l, false)
-	rt, rf := linSources(r, true)
+	lt, lf := linSources(l)
+	rt, rf := linSources(r)
 	tables, li, ri := alignTables(lt, rt)
 	for k, table := range tables { // both sides' columns, a name twice for a self-join
 		if li[k] >= 0 {
-			out.lin.tables, e.from = append(out.lin.tables, table), append(e.from, lf[li[k]])
+			out.lin.tables, out.lin.cols = append(out.lin.tables, table), append(out.lin.cols, gatherOrds(lf[li[k]], lo))
 		}
 		if ri[k] >= 0 {
-			out.lin.tables, e.from = append(out.lin.tables, table), append(e.from, rf[ri[k]])
-		}
-	}
-	out.lin.cols = make([][]int32, len(e.from))
-	return e
-}
-
-// setLeft points the emitter at the next left batch, which starts at row
-// start of the left input.
-func (e *joinEmitter) setLeft(batch *Table, start int) {
-	if e.out.Rows == nil {
-		// Foreign-key-shaped joins emit about one row per probe row; header
-		// doubling from zero would re-copy the slice headers several times.
-		e.out.Rows = make([]Row, 0, e.leftRows)
-		if e.sc != nil {
-			e.out.packed = make([]groupLineage, 0, e.leftRows)
-		}
-		for k := range e.out.lin.cols {
-			e.out.lin.cols[k] = make([]int32, 0, e.leftRows)
-		}
-	}
-	e.batch, e.lStart = batch, start
-}
-
-// lineage appends the lineage of the row joining left row i of the batch
-// with right row j (-1: none).
-func (e *joinEmitter) lineage(i, j int) {
-	li := e.lStart + i
-	if e.ord != nil {
-		*e.ord = append(*e.ord, int32(li))
-	}
-	if e.sc != nil {
-		e.sc.addRows(e.l, li, oneRow)
-		if j >= 0 {
-			e.sc.addRows(e.r, j, oneRow)
-		}
-		e.out.packed = append(e.out.packed, e.sc.pack())
-		return
-	}
-	for k, s := range e.from {
-		if s.right {
-			e.out.lin.cols[k] = append(e.out.lin.cols[k], s.at(j))
-		} else {
-			e.out.lin.cols[k] = append(e.out.lin.cols[k], s.at(li))
+			out.lin.tables, out.lin.cols = append(out.lin.tables, table), append(out.lin.cols, gatherOrds(rf[ri[k]], ro))
 		}
 	}
 }
 
-// emit appends the joined row (l[i] ++ r[j]) and its lineage.
-func (e *joinEmitter) emit(i, j int) {
-	nr := e.rowSlot(e.lw + e.rw)
-	nr = append(nr, e.batch.Rows[i]...)
-	nr = append(nr, e.r.Rows[j]...)
-	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.lineage(i, j)
+// linSources lists the lineage columns of one join side, by table; a nil
+// column stands for the side's row ordinal.
+func linSources(t *Table) (tables []string, from [][]int32) {
+	if origin, ok := t.implicit(); ok {
+		return []string{origin}, [][]int32{nil}
+	}
+	return t.lin.tables, t.lin.cols
 }
 
-// emitLeftNull appends l[i] null-extended on the right (LEFT JOIN miss).
-func (e *joinEmitter) emitLeftNull(i int) {
-	nr := e.rowSlot(e.lw + e.rw)
-	nr = append(nr, e.batch.Rows[i]...)
-	nr = nr[:e.lw+e.rw] // the null extension: fresh arena cells are zero Values
-	e.out.Rows = append(e.out.Rows, Row(nr))
-	e.lineage(i, -1)
+// gatherOrds returns col's ordinals at idx — idx itself for a nil col —
+// and -1 at an index of -1.
+func gatherOrds(col, idx []int32) []int32 {
+	out := make([]int32, len(idx))
+	for k, i := range idx {
+		switch {
+		case i < 0:
+			out[k] = -1
+		case col == nil:
+			out[k] = i
+		default:
+			out[k] = col[i]
+		}
+	}
+	return out
 }
 
 // joinProber chooses the join plan from the predicate, builds its index
-// over the materialized right table once, and returns the function that
-// probes it with one left batch (starting at row start of l), appending
-// to out and, when ord is non-nil, each row's left ordinal to it. Single-column
-// equi-joins hash on interned keys (the reference fast path's Key()-string
-// semantics, minus the string allocations) — over a frozen right side, the
-// index its version keeps resident; conjunctions containing equality pairs
-// hash on all pairs with Compare verification plus a bound residual;
-// anything else runs the nested-loop reference.
-func joinProber(out *Table, l, r *Table, pred Expr, kind JoinKind, ord *[]int32) func(batch *Table, start int) error {
-	em := newJoinEmitter(out, l, r, ord)
-	// Single equi pair: exactly the reference fast path, interned.
-	if lc, rc, ok := equiJoinCols(pred, l.Schema, r.Schema); ok {
-		idx := r.hashIndex(rc)
-		return func(batch *Table, start int) error {
-			em.setLeft(batch, start)
-			for i, lr := range batch.Rows {
-				matched := false
-				if !lr[lc].IsNull() {
-					for _, j := range idx[MapKey(lr[lc])] {
-						em.emit(i, int(j))
-						matched = true
-					}
+// over r's vectors rv once, and returns the probe of one left batch.
+// Single-column equi-joins probe the left key vector against a hash index
+// of the right one (a string key hashed as itself, any other by MapKey) —
+// over a frozen right side, the index its version keeps resident;
+// conjunctions containing equality pairs hash on all pairs with Compare
+// verification plus a bound residual; anything else, and every join when
+// nested is set, runs the nested loop.
+func joinProber(out, l, r *Table, rv []*Vector, pred Expr, kind JoinKind, nested bool) probeFn {
+	ls := l.Schema
+	if !nested {
+		if lc, rc, ok := equiJoinCols(pred, ls, r.Schema); ok {
+			idx := r.hashIndex(rc, rv[rc])
+			return func(b *Batch, lo, ro []int32) ([]int32, []int32, error) {
+				kv, err := b.Col(lc)
+				if err != nil {
+					return nil, nil, err
 				}
-				if !matched && kind == LeftJoin {
-					em.emitLeftNull(i)
-				}
+				lo, ro = idx.probe(kv, b.start(), kind == LeftJoin, lo, ro)
+				return lo, ro, nil
 			}
-			return nil
 		}
 	}
-
-	nested := func(batch *Table, start int) error { return nestedLoopInto(em, batch, start, pred, kind) }
+	var rrows []Row // the right side's rows, assembled for the first batch the nested loop probes
+	loop := func(b *Batch, lo, ro []int32) ([]int32, []int32, error) {
+		if rrows == nil {
+			rrows = rowsOf(rv, r.NumRows())
+		}
+		return nestedLoop(out, rrows, pred, kind, b, lo, ro)
+	}
 	// Conjunction with equality pairs: multi-key hash join with
 	// verification, as long as the residual can never error (otherwise
 	// the hash plan could skip rows the reference would have errored on).
-	if pairs, residual := extractJoinPairs(pred, l.Schema, r.Schema); len(pairs) > 0 {
+	if pairs, residual := extractJoinPairs(pred, ls, r.Schema); !nested && len(pairs) > 0 {
 		res := CompilePredicate(residual, out.Schema)
-		if res.Safe() && !nanInKeys(r.Rows, pairs, true) {
-			hashProbe := hashJoinMulti(em, r, pairs, res, kind)
-			return func(batch *Table, start int) error {
-				if nanInKeys(batch.Rows, pairs, false) {
-					return nested(batch, start)
+		if rk := pairCols(pairs, rv, true); res.Safe() && !nanIn(rk) {
+			hashProbe := hashJoinMulti(rk, rv, pairs, res, kind)
+			return func(b *Batch, lo, ro []int32) ([]int32, []int32, error) {
+				lk, err := batchCols(b, pairs)
+				if err != nil || nanIn(lk) {
+					return loop(b, lo, ro)
 				}
-				hashProbe(batch, start)
-				return nil
+				return hashProbe(b, lk, lo, ro)
 			}
 		}
 	}
-	return nested
+	return loop
 }
 
-// nanInKeys reports whether any join-key cell of rows (the right side's
-// when right is set) is NaN. Compare treats NaN as equal to every number,
-// an equivalence no hash key can express, so such joins (pathological in
-// practice) take the nested-loop reference.
-func nanInKeys(rows []Row, pairs []joinPair, right bool) bool {
-	for _, pr := range pairs {
-		ci := pr.lc
+// pairCols returns the key vectors of one side of the pairs.
+func pairCols(pairs []joinPair, vecs []*Vector, right bool) []*Vector {
+	out := make([]*Vector, len(pairs))
+	for p, pr := range pairs {
 		if right {
-			ci = pr.rc
+			out[p] = vecs[pr.rc]
+		} else {
+			out[p] = vecs[pr.lc]
 		}
-		for _, row := range rows {
-			if v := row[ci]; v.Kind == TFloat && math.IsNaN(v.F) {
+	}
+	return out
+}
+
+// batchCols returns the left key vectors of the pairs in batch b.
+func batchCols(b *Batch, pairs []joinPair) ([]*Vector, error) {
+	out := make([]*Vector, len(pairs))
+	for p, pr := range pairs {
+		v, err := b.Col(pr.lc)
+		if err != nil {
+			return nil, err
+		}
+		out[p] = v
+	}
+	return out, nil
+}
+
+// nanIn reports whether any cell of the key vectors is NaN. Compare treats
+// NaN as equal to every number, an equivalence no hash key can express, so
+// such joins (pathological in practice) take the nested loop.
+func nanIn(keys []*Vector) bool {
+	for _, v := range keys {
+		if v.V == nil && v.Kind != TFloat {
+			continue
+		}
+		for i := 0; i < v.n; i++ {
+			if c := v.Value(i); c.Kind == TFloat && math.IsNaN(c.F) {
 				return true
 			}
 		}
@@ -439,11 +388,13 @@ func extractJoinPairs(pred Expr, ls, rs *Schema) ([]joinPair, Expr) {
 	return pairs, residual
 }
 
-// hashJoinMulti indexes r on every equality pair at once and returns the
-// probe for one left batch. Keys are canonicalized with joinMapKey
-// (over-merge only) and every candidate is re-verified with Value.Equal,
-// so the match set is exactly the nested-loop reference's.
-func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual CompiledPredicate, kind JoinKind) func(l *Table, start int) {
+// hashJoinMulti indexes the right key vectors rk (of r's vectors rv) on
+// every equality pair at once and returns the probe for one left batch,
+// given its key vectors. Keys are canonicalized with joinMapKey (over-merge
+// only) and every candidate is re-verified with Value.Equal, then tested
+// against the residual over the joined row, assembled in a scratch row, so
+// the match set is exactly the nested-loop reference's.
+func hashJoinMulti(rk, rv []*Vector, pairs []joinPair, residual CompiledPredicate, kind JoinKind) func(b *Batch, lk []*Vector, lo, ro []int32) ([]int32, []int32, error) {
 	type rkey struct{ a, b uint64 }
 	ins := make([]map[ValKey]uint32, len(pairs))
 	for p := range ins {
@@ -451,18 +402,14 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual Compile
 	}
 	// A right (build) row interns unseen key values; a left (probe) row
 	// with an unseen or NULL value has no match.
-	buildKey := func(row Row, right bool) (rkey, bool) {
+	buildKey := func(keys []*Vector, i int, right bool) (rkey, bool) {
 		var k rkey
-		for p, pr := range pairs {
-			ci := pr.lc
-			if right {
-				ci = pr.rc
-			}
-			v := row[ci]
-			if v.IsNull() {
+		for p, v := range keys {
+			c := v.Value(i)
+			if c.IsNull() {
 				return rkey{}, false
 			}
-			vk := joinMapKey(v)
+			vk := joinMapKey(c)
 			id, ok := ins[p][vk]
 			if !ok {
 				if !right {
@@ -481,25 +428,27 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual Compile
 		}
 		return k, true
 	}
-	idx := make(map[rkey][]int32, len(r.Rows))
-	for j, rr := range r.Rows {
-		if k, ok := buildKey(rr, true); ok {
+	rn := 0
+	if len(rk) > 0 {
+		rn = rk[0].Len()
+	}
+	idx := make(map[rkey][]int32, rn)
+	for j := 0; j < rn; j++ {
+		if k, ok := buildKey(rk, j, true); ok {
 			idx[k] = append(idx[k], int32(j))
 		}
 	}
-	scratch := make(Row, em.lw+em.rw)
-	return func(l *Table, start int) {
-		em.setLeft(l, start)
-		for i, lr := range l.Rows {
-			matched := false
-			if k, ok := buildKey(lr, false); ok {
-				copy(scratch, lr)
-				for _, j32 := range idx[k] {
-					j := int(j32)
-					rr := r.Rows[j]
+	return func(b *Batch, lk []*Vector, lo, ro []int32) ([]int32, []int32, error) {
+		lw := b.Schema().Len()
+		scratch := make(Row, lw+len(rv))
+		for i := 0; i < b.Len(); i++ {
+			li := int32(b.start() + i)
+			matched, filled := false, false
+			if k, ok := buildKey(lk, i, false); ok {
+				for _, j := range idx[k] {
 					equal := true
-					for _, pr := range pairs {
-						if !lr[pr.lc].Equal(rr[pr.rc]) {
+					for p := range pairs {
+						if !lk[p].Value(i).Equal(rk[p].Value(int(j))) {
 							equal = false
 							break
 						}
@@ -507,75 +456,92 @@ func hashJoinMulti(em *joinEmitter, r *Table, pairs []joinPair, residual Compile
 					if !equal {
 						continue
 					}
-					copy(scratch[len(lr):], rr)
+					if !filled {
+						if err := b.row(i, scratch[:lw]); err != nil {
+							return nil, nil, err
+						}
+						filled = true
+					}
+					for ci, v := range rv {
+						scratch[lw+ci] = v.Value(int(j))
+					}
 					if sel, _ := residual.Selected(scratch); sel {
-						em.emit(i, j)
+						lo, ro = append(lo, li), append(ro, j)
 						matched = true
 					}
 				}
 			}
 			if !matched && kind == LeftJoin {
-				em.emitLeftNull(i)
+				lo, ro = append(lo, li), append(ro, -1)
 			}
 		}
+		return lo, ro, nil
 	}
 }
 
-// nestedLoopInto is the general join body: the plan for predicates no hash
-// plan covers, and the test suite's nested-loop oracle. It probes the left
-// batch l, which starts at row start of the left input, against every
-// right row; pred is bound against the joined schema once, not looked up
-// per row pair.
-func nestedLoopInto(em *joinEmitter, l *Table, start int, pred Expr, kind JoinKind) error {
-	p := CompilePredicate(pred, em.out.Schema)
-	em.setLeft(l, start)
-	scratch := make(Row, em.lw+em.rw)
-	for i, lr := range l.Rows {
-		copy(scratch, lr)
+// nestedLoop is the general join body: the plan for predicates no hash
+// plan covers, and the test suite's nested-loop oracle. It probes the
+// left batch b against every row of the right side, rrows; pred is bound
+// against the joined schema once, not looked up per row pair.
+func nestedLoop(out *Table, rrows []Row, pred Expr, kind JoinKind, b *Batch, lo, ro []int32) ([]int32, []int32, error) {
+	p := CompilePredicate(pred, out.Schema)
+	lw := b.Schema().Len()
+	scratch := make(Row, out.Schema.Len())
+	for i := 0; i < b.Len(); i++ {
+		if err := b.row(i, scratch[:lw]); err != nil {
+			return nil, nil, err
+		}
+		li := int32(b.start() + i)
 		matched := false
-		for j, rr := range em.r.Rows {
-			copy(scratch[len(lr):], rr)
+		for j, rr := range rrows {
+			copy(scratch[lw:], rr)
 			ok, err := p.Selected(scratch)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			if ok {
-				em.emit(i, j)
+				lo, ro = append(lo, li), append(ro, int32(j))
 				matched = true
 			}
 		}
 		if !matched && kind == LeftJoin {
-			em.emitLeftNull(i)
+			lo, ro = append(lo, li), append(ro, -1)
 		}
 	}
-	return nil
+	return lo, ro, nil
 }
 
-// distinctVec is the vectorized Distinct: whole-row keys are interned per
-// column instead of concatenating Key() strings, and each surviving row's
-// lineage — its duplicates' together — is packed.
-func distinctVec(t *Table) *Table {
+// distinctVec is the vectorized Distinct over t's vectors: whole-row keys
+// are interned per column, the first row of each key gathered, and each
+// surviving row's lineage — its duplicates' together — is packed.
+func distinctVec(t *Table, vecs []*Vector) *Table {
 	out := t.derived(t.Name + "_dist")
-	allCols := make([]int, t.Schema.Len())
-	for i := range allCols {
-		allCols[i] = i
-	}
-	capHint := min(len(t.Rows), 1024)
+	n := t.NumRows()
+	allCols := make([]int, len(vecs))
+	ids := make([][]uint32, len(vecs))
+	capHint := min(n, 1024)
 	keyer := newRowKeyer(allCols, capHint)
+	for ci, v := range vecs {
+		allCols[ci] = ci
+		ids[ci] = make([]uint32, n)
+		keyer.ins[ci].vecIDs(v, ids[ci])
+	}
 	index := make(map[compositeKey]int, capHint)
-	of := make([]int, len(t.Rows)) // the output row each input row falls into
-	for i, r := range t.Rows {
-		k := keyer.key(r)
+	var first []int32    // the input row each output row is
+	of := make([]int, n) // the output row each input row falls into
+	for i := range of {
+		k := keyer.vecKey(ids, i)
 		j, ok := index[k]
 		if !ok {
-			j = len(out.Rows)
+			j = len(first)
 			index[k] = j
-			out.Rows = append(out.Rows, r)
+			first = append(first, int32(i))
 		}
 		of[i] = j
 	}
+	out.stored(gatherAll(vecs, first), len(first))
 	// The input rows of each output row, out of one array.
-	end := make([]int, len(out.Rows))
+	end := make([]int, len(first))
 	for _, j := range of {
 		end[j]++
 	}
@@ -587,7 +553,7 @@ func distinctVec(t *Table) *Table {
 		end[of[i]]--
 		members[end[of[i]]] = uint32(i)
 	}
-	out.packed = make([]groupLineage, len(out.Rows))
+	out.packed = make([]groupLineage, len(first))
 	var sc lineageScratch
 	for j := range out.packed {
 		hi := len(members)

@@ -149,12 +149,10 @@ func TestGroupByFrozenEqualsPlain(t *testing.T) {
 				first = g
 			}
 		}
-		for _, name := range []string{"key", "n"} {
-			if tb.res.cols[tb.Schema.Index(name)].Load() == nil {
-				t.Errorf("%s: column %s has no resident vector after two GroupBys", label, name)
-			}
+		if tb.vecs == nil || tb.Rows != nil {
+			t.Errorf("%s: a frozen table does not hold its cells as vectors alone", label)
 		}
-		if err := VerifyResident(tb); err != nil {
+		if err := verifyResident(tb); err != nil {
 			t.Errorf("%s: %v", label, err)
 		}
 		// Through the view a query reads a registered table by: it shares
@@ -228,10 +226,10 @@ func TestGroupBySegmentLineageColumns(t *testing.T) {
 	if !slices.Equal(seg.lin.tables, []string{"dims", "facts"}) {
 		t.Fatalf("segment-backed table keeps lineage columns of %v", seg.lin.tables)
 	}
-	if seg.res.cols != nil {
-		t.Error("a segment-backed table keeps resident vectors")
+	if seg.vecs != nil {
+		t.Error("a segment-backed table keeps vectors in memory")
 	}
-	if err := VerifyResident(seg); err != nil {
+	if err := verifyResident(seg); err != nil {
 		t.Error(err)
 	}
 }
@@ -362,29 +360,16 @@ func applyWide(t *testing.T, old, nb *Table, e Edit) *Table {
 }
 
 // requireFreshParts fails unless every part carried to tb is what tb's own
-// readers would build: each vector array for array, each dictionary up to
-// the order of its codes.
+// readers would build — each dictionary up to the order of its codes — and
+// tb's vectors hold its cells alone.
 func requireFreshParts(t *testing.T, label string, tb *Table) {
 	t.Helper()
-	if tb.res == nil {
-		return
+	if tb.vecs == nil || tb.Rows != nil {
+		t.Fatalf("%s: an edited version does not hold its cells as vectors alone", label)
 	}
-	if err := VerifyResident(tb); err != nil {
+	if err := verifyResident(tb); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for ci := range tb.res.cols {
-		if v := tb.res.cols[ci].Load(); v != nil && !sameVector(v, NewVector(tb, ci)) {
-			t.Fatalf("%s: carried vector of column %d is %+v, a fresh build %+v", label, ci, v, NewVector(tb, ci))
-		}
-	}
-}
-
-// sameVector compares two vectors array for array, a NaN equal to itself.
-func sameVector(a, b *Vector) bool {
-	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return a.Kind == b.Kind && a.n == b.n && (a.V == nil) == (b.V == nil) && (a.Null == nil) == (b.Null == nil) &&
-		slices.Equal(a.Null, b.Null) && slices.Equal(a.S, b.S) && slices.Equal(a.I, b.I) &&
-		slices.EqualFunc(a.F, b.F, sameBits) && slices.Equal(a.B, b.B) && slices.Equal(a.T, b.T)
 }
 
 // snapshot copies what a reader of tb sees: rows, lineage, and the values of
@@ -416,7 +401,7 @@ func requireUnchanged(t *testing.T, label string, tb, rows *Table, vals [][]Valu
 			}
 		}
 	}
-	if err := VerifyResident(tb); err != nil {
+	if err := verifyResident(tb); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 }
@@ -440,8 +425,8 @@ func TestFreezeLifecycle(t *testing.T) {
 	if col(t, Rename(base, "f"), 0) != v {
 		t.Error("Rename does not share the resident vectors")
 	}
-	idx := base.hashIndex(0)
-	if reflect.ValueOf(Rename(base, "f").hashIndex(0)).Pointer() != reflect.ValueOf(idx).Pointer() {
+	idx := base.hashIndex(0, v)
+	if Rename(base, "f").hashIndex(0, v) != idx {
 		t.Error("Rename does not share the resident join index")
 	}
 	dict := codes(t, base, 0)
@@ -457,8 +442,8 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Error("Shell shares the resident form")
 	}
 	sel, err := Select(base, Eq(ColRefExpr("k"), Lit(Str("k1"))))
-	if err != nil || sel.res != nil || len(sel.Rows) != 10 || &codes(t, sel, 0)[0] == &dict[0] {
-		t.Errorf("Select over a frozen table: %v, res %v, %d rows", err, sel.res, len(sel.Rows))
+	if err != nil || sel.res != nil || sel.NumRows() != 10 || &codes(t, sel, 0)[0] == &dict[0] {
+		t.Errorf("Select over a frozen table: %v, res %v, %d rows", err, sel.res, sel.NumRows())
 	}
 	spilled, _ := segSpill(t, base, 16)
 	spilled.Freeze()
@@ -466,9 +451,9 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Errorf("Materialize of a frozen segment-backed table: %v, res %v", err, m.res)
 	}
 
-	// An edit carries what readers published — column 0, equal to a fresh
-	// build (applyWide checks) — and leaves column 1 and the join index to
-	// the new version's readers.
+	// An edit carries what readers published — column 0's dictionary, equal
+	// to a fresh build (applyWide checks) — and leaves column 1's and the
+	// join index to the new version's readers.
 	nb := NewBase("b", b.Schema)
 	for i, r := range b.Rows {
 		switch i {
@@ -481,13 +466,13 @@ func TestFreezeLifecycle(t *testing.T) {
 	}
 	nb.AppendVals(Null(), Int(40))
 	edited := applyWide(t, base, nb, Edit{Removed: []int{5}, Updated: []int{3}, Appended: 1, Shift: map[string][]int{"b": {5}}})
-	if edited.res == nil || edited.res.cols[0].Load() == nil || edited.res.dict[0].Load() == nil {
+	if edited.res == nil || edited.res.dict[0].Load() == nil {
 		t.Fatal("ApplyEdit of a frozen table did not carry the published parts")
 	}
-	if edited.res.cols[1].Load() != nil || edited.res.keys[0].Load() != nil || edited.res.dict[1].Load() != nil {
+	if edited.res.keys[0].Load() != nil || edited.res.dict[1].Load() != nil {
 		t.Error("ApplyEdit built a part no reader had published")
 	}
-	if err := VerifyResident(edited); err != nil {
+	if err := verifyResident(edited); err != nil {
 		t.Error(err)
 	}
 	if view := Rename(edited, "f"); cap(view.Rows) != len(view.Rows) || cap(view.lin.cols[0]) != len(view.lin.cols[0]) {
@@ -499,7 +484,6 @@ func TestFreezeLifecycle(t *testing.T) {
 	// in place, the second copies; the version reads the same throughout.
 	// Only the first takes over the dictionary's value-to-code assignment;
 	// the second's readers build their own, which leaves the first's alone.
-	col(t, edited, 1) // built by a reader: no room to grow into, so copied
 	rows, vals := snapshot(t, edited)
 	first, _ := appendWide(t, edited, nb, 2)
 	requireUnchanged(t, "after the first successor", edited, rows, vals)
@@ -510,7 +494,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Error("the second successor of a version carried its dictionary")
 	}
 	shares := func(a, b *Table) bool {
-		return &a.Rows[0] == &b.Rows[0] && &a.lin.cols[0][0] == &b.lin.cols[0][0] &&
+		return &col(t, a, 1).I[0] == &col(t, b, 1).I[0] && &a.lin.cols[0][0] == &b.lin.cols[0][0] &&
 			&col(t, a, 0).S[0] == &col(t, b, 0).S[0] && &codes(t, a, 0)[0] == &codes(t, b, 0)[0]
 	}
 	if !shares(first, edited) || shares(second, edited) {
@@ -521,7 +505,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Error("the second successor shares, or wrote, the first's value-to-code assignment")
 	}
 	for _, s := range []*Table{first, second} {
-		if err := VerifyResident(s); err != nil {
+		if err := verifyResident(s); err != nil {
 			t.Error(err)
 		}
 	}
@@ -533,7 +517,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		!reflect.DeepEqual(odd.RowLineage(0), second.RowLineage(0)) {
 		t.Errorf("an append naming a new base table: %v, lineage %v after %v", err, odd.RowLineage(odd.NumRows()-1), odd.RowLineage(0))
 	}
-	if err := VerifyResident(odd); err != nil {
+	if err := verifyResident(odd); err != nil {
 		t.Error(err)
 	}
 
@@ -548,7 +532,7 @@ func TestFreezeLifecycle(t *testing.T) {
 	wide.Freeze()
 	codes(t, wide, 0)
 	shrunk, err := ApplyEdit(wide, Edit{Removed: gone[1:]}, nil)
-	if err != nil || shrunk.res.dict[0].Load() != nil || shrunk.res.cols[0].Load() == nil {
+	if err != nil || shrunk.res.dict[0].Load() != nil {
 		t.Errorf("a tail delete of 99 of 100 distinct rows: %v, dictionary carried %v", err, shrunk.res.dict[0].Load())
 	}
 
@@ -563,7 +547,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	bnext, err := ApplyEdit(bv, Edit{Appended: 1}, one("k6", 42))
-	if err != nil || &bnext.Rows[0] != &bv.Rows[0] {
+	if err != nil || &col(t, bnext, 1).I[0] != &col(t, bv, 1).I[0] {
 		t.Fatalf("the first successor of a base version did not grow it in place: %v", err)
 	}
 	frows, fvals := snapshot(t, bnext)
@@ -585,12 +569,6 @@ func TestFreezeLifecycle(t *testing.T) {
 	}
 	if got := col(t, view, 0); got != nv || got.Len() != n {
 		t.Error("a view taken before the Append lost the form it shares")
-	}
-	// A frozen table grown behind Append's back is read as never frozen.
-	nb.Freeze()
-	nb.Rows = append(nb.Rows, Row{Str("k1"), Int(41)})
-	if got := col(t, nb, 1); got.Len() != n+2 {
-		t.Errorf("stale resident vector served: %d cells for %d rows", got.Len(), n+2)
 	}
 }
 
@@ -650,7 +628,7 @@ func TestApplyEditCarriesDictionaries(t *testing.T) {
 		if got, want := distinct(next), distinct(plainCopy(next)); got != want || got != st.want {
 			t.Errorf("%s: distinct patients = %d, a fresh dictionary says %d, want %d", st.name, got, want, st.want)
 		}
-		if err := VerifyResident(next); err != nil {
+		if err := verifyResident(next); err != nil {
 			t.Errorf("%s: %v", st.name, err)
 		}
 		cur = next
@@ -739,7 +717,7 @@ func TestApplyEditCarriesGroupings(t *testing.T) {
 		if got := grouped(next) != nil; got != carries {
 			t.Fatalf("%s: grouping carried: %v, want %v", label, got, carries)
 		}
-		if err := VerifyResident(next); err != nil {
+		if err := verifyResident(next); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if g := grouped(cur); g != nil && fmt.Sprint(*g) != snaps[cur] {
@@ -785,7 +763,7 @@ func TestApplyEditCarriesGroupings(t *testing.T) {
 	cur = appendKeys("new groups", cur, true, []Value{Str("w"), Null(), Float(3), Int(3), Str("w")})
 	render(cur)
 	var gone []int
-	for ri, row := range cur.Rows {
+	for ri, row := range cells(cur) {
 		if row[0] == z {
 			gone = append(gone, ri)
 		}
@@ -861,7 +839,7 @@ func TestApplyEditCarriesGroupings(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameTable(t, label, got, want)
-		if err := VerifyResident(tb); err != nil {
+		if err := verifyResident(tb); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}
@@ -967,16 +945,16 @@ func TestGrowInPlaceUnderReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if &cur.Rows[0] != &k.Rows[0] || &col(t, cur, 0).S[0] != &col(t, k, 0).S[0] || &cur.lin.cols[0][0] != &k.lin.cols[0][0] {
+	if &col(t, cur, 1).I[0] != &col(t, k, 1).I[0] || &col(t, cur, 0).S[0] != &col(t, k, 0).S[0] || &cur.lin.cols[0][0] != &k.lin.cols[0][0] {
 		t.Error("the writer copied instead of growing the version's arrays in place")
 	}
-	if err := VerifyResident(cur); err != nil {
+	if err := verifyResident(cur); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestVerifyResidentFindsInPlaceWrites: the safety net reports a cell, a
-// join key, a dictionary code or a grouping written after the form it
+// join key, a dictionary code or a grouping written after the part it
 // contradicts was published.
 func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	tb := linTable("w", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}, {Table: "b", Row: i % 3}} })
@@ -984,27 +962,28 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	if _, err := GroupBy(tb, []string{"key"}, residentAggs); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyResident(tb); err != nil {
+	if err := verifyResident(tb); err != nil {
 		t.Fatal(err)
 	}
-	tb.Rows[10][1] = Int(-5)
-	if err := VerifyResident(tb); err == nil || !strings.Contains(err.Error(), "row 10") {
+	was := tb.vecs[0].S[10]
+	tb.vecs[0].S[10] = tb.vecs[0].S[11] // k02 becomes k01
+	if err := verifyResident(tb); err == nil || !strings.Contains(err.Error(), "row 10") {
 		t.Errorf("cell write not reported: %v", err)
 	}
-	tb.Rows[10][1] = Int(10)
-	if err := VerifyResident(plainCopy(tb)); err != nil {
+	tb.vecs[0].S[10] = was
+	if err := verifyResident(plainCopy(tb)); err != nil {
 		t.Errorf("a table never frozen: %v", err)
 	}
 
 	// A join key written after the right side's index was published.
 	ix := linTable("ix", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}} })
 	ix.Freeze()
-	ix.hashIndex(0)
-	if err := VerifyResident(ix); err != nil {
+	ix.hashIndex(0, ix.column(0))
+	if err := verifyResident(ix); err != nil {
 		t.Fatal(err)
 	}
-	ix.Rows[5][0] = Str("k99")
-	if err := VerifyResident(ix); err == nil || !strings.Contains(err.Error(), "join index of column key") {
+	ix.vecs[0].S[5] = ix.vecs[0].S[0] // k03 becomes k00
+	if err := verifyResident(ix); err == nil || !strings.Contains(err.Error(), "join index of column key") {
 		t.Errorf("join key write not reported: %v", err)
 	}
 
@@ -1013,18 +992,18 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	dt := linTable("d", 64, 4, func(i int) LineageSet { return LineageSet{{Table: "a", Row: i}} })
 	dt.Freeze()
 	c := codes(t, dt, 0)
-	if err := VerifyResident(dt); err != nil {
+	if err := verifyResident(dt); err != nil {
 		t.Fatal(err)
 	}
 	own := c[3]
 	for _, code := range []int32{c[1], 4} { // k01 under k03's code, then a code past card
 		c[3] = code
-		if err := VerifyResident(dt); err == nil || !strings.Contains(err.Error(), "dictionary of column key") || !strings.Contains(err.Error(), "row 3") {
+		if err := verifyResident(dt); err == nil || !strings.Contains(err.Error(), "dictionary of column key") || !strings.Contains(err.Error(), "row 3") {
 			t.Errorf("dictionary code %d at row 3 not reported: %v", code, err)
 		}
 	}
 	c[3], c[4] = own, own // k00 under k01's code as well as its own
-	if err := VerifyResident(dt); err == nil || !strings.Contains(err.Error(), "row 4") {
+	if err := verifyResident(dt); err == nil || !strings.Contains(err.Error(), "row 4") {
 		t.Errorf("one value under two codes not reported: %v", err)
 	}
 
@@ -1046,12 +1025,12 @@ func TestVerifyResidentFindsInPlaceWrites(t *testing.T) {
 	}
 	for _, c := range corrupt {
 		c.write()
-		if err := VerifyResident(tb); err == nil || !strings.Contains(err.Error(), "grouping of column key") || !strings.Contains(err.Error(), c.report) {
+		if err := verifyResident(tb); err == nil || !strings.Contains(err.Error(), "grouping of column key") || !strings.Contains(err.Error(), c.report) {
 			t.Errorf("%s not reported: %v", c.name, err)
 		}
 		c.undo()
 	}
-	if err := VerifyResident(tb); err != nil {
+	if err := verifyResident(tb); err != nil {
 		t.Error(err)
 	}
 }

@@ -202,17 +202,20 @@ func (cm *segColMeta) zone() (colZone, error) {
 	return z, nil
 }
 
-// computeZones scans the rows once and builds each column's zone map.
+// computeZones scans each column once and builds its zone map.
 // Columns whose values are mutually incomparable (mixed kinds) or contain
 // non-finite floats get no min/max — pruning then treats every predicate
 // over them as potentially true.
-func computeZones(rows []Row, ncols int) []colZone {
-	zones := make([]colZone, ncols)
-	for ci := range zones {
+func computeZones(cols []*Vector) []colZone {
+	zones := make([]colZone, len(cols))
+	for ci, col := range cols {
 		z := &zones[ci]
 		z.allNull, z.hasZone = true, true
-		for _, r := range rows {
-			v := r[ci]
+		if typedZone(col, z) {
+			continue
+		}
+		for i := 0; i < col.Len(); i++ {
+			v := col.Value(i)
 			if v.IsNull() {
 				z.hasNull = true
 				continue
@@ -247,15 +250,65 @@ func computeZones(rows []Row, ncols int) []colZone {
 	return zones
 }
 
-// chooseEnc picks the block encoding of column ci: typed when every
+// typedZone computes the zone of an INT, DATE or STRING vector over its
+// typed storage — a string column's over the dictionary entries its cells
+// use — and reports whether it did; computeZones's loop is the rule.
+func typedZone(col *Vector, z *colZone) bool {
+	if col.V != nil || col.Kind != TInt && col.Kind != TDate && col.Kind != TString {
+		return false
+	}
+	lo, hi := -1, -1 // the cells holding the least and the greatest value
+	less := func(i, j int) bool {
+		switch col.Kind {
+		case TInt:
+			return col.I[i] < col.I[j]
+		case TDate:
+			return col.T[i] < col.T[j]
+		}
+		return col.Dict[col.S[i]] < col.Dict[col.S[j]]
+	}
+	var used []bool // for a string column: the codes met, each compared once
+	if col.Kind == TString {
+		used = make([]bool, len(col.Dict))
+	}
+	for i := 0; i < col.n; i++ {
+		switch {
+		case col.IsNull(i):
+			z.hasNull = true
+			continue
+		case used != nil && used[col.S[i]]:
+			continue
+		case used != nil:
+			used[col.S[i]] = true
+		}
+		if lo < 0 {
+			lo, hi = i, i
+			continue
+		}
+		if less(i, lo) {
+			lo = i
+		}
+		if less(hi, i) {
+			hi = i
+		}
+	}
+	if lo < 0 {
+		z.hasZone = false
+		return true
+	}
+	z.allNull, z.min, z.max = false, col.Value(lo), col.Value(hi)
+	return true
+}
+
+// chooseEnc picks the block encoding of a column: typed when every
 // non-null value shares one kind, generic otherwise.
-func chooseEnc(rows []Row, ci int, z colZone) int {
+func chooseEnc(col *Vector, z colZone) int {
 	if z.allNull {
 		return encGeneric
 	}
-	kind := TNull
-	for _, r := range rows {
-		v := r[ci]
+	kind := col.Kind // a typed vector's, when any cell is not null
+	for i := 0; col.V != nil && i < col.Len(); i++ {
+		v := col.Value(i)
 		if v.IsNull() {
 			continue
 		}
@@ -291,23 +344,38 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// encodeSegment serializes one partition of rows and returns the segment
-// bytes plus the computed zone maps (kept in memory for pruning).
+// encodeSegment is encodePartition over one partition of rows (a writer's
+// buffer), transposed.
 func encodeSegment(table string, part, start int, schema *Schema, rows []Row) ([]byte, []colZone, error) {
+	for _, r := range rows {
+		if len(r) != schema.Len() {
+			return nil, nil, fmt.Errorf("relation: segment: row arity %d does not match schema %s", len(r), schema)
+		}
+	}
+	cols := make([]*Vector, schema.Len())
+	for ci := range cols {
+		cols[ci] = transpose(rows, ci)
+	}
+	return encodePartition(table, part, start, schema, cols, len(rows))
+}
+
+// encodePartition serializes one partition, the n cells of each of its
+// column vectors, and returns the segment bytes plus the computed zone
+// maps (kept in memory for pruning). The bytes depend on the cells alone,
+// not on how a vector stores them.
+func encodePartition(table string, part, start int, schema *Schema, cols []*Vector, n int) ([]byte, []colZone, error) {
 	ncols := schema.Len()
 	if ncols == 0 {
 		return nil, nil, fmt.Errorf("relation: segment: empty schema for %s", table)
 	}
-	for _, r := range rows {
-		if len(r) != ncols {
-			return nil, nil, fmt.Errorf("relation: segment: row arity %d does not match schema %s", len(r), schema)
-		}
+	if len(cols) != ncols {
+		return nil, nil, fmt.Errorf("relation: segment: %d columns do not match schema %s", len(cols), schema)
 	}
-	zones := computeZones(rows, ncols)
-	h := segHeader{Version: segVersion, Table: table, Part: part, Start: start, Rows: len(rows)}
+	zones := computeZones(cols)
+	h := segHeader{Version: segVersion, Table: table, Part: part, Start: start, Rows: n}
 	encs := make([]int, ncols)
 	for ci := 0; ci < ncols; ci++ {
-		encs[ci] = chooseEnc(rows, ci, zones[ci])
+		encs[ci] = chooseEnc(cols[ci], zones[ci])
 		cm := segColMeta{
 			Name:    schema.Columns[ci].Name,
 			Type:    int(schema.Columns[ci].Type),
@@ -328,13 +396,13 @@ func encodeSegment(table string, part, start int, schema *Schema, rows []Row) ([
 	if err != nil {
 		return nil, nil, fmt.Errorf("relation: segment header: %w", err)
 	}
-	buf := make([]byte, 0, len(segMagic)+8+len(hb)+len(rows)*ncols*4)
+	buf := make([]byte, 0, len(segMagic)+8+len(hb)+n*ncols*4)
 	buf = append(buf, segMagic...)
 	buf = appendU32(buf, uint32(len(hb)))
 	buf = append(buf, hb...)
 	buf = appendU32(buf, crc32.ChecksumIEEE(hb))
 	for ci := 0; ci < ncols; ci++ {
-		block, err := encodeColumn(rows, ci, encs[ci])
+		block, err := encodeColumn(cols[ci], encs[ci])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -346,12 +414,12 @@ func encodeSegment(table string, part, start int, schema *Schema, rows []Row) ([
 }
 
 // encodeColumn serializes one column block under the chosen encoding.
-func encodeColumn(rows []Row, ci, enc int) ([]byte, error) {
-	n := len(rows)
+func encodeColumn(col *Vector, enc int) ([]byte, error) {
+	n := col.Len()
 	if enc == encGeneric {
 		var b []byte
-		for _, r := range rows {
-			v := r[ci]
+		for i := 0; i < n; i++ {
+			v := col.Value(i)
 			switch v.Kind {
 			case TNull:
 				b = append(b, svNull)
@@ -382,24 +450,24 @@ func encodeColumn(rows []Row, ci, enc int) ([]byte, error) {
 		return b, nil
 	}
 	bm := make([]byte, (n+7)/8)
-	for i, r := range rows {
-		if r[ci].IsNull() {
+	for i := 0; i < n; i++ {
+		if col.IsNull(i) {
 			bm[i>>3] |= 1 << uint(i&7)
 		}
 	}
 	b := bm
 	switch enc {
 	case encInt:
-		for _, r := range rows {
-			b = appendU64(b, uint64(r[ci].I))
+		for i := 0; i < n; i++ {
+			b = appendU64(b, uint64(col.Value(i).I))
 		}
 	case encFloat:
-		for _, r := range rows {
-			b = appendU64(b, math.Float64bits(r[ci].F))
+		for i := 0; i < n; i++ {
+			b = appendU64(b, math.Float64bits(col.Value(i).F))
 		}
 	case encDate:
-		for _, r := range rows {
-			v := r[ci]
+		for i := 0; i < n; i++ {
+			v := col.Value(i)
 			if v.IsNull() {
 				b = appendU64(b, 0)
 			} else {
@@ -407,8 +475,8 @@ func encodeColumn(rows []Row, ci, enc int) ([]byte, error) {
 			}
 		}
 	case encBool:
-		for _, r := range rows {
-			v := r[ci]
+		for i := 0; i < n; i++ {
+			v := col.Value(i)
 			if !v.IsNull() && v.B {
 				b = append(b, 1)
 			} else {
@@ -419,17 +487,30 @@ func encodeColumn(rows []Row, ci, enc int) ([]byte, error) {
 		// Dictionary-encode through the join interner: every value is a
 		// string here, so ids come out dense and first-seen ordered — the
 		// deterministic order the golden test relies on.
-		in := newInterner(n)
+		// A typed column's cells are interned once per code.
+		hint := n
+		var byCode []uint32
+		if col.V == nil {
+			byCode, hint = make([]uint32, len(col.Dict)), min(n, len(col.Dict))
+		}
+		in := newInterner(hint)
 		var dict []string
 		codes := make([]uint32, n)
-		for i, r := range rows {
-			v := r[ci]
-			if v.IsNull() {
+		for i := 0; i < n; i++ {
+			if col.IsNull(i) {
 				continue
 			}
+			if byCode != nil && byCode[col.S[i]] != 0 {
+				codes[i] = byCode[col.S[i]]
+				continue
+			}
+			v := col.Value(i)
 			id := in.id(v)
 			if int(id) == len(dict)+1 {
 				dict = append(dict, v.S)
+			}
+			if byCode != nil {
+				byCode[col.S[i]] = id
 			}
 			codes[i] = id
 		}
@@ -608,7 +689,7 @@ func decodeVector(block []byte, ci, enc, n int) (*Vector, error) {
 		if len(codes) != 4*n {
 			return nil, corruptf("column %d: code block %d bytes, want %d", ci, len(codes), 4*n)
 		}
-		v.Kind, v.S = TString, make([]string, n)
+		v.Kind, v.S, v.Dict, v.ix = TString, make([]int32, n), dict, newStrIndex(dict)
 		for i := range v.S {
 			if v.Null != nil && v.Null[i] {
 				continue
@@ -617,7 +698,7 @@ func decodeVector(block []byte, ci, enc, n int) (*Vector, error) {
 			if code < 1 || int(code) > dictLen {
 				return nil, corruptf("column %d: code %d outside dictionary of %d", ci, code, dictLen)
 			}
-			v.S[i] = dict[code-1]
+			v.S[i] = int32(code - 1)
 		}
 	default:
 		return nil, corruptf("column %d: unknown encoding %d", ci, enc)

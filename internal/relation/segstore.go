@@ -174,21 +174,26 @@ func (w *SegmentWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	idx := len(w.parts)
-	data, zones, err := encodeSegment(w.table, idx, w.start, w.schema, w.buf)
+	data, zones, err := encodeSegment(w.table, len(w.parts), w.start, w.schema, w.buf)
 	if err != nil {
 		return err
 	}
+	return w.write(data, zones, len(w.buf))
+}
+
+// write writes the next partition, the segment bytes data of n rows.
+func (w *SegmentWriter) write(data []byte, zones []colZone, n int) error {
+	idx := len(w.parts)
 	path := filepath.Join(w.dir, fmt.Sprintf("part-%06d.seg", idx))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("relation: segment write %s: %w", path, err)
 	}
 	m := w.store.Metrics()
 	m.Counter("segment.write.partitions").Inc()
-	m.Counter("segment.write.rows").Add(uint64(len(w.buf)))
+	m.Counter("segment.write.rows").Add(uint64(n))
 	m.Counter("segment.write.bytes").Add(uint64(len(data)))
-	w.parts = append(w.parts, segPart{path: path, index: idx, start: w.start, rows: len(w.buf), zones: zones})
-	w.start = w.total
+	w.parts = append(w.parts, segPart{path: path, index: idx, start: w.start, rows: n, zones: zones})
+	w.start += n
 	w.buf = w.buf[:0]
 	return nil
 }
@@ -217,10 +222,11 @@ func (w *SegmentWriter) Abort() {
 }
 
 // Spill converts an in-memory table into a segment-backed one, writing
-// its rows out and preserving name, schema, base flag, lineage and
-// column origins. Only the rows move out of core: lineage keeps its form,
-// an implicit one stored nowhere, columns and packed rows in memory; a
-// table that is already segment-backed is returned unchanged.
+// its cells out partition by partition, straight from its vectors, and
+// preserving name, schema, base flag, lineage and column origins. Only the
+// cells move out of core: lineage keeps its form, an implicit one stored
+// nowhere, columns and packed rows in memory; a table that is already
+// segment-backed is returned unchanged.
 func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	if t.seg != nil {
 		return t, nil
@@ -229,8 +235,20 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range t.Rows {
-		if err := w.Append(r); err != nil {
+	vecs, _ := t.vectors() // in memory: cannot fail
+	n := t.NumRows()
+	for lo := 0; lo < n; lo += w.partRows {
+		hi := min(lo+w.partRows, n)
+		part := make([]*Vector, len(vecs))
+		for ci, v := range vecs {
+			part[ci] = v.slice(lo, hi)
+		}
+		data, zones, err := encodePartition(w.table, len(w.parts), lo, w.schema, part, hi-lo)
+		if err == nil {
+			w.total = hi
+			err = w.write(data, zones, hi-lo)
+		}
+		if err != nil {
 			w.Abort()
 			return nil, err
 		}
@@ -242,9 +260,9 @@ func (s *SegmentStore) Spill(t *Table) (*Table, error) {
 	}
 	m := s.Metrics()
 	m.Counter("segment.spill.tables").Inc()
-	m.Counter("segment.spill.rows").Add(uint64(len(t.Rows)))
+	m.Counter("segment.spill.rows").Add(uint64(n))
 	out.Base = t.Base
-	out.shareLineage(t, len(t.Rows))
+	out.shareLineage(t, n)
 	out.ColOrigin = t.ColOrigin
 	return out, nil
 }

@@ -1,13 +1,15 @@
 package relation
 
 // segtable.go ties segment files (segment.go, segstore.go) into the
-// Table API. A segment-backed Table keeps Rows empty and carries a
-// *segBacking describing its partitions. Storage is decided here and in
-// batch.go, nowhere else: Select, GroupBy and the probe side of Join read
-// any table through a Scanner (one Batch per surviving partition — verified
+// Table API. A segment-backed Table holds no cells in memory and carries a
+// *segBacking describing its partitions: it is the spilled twin of a
+// stored table, whose vectors are its one unspilled partition. Storage is
+// decided here and in batch.go, nowhere else: Select and GroupBy read any
+// table through a Scanner (one Batch per surviving partition — verified
 // whole, decoded column by column as the operator asks — or the single
-// Batch of an in-memory table), every other operator calls Materialize
-// (a no-op in memory), and Rename shares the backing.
+// Batch of an in-memory table, its own vectors), the operators that read
+// every cell call vectors (a segment-backed table's columns decoded whole,
+// once per backing), and Rename shares the backing.
 //
 // Lineage stays in memory, in the form the table had (lineage.go): a
 // segment-backed base table, and a view of one, keep it implicit, so a
@@ -73,40 +75,73 @@ func (b *segBacking) checkHeader(h *segHeader, p *segPart) error {
 	return nil
 }
 
-// segCache holds what every view of one backing shares: the full
-// materialization (built at most once) and the most recently read
+// segCache holds what every view of one backing shares: the table's
+// columns decoded whole (at most once) and the most recently read
 // partition for point accesses — its verified blocks, and the vectors of
 // the columns asked for so far.
 type segCache struct {
 	mu       sync.Mutex
-	all      []Row
+	all      []*Vector
 	lastPart int
 	last     *Batch
 }
 
-// Materialize returns an in-memory view of the table: t itself when it
-// already holds its rows, otherwise a shallow copy with every partition
-// decoded (cached on the shared backing, so repeated calls read disk
-// once), its lineage t's.
+// Materialize returns the table in edge form: t itself when it holds its
+// cells as rows, otherwise a shallow copy whose rows are assembled from
+// them — a stored table's vectors, a segment-backed table's partitions
+// (decoded once per backing) — its lineage t's. It is for the edges: a
+// render's result, an export, a test.
 func (t *Table) Materialize() (*Table, error) {
-	if t.seg == nil {
+	if t.seg == nil && t.vecs == nil {
 		return t, nil
 	}
-	rows, err := t.seg.materialize()
+	vecs, err := t.vectors()
 	if err != nil {
 		return nil, err
 	}
 	c := *t
-	c.Rows = capped(rows)
-	c.seg, c.res = nil, nil
+	c.Rows = rowsOf(vecs, t.NumRows())
+	c.vecs, c.n, c.seg, c.res, c.tail = nil, 0, nil, nil, nil
 	return &c, nil
 }
 
-// mustMaterialize is Materialize for operators without an error return
-// (Distinct, Limit, String). The SQL executor never routes a
-// segment-backed table into those — projections and aggregations run
-// first — so a failure here means direct library misuse over a broken
-// store, and failing loudly beats returning fabricated rows.
+// vectors returns the table's cells by column: a stored table's own
+// vectors, a segment-backed table's partitions decoded and concatenated
+// (once per backing), an edge-form table's rows transposed. The operators
+// that read every cell anyway read a table through it.
+func (t *Table) vectors() ([]*Vector, error) {
+	switch {
+	case t.vecs != nil:
+		return t.vecs, nil
+	case t.seg != nil:
+		return t.seg.vectors()
+	}
+	vecs := make([]*Vector, t.Schema.Len())
+	for ci := range vecs {
+		vecs[ci] = transpose(t.Rows, ci)
+	}
+	return vecs, nil
+}
+
+// rowsOf assembles the n rows of vecs out of one arena, filled row by row
+// so that its writes run in order.
+func rowsOf(vecs []*Vector, n int) []Row {
+	w := len(vecs)
+	flat := make([]Value, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		row := flat[i*w : (i+1)*w : (i+1)*w]
+		for ci, v := range vecs {
+			row[ci] = v.Value(i)
+		}
+		rows[i] = Row(row)
+	}
+	return rows
+}
+
+// mustMaterialize is Materialize for String, which has no error return:
+// a failure means a segment store broke under a table being printed, and
+// failing loudly beats printing fabricated rows.
 func (t *Table) mustMaterialize() *Table {
 	mt, err := t.Materialize()
 	if err != nil {
@@ -115,41 +150,67 @@ func (t *Table) mustMaterialize() *Table {
 	return mt
 }
 
+// mustVectors is vectors for the operators without an error return
+// (Distinct, Limit). The SQL executor never routes a segment-backed table
+// into those — projections and aggregations run first — so a failure here
+// means direct library misuse over a broken store, and failing loudly
+// beats returning fabricated rows.
+func (t *Table) mustVectors() []*Vector {
+	vecs, err := t.vectors()
+	if err != nil {
+		panic("relation: cannot read segment-backed table " + t.Name + ": " + err.Error())
+	}
+	return vecs
+}
+
 // ValueAt returns the value at (row, column index), reading at most one
 // partition, decoding only that column of it, and caching both for
 // sequential access patterns. Out-of-range
 // coordinates yield NULL, like Get.
 func (t *Table) ValueAt(row, ci int) (Value, error) {
-	if t.seg != nil {
+	switch {
+	case t.seg != nil:
 		return t.seg.valueAt(row, ci)
+	case row < 0 || row >= t.NumRows() || ci < 0 || ci >= t.Schema.Len():
+		return Null(), nil
+	case t.vecs != nil:
+		return t.vecs[ci].Value(row), nil
 	}
-	if row < 0 || row >= len(t.Rows) || ci < 0 || ci >= len(t.Rows[row]) {
+	if ci >= len(t.Rows[row]) {
 		return Null(), nil
 	}
 	return t.Rows[row][ci], nil
 }
 
-func (b *segBacking) materialize() ([]Row, error) {
+// vectors decodes every partition and concatenates each column's parts.
+func (b *segBacking) vectors() ([]*Vector, error) {
 	b.cache.mu.Lock()
 	defer b.cache.mu.Unlock()
 	if b.cache.all != nil {
 		return b.cache.all, nil
 	}
-	rows := make([]Row, 0, b.rows)
+	parts := make([][]*Vector, len(b.cols))
 	for pi := range b.parts {
 		bt, err := b.store.readPartition(b, &b.parts[pi])
 		if err != nil {
 			return nil, err
 		}
-		rs, err := bt.rows(nil)
-		if err != nil {
-			return nil, err
+		for ci := range parts {
+			v, err := bt.Col(ci)
+			if err != nil {
+				bt.release()
+				return nil, err
+			}
+			parts[ci] = append(parts[ci], v)
 		}
 		bt.release()
-		rows = append(rows, rs...)
 	}
-	b.cache.all = rows
-	return rows, nil
+	all := make([]*Vector, len(b.cols))
+	for ci := range all {
+		all[ci] = concatVectors(parts[ci]...)
+	}
+	b.cache.all = all
+	return all, nil
 }
 
 func (b *segBacking) valueAt(row, ci int) (Value, error) {
@@ -159,7 +220,7 @@ func (b *segBacking) valueAt(row, ci int) (Value, error) {
 	b.cache.mu.Lock()
 	defer b.cache.mu.Unlock()
 	if b.cache.all != nil {
-		return b.cache.all[row][ci], nil
+		return b.cache.all[ci].Value(row), nil
 	}
 	pi := sort.Search(len(b.parts), func(i int) bool { return b.parts[i].start > row }) - 1
 	p := &b.parts[pi]

@@ -114,18 +114,25 @@ func (c ColRefSet) Union(o ColRefSet) ColRefSet {
 	return out.normalize()
 }
 
-// Table is an in-memory relation with provenance. A Table is *base* when
-// Base is true: its rows are the units of lineage and its columns the units
-// of where-provenance. A derived table keeps its rows' lineage in one of the
+// Table is a relation with provenance. A Table is *base* when Base is
+// true: its rows are the units of lineage and its columns the units of
+// where-provenance. A derived table keeps its rows' lineage in one of the
 // forms lineage.go describes — implicit, by column or packed — and
-// ColOrigin (one set per column). A table is written while it is being
-// built and not after it is published: operators share rows and lineage
-// columns between input and output, and Freeze lets readers keep a
-// columnar form of a published version.
+// ColOrigin (one set per column).
+//
+// Its cells have one stored form: a typed vector per column (vecs), what
+// every operator, ETL step, ApplyEdit and Freeze produce, or on-disk
+// segments (seg). Rows is the edge form only — what Materialize returns,
+// what a delivered render, CSV and JSON carry, and what a literal or a
+// loader builds before the table is registered; the operators transpose
+// such a table once, on entry (Batch.Col). No table holds both. A table
+// is written while it is being built and not after it is published:
+// operators share vectors and lineage columns between input and output.
 type Table struct {
 	Name   string
 	Schema *Schema
-	Rows   []Row
+	// Rows holds the cells of a table in edge form; nil for a stored one.
+	Rows []Row
 
 	// Base marks the table as a provenance origin.
 	Base bool
@@ -142,20 +149,25 @@ type Table struct {
 	// pairs it derives from. For base tables it is nil.
 	ColOrigin []ColRefSet
 
+	// vecs, when non-nil, holds the cells: one vector of n cells per
+	// column. Views share them; nothing writes one after it is published.
+	vecs []*Vector
+	n    int
+
 	// seg, when non-nil, backs the table with on-disk columnar segments
-	// instead of Rows (see segtable.go). Rows is empty in that case.
+	// instead (see segtable.go).
 	seg *segBacking
 
-	// res, when non-nil, is the columnar form of this version of the table
-	// (see resident.go): set by Freeze or carried by ApplyEdit, shared with
-	// renamed views.
+	// res, when non-nil, holds what readers derived from this version of
+	// the table (see resident.go): set by Freeze or carried by ApplyEdit,
+	// shared with renamed views.
 	res *resident
 
 	// tail, set on a version ApplyEdit built, guards the room it left
-	// behind the version's arrays — rows, lineage columns, resident ones: the
-	// first to claim it (claimTail) may write there, everyone else copies.
-	// Views sharing those arrays cap them at their length, so nothing else
-	// can reach the room.
+	// behind the version's lineage columns and dictionary codes: the first
+	// to claim it (claimTail) may write there, everyone else copies. Views
+	// sharing those arrays cap them at their length, so nothing else can
+	// reach the room. (A vector guards its own room: Vector.claimed.)
 	tail *atomic.Bool
 }
 
@@ -164,10 +176,15 @@ func NewBase(name string, schema *Schema) *Table {
 	return &Table{Name: name, Schema: schema, Base: true}
 }
 
+// stored makes vecs, n cells each, t's cells.
+func (t *Table) stored(vecs []*Vector, n int) {
+	t.Rows, t.vecs, t.n = nil, vecs, n
+}
+
 // Append adds a row to a base table, validating arity; a derived table's
-// rows come with their lineage, from the operators and AppendDerived. On a
-// version ApplyEdit built, it writes into the room behind the rows only if
-// it claims that room first, and copies the rows otherwise.
+// rows come with their lineage, from the operators and AppendDerived. A
+// stored table takes its rows back to edge form first: Append is for
+// tables being built.
 func (t *Table) Append(r Row) error {
 	switch {
 	case !t.Base:
@@ -177,9 +194,8 @@ func (t *Table) Append(r Row) error {
 	case len(r) != t.Schema.Len():
 		return fmt.Errorf("relation: row arity %d does not match schema %s", len(r), t.Schema)
 	}
-	if t.tail != nil && !t.claimTail() {
-		// A later version owns the room: grow into fresh arrays.
-		t.Rows = capped(t.Rows)
+	if t.vecs != nil {
+		t.Rows, t.vecs, t.n = rowsOf(t.vecs, t.n), nil, 0
 	}
 	t.Rows = append(t.Rows, r)
 	t.res, t.tail = nil, nil
@@ -199,8 +215,11 @@ func (t *Table) AppendVals(vals ...Value) error {
 
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int {
-	if t.seg != nil {
+	switch {
+	case t.seg != nil:
 		return t.seg.rows
+	case t.vecs != nil:
+		return t.n
 	}
 	return len(t.Rows)
 }
@@ -252,13 +271,20 @@ func (t *Table) Shell() *Table {
 	return c
 }
 
-// Clone returns a deep copy of the table (rows, lineage and origins); a
-// packed row's lineage, which is never written, is shared.
+// Clone returns a deep copy of the table (cells, lineage and origins),
+// not frozen; a packed row's lineage, which is never written, is shared.
 func (t *Table) Clone() *Table {
 	c := t.Shell()
 	c.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
 		c.Rows[i] = r.Clone()
+	}
+	if t.vecs != nil {
+		vecs := make([]*Vector, len(t.vecs))
+		for ci, v := range t.vecs {
+			vecs[ci] = v.clone()
+		}
+		c.stored(vecs, t.n)
 	}
 	c.shareLineage(t, t.NumRows())
 	for k, col := range c.lin.cols {
@@ -292,6 +318,20 @@ func (t *Table) Get(row int, col string) Value {
 		return Null()
 	}
 	return v
+}
+
+// Row returns the cells of row i: an edge-form table's own row, which the
+// caller must not write, or a stored or segment-backed table's assembled
+// afresh — a cell that cannot be read reads NULL, as Get has it.
+func (t *Table) Row(i int) Row {
+	if t.vecs == nil && t.seg == nil {
+		return t.Rows[i]
+	}
+	r := make(Row, t.Schema.Len())
+	for ci := range r {
+		r[ci], _ = t.ValueAt(i, ci)
+	}
+	return r
 }
 
 // String renders the table as an aligned text grid (used by reports, the

@@ -54,15 +54,16 @@ func requireSameTable(t *testing.T, label string, vec, row *Table) {
 	if !reflect.DeepEqual(vec.Schema, row.Schema) {
 		t.Fatalf("%s: schema mismatch:\n  vectorized: %v\n  row:        %v", label, vec.Schema, row.Schema)
 	}
-	if len(vec.Rows) != len(row.Rows) {
-		t.Fatalf("%s: row count mismatch: vectorized=%d row=%d", label, len(vec.Rows), len(row.Rows))
+	vr, rr := cells(vec), cells(row)
+	if len(vr) != len(rr) || vec.NumRows() != row.NumRows() {
+		t.Fatalf("%s: row count mismatch: vectorized=%d row=%d", label, len(vr), len(rr))
 	}
-	for i := range vec.Rows {
-		if !sameRow(vec.Rows[i], row.Rows[i]) {
-			t.Fatalf("%s: row %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, vec.Rows[i], row.Rows[i])
+	for i := range vr {
+		if !sameRow(vr[i], rr[i]) {
+			t.Fatalf("%s: row %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, vr[i], rr[i])
 		}
 	}
-	for i := range vec.Rows {
+	for i := range vr {
 		if got, want := vec.RowLineage(i), row.RowLineage(i); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: lineage %d mismatch:\n  vectorized: %v\n  row:        %v", label, i, got, want)
 		}
@@ -364,6 +365,11 @@ func TestJoinEquivalence(t *testing.T) {
 		vec, ve := Join(lq, rq, pred, kind)
 		row, re := joinRows(lq, rq, pred, kind)
 		requireSameOutcome(t, fmt.Sprintf("join seed=%d kind=%d pred=%s", seed, kind, pred), vec, row, ve, re)
+		// Either side, or both, stored as the catalog holds a table.
+		for _, in := range [][2]*Table{{storedTwin(l), r}, {l, storedTwin(r)}, {storedTwin(l), storedTwin(r)}} {
+			got, ge := Join(Rename(in[0], "l"), Rename(in[1], "r"), pred, kind)
+			requireSameOutcome(t, fmt.Sprintf("join stored=%v,%v seed=%d kind=%d pred=%s", in[0] != l, in[1] != r, seed, kind, pred), got, row, ge, re)
+		}
 
 		// The hash paths must also agree with the nested-loop baseline
 		// whenever the predicate is total (no unknown columns).
@@ -382,10 +388,13 @@ func TestJoinEquivalence(t *testing.T) {
 		// A self-join pairs each row with itself — one ref for a base row —
 		// and with the other rows of its key; a NULL key misses.
 		self := Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0"))
+		stored := storedTwin(l)
 		for _, kind := range []JoinKind{InnerJoin, LeftJoin} {
 			vec, ve = Join(lq, Rename(l, "r"), self, kind)
 			row, re = joinRows(lq, Rename(l, "r"), self, kind)
 			requireSameOutcome(t, fmt.Sprintf("self-join seed=%d kind=%d", seed, kind), vec, row, ve, re)
+			vec, ve = Join(Rename(stored, "l"), Rename(stored, "r"), self, kind)
+			requireSameOutcome(t, fmt.Sprintf("stored self-join seed=%d kind=%d", seed, kind), vec, row, ve, re)
 		}
 		// An edit of the base table a self-join read, with a Shift: the
 		// output rows naming a removed row go and the rest renumber, as
@@ -479,8 +488,9 @@ func TestDistinctEquivalence(t *testing.T) {
 func TestPipelineEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed + 5000))
-		l := randTable(rng, "lhs", 3, 5+rng.Intn(30))
-		r := randTable(rng, "rhs", 3, 5+rng.Intn(15))
+		l0 := randTable(rng, "lhs", 3, 5+rng.Intn(30))
+		r0 := randTable(rng, "rhs", 3, 5+rng.Intn(15))
+		l, r := l0, r0
 		run := func(o relOps) (*Table, error) {
 			j, err := o.join(Rename(l, "l"), Rename(r, "r"),
 				Eq(ColRefExpr("l.c0"), ColRefExpr("r.c0")), InnerJoin)
@@ -501,6 +511,10 @@ func TestPipelineEquivalence(t *testing.T) {
 		vec, ve := run(prodOps)
 		row, re := run(refOps)
 		requireSameOutcome(t, fmt.Sprintf("pipeline seed=%d", seed), vec, row, ve, re)
+		l, r = storedTwin(l0), storedTwin(r0) // the inputs as the catalog holds them
+		vec, ve = run(prodOps)
+		requireSameOutcome(t, fmt.Sprintf("pipeline over stored inputs seed=%d", seed), vec, row, ve, re)
+		l, r = l0, r0
 
 		// Unions of lineage by column with packed lineage, and of inputs
 		// over different base tables; a slice of the packed result.
@@ -550,6 +564,9 @@ func TestPipelineEquivalence(t *testing.T) {
 		vec, ve = mixed(prodOps)
 		row, re = mixed(refOps)
 		requireSameOutcome(t, fmt.Sprintf("union pipeline seed=%d", seed), vec, row, ve, re)
+		l, r = storedTwin(l0), storedTwin(r0)
+		vec, ve = mixed(prodOps)
+		requireSameOutcome(t, fmt.Sprintf("union pipeline over stored inputs seed=%d", seed), vec, row, ve, re)
 	}
 }
 
@@ -598,10 +615,10 @@ func workloadTables(rng *rand.Rand, n int) (rx, patient, drug *Table) {
 
 // TestWorkloadShapedEquivalence runs the kernels beside the references on
 // inputs the size and shape of a scenario warehouse rather than a ≤60-row
-// random table: the 1:N joins emit more values and lineage refs than one
-// join arena chunk holds (maxFlatChunk, maxLinChunk), the group-bys cross
-// the key-index capacity hint and group multi-table lineage, and float
-// keys include NaN.
+// random table, each input both a row literal and stored as the catalog
+// holds it: the 1:N joins gather thousands of cells and lineage refs
+// through skewed keys, the group-bys cross the key-index capacity hint and
+// group multi-table lineage, and float keys include NaN.
 func TestWorkloadShapedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed + 6000))
@@ -640,10 +657,13 @@ func TestWorkloadShapedEquivalence(t *testing.T) {
 			{"NaN in two pairs", rxq, dq, And(Eq(ColRefExpr("rx.cost"), ColRefExpr("d.price")),
 				Eq(ColRefExpr("rx.drug"), ColRefExpr("d.name"))), LeftJoin},
 		}
+		stored := map[*Table]*Table{rxq: Rename(storedTwin(rx), "rx"), pq: Rename(storedTwin(patient), "p"), dq: Rename(storedTwin(drug), "d")}
 		for _, j := range joins {
 			vec, ve := Join(j.l, j.r, j.pred, j.kind)
 			row, re := joinRows(j.l, j.r, j.pred, j.kind)
 			requireSameOutcome(t, label("join "+j.name), vec, row, ve, re)
+			vec, ve = Join(stored[j.l], stored[j.r], j.pred, j.kind)
+			requireSameOutcome(t, label("join over stored inputs "+j.name), vec, row, ve, re)
 		}
 		wide, err := Join(pq, rxq, fk, InnerJoin) // multi-table lineage per row
 		if err != nil {
@@ -701,6 +721,9 @@ func TestWorkloadShapedEquivalence(t *testing.T) {
 		vec, ve := run(prodOps)
 		row, re := run(refOps)
 		requireSameOutcome(t, label("pipeline"), vec, row, ve, re)
+		pq, rxq, dq = stored[pq], stored[rxq], stored[dq]
+		vec, ve = run(prodOps)
+		requireSameOutcome(t, label("pipeline over stored inputs"), vec, row, ve, re)
 	}
 }
 

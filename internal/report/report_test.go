@@ -39,7 +39,7 @@ func TestCreateAndRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 4 || res.Name != "drug-consumption" {
-		t.Errorf("res = %v", res.Rows)
+		t.Errorf("res = %v", res)
 	}
 	out := FormatTable(d.Title, res)
 	if !strings.Contains(out, "Drug consumption") || !strings.Contains(out, "DR") {
@@ -136,7 +136,7 @@ func TestSetFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 1 || res.Get(0, "drug").S != "DR" {
-		t.Errorf("filtered = %v", res.Rows)
+		t.Errorf("filtered = %v", res)
 	}
 	if err := r.SetFilter("drug-consumption", ""); err != nil {
 		t.Fatal(err)

@@ -38,10 +38,10 @@ func NewCatalog() *Catalog {
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // Register adds or replaces a base table under its own name. From here on
-// the table belongs to the catalog's readers: it is frozen (queries keep its
-// columnar form beside it, see relation.Table.Freeze), and its rows and
-// lineage must not be written again — a new version is a new table, handed
-// to Register or Refresh.
+// the table belongs to the catalog's readers: it is frozen (stored as
+// column vectors, with what queries derive from it kept beside it, see
+// relation.Table.Freeze), and its cells and lineage must not be written
+// again — a new version is a new table, handed to Register or Refresh.
 func (c *Catalog) Register(t *relation.Table) {
 	t.Freeze()
 	c.mu.Lock()

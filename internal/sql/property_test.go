@@ -150,9 +150,9 @@ func TestGeneratedQueryRoundTrip(t *testing.T) {
 		if r1.NumRows() != r2.NumRows() {
 			t.Fatalf("row mismatch for %q: %d vs %d", q, r1.NumRows(), r2.NumRows())
 		}
-		for i := range r1.Rows {
-			for c := range r1.Rows[i] {
-				if r1.Rows[i][c].Key() != r2.Rows[i][c].Key() {
+		for i := range r1.NumRows() {
+			for c, v := range r1.Row(i) {
+				if v.Key() != r2.Row(i)[c].Key() {
 					t.Fatalf("cell mismatch for %q at (%d,%d)", q, i, c)
 				}
 			}

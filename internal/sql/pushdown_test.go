@@ -125,7 +125,7 @@ func TestPushdownEquivalence(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("%s:\npushdown:\n%s\nreference:\n%s", q, got.String(), want.String())
 		}
-		for i := range got.Rows {
+		for i := range got.NumRows() {
 			if !reflect.DeepEqual(got.RowLineage(i), want.RowLineage(i)) {
 				t.Errorf("%s: lineage of row %d diverged", q, i)
 			}

@@ -60,7 +60,7 @@ func TestSelectWhere(t *testing.T) {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
 	if res.Get(0, "patient").S != "Alice" || res.Get(1, "patient").S != "Chris" {
-		t.Errorf("rows = %v", res.Rows)
+		t.Errorf("rows = %v", res)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestSelectExpressions(t *testing.T) {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
 	if res.Get(0, "dbl").I != 120 || res.Get(0, "drug").S != "DH" {
-		t.Errorf("first = %v", res.Rows[0])
+		t.Errorf("first = %v", res.Row(0))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestGroupByAggregatesSQL(t *testing.T) {
 			continue
 		}
 		if res.Get(i, "n").I != 2 {
-			t.Errorf("asthma = %v", res.Rows[i])
+			t.Errorf("asthma = %v", res.Row(i))
 		}
 		if res.Get(i, "first").String() != "2007-08-10" || res.Get(i, "last").String() != "2008-04-15" {
 			t.Errorf("dates = %v %v", res.Get(i, "first"), res.Get(i, "last"))
@@ -147,7 +147,7 @@ func TestImplicitSingleGroup(t *testing.T) {
 	c := testCatalog()
 	res := mustQuery(t, c, "SELECT COUNT(*) AS n, SUM(cost) AS total FROM drugcost")
 	if res.NumRows() != 1 || res.Get(0, "n").I != 5 || res.Get(0, "total").I != 160 {
-		t.Errorf("res = %v", res.Rows)
+		t.Errorf("res = %v", res)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestHaving(t *testing.T) {
 	}
 	// Byte-wise string order: "HIV" sorts before "asthma".
 	if res.Get(0, "disease").S != "HIV" || res.Get(1, "disease").S != "asthma" {
-		t.Errorf("rows = %v", res.Rows)
+		t.Errorf("rows = %v", res)
 	}
 }
 
@@ -180,10 +180,10 @@ func TestGroupByExpression(t *testing.T) {
 		t.Fatalf("rows = %d\n%s", res.NumRows(), res)
 	}
 	if res.Get(0, "yr").I != 2007 || res.Get(0, "n").I != 4 {
-		t.Errorf("2007 = %v", res.Rows[0])
+		t.Errorf("2007 = %v", res.Row(0))
 	}
 	if res.Get(1, "yr").I != 2008 || res.Get(1, "n").I != 1 {
-		t.Errorf("2008 = %v", res.Rows[1])
+		t.Errorf("2008 = %v", res.Row(1))
 	}
 }
 
@@ -198,7 +198,7 @@ func TestGroupByQualifiedKey(t *testing.T) {
 		t.Fatalf("schema = %s", got)
 	}
 	if res.NumRows() != 4 || res.Get(2, "drug").S != "DR" || res.Get(2, "spend").I != 20 {
-		t.Errorf("res = %v", res.Rows)
+		t.Errorf("res = %v", res)
 	}
 	if got := res.ColumnOrigin(0); len(got) != 1 || got[0] != (relation.ColRef{Table: "prescriptions", Column: "drug"}) {
 		t.Errorf("drug derives from %v", got)
@@ -218,7 +218,7 @@ func TestLimitSQL(t *testing.T) {
 	c := testCatalog()
 	res := mustQuery(t, c, "SELECT * FROM drugcost ORDER BY cost DESC LIMIT 2")
 	if res.NumRows() != 2 || res.Get(0, "drug").S != "DH" {
-		t.Errorf("res = %v", res.Rows)
+		t.Errorf("res = %v", res)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestInBetweenLike(t *testing.T) {
 	}
 	res = mustQuery(t, c, "SELECT patient FROM prescriptions WHERE doctor IS NULL")
 	if res.NumRows() != 1 || res.Get(0, "patient").S != "Chris" {
-		t.Errorf("IS NULL rows = %v", res.Rows)
+		t.Errorf("IS NULL rows = %v", res)
 	}
 }
 
@@ -246,7 +246,7 @@ func TestDateLiteral(t *testing.T) {
 	c := testCatalog()
 	res := mustQuery(t, c, "SELECT patient FROM prescriptions WHERE date >= DATE '2008-01-01'")
 	if res.NumRows() != 1 || res.Get(0, "patient").S != "Alice" {
-		t.Errorf("rows = %v", res.Rows)
+		t.Errorf("rows = %v", res)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestCreateViewAndQuery(t *testing.T) {
 	}
 	res := mustQuery(t, c, "SELECT * FROM hiv_patients ORDER BY patient")
 	if res.NumRows() != 2 || res.Schema.Len() != 2 {
-		t.Errorf("res = %v", res.Rows)
+		t.Errorf("res = %v", res)
 	}
 	// Lineage traces through the view to the base table.
 	if !res.RowLineage(0).Contains(relation.RowRef{Table: "prescriptions", Row: 0}) {
