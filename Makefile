@@ -72,10 +72,12 @@ scale-ceiling:
 
 # Chaos suite: the healthcare scenario under deterministic fault
 # schedules (fixed seed matrix, override with CHAOS_SEEDS=1,2,3) with the
-# race detector on. On failure the fault schedule and the audit sink
-# contents land in ./chaos-artifacts for offline replay.
+# race detector on, beside renders racing insert, update and delete
+# deltas (each must equal the serial render of one committed snapshot).
+# On failure the fault schedule and the audit sink contents land in
+# ./chaos-artifacts for offline replay.
 chaos:
-	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run TestChaos ./internal/core -count=1 -v
+	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run 'TestChaos|TestRendersDuringDeltas' ./internal/core -count=1 -v
 
 # Short fuzz campaigns over the SQL parser, WHERE evaluation (a predicate
 # bound to a schema against the unbound expression), the PLA DSL parser,

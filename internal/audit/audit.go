@@ -22,6 +22,7 @@ import (
 	"plabi/internal/policy"
 	"plabi/internal/provenance"
 	"plabi/internal/relation"
+	"plabi/internal/sql"
 )
 
 // Event is one audit record. Seq is a logical clock assigned by the log;
@@ -350,14 +351,15 @@ func (d *DisputeReport) String() string {
 // Auditor resolves disputes and replays compliance over rendered outputs.
 type Auditor struct {
 	Registry *policy.Registry
-	Tracer   *provenance.Tracer
+	Catalog  *sql.Catalog
 	Graph    *provenance.Graph
 }
 
 // ResolveDispute assembles the evidence bundle for one cell of a rendered
-// report table (which must carry lineage).
+// report table (which must carry lineage), its source cells read from one
+// snapshot of the catalog.
 func (a *Auditor) ResolveDispute(rendered *relation.Table, row int, col string) (*DisputeReport, error) {
-	ct, err := a.Tracer.TraceCell(rendered, row, col)
+	ct, err := provenance.Over(a.Catalog.Snapshot()).TraceCell(rendered, row, col)
 	if err != nil {
 		return nil, fmt.Errorf("audit: dispute: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"plabi/internal/policy"
 	"plabi/internal/provenance"
 	"plabi/internal/relation"
+	"plabi/internal/sql"
 	"plabi/internal/workload"
 )
 
@@ -76,8 +77,8 @@ func TestReadJSONLBadInput(t *testing.T) {
 func TestResolveDispute(t *testing.T) {
 	// Build a tiny render: drug consumption over the paper fixture.
 	pres := workload.PrescriptionsFixture()
-	tr := provenance.NewTracer()
-	tr.RegisterBase(pres)
+	cat := sql.NewCatalog()
+	cat.Register(pres)
 	grouped, err := relation.GroupBy(pres, []string{"drug"}, []relation.AggSpec{{Kind: relation.AggCount, As: "n"}})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestResolveDispute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := &Auditor{Registry: reg, Tracer: tr, Graph: g}
+	a := &Auditor{Registry: reg, Catalog: cat, Graph: g}
 	// Find the DR row (count 2).
 	drRow := -1
 	for i := range grouped.NumRows() {

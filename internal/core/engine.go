@@ -75,10 +75,11 @@ type Engine struct {
 	Policies *policy.Registry
 	Metadata *metadata.Store
 	Catalog  *sql.Catalog
-	Tracer   *provenance.Tracer
-	Graph    *provenance.Graph
-	Reports  *report.Registry
-	Audit    *audit.Log
+	// Tracer reads the catalog's current snapshot at each lookup.
+	Tracer  *provenance.Tracer
+	Graph   *provenance.Graph
+	Reports *report.Registry
+	Audit   *audit.Log
 
 	mu        sync.RWMutex
 	sources   map[string]*etl.Source
@@ -91,8 +92,8 @@ type Engine struct {
 
 	// deltaMu serializes pipeline runs and delta applications: both
 	// mutate the retained staging contexts and the per-step incremental
-	// state. Renders are unaffected — they read the catalog, whose
-	// tables swap atomically at commit.
+	// state. Renders are unaffected — each reads one catalog snapshot, and
+	// a run or a delta publishes all its tables in one new snapshot.
 	deltaMu sync.Mutex
 
 	enforcer  *enforce.ReportEnforcer
@@ -115,11 +116,12 @@ func New(cfg Config) *Engine {
 	cfg.RetrySites = maps.Clone(cfg.RetrySites)
 	cfg.Faults.SetMetrics(cfg.Metrics)
 
+	cat := sql.NewCatalog()
 	e := &Engine{
 		Policies: policy.NewRegistry(),
 		Metadata: metadata.NewStore(),
-		Catalog:  sql.NewCatalog(),
-		Tracer:   provenance.NewTracer(),
+		Catalog:  cat,
+		Tracer:   provenance.Over(cat),
 		Graph:    provenance.NewGraph(),
 		Reports:  report.NewRegistry(),
 		Audit:    audit.NewLog(),
@@ -131,7 +133,7 @@ func New(cfg Config) *Engine {
 	e.Audit.SetMetrics(cfg.Metrics)
 	e.Audit.SetFaults(cfg.Faults)
 	e.Audit.SetRetryPolicy(cfg.retryFor(fault.SiteAuditSink))
-	e.enforcer = enforce.NewReportEnforcer(e.Policies, e.Catalog, e.Tracer, enforce.Config{
+	e.enforcer = enforce.NewReportEnforcer(e.Policies, e.Catalog, enforce.Config{
 		CacheSize: cfg.CacheSize, Workers: cfg.Workers, Metrics: cfg.Metrics, Faults: cfg.Faults})
 	return e
 }
@@ -243,18 +245,19 @@ func (e *Engine) Precompile() (int, error) {
 	return n, nil
 }
 
-// AddSource registers a data provider; its tables become traceable
-// provenance bases and queryable catalog entries.
+// AddSource registers a data provider; its tables become queryable,
+// traceable catalog entries, published in one snapshot.
 func (e *Engine) AddSource(src *etl.Source) {
 	e.mu.Lock()
 	e.sources[strings.ToLower(src.Name)] = src
 	e.mu.Unlock()
+	var tables []*relation.Table
 	for _, t := range src.Tables {
-		e.Catalog.Register(t)
-		e.Tracer.RegisterBase(t)
+		tables = append(tables, t)
 		_, _ = e.Audit.AppendChecked(context.Background(), audit.Event{Kind: "register", Actor: src.Owner, Object: t.Name,
 			Detail: fmt.Sprintf("%d rows", t.NumRows())})
 	}
+	e.Catalog.Register(tables...)
 }
 
 // Source returns a registered data provider by name.
@@ -263,19 +266,6 @@ func (e *Engine) Source(name string) (*etl.Source, bool) {
 	defer e.mu.RUnlock()
 	s, ok := e.sources[strings.ToLower(name)]
 	return s, ok
-}
-
-// SourceNames lists the registered providers in registration-independent
-// sorted order.
-func (e *Engine) SourceNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.sources))
-	for name := range e.sources {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SourceOwners lists the distinct owners behind the registered
@@ -315,8 +305,8 @@ func (e *Engine) AddPLAs(dsl string) error {
 }
 
 // RunETL executes a pipeline with the PLA guard, recording every step in
-// the audit log and registering staging outputs in the catalog and
-// tracer. When continueOnViolation is true, blocked steps are skipped and
+// the audit log and publishing its staging outputs in one catalog
+// snapshot. When continueOnViolation is true, blocked steps are skipped and
 // recorded while the rest of the pipeline proceeds.
 func (e *Engine) RunETL(p *etl.Pipeline, continueOnViolation bool) (etl.Result, error) {
 	return e.RunETLContext(context.Background(), p, continueOnViolation)
@@ -341,18 +331,11 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 	e.mu.Lock()
 	e.etlCtxs[p.Name] = ectx
 	e.mu.Unlock()
-	// Register every staging output for reporting and tracing.
+	staged := make([]*relation.Table, 0, len(ectx.Staging))
 	for name, t := range ectx.Staging {
-		reg := t
-		if reg.Name != name {
-			reg = t.Clone()
-			reg.Name = name
-		}
-		e.Catalog.Register(reg)
-		if reg.Base {
-			e.Tracer.RegisterBase(reg)
-		}
+		staged = append(staged, named(t, name))
 	}
+	e.Catalog.Register(staged...)
 	return res, err
 }
 
@@ -409,9 +392,9 @@ func (e *Engine) observeETL(ctx context.Context, trace string) func(step, op, ou
 // and the previous catalog state keeps serving.
 //
 // On success the new source versions and changed staging outputs commit
-// via Catalog.Refresh — a new table version, not a new catalog
-// generation — so cached render plans survive and the next render reads
-// the new versions' resident columns, each version carrying its own
+// in one catalog snapshot (Catalog.Refresh): a render sees all of them or
+// none, cached render plans survive, and the next render reads the new
+// versions' resident columns, each version carrying its own
 // distinct-support dictionaries forward. Each changed source table is
 // audited as a "delta" event: "+A rows, U updated, -R removed", or
 // "rebuilt at N rows" when its deltas did not compose.
@@ -551,28 +534,21 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		}
 	}
 
-	// Phase 4: commit. Changed source tables and staging outputs swap
-	// into the catalog via Refresh (new version, no generation bump) and
-	// into the tracer; an edited version brings the dictionaries and
-	// groupings relation.ApplyEdit carried to it.
+	// Phase 4: commit. Changed source tables and staging outputs publish
+	// in one catalog snapshot; an edited version brings the dictionaries
+	// and groupings relation.ApplyEdit carried to it.
+	var commit []*relation.Table
 	committed := map[string]bool{}
-	refreshTable := func(t *relation.Table) {
-		key := strings.ToLower(t.Name)
-		if committed[key] {
-			return
-		}
-		committed[key] = true
-		if err := e.Catalog.Refresh(t); err != nil {
-			e.Catalog.Register(t)
-		}
-		if t.Base {
-			e.Tracer.RegisterBase(t)
+	publish := func(t *relation.Table) {
+		if key := strings.ToLower(t.Name); !committed[key] {
+			committed[key] = true
+			commit = append(commit, t)
 		}
 	}
 	var appended, updated, removed, rebuilt int
 	for _, qk := range order {
 		sw := swaps[qk]
-		refreshTable(sw.next)
+		publish(sw.next)
 		appended += sw.ch.Appended
 		updated += len(sw.ch.Updated)
 		removed += len(sw.ch.Removed)
@@ -592,20 +568,26 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 			if err != nil {
 				continue // source-qualified inputs are not staging entries
 			}
-			reg := t
-			if reg.Name != name {
-				reg = t.Clone()
-				reg.Name = name
-			}
-			refreshTable(reg)
+			publish(named(t, name))
 		}
 	}
+	e.Catalog.Refresh(commit...)
 	m.Counter("delta.steps.incremental").Add(uint64(agg.StepsIncremental))
 	m.Counter("delta.steps.rebuilt").Add(uint64(agg.StepsRebuilt))
 	span.Set("tables", fmt.Sprint(len(order)))
 	span.Set("rows", fmt.Sprintf("+%d rows, %d updated, -%d removed, %d tables rebuilt", appended, updated, removed, rebuilt))
 	span.Set("decision", "applied")
 	return agg, nil
+}
+
+// named returns t under name: t itself, or a renamed clone.
+func named(t *relation.Table, name string) *relation.Table {
+	if t.Name == name {
+		return t
+	}
+	c := t.Clone()
+	c.Name = name
+	return c
 }
 
 // recordPipeline keeps the plan of every pipeline the engine has run
@@ -875,7 +857,7 @@ func (e *Engine) ComplianceSuite(reportID string, c report.Consumer) ([]metarepo
 	if mid := e.Assignment(reportID); mid != "" {
 		scope = mid
 	}
-	return metareport.GenerateTests(e.Policies, e.Catalog, e.Tracer, d, c, scopeList(scope))
+	return metareport.GenerateTests(e.Policies, e.Catalog, d, c, scopeList(scope))
 }
 
 func scopeList(scope string) []string {
@@ -888,7 +870,7 @@ func scopeList(scope string) []string {
 // Auditor returns the dispute-resolution auditor over this engine's
 // state.
 func (e *Engine) Auditor() *audit.Auditor {
-	return &audit.Auditor{Registry: e.Policies, Tracer: e.Tracer, Graph: e.Graph}
+	return &audit.Auditor{Registry: e.Policies, Catalog: e.Catalog, Graph: e.Graph}
 }
 
 // SourceEnforcer returns the Fig. 2a release filter over this engine's

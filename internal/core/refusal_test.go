@@ -133,7 +133,7 @@ func TestReportHeadersAreExecutedHeaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := res.Shell()
-			got, err := e.Catalog.Header(sel)
+			got, err := e.Catalog.Snapshot().Header(sel)
 			if err != nil {
 				t.Fatalf("spill=%v %s: Header: %v", spill, d.ID, err)
 			}

@@ -13,6 +13,7 @@ import (
 	"plabi/internal/relation"
 	"plabi/internal/relation/reltest"
 	"plabi/internal/report"
+	"plabi/internal/sql"
 	"plabi/internal/workload"
 )
 
@@ -92,17 +93,19 @@ func TestRenderReadsTheRegisteredVersion(t *testing.T) {
 	verifyResident(t, e)
 }
 
-// TestRendersDuringInsertDeltas: renders run while insert-only deltas
-// commit, each of which grows the arrays of the versions the renders may be
-// reading and hands each new version of rx_wide the grouping by drug of the
-// one before, extended. Under -race no render reads what a commit writes;
-// every render succeeds, none sees fewer prescriptions than one before it,
-// every insert's version of rx_wide has its grouping when the delta
-// returns — every other delta commits while the renderers wait, so no
-// render can have built it — and every version left behind passes
-// VerifyResident. An update batch after them carries no grouping: the
-// render after it builds one.
-func TestRendersDuringInsertDeltas(t *testing.T) {
+// TestRendersDuringDeltas: renders run while insert, update and delete
+// deltas commit. An insert grows the arrays of the versions the renders may
+// be reading and hands each new version of rx_wide the grouping by drug of
+// the one before, extended; an update or a delete copies them and renumbers
+// the lineage ordinals past a removed row. Under -race no render reads what
+// a commit writes; every render succeeds and equals the serial render of
+// one committed snapshot, decisions included; every insert's version of
+// rx_wide has its grouping when the delta returns — the serial render after
+// each commit builds the grouping an update or a delete dropped — and every
+// version left behind passes VerifyResident. An update or a delete carries
+// no grouping, which every other delta, committed while the renderers wait,
+// shows: the render after it builds one.
+func TestRendersDuringDeltas(t *testing.T) {
 	cfg := workload.DefaultConfig(8)
 	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 600, 80, 20
 	e, ds, err := BuildHealthcareEngine(cfg)
@@ -110,85 +113,73 @@ func TestRendersDuringInsertDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	analyst := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
-	total := func() (int64, error) {
-		enf, err := e.Render("drug-consumption", analyst)
-		if err != nil {
-			return 0, err
-		}
-		var n int64
-		for _, r := range enf.Table.Rows {
-			n += r[1].I
-		}
-		return n, nil
-	}
-	if _, err := total(); err != nil { // publishes the first version's columns
-		t.Fatal(err)
-	}
+	committed := map[string]bool{renderKey(e, "drug-consumption", analyst): true} // publishes the first version's columns
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	var gate sync.RWMutex // held by the writer while renders must wait
-	for w := 0; w < 3; w++ {
+	seen := make([]map[string]bool, 3)
+	for w := range seen {
+		seen[w] = map[string]bool{}
 		wg.Add(1)
-		go func() {
+		go func(seen map[string]bool) {
 			defer wg.Done()
-			var last int64
 			for {
 				gate.RLock()
-				n, err := total()
+				seen[renderKey(e, "drug-consumption", analyst)] = true
 				gate.RUnlock()
-				if err != nil || n < last {
-					t.Errorf("render during deltas: %d prescriptions after %d, %v", n, last, err)
-					return
-				}
-				last = n
 				select {
 				case <-done:
 					return
 				default:
 				}
 			}
-		}()
+		}(seen[w])
 	}
 	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 30; i++ {
 		d := etl.Delta{Source: "hospital", Table: "prescriptions"}
-		for j := 0; j < 5; j++ {
-			d.Inserts = append(d.Inserts, randRxRow(rng, ds, 10*i+j))
+		n := sourceTable(t, e, "hospital", "prescriptions").NumRows()
+		switch i % 5 {
+		case 2:
+			d.Updates = []etl.RowUpdate{{Row: rng.Intn(n), Vals: randRxRow(rng, ds, 10*i)}}
+		case 4:
+			d.Deletes = []int{rng.Intn(n)}
+		default:
+			for j := 0; j < 5; j++ {
+				d.Inserts = append(d.Inserts, randRxRow(rng, ds, 10*i+j))
+			}
 		}
-		if i%2 == 1 {
+		gated := i%2 == 1
+		if gated {
 			gate.Lock()
 		}
 		_, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{d}})
 		wide, _ := e.Catalog.Table("rx_wide")
 		carried := publishedGrouping(wide, "drug") != 0
-		if i%2 == 1 {
+		if gated {
 			gate.Unlock()
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !carried {
-			t.Fatalf("insert delta %d: the new version of rx_wide has no grouping by drug", i)
+		// With the renderers waiting, nothing but the commit can have
+		// published a grouping on the new version.
+		if insert := len(d.Inserts) > 0; insert && !carried || gated && !insert && carried {
+			t.Fatalf("delta %d (insert %v): the new version of rx_wide carried a grouping by drug: %v", i, insert, carried)
+		}
+		committed[renderKey(e, "drug-consumption", analyst)] = true
+		if publishedGrouping(wide, "drug") == 0 {
+			t.Errorf("the render after delta %d published no grouping of rx_wide by drug", i)
 		}
 	}
 	close(done)
 	wg.Wait()
-	verifyResident(t, e)
-
-	update := etl.Delta{Source: "hospital", Table: "prescriptions",
-		Updates: []etl.RowUpdate{{Row: 0, Vals: randRxRow(rng, ds, 1000)}}}
-	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{update}}); err != nil {
-		t.Fatal(err)
-	}
-	wide, _ := e.Catalog.Table("rx_wide")
-	if publishedGrouping(wide, "drug") != 0 {
-		t.Fatal("an update delta carried the grouping of rx_wide by drug")
-	}
-	if _, err := total(); err != nil {
-		t.Fatal(err)
-	}
-	if publishedGrouping(wide, "drug") == 0 {
-		t.Error("the render after an update delta published no grouping of rx_wide by drug")
+	for w := range seen {
+		for key := range seen[w] {
+			if !committed[key] {
+				t.Errorf("renderer %d released a render no committed snapshot gives:\n%s", w, key)
+			}
+		}
 	}
 	verifyResident(t, e)
 }
@@ -295,24 +286,26 @@ func TestRebuildKeepsDictionary(t *testing.T) {
 		Deletes: []int{0, 7, rx.NumRows() - 1}}}}); err != nil {
 		t.Fatal(err)
 	}
-	next, _ := e.Catalog.Table("prescriptions")
-	fresh := provenance.NewTracer()
-	fresh.RegisterBase(next.Clone())
+	snap := e.Catalog.Snapshot()
+	next, _ := snap.Table("prescriptions")
+	unfrozen := sql.NewCatalog()
+	unfrozen.Register(next.Clone())
+	live, fresh := provenance.Over(snap), provenance.Over(unfrozen)
 	def, _ := e.Reports.Get("drug-consumption")
 	sel, err := def.Parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := e.Catalog.Exec(sel)
+	raw, err := snap.Exec(sel)
 	if err != nil || raw.NumRows() == 0 {
 		t.Fatalf("raw drug-consumption: %v", err)
 	}
 	for i := 0; i < raw.NumRows(); i++ {
-		rt, err := e.Tracer.TraceRow(raw, i)
+		rt, err := live.TraceRow(raw, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := e.Tracer.DistinctSupport(rt, "prescriptions", "patient"), fresh.DistinctSupport(rt, "prescriptions", "patient"); got != want {
+		if got, want := live.DistinctSupport(rt, "prescriptions", "patient"), fresh.DistinctSupport(rt, "prescriptions", "patient"); got != want {
 			t.Errorf("group %d: %d distinct patients, a fresh dictionary %d", i, got, want)
 		}
 	}

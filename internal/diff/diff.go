@@ -29,7 +29,6 @@ import (
 	"plabi/internal/enforce"
 	"plabi/internal/lint"
 	"plabi/internal/policy"
-	"plabi/internal/provenance"
 	"plabi/internal/report"
 	"plabi/internal/sql"
 )
@@ -58,7 +57,7 @@ type State struct {
 // newEnforcer builds a throwaway enforcer over the state. Only the
 // static compilation path is used, so no tracer state accumulates.
 func (s *State) newEnforcer() *enforce.ReportEnforcer {
-	enf := enforce.NewReportEnforcer(s.Policies, s.Catalog, provenance.NewTracer(), enforce.Config{})
+	enf := enforce.NewReportEnforcer(s.Policies, s.Catalog, enforce.Config{})
 	if len(s.Scopes) > 0 {
 		enf.SetExtraScopes(s.Scopes)
 	}

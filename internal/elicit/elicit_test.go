@@ -4,7 +4,14 @@ import (
 	"testing"
 
 	"plabi/internal/policy"
+	"plabi/internal/sql"
 )
+
+// profileOK reports whether a query still profiles.
+func profileOK(cat *sql.Catalog, q string) bool {
+	_, err := sql.ProfileSQL(cat, q)
+	return err == nil
+}
 
 func scenario(t *testing.T, seed int64, n int) *Scenario {
 	t.Helper()

@@ -8,7 +8,6 @@ import (
 	"plabi/internal/policy"
 	"plabi/internal/relation"
 	"plabi/internal/report"
-	"plabi/internal/sql"
 )
 
 // EventKind enumerates the evolution events the simulator draws (§2 iii:
@@ -365,9 +364,3 @@ func (s *Scenario) extendWarehouse(col string) error {
 }
 
 func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
-// profileOK is a test hook verifying a query still profiles.
-func profileOK(cat *sql.Catalog, q string) bool {
-	_, err := sql.ProfileSQL(cat, q)
-	return err == nil
-}

@@ -60,9 +60,7 @@ func BuildHealthcareScenario(seed int64, nReports int) (*Scenario, error) {
 		return nil, fmt.Errorf("elicit: generate workload: %w", err)
 	}
 	cat := sql.NewCatalog()
-	for _, t := range []*relation.Table{ds.Prescriptions, ds.FamilyDoctor, ds.DrugCost, ds.LabResults, ds.Residents} {
-		cat.Register(t)
-	}
+	cat.Register(ds.Prescriptions, ds.FamilyDoctor, ds.DrugCost, ds.LabResults, ds.Residents)
 
 	// The warehouse loads prescriptions ⋈ drugcost ⋈ residents — a
 	// subset of the source columns (rx_id, lab details, municipality

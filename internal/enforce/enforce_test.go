@@ -9,7 +9,6 @@ import (
 
 	"plabi/internal/metadata"
 	"plabi/internal/policy"
-	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -33,18 +32,10 @@ func registryWith(t *testing.T, plaSrcs ...string) *policy.Registry {
 	return reg
 }
 
-func fixtureCatalogAndTracer() (*sql.Catalog, *provenance.Tracer) {
+func fixtureCatalog() *sql.Catalog {
 	cat := sql.NewCatalog()
-	tr := provenance.NewTracer()
-	for _, tb := range []*relation.Table{
-		workload.PrescriptionsFixture(),
-		workload.DrugCostFixture(),
-		workload.FamilyDoctorFixture(),
-	} {
-		cat.Register(tb)
-		tr.RegisterBase(tb)
-	}
-	return cat, tr
+	cat.Register(workload.PrescriptionsFixture(), workload.DrugCostFixture(), workload.FamilyDoctorFixture())
+	return cat
 }
 
 // --- SourceEnforcer (Fig. 2a) ---
@@ -211,7 +202,7 @@ func TestSourceReleaseKAnonymity(t *testing.T) {
 // --- QueryRewriter (VPD) ---
 
 func TestRewriteAddsFilter(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute *;
 		filter when disease <> 'HIV';
@@ -238,7 +229,7 @@ func TestRewriteAddsFilter(t *testing.T) {
 }
 
 func TestRewriteMasksDeniedAttribute(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute *;
 		deny attribute disease to roles analyst;
@@ -280,7 +271,7 @@ func TestRewriteMasksDeniedAttribute(t *testing.T) {
 }
 
 func TestRewriteBlocksForbiddenJoin(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute *;
 		forbid join with familydoctor;
@@ -324,13 +315,11 @@ pla "hospital-source" {
 
 func enforcerWith(t *testing.T, plas string) (*ReportEnforcer, *sql.Catalog) {
 	t.Helper()
-	cat, tr := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	// Register the Fig. 4 fixture as the larger prescriptions table.
-	fig4 := workload.Fig4Prescriptions(1)
-	cat.Register(fig4)
-	tr.RegisterBase(fig4)
+	cat.Register(workload.Fig4Prescriptions(1))
 	reg := registryWith(t, plas)
-	return NewReportEnforcer(reg, cat, tr, Config{}), cat
+	return NewReportEnforcer(reg, cat, Config{}), cat
 }
 
 func TestReportAggregationThreshold(t *testing.T) {
@@ -660,7 +649,7 @@ func TestSourceReleaseRetention(t *testing.T) {
 // HIV example: an allow-with-condition turns into a WHERE conjunct, so
 // the rewritten query cannot return rows violating the condition.
 func TestRewriteConditionBecomesFilter(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute drug;
 		allow attribute patient when disease <> 'HIV';
@@ -724,7 +713,7 @@ func TestRewriteConditionBecomesFilter(t *testing.T) {
 // TestRewriteStarDoesNotBypassMasking: SELECT * must be expanded and
 // masked like explicit column lists.
 func TestRewriteStarDoesNotBypassMasking(t *testing.T) {
-	cat, _ := fixtureCatalogAndTracer()
+	cat := fixtureCatalog()
 	reg := registryWith(t, `pla "h" { owner "hospital"; level source; scope "prescriptions";
 		allow attribute *;
 		deny attribute disease to roles analyst;
@@ -760,8 +749,6 @@ func TestReportUnreadableSupportFailsRender(t *testing.T) {
 		"row filter": `allow attribute *; filter when disease <> 'HIV';`,
 	} {
 		rx := workload.PrescriptionsFixture()
-		cat, tr := sql.NewCatalog(), provenance.NewTracer()
-		cat.Register(rx) // the query itself stays executable
 		dir := t.TempDir()
 		store := relation.NewSegmentStore(dir)
 		store.SetPartitionRows(2) // three partitions; at most one stays cached
@@ -769,9 +756,12 @@ func TestReportUnreadableSupportFailsRender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.RegisterBase(seg)
-		def := &report.Definition{ID: "rx-list", Query: "SELECT patient, drug FROM prescriptions"}
-		e := NewReportEnforcer(registryWith(t, `pla "s" { owner "hospital"; level source; scope "prescriptions"; `+rules+` }`), cat, tr, Config{})
+		// The query reads an in-memory view of the rows, so it stays
+		// executable; their support is the segment-backed base.
+		cat := sql.NewCatalog()
+		cat.Register(seg, relation.Rename(rx, "rx"))
+		def := &report.Definition{ID: "rx-list", Query: "SELECT patient, drug FROM rx"}
+		e := NewReportEnforcer(registryWith(t, `pla "s" { owner "hospital"; level source; scope "prescriptions"; `+rules+` }`), cat, Config{})
 		intact, err := e.Render(def, report.Consumer{Role: "analyst"})
 		if err != nil || intact.MaskedCells+intact.SuppressedRows != 2 {
 			t.Fatalf("%s: intact render: %v, %+v", name, err, intact)
@@ -779,7 +769,7 @@ func TestReportUnreadableSupportFailsRender(t *testing.T) {
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		tr.RegisterBase(seg.Clone()) // same segments, nothing cached...
+		cat.Register(seg.Clone()) // same segments, nothing cached...
 		_, err = e.Render(def, report.Consumer{Role: "analyst"})
 		if err == nil || !strings.Contains(err.Error(), "provenance: reading prescriptions#") {
 			t.Errorf("%s: render over unreadable support = %v, want a read error", name, err)

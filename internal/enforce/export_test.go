@@ -15,7 +15,8 @@ func (e *ReportEnforcer) ClassificationReaders(def *report.Definition, role, pur
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := e.Catalog.Exec(p.sel)
+	snap := e.Catalog.Snapshot()
+	raw, err := snap.Exec(p.sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -23,7 +24,14 @@ func (e *ReportEnforcer) ClassificationReaders(def *report.Definition, role, pur
 	cols := make([]ColumnPlan, raw.Schema.Len())
 	for ci, col := range raw.Schema.Columns {
 		name := strings.ToLower(col.Name)
-		cols[ci] = e.classifyColumn(p, name, agg[name], raw.ColumnOrigin(ci), role, purpose)
+		cols[ci] = e.classifyColumn(snap, p, name, agg[name], raw.ColumnOrigin(ci), role, purpose)
 	}
 	return p, cols, nil
+}
+
+// SetAfterExec makes every render run f between its query and its row
+// enforcement, until the returned func is called.
+func SetAfterExec(f func()) (restore func()) {
+	afterExec = f
+	return func() { afterExec = nil }
 }

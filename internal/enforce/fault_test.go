@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"plabi/internal/fault"
-	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -30,16 +29,14 @@ func bulkEnforcer(t *testing.T, rows int, cfg Config) (*ReportEnforcer, *report.
 		)
 	}
 	cat := sql.NewCatalog()
-	tr := provenance.NewTracer()
 	cat.Register(bulk)
-	tr.RegisterBase(bulk)
 	reg := registryWith(t, `
 pla "r" { owner "hospital"; level report; scope "bulk-report";
     deny attribute patient to roles analyst;
 }
 pla "s" { owner "hospital"; level source; scope "bulk"; allow attribute *; }
 `)
-	e := NewReportEnforcer(reg, cat, tr, cfg)
+	e := NewReportEnforcer(reg, cat, cfg)
 	def := &report.Definition{ID: "bulk-report",
 		Query: "SELECT patient, drug FROM bulk"}
 	return e, def

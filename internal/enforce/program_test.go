@@ -12,8 +12,7 @@ import (
 // fixture under the given PLAs, for role analyst and purpose quality.
 func programOver(t *testing.T, plas, query string) (*ReportEnforcer, *Program) {
 	t.Helper()
-	cat, tr := fixtureCatalogAndTracer()
-	e := NewReportEnforcer(registryWith(t, plas), cat, tr, Config{})
+	e := NewReportEnforcer(registryWith(t, plas), fixtureCatalog(), Config{})
 	p, _, err := e.ProgramFor(&report.Definition{ID: "r", Query: query}, "analyst", "quality")
 	if err != nil {
 		t.Fatal(err)

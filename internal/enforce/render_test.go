@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"plabi/internal/fault"
-	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -45,9 +44,7 @@ func mixedEnforcer(t *testing.T, rows int, extraPLAs string, cfg Config) (*Repor
 		)
 	}
 	cat := sql.NewCatalog()
-	tr := provenance.NewTracer()
 	cat.Register(bulk)
-	tr.RegisterBase(bulk)
 	reg := registryWith(t, `
 pla "r" { owner "hospital"; level report; scope "mixed";
     allow attribute patient to roles analyst when disease <> 'HIV';
@@ -62,7 +59,7 @@ pla "s" { owner "hospital"; level source; scope "bulk";
 `+extraPLAs)
 	def := &report.Definition{ID: "mixed",
 		Query: "SELECT patient, drug, doctor, date FROM bulk"}
-	return NewReportEnforcer(reg, cat, tr, cfg), def
+	return NewReportEnforcer(reg, cat, cfg), def
 }
 
 // TestRenderWorkersAgree pins what the merged row loop must keep: the

@@ -33,7 +33,6 @@ import (
 type ReportEnforcer struct {
 	Registry *policy.Registry
 	Catalog  *sql.Catalog
-	Tracer   *provenance.Tracer
 
 	// mu guards the scope map below; scopeGen is bumped on every scope
 	// change so cached plans built under the previous scopes stop
@@ -70,9 +69,9 @@ type Config struct {
 }
 
 // NewReportEnforcer builds an enforcer consulting every level.
-func NewReportEnforcer(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer, cfg Config) *ReportEnforcer {
+func NewReportEnforcer(reg *policy.Registry, cat *sql.Catalog, cfg Config) *ReportEnforcer {
 	return &ReportEnforcer{
-		Registry: reg, Catalog: cat, Tracer: tr,
+		Registry: reg, Catalog: cat,
 		extraScopes: map[string][]string{},
 		cache:       newPlanCache(cfg.CacheSize),
 		workers:     cfg.Workers,
@@ -140,7 +139,11 @@ type Enforced struct {
 // meta-report PLAs of its registered scopes, and report-level PLAs of the
 // report id itself.
 func (e *ReportEnforcer) CompositeFor(def *report.Definition) (*policy.Composite, *sql.Profile, error) {
-	prof, err := sql.ProfileSQL(e.Catalog, def.Query)
+	return e.compositeAt(e.Catalog.Snapshot(), def)
+}
+
+func (e *ReportEnforcer) compositeAt(snap *sql.Snapshot, def *report.Definition) (*policy.Composite, *sql.Profile, error) {
+	prof, err := sql.ProfileSQL(snap, def.Query)
 	if err != nil {
 		return nil, nil, fmt.Errorf("enforce: profile %s: %w", def.ID, err)
 	}
@@ -182,17 +185,22 @@ func (e *ReportEnforcer) CompositeFor(def *report.Definition) (*policy.Composite
 // AddPLAs, catalog loads and meta-report re-derivation invalidate
 // implicitly. The program is shared: read-only.
 func (e *ReportEnforcer) ProgramFor(def *report.Definition, role, purpose string) (*Program, bool, error) {
+	return e.programAt(e.Catalog.Snapshot(), def, role, purpose)
+}
+
+// programAt is ProgramFor at the generation of snap, built over it.
+func (e *ReportEnforcer) programAt(snap *sql.Snapshot, def *report.Definition, role, purpose string) (*Program, bool, error) {
 	key := planKey{report: def.ID, role: strings.ToLower(role), purpose: strings.ToLower(purpose)}
 	at := Generations{
 		Version: def.Version,
 		Policy:  e.Registry.Generation(),
-		Catalog: e.Catalog.Generation(),
+		Catalog: snap.Generation(),
 		Scope:   e.scopeGen.Load(),
 	}
 	if p, ok := e.cache.get(key, at); ok {
 		return p, true, nil
 	}
-	p, err := e.buildProgram(def, role, purpose, at)
+	p, err := e.buildProgram(snap, def, role, purpose, at)
 	if err != nil {
 		return nil, false, err
 	}
@@ -204,8 +212,8 @@ func (e *ReportEnforcer) ProgramFor(def *report.Definition, role, purpose string
 // on the data: parse, profile, compose the governing PLAs, take the
 // query's header from the executor, classify its columns, run the static
 // check, merge thresholds, pre-bind row filters and prune dead rules.
-func (e *ReportEnforcer) buildProgram(def *report.Definition, role, purpose string, at Generations) (*Program, error) {
-	comp, prof, err := e.CompositeFor(def)
+func (e *ReportEnforcer) buildProgram(snap *sql.Snapshot, def *report.Definition, role, purpose string, at Generations) (*Program, error) {
+	comp, prof, err := e.compositeAt(snap, def)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +243,7 @@ func (e *ReportEnforcer) buildProgram(def *report.Definition, role, purpose stri
 	var masks []Decision
 	for ci, col := range header.Schema.Columns {
 		name := strings.ToLower(col.Name)
-		p.Columns[ci] = e.classifyColumn(p, name, aggCols[name], header.ColumnOrigin(ci), role, purpose)
+		p.Columns[ci] = e.classifyColumn(snap, p, name, aggCols[name], header.ColumnOrigin(ci), role, purpose)
 		if p.Columns[ci].Masked {
 			masks = append(masks, p.Columns[ci].Decision)
 		}
@@ -338,14 +346,14 @@ func attrRefs(name string, origins relation.ColRefSet) []policy.AttrRef {
 // every relation the query names in FROM that carries a candidate column,
 // a (column, relation) ref is added so warehouse-level PLAs scoped to
 // e.g. the wide staging table can govern it.
-func (e *ReportEnforcer) columnRefs(fromRels []string, name string, origins relation.ColRefSet) []policy.AttrRef {
+func columnRefs(snap *sql.Snapshot, fromRels []string, name string, origins relation.ColRefSet) []policy.AttrRef {
 	refs := attrRefs(name, origins)
 	candidates := map[string]bool{strings.ToLower(name): true}
 	for _, o := range origins {
 		candidates[o.Column] = true
 	}
 	for _, rel := range fromRels {
-		t, ok := e.Catalog.Table(rel)
+		t, ok := snap.Table(rel)
 		if !ok {
 			continue
 		}
@@ -387,11 +395,11 @@ func (e *ReportEnforcer) decideColumn(comp *policy.Composite, refs []policy.Attr
 // is governed by thresholds; any other is decided for the consumer from
 // its scoped references — masked, or released under pre-bound intensional
 // conditions.
-func (e *ReportEnforcer) classifyColumn(p *Program, name string, aggregate bool, origins relation.ColRefSet, role, purpose string) ColumnPlan {
+func (e *ReportEnforcer) classifyColumn(snap *sql.Snapshot, p *Program, name string, aggregate bool, origins relation.ColRefSet, role, purpose string) ColumnPlan {
 	if aggregate {
 		return ColumnPlan{Name: name, Aggregate: true}
 	}
-	d, conds := e.decideColumn(p.comp, e.columnRefs(p.from, name, origins), name, role, purpose)
+	d, conds := e.decideColumn(p.comp, columnRefs(snap, p.from, name, origins), name, role, purpose)
 	if d != nil {
 		return ColumnPlan{Name: name, Masked: true, Decision: *d}
 	}
@@ -424,7 +432,8 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, hit, err := e.ProgramFor(def, consumer.Role, consumer.Purpose)
+	snap := e.Catalog.Snapshot()
+	plan, hit, err := e.programAt(snap, def, consumer.Role, consumer.Purpose)
 	if err != nil {
 		return nil, err
 	}
@@ -435,22 +444,30 @@ func (e *ReportEnforcer) RenderContext(ctx context.Context, def *report.Definiti
 		e.metrics.Counter("enforce.static_blocks").Inc()
 		return &Enforced{Def: def, Table: plan.header.Shell(), Decisions: blocked, CacheHit: hit, Inputs: plan.from}, nil
 	}
-	return e.render(ctx, def, plan, hit)
+	return e.render(ctx, snap, def, plan, hit)
 }
 
+// afterExec, when set by a test, runs between a render's query and its
+// row enforcement.
+var afterExec func()
+
 // render is the render body of a report that is not refused: execute the
-// query and run the plan's enforcement over the result in one pass. The
+// query over snap and run the plan's enforcement, provenance read from
+// snap too, over the result in one pass. The
 // output is built once — the executed header as a shell, then the single
 // copy enforceRow makes of each row it keeps, its lineage forwarded as the
 // result holds it (a grouped result's stays packed).
-func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, plan *Program, hit bool) (*Enforced, error) {
+func (e *ReportEnforcer) render(ctx context.Context, snap *sql.Snapshot, def *report.Definition, plan *Program, hit bool) (*Enforced, error) {
 	m := e.metrics
 	execStart := time.Now()
-	raw, err := e.Catalog.Exec(plan.sel)
+	raw, err := snap.Exec(plan.sel)
 	if err != nil {
 		return nil, fmt.Errorf("report %s: %w", def.ID, err)
 	}
 	m.Histogram("enforce.exec.duration").Observe(time.Since(execStart))
+	if afterExec != nil {
+		afterExec()
+	}
 	// The result reaches the consumer as rows: its edge form, built from
 	// the (small, executed) result, never from a stored table.
 	if raw, err = raw.Materialize(); err != nil {
@@ -478,7 +495,7 @@ func (e *ReportEnforcer) render(ctx context.Context, def *report.Definition, pla
 	}
 
 	rowsStart := time.Now()
-	results, err := e.enforceRows(ctx, plan, raw, placeholder)
+	results, err := e.enforceRows(ctx, provenance.Over(snap), plan, raw, placeholder)
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +543,7 @@ type rowResult struct {
 // to every row of the executed result, fanning out over the worker pool
 // for large results. Results are positional, so the merged output is
 // identical to a sequential pass.
-func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *Program, raw *relation.Table, placeholder []atomic.Bool) ([]rowResult, error) {
+func (e *ReportEnforcer) enforceRows(ctx context.Context, tr *provenance.Tracer, plan *Program, raw *relation.Table, placeholder []atomic.Bool) ([]rowResult, error) {
 	n := len(raw.Rows)
 	results := make([]rowResult, n)
 	trace := needsTrace(plan)
@@ -545,7 +562,7 @@ func (e *ReportEnforcer) enforceRows(ctx context.Context, plan *Program, raw *re
 						return err
 					}
 				}
-				if err := e.enforceRow(plan, raw, ri, trace, placeholder, &results[ri]); err != nil {
+				if err := enforceRow(tr, plan, raw, ri, trace, placeholder, &results[ri]); err != nil {
 					return err
 				}
 			}
@@ -625,11 +642,11 @@ func needsTrace(plan *Program) bool {
 // thresholds counted on lineage support, row filters over supporting
 // source rows, then cell-level masking (denied columns and intensional
 // conditions — the §5 HIV example) on the one copy a kept row gets.
-func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, trace bool, placeholder []atomic.Bool, res *rowResult) error {
+func enforceRow(tr *provenance.Tracer, plan *Program, raw *relation.Table, ri int, trace bool, placeholder []atomic.Bool, res *rowResult) error {
 	var rt provenance.RowTrace
 	if trace {
 		var err error
-		rt, err = e.Tracer.TraceRow(raw, ri)
+		rt, err = tr.TraceRow(raw, ri)
 		if err != nil {
 			return err
 		}
@@ -638,7 +655,7 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 	// evidence order is deterministic without per-row sorting).
 	for _, th := range plan.Thresholds {
 		by, k := th.By, th.Min
-		if support := e.Tracer.ThresholdSupport(rt, by); support < k {
+		if support := tr.ThresholdSupport(rt, by); support < k {
 			res.decisions = append(res.decisions, Decision{
 				Outcome: SuppressGroup, Rule: "aggregation-threshold",
 				Subject:  fmt.Sprintf("%s[%d]", raw.Name, ri),
@@ -652,7 +669,7 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 	// Row filters (non-aggregated reports): every supporting source row
 	// must satisfy every filter.
 	if !plan.Aggregated && len(plan.Filters) > 0 {
-		ok, evidence, err := e.supportSatisfies(rt, plan.Filters)
+		ok, evidence, err := supportSatisfies(tr, rt, plan.Filters)
 		if err != nil {
 			return err
 		}
@@ -679,7 +696,7 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 		if len(c.Conditions) == 0 {
 			continue
 		}
-		ok, evidence, err := e.supportSatisfies(rt, c.Conditions)
+		ok, evidence, err := supportSatisfies(tr, rt, c.Conditions)
 		if err != nil {
 			return err
 		}
@@ -707,14 +724,14 @@ func (e *ReportEnforcer) enforceRow(plan *Program, raw *relation.Table, ri int, 
 // nothing — the error fails the render rather than letting the row pass.
 // The predicates arrive bound (columns resolved, expression compiled) from
 // the program, so per-row evaluation performs no name lookups.
-func (e *ReportEnforcer) supportSatisfies(rt provenance.RowTrace, conds []BoundPredicate) (bool, []string, error) {
+func supportSatisfies(tr *provenance.Tracer, rt provenance.RowTrace, conds []BoundPredicate) (bool, []string, error) {
 	for _, cond := range conds {
 		var evidence []string
 		var readErr error
 		rt.Refs(func(ref relation.RowRef) bool {
 			vals := make(relation.Row, len(cond.Cols))
 			for i, col := range cond.Cols {
-				v, ok, err := e.Tracer.BaseValue(ref, col)
+				v, ok, err := tr.BaseValue(ref, col)
 				if err != nil {
 					readErr = err
 					return false

@@ -207,7 +207,7 @@ func (r *QueryRewriter) expandStars(sel *sql.SelectStmt) error {
 	add := func(tr sql.TableRef) error {
 		t, ok := r.Catalog.Table(tr.Name)
 		if !ok {
-			if v, vok := r.Catalog.View(tr.Name); vok {
+			if v, vok := r.Catalog.Snapshot().View(tr.Name); vok {
 				var cols []string
 				for _, it := range v.Items {
 					if !it.Star {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -27,11 +26,8 @@ func TestBylessThresholdCountsOneTable(t *testing.T) {
 	wards := relation.NewBase("wards", relation.NewSchema(relation.Col("ward", relation.TString), relation.Col("floor", relation.TInt)))
 	wards.AppendVals(str("w1"), relation.Int(1))
 	wards.AppendVals(str("w2"), relation.Int(2))
-	cat, tr := sql.NewCatalog(), provenance.NewTracer()
-	for _, tb := range []*relation.Table{visits, drugs, wards} {
-		cat.Register(tb)
-		tr.RegisterBase(tb)
-	}
+	cat := sql.NewCatalog()
+	cat.Register(visits, drugs, wards)
 	reg := registryWith(t, `
 pla "by-class" { owner "clinic"; level report; scope "by-class";
     allow attribute class to roles analyst;
@@ -41,7 +37,7 @@ pla "visits" { owner "clinic"; level source; scope "visits"; allow attribute *; 
 pla "drugs" { owner "agency"; level source; scope "drugs"; allow attribute *; }
 pla "wards" { owner "clinic"; level source; scope "wards"; allow attribute *; }
 `)
-	e := NewReportEnforcer(reg, cat, tr, Config{})
+	e := NewReportEnforcer(reg, cat, Config{})
 	def := &report.Definition{ID: "by-class", Query: "SELECT d.class, COUNT(*) AS n FROM visits v " +
 		"JOIN drugs d ON v.drug = d.drug JOIN wards w ON v.ward = w.ward GROUP BY d.class ORDER BY class"}
 	enf, err := e.Render(def, report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"})

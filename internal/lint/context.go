@@ -10,7 +10,6 @@ import (
 	"plabi/internal/metareport"
 	"plabi/internal/obs"
 	"plabi/internal/policy"
-	"plabi/internal/provenance"
 	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
@@ -127,7 +126,7 @@ func (p *Pass) scopeGroups() []group {
 // static decision checks. Requires Catalog.
 func (p *Pass) enforcer() *enforce.ReportEnforcer {
 	if p.enf == nil {
-		p.enf = enforce.NewReportEnforcer(p.Registry, p.Catalog, provenance.NewTracer(), enforce.Config{})
+		p.enf = enforce.NewReportEnforcer(p.Registry, p.Catalog, enforce.Config{})
 		scopes := map[string][]string{}
 		for rid, mid := range p.Assign {
 			scopes[rid] = []string{mid}
@@ -169,11 +168,10 @@ func (p *Pass) knownRelation(name string) bool {
 	if p.Catalog == nil {
 		return false
 	}
-	if _, ok := p.Catalog.Table(name); ok {
-		return true
-	}
-	_, ok := p.Catalog.View(name)
-	return ok
+	snap := p.Catalog.Snapshot()
+	_, isTable := snap.Table(name)
+	_, isView := snap.View(name)
+	return isTable || isView
 }
 
 // relationColumns returns the lowercase column set of a catalog table or
@@ -182,14 +180,15 @@ func (p *Pass) relationColumns(name string) (map[string]bool, bool) {
 	if p.Catalog == nil {
 		return nil, false
 	}
-	t, ok := p.Catalog.Table(name)
+	snap := p.Catalog.Snapshot()
+	t, ok := snap.Table(name)
 	if !ok {
-		v, isView := p.Catalog.View(name)
+		v, isView := snap.View(name)
 		if !isView {
 			return nil, false
 		}
 		var err error
-		if t, err = p.Catalog.Header(v); err != nil {
+		if t, err = snap.Header(v); err != nil {
 			return nil, false
 		}
 	}

@@ -47,7 +47,8 @@ func driftTableScoped(p *Pass, pla *policy.PLA) []Finding {
 	}
 	var out []Finding
 	if pla.Scope != "*" && !p.knownRelation(pla.Scope) {
-		names := append(p.Catalog.TableNames(), p.Catalog.ViewNames()...)
+		snap := p.Catalog.Snapshot()
+		names := append(snap.TableNames(), snap.ViewNames()...)
 		out = append(out, drift(pla, pla.Pos, pla.Scope,
 			fmt.Sprintf("PLA %q is scoped to table %q, which is not in the catalog%s — none of its rules can ever apply",
 				pla.ID, pla.Scope, didYouMean(pla.Scope, names))))
@@ -80,7 +81,8 @@ func driftTableScoped(p *Pass, pla *policy.PLA) []Finding {
 	}
 	for _, r := range pla.Joins {
 		if r.Other != "*" && !p.knownRelation(r.Other) {
-			names := append(p.Catalog.TableNames(), p.Catalog.ViewNames()...)
+			snap := p.Catalog.Snapshot()
+			names := append(snap.TableNames(), snap.ViewNames()...)
 			out = append(out, drift(pla, r.Pos, r.Other,
 				fmt.Sprintf("join rule in PLA %q references relation %q, which is not in the catalog%s — the permission can never be consulted",
 					pla.ID, r.Other, didYouMean(r.Other, names))))

@@ -217,10 +217,3 @@ func (s *Store) MatchingRows(t *relation.Table, name string) ([]int, error) {
 	}
 	return rows, nil
 }
-
-// Associations returns the registered intensional associations.
-func (s *Store) Associations() []*Association {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Association(nil), s.assocs...)
-}

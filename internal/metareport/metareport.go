@@ -167,7 +167,7 @@ func DeriveWith(cat *sql.Catalog, defs []*report.Definition, opts Options) ([]*M
 			return nil, nil, fmt.Errorf("metareport: derive: report %s: %w", d.ID, err)
 		}
 		tables := fromTables(sel)
-		cols, err := referencedCols(cat, sel)
+		cols, err := referencedCols(cat.Snapshot(), sel)
 		if err != nil {
 			return nil, nil, fmt.Errorf("metareport: derive: report %s: %w", d.ID, err)
 		}
@@ -249,7 +249,7 @@ func fromTables(sel *sql.SelectStmt) []string {
 // filters, grouping) to (FROM-table, column) pairs using the catalog and
 // view schemas. Unresolvable references are skipped (they surface later
 // when the query runs).
-func referencedCols(cat *sql.Catalog, sel *sql.SelectStmt) (relation.ColRefSet, error) {
+func referencedCols(cat *sql.Snapshot, sel *sql.SelectStmt) (relation.ColRefSet, error) {
 	// alias -> table name, plus table schemas for unqualified lookup.
 	type rel struct {
 		table  string

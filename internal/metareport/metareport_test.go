@@ -5,25 +5,15 @@ import (
 	"testing"
 
 	"plabi/internal/policy"
-	"plabi/internal/provenance"
-	"plabi/internal/relation"
 	"plabi/internal/report"
 	"plabi/internal/sql"
 	"plabi/internal/workload"
 )
 
-func testCatalog() (*sql.Catalog, *provenance.Tracer) {
+func testCatalog() *sql.Catalog {
 	cat := sql.NewCatalog()
-	tr := provenance.NewTracer()
-	for _, tb := range []*relation.Table{
-		workload.Fig4Prescriptions(1),
-		workload.DrugCostFixture(),
-		workload.FamilyDoctorFixture(),
-	} {
-		cat.Register(tb)
-		tr.RegisterBase(tb)
-	}
-	return cat, tr
+	cat.Register(workload.Fig4Prescriptions(1), workload.DrugCostFixture(), workload.FamilyDoctorFixture())
+	return cat
 }
 
 func portfolio() []*report.Definition {
@@ -40,7 +30,7 @@ func portfolio() []*report.Definition {
 }
 
 func TestDeriveClustersByFootprint(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	metas, assign, err := Derive(cat, portfolio())
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +67,7 @@ func TestDeriveClustersByFootprint(t *testing.T) {
 }
 
 func TestDeriveSeparateFootprints(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	defs := []*report.Definition{
 		{ID: "a", Query: "SELECT drug FROM prescriptions"},
 		{ID: "b", Query: "SELECT patient FROM familydoctor"},
@@ -95,7 +85,7 @@ func TestDeriveSeparateFootprints(t *testing.T) {
 }
 
 func TestIsDerivable(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	metas, _, err := Derive(cat, portfolio())
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +143,7 @@ func TestIsDerivable(t *testing.T) {
 }
 
 func TestIsDerivableFilterContainment(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	meta := &MetaReport{ID: "m", Query: "SELECT patient AS patient, drug AS drug, disease AS disease FROM prescriptions WHERE disease <> 'HIV'"}
 	// Report confined to asthma rows: implied by disease <> 'HIV'.
 	ok1, err := IsDerivable(cat, &report.Definition{ID: "r1",
@@ -176,7 +166,7 @@ func TestIsDerivableFilterContainment(t *testing.T) {
 }
 
 func TestCoveringMeta(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	metas, _, err := Derive(cat, portfolio())
 	if err != nil {
 		t.Fatal(err)
@@ -200,9 +190,9 @@ func TestCoveringMeta(t *testing.T) {
 
 // --- compliance test generation (E7 machinery) ---
 
-func complianceSetup(t *testing.T) (*policy.Registry, *sql.Catalog, *provenance.Tracer, *report.Definition) {
+func complianceSetup(t *testing.T) (*policy.Registry, *sql.Catalog, *report.Definition) {
 	t.Helper()
-	cat, tr := testCatalog()
+	cat := testCatalog()
 	reg := policy.NewRegistry()
 	plas, err := policy.ParseFile(`
 pla "meta-pla" {
@@ -223,14 +213,14 @@ pla "meta-pla" {
 	}
 	def := &report.Definition{ID: "drug-consumption",
 		Query: "SELECT drug, COUNT(*) AS consumption FROM prescriptions GROUP BY drug"}
-	return reg, cat, tr, def
+	return reg, cat, def
 }
 
 func TestGenerateTestsShape(t *testing.T) {
-	reg, cat, tr, _ := complianceSetup(t)
+	reg, cat, _ := complianceSetup(t)
 	def := &report.Definition{ID: "rx-list",
 		Query: "SELECT patient, drug, disease FROM prescriptions"}
-	tests, err := GenerateTests(reg, cat, tr, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
+	tests, err := GenerateTests(reg, cat, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +241,7 @@ func TestGenerateTestsShape(t *testing.T) {
 	// aggregation test.
 	aggDef := &report.Definition{ID: "drug-consumption",
 		Query: "SELECT drug, COUNT(*) AS consumption FROM prescriptions GROUP BY drug"}
-	aggTests, err := GenerateTests(reg, cat, tr, aggDef, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
+	aggTests, err := GenerateTests(reg, cat, aggDef, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +255,8 @@ func TestGenerateTestsShape(t *testing.T) {
 }
 
 func TestComplianceSuiteDetectsViolations(t *testing.T) {
-	reg, cat, tr, def := complianceSetup(t)
-	tests, err := GenerateTests(reg, cat, tr, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
+	reg, cat, def := complianceSetup(t)
+	tests, err := GenerateTests(reg, cat, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +286,10 @@ func TestComplianceSuiteDetectsViolations(t *testing.T) {
 }
 
 func TestComplianceSuiteDetectsMaskingBug(t *testing.T) {
-	reg, cat, tr, _ := complianceSetup(t)
+	reg, cat, _ := complianceSetup(t)
 	def := &report.Definition{ID: "rx-list",
 		Query: "SELECT patient, drug, disease FROM prescriptions"}
-	tests, err := GenerateTests(reg, cat, tr, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
+	tests, err := GenerateTests(reg, cat, def, report.Consumer{Role: "analyst"}, []string{"meta-rx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +306,7 @@ func TestComplianceSuiteDetectsMaskingBug(t *testing.T) {
 }
 
 func TestDeriveWithMaxWidth(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	defs := []*report.Definition{
 		{ID: "a", Query: "SELECT drug, COUNT(*) AS n FROM prescriptions GROUP BY drug"},
 		{ID: "b", Query: "SELECT disease, COUNT(*) AS n FROM prescriptions GROUP BY disease"},
@@ -375,7 +365,7 @@ func TestDeriveWithMaxWidth(t *testing.T) {
 // a report over a SELECT * view contributes the columns it references to
 // the derived meta-report, and containment sees them.
 func TestDeriveThroughStarView(t *testing.T) {
-	cat, _ := testCatalog()
+	cat := testCatalog()
 	if _, err := cat.Run("CREATE VIEW hivrx AS SELECT * FROM prescriptions WHERE disease = 'HIV'"); err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,13 @@ var MaskValue = relation.Str("***")
 
 // GenerateTests derives the compliance test suite for one report under
 // the PLAs in scope (the report's covering meta-report, its base tables'
-// source PLAs, and its own report-level PLAs).
-func GenerateTests(reg *policy.Registry, cat *sql.Catalog, tr *provenance.Tracer,
+// source PLAs, and its own report-level PLAs), over one snapshot of cat.
+func GenerateTests(reg *policy.Registry, cat *sql.Catalog,
 	def *report.Definition, consumer report.Consumer, metaScopes []string) ([]ComplianceTest, error) {
 
-	prof, err := sql.ProfileSQL(cat, def.Query)
+	snap := cat.Snapshot()
+	tr := provenance.Over(snap)
+	prof, err := sql.ProfileSQL(snap, def.Query)
 	if err != nil {
 		return nil, fmt.Errorf("metareport: generate tests: %w", err)
 	}

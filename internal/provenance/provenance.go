@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"plabi/internal/relation"
+	"plabi/internal/sql"
 )
 
 // SourceCell is one concrete base-table cell with its current value.
@@ -151,39 +152,24 @@ func distinctSupportRows(p relation.LineagePart, base *relation.Table, ci int) i
 	return len(seen)
 }
 
-// Tracer resolves lineage references against registered base tables: it
-// maps each name to the table's current version. It is safe for concurrent
-// use.
-type Tracer struct {
-	mu    sync.RWMutex
-	bases map[string]*relation.Table
-}
+// Tracer resolves lineage references against the base tables of a catalog
+// snapshot: a sql.Snapshot, or a sql.Catalog's current one at each lookup.
+type Tracer struct{ src sql.Source }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{bases: map[string]*relation.Table{}}
-}
+// Over returns a tracer resolving base-table names through src.
+func Over(src sql.Source) *Tracer { return &Tracer{src: src} }
 
-// RegisterBase registers (or replaces) a base table so its cells can be
-// resolved during tracing. It freezes the table, as sql.Catalog.Register
-// does, so its distinct-support dictionaries are built once per version and
-// carried to the next by relation.ApplyEdit.
-func (t *Tracer) RegisterBase(tb *relation.Table) {
-	tb.Freeze()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bases[strings.ToLower(tb.Name)] = tb
-}
+// NewTracer returns a tracer over a private, empty catalog.
+func NewTracer() *Tracer { return Over(sql.NewCatalog()) }
+
+// RegisterBase registers (or replaces) a base table in the catalog of a
+// tracer made by NewTracer.
+func (t *Tracer) RegisterBase(tb *relation.Table) { t.src.(*sql.Catalog).Register(tb) }
 
 // RefreshBase is RegisterBase; appendFrom is ignored.
 func (t *Tracer) RefreshBase(tb *relation.Table, appendFrom int) { t.RegisterBase(tb) }
 
-func (t *Tracer) base(name string) (*relation.Table, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	b, ok := t.bases[strings.ToLower(name)]
-	return b, ok
-}
+func (t *Tracer) base(name string) (*relation.Table, bool) { return t.src.Snapshot().Table(name) }
 
 // TraceCell computes the where-provenance of cell (row, col) of tab.
 func (t *Tracer) TraceCell(tab *relation.Table, row int, col string) (CellTrace, error) {
@@ -242,7 +228,7 @@ func (t *Tracer) TraceRow(tab *relation.Table, i int) (RowTrace, error) {
 	return RowTrace{Row: i, tab: tab}, nil
 }
 
-// BaseValue fetches a registered base cell's current value; ok reports
+// BaseValue fetches a base cell's value; ok reports
 // whether the reference resolved (the table is registered, carries col
 // and has the row). A cell that resolves but cannot be read — a
 // segment-backed base whose partition is gone or corrupt — is an error,

@@ -9,6 +9,7 @@ import (
 
 	"plabi/internal/relation"
 	"plabi/internal/relation/reltest"
+	"plabi/internal/sql"
 )
 
 func fixtures() (*relation.Table, *relation.Table, *Tracer) {
@@ -28,10 +29,9 @@ func fixtures() (*relation.Table, *relation.Table, *Tracer) {
 	c.AppendVals(relation.Str("DH"), relation.Int(60))
 	c.AppendVals(relation.Str("DR"), relation.Int(10))
 
-	tr := NewTracer()
-	tr.RegisterBase(p)
-	tr.RegisterBase(c)
-	return p, c, tr
+	cat := sql.NewCatalog()
+	cat.Register(p, c)
+	return p, c, Over(cat.Snapshot())
 }
 
 func TestTraceCellThroughJoin(t *testing.T) {
@@ -113,13 +113,15 @@ func TestBaseValue(t *testing.T) {
 // An unreadable cell of a registered base is an error, distinct from a
 // reference that does not apply.
 func TestBaseValueReadError(t *testing.T) {
-	p, _, tr := fixtures()
+	p, _, _ := fixtures()
 	dir := t.TempDir()
 	seg, err := relation.NewSegmentStore(dir).Spill(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RegisterBase(seg)
+	cat := sql.NewCatalog()
+	cat.Register(seg)
+	tr := Over(cat)
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,27 @@ func TestBaseValueReadError(t *testing.T) {
 	}
 	if _, ok, err := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 1}, "nope"); ok || err != nil {
 		t.Errorf("missing column: ok=%v err=%v, want not-applicable", ok, err)
+	}
+}
+
+// TestStandaloneTracer: a tracer made by NewTracer resolves the tables
+// RegisterBase and RefreshBase put in its own catalog, each name at the
+// version registered last.
+func TestStandaloneTracer(t *testing.T) {
+	p, c, _ := fixtures()
+	tr := NewTracer()
+	tr.RegisterBase(p)
+	tr.RefreshBase(c, 0)
+	for _, ref := range []relation.RowRef{{Table: "prescriptions", Row: 1}, {Table: "drugcost", Row: 1}} {
+		if _, ok, err := tr.BaseValue(ref, "drug"); !ok || err != nil {
+			t.Errorf("%s does not resolve: %v", ref, err)
+		}
+	}
+	next := p.Clone()
+	next.AppendVals(relation.Str("Carl"), relation.Str("DX"), relation.Str("flu"))
+	tr.RefreshBase(next, p.NumRows())
+	if v, ok, _ := tr.BaseValue(relation.RowRef{Table: "prescriptions", Row: 3}, "patient"); !ok || v.S != "Carl" {
+		t.Errorf("the refreshed version's new row reads %v, %v", v, ok)
 	}
 }
 
@@ -187,11 +210,13 @@ func TestGraphUpstreamPartial(t *testing.T) {
 }
 
 // TestDistinctSupportDuringAppendRefresh interleaves first-use dictionary
-// builds with version swaps. The writer makes each version from the last
-// with relation.ApplyEdit — an append, which grows the arrays in place, an
-// in-place update, a mid-table removal — carrying whatever dictionaries the
-// readers published, and registers it. Under -race, no build or carry
-// writes where a reader of another version looks.
+// builds with published snapshots. The writer makes each version from the
+// last with relation.ApplyEdit — an append, which grows the arrays in
+// place, an in-place update, a mid-table removal — carrying whatever
+// dictionaries the readers published, and commits it to the catalog. Each
+// reader pass binds the snapshot it loads, so readers of one version race
+// to build its dictionaries. Under -race, no build or carry writes where a
+// reader of another version looks.
 func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	const nCols, nRows = 16, 5000
 	cols := make([]relation.Column, nCols)
@@ -212,8 +237,8 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	for r := 0; r < nRows; r++ {
 		base.Rows = append(base.Rows, rowAt(r))
 	}
-	tr := NewTracer()
-	tr.RegisterBase(base)
+	cat := sql.NewCatalog()
+	cat.Register(base)
 
 	// The trace names more rows than any version holds; DistinctSupport
 	// counts the ones its base has. One group over a twice-as-long "facts"
@@ -226,7 +251,7 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := tr.TraceRow(derived, 0)
+	rt, err := Over(cat).TraceRow(derived, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +281,7 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			tr.RegisterBase(next)
+			cat.Refresh(next)
 			cur = next
 		}
 	}()
@@ -266,6 +291,7 @@ func TestDistinctSupportDuringAppendRefresh(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for pass := 0; pass < 2; pass++ { // pass 0 builds each dictionary, pass 1 reads it back carried
+				tr := Over(cat.Snapshot())
 				for c := 0; c < nCols; c++ {
 					if n := tr.DistinctSupport(rt, "facts", cols[c].Name); n != c+2 {
 						t.Errorf("pass %d: distinct support of %s = %d, want %d", pass, cols[c].Name, n, c+2)

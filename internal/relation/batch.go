@@ -59,8 +59,8 @@ type Batch struct {
 }
 
 // NewBatch wraps t for columnar execution. A table still being built must
-// not be written while the batch is in use; a registered table is never
-// written again (the contract of sql.Catalog.Register and Refresh).
+// not be written while the batch is in use; a table in a catalog snapshot is
+// never written again (the contract of sql.Catalog.Register and Refresh).
 func NewBatch(t *Table) *Batch {
 	return &Batch{src: t, n: t.NumRows(), cols: make([]*Vector, t.Schema.Len())}
 }

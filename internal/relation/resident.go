@@ -180,9 +180,9 @@ func (ix *joinIndex) probe(v *Vector, start int, left bool, lo, ro []int32) ([]i
 // from it beside it. A table in edge form is transposed into its stored
 // form here, once: its rows become vectors and Rows is nil afterwards. It
 // is for whoever publishes a table to concurrent readers —
-// sql.Catalog.Register and Refresh, and the provenance tracer's
-// RegisterBase — and must be called before the table is shared. Append
-// drops what readers derived. Lineage keeps the form it has.
+// sql.Catalog.Register and Refresh, which put it in the catalog's next
+// snapshot — and must be called before the table is shared. Append drops
+// what readers derived. Lineage keeps the form it has.
 func (t *Table) Freeze() {
 	if t.seg == nil && t.vecs == nil {
 		vecs, _ := t.vectors() // an edge-form table's cannot fail

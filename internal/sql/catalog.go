@@ -3,6 +3,8 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,112 +18,128 @@ import (
 var ErrUnknownTable = errors.New("unknown table or view")
 
 // Catalog is a thread-safe namespace of base tables and views against which
-// statements execute.
+// statements execute. Its state is one immutable Snapshot, which each
+// commit replaces with one atomic store.
 type Catalog struct {
-	mu     sync.RWMutex
-	gen    atomic.Uint64
+	mu   sync.Mutex // serializes writers
+	snap atomic.Pointer[Snapshot]
+}
+
+// Snapshot is one published state of a catalog: its tables, views and
+// generation. Nothing writes it after it is published, so every read
+// through it sees each table at the version one commit left it.
+type Snapshot struct {
+	gen    uint64
 	tables map[string]*relation.Table
 	views  map[string]*SelectStmt
 }
 
+// Source is what statements resolve names through: a Snapshot, or a
+// Catalog, whose current snapshot each call loads.
+type Source interface{ Snapshot() *Snapshot }
+
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		tables: map[string]*relation.Table{},
-		views:  map[string]*SelectStmt{},
-	}
+	c := &Catalog{}
+	c.snap.Store(&Snapshot{tables: map[string]*relation.Table{}, views: map[string]*SelectStmt{}})
+	return c
 }
 
-// Generation returns a counter that increases on every catalog mutation
-// (table or view registration/removal). Plan and decision caches key on it
-// to invalidate when the schema landscape changes.
-func (c *Catalog) Generation() uint64 { return c.gen.Load() }
+// Snapshot returns the catalog's current snapshot.
+func (c *Catalog) Snapshot() *Snapshot { return c.snap.Load() }
 
-// Register adds or replaces a base table under its own name. From here on
-// the table belongs to the catalog's readers: it is frozen (stored as
-// column vectors, with what queries derive from it kept beside it, see
-// relation.Table.Freeze), and its cells and lineage must not be written
-// again — a new version is a new table, handed to Register or Refresh.
-func (c *Catalog) Register(t *relation.Table) {
-	t.Freeze()
+// Snapshot returns s itself.
+func (s *Snapshot) Snapshot() *Snapshot { return s }
+
+// Generation returns a counter that moves on every Register, RegisterView
+// and DropView, and on a Refresh that adds a name or changes a table's
+// header (schema, column origins). Plan and decision caches key on it.
+func (s *Snapshot) Generation() uint64 { return s.gen }
+
+// commit publishes what edit makes of a copy of the current snapshot.
+func (c *Catalog) commit(edit func(next *Snapshot)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(t.Name)
-	c.tables[key] = t
-	c.gen.Add(1)
+	cur := c.snap.Load()
+	next := &Snapshot{gen: cur.gen, tables: maps.Clone(cur.tables), views: maps.Clone(cur.views)}
+	edit(next)
+	c.snap.Store(next)
 }
 
-// Refresh replaces the data of an already-registered table with a new
-// version of the same relation (same name, same schema) without moving the
-// global generation. Incremental ETL uses it to commit a delta: cached
-// plans survive, and the next render reads the new version's resident
-// columns. Like Register it freezes t, which must not be written afterwards.
-func (c *Catalog) Refresh(t *relation.Table) error {
-	t.Freeze()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(t.Name)
-	old, ok := c.tables[key]
-	if !ok {
-		return fmt.Errorf("sql: refresh of unregistered table %q", t.Name)
-	}
-	if !old.Schema.Equal(t.Schema) {
-		return fmt.Errorf("sql: refresh of %q changes schema (%s -> %s); use Register", t.Name, old.Schema, t.Schema)
-	}
-	c.tables[key] = t
-	return nil
+// Register adds or replaces tables in one snapshot, moving the generation
+// for each. From here on they belong to the catalog's readers: each is
+// frozen (see relation.Table.Freeze), and its cells and lineage must not
+// be written again — a new version is a new table.
+func (c *Catalog) Register(ts ...*relation.Table) { c.publish(ts, true) }
+
+// Refresh is Register for new versions of tables, as a delta commits them:
+// the generation moves only for a name that is new or whose header
+// changes, so cached plans survive.
+func (c *Catalog) Refresh(ts ...*relation.Table) { c.publish(ts, false) }
+
+func (c *Catalog) publish(ts []*relation.Table, bump bool) {
+	c.commit(func(s *Snapshot) {
+		for _, t := range ts {
+			t.Freeze()
+			key := strings.ToLower(t.Name)
+			if old, ok := s.tables[key]; bump || !ok || !sameHeader(old, t) {
+				s.gen++
+			}
+			s.tables[key] = t
+		}
+	})
+}
+
+// sameHeader reports whether two versions of a table type every query over
+// them alike.
+func sameHeader(a, b *relation.Table) bool {
+	return a.Base == b.Base && a.Schema.Equal(b.Schema) &&
+		slices.EqualFunc(a.ColOrigin, b.ColOrigin, slices.Equal[relation.ColRefSet])
 }
 
 // RegisterView adds or replaces a named view.
 func (c *Catalog) RegisterView(name string, sel *SelectStmt) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.views[strings.ToLower(name)] = sel
-	c.gen.Add(1)
+	c.commit(func(s *Snapshot) {
+		s.views[strings.ToLower(name)] = sel
+		s.gen++
+	})
 }
 
 // DropView removes a view if present.
 func (c *Catalog) DropView(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.views, strings.ToLower(name))
-	c.gen.Add(1)
+	c.commit(func(s *Snapshot) {
+		delete(s.views, strings.ToLower(name))
+		s.gen++
+	})
 }
 
 // Table returns the base table with the given name.
-func (c *Catalog) Table(name string) (*relation.Table, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[strings.ToLower(name)]
+func (s *Snapshot) Table(name string) (*relation.Table, bool) {
+	t, ok := s.tables[strings.ToLower(name)]
 	return t, ok
 }
 
+// Table returns the current snapshot's table with the given name.
+func (c *Catalog) Table(name string) (*relation.Table, bool) { return c.Snapshot().Table(name) }
+
 // View returns the view definition with the given name.
-func (c *Catalog) View(name string) (*SelectStmt, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.views[strings.ToLower(name)]
+func (s *Snapshot) View(name string) (*SelectStmt, bool) {
+	v, ok := s.views[strings.ToLower(name)]
 	return v, ok
 }
 
 // TableNames returns the sorted base-table names.
-func (c *Catalog) TableNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s *Snapshot) TableNames() []string { return sortedKeys(s.tables) }
+
+// TableNames returns the current snapshot's sorted base-table names.
+func (c *Catalog) TableNames() []string { return c.Snapshot().TableNames() }
 
 // ViewNames returns the sorted view names.
-func (c *Catalog) ViewNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.views))
-	for n := range c.views {
+func (s *Snapshot) ViewNames() []string { return sortedKeys(s.views) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -132,20 +150,20 @@ func (c *Catalog) ViewNames() []string {
 // directly (its rowless shell when only the header is wanted), or the
 // materialization of a view. Views may reference other views; cycles are
 // detected.
-func (c *Catalog) resolve(name string, seen map[string]bool, header bool) (*relation.Table, error) {
+func (s *Snapshot) resolve(name string, seen map[string]bool, header bool) (*relation.Table, error) {
 	key := strings.ToLower(name)
-	if t, ok := c.Table(key); ok {
+	if t, ok := s.tables[key]; ok {
 		if header {
 			return t.Shell(), nil
 		}
 		return t, nil
 	}
-	if v, ok := c.View(key); ok {
+	if v, ok := s.views[key]; ok {
 		if seen[key] {
 			return nil, fmt.Errorf("sql: view cycle through %q", name)
 		}
 		seen[key] = true
-		t, err := c.exec(v, seen, header)
+		t, err := s.exec(v, seen, header)
 		if err != nil {
 			return nil, fmt.Errorf("sql: view %q: %w", name, err)
 		}
@@ -156,12 +174,17 @@ func (c *Catalog) resolve(name string, seen map[string]bool, header bool) (*rela
 	return nil, fmt.Errorf("sql: %w %q", ErrUnknownTable, name)
 }
 
-// Exec executes a statement. SELECT returns its result table; CREATE VIEW
-// registers the view and returns nil.
+// Exec executes a SELECT over the snapshot and returns its result.
+func (s *Snapshot) Exec(sel *SelectStmt) (*relation.Table, error) {
+	return s.exec(sel, map[string]bool{}, false)
+}
+
+// Exec executes a statement. SELECT returns its result table, read from
+// one snapshot; CREATE VIEW registers the view and returns nil.
 func (c *Catalog) Exec(stmt Statement) (*relation.Table, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return c.exec(s, map[string]bool{}, false)
+		return c.Snapshot().Exec(s)
 	case *CreateViewStmt:
 		c.RegisterView(s.Name, s.Select)
 		return nil, nil
@@ -175,8 +198,8 @@ func (c *Catalog) Exec(stmt Statement) (*relation.Table, error) {
 // over the rowless shells of the base tables, so every operator types its
 // output exactly as it does over data, and a definition error (unknown
 // table or column, non-grouped column, view cycle) is Exec's.
-func (c *Catalog) Header(sel *SelectStmt) (*relation.Table, error) {
-	t, err := c.exec(sel, map[string]bool{}, true)
+func (s *Snapshot) Header(sel *SelectStmt) (*relation.Table, error) {
+	t, err := s.exec(sel, map[string]bool{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +213,7 @@ func (c *Catalog) Query(src string) (*relation.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.exec(sel, map[string]bool{}, false)
+	return c.Snapshot().Exec(sel)
 }
 
 // Run parses and executes any statement.

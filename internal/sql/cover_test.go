@@ -60,11 +60,11 @@ func TestCatalogUtilities(t *testing.T) {
 	if _, err := c.Run("CREATE VIEW v1 AS SELECT drug FROM drugcost"); err != nil {
 		t.Fatal(err)
 	}
-	if vs := c.ViewNames(); len(vs) != 1 || vs[0] != "v1" {
+	if vs := c.Snapshot().ViewNames(); len(vs) != 1 || vs[0] != "v1" {
 		t.Errorf("views = %v", vs)
 	}
 	c.DropView("v1")
-	if vs := c.ViewNames(); len(vs) != 0 {
+	if vs := c.Snapshot().ViewNames(); len(vs) != 0 {
 		t.Errorf("views after drop = %v", vs)
 	}
 	// Exec with an unsupported statement type.

@@ -7,10 +7,10 @@ import (
 	"plabi/internal/relation"
 )
 
-// exec evaluates a SELECT against the catalog. The result is a derived
+// exec evaluates a SELECT against the snapshot. The result is a derived
 // relation.Table carrying full lineage and column origins. With header set
-// the base tables contribute their schemas and no rows (Catalog.Header).
-func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, error) {
+// the base tables contribute their schemas and no rows (Snapshot.Header).
+func (c *Snapshot) exec(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, error) {
 	cur, residual, err := c.from(s, seen, header)
 	if err != nil {
 		return nil, err
@@ -23,7 +23,7 @@ func (c *Catalog) exec(s *SelectStmt, seen map[string]bool, header bool) (*relat
 // joins, then the inputs joined left to right. It returns the joined
 // relation — the schema every column reference of the statement resolves
 // against — and the WHERE conjuncts the pushdown did not claim.
-func (c *Catalog) from(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, relation.Expr, error) {
+func (c *Snapshot) from(s *SelectStmt, seen map[string]bool, header bool) (*relation.Table, relation.Expr, error) {
 	inputs := make([]*relation.Table, 0, 1+len(s.Joins))
 	first, err := c.resolve(s.From.Name, seen, header)
 	if err != nil {

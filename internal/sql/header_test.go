@@ -22,7 +22,7 @@ func checkHeaderIsExecuted(t *testing.T, c *Catalog, q string) {
 		t.Fatalf("Exec(%q): %v", q, err)
 	}
 	want := res.Shell()
-	got, err := c.Header(sel)
+	got, err := c.Snapshot().Header(sel)
 	if err != nil {
 		t.Fatalf("Header(%q): %v", q, err)
 	}
@@ -125,7 +125,7 @@ func TestHeaderFailsWhereExecFails(t *testing.T) {
 		if execErr == nil {
 			t.Fatalf("Exec(%q) succeeded; the case pins nothing", q)
 		}
-		_, err = c.Header(sel)
+		_, err = c.Snapshot().Header(sel)
 		if err == nil || err.Error() != execErr.Error() {
 			t.Errorf("Header(%q) error = %v, Exec's is %v", q, err, execErr)
 		}
@@ -151,7 +151,7 @@ func TestHeaderReadsNoPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Header(sel)
+	h, err := c.Snapshot().Header(sel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,25 +79,25 @@ type Profile struct {
 	Aggregated bool
 }
 
-// ProfileQuery computes the profile of a SELECT against the catalog.
+// ProfileQuery computes the profile of a SELECT against a snapshot of src.
 // Views in the FROM clause are profiled recursively; their filters and
 // joins fold into the outer profile. A statement the executor rejects —
 // unknown table or column, non-grouped column, view cycle — does not
 // profile.
-func ProfileQuery(c *Catalog, s *SelectStmt) (*Profile, error) {
-	return c.profile(s, map[string]bool{})
+func ProfileQuery(src Source, s *SelectStmt) (*Profile, error) {
+	return src.Snapshot().profile(s, map[string]bool{})
 }
 
 // ProfileSQL parses and profiles a SELECT string.
-func ProfileSQL(c *Catalog, src string) (*Profile, error) {
-	sel, err := ParseSelect(src)
+func ProfileSQL(src Source, query string) (*Profile, error) {
+	sel, err := ParseSelect(query)
 	if err != nil {
 		return nil, err
 	}
-	return ProfileQuery(c, sel)
+	return ProfileQuery(src, sel)
 }
 
-func (c *Catalog) profile(s *SelectStmt, seen map[string]bool) (*Profile, error) {
+func (c *Snapshot) profile(s *SelectStmt, seen map[string]bool) (*Profile, error) {
 	from, residual, err := c.from(s, seen, true)
 	if err != nil {
 		return nil, err

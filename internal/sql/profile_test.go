@@ -338,7 +338,7 @@ func TestProfileRejectsWhatTheExecutorRejects(t *testing.T) {
 			continue
 		}
 		if sel, perr := ParseSelect(q); perr == nil {
-			if _, herr := c.Header(sel); herr != nil && herr.Error() != err.Error() {
+			if _, herr := c.Snapshot().Header(sel); herr != nil && herr.Error() != err.Error() {
 				t.Errorf("ProfileSQL(%q) error = %v, Header's is %v", q, err, herr)
 			}
 		}

@@ -48,13 +48,13 @@ func execReference(c *Catalog, src string) (*relation.Table, error) {
 	}
 	// Reference: the pre-pushdown pipeline (join all, then WHERE), built
 	// from the same primitives exec uses.
-	cur, err := c.resolve(s.From.Name, map[string]bool{}, false)
+	cur, err := c.Snapshot().resolve(s.From.Name, map[string]bool{}, false)
 	if err != nil {
 		return nil, err
 	}
 	cur = relation.Rename(cur, s.From.EffName())
 	for _, j := range s.Joins {
-		rt, err := c.resolve(j.Table.Name, map[string]bool{}, false)
+		rt, err := c.Snapshot().resolve(j.Table.Name, map[string]bool{}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -142,10 +142,10 @@ func TestPushdownPlan(t *testing.T) {
 			t.Fatalf("parse %s: %v", src, err)
 		}
 		inputs := []*relation.Table{}
-		cur, _ := c.resolve(s.From.Name, map[string]bool{}, false)
+		cur, _ := c.Snapshot().resolve(s.From.Name, map[string]bool{}, false)
 		inputs = append(inputs, relation.Rename(cur, s.From.EffName()))
 		for _, j := range s.Joins {
-			rt, _ := c.resolve(j.Table.Name, map[string]bool{}, false)
+			rt, _ := c.Snapshot().resolve(j.Table.Name, map[string]bool{}, false)
 			inputs = append(inputs, relation.Rename(rt, j.Table.EffName()))
 		}
 		return planPushdown(s, inputs)
