@@ -48,12 +48,13 @@ cover:
 	bash scripts/cover.sh
 
 # One-iteration pass over every root benchmark (paper experiments E1–E11,
-# k-anonymization, elicitation) and internal/relation's (GroupBy over a
+# k-anonymization, elicitation), internal/relation's (GroupBy over a
 # frozen table against a plain one; ApplyEdit carrying the resident form by
-# an append and by an update): catches bitrot in the bench harnesses without
-# paying for a measurement run.
+# an append and by an update) and internal/etl's (entity resolution with a
+# cold and a warm canon index): catches bitrot in the bench harnesses
+# without paying for a measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/relation
+	$(GO) test -run '^$$' -bench . -benchtime=1x . ./internal/relation ./internal/etl
 
 # The benchmark (BENCHMARK.json): five fixed-work workloads, each in a
 # fresh process; writes bench/out/result.json. Gate a change with

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -342,8 +343,13 @@ func (d *DisputeReport) String() string {
 		}
 	}
 	b.WriteString("  governing PLAs:\n")
-	for table, ids := range d.PLAs {
-		fmt.Fprintf(&b, "    %s: %s\n", table, strings.Join(ids, ", "))
+	tables := make([]string, 0, len(d.PLAs))
+	for table := range d.PLAs {
+		tables = append(tables, table)
+	}
+	slices.Sort(tables)
+	for _, table := range tables {
+		fmt.Fprintf(&b, "    %s: %s\n", table, strings.Join(d.PLAs[table], ", "))
 	}
 	return b.String()
 }

@@ -130,3 +130,28 @@ func TestResolveDispute(t *testing.T) {
 		t.Error("expected error")
 	}
 }
+
+// TestDisputeReportListsTablesSorted: the governing PLAs print one line
+// per table in table order, so the same dispute always prints the same
+// text (it ranged over the map, in an order that changed from call to
+// call).
+func TestDisputeReportListsTablesSorted(t *testing.T) {
+	d := &DisputeReport{Report: "r", Column: "c", PLAs: map[string][]string{
+		"residents":     {"pla-m"},
+		"drugcost":      {"pla-a", "pla-b"},
+		"prescriptions": {"pla-h"},
+		"familydoctor":  {"pla-f"},
+		"labresults":    {"pla-l"},
+	}}
+	want := "  governing PLAs:\n" +
+		"    drugcost: pla-a, pla-b\n" +
+		"    familydoctor: pla-f\n" +
+		"    labresults: pla-l\n" +
+		"    prescriptions: pla-h\n" +
+		"    residents: pla-m\n"
+	for range 20 {
+		if got := d.String(); !strings.HasSuffix(got, want) {
+			t.Fatalf("String() =\n%s\nwant it to end with\n%s", got, want)
+		}
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"plabi/internal/obs"
 	"plabi/internal/relation"
+	"plabi/internal/textutil"
 	"plabi/internal/workload"
 )
 
@@ -32,9 +34,8 @@ func TestMatcherMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ref := newMatcher(), newRefMatcher()
+	m, ref := newMatcher(newCanonIndex(ds.PatientNames)), newRefMatcher()
 	for _, n := range ds.PatientNames {
-		m.add(n)
 		ref.add(n)
 	}
 	// The reference scores over a thousand candidates per look-up, so the
@@ -65,29 +66,69 @@ func TestMatcherMatchesReference(t *testing.T) {
 }
 
 // FuzzMatcher is the same differential over arbitrary canonicals (one per
-// line) and look-ups — any bytes, any threshold in (0, 1]. The seed corpus
-// is testdata/fuzz/FuzzMatcher.
+// line) and look-ups — any bytes, any threshold in (0, 1]. A second
+// matcher over the same index answers too: the path of a step reusing its
+// canon's index. The seed corpus is testdata/fuzz/FuzzMatcher.
 func FuzzMatcher(f *testing.F) {
 	f.Fuzz(func(t *testing.T, canon, lookup string, threshold float64) {
 		if !(threshold > 0 && threshold <= 1) {
 			t.Skip()
 		}
-		m, ref := newMatcher(), newRefMatcher()
-		for _, c := range strings.Split(canon, "\n") {
-			m.add(c)
+		canonicals := strings.Split(canon, "\n")
+		ix, ref := newCanonIndex(canonicals), newRefMatcher()
+		for _, c := range canonicals {
 			ref.add(c)
 		}
+		m := newMatcher(ix)
 		differ(t, m, ref, lookup, threshold)
 		differ(t, m, ref, lookup, threshold) // warm scratch, next generation
+		differ(t, newMatcher(ix), ref, lookup, threshold)
 	})
+}
+
+// TestMatchTieRule: among exactly equal scores the winner is the
+// candidate whose block comes first in the value's word order, then the
+// one added first — not the one the length bands happen to reach first.
+// Both cases are FuzzMatcher seeds too (tie_across_blocks,
+// tie_across_bands).
+func TestMatchTieRule(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second string // canonicals, in insertion order
+		lookup, want  string
+	}{
+		// "baaa" is only in block b, added first; "aba" is only in block a,
+		// the block of the value's first word.
+		{"across blocks", "baaa", "aba", "aa baa", "aba"},
+		// One block: the bands reach "ana" (one rune shorter than the
+		// value) before "annaly" (two longer), which was added first.
+		{"across bands", "Annaly", "Ana", "Anna", "Annaly"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			norm := textutil.Normalize(tc.lookup)
+			s1 := textutil.JaroWinkler(norm, textutil.Normalize(tc.first))
+			s2 := textutil.JaroWinkler(norm, textutil.Normalize(tc.second))
+			if math.Float64bits(s1) != math.Float64bits(s2) {
+				t.Fatalf("scores %v and %v differ: no tie to break", s1, s2)
+			}
+			ref := newRefMatcher()
+			ref.add(tc.first)
+			ref.add(tc.second)
+			m := newMatcher(newCanonIndex([]string{tc.first, tc.second}))
+			got, ok := m.match(tc.lookup, 0.5)
+			if !ok || got != tc.want || m.scored != 2 {
+				t.Errorf("match(%q) = (%q, %v) after scoring %d, want %q after scoring both", tc.lookup, got, ok, m.scored, tc.want)
+			}
+			differ(t, m, ref, tc.lookup, 0.5)
+		})
+	}
 }
 
 // TestMatchNeedsScoredCandidate: a threshold ≤ 0 used to "match" a value
 // with no candidate at all to the empty string, and resolve then erased
 // the patient and counted it resolved.
 func TestMatchNeedsScoredCandidate(t *testing.T) {
-	m := newMatcher()
-	m.add("Alice Rossi")
+	m := newMatcher(newCanonIndex([]string{"Alice Rossi"}))
 	if got, ok := m.match("Zed Quux", 0); ok {
 		t.Errorf("match with no candidate = (%q, true)", got)
 	}
@@ -134,11 +175,15 @@ func TestBlockKeysFirstRune(t *testing.T) {
 	if got := string(blockKeys(nil, []rune("émile öberg  ünal"))); got != "éöü" {
 		t.Errorf("blockKeys = %q", got)
 	}
-	m := newMatcher()
-	for _, n := range []string{"Éa", "Émile Durand", "Östen Berg", "Ülo Tamm"} {
-		m.add(n)
+	ix := newCanonIndex([]string{"Éa", "Émile Durand", "Östen Berg", "Ülo Tamm"})
+	if got, ok := newMatcher(ix).match("Émile Durant", 0.88); !ok || got != "Émile Durand" {
+		t.Errorf("match = (%q, %v)", got, ok)
 	}
-	if got, ok := m.match("Émile Durant", 0.88); !ok || got != "Émile Durand" {
+	// "Émile" lies between the two É names in length and the threshold is
+	// under both length bounds (0.88 for "Éa", 0.883 for "Émile Durand"),
+	// so the bands reach both: every É name is a candidate, no other name.
+	m := newMatcher(ix)
+	if got, ok := m.match("Émile", 0.6); !ok || got != "Émile Durand" {
 		t.Errorf("match = (%q, %v)", got, ok)
 	}
 	if m.candidates != 2 {
@@ -153,8 +198,7 @@ func TestBlockKeysFirstRune(t *testing.T) {
 // TestMatcherStampWrap: when the generation counter wraps, stamps left by
 // earlier look-ups must not hide candidates.
 func TestMatcherStampWrap(t *testing.T) {
-	m := newMatcher()
-	m.add("Alice Rossi")
+	m := newMatcher(newCanonIndex([]string{"Alice Rossi"}))
 	m.visited[0] = 1 // as left by the very first look-up
 	m.gen = math.MaxUint32
 	if got, ok := m.match("Alice Rosi", 0.88); !ok || got != "Alice Rossi" {
@@ -166,12 +210,9 @@ func TestMatcherStampWrap(t *testing.T) {
 }
 
 // TestMatchDoesNotAllocate: a fuzzy look-up on warm scratch — normalize,
-// block, bound, score — allocates nothing.
+// block, band search, bound, score — allocates nothing.
 func TestMatchDoesNotAllocate(t *testing.T) {
-	m := newMatcher()
-	for _, n := range []string{"Alice Rossi", "Anna Ricci", "Rita Ardito", "Bruno Verdi"} {
-		m.add(n)
-	}
+	m := newMatcher(newCanonIndex([]string{"Alice Rossi", "Anna Ricci", "Rita Ardito", "Bruno Verdi"}))
 	m.match("ALICE Rosi", 0.88)
 	before := m.scored
 	if n := testing.AllocsPerRun(100, func() { m.match("ALICE Rosi", 0.88) }); n != 0 {
@@ -304,5 +345,134 @@ func TestResolveOutputPinned(t *testing.T) {
 	}
 	if dr == 0 || du == 0 {
 		t.Errorf("delta resolved %d, left %d unmatched: want both exercised", dr, du)
+	}
+}
+
+// TestResolveReusesCanonIndex: the step builds its canon index once per
+// version of the canon column. A second run over unchanged residents and a
+// familydoctor delta reuse it; a residents delta (a new version) builds
+// one, and the step still answers what the reference answers over the new
+// residents.
+func TestResolveReusesCanonIndex(t *testing.T) {
+	cfg := workload.DefaultConfig(5)
+	cfg.Patients, cfg.Prescriptions, cfg.LabResults = 1500, 500, 1
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, fam := erPipeline(ds)
+	muni := p.Steps[3].(*Extract).Source
+	er := p.Steps[5].(*EntityResolution)
+	metrics := obs.New()
+	builds := metrics.Counter("etl.er.index_builds")
+	run := func() *Context {
+		c := NewContext(nil)
+		c.Metrics = metrics
+		if _, err := p.Run(c, false); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	run()
+	if n := builds.Value(); n != 1 {
+		t.Fatalf("the first run built %d indexes, want 1", n)
+	}
+	c := run()
+	if n := builds.Value(); n != 1 {
+		t.Errorf("a second run over unchanged residents built %d indexes", n-1)
+	}
+	applyAndPropagate(t, p, c, fam, &Delta{Source: "familydoctors", Table: "familydoctor",
+		Updates: []RowUpdate{{Row: 0, Vals: relation.Row{relation.Str("Nobody Knwon"), relation.Str("Dr. U")}}}})
+	if n := builds.Value(); n != 1 {
+		t.Errorf("a familydoctor delta built %d indexes", n-1)
+	}
+
+	// A resident named exactly like a value the step resolved away is a new
+	// version of the canon, under which that value resolves to itself.
+	clean, err := c.Get("familydoctor_clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Get(er.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := ""
+	for i := range clean.NumRows() {
+		if v := clean.Row(i)[0].S; v != out.Row(i)[0].S {
+			renamed = v
+			break
+		}
+	}
+	if renamed == "" {
+		t.Fatal("the step resolved nothing")
+	}
+	row := append(relation.Row(nil), ds.Residents.Row(0)...)
+	row[0] = relation.Str(renamed)
+	applyAndPropagate(t, p, c, muni, &Delta{Source: "municipality", Table: "residents", Inserts: []relation.Row{row}})
+	if n := builds.Value(); n != 2 {
+		t.Errorf("a residents delta built %d indexes, want 1", n-1)
+	}
+
+	residents, _ := muni.Table("residents")
+	ref := newRefMatcher()
+	for i := range residents.NumRows() {
+		ref.add(residents.Row(i)[0].S)
+	}
+	clean, err = c.Get("familydoctor_clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mapCol(context.Background(), clean, 0, func(v relation.Value) relation.Value {
+		if best, ok := ref.match(v.S, er.Threshold); ok {
+			return relation.Str(best)
+		}
+		return v
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Name = er.Out
+	if out, err = c.Get(er.Out); err != nil {
+		t.Fatal(err)
+	}
+	if dump(out) != dump(want) {
+		t.Errorf("after the residents delta, %s differs from the reference resolution", er.Out)
+	}
+	if !strings.Contains(dump(out), renamed) {
+		t.Errorf("%q did not resolve to itself under the new residents", renamed)
+	}
+}
+
+// BenchmarkResolve: the step over 5 000 family-doctor names, a share of
+// them dirtied by the generator, against 5 000 residents. cold builds the
+// canon index on every run, as for a new version of residents; warm
+// reuses it, as every run over an unchanged one does.
+func BenchmarkResolve(b *testing.B) {
+	cfg := workload.DefaultConfig(1)
+	cfg.Patients = 5000
+	cfg.Prescriptions, cfg.LabResults = 1, 1
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.FamilyDoctor.Freeze() // stored, as a step's output or a registered source is
+	ds.Residents.Freeze()
+	for _, warm := range []bool{false, true} {
+		b.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(b *testing.B) {
+			er := NewEntityResolution("resolve-fd", "familydoctor", "patient",
+				"residents", "patient", "familydoctors", 0.88, "familydoctor_resolved")
+			c := NewContext(nil)
+			c.Put("familydoctor", ds.FamilyDoctor)
+			c.Put("residents", ds.Residents)
+			for range b.N {
+				if !warm {
+					er.idx.Store(nil)
+				}
+				if err := er.Run(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
