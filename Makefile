@@ -74,11 +74,12 @@ scale-ceiling:
 # Chaos suite: the healthcare scenario under deterministic fault
 # schedules (fixed seed matrix, override with CHAOS_SEEDS=1,2,3) with the
 # race detector on, beside renders racing insert, update and delete
-# deltas (each must equal the serial render of one committed snapshot).
-# On failure the fault schedule and the audit sink contents land in
+# deltas (each must equal the serial render of one committed snapshot),
+# and lint racing deltas (it runs the recorded pipelines over zero rows
+# beside their live state). On failure the fault schedule and the audit sink contents land in
 # ./chaos-artifacts for offline replay.
 chaos:
-	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run 'TestChaos|TestRendersDuringDeltas' ./internal/core -count=1 -v
+	CHAOS_ARTIFACT_DIR=./chaos-artifacts $(GO) test -race -run 'TestChaos|TestRendersDuringDeltas|TestLintDuringDeltas' ./internal/core -count=1 -v
 
 # Short fuzz campaigns over the SQL parser, WHERE evaluation (a predicate
 # bound to a schema against the unbound expression), the PLA DSL parser,

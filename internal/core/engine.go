@@ -458,11 +458,11 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 	// Phase 2: swap the sources in place so extract steps re-point at
 	// the new versions; rolled back wholesale on any pipeline failure.
 	for _, sw := range swaps {
-		sw.src.Tables[sw.key] = sw.next
+		sw.src.Swap(sw.key, sw.next)
 	}
 	rollbackSources := func() {
 		for _, sw := range swaps {
-			sw.src.Tables[sw.key] = sw.old
+			sw.src.Swap(sw.key, sw.old)
 		}
 	}
 

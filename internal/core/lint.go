@@ -5,9 +5,9 @@ import (
 )
 
 // Lint statically analyzes the whole deployment — agreements, catalog,
-// reports, meta-report assignments and recorded ETL plans — without
-// executing any data flow, and returns the findings in deterministic
-// order. Metrics are emitted to the engine's observability registry
+// reports, meta-report assignments and recorded ETL plans — reading no
+// data row (a plan runs over zero rows, leaving its live state alone), and
+// returns the findings in deterministic order. Metrics are emitted to the engine's observability registry
 // under lint.*.
 func (e *Engine) Lint() []lint.Finding {
 	return lint.Run(&lint.Pass{

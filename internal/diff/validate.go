@@ -174,8 +174,8 @@ func (v *validator) checkStatic() []Impact {
 
 	// Join permissions: per-table source+warehouse composites.
 	for _, jp := range v.prof.JoinPairs {
-		a := v.perTableComposite(jp.A)
-		b := v.perTableComposite(jp.B)
+		a := v.s.Policies.ForTable(jp.A)
+		b := v.s.Policies.ForTable(jp.B)
 		if ok, _ := a.JoinAllowed(jp.B); !ok {
 			want["block|join-permission|"+jp.A+" JOIN "+jp.B] = true
 		} else if ok, _ := b.JoinAllowed(jp.A); !ok {
@@ -324,14 +324,6 @@ func (v *validator) decideColumnConds(name string) (*maskDecision, []string) {
 		}
 	}
 	return nil, conds
-}
-
-func (v *validator) perTableComposite(table string) *policy.Composite {
-	var plas []*policy.PLA
-	for _, lvl := range []policy.Level{policy.LevelSource, policy.LevelWarehouse} {
-		plas = append(plas, v.s.Policies.ForScope(lvl, table).PLAs...)
-	}
-	return policy.Compose(plas...)
 }
 
 func (v *validator) fromNames() []string {

@@ -73,102 +73,123 @@ func (e *EntityResolution) Run(c *Context) error {
 	return nil
 }
 
-// resolve is the step body: the guard check, the canon index of the
-// canon's version (index), and the column rewritten over the input rows at
-// the indices in dirty (nil = the whole input — a full Run; the delta path
-// passes the changed rows). Stats accumulate; Run resets them first. Each
-// call adds its tallies to the etl.er.* counters: canon indexes built,
-// values looked up, exact hits, blocked candidates reached, candidates the
-// bounds let through to scoring, values resolved and left unmatched.
+// resolve runs the step over the input rows at the indices in dirty (nil =
+// the whole input — a full Run; the delta path passes the changed rows):
+// the body with the kept canon index, then its recording. The index is
+// kept, the stats accumulate (Run resets them first), and the tallies go
+// to the etl.er.* counters: canon indexes built, values looked up, exact
+// hits, blocked candidates reached, candidates the bounds let through to
+// scoring, values resolved and left unmatched.
 func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, error) {
-	in, err := c.Get(e.Input)
+	kept := e.idx.Load()
+	out, m, err := e.match(c, dirty, kept)
 	if err != nil {
 		return nil, err
+	}
+	builds := 0
+	if m.ix != kept {
+		builds = 1
+		e.idx.Store(m.ix)
+	}
+	e.Resolved += m.resolved
+	e.Unmatched += m.unmatched
+	for name, n := range map[string]int{
+		"etl.er.index_builds": builds, "etl.er.values": m.values, "etl.er.exact": m.exactHits,
+		"etl.er.candidates": m.candidates, "etl.er.scored": m.scored,
+		"etl.er.resolved": m.resolved, "etl.er.unmatched": m.unmatched,
+	} {
+		c.Metrics.Counter(name).Add(uint64(n))
+	}
+	return out, nil
+}
+
+// body is the step over the whole input with a canon index of its own:
+// resolve's output, leaving the step's index and stats as they are.
+func (e *EntityResolution) body(c *Context) (*relation.Table, error) {
+	out, _, err := e.match(c, nil, nil)
+	return out, err
+}
+
+// match is the step body: the integration check of every table the canon
+// derives from, the canon index (kept, when built from this version), and
+// the column rewritten over the rows at dirty; the matcher keeps tallies.
+func (e *EntityResolution) match(c *Context, dirty []int, kept *canonIndex) (*relation.Table, *matcher, error) {
+	in, err := c.Get(e.Input)
+	if err != nil {
+		return nil, nil, err
 	}
 	canon, err := c.Get(e.Canon)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for _, donor := range baseTablesOf(canon) {
+	for _, donor := range canon.BaseTables() {
 		if err := c.Guard.CheckIntegration(donor, e.Beneficiary); err != nil {
-			return nil, &ViolationError{Step: e.name, Rule: "integration-permission",
+			return nil, nil, &ViolationError{Step: e.name, Rule: "integration-permission",
 				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
 		}
 	}
 	if !(e.Threshold > 0 && e.Threshold <= 1) { // also rejects NaN
-		return nil, fmt.Errorf("entity-resolution %s: threshold %v is outside (0, 1]", e.name, e.Threshold)
+		return nil, nil, fmt.Errorf("entity-resolution %s: threshold %v is outside (0, 1]", e.name, e.Threshold)
 	}
 	ci := canon.Schema.Index(e.CanonColumn)
 	if ci < 0 {
-		return nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
+		return nil, nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
 	}
-	ix, builds, err := e.index(canon, ci)
+	ix, err := indexOf(canon, ci, kept)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	matcher := newMatcher(ix)
+	m := newMatcher(ix)
 	ti := in.Schema.Index(e.Column)
 	if ti < 0 {
-		return nil, fmt.Errorf("entity-resolution: column %q not found", e.Column)
+		return nil, nil, fmt.Errorf("entity-resolution: column %q not found", e.Column)
 	}
 	if dirty != nil {
 		if in, err = relation.SliceRows(in, dirty); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	resolved, unmatched := 0, 0
 	out, err := mapCol(c.Ctx(), in, ti, func(v relation.Value) relation.Value {
 		if v.Kind != relation.TString {
 			return v
 		}
-		best, ok := matcher.match(v.S, e.Threshold)
+		best, ok := m.match(v.S, e.Threshold)
 		if !ok {
-			unmatched++
+			m.unmatched++
 			return v
 		}
 		if best != v.S {
-			resolved++
+			m.resolved++
 		}
 		return relation.Str(best)
 	})
 	if err != nil {
-		return nil, err
-	}
-	e.Resolved += resolved
-	e.Unmatched += unmatched
-	for name, n := range map[string]int{
-		"etl.er.index_builds": builds, "etl.er.values": matcher.values, "etl.er.exact": matcher.exactHits,
-		"etl.er.candidates": matcher.candidates, "etl.er.scored": matcher.scored,
-		"etl.er.resolved": resolved, "etl.er.unmatched": unmatched,
-	} {
-		c.Metrics.Counter(name).Add(uint64(n))
+		return nil, nil, err
 	}
 	out.Name = e.Out
-	return out, nil
+	return out, m, nil
 }
 
-// index returns the canon index of column ci of canon's current version:
-// the one kept from an earlier call when it was built from the same
-// version, else a new one, which replaces it. builds is 1 when it built.
-func (e *EntityResolution) index(canon *relation.Table, ci int) (ix *canonIndex, builds int, err error) {
+// indexOf returns the canon index of column ci of canon's current version:
+// kept when it was built from that version, else a new one.
+func indexOf(canon *relation.Table, ci int, kept *canonIndex) (*canonIndex, error) {
 	v := canonVersion{table: canon, col: ci, rows: canon.NumRows()}
-	if ix := e.idx.Load(); ix != nil && ix.from == v {
-		return ix, 0, nil
+	if kept != nil && kept.from == v {
+		return kept, nil
 	}
 	vals := make([]string, 0, v.rows)
 	for ri := range v.rows {
 		val, err := canon.ValueAt(ri, ci)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if val.Kind == relation.TString {
 			vals = append(vals, val.S)
 		}
 	}
-	ix = newCanonIndex(vals)
+	ix := newCanonIndex(vals)
 	ix.from = v
-	e.idx.Store(ix)
-	return ix, 1, nil
+	return ix, nil
 }
 
 // canonIndex is what entity resolution derives from one version of the
@@ -393,7 +414,7 @@ type matcher struct {
 	jaro textutil.Scratch
 
 	// Tallies over every look-up so far.
-	values, exactHits, candidates, scored int
+	values, exactHits, candidates, scored, resolved, unmatched int
 }
 
 func newMatcher(ix *canonIndex) *matcher {

@@ -32,7 +32,7 @@ type Pass struct {
 	Metas []*metareport.MetaReport
 	// Assign maps report id -> meta-report id.
 	Assign map[string]string
-	// Pipelines are the ETL plans to analyze statically, or nil.
+	// Pipelines are the ETL plans to run over zero rows, or nil.
 	Pipelines []*etl.Pipeline
 	// Owners are the known source-owner names (integration
 	// beneficiaries); empty means "unknown", not "none".
@@ -197,16 +197,6 @@ func (p *Pass) relationColumns(name string) (map[string]bool, bool) {
 		cols[strings.ToLower(c)] = true
 	}
 	return cols, true
-}
-
-// tableComposite composes the source- and warehouse-level agreements
-// governing one base table — the same selection the runtime ETL guard
-// and per-table render decisions use.
-func (p *Pass) tableComposite(table string) *policy.Composite {
-	var plas []*policy.PLA
-	plas = append(plas, p.Registry.ForScope(policy.LevelSource, table).PLAs...)
-	plas = append(plas, p.Registry.ForScope(policy.LevelWarehouse, table).PLAs...)
-	return policy.Compose(plas...)
 }
 
 // plaPos returns the declaration position of the first named PLA that

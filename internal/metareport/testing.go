@@ -174,8 +174,8 @@ func GenerateTests(reg *policy.Registry, cat *sql.Catalog,
 	// forbidden pairs; verified on the produced table's own origins too).
 	for _, jp := range prof.JoinPairs {
 		jp := jp
-		a := perTableComposite(reg, jp.A)
-		b := perTableComposite(reg, jp.B)
+		a := reg.ForTable(jp.A)
+		b := reg.ForTable(jp.B)
 		okA, _ := a.JoinAllowed(jp.B)
 		okB, _ := b.JoinAllowed(jp.A)
 		if okA && okB {
@@ -220,14 +220,6 @@ func RunTests(tests []ComplianceTest, produced *relation.Table) []string {
 		}
 	}
 	return failures
-}
-
-func perTableComposite(reg *policy.Registry, table string) *policy.Composite {
-	var plas []*policy.PLA
-	for _, lvl := range []policy.Level{policy.LevelSource, policy.LevelWarehouse} {
-		plas = append(plas, reg.ForScope(lvl, table).PLAs...)
-	}
-	return policy.Compose(plas...)
 }
 
 func byName(by string) string {

@@ -187,7 +187,7 @@ func editLineage(out, om, repl *Table, e Edit, dirty []int, grow bool) error {
 	kept := n - e.Appended // the rows that hold om's lineage until the dirty ones take repl's
 	if om.packed != nil || repl.packed != nil {
 		var sc lineageScratch
-		out.packed = editArray(packedRows(om), e, n, grow)
+		out.packed, out.from = editArray(packedRows(om), e, n, grow), mergeTables(om.lineageTables(), repl.lineageTables())
 		rp := packedRows(repl)
 		for ri, gl := range out.packed[:kept] {
 			if !slices.ContainsFunc(gl, func(p LineagePart) bool { return len(e.Shift[p.Table]) > 0 }) {

@@ -478,7 +478,7 @@ func (s *GroupByState) Result() *Table {
 	}
 	out.Schema = &Schema{Columns: cols}
 
-	out.packed = make([]groupLineage, len(s.groups))
+	out.packed, out.from = make([]groupLineage, len(s.groups)), t.lineageTables()
 	// A table's row list grows to what the largest group draws from it: once
 	// it holds one ref per member row, it does not grow again.
 	var sc lineageScratch

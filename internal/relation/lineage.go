@@ -58,6 +58,28 @@ func (t *Table) implicit() (string, bool) {
 	return t.origin, t.origin != ""
 }
 
+// lineageTables returns the base tables t's rows' lineage names, ascending
+// (a self-join's repeated): an implicit table's origin, its lineage
+// columns' tables or a packed table's from — at zero rows too.
+func (t *Table) lineageTables() []string {
+	switch {
+	case t.packed != nil:
+		return t.from
+	case t.lin.tables != nil:
+		return t.lin.tables
+	}
+	if origin, ok := t.implicit(); ok {
+		return []string{origin}
+	}
+	return nil
+}
+
+// mergeTables returns the ascending union of two ascending table lists.
+func mergeTables(a, b []string) []string {
+	tables, _, _ := alignTables(a, b)
+	return slices.Compact(tables)
+}
+
 // columns returns the lineage of a table that is not packed by column, an
 // implicit table's as one column of its ordinals.
 func (t *Table) columns() lineageCols {
@@ -226,7 +248,7 @@ func (t *Table) LineageParts(i int, fn func(LineagePart) bool) {
 // rows yet takes src's form, and one built by AppendDerived from one source
 // keeps it.
 func (t *Table) AppendDerived(r Row, src *Table, i int) {
-	if len(t.Rows) == 0 && t.packed == nil && t.lin.tables == nil {
+	if len(t.Rows) == 0 {
 		t.adopt(src, 0)
 	}
 	t.Rows = append(t.Rows, r)
@@ -245,9 +267,9 @@ func (t *Table) AppendDerived(r Row, src *Table, i int) {
 // adopt readies t, which has no rows, to take n rows derived one by one
 // from rows of src, in src's lineage form.
 func (t *Table) adopt(src *Table, n int) {
-	t.lin, t.packed, t.origin = lineageCols{}, nil, ""
+	t.lin, t.packed, t.from, t.origin = lineageCols{}, nil, nil, ""
 	if src.packed != nil {
-		t.packed = make([]groupLineage, 0, n)
+		t.packed, t.from = make([]groupLineage, 0, n), src.from
 		return
 	}
 	tables := src.lin.tables
@@ -267,9 +289,9 @@ func (t *Table) adopt(src *Table, n int) {
 // first n rows' lineage: shared, not copied, and capped so that nothing
 // appended to t lands in src's arrays.
 func (t *Table) shareLineage(src *Table, n int) {
-	t.lin, t.packed, t.origin = src.lin.capped(n), nil, ""
+	t.lin, t.packed, t.from, t.origin = src.lin.capped(n), nil, nil, ""
 	if src.packed != nil {
-		t.packed = src.packed[:n:n]
+		t.packed, t.from = src.packed[:n:n], src.from
 	} else if origin, ok := src.implicit(); ok {
 		t.origin = origin
 	}

@@ -381,7 +381,9 @@ func Union(a, b *Table) (*Table, error) {
 	an, bn := a.NumRows(), b.NumRows()
 	out.stored(vecs, an+bn)
 	if a.packed != nil || b.packed != nil {
-		out.packed = slices.Concat(packedRows(a), packedRows(b))
+		out.packed = append(make([]groupLineage, 0, an+bn), packedRows(a)...)
+		out.packed = append(out.packed, packedRows(b)...)
+		out.from = mergeTables(a.lineageTables(), b.lineageTables())
 		return out, nil
 	}
 	ac, bc := a.columns(), b.columns()

@@ -192,7 +192,7 @@ type probeFn func(b *Batch, lo, ro []int32) ([]int32, []int32, error)
 func joinLineage(out, l, r *Table, lo, ro []int32) {
 	if l.packed != nil || r.packed != nil {
 		var sc lineageScratch
-		out.packed = make([]groupLineage, len(lo))
+		out.packed, out.from = make([]groupLineage, len(lo)), mergeTables(l.lineageTables(), r.lineageTables())
 		for k := range lo {
 			sc.addRows(l, int(lo[k]), oneRow)
 			if ro[k] >= 0 {
@@ -553,7 +553,7 @@ func distinctVec(t *Table, vecs []*Vector) *Table {
 		end[of[i]]--
 		members[end[of[i]]] = uint32(i)
 	}
-	out.packed = make([]groupLineage, len(first))
+	out.packed, out.from = make([]groupLineage, len(first)), t.lineageTables()
 	var sc lineageScratch
 	for j := range out.packed {
 		hi := len(members)

@@ -1,8 +1,9 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"plabi/internal/relation"
@@ -109,36 +110,44 @@ func (c *Snapshot) profile(s *SelectStmt, seen map[string]bool) (*Profile, error
 	// An aggregate without GROUP BY emits its one row over empty input too.
 	p := &Profile{Header: out.Shell(), OutputNames: map[string]relation.ColRefSet{}}
 
-	// What each FROM relation reads: a table says so itself (a derived one
-	// through its column origins), a view is profiled and folds in.
+	// What each FROM relation reads: a table says so itself, a view is
+	// profiled and folds in. A join derives each row from both sides: every
+	// base table of a joined relation meets those of the relations before.
 	refs := []TableRef{s.From}
 	for _, j := range s.Joins {
 		refs = append(refs, j.Table)
 	}
 	for _, tr := range refs {
 		key := strings.ToLower(tr.Name)
+		var bases []string
 		if t, ok := c.Table(key); ok {
-			p.BaseTables = append(p.BaseTables, t.BaseTables()...)
-			continue
-		}
-		v, ok := c.View(key)
-		if !ok {
+			bases = t.BaseTables()
+		} else if v, ok := c.View(key); ok {
+			seen[key] = true
+			sub, err := c.profile(v, seen)
+			seen[key] = false
+			if err != nil {
+				return nil, fmt.Errorf("sql: view %q: %w", tr.Name, err)
+			}
+			bases = sub.BaseTables
+			p.Conjuncts = append(p.Conjuncts, sub.Conjuncts...)
+			p.JoinPairs = append(p.JoinPairs, sub.JoinPairs...)
+			// An aggregated view makes fine-grained filter reasoning on
+			// the outer query unsound; mark opaque.
+			if sub.Opaque || sub.Aggregated {
+				p.Opaque = true
+			}
+		} else {
 			return nil, fmt.Errorf("sql: %w %q", ErrUnknownTable, tr.Name)
 		}
-		seen[key] = true
-		sub, err := c.profile(v, seen)
-		seen[key] = false
-		if err != nil {
-			return nil, fmt.Errorf("sql: view %q: %w", tr.Name, err)
+		for _, a := range p.BaseTables {
+			for _, b := range bases {
+				if a != b {
+					p.JoinPairs = append(p.JoinPairs, NewJoinPair(a, b))
+				}
+			}
 		}
-		p.BaseTables = append(p.BaseTables, sub.BaseTables...)
-		p.Conjuncts = append(p.Conjuncts, sub.Conjuncts...)
-		p.JoinPairs = append(p.JoinPairs, sub.JoinPairs...)
-		// An aggregated view makes fine-grained filter reasoning on the
-		// outer query unsound; mark opaque.
-		if sub.Opaque || sub.Aggregated {
-			p.Opaque = true
-		}
+		p.BaseTables = append(p.BaseTables, bases...)
 	}
 
 	for _, j := range s.Joins {
@@ -188,9 +197,10 @@ func (c *Snapshot) profile(s *SelectStmt, seen map[string]bool) (*Profile, error
 		p.Opaque = true
 	}
 
-	sort.Strings(p.BaseTables)
-	p.BaseTables = dedupeStrings(p.BaseTables)
-	p.JoinPairs = dedupeJoinPairs(p.JoinPairs)
+	slices.Sort(p.BaseTables)
+	p.BaseTables = slices.Compact(p.BaseTables)
+	slices.SortFunc(p.JoinPairs, func(a, b JoinPair) int { return cmp.Or(strings.Compare(a.A, b.A), strings.Compare(a.B, b.B)) })
+	p.JoinPairs = slices.Compact(p.JoinPairs)
 	return p, nil
 }
 
@@ -310,32 +320,6 @@ func flipCmp(op relation.BinOp) relation.BinOp {
 	default:
 		return op
 	}
-}
-
-func dedupeStrings(in []string) []string {
-	out := in[:0]
-	for i, s := range in {
-		if i == 0 || s != in[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupeJoinPairs(in []JoinPair) []JoinPair {
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].A != in[j].A {
-			return in[i].A < in[j].A
-		}
-		return in[i].B < in[j].B
-	})
-	out := in[:0]
-	for i, p := range in {
-		if i == 0 || p != in[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Implies reports whether predicate r logically implies predicate m.

@@ -12,7 +12,7 @@ import (
 // Static analysis ("plalint"): the paper's pre-deployment compliance
 // check (§5). Lint walks the whole engine state — agreements, catalog,
 // reports, meta-report assignments and recorded ETL plans — and proves
-// properties about the deployment without executing any data flow.
+// properties about the deployment reading no data row.
 // Findings carry stable codes (PL001…), source positions and, where an
 // edit provably cannot weaken enforcement, a machine-applicable fix.
 
