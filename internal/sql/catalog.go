@@ -91,10 +91,11 @@ func (c *Catalog) publish(ts []*relation.Table, bump bool) {
 }
 
 // sameHeader reports whether two versions of a table type every query over
-// them alike.
+// them alike, down to the base tables a profile finds them derived from.
 func sameHeader(a, b *relation.Table) bool {
 	return a.Base == b.Base && a.Schema.Equal(b.Schema) &&
-		slices.EqualFunc(a.ColOrigin, b.ColOrigin, slices.Equal[relation.ColRefSet])
+		slices.EqualFunc(a.ColOrigin, b.ColOrigin, slices.Equal[relation.ColRefSet]) &&
+		slices.Equal(a.BaseTables(), b.BaseTables())
 }
 
 // RegisterView adds or replaces a named view.

@@ -83,6 +83,7 @@ func TestRefreshMovesGenerationOnlyForNewHeaders(t *testing.T) {
 		version("a", "x", 4, 2),                       // another schema
 		relation.Rename(version("z", "x", 4, 2), "a"), // derived, not base
 		relation.Rename(version("y", "x", 4, 2), "a"), // other column origins
+		rowsAlsoFrom(t, version("y", "x", 4, 2), "q"), // rows derived from q too
 	} {
 		g = gen()
 		if c.Refresh(next); gen() == g {
@@ -136,4 +137,24 @@ func TestTwoTableCommitIsAtomic(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// rowsAlsoFrom returns, as table a, y's columns of y joined with a base
+// table q on k: y's header, but every row also derives from q.
+func rowsAlsoFrom(t *testing.T, y *relation.Table, q string) *relation.Table {
+	t.Helper()
+	j, err := relation.Join(relation.Rename(y, "l"), relation.Rename(version(q, "z", 4, 1), "r"),
+		relation.Eq(relation.ColRefExpr("l.k"), relation.ColRefExpr("r.k")), relation.InnerJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := relation.ProjectCols(j, "l.k", "l.x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = relation.Rename(out, "a")
+	if out.Schema.String() != relation.Rename(y, "a").Schema.String() {
+		t.Fatalf("header %s, want %s", out.Schema, relation.Rename(y, "a").Schema)
+	}
+	return out
 }
