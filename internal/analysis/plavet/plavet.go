@@ -14,21 +14,26 @@
 //	       statement, or a go/defer call). The sanctioned discard is the
 //	       explicit `_, _ =` assignment, which a reviewer can see.
 //
-// The pass is built only on the standard library (go/parser, go/types
-// and the source importer), so it adds no module dependencies; matching
-// is type-based via types.Func.FullName, so unrelated Append methods
-// (e.g. relation.Table.Append) are never flagged.
+// The pass is built only on the standard library (go/parser, go/types,
+// and the gc importer over the compiler export data `go list -export`
+// reports), so it adds no module dependencies; matching is type-based via
+// types.Func.FullName, so unrelated Append methods (e.g.
+// relation.Table.Append) are never flagged.
 package plavet
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -64,19 +69,52 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Code, f.Message)
 }
 
-// Checker type-checks package directories and runs the vet rules. One
-// Checker shares a file set and a source importer across calls, so
-// dependency packages are type-checked once per process, not once per
-// vetted package.
+// Checker type-checks package directories and runs the vet rules. It
+// reads what a vetted package imports from compiler export data, which the
+// go command lists once per Checker for the whole enclosing module and
+// its dependencies (building what the build cache lacks); one Checker
+// shares that list, a file set and the imported packages across calls.
 type Checker struct {
-	fset *token.FileSet
-	imp  types.Importer
+	fset    *token.FileSet
+	imp     types.Importer
+	exports map[string]string // import path -> export data file
 }
 
 // NewChecker returns a ready Checker.
 func NewChecker() *Checker {
-	fset := token.NewFileSet()
-	return &Checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	c := &Checker{fset: token.NewFileSet()}
+	c.imp = importer.ForCompiler(c.fset, "gc", c.lookup)
+	return c
+}
+
+// lookup opens the export data of the package at path.
+func (c *Checker) lookup(path string) (io.ReadCloser, error) {
+	file := c.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("plavet: no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// listExports returns the export data file of every package the module at
+// root builds, and of every package they import.
+func listExports(root string) (map[string]string, error) {
+	cmd := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...")
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("plavet: go list -export in %s: %v: %s", root, err, stderr.Bytes())
+	}
+	exports := map[string]string{}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		if path, file, ok := strings.Cut(sc.Text(), "="); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, sc.Err()
 }
 
 // Dir parses and type-checks the non-test Go files of one package
@@ -89,9 +127,14 @@ func (c *Checker) Dir(dir string) ([]Finding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plavet: parse %s: %w", dir, err)
 	}
-	pkgPath, err := importPathFor(dir)
+	root, pkgPath, err := importPathFor(dir)
 	if err != nil {
 		return nil, err
+	}
+	if c.exports == nil {
+		if c.exports, err = listExports(root); err != nil {
+			return nil, err
+		}
 	}
 	var out []Finding
 	for _, name := range sortedPkgNames(pkgs) {
@@ -231,32 +274,33 @@ func shortRecv(fn *types.Func) string {
 
 // importPathFor derives a directory's import path from the enclosing
 // go.mod (module line + relative path) so the audit-package exemption
-// and the type-checker's package path are exact.
-func importPathFor(dir string) (string, error) {
+// and the type-checker's package path are exact; root is the module's
+// directory.
+func importPathFor(dir string) (root, pkgPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return "", fmt.Errorf("plavet: resolve %s: %w", dir, err)
+		return "", "", fmt.Errorf("plavet: resolve %s: %w", dir, err)
 	}
-	root := abs
+	root = abs
 	for {
 		data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 		if err == nil {
 			mod := moduleName(string(data))
 			if mod == "" {
-				return "", fmt.Errorf("plavet: %s/go.mod has no module line", root)
+				return "", "", fmt.Errorf("plavet: %s/go.mod has no module line", root)
 			}
 			rel, err := filepath.Rel(root, abs)
 			if err != nil {
-				return "", err
+				return "", "", err
 			}
 			if rel == "." {
-				return mod, nil
+				return root, mod, nil
 			}
-			return mod + "/" + filepath.ToSlash(rel), nil
+			return root, mod + "/" + filepath.ToSlash(rel), nil
 		}
 		parent := filepath.Dir(root)
 		if parent == root {
-			return "", fmt.Errorf("plavet: no go.mod above %s", dir)
+			return "", "", fmt.Errorf("plavet: no go.mod above %s", dir)
 		}
 		root = parent
 	}

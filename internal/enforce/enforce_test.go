@@ -3,6 +3,7 @@ package enforce
 import (
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,7 +288,10 @@ func TestRewriteBlocksForbiddenJoin(t *testing.T) {
 	if out != "" {
 		t.Errorf("blocked query should return empty, got %q", out)
 	}
-	if len(decisions) != 1 || decisions[0].Outcome != Block {
+	// The refusal reads as a report's and the ETL guard's: the refusing
+	// PLA's id, and the pair from its side.
+	if len(decisions) != 1 || decisions[0].Outcome != Block || !slices.Equal(decisions[0].PLAs, []string{"h"}) ||
+		decisions[0].Subject != "prescriptions JOIN familydoctor" {
 		t.Errorf("decisions = %v", decisions)
 	}
 	// The permitted drugcost join passes.

@@ -1,6 +1,7 @@
 package enforce
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -17,8 +18,10 @@ import (
 type QueryRewriter struct {
 	Registry *policy.Registry
 	Catalog  *sql.Catalog
-	// Levels are the PLA levels consulted; defaults to source only (the
-	// classic VPD placement).
+	// Levels are the PLA levels whose row filters and attribute rules
+	// apply; defaults to source only (the classic VPD placement). A join
+	// is refused as everywhere else: by the source- and warehouse-level
+	// PLAs of either side.
 	Levels []policy.Level
 }
 
@@ -61,19 +64,11 @@ func (r *QueryRewriter) Rewrite(sel *sql.SelectStmt, role, purpose string) (*sql
 	var decisions []Decision
 
 	// 1. Forbidden joins block the query: each side's own PLAs must allow
-	// joining with the other side.
+	// joining with the other side — the decision a report and the ETL
+	// guard make.
 	for _, jp := range prof.JoinPairs {
-		compA := r.compositeFor([]string{jp.A})
-		compB := r.compositeFor([]string{jp.B})
-		if ok, reason := compA.JoinAllowed(jp.B); !ok {
-			d := Decision{Outcome: Block, Rule: "join-permission",
-				Subject: jp.A + " JOIN " + jp.B, Detail: reason}
-			return nil, append(decisions, d), nil
-		}
-		if ok, reason := compB.JoinAllowed(jp.A); !ok {
-			d := Decision{Outcome: Block, Rule: "join-permission",
-				Subject: jp.B + " JOIN " + jp.A, Detail: reason}
-			return nil, append(decisions, d), nil
+		if d := cmp.Or(joinRefusal(r.Registry, jp.A, jp.B), joinRefusal(r.Registry, jp.B, jp.A)); d != nil {
+			return nil, append(decisions, *d), nil
 		}
 	}
 

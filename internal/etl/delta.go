@@ -19,12 +19,12 @@ import (
 // input into the edit of its output and applies it to the output it
 // already has (relation.ApplyEdit): row-wise transforms and entity
 // resolution pass the script through one to one, recomputing only the
-// replaced and appended rows; filters and joins, which retain the input
-// ordinal of every output row, place it in their output and re-probe the
-// same rows. What a step cannot place — an opaque transform, a changed
-// right or canon side, an update that changes how many rows an input row
-// yields, an aggregate over anything but an append — reruns that one step
-// and hands Rebuilt downstream. Row indices stay dense throughout, so the
+// replaced and appended rows; filters and joins, which keep the input
+// ordinal of every output row beside their output, place it there and
+// re-probe the same rows. What a step cannot place — an opaque transform,
+// a changed right or canon side, an update that changes how many rows an
+// input row yields, an aggregate over anything but an append — reruns that
+// one step and hands Rebuilt downstream. Row indices stay dense throughout, so the
 // refreshed state is byte-identical, values and lineage, to a full run
 // over the edited sources.
 //
@@ -196,8 +196,8 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 // DeltaResult reports one incremental refresh.
 type DeltaResult struct {
 	// StepsIncremental counts steps that applied their input's edit to the
-	// output they had (one-to-one or placed by ordinals, retained
-	// aggregate, extract re-point).
+	// output they had (one-to-one or placed by ordinals, kept aggregate
+	// accumulator, extract re-point).
 	StepsIncremental int
 	// StepsRebuilt counts steps rerun wholesale.
 	StepsRebuilt int
@@ -340,7 +340,7 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 				return st.Fn(ctx, sub)
 			})
 		case st.Kind == DeltaFilter && st.keep != nil:
-			return fanoutDelta(c, &st.kept, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
+			return fanoutDelta(c, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
 				sub, err := relation.SliceRows(in, dirty)
 				if err != nil {
 					return nil, nil, err
@@ -352,8 +352,8 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 	case *JoinStep:
 		// Only an edit of the left side can be placed: output is
 		// left-major, a right row's matches are scattered all over it.
-		// The step body re-checks the join permission — the PLAs may have
-		// moved since the full run.
+		// The step re-checks the join permission — the PLAs may have moved
+		// since the full run.
 		lch, lok := changes[strings.ToLower(st.Left)]
 		if _, rok := changes[strings.ToLower(st.Right)]; rok || !lok {
 			return rerun()
@@ -362,12 +362,11 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 		if err != nil {
 			return Change{}, false, err
 		}
-		return fanoutDelta(c, &st.probed, l, st.Out, lch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
+		return fanoutDelta(c, l, st.Out, lch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
 			return st.join(c, dirty)
 		})
 	case *EntityResolution:
-		// A canon change invalidates every match. Stats accumulate across
-		// incremental refreshes (a full rerun resets them).
+		// A canon change invalidates every match.
 		ich, iok := changes[strings.ToLower(st.Input)]
 		if _, cok := changes[strings.ToLower(st.Canon)]; cok || !iok {
 			return rerun()
@@ -377,10 +376,10 @@ func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes ma
 			return Change{}, false, err
 		}
 		return oneToOneDelta(c, in, st.Out, ich, rerun, func(dirty []int) (*relation.Table, error) {
-			return st.resolve(c, dirty)
+			return st.match(c, dirty)
 		})
 	case *AggregateStep:
-		return p.aggDelta(c, st, changes)
+		return aggDelta(c, st, changes)
 	default:
 		return rerun()
 	}
@@ -416,18 +415,22 @@ func oneToOneDelta(c *Context, in *relation.Table, out string, ch Change, rerun 
 	return ch, true, nil
 }
 
-// fanoutDelta refreshes the output of a step that retains its fanout f:
-// the output rows of a removed input row are removed; an updated input
-// row is probed again and its new rows replace its old ones, as long as
-// there are as many (otherwise every later row would move: the step
-// reruns); the rows of appended input rows are appended. probe runs the
-// step over the rows of in at dirty and numbers its output by position in
-// dirty. Joining or filtering only those rows reproduces the full step
+// fanoutDelta refreshes the output of a step that keeps its fanout beside
+// its output: the output rows of a removed input row are removed; an
+// updated input row is probed again and its new rows replace its old ones,
+// as long as there are as many (otherwise every later row would move: the
+// step reruns); the rows of appended input rows are appended. probe runs
+// the step over the rows of in at dirty and numbers its output by position
+// in dirty. Joining or filtering only those rows reproduces the full step
 // byte for byte because the output is input-major.
-func fanoutDelta(c *Context, f *fanout, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
+func fanoutDelta(c *Context, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
 	probe func(dirty []int) (*relation.Table, []int32, error)) (Change, bool, error) {
 	old, err := c.Get(out)
-	if err != nil || ch.Rebuilt || f.of != old || len(f.ord) != old.NumRows() {
+	if err != nil || ch.Rebuilt {
+		return rerun()
+	}
+	f, ok := old.Kept(out).(fanout)
+	if !ok || len(f) != old.NumRows() {
 		return rerun()
 	}
 	dirty, err := ch.Dirty(in.NumRows())
@@ -460,30 +463,30 @@ func fanoutDelta(c *Context, f *fanout, in *relation.Table, out string, ch Chang
 	if err != nil {
 		return Change{}, false, err
 	}
-	// Bring the ordinals along, in place: a failure from here on leaves f
-	// describing no table, and the rolled-back staging area reruns the step.
-	f.of = nil
-	ord := f.ord
+	// The next version's ordinals: f less the removed rows', renumbered — a
+	// copy, so that old keeps f whatever becomes of this delta — and then
+	// the appended rows'.
+	ord := f
 	if len(ch.Removed) > 0 {
 		w, _ := f.span(ch.Removed[0])
+		ord = make(fanout, w, len(f)-len(e.Removed)+e.Appended)
+		copy(ord, f)
 		gone := 0 // removed input rows before the one at hand
-		for _, o := range ord[w:] {
+		for _, o := range f[w:] {
 			for gone < len(ch.Removed) && ch.Removed[gone] < int(o) {
 				gone++
 			}
 			if gone < len(ch.Removed) && ch.Removed[gone] == int(o) {
 				continue
 			}
-			ord[w] = o - int32(gone)
-			w++
+			ord = append(ord, o-int32(gone))
 		}
-		ord = ord[:w]
 	}
 	firstNew := in.NumRows() - ch.Appended - len(ch.Updated)
 	for _, o := range subOrd[k:] {
 		ord = append(ord, int32(firstNew)+o)
 	}
-	f.record(c, out, next, ord)
+	stageKeeping(c, out, next, ord)
 	return Change{Edit: e}, true, nil
 }
 
@@ -495,19 +498,23 @@ func appendSeq(idx []int, from, to int) []int {
 	return idx
 }
 
-// aggDelta re-emits the grouped output from the retained accumulator.
-// An append-only input change feeds only the new rows; anything else —
-// including a state left behind by a rolled-back delta, detected by the
-// source-row count — rebuilds the state from the full input. Either way
-// the grouped output can change in arbitrary positions, so downstream
-// consumers see Rebuilt.
-func (p *Pipeline) aggDelta(c *Context, a *AggregateStep, changes map[string]Change) (Change, bool, error) {
+// aggDelta re-emits the grouped output from the accumulator kept beside
+// the output. An append-only input change feeds only the new rows to it;
+// anything else — including an accumulator a rolled-back delta fed, whose
+// source-row count is then ahead of the input — builds one from the full
+// input. Either way the grouped output can change in arbitrary positions,
+// so downstream consumers see Rebuilt.
+func aggDelta(c *Context, a *AggregateStep, changes map[string]Change) (Change, bool, error) {
 	ch := changes[strings.ToLower(a.Input)]
 	in, err := c.Get(a.Input)
 	if err != nil {
 		return Change{}, false, err
 	}
-	st, feed := a.state, in
+	var st *relation.GroupByState
+	if old, err := c.Get(a.Out); err == nil {
+		st, _ = old.Kept(a.Out).(*relation.GroupByState)
+	}
+	feed := in
 	incremental := ch.AppendOnly() && st != nil && st.SourceRows() == in.NumRows()-ch.Appended
 	if incremental {
 		feed, err = relation.SliceRows(in, appendSeq(nil, in.NumRows()-ch.Appended, in.NumRows()))
@@ -520,9 +527,8 @@ func (p *Pipeline) aggDelta(c *Context, a *AggregateStep, changes map[string]Cha
 	if err := st.AddTable(feed); err != nil {
 		return Change{}, false, err
 	}
-	a.state = st
 	out := st.Result()
 	out.Name = a.Out
-	c.Put(a.Out, out)
+	stageKeeping(c, a.Out, out, st)
 	return Change{Rebuilt: true}, incremental, nil
 }

@@ -3,6 +3,7 @@ package etl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -52,9 +53,10 @@ func TestResolveChecksEveryCanonTable(t *testing.T) {
 }
 
 // TestRunEmptyLeavesRetainedState: a run over zero rows asks the guard
-// what a run asks, and leaves what each step keeps for the next delta —
-// join and filter ordinals, the aggregate's accumulator, the canon index
-// and the resolution stats — as the last run left it.
+// what a run asks, and leaves the live versions — the staged tables and
+// what is kept beside them for the next delta: join and filter ordinals,
+// the aggregate's accumulator, the canon index — as the last delta left
+// them.
 func TestRunEmptyLeavesRetainedState(t *testing.T) {
 	hosp, fam, _ := sources()
 	residents := relation.NewBase("residents", relation.NewSchema(relation.Col("patient", relation.TString)))
@@ -62,16 +64,15 @@ func TestRunEmptyLeavesRetainedState(t *testing.T) {
 		residents.AppendVals(relation.Str(name))
 	}
 	canon := NewSource("municipality", "municipality", residents)
-	join := NewJoin("join-fd", "prescriptions", "familydoctor",
-		relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "rx_fd")
-	filter := NewFilter("asthma", "rx_fd", "asthma", relation.ColEqStr("disease", "asthma"))
-	agg := NewAggregate("by-drug", "asthma", "by_drug", []string{"drug"}, []relation.AggSpec{{Kind: relation.AggCount}})
-	er := NewEntityResolution("resolve", "familydoctor", "patient", "residents", "patient", "familydoctors", 0.9, "fd_resolved")
 	p := &Pipeline{Name: "state", Steps: []Step{
 		NewExtract("ext-rx", hosp, "prescriptions", ""),
 		NewExtract("ext-fd", fam, "familydoctor", ""),
 		NewExtract("ext-residents", canon, "residents", ""),
-		er, join, filter, agg,
+		NewEntityResolution("resolve", "familydoctor", "patient", "residents", "patient", "familydoctors", 0.9, "fd_resolved"),
+		NewJoin("join-fd", "prescriptions", "familydoctor",
+			relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "rx_fd"),
+		NewFilter("asthma", "rx_fd", "asthma", relation.ColEqStr("disease", "asthma")),
+		NewAggregate("by-drug", "asthma", "by_drug", []string{"drug"}, []relation.AggSpec{{Kind: relation.AggCount}}),
 	}}
 	live := NewContext(nil)
 	if _, err := p.Run(live, false); err != nil {
@@ -84,16 +85,32 @@ func TestRunEmptyLeavesRetainedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosp.Tables["prescriptions"] = next
+	hosp.Swap("prescriptions", next)
 	if _, err := p.ApplyDelta(context.Background(), live, map[string]Change{"hospital.prescriptions": ch}); err != nil {
 		t.Fatal(err)
 	}
-	probed, kept, state, idx := join.probed, filter.kept, agg.state, er.idx.Load()
-	resolved, unmatched := er.Resolved, er.Unmatched
-	if probed.of == nil || kept.of == nil || state == nil || idx == nil {
-		t.Fatalf("the run retained no state: join %v, filter %v, aggregate %v, index %v",
-			probed.of != nil, kept.of != nil, state != nil, idx != nil)
+	// state names each staged version and what is kept beside it, by
+	// table and key.
+	state := func() string {
+		var b strings.Builder
+		for _, k := range [][2]string{{"rx_fd", "rx_fd"}, {"asthma", "asthma"}, {"by_drug", "by_drug"}, {"residents", "fd_resolved"}} {
+			tb, err := live.Get(k[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := tb.Kept(k[1])
+			if v == nil {
+				t.Fatalf("nothing is kept beside %s under %q", k[0], k[1])
+			}
+			fmt.Fprintf(&b, "%s %p %d: %T %p", k[0], tb, tb.NumRows(), v, v)
+			if f, ok := v.(fanout); ok {
+				fmt.Fprint(&b, []int32(f))
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
 	}
+	before := state()
 
 	g := &askGuard{}
 	var ran []string
@@ -109,12 +126,8 @@ func TestRunEmptyLeavesRetainedState(t *testing.T) {
 	if !slices.Equal(g.joins, []string{"prescriptions join familydoctor"}) || !slices.Equal(g.donors, []string{"residents"}) {
 		t.Errorf("guard asked joins %v, donors %v", g.joins, g.donors)
 	}
-	if join.probed.of != probed.of || filter.kept.of != kept.of ||
-		agg.state != state || er.idx.Load() != idx || er.Resolved != resolved || er.Unmatched != unmatched {
-		t.Error("the zero-row run touched a step's retained state")
-	}
-	if out, _ := live.Get("by_drug"); out == nil || out.NumRows() == 0 {
-		t.Error("the live staging area lost its output")
+	if after := state(); after != before {
+		t.Errorf("the zero-row run touched the live versions:\nbefore:\n%safter:\n%s", before, after)
 	}
 }
 
@@ -154,53 +167,66 @@ func TestRunEmptyReportsFailingStep(t *testing.T) {
 	}
 }
 
-// wrapped is a step decorating another, as a tracing harness does.
-type wrapped struct{ Step }
+// wrapped is a step decorating another, as a tracing harness does; it
+// notes what each of its runs left staged under its output.
+type wrapped struct {
+	Step
+	staged *[]*relation.Table
+}
 
-// TestRunEmptyRunsNoWrappedStep: a wrapped step has no body of its own, so
-// the zero-row run does not run it — it would stage the live source table
-// or rewrite the step's retained state — but reports it.
-func TestRunEmptyRunsNoWrappedStep(t *testing.T) {
+func (w wrapped) Run(c *Context) error {
+	err := w.Step.Run(c)
+	if t, gerr := c.Get(w.Output()); gerr == nil {
+		*w.staged = append(*w.staged, t)
+	}
+	return err
+}
+
+// TestRunEmptyRunsWrappedStep: a wrapped step's Run is the step's own Run,
+// so the zero-row run runs it like any other: a wrapped extraction stages
+// a rowless shell of the source table, a wrapped join asks the guard, and
+// neither touches the live versions.
+func TestRunEmptyRunsWrappedStep(t *testing.T) {
 	hosp, fam, _ := sources()
-	join := NewJoin("join-fd", "prescriptions", "familydoctor",
-		relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "rx_fd")
+	var extracted, joined []*relation.Table
 	p := &Pipeline{Name: "wrapped", Steps: []Step{
-		wrapped{NewExtract("ext-rx", hosp, "prescriptions", "")},
+		wrapped{NewExtract("ext-rx", hosp, "prescriptions", ""), &extracted},
 		NewExtract("ext-fd", fam, "familydoctor", ""),
-		wrapped{join},
+		wrapped{NewJoin("join-fd", "prescriptions", "familydoctor",
+			relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "rx_fd"), &joined},
 	}}
-	if _, err := p.Run(NewContext(nil), false); err != nil {
+	live := NewContext(nil)
+	if _, err := p.Run(live, false); err != nil {
 		t.Fatal(err)
 	}
-	probed := join.probed
+	rx, _ := hosp.Table("prescriptions")
+	out, _ := live.Get("rx_fd")
+	ord := fmt.Sprint(out.Kept("rx_fd"))
+	if len(extracted) != 1 || extracted[0] != rx || len(joined) != 1 || joined[0] != out || out.NumRows() == 0 {
+		t.Fatalf("the live run staged %v and %v", extracted, joined)
+	}
+
 	g := &askGuard{}
-	failed := map[string]error{}
 	var ran []string
 	p.RunEmpty(g, func(s Step, err error) {
 		ran = append(ran, s.Name())
 		if err != nil {
-			failed[s.Name()] = err
+			t.Errorf("step %s over zero rows: %v", s.Name(), err)
 		}
 	})
-	if !slices.Equal(ran, []string{"ext-rx", "ext-fd"}) {
-		t.Errorf("ran %v, want the join reading the unrun extraction skipped", ran)
+	if !slices.Equal(ran, []string{"ext-rx", "ext-fd", "join-fd"}) {
+		t.Errorf("ran %v, want every step", ran)
 	}
-	if err := failed["ext-rx"]; err == nil || !strings.Contains(err.Error(), "no body") {
-		t.Errorf("wrapped extraction: err = %v", err)
+	if shell := extracted[1]; shell == rx || shell.NumRows() != 0 || shell.Schema.String() != rx.Schema.String() {
+		t.Errorf("the wrapped extraction staged %p with %d rows, want a rowless shell of %p", shell, shell.NumRows(), rx)
 	}
-	if len(g.joins) != 0 || join.probed.of != probed.of {
-		t.Errorf("the zero-row run ran the wrapped join: asked %v", g.joins)
+	if !slices.Equal(g.joins, []string{"prescriptions join familydoctor"}) || joined[1].NumRows() != 0 {
+		t.Errorf("the wrapped join asked %v and staged %d rows", g.joins, joined[1].NumRows())
 	}
-
-	// Wrapped on its own, the join is not run either.
-	p.Steps[0] = NewExtract("ext-rx", hosp, "prescriptions", "")
-	failed = map[string]error{}
-	p.RunEmpty(g, func(s Step, err error) {
-		if err != nil {
-			failed[s.Name()] = err
-		}
-	})
-	if err := failed["join-fd"]; err == nil || len(g.joins) != 0 || join.probed.of != probed.of {
-		t.Errorf("wrapped join: err = %v, asked %v", err, g.joins)
+	if now, _ := hosp.Table("prescriptions"); now != rx || now.NumRows() == 0 {
+		t.Error("the zero-row run touched the source table")
+	}
+	if now, _ := live.Get("rx_fd"); now != out || fmt.Sprint(now.Kept("rx_fd")) != ord {
+		t.Error("the zero-row run touched the live join output or its ordinals")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"plabi/internal/relation"
 	"plabi/internal/textutil"
@@ -34,14 +33,6 @@ type EntityResolution struct {
 	// which a dirty value snaps to its best canonical match.
 	Threshold float64
 	Out       string
-
-	// Stats of the last run.
-	Resolved  int
-	Unmatched int
-
-	// idx is the canon index of the last canon version resolved against;
-	// a run or delta over the same version reuses it.
-	idx atomic.Pointer[canonIndex]
 }
 
 // NewEntityResolution builds a guarded entity-resolution step.
@@ -64,89 +55,54 @@ func (e *EntityResolution) Output() string { return e.Out }
 
 // Run implements Step.
 func (e *EntityResolution) Run(c *Context) error {
-	e.Resolved, e.Unmatched = 0, 0
-	out, err := e.resolve(c, nil)
-	if err != nil {
-		return err
+	out, err := e.match(c, nil)
+	if err == nil {
+		c.Put(e.Out, out)
 	}
-	c.Put(e.Out, out)
-	return nil
+	return err
 }
 
-// resolve runs the step over the input rows at the indices in dirty (nil =
+// match runs the step over the input rows at the indices in dirty (nil =
 // the whole input — a full Run; the delta path passes the changed rows):
-// the body with the kept canon index, then its recording. The index is
-// kept, the stats accumulate (Run resets them first), and the tallies go
-// to the etl.er.* counters: canon indexes built, values looked up, exact
-// hits, blocked candidates reached, candidates the bounds let through to
-// scoring, values resolved and left unmatched.
-func (e *EntityResolution) resolve(c *Context, dirty []int) (*relation.Table, error) {
-	kept := e.idx.Load()
-	out, m, err := e.match(c, dirty, kept)
+// the integration check of every table the canon derives from, the canon
+// index kept beside the canon's version, and the column rewritten. Its
+// tallies go to the etl.er.* counters: canon indexes built, values looked
+// up, exact hits, blocked candidates reached, candidates the bounds let
+// through to scoring, values resolved and left unmatched.
+func (e *EntityResolution) match(c *Context, dirty []int) (*relation.Table, error) {
+	in, err := c.Get(e.Input)
 	if err != nil {
 		return nil, err
 	}
-	builds := 0
-	if m.ix != kept {
-		builds = 1
-		e.idx.Store(m.ix)
-	}
-	e.Resolved += m.resolved
-	e.Unmatched += m.unmatched
-	for name, n := range map[string]int{
-		"etl.er.index_builds": builds, "etl.er.values": m.values, "etl.er.exact": m.exactHits,
-		"etl.er.candidates": m.candidates, "etl.er.scored": m.scored,
-		"etl.er.resolved": m.resolved, "etl.er.unmatched": m.unmatched,
-	} {
-		c.Metrics.Counter(name).Add(uint64(n))
-	}
-	return out, nil
-}
-
-// body is the step over the whole input with a canon index of its own:
-// resolve's output, leaving the step's index and stats as they are.
-func (e *EntityResolution) body(c *Context) (*relation.Table, error) {
-	out, _, err := e.match(c, nil, nil)
-	return out, err
-}
-
-// match is the step body: the integration check of every table the canon
-// derives from, the canon index (kept, when built from this version), and
-// the column rewritten over the rows at dirty; the matcher keeps tallies.
-func (e *EntityResolution) match(c *Context, dirty []int, kept *canonIndex) (*relation.Table, *matcher, error) {
-	in, err := c.Get(e.Input)
-	if err != nil {
-		return nil, nil, err
-	}
 	canon, err := c.Get(e.Canon)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, donor := range canon.BaseTables() {
 		if err := c.Guard.CheckIntegration(donor, e.Beneficiary); err != nil {
-			return nil, nil, &ViolationError{Step: e.name, Rule: "integration-permission",
+			return nil, &ViolationError{Step: e.name, Rule: "integration-permission",
 				Detail: fmt.Sprintf("donor %s cleaning data of %s: %v", donor, e.Beneficiary, err), Cause: err}
 		}
 	}
 	if !(e.Threshold > 0 && e.Threshold <= 1) { // also rejects NaN
-		return nil, nil, fmt.Errorf("entity-resolution %s: threshold %v is outside (0, 1]", e.name, e.Threshold)
+		return nil, fmt.Errorf("entity-resolution %s: threshold %v is outside (0, 1]", e.name, e.Threshold)
 	}
 	ci := canon.Schema.Index(e.CanonColumn)
 	if ci < 0 {
-		return nil, nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
+		return nil, fmt.Errorf("entity-resolution: canonical column %q not found", e.CanonColumn)
 	}
-	ix, err := indexOf(canon, ci, kept)
+	ix, builds, err := e.indexOf(canon, ci)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := newMatcher(ix)
 	ti := in.Schema.Index(e.Column)
 	if ti < 0 {
-		return nil, nil, fmt.Errorf("entity-resolution: column %q not found", e.Column)
+		return nil, fmt.Errorf("entity-resolution: column %q not found", e.Column)
 	}
 	if dirty != nil {
 		if in, err = relation.SliceRows(in, dirty); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	out, err := mapCol(c.Ctx(), in, ti, func(v relation.Value) relation.Value {
@@ -164,32 +120,40 @@ func (e *EntityResolution) match(c *Context, dirty []int, kept *canonIndex) (*re
 		return relation.Str(best)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out.Name = e.Out
-	return out, m, nil
+	for name, n := range map[string]int{
+		"etl.er.index_builds": builds, "etl.er.values": m.values, "etl.er.exact": m.exactHits,
+		"etl.er.candidates": m.candidates, "etl.er.scored": m.scored,
+		"etl.er.resolved": m.resolved, "etl.er.unmatched": m.unmatched,
+	} {
+		c.Metrics.Counter(name).Add(uint64(n))
+	}
+	return out, nil
 }
 
-// indexOf returns the canon index of column ci of canon's current version:
-// kept when it was built from that version, else a new one.
-func indexOf(canon *relation.Table, ci int, kept *canonIndex) (*canonIndex, error) {
-	v := canonVersion{table: canon, col: ci, rows: canon.NumRows()}
-	if kept != nil && kept.from == v {
-		return kept, nil
+// indexOf returns the canon index of column ci of canon's version, and how
+// many it built (0 or 1): the one kept beside that version under the step's
+// output name, or a new one, which it keeps there.
+func (e *EntityResolution) indexOf(canon *relation.Table, ci int) (*canonIndex, int, error) {
+	if ix, ok := canon.Kept(e.Out).(*canonIndex); ok && ix.col == ci {
+		return ix, 0, nil
 	}
-	vals := make([]string, 0, v.rows)
-	for ri := range v.rows {
+	vals := make([]string, 0, canon.NumRows())
+	for ri := range canon.NumRows() {
 		val, err := canon.ValueAt(ri, ci)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if val.Kind == relation.TString {
 			vals = append(vals, val.S)
 		}
 	}
 	ix := newCanonIndex(vals)
-	ix.from = v
-	return ix, nil
+	ix.col = ci
+	canon.Keep(e.Out, ix)
+	return ix, 1, nil
 }
 
 // canonIndex is what entity resolution derives from one version of the
@@ -206,19 +170,7 @@ type canonIndex struct {
 	runes    []rune           // every candidate's normalization
 	postings []posting        // block by block
 	blocks   map[rune]span    // first rune of a word -> its run of postings
-
-	// from is the canon column version the index was built from (zero
-	// for an index built from a list).
-	from canonVersion
-}
-
-// canonVersion names one version of a canon column: the table, the column
-// and the table's row count. It is the stamp rule of relation's resident
-// form: a table whose count has moved (an in-place Append) is another
-// version, and so is any other table.
-type canonVersion struct {
-	table     *relation.Table
-	col, rows int
+	col      int              // the canon column it was built from
 }
 
 // span is a block's run of postings, postings[lo:hi].

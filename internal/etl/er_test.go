@@ -248,7 +248,7 @@ func erPipeline(ds *workload.Dataset) (*Pipeline, *Source) {
 }
 
 // TestResolveOutputPinned: the resolved staging table — rows, lineage and
-// the step's stats — is what resolving the same column through the
+// the etl.er.resolved/unmatched counts — is what resolving the same column through the
 // reference matcher gives, after a full run and after a delta.
 func TestResolveOutputPinned(t *testing.T) {
 	cfg := workload.DefaultConfig(3)
@@ -260,6 +260,10 @@ func TestResolveOutputPinned(t *testing.T) {
 	p, fam := erPipeline(ds)
 	er := p.Steps[5].(*EntityResolution)
 	c := NewContext(nil)
+	c.Metrics = obs.New()
+	stats := func() (int, int) {
+		return int(c.Metrics.Counter("etl.er.resolved").Value()), int(c.Metrics.Counter("etl.er.unmatched").Value())
+	}
 	if _, err := p.Run(c, false); err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +315,8 @@ func TestResolveOutputPinned(t *testing.T) {
 	}
 
 	resolved, unmatched := check("full run", nil)
-	if er.Resolved != resolved || er.Unmatched != unmatched {
-		t.Errorf("full run: stats %d/%d, reference %d/%d", er.Resolved, er.Unmatched, resolved, unmatched)
+	if r, u := stats(); r != resolved || u != unmatched {
+		t.Errorf("full run: stats %d/%d, reference %d/%d", r, u, resolved, unmatched)
 	}
 	if resolved == 0 {
 		t.Fatal("the dataset has nothing to resolve")
@@ -340,8 +344,8 @@ func TestResolveOutputPinned(t *testing.T) {
 		t.Fatalf("delta rebuilt %d steps", res.StepsRebuilt)
 	}
 	dr, du := check("after delta", touched)
-	if er.Resolved != resolved+dr || er.Unmatched != unmatched+du {
-		t.Errorf("after delta: stats %d/%d, reference %d/%d", er.Resolved, er.Unmatched, resolved+dr, unmatched+du)
+	if r, u := stats(); r != resolved+dr || u != unmatched+du {
+		t.Errorf("after delta: stats %d/%d, reference %d/%d", r, u, resolved+dr, unmatched+du)
 	}
 	if dr == 0 || du == 0 {
 		t.Errorf("delta resolved %d, left %d unmatched: want both exercised", dr, du)
@@ -445,9 +449,10 @@ func TestResolveReusesCanonIndex(t *testing.T) {
 }
 
 // BenchmarkResolve: the step over 5 000 family-doctor names, a share of
-// them dirtied by the generator, against 5 000 residents. cold builds the
-// canon index on every run, as for a new version of residents; warm
-// reuses it, as every run over an unchanged one does.
+// them dirtied by the generator, against 5 000 residents. cold resolves
+// against a fresh clone of residents on every run, a new version with no
+// canon index kept; warm reuses the one kept beside residents, as every run
+// over an unchanged version does.
 func BenchmarkResolve(b *testing.B) {
 	cfg := workload.DefaultConfig(1)
 	cfg.Patients = 5000
@@ -467,7 +472,9 @@ func BenchmarkResolve(b *testing.B) {
 			c.Put("residents", ds.Residents)
 			for range b.N {
 				if !warm {
-					er.idx.Store(nil)
+					b.StopTimer()
+					c.Put("residents", ds.Residents.Clone())
+					b.StartTimer()
 				}
 				if err := er.Run(c); err != nil {
 					b.Fatal(err)

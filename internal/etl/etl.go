@@ -114,6 +114,8 @@ type Context struct {
 	// runCtx is the context of the executing pipeline run, exposed to
 	// steps via Ctx so long row loops can honour cancellation.
 	runCtx context.Context
+	// shells marks RunEmpty's context: Put stages headers only.
+	shells bool
 }
 
 // NewContext returns a context with an empty staging area and the given
@@ -137,8 +139,14 @@ func (c *Context) Get(name string) (*relation.Table, error) {
 }
 
 // Put stores a staging table under the given name, spilling it to the
-// configured segment store first when it crosses the spill threshold.
+// configured segment store first when it crosses the spill threshold. It
+// freezes what it stores, so that a step can keep beside that version what
+// the next delta reads (relation.Table.Keep); a context of RunEmpty stores
+// each table's rowless Shell instead.
 func (c *Context) Put(name string, t *relation.Table) {
+	if c.shells {
+		t = t.Shell()
+	}
 	if c.SpillStore != nil && c.SpillThreshold > 0 && t.NumRows() >= c.SpillThreshold {
 		if spilled, err := c.SpillStore.Spill(t); err == nil {
 			t = spilled
@@ -146,6 +154,7 @@ func (c *Context) Put(name string, t *relation.Table) {
 			c.Metrics.Counter("etl.spill.errors").Inc()
 		}
 	}
+	t.Freeze()
 	c.mu.Lock()
 	c.Staging[strings.ToLower(name)] = t
 	c.mu.Unlock()
@@ -180,7 +189,11 @@ func (c *Context) rows(name string) (int, bool) {
 	return t.NumRows(), true
 }
 
-// Step is one pipeline operation.
+// Step is one pipeline operation. A step holds no state: Run is a function
+// of the context alone, and what the next delta needs of the output it
+// staged — where each output row came from, an accumulator — is kept with
+// that version of the output (relation.Table.Keep, under the step's output
+// name), never on the step.
 type Step interface {
 	// Name identifies the step instance for annotations and audits.
 	Name() string
@@ -229,55 +242,23 @@ func (p *Pipeline) Run(c *Context, continueOnViolation bool) (Result, error) {
 	return p.RunContext(context.Background(), c, continueOnViolation)
 }
 
-// RunEmpty runs the pipeline over zero-row copies of its extracted tables
-// in a fresh Context guarded by g, one step at a time in list order: every
-// step types its output and asks g what a run would. Each step runs its
-// body alone, leaving what it keeps for the next delta as it was; a step
-// with no body (one not built here, or wrapped) is not run and fails. done
-// gets each step run and its error, a panic included; a step reading what
-// a failed step left absent is not run.
+// RunEmpty runs the pipeline over zero rows: each step's own Run, one at a
+// time in list order, in a fresh Context guarded by g whose Put stages
+// every table as its rowless Shell, so every step types its output and asks
+// g what a run would, reading no row and touching no live version. done gets
+// each step run and its error, a panic included; a step reading what a
+// failed step left absent is not run.
 func (p *Pipeline) RunEmpty(g Guard, done func(s Step, err error)) {
 	c := NewContext(g)
+	c.shells = true
 	absent := map[string]bool{}
 	for _, s := range p.Steps {
 		if !slices.ContainsFunc(s.Inputs(), func(in string) bool { return absent[strings.ToLower(in)] }) {
-			done(s, fault.Safely("etl.step("+s.Name()+")", nil, func() error { return runEmpty(c, s) }))
+			done(s, fault.Safely("etl.step("+s.Name()+")", nil, func() error { return s.Run(c) }))
 		}
 		_, have := c.rows(s.Output())
 		absent[strings.ToLower(s.Output())] = !have
 	}
-}
-
-// bodied is a built-in step: its Run is its body, then the output staged
-// beside what the step keeps for the next delta.
-type bodied interface {
-	Step
-	body(c *Context) (*relation.Table, error)
-}
-
-// stage runs the body of s and stages its output.
-func stage(c *Context, s bodied) error {
-	out, err := s.body(c)
-	if err == nil {
-		c.Put(s.Output(), out)
-	}
-	return err
-}
-
-// runEmpty runs the body of s for RunEmpty; an extraction stages a rowless
-// shell of its source table.
-func runEmpty(c *Context, s Step) error {
-	switch b := s.(type) {
-	case *Extract:
-		t, err := b.body(c)
-		if err == nil {
-			c.Put(b.As, t.Shell())
-		}
-		return err
-	case bodied:
-		return stage(c, b)
-	}
-	return fmt.Errorf("etl: step %s (%T) has no body to run over zero rows", s.Name(), s)
 }
 
 // stepOutcome is the raw result of executing one step inside a wave,

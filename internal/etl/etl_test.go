@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"plabi/internal/obs"
 	"plabi/internal/relation"
 	"plabi/internal/workload"
 )
@@ -197,6 +198,7 @@ func TestEntityResolution(t *testing.T) {
 	dirty.AppendVals(relation.Str("Zoe Unknown"), relation.Str("Dr. C")) // no match
 
 	c := NewContext(nil)
+	c.Metrics = obs.New()
 	c.Put("residents", canon)
 	c.Put("familydoctor", dirty)
 	er := NewEntityResolution("er", "familydoctor", "patient", "residents", "patient",
@@ -215,8 +217,8 @@ func TestEntityResolution(t *testing.T) {
 	if out.Get(2, "patient").S != "Zoe Unknown" {
 		t.Errorf("unmatched must stay: %q", out.Get(2, "patient").S)
 	}
-	if er.Resolved != 2 || er.Unmatched != 1 {
-		t.Errorf("stats: resolved=%d unmatched=%d", er.Resolved, er.Unmatched)
+	if r, u := c.Metrics.Counter("etl.er.resolved").Value(), c.Metrics.Counter("etl.er.unmatched").Value(); r != 2 || u != 1 {
+		t.Errorf("stats: resolved=%d unmatched=%d", r, u)
 	}
 }
 
@@ -252,6 +254,7 @@ func TestEntityResolutionAtScale(t *testing.T) {
 	}
 
 	c := NewContext(nil)
+	c.Metrics = obs.New()
 	c.Put("residents", ds.Residents)
 	c.Put("familydoctor", ds.FamilyDoctor)
 	er := NewEntityResolution("er", "familydoctor", "patient", "residents", "patient",
@@ -274,7 +277,7 @@ func TestEntityResolutionAtScale(t *testing.T) {
 	if float64(bad)/float64(out.NumRows()) > 0.05 {
 		t.Errorf("%d/%d unresolved", bad, out.NumRows())
 	}
-	if er.Resolved == 0 {
+	if c.Metrics.Counter("etl.er.resolved").Value() == 0 {
 		t.Error("expected some resolutions")
 	}
 }

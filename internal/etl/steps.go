@@ -49,14 +49,11 @@ func (e *Extract) Inputs() []string { return []string{e.Source.Name + "." + e.Ta
 // Output implements Step.
 func (e *Extract) Output() string { return e.As }
 
-// Run implements Step.
-func (e *Extract) Run(c *Context) error { return stage(c, e) }
-
-// body reads the source table. Source access is the etl.extract fault
-// site and is retried under the context's policy; a missing table is
-// permanent and fails without consuming the retry budget.
-func (e *Extract) body(c *Context) (t *relation.Table, err error) {
-	err = fault.Retry(c.Ctx(), c.Retry, c.Metrics, func(ctx context.Context) error {
+// Run implements Step: it stages the source table. Source access is the
+// etl.extract fault site and is retried under the context's policy; a
+// missing table is permanent and fails without consuming the retry budget.
+func (e *Extract) Run(c *Context) error {
+	return fault.Retry(c.Ctx(), c.Retry, c.Metrics, func(ctx context.Context) error {
 		if err := c.Faults.Hit(ctx, fault.SiteETLExtract); err != nil {
 			return err
 		}
@@ -64,10 +61,9 @@ func (e *Extract) body(c *Context) (t *relation.Table, err error) {
 		if !ok {
 			return fault.Permanent(fmt.Errorf("source %q has no table %q", e.Source.Name, e.Table))
 		}
-		t = src
+		c.Put(e.As, src)
 		return nil
 	})
-	return t, err
 }
 
 // DeltaKind classifies how a Transform's function distributes over row
@@ -93,33 +89,28 @@ const (
 
 // fanout is what a step whose output is input-major — every input row
 // yields a contiguous, possibly empty run of output rows, in input order:
-// a filter, a join over its left side — retains beside its output, so a
-// later edit of the input can be placed in the output. ord[k] is the
-// ordinal of the input row output row k came from; it never decreases.
-//
-// The ordinals describe exactly one table, of, and are trusted only while
-// the staging area holds that very pointer: a rolled-back delta restores
-// the previous pointer, a dropped context holds other tables altogether,
-// and either way the step reruns and records afresh. Access is serialized
-// by the pipeline (one run or delta at a time).
-type fanout struct {
-	of  *relation.Table
-	ord []int32
-}
+// a filter, a join over its left side — keeps beside each version of its
+// output, so that a later edit of the input can be placed in the output.
+// fanout[k] is the ordinal of the input row output row k came from; it
+// never decreases. Once kept it is never written: the next version's is a
+// copy when the edit removes rows, and when it only appends, grows past the
+// length this one reads.
+type fanout []int32
 
-// record stores out as the step's output and ord as its ordinals.
-func (f *fanout) record(c *Context, name string, out *relation.Table, ord []int32) {
+// stageKeeping stages out as name and keeps state beside the version
+// staging then holds (the segment-backed view when Put spilled out).
+func stageKeeping(c *Context, name string, out *relation.Table, state any) {
 	c.Put(name, out)
-	// What staging holds — the segment-backed view when Put spilled out.
-	f.of, _ = c.Get(name)
-	f.ord = ord
+	if t, err := c.Get(name); err == nil {
+		t.Keep(name, state)
+	}
 }
 
 // span returns the output rows [lo, hi) of input row i.
-func (f *fanout) span(i int) (lo, hi int) {
-	lo = sort.Search(len(f.ord), func(k int) bool { return int(f.ord[k]) >= i })
+func (f fanout) span(i int) (lo, hi int) {
+	lo = sort.Search(len(f), func(k int) bool { return int(f[k]) >= i })
 	hi = lo
-	for hi < len(f.ord) && int(f.ord[hi]) == i {
+	for hi < len(f) && int(f[hi]) == i {
 		hi++
 	}
 	return lo, hi
@@ -140,10 +131,8 @@ type Transform struct {
 	Fn func(context.Context, *relation.Table) (*relation.Table, error)
 
 	// keep is a DeltaFilter's Fn also reporting, per output row, the
-	// ordinal of the input row it is; kept is what it reported for the
-	// output in staging.
+	// ordinal of the input row it is.
 	keep func(*relation.Table) (*relation.Table, []int32, error)
-	kept fanout
 }
 
 // NewTransform builds a generic transformation step.
@@ -160,30 +149,25 @@ func (t *Transform) Inputs() []string { return []string{t.Input} }
 // Output implements Step.
 func (t *Transform) Output() string { return t.Out }
 
-// Run implements Step: the body, or a filter's, recording its ordinals.
+// Run implements Step: Fn over the input, or a filter's keep, whose
+// ordinals it keeps beside the output.
 func (t *Transform) Run(c *Context) error {
-	if t.keep == nil {
-		return stage(c, t)
-	}
 	in, err := c.Get(t.Input)
 	if err != nil {
 		return err
 	}
-	out, ord, err := t.keep(in)
-	if err != nil {
+	if t.keep != nil {
+		out, ord, err := t.keep(in)
+		if err == nil {
+			stageKeeping(c, t.Out, out, fanout(ord))
+		}
 		return err
 	}
-	t.kept.record(c, t.Out, out, ord)
-	return nil
-}
-
-// body applies Fn to the input.
-func (t *Transform) body(c *Context) (*relation.Table, error) {
-	in, err := c.Get(t.Input)
-	if err != nil {
-		return nil, err
+	out, err := t.Fn(c.Ctx(), in)
+	if err == nil {
+		c.Put(t.Out, out)
 	}
-	return t.Fn(c.Ctx(), in)
+	return err
 }
 
 // NewCleanse builds a transform that trims whitespace in the given string
@@ -253,10 +237,6 @@ type JoinStep struct {
 	On          relation.Expr
 	Kind        relation.JoinKind
 	Out         string
-
-	// probed holds the left-row ordinal of each row of the output in
-	// staging.
-	probed fanout
 }
 
 // NewJoin builds a guarded join step.
@@ -273,17 +253,17 @@ func (j *JoinStep) Inputs() []string { return []string{j.Left, j.Right} }
 // Output implements Step.
 func (j *JoinStep) Output() string { return j.Out }
 
-// Run implements Step: the body, recording the output's left ordinals.
+// Run implements Step: the join, keeping its left ordinals beside the
+// output.
 func (j *JoinStep) Run(c *Context) error {
 	out, ord, err := j.join(c, nil)
-	if err != nil {
-		return err
+	if err == nil {
+		stageKeeping(c, j.Out, out, fanout(ord))
 	}
-	j.probed.record(c, j.Out, out, ord)
-	return nil
+	return err
 }
 
-// join is the step body: the join-permission check over the base tables
+// join is the step: the join-permission check over the base tables
 // of both sides, then the left rows at the indices in leftRows (nil = the
 // whole left input — a full Run; the delta path passes the updated and
 // appended rows) joined with the right input. Beside the output it
@@ -325,12 +305,6 @@ func (j *JoinStep) join(c *Context, leftRows []int) (*relation.Table, []int32, e
 	return out, ord, nil
 }
 
-// body is the whole join.
-func (j *JoinStep) body(c *Context) (*relation.Table, error) {
-	out, _, err := j.join(c, nil)
-	return out, err
-}
-
 // AggregateStep groups a staging table.
 type AggregateStep struct {
 	baseStep
@@ -338,12 +312,6 @@ type AggregateStep struct {
 	Out   string
 	Keys  []string
 	Aggs  []relation.AggSpec
-
-	// state is the retained GroupBy accumulator the delta path extends
-	// and re-emits from. Run drops it: after a full recompute the next
-	// delta rebuilds the state from the refreshed input. Access is
-	// serialized by the pipeline (one run or delta at a time).
-	state *relation.GroupByState
 }
 
 // NewAggregate builds an aggregation step.
@@ -360,24 +328,20 @@ func (a *AggregateStep) Inputs() []string { return []string{a.Input} }
 // Output implements Step.
 func (a *AggregateStep) Output() string { return a.Out }
 
-// Run implements Step: the body, with the retained accumulator dropped.
+// Run implements Step: it groups the input. It keeps no accumulator: the
+// first delta after it builds one from the input (aggDelta).
 func (a *AggregateStep) Run(c *Context) error {
-	a.state = nil
-	return stage(c, a)
-}
-
-// body groups the input.
-func (a *AggregateStep) body(c *Context) (*relation.Table, error) {
 	in, err := c.Get(a.Input)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out, err := relation.GroupBy(in, a.Keys, a.Aggs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out.Name = a.Out
-	return out, nil
+	c.Put(a.Out, out)
+	return nil
 }
 
 // mapCol rewrites one column of a table, preserving lineage and origins.

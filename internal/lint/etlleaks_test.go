@@ -144,3 +144,36 @@ func TestCanonProjectionDoesNotHideADonor(t *testing.T) {
 		t.Errorf("PL006 = %v, want resolve's x for familydoctors at x-src's rule", fs)
 	}
 }
+
+// wrapped decorates a step, as a tracing harness does.
+type wrapped struct{ etl.Step }
+
+// TestPL006SeesBehindAWrapper: a forbidden join and the extraction feeding
+// it, each wrapped, are run over zero rows like any step, so PL006 reports
+// the join under the agreement that refuses it and warns of nothing else.
+func TestPL006SeesBehindAWrapper(t *testing.T) {
+	const plas = `pla "a-src" { owner "oa"; level source; scope "a"; allow attribute *; forbid join with b; }`
+	a := relation.NewBase("a", relation.NewSchema(relation.Col("k", relation.TInt)))
+	b := relation.NewBase("b", relation.NewSchema(relation.Col("bk", relation.TInt)))
+	a.AppendVals(relation.Int(1))
+	b.AppendVals(relation.Int(1))
+	src := etl.NewSource("s", "s", a, b)
+	pipe := &etl.Pipeline{Name: "wrapped", Steps: []etl.Step{
+		wrapped{etl.NewExtract("ext-a", src, "a", "")},
+		etl.NewExtract("ext-b", src, "b", ""),
+		wrapped{etl.NewJoin("join-ab", "a", "b", relation.Eq(relation.ColRefExpr("l.k"), relation.ColRefExpr("r.bk")), relation.InnerJoin, "ab")},
+	}}
+	parsed, err := policy.ParseFile(plas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pl006 []lint.Finding
+	for _, f := range lint.Run(&lint.Pass{PLAs: parsed, Pipelines: []*etl.Pipeline{pipe}}) {
+		if f.Code == "PL006" {
+			pl006 = append(pl006, f)
+		}
+	}
+	if len(pl006) != 1 || pl006[0].Severity != lint.SevError || pl006[0].Subject != "wrapped/join-ab: a JOIN b" || pl006[0].PLAs[0] != "a-src" {
+		t.Errorf("PL006 = %v, want one error for join-ab's a JOIN b under a-src", pl006)
+	}
+}

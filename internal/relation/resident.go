@@ -2,6 +2,7 @@ package relation
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -15,8 +16,8 @@ import (
 // copy and uses the published one. ApplyEdit hands the next version the
 // published dictionaries, edited alike, and — when the edit only appends —
 // the published groupings, extended by the appended rows (carry); a join
-// index is never carried, nor a grouping across any other edit, and the
-// next version's first reader builds its own.
+// index is never carried, nor a grouping across any other edit, nor
+// anything kept (Keep), and the next version's first reader builds its own.
 type resident struct {
 	// rows is the table's row count at Freeze. A table whose count has
 	// moved since is read as if it had never been frozen.
@@ -29,6 +30,33 @@ type resident struct {
 	// groups holds, per column of an in-memory table, the groups a
 	// whole-table GroupBy by that column alone forms (grouping).
 	groups []atomic.Pointer[grouping]
+	// kept holds, by key, what callers keep beside the version (Keep).
+	kept sync.Map
+}
+
+// Kept returns what is kept beside t's version under key, or nil.
+func (t *Table) Kept(key string) any {
+	if r := t.frozen(); r != nil {
+		v, _ := r.kept.Load(key)
+		return v
+	}
+	return nil
+}
+
+// Keep keeps v beside t's version under key, unless something is kept
+// there already, and returns what is kept: what a caller needs of this
+// version to go on from it and cannot read back from its cells, such as
+// where each row came from. The first to keep under a key wins, and the
+// key is the caller's to choose so that two callers' never meet. A kept
+// value goes with the version: ApplyEdit carries none to the next. Only a
+// frozen version keeps anything; any other returns v and keeps nothing.
+func (t *Table) Keep(key string, v any) any {
+	r := t.frozen()
+	if r == nil {
+		return v
+	}
+	kept, _ := r.kept.LoadOrStore(key, v)
+	return kept
 }
 
 // valueDict is one column's DistinctCodes. Readers touch codes and card
