@@ -21,21 +21,20 @@ race:
 # Static analysis — the one command list (CI's lint job runs this target):
 # go vet, gofmt, plalint over every shipped PLA document and the full
 # healthcare deployment (error severity gates the build; the scenario's
-# intentionally blocked report stays a warning), and pladiff:
-# translation validation (PD000) of every render program, a
-# silent identity diff, and detection of the audit example's known
-# hospital allow-* expansion (must exit 1 with PD001 — proves the
-# expansion detector works, and pins that the bundle stays expansive).
-# The repo's own audit-write discipline (PV001/PV002) is a test —
-# internal/analysis/plavet TestRepoClean — so `make test`/`race` gate it.
+# intentionally blocked report stays a warning), and pladiff: a silent
+# identity diff, and detection of the audit example's known hospital
+# allow-* expansion (must exit 1 with PD001 — proves the expansion
+# detector works, and pins that the bundle stays expansive). Two checks
+# are tests, so `make test`/`race` gate them: the repo's own audit-write
+# discipline (PV001/PV002, internal/analysis/plavet TestRepoClean) and
+# translation validation (PD000) of every render program of the bare
+# scenario and the audit example (internal/diff TestValidateScenarioClean).
 lint: vet
 	@out=$$(gofmt -l . | grep -v /testdata/ || true); \
 	if [ -n "$$out" ]; then echo "lint: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/plalint docs/sample.pla
 	for f in examples/*/policy.pla; do $(GO) run ./cmd/plalint $$f || exit 1; done
 	$(GO) run ./cmd/plalint -severity error -healthcare
-	$(GO) run ./cmd/pladiff -validate
-	$(GO) run ./cmd/pladiff -validate examples/audit/policy.pla
 	$(GO) run ./cmd/pladiff - -
 	out=$$($(GO) run ./cmd/pladiff -severity error - examples/audit/policy.pla; test $$? -eq 1) || exit 1; \
 	echo "$$out" | grep -q 'PD001' || { echo "lint: expected PD001 expansion not detected"; exit 1; }

@@ -10,7 +10,6 @@
 //	pladiff [flags] old.pla new.pla       # two bundles in the healthcare context
 //	pladiff [flags] - new.pla             # "-" is the bare scenario (no bundle)
 //	pladiff [flags] -manifest old.json new.json   # two plabid manifests, per tenant
-//	pladiff -validate [bundle.pla]        # PD000 translation validation of one state
 //
 // Exit codes: 0 no impacts at or above -severity, 1 impacts reported,
 // 2 unreadable input, parse failure or bad configuration.
@@ -32,16 +31,11 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit impacts as JSON")
 	sevName := flag.String("severity", "warning", "minimum severity to report and gate on (info|warning|error)")
 	manifests := flag.Bool("manifest", false, "treat the two arguments as plabid manifests and diff each tenant's effective bundle")
-	validate := flag.Bool("validate", false, "run PD000 translation validation over one deployment (one bundle argument, or none for the bare healthcare scenario) instead of diffing")
 	flag.Parse()
 
 	minSev, err := lint.ParseSeverity(*sevName)
 	if err != nil {
 		fail(err)
-	}
-	if *validate {
-		validateBundle(*asJSON)
-		return
 	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "pladiff: exactly two inputs required (old, new)")
@@ -77,36 +71,6 @@ func main() {
 		fail(err)
 	}
 	if len(shown) > 0 {
-		os.Exit(1)
-	}
-}
-
-// validateBundle runs the PD000 compiler-soundness pass over a single
-// deployment state. Any finding is a divergence between the compiled
-// residual program and its independent recomputation — always exit 1,
-// regardless of -severity.
-func validateBundle(asJSON bool) {
-	if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "pladiff: -validate takes at most one bundle argument")
-		os.Exit(2)
-	}
-	bundle := ""
-	if flag.NArg() == 1 {
-		bundle = flag.Arg(0)
-	}
-	imps, err := plabi.ValidateBundle(bundle)
-	if err != nil {
-		fail(err)
-	}
-	if asJSON {
-		err = plabi.WriteImpactsJSON(os.Stdout, imps)
-	} else {
-		err = plabi.WriteImpactsText(os.Stdout, imps)
-	}
-	if err != nil {
-		fail(err)
-	}
-	if len(imps) > 0 {
 		os.Exit(1)
 	}
 }

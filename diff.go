@@ -15,7 +15,7 @@ import (
 // the change moves the privacy boundary — NEW-ALLOW expansions, NEW-DENY
 // regressions, loosened thresholds, weakened row filters, widened column
 // release plans. The comparison runs over the compiled residual render
-// programs, not the raw rule text. Codes are stable (PD000…PD005); see
+// programs, not the raw rule text. Codes are stable (PD001…PD005); see
 // docs/DIFF.md.
 
 // Impact is one semantic policy-change finding.
@@ -23,12 +23,11 @@ type Impact = diff.Impact
 
 // Impact codes.
 const (
-	DiffTranslation = diff.CodeTranslation // PD000 compiler divergence
-	DiffNewAllow    = diff.CodeNewAllow    // PD001 privilege expansion
-	DiffNewDeny     = diff.CodeNewDeny     // PD002 new-deny regression
-	DiffThreshold   = diff.CodeThreshold   // PD003 threshold change
-	DiffRowFilter   = diff.CodeRowFilter   // PD004 row filter change
-	DiffColumnPlan  = diff.CodeColumnPlan  // PD005 column plan widening
+	DiffNewAllow   = diff.CodeNewAllow   // PD001 privilege expansion
+	DiffNewDeny    = diff.CodeNewDeny    // PD002 new-deny regression
+	DiffThreshold  = diff.CodeThreshold  // PD003 threshold change
+	DiffRowFilter  = diff.CodeRowFilter  // PD004 row filter change
+	DiffColumnPlan = diff.CodeColumnPlan // PD005 column plan widening
 )
 
 // Diff compares two engines' deployment states and returns the impact
@@ -77,29 +76,6 @@ func openDiffContext(bundle string) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// ValidateBundle runs the PD000 translation validation over one
-// deployment: the healthcare context with the named bundle layered on
-// top (empty path validates the bare scenario). It is DiffFiles'
-// single-state sibling, behind `pladiff -validate`.
-func ValidateBundle(bundle string) ([]Impact, error) {
-	e, err := openDiffContext(bundle)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return ValidateCompiled(e)
-}
-
-// ValidateCompiled is the translation-validation pass: for every
-// (report, role, purpose) triple it cross-checks the compiled residual
-// program against an independent recomputation from the interpreted
-// composite, reporting any divergence as a PD000 compiler-soundness
-// finding. An empty result proves the partial evaluator is faithful for
-// this deployment.
-func ValidateCompiled(e *Engine) ([]Impact, error) {
-	return diff.Validate(e.core.DiffState())
 }
 
 // ImpactFindings converts impacts to lint findings (canonical order) so

@@ -516,6 +516,84 @@ func TestDeltaRecoveryAfterDroppedContext(t *testing.T) {
 	verifyResident(t, e)
 }
 
+// revocable is a step whose run a test can refuse, as a guard does once a
+// join permission is revoked.
+type revocable struct {
+	etl.Step
+	deny *bool
+}
+
+func (r revocable) Run(c *etl.Context) error {
+	if *r.deny {
+		return &etl.ViolationError{Step: r.Name(), Rule: "join-permission", Detail: "revoked"}
+	}
+	return r.Step.Run(c)
+}
+
+// TestFailedRunCommitsNothing: a run is all or nothing, like a delta. A
+// RunETL that stops at a violating join leaves the pipeline's retained
+// context and the catalog's versions as the last successful run left them,
+// and the next delta through that context converges to a rebuild.
+func TestFailedRunCommitsNothing(t *testing.T) {
+	cfg := workload.DefaultConfig(4)
+	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 300, 60, 20
+	e, ds, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deny := false
+	p := HealthcarePipeline(e)
+	for i, s := range p.Steps {
+		if s.Name() == "join-residents" {
+			p.Steps[i] = revocable{s, &deny}
+		}
+	}
+	if _, err := e.RunETL(p, false); err != nil {
+		t.Fatal(err)
+	}
+	kept := e.etlCtxs[p.Name]
+	versions := map[string]*relation.Table{}
+	for name := range kept.Staging {
+		versions[name], _ = e.Table(name)
+	}
+
+	deny = true
+	if _, err := e.RunETL(p, false); !etl.IsViolation(err) {
+		t.Fatalf("run with join-residents refused: %v", err)
+	}
+	if e.etlCtxs[p.Name] != kept {
+		t.Error("the failed run replaced the retained staging context")
+	}
+	for name, v := range versions {
+		if now, _ := e.Table(name); now != v {
+			t.Errorf("the failed run published a new version of %s", name)
+		}
+	}
+
+	deny = false
+	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
+		Inserts: []relation.Row{randRxRow(rand.New(rand.NewSource(2)), ds, 2)}}}}); err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := buildEngineFromTables(
+		sourceTable(t, e, "hospital", "prescriptions").Clone(),
+		sourceTable(t, e, "familydoctors", "familydoctor").Clone(),
+		sourceTable(t, e, "healthagency", "drugcost").Clone(),
+		sourceTable(t, e, "laboratory", "labresults").Clone(),
+		sourceTable(t, e, "municipality", "residents").Clone(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"rx_cost", "rx_wide", "familydoctor_resolved"} {
+		lt, _ := e.Table(name)
+		mt, _ := mirror.Table(name)
+		if dumpTable(lt) != dumpTable(mt) {
+			t.Errorf("%s after the failed run and a delta diverges from a rebuild", name)
+		}
+	}
+}
+
 // TestDeltaStationaryBlockRebuildsNothing holds the count the benchmark's
 // etl.delta.steps_rebuilt row shows: one block of the delta-mixed
 // schedule's shapes on the healthcare pipeline — inserts, updates of base

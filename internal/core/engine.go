@@ -307,7 +307,9 @@ func (e *Engine) AddPLAs(dsl string) error {
 // RunETL executes a pipeline with the PLA guard, recording every step in
 // the audit log and publishing its staging outputs in one catalog
 // snapshot. When continueOnViolation is true, blocked steps are skipped and
-// recorded while the rest of the pipeline proceeds.
+// recorded while the rest of the pipeline proceeds. A run that fails
+// commits nothing: the pipeline's previous staging context and the catalog
+// keep what its last successful run (or delta) left.
 func (e *Engine) RunETL(p *etl.Pipeline, continueOnViolation bool) (etl.Result, error) {
 	return e.RunETLContext(context.Background(), p, continueOnViolation)
 }
@@ -325,9 +327,11 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 	e.recordPipeline(p)
 	res, err := p.RunContext(ctx, ectx, continueOnViolation)
 	span.Set("violations", fmt.Sprint(len(res.Violations)))
-	// Retain the staging context as the base state for ApplyDelta — even
-	// after a failed run, so the retained state always matches whatever
-	// the registration loop below published to the catalog.
+	if err != nil {
+		return res, err
+	}
+	// Retain the staging context as the base state for ApplyDelta, beside
+	// the catalog snapshot that publishes it.
 	e.mu.Lock()
 	e.etlCtxs[p.Name] = ectx
 	e.mu.Unlock()
@@ -336,7 +340,7 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 		staged = append(staged, named(t, name))
 	}
 	e.Catalog.Register(staged...)
-	return res, err
+	return res, nil
 }
 
 // newETLContext builds a fresh staging context wired to the engine's
@@ -386,7 +390,9 @@ func (e *Engine) observeETL(ctx context.Context, trace string) func(step, op, ou
 // canon side, an update that changes a row's fan-out, an aggregate over
 // anything but an append) reruns alone. Row indices stay dense and
 // lineage is renumbered past every delete, so the result equals a full
-// rebuild byte for byte. Nothing commits until the whole batch succeeds:
+// rebuild byte for byte. A pipeline whose retained context a failed delta
+// dropped takes the batch over a fresh context, where every step runs.
+// Nothing commits until the whole batch succeeds:
 // on any error (injected fault at the etl.delta site, a violation from a
 // guard re-check, validation) the sources and staging areas are restored
 // and the previous catalog state keeps serving.
@@ -466,12 +472,13 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		}
 	}
 
-	// Phase 3: propagate through every pipeline with a retained staging
-	// context. Each pipeline's ApplyDelta is atomic over its own staging;
-	// if a later pipeline fails, earlier ones have already refreshed
-	// their staging against the rolled-back sources, so their retained
-	// contexts are dropped — the next run or delta rebuilds them — while
-	// the catalog (nothing committed) keeps serving the old state.
+	// Phase 3: propagate through every recorded pipeline, over its
+	// retained staging context or, when a failed delta dropped it, a fresh
+	// one. Each pipeline's ApplyDelta is atomic over its own staging; if a
+	// later pipeline fails, earlier ones have already refreshed their
+	// staging against the rolled-back sources, so their retained contexts
+	// are dropped — the next run or delta rebuilds them — while the catalog
+	// (nothing committed) keeps serving the old state.
 	agg := etl.DeltaResult{Changed: map[string]etl.Change{}}
 	for k, v := range changes {
 		agg.Changed[k] = v
@@ -495,31 +502,17 @@ func (e *Engine) ApplyDelta(ctx context.Context, b etl.Batch) (etl.DeltaResult, 
 		e.mu.RLock()
 		ectx := e.etlCtxs[p.Name]
 		e.mu.RUnlock()
-		var res etl.DeltaResult
 		if ectx == nil {
-			// A previously failed delta dropped this pipeline's retained
-			// state; rebuild it with a full run against the swapped
-			// sources and commit its whole staging as rebuilt.
 			ectx = e.newETLContext()
-			ectx.Observe = e.observeETL(ctx, span.ID())
-			if _, err := p.RunContext(ctx, ectx, false); err != nil {
-				return abort(fmt.Errorf("core: delta rebuild of pipeline %q: %w", p.Name, err))
-			}
-			e.mu.Lock()
-			e.etlCtxs[p.Name] = ectx
-			e.mu.Unlock()
-			res = etl.DeltaResult{StepsRebuilt: len(p.Steps), Changed: map[string]etl.Change{}}
-			for name := range ectx.Staging {
-				res.Changed[name] = etl.Change{Rebuilt: true}
-			}
-		} else {
-			ectx.Observe = e.observeETL(ctx, span.ID())
-			var err error
-			res, err = p.ApplyDelta(ctx, ectx, changes)
-			if err != nil {
-				return abort(fmt.Errorf("core: delta through pipeline %q: %w", p.Name, err))
-			}
 		}
+		ectx.Observe = e.observeETL(ctx, span.ID())
+		res, err := p.ApplyDelta(ctx, ectx, changes)
+		if err != nil {
+			return abort(fmt.Errorf("core: delta through pipeline %q: %w", p.Name, err))
+		}
+		e.mu.Lock()
+		e.etlCtxs[p.Name] = ectx
+		e.mu.Unlock()
 		applied = append(applied, refreshed{ectx, res})
 		appliedNames = append(appliedNames, p.Name)
 		agg.StepsIncremental += res.StepsIncremental

@@ -465,11 +465,13 @@ func TestConcurrentRenders(t *testing.T) {
 
 // TestETLRunDecomposedPerStep: after one healthcare RunETL the engine's
 // own metrics say where the run's time went (a duration sample per step)
-// and how much entity resolution's bound pruned.
+// and how much entity resolution's bound pruned; a delta through the same
+// driver adds a sample for each step it executed and none for the steps
+// it left untouched.
 func TestETLRunDecomposedPerStep(t *testing.T) {
 	cfg := workload.DefaultConfig(42)
 	cfg.Patients, cfg.Prescriptions, cfg.LabResults = 2000, 800, 100
-	e, _, err := BuildHealthcareEngine(cfg)
+	e, ds, err := BuildHealthcareEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,6 +490,26 @@ func TestETLRunDecomposedPerStep(t *testing.T) {
 	}
 	if c["etl.er.resolved"] == 0 || c["etl.er.unmatched"] > c["etl.er.values"]-c["etl.er.exact"] {
 		t.Errorf("resolved %d, unmatched %d", c["etl.er.resolved"], c["etl.er.unmatched"])
+	}
+
+	res, err := e.ApplyDelta(context.Background(), familyDoctorDelta(ds, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := map[string]bool{"ext-familydoctor": true, "cleanse-fd": true, "resolve-fd": true}
+	if res.StepsIncremental+res.StepsRebuilt != len(touched) {
+		t.Fatalf("the family-doctor delta executed %d steps, want %d", res.StepsIncremental+res.StepsRebuilt, len(touched))
+	}
+	after := e.Obs().Snapshot()
+	for _, s := range HealthcarePipeline(e).Steps {
+		name := "etl.step." + s.Name() + ".duration"
+		want := snap.Histograms[name].Count
+		if touched[s.Name()] {
+			want++
+		}
+		if got := after.Histograms[name].Count; got != want {
+			t.Errorf("step %s after the delta: %d duration samples, want %d", s.Name(), got, want)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@
 //
 // Impacts carry stable codes:
 //
-//	PD000  compiler translation divergence (see Validate)
 //	PD001  NEW-ALLOW privilege expansion (new/uncovered allow, lifted block)
 //	PD002  NEW-DENY regression (new block/mask/deny, removed report)
 //	PD003  aggregation threshold loosened / tightened
@@ -35,12 +34,11 @@ import (
 
 // Impact codes.
 const (
-	CodeTranslation = "PD000" // compiled program diverges from interpreted composite
-	CodeNewAllow    = "PD001" // NEW-ALLOW privilege expansion
-	CodeNewDeny     = "PD002" // NEW-DENY regression
-	CodeThreshold   = "PD003" // aggregation threshold changed
-	CodeRowFilter   = "PD004" // row filter changed
-	CodeColumnPlan  = "PD005" // column release plan widened
+	CodeNewAllow   = "PD001" // NEW-ALLOW privilege expansion
+	CodeNewDeny    = "PD002" // NEW-DENY regression
+	CodeThreshold  = "PD003" // aggregation threshold changed
+	CodeRowFilter  = "PD004" // row filter changed
+	CodeColumnPlan = "PD005" // column release plan widened
 )
 
 // State is one deployment snapshot: everything needed to compile the

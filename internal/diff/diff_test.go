@@ -42,6 +42,10 @@ func scenarioState(t *testing.T, bundle string) *diff.State {
 
 var corpus = []string{"pd001", "pd002", "pd003", "pd004", "pd005"}
 
+// auditBundle is the audit example's agreements, a bundle relative to
+// testdata like the corpus.
+const auditBundle = "../../../examples/audit/policy.pla"
+
 // TestGoldenCorpus proves each impact class is detected by its code,
 // with byte-identical output across two fully independent runs (fresh
 // engines both times), pinned against a golden file.
@@ -177,17 +181,21 @@ func TestExpansionsAsymmetric(t *testing.T) {
 
 // TestValidateScenarioClean is the PD000 acceptance gate: the compiled
 // residual program of every (report, role, purpose) triple in the full
-// scenario — bare and under every corpus bundle — matches its
-// independent interpreted recomputation.
+// scenario — bare, under the audit example's bundle (the two states make
+// lint diffs) and under every corpus bundle — matches its independent
+// interpreted recomputation.
 func TestValidateScenarioClean(t *testing.T) {
-	bundles := []string{""}
+	bundles := []string{"", auditBundle}
 	for _, name := range corpus {
 		bundles = append(bundles, name+".old.pla", name+".new.pla")
 	}
 	for _, bundle := range bundles {
 		label := bundle
-		if label == "" {
+		switch bundle {
+		case "":
 			label = "bare"
+		case auditBundle:
+			label = "audit-example"
 		}
 		t.Run(label, func(t *testing.T) {
 			s := scenarioState(t, bundle)

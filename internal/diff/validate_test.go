@@ -12,7 +12,12 @@ import (
 	"plabi/internal/sql"
 )
 
-// Validate is the translation-validation pass: for every (report, role,
+// CodeTranslation is the PD000 finding of Validate.
+const CodeTranslation = "PD000" // compiled program diverges from interpreted composite
+
+// Validate is the translation-validation oracle, run by the tests over the
+// states make lint diffs (the bare scenario and the audit example's bundle)
+// and the corpus bundles: for every (report, role,
 // purpose) triple in the state it recomputes the interpreted products —
 // composite PLA set, merged thresholds, bound row filters, static
 // verdicts, per-column mask decisions — directly from the composite, and

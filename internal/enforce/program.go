@@ -99,7 +99,7 @@ type PrunedRule struct {
 // Program is the render program of one (report, role, purpose) triple:
 // everything about it that does not depend on the data, read once from
 // the composed PLAs. The plan cache stores it; the static check, row
-// enforcement, Explain, pladiff and its PD000 validator all read these
+// enforcement, Explain, pladiff and the PD000 test oracle all read these
 // fields. It is immutable after construction, so concurrent renders share
 // it freely.
 type Program struct {

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"time"
 
-	"plabi/internal/fault"
 	"plabi/internal/relation"
 )
 
@@ -15,18 +12,18 @@ import (
 // (insert/update/delete batches keyed per source table) propagated
 // step-by-step through an already-run pipeline. A Change is an edit
 // script — rows removed, rows replaced, rows appended, base rows the
-// lineage must be renumbered past — and each step turns the edit of its
-// input into the edit of its output and applies it to the output it
-// already has (relation.ApplyEdit): row-wise transforms and entity
-// resolution pass the script through one to one, recomputing only the
-// replaced and appended rows; filters and joins, which keep the input
-// ordinal of every output row beside their output, place it there and
-// re-probe the same rows. What a step cannot place — an opaque transform,
-// a changed right or canon side, an update that changes how many rows an
-// input row yields, an aggregate over anything but an append — reruns that
-// one step and hands Rebuilt downstream. Row indices stay dense throughout, so the
-// refreshed state is byte-identical, values and lineage, to a full run
-// over the edited sources.
+// lineage must be renumbered past — and each step's delta rule
+// (Step.Delta) turns the edit of its input into the edit of its output and
+// applies it to the output it already has (relation.ApplyEdit): row-wise
+// transforms and entity resolution pass the script through one to one,
+// recomputing only the replaced and appended rows; filters and joins,
+// which keep the input ordinal of every output row beside their output,
+// place it there and re-probe the same rows. What a step cannot place — an
+// opaque transform, a changed right or canon side, an update that changes
+// how many rows an input row yields, an aggregate over anything but an
+// append — reruns that one step and hands Rebuilt downstream. Row indices
+// stay dense throughout, so the refreshed state is byte-identical, values
+// and lineage, to a full run over the edited sources.
 //
 // The whole application is atomic against the staging area: any error
 // (injected fault, violation, validation) restores the pre-delta staging
@@ -195,11 +192,11 @@ func (d *Delta) Apply(t *relation.Table) (*relation.Table, Change, error) {
 
 // DeltaResult reports one incremental refresh.
 type DeltaResult struct {
-	// StepsIncremental counts steps that applied their input's edit to the
-	// output they had (one-to-one or placed by ordinals, kept aggregate
-	// accumulator, extract re-point).
+	// StepsIncremental counts steps whose delta rule placed their inputs'
+	// changes in the output they had (one-to-one or by ordinals, a kept
+	// aggregate accumulator, an extract re-point).
 	StepsIncremental int
-	// StepsRebuilt counts steps rerun wholesale.
+	// StepsRebuilt counts steps whose Run ran.
 	StepsRebuilt int
 	// StepsUntouched counts steps whose inputs did not change.
 	StepsUntouched int
@@ -211,189 +208,34 @@ type DeltaResult struct {
 // ApplyDelta propagates per-relation source changes through the
 // pipeline. changes is keyed by the extract input names
 // ("source.table", lower-cased or not); the sources' tables must
-// already hold their new versions. Steps whose inputs are untouched are
-// skipped outright — their staging outputs stay valid.
+// already hold their new versions. A step runs Run when its output is
+// absent (over a fresh Context, every step), when an input was rebuilt or
+// when an earlier step overwrote its output; it runs its delta rule
+// (Step.Delta) when some input changed otherwise, and is skipped when none
+// did — its staging output stays valid. A violation stops the delta,
+// unless the last full run over c continued past violations: then the
+// delta does too, so a step that run blocked stays blocked.
 //
 // The application is atomic: on any error — injected fault at the
 // etl.delta site, a violation surfaced by a guard re-check, a
 // validation failure — the staging area is restored to its pre-delta
-// state and the error returned. Callers then retry or fall back to a
-// full run; the sources are theirs to roll back.
+// state and the error returned. Callers then retry or apply the delta over
+// a fresh Context; the sources are theirs to roll back.
 func (p *Pipeline) ApplyDelta(ctx context.Context, c *Context, changes map[string]Change) (DeltaResult, error) {
-	res := DeltaResult{Changed: map[string]Change{}}
-	for k, v := range changes {
-		res.Changed[strings.ToLower(k)] = v
-	}
-	c.setCtx(ctx)
-	defer c.setCtx(nil)
-	start := time.Now()
-
-	// Staging tables are copy-on-write, so a shallow map snapshot is a
-	// full rollback point.
-	c.mu.RLock()
-	snap := make(map[string]*relation.Table, len(c.Staging))
-	for k, v := range c.Staging {
-		snap[k] = v
-	}
-	c.mu.RUnlock()
-	rollback := func() {
-		c.mu.Lock()
-		c.Staging = snap
-		c.mu.Unlock()
-	}
-
-	for _, s := range p.Steps {
-		if err := ctx.Err(); err != nil {
-			rollback()
-			return res, err
-		}
-		relevant := false
-		for _, in := range s.Inputs() {
-			if ch, ok := res.Changed[strings.ToLower(in)]; ok && !ch.Empty() {
-				relevant = true
-				break
-			}
-		}
-		if !relevant {
-			res.StepsUntouched++
-			continue
-		}
-		var (
-			outCh       Change
-			incremental bool
-		)
-		err := fault.Safely("etl.delta("+s.Name()+")", c.Metrics, func() error {
-			if err := c.Faults.Hit(ctx, fault.SiteETLDelta); err != nil {
-				return err
-			}
-			var serr error
-			outCh, incremental, serr = p.stepDelta(ctx, c, s, res.Changed)
-			return serr
-		})
-		if err != nil {
-			rollback()
-			return res, fmt.Errorf("etl: delta at step %q: %w", s.Name(), err)
-		}
-		if incremental {
-			res.StepsIncremental++
-			c.Metrics.Counter("etl.delta.incremental").Inc()
-		} else {
-			res.StepsRebuilt++
-			c.Metrics.Counter("etl.delta.rebuilt").Inc()
-		}
-		res.Changed[strings.ToLower(s.Output())] = outCh
-		rowsOut, _ := c.rows(s.Output())
-		if c.Observe != nil {
-			c.Observe(s.Name(), s.Op(), s.Output(), countRows(c, s.Inputs()), rowsOut, nil)
-		}
-		c.Graph.AddStep(s.Op(), s.Inputs(), s.Output(), s.Name()+" (delta)", countRows(c, s.Inputs()), rowsOut)
-	}
-	c.Metrics.Histogram("etl.delta.duration").Observe(time.Since(start))
-	c.Metrics.Counter("etl.deltas").Inc()
-	return res, nil
-}
-
-// stepDelta recomputes one step from its input changes. It returns the
-// change of the step's output and whether the recompute was incremental
-// (false = the step reran wholesale).
-func (p *Pipeline) stepDelta(ctx context.Context, c *Context, s Step, changes map[string]Change) (Change, bool, error) {
-	rerun := func() (Change, bool, error) {
-		if err := s.Run(c); err != nil {
-			return Change{}, false, err
-		}
-		return Change{Rebuilt: true}, false, nil
-	}
-	if _, clobbered := changes[strings.ToLower(s.Output())]; clobbered {
-		// An earlier step of this delta wrote the same relation: the
-		// version this step produced last time is gone.
-		return rerun()
-	}
-	switch st := s.(type) {
-	case *Extract:
-		// The source map already holds the new table; re-point the
-		// staging alias at it and pass the source change through. Rows
-		// removed from anywhere but the end renumber the rows behind them,
-		// which everything derived from the table must follow.
-		src, ok := st.Source.Table(st.Table)
-		if !ok {
-			return Change{}, false, fmt.Errorf("source %q has no table %q", st.Source.Name, st.Table)
-		}
-		c.Put(st.As, src)
-		ch := changes[strings.ToLower(st.Source.Name+"."+st.Table)]
-		if n := len(ch.Removed); n > 0 && ch.Removed[0] != src.NumRows()-ch.Appended {
-			ch.Shift = map[string][]int{src.Name: ch.Removed}
-		}
-		return ch, true, nil
-	case *Transform:
-		ch := changes[strings.ToLower(st.Input)]
-		in, err := c.Get(st.Input)
-		if err != nil {
-			return Change{}, false, err
-		}
-		switch {
-		case st.Kind == DeltaRowWise:
-			return oneToOneDelta(c, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, error) {
-				sub, err := relation.SliceRows(in, dirty)
-				if err != nil {
-					return nil, err
-				}
-				return st.Fn(ctx, sub)
-			})
-		case st.Kind == DeltaFilter && st.keep != nil:
-			return fanoutDelta(c, in, st.Out, ch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
-				sub, err := relation.SliceRows(in, dirty)
-				if err != nil {
-					return nil, nil, err
-				}
-				return st.keep(sub)
-			})
-		}
-		return rerun()
-	case *JoinStep:
-		// Only an edit of the left side can be placed: output is
-		// left-major, a right row's matches are scattered all over it.
-		// The step re-checks the join permission — the PLAs may have moved
-		// since the full run.
-		lch, lok := changes[strings.ToLower(st.Left)]
-		if _, rok := changes[strings.ToLower(st.Right)]; rok || !lok {
-			return rerun()
-		}
-		l, err := c.Get(st.Left)
-		if err != nil {
-			return Change{}, false, err
-		}
-		return fanoutDelta(c, l, st.Out, lch, rerun, func(dirty []int) (*relation.Table, []int32, error) {
-			return st.join(c, dirty)
-		})
-	case *EntityResolution:
-		// A canon change invalidates every match.
-		ich, iok := changes[strings.ToLower(st.Input)]
-		if _, cok := changes[strings.ToLower(st.Canon)]; cok || !iok {
-			return rerun()
-		}
-		in, err := c.Get(st.Input)
-		if err != nil {
-			return Change{}, false, err
-		}
-		return oneToOneDelta(c, in, st.Out, ich, rerun, func(dirty []int) (*relation.Table, error) {
-			return st.match(c, dirty)
-		})
-	case *AggregateStep:
-		return aggDelta(c, st, changes)
-	default:
-		return rerun()
-	}
+	_, res, err := p.apply(ctx, c, changes, false, c.continueOnViolation)
+	return res, err
 }
 
 // oneToOneDelta refreshes the output of a step that yields exactly one
 // output row per input row, in input order: the edit of the input in is
 // the edit of the output, with recompute supplying the step's rows for
-// the input rows the edit brought (dirty, indices into in).
-func oneToOneDelta(c *Context, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
+// the input rows the edit brought (dirty, indices into in). It asks for a
+// rerun when the output does not line up with the input.
+func oneToOneDelta(c *Context, in *relation.Table, out string, ch Change,
 	recompute func(dirty []int) (*relation.Table, error)) (Change, bool, error) {
 	old, err := c.Get(out)
-	if err != nil || ch.Rebuilt || old.NumRows() != in.NumRows()-ch.Appended+len(ch.Removed) {
-		return rerun()
+	if err != nil || old.NumRows() != in.NumRows()-ch.Appended+len(ch.Removed) {
+		return Change{}, true, nil
 	}
 	dirty, err := ch.Dirty(in.NumRows())
 	if err != nil {
@@ -405,33 +247,33 @@ func oneToOneDelta(c *Context, in *relation.Table, out string, ch Change, rerun 
 	}
 	if sub.NumRows() != len(dirty) {
 		// The step is not one-to-one over this input after all.
-		return rerun()
+		return Change{}, true, nil
 	}
 	next, err := relation.ApplyEdit(old, ch.Edit, sub)
 	if err != nil {
 		return Change{}, false, err
 	}
 	c.Put(out, next)
-	return ch, true, nil
+	return ch, false, nil
 }
 
 // fanoutDelta refreshes the output of a step that keeps its fanout beside
 // its output: the output rows of a removed input row are removed; an
 // updated input row is probed again and its new rows replace its old ones,
 // as long as there are as many (otherwise every later row would move: the
-// step reruns); the rows of appended input rows are appended. probe runs
-// the step over the rows of in at dirty and numbers its output by position
-// in dirty. Joining or filtering only those rows reproduces the full step
-// byte for byte because the output is input-major.
-func fanoutDelta(c *Context, in *relation.Table, out string, ch Change, rerun func() (Change, bool, error),
+// step asks for a rerun); the rows of appended input rows are appended.
+// probe runs the step over the rows of in at dirty and numbers its output
+// by position in dirty. Joining or filtering only those rows reproduces the
+// full step byte for byte because the output is input-major.
+func fanoutDelta(c *Context, in *relation.Table, out string, ch Change,
 	probe func(dirty []int) (*relation.Table, []int32, error)) (Change, bool, error) {
 	old, err := c.Get(out)
-	if err != nil || ch.Rebuilt {
-		return rerun()
+	if err != nil {
+		return Change{}, true, nil
 	}
 	f, ok := old.Kept(out).(fanout)
 	if !ok || len(f) != old.NumRows() {
-		return rerun()
+		return Change{}, true, nil
 	}
 	dirty, err := ch.Dirty(in.NumRows())
 	if err != nil {
@@ -454,7 +296,7 @@ func fanoutDelta(c *Context, in *relation.Table, out string, ch Change, rerun fu
 			k++
 		}
 		if k-from != hi-lo {
-			return rerun()
+			return Change{}, true, nil
 		}
 		e.Updated = appendSeq(e.Updated, lo, hi)
 	}
@@ -487,7 +329,7 @@ func fanoutDelta(c *Context, in *relation.Table, out string, ch Change, rerun fu
 		ord = append(ord, int32(firstNew)+o)
 	}
 	stageKeeping(c, out, next, ord)
-	return Change{Edit: e}, true, nil
+	return Change{Edit: e}, false, nil
 }
 
 // appendSeq appends from, from+1, … to-1 to idx.
@@ -496,39 +338,4 @@ func appendSeq(idx []int, from, to int) []int {
 		idx = append(idx, i)
 	}
 	return idx
-}
-
-// aggDelta re-emits the grouped output from the accumulator kept beside
-// the output. An append-only input change feeds only the new rows to it;
-// anything else — including an accumulator a rolled-back delta fed, whose
-// source-row count is then ahead of the input — builds one from the full
-// input. Either way the grouped output can change in arbitrary positions,
-// so downstream consumers see Rebuilt.
-func aggDelta(c *Context, a *AggregateStep, changes map[string]Change) (Change, bool, error) {
-	ch := changes[strings.ToLower(a.Input)]
-	in, err := c.Get(a.Input)
-	if err != nil {
-		return Change{}, false, err
-	}
-	var st *relation.GroupByState
-	if old, err := c.Get(a.Out); err == nil {
-		st, _ = old.Kept(a.Out).(*relation.GroupByState)
-	}
-	feed := in
-	incremental := ch.AppendOnly() && st != nil && st.SourceRows() == in.NumRows()-ch.Appended
-	if incremental {
-		feed, err = relation.SliceRows(in, appendSeq(nil, in.NumRows()-ch.Appended, in.NumRows()))
-	} else {
-		st, err = relation.NewGroupByState(in, a.Keys, a.Aggs)
-	}
-	if err != nil {
-		return Change{}, false, err
-	}
-	if err := st.AddTable(feed); err != nil {
-		return Change{}, false, err
-	}
-	out := st.Result()
-	out.Name = a.Out
-	stageKeeping(c, a.Out, out, st)
-	return Change{Rebuilt: true}, incremental, nil
 }

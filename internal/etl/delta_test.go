@@ -256,16 +256,15 @@ func TestApplyDeltaInsertOnlyConvergence(t *testing.T) {
 			{relation.Str("  " + pat + " "), relation.Str("Luis"), relation.Str(drug), relation.Str(dis), relation.DateYMD(2008, 5, 1)},
 		}}
 	}
-	// First delta: the aggregate rebuilds its retained state (a full Run
-	// drops it); everything else touched is incremental, and the drugcost
-	// extract — whose input never changed — is untouched.
+	// First delta: the aggregate feeds the accumulator its full Run kept;
+	// every touched step is incremental, and the drugcost extract — whose
+	// input never changed — is untouched.
 	res1 := applyAndPropagate(t, p, c, hosp, ins("Dana", "DR", "asthma"))
-	if res1.StepsIncremental != 4 || res1.StepsRebuilt != 1 || res1.StepsUntouched != 1 {
+	if res1.StepsIncremental != 5 || res1.StepsRebuilt != 0 || res1.StepsUntouched != 1 {
 		t.Fatalf("first delta: incremental=%d rebuilt=%d untouched=%d",
 			res1.StepsIncremental, res1.StepsRebuilt, res1.StepsUntouched)
 	}
-	// Second delta: the retained aggregate state is live — every touched
-	// step is now incremental.
+	// Second delta: the accumulator the first one fed is live too.
 	res2 := applyAndPropagate(t, p, c, hosp, ins("Evan", "DM", "diabetes"))
 	if res2.StepsIncremental != 5 || res2.StepsRebuilt != 0 || res2.StepsUntouched != 1 {
 		t.Fatalf("second delta: incremental=%d rebuilt=%d untouched=%d",
@@ -526,3 +525,108 @@ func (g *flipGuard) CheckJoin(l, r string) error {
 	return nil
 }
 func (g *flipGuard) CheckIntegration(string, string) error { return nil }
+
+// TestWrappedStepPlacedIncrementally: a step that embeds a built-in, as a
+// tracing harness does, forwards its delta rule with the embedding, so a
+// wrapped filter and join place an update and a delete in the outputs they
+// have — the wrapper's Run is not called — and equal a fresh run. A change
+// of the join's right side still reruns it through the wrapper's Run.
+func TestWrappedStepPlacedIncrementally(t *testing.T) {
+	hosp, _, agency := sources()
+	var filtered, joined []*relation.Table
+	steps := func(hosp, agency *Source, wrap bool) []Step {
+		fl := Step(NewFilter("fl", "prescriptions", "rx_asthma", relation.ColEqStr("disease", "asthma")))
+		j := Step(NewJoin("j", "prescriptions", "drugcost",
+			relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "rx_cost"))
+		if wrap {
+			fl, j = wrapped{fl, &filtered}, wrapped{j, &joined}
+		}
+		return []Step{NewExtract("e1", hosp, "prescriptions", ""), NewExtract("e2", agency, "drugcost", ""), fl, j}
+	}
+	p := &Pipeline{Name: "wrapped", Steps: steps(hosp, agency, true)}
+	c := NewContext(nil)
+	if _, err := p.Run(c, false); err != nil {
+		t.Fatal(err)
+	}
+	rx, _ := hosp.Table("prescriptions")
+	bob := rx.Row(2).Clone()
+	bob[0] = relation.Str("Bobby")
+	for _, d := range []*Delta{
+		{Source: "hospital", Table: "prescriptions", Updates: []RowUpdate{{Row: 2, Vals: bob}}},
+		{Source: "hospital", Table: "prescriptions", Deletes: []int{0}},
+	} {
+		res := applyAndPropagate(t, p, c, hosp, d)
+		if res.StepsIncremental != 3 || res.StepsRebuilt != 0 || len(filtered) != 1 || len(joined) != 1 {
+			t.Errorf("%+v: incremental=%d rebuilt=%d, wrapper runs %d and %d; want 3, 0, 1 and 1",
+				d, res.StepsIncremental, res.StepsRebuilt, len(filtered), len(joined))
+		}
+	}
+	cost, _ := agency.Table("drugcost")
+	dr := cost.Row(4).Clone()
+	dr[1] = relation.Int(11)
+	res := applyAndPropagate(t, p, c, agency, &Delta{Source: "healthagency", Table: "drugcost", Updates: []RowUpdate{{Row: 4, Vals: dr}}})
+	if res.StepsIncremental != 1 || res.StepsRebuilt != 1 || len(filtered) != 1 || len(joined) != 2 {
+		t.Errorf("right-side change: incremental=%d rebuilt=%d, wrapper runs %d and %d; want 1, 1, 1 and 2",
+			res.StepsIncremental, res.StepsRebuilt, len(filtered), len(joined))
+	}
+
+	rx, _ = hosp.Table("prescriptions")
+	cost, _ = agency.Table("drugcost")
+	fresh := NewContext(nil)
+	if _, err := (&Pipeline{Steps: steps(NewSource("hospital", "hospital", rx), NewSource("healthagency", "healthagency", cost), false)}).Run(fresh, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"rx_asthma", "rx_cost"} {
+		got, _ := c.Get(name)
+		want, _ := fresh.Get(name)
+		if dump(got) != dump(want) {
+			t.Errorf("%s diverges from a fresh run:\nplaced:\n%s\nfresh:\n%s", name, dump(got), dump(want))
+		}
+	}
+}
+
+// TestDeltaAfterContinuedViolation: a delta over the context of a run that
+// continued past a violation continues likewise, so it converges to what
+// such a run over the new sources stages: the blocked join stays blocked,
+// its reader skipped, and the join beside them takes the insert.
+func TestDeltaAfterContinuedViolation(t *testing.T) {
+	steps := func(hosp, fam, agency *Source) []Step {
+		return []Step{
+			NewExtract("e1", hosp, "prescriptions", ""),
+			NewExtract("e2", fam, "familydoctor", ""),
+			NewExtract("e3", agency, "drugcost", ""),
+			NewJoin("bad", "prescriptions", "familydoctor",
+				relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
+			NewProject("reader", "bad_out", "slim", "l_patient"),
+			NewJoin("good", "prescriptions", "drugcost",
+				relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "good_out"),
+		}
+	}
+	deny := denyGuard{joinA: "prescriptions", joinB: "familydoctor"}
+	hosp, fam, agency := sources()
+	p := &Pipeline{Steps: steps(hosp, fam, agency)}
+	c := NewContext(deny)
+	if res, err := p.Run(c, true); err != nil || len(res.Violations) != 1 || res.Skipped != 1 {
+		t.Fatalf("run: %+v, %v", res, err)
+	}
+	rx, _ := hosp.Table("prescriptions")
+	res := applyAndPropagate(t, p, c, hosp, &Delta{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{rx.Row(2).Clone()}})
+	if res.StepsIncremental != 2 || res.StepsRebuilt != 0 {
+		t.Errorf("incremental=%d rebuilt=%d, want the extract and the good join placed", res.StepsIncremental, res.StepsRebuilt)
+	}
+	rx, _ = hosp.Table("prescriptions")
+	fresh := NewContext(deny)
+	if _, err := (&Pipeline{Steps: steps(NewSource("hospital", "hospital", rx), fam, agency)}).Run(fresh, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bad_out", "slim"} {
+		if _, err := c.Get(name); err == nil {
+			t.Errorf("%s staged after the delta, want it blocked", name)
+		}
+	}
+	got, _ := c.Get("good_out")
+	want, _ := fresh.Get("good_out")
+	if dump(got) != dump(want) {
+		t.Errorf("good_out diverges from a run over the new source:\nplaced:\n%s\nrun:\n%s", dump(got), dump(want))
+	}
+}

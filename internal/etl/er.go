@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 
 	"plabi/internal/relation"
 	"plabi/internal/textutil"
@@ -60,6 +61,23 @@ func (e *EntityResolution) Run(c *Context) error {
 		c.Put(e.Out, out)
 	}
 	return err
+}
+
+// Delta implements Step: the changed rows of the input re-resolve against
+// the canon and are spliced in. A canon change invalidates every match and
+// reruns the step.
+func (e *EntityResolution) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
+	ich := changes[strings.ToLower(e.Input)]
+	if cch := changes[strings.ToLower(e.Canon)]; !cch.Empty() || ich.Empty() {
+		return Change{}, true, nil
+	}
+	in, err := c.Get(e.Input)
+	if err != nil {
+		return Change{}, false, err
+	}
+	return oneToOneDelta(c, in, e.Out, ich, func(dirty []int) (*relation.Table, error) {
+		return e.match(c, dirty)
+	})
 }
 
 // match runs the step over the input rows at the indices in dirty (nil =

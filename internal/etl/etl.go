@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -116,6 +117,8 @@ type Context struct {
 	runCtx context.Context
 	// shells marks RunEmpty's context: Put stages headers only.
 	shells bool
+	// continueOnViolation is that of the last full run; its deltas keep it.
+	continueOnViolation bool
 }
 
 // NewContext returns a context with an empty staging area and the given
@@ -189,11 +192,13 @@ func (c *Context) rows(name string) (int, bool) {
 	return t.NumRows(), true
 }
 
-// Step is one pipeline operation. A step holds no state: Run is a function
-// of the context alone, and what the next delta needs of the output it
-// staged — where each output row came from, an accumulator — is kept with
-// that version of the output (relation.Table.Keep, under the step's output
-// name), never on the step.
+// Step is one pipeline operation. A step holds no state: Run and Delta are
+// functions of the context alone, and what the next delta needs of the
+// output it staged — where each output row came from, an accumulator — is
+// kept with that version of the output (relation.Table.Keep, under the
+// step's output name), never on the step. A step that wraps another by
+// embedding it, as a tracing harness does, forwards Delta with it: the
+// wrapped rule places changes, and the wrapper's Run sees every rebuild.
 type Step interface {
 	// Name identifies the step instance for annotations and audits.
 	Name() string
@@ -204,6 +209,12 @@ type Step interface {
 	Output() string
 	// Run executes the step against the context.
 	Run(c *Context) error
+	// Delta is the step's delta rule (see ApplyDelta for when it runs):
+	// it places the changes of its inputs (keyed by lower-cased name, none
+	// Rebuilt) in the output it staged before and returns that output's
+	// change. It never calls Run: what it cannot place it returns as
+	// rerun, and the driver runs the step.
+	Delta(c *Context, changes map[string]Change) (out Change, rerun bool, err error)
 }
 
 // Pipeline is an ordered list of steps. PLA annotations attach to steps by
@@ -261,22 +272,55 @@ func (p *Pipeline) RunEmpty(g Guard, done func(s Step, err error)) {
 	}
 }
 
+// RunContext executes the pipeline, honouring ctx between waves: it is the
+// delta in which every source is rebuilt, so every step runs Run. Like a
+// delta it commits all or nothing: a run that fails leaves the staging area
+// as it found it.
+func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolation bool) (Result, error) {
+	res, _, err := p.apply(ctx, c, nil, true, continueOnViolation)
+	return res, err
+}
+
 // stepOutcome is the raw result of executing one step inside a wave,
 // recorded into the context sequentially afterwards.
 type stepOutcome struct {
 	rowsIn, rowsOut int
+	rerun           bool   // Run ran (decided before, or asked for by Delta)
+	ch              Change // the change of the step's output
 	err             error
 }
 
-// RunContext executes the pipeline, honouring ctx between waves.
-// Independent steps run concurrently on a bounded worker pool; results
-// are recorded (Observe, provenance, violation accounting) in original
-// step order after each wave, so audit trails and the transformation
-// graph are deterministic regardless of scheduling.
-func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolation bool) (Result, error) {
+// apply is the pipeline's one scheduler, for a delta or a full run, where
+// every source is rebuilt. Independent steps run concurrently on a bounded
+// worker pool; results are recorded (Observe, provenance, violation
+// accounting, the output's change) in original step order after each wave,
+// so audit trails and the transformation graph are deterministic regardless
+// of scheduling. A full run's steps run under the etl.step fault site, a
+// delta's under etl.delta. On any error the staging area is restored to the
+// shallow snapshot taken first (staging tables are copy-on-write).
+func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Change, full, continueOnViolation bool) (Result, DeltaResult, error) {
 	var res Result
+	dres := DeltaResult{Changed: make(map[string]Change, len(changes)+len(p.Steps))}
+	for k, v := range changes {
+		dres.Changed[strings.ToLower(k)] = v
+	}
+	site := fault.SiteETLDelta
+	if full {
+		site = fault.SiteETLStep
+	}
 	c.setCtx(ctx)
 	defer c.setCtx(nil)
+	start := time.Now()
+	c.mu.RLock()
+	snap := maps.Clone(c.Staging)
+	c.mu.RUnlock()
+	fail := func(err error) (Result, DeltaResult, error) {
+		c.mu.Lock()
+		c.Staging = snap
+		c.mu.Unlock()
+		return res, dres, err
+	}
+
 	n := len(p.Steps)
 	deps := p.dependencies()
 	workers := p.Workers
@@ -287,7 +331,7 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	done := make([]bool, n) // step recorded (success, violation or skip)
+	done := make([]bool, n) // step recorded (success, violation, skip or untouched)
 	// blockedOut marks staging relations whose producer was blocked by a
 	// violation (or skipped downstream of one) without leaving any output.
 	// A ready step reading such a relation cannot run — its Get would fail
@@ -297,29 +341,19 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 	completed := 0
 	for completed < n {
 		if err := ctx.Err(); err != nil {
-			return res, err
+			return fail(err)
 		}
 		// Collect the next wave: every unfinished step whose dependencies
-		// are all done. Steps downstream of a blocked producer are skipped
-		// inline (marking them done immediately lets a whole dependent
-		// chain cascade within one collection pass, in step order).
+		// are all done, with what it runs. Skipped and untouched steps are
+		// recorded inline, so a dependent chain cascades within one pass.
 		var wave []int
+		outcomes := make([]stepOutcome, 0, n-completed)
 		for i := 0; i < n; i++ {
-			if done[i] {
+			if done[i] || slices.ContainsFunc(deps[i], func(d int) bool { return !done[d] }) {
 				continue
 			}
-			ready := true
-			for _, d := range deps[i] {
-				if !done[d] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
+			s := p.Steps[i]
 			if up := p.blockedInput(c, blockedOut, i); up != "" {
-				s := p.Steps[i]
 				serr := &SkippedError{Step: s.Name(), Upstream: up}
 				if c.Observe != nil {
 					c.Observe(s.Name(), s.Op(), s.Output(), 0, 0, serr)
@@ -333,38 +367,46 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 				completed++
 				continue
 			}
+			_, have := c.rows(s.Output())
+			_, clobbered := dres.Changed[strings.ToLower(s.Output())]
+			ins, rerun, changed := s.Inputs(), full || !have || clobbered, false
+			for _, in := range ins {
+				ch := dres.Changed[strings.ToLower(in)]
+				changed = changed || !ch.Empty()
+				rerun = rerun || ch.Rebuilt
+			}
+			if !rerun && !changed {
+				dres.StepsUntouched++
+				done[i] = true
+				completed++
+				continue
+			}
 			wave = append(wave, i)
+			outcomes = append(outcomes, stepOutcome{rowsIn: countRows(c, ins), rerun: rerun})
 		}
 		if len(wave) == 0 {
-			// The whole remainder of the pipeline was skipped.
+			// The whole remainder of the pipeline was skipped or untouched.
 			continue
 		}
-		// Dependencies only point backwards, so a wave is never empty.
-		waveStart := time.Now()
-		outcomes := make([]stepOutcome, len(wave))
 		// rowsIn is stable across the wave: no step in a wave writes a
 		// relation another wave member reads.
+		waveStart := time.Now()
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
 		for wi, si := range wave {
-			outcomes[wi].rowsIn = countRows(c, p.Steps[si].Inputs())
-		}
-		if workers == 1 || len(wave) == 1 {
-			for wi, si := range wave {
-				p.execStep(ctx, c, si, &outcomes[wi])
+			if workers == 1 || len(wave) == 1 {
+				p.execStep(ctx, c, site, si, dres.Changed, &outcomes[wi])
+				continue
 			}
-		} else {
-			sem := make(chan struct{}, workers)
-			var wg sync.WaitGroup
-			for wi, si := range wave {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(wi, si int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					p.execStep(ctx, c, si, &outcomes[wi])
-				}(wi, si)
-			}
-			wg.Wait()
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(wi, si int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				p.execStep(ctx, c, site, si, dres.Changed, &outcomes[wi])
+			}(wi, si)
 		}
+		wg.Wait()
 		c.Metrics.Histogram("etl.wave.duration").Observe(time.Since(waveStart))
 		c.Metrics.Counter("etl.waves").Inc()
 		// Record outcomes sequentially in original step order — identical
@@ -394,32 +436,61 @@ func (p *Pipeline) RunContext(ctx context.Context, c *Context, continueOnViolati
 						}
 						continue
 					}
-					return res, o.err
+					return fail(o.err)
 				}
-				return res, fmt.Errorf("etl: step %q: %w", s.Name(), o.err)
+				return fail(fmt.Errorf("etl: step %q: %w", s.Name(), o.err))
 			}
-			c.Graph.AddStep(s.Op(), s.Inputs(), s.Output(), s.Name(), o.rowsIn, o.rowsOut)
+			note, counter := s.Name(), "etl.delta.incremental"
+			if o.rerun {
+				dres.StepsRebuilt++
+				counter = "etl.delta.rebuilt"
+			} else {
+				dres.StepsIncremental++
+			}
+			if !full {
+				note += " (delta)"
+				c.Metrics.Counter(counter).Inc()
+			}
+			c.Graph.AddStep(s.Op(), s.Inputs(), s.Output(), note, o.rowsIn, o.rowsOut)
 			res.StepsRun++
 			c.Metrics.Counter("etl.steps").Inc()
+			dres.Changed[strings.ToLower(s.Output())] = o.ch
 			done[si] = true
 			completed++
 		}
 	}
-	return res, nil
+	if full {
+		c.continueOnViolation = continueOnViolation
+	} else {
+		c.Metrics.Histogram("etl.delta.duration").Observe(time.Since(start))
+		c.Metrics.Counter("etl.deltas").Inc()
+	}
+	return res, dres, nil
 }
 
-// execStep runs one step under panic isolation and the etl.step fault
-// site: a panicking step (organic or injected) fails its wave as a typed
-// *fault.InternalError instead of killing the process, whether the step
-// ran serially or on a pool goroutine. Its wall time, failed or not, is
-// a sample of etl.step.<name>.duration.
-func (p *Pipeline) execStep(ctx context.Context, c *Context, si int, o *stepOutcome) {
+// execStep runs one step under panic isolation and the pass's fault site
+// (etl.step or etl.delta): its delta rule unless o.rerun, and Run when
+// that is decided or the rule asks for it. A panicking step (organic or
+// injected) fails its wave as a typed *fault.InternalError instead of
+// killing the process, whether the step ran serially or on a pool
+// goroutine. Its wall time, failed or not, is a sample of
+// etl.step.<name>.duration.
+func (p *Pipeline) execStep(ctx context.Context, c *Context, site string, si int, changes map[string]Change, o *stepOutcome) {
 	s := p.Steps[si]
 	start := time.Now()
-	o.err = fault.Safely("etl.step("+s.Name()+")", c.Metrics, func() error {
-		if err := c.Faults.Hit(ctx, fault.SiteETLStep); err != nil {
+	o.err = fault.Safely(site+"("+s.Name()+")", c.Metrics, func() error {
+		if err := c.Faults.Hit(ctx, site); err != nil {
 			return err
 		}
+		if !o.rerun {
+			ch, rerun, err := s.Delta(c, changes)
+			if err != nil || !rerun {
+				o.ch = ch
+				return err
+			}
+			o.rerun = true
+		}
+		o.ch = Change{Rebuilt: true}
 		return s.Run(c)
 	})
 	c.Metrics.Histogram("etl.step." + s.Name() + ".duration").Observe(time.Since(start))

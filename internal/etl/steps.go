@@ -22,6 +22,9 @@ type baseStep struct {
 // Name implements Step.
 func (b baseStep) Name() string { return b.name }
 
+// Delta implements Step for a step that places no change: it reruns.
+func (baseStep) Delta(*Context, map[string]Change) (Change, bool, error) { return Change{}, true, nil }
+
 // Extract copies a source table into the staging area. The staging table
 // keeps the source table's identity, so lineage traced from reports lands
 // on the original source rows.
@@ -64,6 +67,23 @@ func (e *Extract) Run(c *Context) error {
 		c.Put(e.As, src)
 		return nil
 	})
+}
+
+// Delta implements Step: the source map already holds the new table, so
+// the staging alias is re-pointed at it and the source change passes
+// through. Rows removed from anywhere but the end renumber the rows behind
+// them, which everything derived from the table must follow.
+func (e *Extract) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
+	src, ok := e.Source.Table(e.Table)
+	if !ok {
+		return Change{}, false, fmt.Errorf("source %q has no table %q", e.Source.Name, e.Table)
+	}
+	c.Put(e.As, src)
+	ch := changes[strings.ToLower(e.Source.Name+"."+e.Table)]
+	if len(ch.Removed) > 0 && ch.Removed[0] != src.NumRows()-ch.Appended {
+		ch.Shift = map[string][]int{src.Name: ch.Removed}
+	}
+	return ch, false, nil
 }
 
 // DeltaKind classifies how a Transform's function distributes over row
@@ -170,6 +190,36 @@ func (t *Transform) Run(c *Context) error {
 	return err
 }
 
+// Delta implements Step: a row-wise transform recomputes the updated and
+// appended rows and splices them in, a filter places them by the ordinals
+// it kept, and an opaque transform reruns.
+func (t *Transform) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
+	ch := changes[strings.ToLower(t.Input)]
+	in, err := c.Get(t.Input)
+	if err != nil {
+		return Change{}, false, err
+	}
+	switch {
+	case t.Kind == DeltaRowWise:
+		return oneToOneDelta(c, in, t.Out, ch, func(dirty []int) (*relation.Table, error) {
+			sub, err := relation.SliceRows(in, dirty)
+			if err != nil {
+				return nil, err
+			}
+			return t.Fn(c.Ctx(), sub)
+		})
+	case t.Kind == DeltaFilter && t.keep != nil:
+		return fanoutDelta(c, in, t.Out, ch, func(dirty []int) (*relation.Table, []int32, error) {
+			sub, err := relation.SliceRows(in, dirty)
+			if err != nil {
+				return nil, nil, err
+			}
+			return t.keep(sub)
+		})
+	}
+	return Change{}, true, nil
+}
+
 // NewCleanse builds a transform that trims whitespace in the given string
 // columns — the canonical data-quality step.
 func NewCleanse(name, input, output string, cols ...string) *Transform {
@@ -263,6 +313,24 @@ func (j *JoinStep) Run(c *Context) error {
 	return err
 }
 
+// Delta implements Step. Only an edit of the left side can be placed: the
+// output is left-major, and a right row's matches are scattered all over
+// it, so a right-side change reruns the join. The placed rows re-check the
+// join permission — the PLAs may have moved since the full run.
+func (j *JoinStep) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
+	lch := changes[strings.ToLower(j.Left)]
+	if rch := changes[strings.ToLower(j.Right)]; !rch.Empty() || lch.Empty() {
+		return Change{}, true, nil
+	}
+	l, err := c.Get(j.Left)
+	if err != nil {
+		return Change{}, false, err
+	}
+	return fanoutDelta(c, l, j.Out, lch, func(dirty []int) (*relation.Table, []int32, error) {
+		return j.join(c, dirty)
+	})
+}
+
 // join is the step: the join-permission check over the base tables
 // of both sides, then the left rows at the indices in leftRows (nil = the
 // whole left input — a full Run; the delta path passes the updated and
@@ -328,19 +396,53 @@ func (a *AggregateStep) Inputs() []string { return []string{a.Input} }
 // Output implements Step.
 func (a *AggregateStep) Output() string { return a.Out }
 
-// Run implements Step: it groups the input. It keeps no accumulator: the
-// first delta after it builds one from the input (aggDelta).
+// Run implements Step: it groups the input, keeping the accumulator beside
+// the output for the next delta.
 func (a *AggregateStep) Run(c *Context) error {
 	in, err := c.Get(a.Input)
 	if err != nil {
 		return err
 	}
-	out, err := relation.GroupBy(in, a.Keys, a.Aggs)
+	st, err := relation.NewGroupByState(in, a.Keys, a.Aggs)
 	if err != nil {
 		return err
 	}
+	return a.emit(c, st, in)
+}
+
+// Delta implements Step: an append-only input change feeds only the new
+// rows to the accumulator kept beside the output; anything else, or an
+// accumulator a rolled-back delta fed (its source-row count is ahead of the
+// input), reruns the step. The groups move anywhere: the output is Rebuilt.
+func (a *AggregateStep) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
+	ch := changes[strings.ToLower(a.Input)]
+	in, err := c.Get(a.Input)
+	if err != nil {
+		return Change{}, false, err
+	}
+	old, err := c.Get(a.Out)
+	if err != nil {
+		return Change{}, false, err
+	}
+	st, ok := old.Kept(a.Out).(*relation.GroupByState)
+	if !ok || !ch.AppendOnly() || st.SourceRows() != in.NumRows()-ch.Appended {
+		return Change{}, true, nil
+	}
+	feed, err := relation.SliceRows(in, appendSeq(nil, in.NumRows()-ch.Appended, in.NumRows()))
+	if err != nil {
+		return Change{}, false, err
+	}
+	return Change{Rebuilt: true}, false, a.emit(c, st, feed)
+}
+
+// emit feeds rows to st and stages its grouped output, keeping st beside it.
+func (a *AggregateStep) emit(c *Context, st *relation.GroupByState, rows *relation.Table) error {
+	if err := st.AddTable(rows); err != nil {
+		return err
+	}
+	out := st.Result()
 	out.Name = a.Out
-	c.Put(a.Out, out)
+	stageKeeping(c, a.Out, out, st)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"plabi/internal/enforce"
 	"plabi/internal/etl"
 	"plabi/internal/policy"
+	"plabi/internal/relation"
 )
 
 // etlLeaks (PL006) checks ETL plans with the runtime's own guard: each
@@ -17,7 +18,8 @@ import (
 // check that run makes is put to enforce.PLAGuard over the pass's
 // agreements. A plan the guard would stop at run time — or that loads an
 // attribute no role may ever see — is reported at lint time, the paper's
-// level-2 compliance check (§5, Fig. 3) moved before deployment.
+// level-2 compliance check (§5, Fig. 3) moved before deployment. What a
+// step loads is read off what it staged, whatever the step's type.
 type etlLeaks struct{}
 
 func init() { Register(etlLeaks{}) }
@@ -33,10 +35,14 @@ func (etlLeaks) Run(p *Pass) []Finding {
 	var out []Finding
 	for _, pipe := range p.Pipelines {
 		g := &askAll{guard: enforce.NewPLAGuard(p.Registry)}
-		pipe.RunEmpty(g, func(s etl.Step, err error) {
-			if st, ok := s.(*etl.Extract); ok {
-				out = append(out, extractLeaks(p, pipe, st)...)
-			}
+		var loaded []relation.ColRef
+		noted := &etl.Pipeline{Name: pipe.Name, Steps: make([]etl.Step, len(pipe.Steps))}
+		for i, s := range pipe.Steps {
+			noted.Steps[i] = loading{s, &loaded}
+		}
+		noted.RunEmpty(g, func(s etl.Step, err error) {
+			out = append(out, extractLeaks(p, pipe, s, loaded)...)
+			loaded = loaded[:0]
 			for _, r := range g.refused {
 				out = append(out, r.finding(p, pipe, s))
 			}
@@ -52,6 +58,40 @@ func (etlLeaks) Run(p *Pass) []Finding {
 		})
 	}
 	return out
+}
+
+// loading runs its step and notes the attributes the step's staged output
+// brings into the warehouse: its columns' origins in base tables none of
+// the step's staged inputs derives from — an extraction's every column.
+type loading struct {
+	etl.Step
+	loaded *[]relation.ColRef
+}
+
+func (s loading) Run(c *etl.Context) error {
+	have := map[string]bool{}
+	for _, in := range s.Inputs() {
+		if t, err := c.Get(in); err == nil {
+			for _, b := range t.BaseTables() {
+				have[b] = true
+			}
+		}
+	}
+	if err := s.Step.Run(c); err != nil {
+		return err
+	}
+	t, err := c.Get(s.Output())
+	if err != nil {
+		return nil
+	}
+	for ci := range t.Schema.Columns {
+		for _, o := range t.ColumnOrigin(ci) {
+			if !have[strings.ToLower(o.Table)] {
+				*s.loaded = append(*s.loaded, o)
+			}
+		}
+	}
+	return nil
 }
 
 // askAll puts every check a run makes to the runtime guard, records each
@@ -112,31 +152,26 @@ func (r refusal) finding(p *Pass, pipe *etl.Pipeline, s etl.Step) Finding {
 	return f
 }
 
-// extractLeaks flags extraction of attributes that an unconditional,
-// role-free deny rule makes invisible to every consumer: loading them
-// into the warehouse creates a copy no report may ever release.
-func extractLeaks(p *Pass, pipe *etl.Pipeline, st *etl.Extract) []Finding {
-	t, ok := st.Source.Table(st.Table)
-	if !ok {
-		return nil
-	}
+// extractLeaks flags the attributes step s loaded into the warehouse that
+// an unconditional, role-free deny rule makes invisible to every consumer:
+// loading them creates a copy no report may ever release.
+func extractLeaks(p *Pass, pipe *etl.Pipeline, s etl.Step, loaded []relation.ColRef) []Finding {
 	var out []Finding
-	comp := p.Registry.ForScope(policy.LevelSource, st.Table)
-	for _, col := range t.Schema.ColumnNames() {
-		for _, pla := range comp.PLAs {
+	for _, o := range loaded {
+		for _, pla := range p.Registry.ForScope(policy.LevelSource, o.Table).PLAs {
 			for _, r := range pla.Access {
 				if r.Effect != policy.Deny || len(r.Roles) > 0 || len(r.Purposes) > 0 {
 					continue
 				}
-				if r.Attribute != "*" && !strings.EqualFold(r.Attribute, col) {
+				if r.Attribute != "*" && !strings.EqualFold(r.Attribute, o.Column) {
 					continue
 				}
 				out = append(out, Finding{
 					Code: "PL006", Severity: SevWarning, Level: policy.LevelWarehouse,
 					Pos:     r.Pos,
-					Subject: fmt.Sprintf("%s/%s: %s.%s", pipe.Name, st.Name(), st.Table, col),
+					Subject: fmt.Sprintf("%s/%s: %s.%s", pipe.Name, s.Name(), o.Table, o.Column),
 					Message: fmt.Sprintf("ETL step %q of pipeline %q extracts attribute %q of %q into the warehouse although PLA %q denies it to every role — no report can ever release it; project it away before loading",
-						st.Name(), pipe.Name, col, st.Table, pla.ID),
+						s.Name(), pipe.Name, o.Column, o.Table, pla.ID),
 					PLAs: []string{pla.ID},
 				})
 			}

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -175,5 +176,41 @@ func TestPL006SeesBehindAWrapper(t *testing.T) {
 	}
 	if len(pl006) != 1 || pl006[0].Severity != lint.SevError || pl006[0].Subject != "wrapped/join-ab: a JOIN b" || pl006[0].PLAs[0] != "a-src" {
 		t.Errorf("PL006 = %v, want one error for join-ab's a JOIN b under a-src", pl006)
+	}
+}
+
+// TestPL006ChecksAWrappedExtraction: what an extraction loads is read off
+// what its zero-row run staged, not off the step's type, so a wrapped
+// extraction of an attribute denied to every role draws the warning an
+// unwrapped one does, and nothing downstream of it is flagged again.
+func TestPL006ChecksAWrappedExtraction(t *testing.T) {
+	const plas = `pla "a-src" { owner "oa"; level source; scope "a"; allow attribute *; deny attribute secret; }`
+	parsed, err := policy.ParseFile(plas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := relation.NewBase("a", relation.NewSchema(relation.Col("k", relation.TInt), relation.Col("secret", relation.TString)))
+	a.AppendVals(relation.Int(1), relation.Str("x"))
+	src := etl.NewSource("s", "s", a)
+	warnings := func(wrap bool) []lint.Finding {
+		ext := etl.Step(etl.NewExtract("ext-a", src, "a", ""))
+		if wrap {
+			ext = wrapped{ext}
+		}
+		pipe := &etl.Pipeline{Name: "p", Steps: []etl.Step{ext, etl.NewCleanse("clean-a", "a", "a_clean", "secret")}}
+		var out []lint.Finding
+		for _, f := range lint.Run(&lint.Pass{PLAs: parsed, Pipelines: []*etl.Pipeline{pipe}}) {
+			if f.Code == "PL006" {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+	plain, behind := warnings(false), warnings(true)
+	if len(plain) != 1 || plain[0].Severity != lint.SevWarning || plain[0].Subject != "p/ext-a: a.secret" || plain[0].PLAs[0] != "a-src" {
+		t.Fatalf("unwrapped extraction: PL006 = %v, want one warning for ext-a's a.secret under a-src", plain)
+	}
+	if fmt.Sprint(behind) != fmt.Sprint(plain) {
+		t.Errorf("wrapped extraction: PL006 = %v, want %v", behind, plain)
 	}
 }

@@ -427,7 +427,8 @@ func (e *Engine) AddPLAs(dsl string) error { return e.core.AddPLAs(dsl) }
 // RunETL executes a pipeline under the PLA guard. Independent steps run
 // in parallel waves; ctx cancels between waves. Violations are collected
 // in the result when continueOnViolation is true, otherwise the first
-// one aborts the run with an error wrapping ErrPLAViolation.
+// one aborts the run with an error wrapping ErrPLAViolation. A run that
+// fails commits nothing: the previous run's outputs keep serving.
 func (e *Engine) RunETL(ctx context.Context, p *Pipeline, continueOnViolation bool) (ETLResult, error) {
 	return e.core.RunETLContext(ctx, p, continueOnViolation)
 }

@@ -25,8 +25,7 @@ func openDiffEngine(t *testing.T) *plabi.Engine {
 	return e
 }
 
-// TestDiffIdentity: two equally built deployments diff silent, and the
-// compiled residual programs pass PD000 translation validation.
+// TestDiffIdentity: two equally built deployments diff silent.
 func TestDiffIdentity(t *testing.T) {
 	e1, e2 := openDiffEngine(t), openDiffEngine(t)
 	imps, err := plabi.Diff(e1, e2)
@@ -37,15 +36,6 @@ func TestDiffIdentity(t *testing.T) {
 		var b bytes.Buffer
 		_ = plabi.WriteImpactsText(&b, imps)
 		t.Fatalf("identity diff produced %d impacts:\n%s", len(imps), b.String())
-	}
-	v, err := plabi.ValidateCompiled(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 0 {
-		var b bytes.Buffer
-		_ = plabi.WriteImpactsText(&b, v)
-		t.Fatalf("PD000: %d compiler divergences:\n%s", len(v), b.String())
 	}
 }
 
@@ -104,18 +94,9 @@ func TestDiffMaskAsymmetry(t *testing.T) {
 	}
 }
 
-// TestValidateBundle: the file-path entry points behind `pladiff` agree
-// with the engine-level ones on the bare scenario.
-func TestValidateBundle(t *testing.T) {
-	imps, err := plabi.ValidateBundle("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imps) != 0 {
-		var b bytes.Buffer
-		_ = plabi.WriteImpactsText(&b, imps)
-		t.Fatalf("bare scenario failed PD000 validation:\n%s", b.String())
-	}
+// TestDiffFilesBare: the file-path entry point behind `pladiff` is
+// silent on two bare scenario contexts.
+func TestDiffFilesBare(t *testing.T) {
 	dimps, err := plabi.DiffFiles("", "")
 	if err != nil {
 		t.Fatal(err)
