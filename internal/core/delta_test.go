@@ -531,9 +531,9 @@ func (r revocable) Run(c *etl.Context) error {
 }
 
 // TestFailedRunCommitsNothing: a run is all or nothing, like a delta. A
-// RunETL that stops at a violating join leaves the pipeline's retained
-// context and the catalog's versions as the last successful run left them,
-// and the next delta through that context converges to a rebuild.
+// RunETL that stops at a violating join leaves the recorded plans, the
+// pipeline's retained context and the catalog's versions as the last
+// successful run left them, and the next deltas converge to a rebuild.
 func TestFailedRunCommitsNothing(t *testing.T) {
 	cfg := workload.DefaultConfig(4)
 	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 300, 60, 20
@@ -574,6 +574,29 @@ func TestFailedRunCommitsNothing(t *testing.T) {
 	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
 		Inserts: []relation.Row{randRxRow(rand.New(rand.NewSource(2)), ds, 2)}}}}); err != nil {
 		t.Fatal(err)
+	}
+
+	// A revised plan whose first run fails is not recorded: the deltas
+	// after it do not run it, and commit.
+	revised := HealthcarePipeline(e)
+	revised.Name = "healthcare-revised"
+	for i, s := range revised.Steps {
+		if s.Name() == "join-residents" {
+			revised.Steps[i] = revocable{s, &deny}
+		}
+	}
+	deny = true
+	if _, err := e.RunETL(revised, false); !etl.IsViolation(err) {
+		t.Fatalf("first run of the revised plan: %v", err)
+	}
+	for _, have := range e.Pipelines() {
+		if have.Name == revised.Name {
+			t.Error("the failed first run recorded its plan")
+		}
+	}
+	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{{Source: "hospital", Table: "prescriptions",
+		Inserts: []relation.Row{randRxRow(rand.New(rand.NewSource(3)), ds, 3)}}}}); err != nil {
+		t.Fatalf("delta after the failed first run: %v", err)
 	}
 	mirror, err := buildEngineFromTables(
 		sourceTable(t, e, "hospital", "prescriptions").Clone(),

@@ -308,8 +308,8 @@ func (e *Engine) AddPLAs(dsl string) error {
 // the audit log and publishing its staging outputs in one catalog
 // snapshot. When continueOnViolation is true, blocked steps are skipped and
 // recorded while the rest of the pipeline proceeds. A run that fails
-// commits nothing: the pipeline's previous staging context and the catalog
-// keep what its last successful run (or delta) left.
+// commits nothing: the recorded plan of that name, its staging context and
+// the catalog keep what the last successful run (or delta) left.
 func (e *Engine) RunETL(p *etl.Pipeline, continueOnViolation bool) (etl.Result, error) {
 	return e.RunETLContext(context.Background(), p, continueOnViolation)
 }
@@ -324,14 +324,14 @@ func (e *Engine) RunETLContext(ctx context.Context, p *etl.Pipeline, continueOnV
 	defer span.End()
 	ectx := e.newETLContext()
 	ectx.Observe = e.observeETL(ctx, span.ID())
-	e.recordPipeline(p)
 	res, err := p.RunContext(ctx, ectx, continueOnViolation)
 	span.Set("violations", fmt.Sprint(len(res.Violations)))
 	if err != nil {
 		return res, err
 	}
-	// Retain the staging context as the base state for ApplyDelta, beside
-	// the catalog snapshot that publishes it.
+	// Record the plan and retain the staging context as the base state for
+	// ApplyDelta, beside the catalog snapshot that publishes it.
+	e.recordPipeline(p)
 	e.mu.Lock()
 	e.etlCtxs[p.Name] = ectx
 	e.mu.Unlock()
@@ -584,8 +584,8 @@ func named(t *relation.Table, name string) *relation.Table {
 }
 
 // recordPipeline keeps the plan of every pipeline the engine has run
-// (latest per name) so the static analyzer can re-check ETL data flow
-// against evolved agreements without re-executing it.
+// successfully (latest per name) so the static analyzer can re-check ETL
+// data flow against evolved agreements without re-executing it.
 func (e *Engine) recordPipeline(p *etl.Pipeline) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

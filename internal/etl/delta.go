@@ -208,13 +208,14 @@ type DeltaResult struct {
 // ApplyDelta propagates per-relation source changes through the
 // pipeline. changes is keyed by the extract input names
 // ("source.table", lower-cased or not); the sources' tables must
-// already hold their new versions. A step runs Run when its output is
-// absent (over a fresh Context, every step), when an input was rebuilt or
-// when an earlier step overwrote its output; it runs its delta rule
-// (Step.Delta) when some input changed otherwise, and is skipped when none
-// did — its staging output stays valid. A violation stops the delta,
-// unless the last full run over c continued past violations: then the
-// delta does too, so a step that run blocked stays blocked.
+// already hold their new versions. Over a fresh Context (nothing staged)
+// every step runs Run. Otherwise a step none of whose inputs changed is
+// skipped: its staging output stays valid, and an output a
+// continue-on-violation run blocked stays absent. A step with a changed
+// input runs Run when its output is absent, an input was rebuilt or an
+// earlier step overwrote its output, and its delta rule (Step.Delta)
+// otherwise. A violation stops the delta, even over the context of a run
+// that continued past violations.
 //
 // The application is atomic: on any error — injected fault at the
 // etl.delta site, a violation surfaced by a guard re-check, a
@@ -222,7 +223,7 @@ type DeltaResult struct {
 // state and the error returned. Callers then retry or apply the delta over
 // a fresh Context; the sources are theirs to roll back.
 func (p *Pipeline) ApplyDelta(ctx context.Context, c *Context, changes map[string]Change) (DeltaResult, error) {
-	_, res, err := p.apply(ctx, c, changes, false, c.continueOnViolation)
+	_, res, err := p.apply(ctx, c, changes, false, false)
 	return res, err
 }
 

@@ -256,15 +256,16 @@ func TestApplyDeltaInsertOnlyConvergence(t *testing.T) {
 			{relation.Str("  " + pat + " "), relation.Str("Luis"), relation.Str(drug), relation.Str(dis), relation.DateYMD(2008, 5, 1)},
 		}}
 	}
-	// First delta: the aggregate feeds the accumulator its full Run kept;
-	// every touched step is incremental, and the drugcost extract — whose
-	// input never changed — is untouched.
+	// First delta: the aggregate rebuilds its retained state (a full Run
+	// drops it); everything else touched is incremental, and the drugcost
+	// extract — whose input never changed — is untouched.
 	res1 := applyAndPropagate(t, p, c, hosp, ins("Dana", "DR", "asthma"))
-	if res1.StepsIncremental != 5 || res1.StepsRebuilt != 0 || res1.StepsUntouched != 1 {
+	if res1.StepsIncremental != 4 || res1.StepsRebuilt != 1 || res1.StepsUntouched != 1 {
 		t.Fatalf("first delta: incremental=%d rebuilt=%d untouched=%d",
 			res1.StepsIncremental, res1.StepsRebuilt, res1.StepsUntouched)
 	}
-	// Second delta: the accumulator the first one fed is live too.
+	// Second delta: the retained aggregate state is live — every touched
+	// step is now incremental.
 	res2 := applyAndPropagate(t, p, c, hosp, ins("Evan", "DM", "diabetes"))
 	if res2.StepsIncremental != 5 || res2.StepsRebuilt != 0 || res2.StepsUntouched != 1 {
 		t.Fatalf("second delta: incremental=%d rebuilt=%d untouched=%d",
@@ -585,48 +586,83 @@ func TestWrappedStepPlacedIncrementally(t *testing.T) {
 	}
 }
 
-// TestDeltaAfterContinuedViolation: a delta over the context of a run that
-// continued past a violation continues likewise, so it converges to what
-// such a run over the new sources stages: the blocked join stays blocked,
-// its reader skipped, and the join beside them takes the insert.
-func TestDeltaAfterContinuedViolation(t *testing.T) {
-	steps := func(hosp, fam, agency *Source) []Step {
-		return []Step{
-			NewExtract("e1", hosp, "prescriptions", ""),
-			NewExtract("e2", fam, "familydoctor", ""),
-			NewExtract("e3", agency, "drugcost", ""),
-			NewJoin("bad", "prescriptions", "familydoctor",
-				relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
-			NewProject("reader", "bad_out", "slim", "l_patient"),
-			NewJoin("good", "prescriptions", "drugcost",
-				relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "good_out"),
+// TestDeltaAfterContinuedRunStopsAtViolation: a delta over the context of
+// a run that continued past violations still stops at the first one and
+// restores the staging area — a join whose permission was revoked since
+// the run, as a join the run blocked, whose input the delta touches — and
+// the same delta, once the join is allowed again, converges to a run over
+// the new sources. A delta that touches no blocked step commits.
+func TestDeltaAfterContinuedRunStopsAtViolation(t *testing.T) {
+	hosp := NewSource("hospital", "hospital", workload.PrescriptionsFixture())
+	agency := NewSource("healthagency", "healthagency", workload.DrugCostFixture())
+	guard := &flipGuard{}
+	p := deltaPipeline(hosp, agency)
+	c := NewContext(guard)
+	if res, err := p.Run(c, true); err != nil || len(res.Violations) != 0 {
+		t.Fatalf("run: %+v, %v", res, err)
+	}
+	before := map[string]string{}
+	for name, tb := range c.Staging {
+		before[name] = dump(tb)
+	}
+	guard.deny = true
+	old, _ := hosp.Table("prescriptions")
+	next, ch, err := (&Delta{Source: "hospital", Table: "prescriptions", Deletes: []int{0}}).Apply(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosp.Tables["prescriptions"] = next
+	changes := map[string]Change{"hospital.prescriptions": ch}
+	if _, err := p.ApplyDelta(context.Background(), c, changes); !IsViolation(err) {
+		t.Fatalf("delta with the join revoked: want a violation, got %v", err)
+	}
+	for name, w := range before {
+		if got, err := c.Get(name); err != nil || dump(got) != w {
+			t.Errorf("staging %q not restored after the violation", name)
 		}
 	}
-	deny := denyGuard{joinA: "prescriptions", joinB: "familydoctor"}
-	hosp, fam, agency := sources()
-	p := &Pipeline{Steps: steps(hosp, fam, agency)}
-	c := NewContext(deny)
+	guard.deny = false
+	if _, err := p.ApplyDelta(context.Background(), c, changes); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range runFreshMirror(t, next, workload.DrugCostFixture()) {
+		if got, _ := c.Get(name); dump(got) != w {
+			t.Errorf("%s diverges from a run over the new source after the retry", name)
+		}
+	}
+
+	// A join the run blocked: a delta of its left side re-runs it and stops.
+	hosp2, fam, agency2 := sources()
+	p = &Pipeline{Steps: []Step{
+		NewExtract("e1", hosp2, "prescriptions", ""),
+		NewExtract("e2", fam, "familydoctor", ""),
+		NewExtract("e3", agency2, "drugcost", ""),
+		NewJoin("bad", "prescriptions", "familydoctor",
+			relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
+		NewProject("reader", "bad_out", "slim", "l_patient"),
+		NewJoin("good", "prescriptions", "drugcost",
+			relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "good_out"),
+	}}
+	c = NewContext(denyGuard{joinA: "prescriptions", joinB: "familydoctor"})
 	if res, err := p.Run(c, true); err != nil || len(res.Violations) != 1 || res.Skipped != 1 {
 		t.Fatalf("run: %+v, %v", res, err)
 	}
-	rx, _ := hosp.Table("prescriptions")
-	res := applyAndPropagate(t, p, c, hosp, &Delta{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{rx.Row(2).Clone()}})
-	if res.StepsIncremental != 2 || res.StepsRebuilt != 0 {
-		t.Errorf("incremental=%d rebuilt=%d, want the extract and the good join placed", res.StepsIncremental, res.StepsRebuilt)
+	goodBefore, _ := c.Get("good_out")
+	rx, _ := hosp2.Table("prescriptions")
+	next, ch, _ = (&Delta{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{rx.Row(2).Clone()}}).Apply(rx)
+	hosp2.Tables["prescriptions"] = next
+	if _, err := p.ApplyDelta(context.Background(), c, map[string]Change{"hospital.prescriptions": ch}); !IsViolation(err) {
+		t.Fatalf("delta into the blocked join: want a violation, got %v", err)
 	}
-	rx, _ = hosp.Table("prescriptions")
-	fresh := NewContext(deny)
-	if _, err := (&Pipeline{Steps: steps(NewSource("hospital", "hospital", rx), fam, agency)}).Run(fresh, true); err != nil {
-		t.Fatal(err)
+	if got, _ := c.Get("good_out"); got != goodBefore {
+		t.Error("the stopped delta left its placement in good_out")
 	}
-	for _, name := range []string{"bad_out", "slim"} {
-		if _, err := c.Get(name); err == nil {
-			t.Errorf("%s staged after the delta, want it blocked", name)
-		}
-	}
-	got, _ := c.Get("good_out")
-	want, _ := fresh.Get("good_out")
-	if dump(got) != dump(want) {
-		t.Errorf("good_out diverges from a run over the new source:\nplaced:\n%s\nrun:\n%s", dump(got), dump(want))
+	hosp2.Tables["prescriptions"] = rx
+	cost, _ := agency2.Table("drugcost")
+	dr := cost.Row(4).Clone()
+	dr[1] = relation.Int(11)
+	res := applyAndPropagate(t, p, c, agency2, &Delta{Source: "healthagency", Table: "drugcost", Updates: []RowUpdate{{Row: 4, Vals: dr}}})
+	if res.StepsRebuilt != 1 || res.StepsUntouched != 4 {
+		t.Errorf("drugcost delta: rebuilt=%d untouched=%d, want the good join rebuilt and the rest untouched", res.StepsRebuilt, res.StepsUntouched)
 	}
 }

@@ -117,8 +117,6 @@ type Context struct {
 	runCtx context.Context
 	// shells marks RunEmpty's context: Put stages headers only.
 	shells bool
-	// continueOnViolation is that of the last full run; its deltas keep it.
-	continueOnViolation bool
 }
 
 // NewContext returns a context with an empty staging area and the given
@@ -314,6 +312,7 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 	c.mu.RLock()
 	snap := maps.Clone(c.Staging)
 	c.mu.RUnlock()
+	fresh := full || len(snap) == 0 // every step runs Run
 	fail := func(err error) (Result, DeltaResult, error) {
 		c.mu.Lock()
 		c.Staging = snap
@@ -353,8 +352,11 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 				continue
 			}
 			s := p.Steps[i]
-			if up := p.blockedInput(c, blockedOut, i); up != "" {
-				serr := &SkippedError{Step: s.Name(), Upstream: up}
+			if up := slices.IndexFunc(s.Inputs(), func(in string) bool {
+				_, ok := c.rows(in)
+				return blockedOut[strings.ToLower(in)] && !ok
+			}); up >= 0 {
+				serr := &SkippedError{Step: s.Name(), Upstream: s.Inputs()[up]}
 				if c.Observe != nil {
 					c.Observe(s.Name(), s.Op(), s.Output(), 0, 0, serr)
 				}
@@ -367,9 +369,8 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 				completed++
 				continue
 			}
-			_, have := c.rows(s.Output())
 			_, clobbered := dres.Changed[strings.ToLower(s.Output())]
-			ins, rerun, changed := s.Inputs(), full || !have || clobbered, false
+			ins, rerun, changed := s.Inputs(), fresh || clobbered, false
 			for _, in := range ins {
 				ch := dres.Changed[strings.ToLower(in)]
 				changed = changed || !ch.Empty()
@@ -380,6 +381,9 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 				done[i] = true
 				completed++
 				continue
+			}
+			if _, have := c.rows(s.Output()); !have {
+				rerun = true
 			}
 			wave = append(wave, i)
 			outcomes = append(outcomes, stepOutcome{rowsIn: countRows(c, ins), rerun: rerun})
@@ -459,9 +463,7 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 			completed++
 		}
 	}
-	if full {
-		c.continueOnViolation = continueOnViolation
-	} else {
+	if !full {
 		c.Metrics.Histogram("etl.delta.duration").Observe(time.Since(start))
 		c.Metrics.Counter("etl.deltas").Inc()
 	}
@@ -502,22 +504,6 @@ func (p *Pipeline) execStep(ctx context.Context, c *Context, site string, si int
 			o.rowsOut = rows
 		}
 	}
-}
-
-// blockedInput returns the first input of step si that is both absent
-// from staging and marked as the output of a blocked producer ("" when
-// the step can run).
-func (p *Pipeline) blockedInput(c *Context, blockedOut map[string]bool, si int) string {
-	for _, in := range p.Steps[si].Inputs() {
-		key := strings.ToLower(in)
-		if !blockedOut[key] {
-			continue
-		}
-		if _, ok := c.rows(key); !ok {
-			return in
-		}
-	}
-	return ""
 }
 
 // dependencies computes, per step, the indices of earlier steps it must

@@ -396,11 +396,21 @@ func (a *AggregateStep) Inputs() []string { return []string{a.Input} }
 // Output implements Step.
 func (a *AggregateStep) Output() string { return a.Out }
 
-// Run implements Step: it groups the input, keeping the accumulator beside
-// the output for the next delta.
+// Run implements Step: it groups the input. A first run keeps no
+// accumulator (relation.GroupBy, which reuses a frozen input's grouping); a
+// rebuild over an output staged before, as in a delta, keeps one beside the
+// output for the next delta's appends.
 func (a *AggregateStep) Run(c *Context) error {
 	in, err := c.Get(a.Input)
 	if err != nil {
+		return err
+	}
+	if _, rebuild := c.rows(a.Out); !rebuild {
+		out, err := relation.GroupBy(in, a.Keys, a.Aggs)
+		if err == nil {
+			out.Name = a.Out
+			c.Put(a.Out, out)
+		}
 		return err
 	}
 	st, err := relation.NewGroupByState(in, a.Keys, a.Aggs)
@@ -411,9 +421,9 @@ func (a *AggregateStep) Run(c *Context) error {
 }
 
 // Delta implements Step: an append-only input change feeds only the new
-// rows to the accumulator kept beside the output; anything else, or an
-// accumulator a rolled-back delta fed (its source-row count is ahead of the
-// input), reruns the step. The groups move anywhere: the output is Rebuilt.
+// rows to the accumulator kept beside the output; anything else, no
+// accumulator (the output of a first run) or one a rolled-back delta fed
+// (its source-row count is ahead of the input), reruns the step. The groups move anywhere: the output is Rebuilt.
 func (a *AggregateStep) Delta(c *Context, changes map[string]Change) (Change, bool, error) {
 	ch := changes[strings.ToLower(a.Input)]
 	in, err := c.Get(a.Input)
