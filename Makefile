@@ -26,7 +26,7 @@ race:
 # allow-* expansion (must exit 1 with PD001 — proves the expansion
 # detector works, and pins that the bundle stays expansive). Two checks
 # are tests, so `make test`/`race` gate them: the repo's own audit-write
-# discipline (PV001/PV002, internal/analysis/plavet TestRepoClean) and
+# discipline (PV002, internal/analysis/plavet TestRepoClean) and
 # translation validation (PD000) of every render program of the bare
 # scenario and the audit example (internal/diff TestValidateScenarioClean).
 lint: vet

@@ -29,8 +29,8 @@ const (
 	// BlockedError / ErrPLAViolation); Error.Decisions carries the
 	// blocking decisions. HTTP 403.
 	CodeBlocked ErrorCode = "pla_blocked"
-	// CodeAuditUnavailable: a fail-closed tenant could not write the
-	// audit trail, so the data was not released (the engine's
+	// CodeAuditUnavailable: the tenant could not write a render's audit
+	// trail, so the data was not released (the engine's
 	// ErrAuditUnavailable). HTTP 503.
 	CodeAuditUnavailable ErrorCode = "audit_unavailable"
 	// CodeRateLimited: the tenant's token bucket is empty; retry after

@@ -25,13 +25,9 @@ func main() {
 	doLint := flag.Bool("lint", false, "statically lint the loaded scenario before serving; refuse to start on error-severity findings")
 	chaos := flag.String("chaos", "", `fault-injection schedule, e.g. "render.worker:panic:0.05,audit.sink.write:error:0.2:transient"`)
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injector seed (fixed seed replays the same schedule)")
-	failClosed := flag.Bool("fail-closed", false, "block report delivery when the audit sink is unavailable past the retry budget")
 	flag.Parse()
 
 	opts := []plabi.Option{plabi.WithWorkers(*workers)}
-	if *failClosed {
-		opts = append(opts, plabi.WithFailClosed())
-	}
 	var injector *plabi.FaultInjector
 	if *chaos != "" {
 		injector = plabi.NewFaultInjector(*chaosSeed)
@@ -85,8 +81,9 @@ func main() {
 			}
 			if err != nil {
 				// Under chaos, injected faults, isolated panics and
-				// fail-closed audit blocks are expected outcomes, not
-				// crashes: report them and keep serving.
+				// renders refused for want of an audit line are
+				// expected outcomes, not crashes: report them and keep
+				// serving.
 				if injector != nil && (errors.Is(err, plabi.ErrInjected) ||
 					errors.Is(err, plabi.ErrInternal) || errors.Is(err, plabi.ErrAuditUnavailable)) {
 					fmt.Printf("%s: FAILED (%v)\n", d.ID, err)

@@ -82,10 +82,6 @@ func openDiffContext(bundle string) (*Engine, error) {
 // they flow through the lint renderers and severity filters.
 func ImpactFindings(imps []Impact) []LintFinding { return diff.Findings(imps) }
 
-// MaxImpactSeverity returns the highest severity among the impacts
-// (LintInfo when empty).
-func MaxImpactSeverity(imps []Impact) LintSeverity { return diff.MaxSeverity(imps) }
-
 // FilterImpacts returns the impacts at or above the given severity.
 func FilterImpacts(imps []Impact, min LintSeverity) []Impact { return diff.Filter(imps, min) }
 

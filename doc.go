@@ -36,13 +36,13 @@
 // correlation ids — the same ids stamped on the audit events each
 // operation appended, so the audit trail, metrics and spans join on one
 // id. Ids are deterministic; WithCorrelationID stitches in an external
-// request id. WithMetrics shares one registry across engines.
+// request id.
 // README.md § Observability lists every exported metric name.
 //
 // Engine lifecycle: an engine's configuration is fixed when it is opened;
 // nothing re-configures it afterwards. Open and OpenHealthcare validate
 // the options by one rule — option misuse (negative worker or cache
-// bounds, nil metrics or injectors, retry overrides for a site that never
+// bounds, a nil injector, retry overrides for a site that never
 // retries) is returned as an error by OpenHealthcare, and Open, which has
 // no error path, panics with that same error.
 //
@@ -55,8 +55,9 @@
 // when a tenant's policy bundle is swapped: build the new engine, swap
 // the serving pointer, drain the old engine's in-flight requests, Close.
 // WithRetryPolicyFor tunes the retry budget per operational site, e.g.
-// retrying audit.sink.write much harder than etl.extract under
-// WithFailClosed, where a dropped audit line refuses a render.
+// retrying audit.sink.write much harder than etl.extract: a render whose
+// audit line does not reach the sink is refused, so the budget is how
+// long a sink may hiccup before renders stop.
 //
 // plabi.OpenHealthcare assembles the paper's Fig. 1 healthcare scenario
 // (five owners, scenario PLAs, guarded ETL, report portfolio, approved

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"plabi"
+	"plabi/internal/relation"
 	"plabi/internal/workload"
 )
 
@@ -44,8 +45,9 @@ func main() {
 	}
 	fmt.Printf("generated %d compliance tests from the PLAs\n", len(tests))
 
-	// 2. A buggy implementation (raw render, threshold forgotten) fails.
-	raw, err := engine.RenderUnenforced("drug-consumption")
+	// 2. A buggy implementation (the report's query over the raw table,
+	// threshold forgotten) fails.
+	raw, err := buggyDrugConsumption(engine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,4 +86,21 @@ func main() {
 	if err := engine.Audit().WriteJSONL(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// buggyDrugConsumption computes the drug-consumption report the way a
+// non-compliant implementation would: straight from the prescriptions
+// table, with no enforcement. Its rows keep their lineage, so the suite
+// can count each row's supporting patients.
+func buggyDrugConsumption(engine *plabi.Engine) (*plabi.Table, error) {
+	rx, ok := engine.Table("prescriptions")
+	if !ok {
+		return nil, fmt.Errorf("no prescriptions table")
+	}
+	counts, err := relation.GroupBy(rx, []string{"drug"},
+		[]relation.AggSpec{{Kind: relation.AggCount, As: "consumption"}})
+	if err != nil {
+		return nil, err
+	}
+	return relation.Sort(counts, relation.SortKey{Col: "drug"})
 }

@@ -1,14 +1,11 @@
 // Package plavet is a repo-specific vet pass enforcing the audit-trail
-// write discipline: every production write to the audit log must go
-// through the error-reporting Checked API so the caller decides —
-// visibly, at the call site — whether a sink failure is fatal
-// (fail-closed delivery) or deliberately ignored.
+// write discipline: the audit log's writers report whether the line
+// reached the sink, and every production caller decides visibly, at the
+// call site, whether that outcome refuses what it is doing (a render) or
+// is deliberately ignored.
 //
-// Two rules, stable codes:
+// One rule, with a stable code:
 //
-//	PV001  a non-test file outside internal/audit calls the unchecked
-//	       writers (*audit.Log).Append / .Decision / .DecisionTraced,
-//	       which swallow sink errors internally.
 //	PV002  the result of (*audit.Log).AppendChecked or
 //	       .DecisionTracedChecked is silently dropped (a bare expression
 //	       statement, or a go/defer call). The sanctioned discard is the
@@ -39,17 +36,8 @@ import (
 	"strings"
 )
 
-// auditPkg is the one package allowed to call the unchecked writers —
-// they are its own convenience wrappers over the Checked core.
+// auditPkg is the package of the audit log's writers.
 const auditPkg = "plabi/internal/audit"
-
-// uncheckedWriters maps the forbidden methods (types.Func.FullName) to
-// the Checked replacement plavet suggests.
-var uncheckedWriters = map[string]string{
-	"(*" + auditPkg + ".Log).Append":         "AppendChecked",
-	"(*" + auditPkg + ".Log).Decision":       "DecisionTracedChecked",
-	"(*" + auditPkg + ".Log).DecisionTraced": "DecisionTracedChecked",
-}
 
 // checkedWriters are the methods whose (seq, error) results must not be
 // silently dropped.
@@ -61,7 +49,7 @@ var checkedWriters = map[string]bool{
 // Finding is one rule violation at a source position.
 type Finding struct {
 	Pos     token.Position
-	Code    string // "PV001" or "PV002"
+	Code    string // "PV002"
 	Message string
 }
 
@@ -147,7 +135,7 @@ func (c *Checker) Dir(dir string) ([]Finding, error) {
 		if _, err := conf.Check(pkgPath, c.fset, files, info); err != nil {
 			return nil, fmt.Errorf("plavet: typecheck %s: %w", dir, err)
 		}
-		out = append(out, check(c.fset, pkgPath, files, info)...)
+		out = append(out, check(c.fset, files, info)...)
 	}
 	sortFindings(out)
 	return out, nil
@@ -192,9 +180,8 @@ func (c *Checker) Tree(root string) ([]Finding, error) {
 	return out, nil
 }
 
-// check runs both rules over one type-checked package.
-func check(fset *token.FileSet, pkgPath string, files []*ast.File, info *types.Info) []Finding {
-	inAudit := pkgPath == auditPkg
+// check runs the rule over one type-checked package.
+func check(fset *token.FileSet, files []*ast.File, info *types.Info) []Finding {
 	var out []Finding
 	for _, f := range files {
 		// Calls whose results vanish without an assignment: bare
@@ -222,20 +209,11 @@ func check(fset *token.FileSet, pkgPath string, files []*ast.File, info *types.I
 			if fn == nil {
 				return true
 			}
-			name := fn.FullName()
-			switch {
-			case uncheckedWriters[name] != "" && !inAudit:
-				out = append(out, Finding{
-					Pos:  fset.Position(call.Lparen),
-					Code: "PV001",
-					Message: fmt.Sprintf("unchecked audit write %s.%s: sink failures are swallowed; call %s and handle the error (the sanctioned discard is `_, _ =`)",
-						shortRecv(fn), fn.Name(), uncheckedWriters[name]),
-				})
-			case checkedWriters[name] && dropped[call]:
+			if checkedWriters[fn.FullName()] && dropped[call] {
 				out = append(out, Finding{
 					Pos:  fset.Position(call.Lparen),
 					Code: "PV002",
-					Message: fmt.Sprintf("result of %s.%s dropped: the sink outcome decides fail-closed delivery; handle the error or discard explicitly with `_, _ =`",
+					Message: fmt.Sprintf("result of %s.%s dropped: the sink outcome decides whether a render is delivered; handle the error or discard explicitly with `_, _ =`",
 						shortRecv(fn), fn.Name()),
 				})
 			}
@@ -273,9 +251,8 @@ func shortRecv(fn *types.Func) string {
 }
 
 // importPathFor derives a directory's import path from the enclosing
-// go.mod (module line + relative path) so the audit-package exemption
-// and the type-checker's package path are exact; root is the module's
-// directory.
+// go.mod (module line + relative path) so the type-checker's package
+// path is exact; root is the module's directory.
 func importPathFor(dir string) (root, pkgPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

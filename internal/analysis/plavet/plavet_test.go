@@ -67,8 +67,8 @@ func TestSamplePackage(t *testing.T) {
 }
 
 // TestRepoClean runs the pass over the whole repository — the gate the
-// Makefile lint target enforces. Production code must not regress to
-// the unchecked audit writers.
+// Makefile lint target enforces. Production code must not drop an audit
+// write's sink outcome silently.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full repo; skipped in -short")

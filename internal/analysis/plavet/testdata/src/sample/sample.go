@@ -11,11 +11,8 @@ import (
 )
 
 func bad(l *audit.Log) {
-	l.Append(audit.Event{Kind: "render"})                                 // want PV001
-	l.Decision("ana", "rep", enforce.Decision{})                          // want PV001
-	l.DecisionTraced("ana", "rep", "t1", enforce.Decision{})              // want PV001
-	l.AppendChecked(context.Background(), audit.Event{Kind: "render"})    // want PV002
-	go l.AppendChecked(context.Background(), audit.Event{Kind: "render"}) // want PV002
+	l.AppendChecked(context.Background(), audit.Event{Kind: "render"})                          // want PV002
+	go l.AppendChecked(context.Background(), audit.Event{Kind: "render"})                       // want PV002
 	defer l.DecisionTracedChecked(context.Background(), "ana", "rep", "t1", enforce.Decision{}) // want PV002
 }
 
@@ -29,12 +26,12 @@ func good(l *audit.Log) error {
 	return err
 }
 
-// notAudit proves matching is type-based: an unrelated Append method on
-// another type must never trip PV001.
+// notAudit proves matching is type-based: an unrelated AppendChecked
+// method on another type must never trip PV002.
 type notAudit struct{}
 
-func (notAudit) Append(s string) int { return len(s) }
+func (notAudit) AppendChecked(s string) (int, error) { return len(s), nil }
 
 func alsoGood() {
-	notAudit{}.Append("x")
+	notAudit{}.AppendChecked("x")
 }

@@ -45,9 +45,8 @@ type Event struct {
 }
 
 // ErrAuditUnavailable marks an audit-sink write that failed past the
-// retry budget. Fail-closed deployments refuse to serve data whose
-// delivery cannot be audited; errors.Is matches it through the engine's
-// wrapping.
+// retry budget. The engine refuses to deliver a render whose events do not
+// reach the sink; errors.Is matches it through the engine's wrapping.
 var ErrAuditUnavailable = errors.New("audit: sink unavailable")
 
 // Log is a thread-safe append-only audit log. An optional sink receives
@@ -109,7 +108,7 @@ func (l *Log) CloseSink() error {
 	return nil
 }
 
-// SetMetrics wires the log into an obs registry: Append maintains the
+// SetMetrics wires the log into an obs registry: AppendChecked maintains the
 // audit.events counter, the audit.depth gauge, audit.sink_drops for
 // sink write failures and audit.sink_resyncs for dirty-sink recoveries.
 func (l *Log) SetMetrics(m *obs.Metrics) {
@@ -134,21 +133,13 @@ func (l *Log) SetRetryPolicy(p fault.RetryPolicy) {
 	l.retry = p
 }
 
-// Append stamps and stores an event, returning its sequence number. Sink
-// failures past the retry budget are counted as drops; use AppendChecked
-// when the caller must know the trail reached the sink (fail-closed).
-func (l *Log) Append(e Event) int {
-	seq, _ := l.AppendChecked(context.Background(), e)
-	return seq
-}
-
 // AppendChecked stamps and stores an event, returning its sequence
 // number and the sink outcome: a nil error means the event is durably in
 // the in-memory log AND (when a sink is attached) its line was fully
 // written after bounded retries. A non-nil error wraps
 // ErrAuditUnavailable; the event still exists in memory and the drop is
-// counted, so fail-open callers may ignore the error while fail-closed
-// callers block delivery on it.
+// counted. A render blocks delivery on it; a caller that may go on without
+// the line discards it visibly (`_, _ =`).
 func (l *Log) AppendChecked(ctx context.Context, e Event) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -203,21 +194,10 @@ func (l *Log) writeEvent(ctx context.Context, e Event) error {
 	})
 }
 
-// Decision records an enforcement decision as an audit event.
-func (l *Log) Decision(actor, object string, d enforce.Decision) int {
-	return l.DecisionTraced(actor, object, "", d)
-}
-
-// DecisionTraced records an enforcement decision carrying the correlation
-// id of the span it was made under, so the audit trail and the obs span
-// stream can be joined on Trace.
-func (l *Log) DecisionTraced(actor, object, trace string, d enforce.Decision) int {
-	seq, _ := l.DecisionTracedChecked(context.Background(), actor, object, trace, d)
-	return seq
-}
-
-// DecisionTracedChecked is DecisionTraced reporting the sink outcome,
-// for fail-closed callers (see AppendChecked).
+// DecisionTracedChecked records an enforcement decision as an audit event
+// carrying the correlation id of the span it was made under, so the audit
+// trail and the obs span stream can be joined on Trace, and reports the
+// sink outcome (see AppendChecked).
 func (l *Log) DecisionTracedChecked(ctx context.Context, actor, object, trace string, d enforce.Decision) (int, error) {
 	kind := "decision"
 	if d.Outcome == enforce.Block {
@@ -281,8 +261,8 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return nil, fmt.Errorf("audit: parse line: %w", err)
 		}
-		e.Seq = 0 // re-stamped by Append
-		l.Append(e)
+		// Re-stamped by AppendChecked; the log has no sink, so no error.
+		_, _ = l.AppendChecked(context.Background(), e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("audit: read: %w", err)

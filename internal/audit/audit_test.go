@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -15,12 +16,13 @@ import (
 
 func TestLogAppendAndQuery(t *testing.T) {
 	l := NewLog()
-	l.Append(Event{Kind: "extract", Object: "prescriptions"})
-	l.Append(Event{Kind: "render", Actor: "analyst", Object: "drug-consumption"})
-	l.Decision("analyst", "drug-consumption", enforce.Decision{
+	ctx := context.Background()
+	_, _ = l.AppendChecked(ctx, Event{Kind: "extract", Object: "prescriptions"})
+	_, _ = l.AppendChecked(ctx, Event{Kind: "render", Actor: "analyst", Object: "drug-consumption"})
+	_, _ = l.DecisionTracedChecked(ctx, "analyst", "drug-consumption", "", enforce.Decision{
 		Outcome: enforce.Mask, Rule: "access-deny", Subject: "patient",
 	})
-	l.Decision("analyst", "joined", enforce.Decision{
+	_, _ = l.DecisionTracedChecked(ctx, "analyst", "joined", "", enforce.Decision{
 		Outcome: enforce.Block, Rule: "join-permission", Subject: "a JOIN b",
 	})
 	if l.Len() != 4 {
@@ -42,8 +44,8 @@ func TestLogAppendAndQuery(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	l := NewLog()
-	l.Append(Event{Kind: "extract", Object: "prescriptions", Detail: "5 rows"})
-	l.Decision("ana", "rep", enforce.Decision{
+	_, _ = l.AppendChecked(context.Background(), Event{Kind: "extract", Object: "prescriptions", Detail: "5 rows"})
+	_, _ = l.DecisionTracedChecked(context.Background(), "ana", "rep", "", enforce.Decision{
 		Outcome: enforce.Mask, Rule: "condition", Subject: "cell",
 		Evidence: []string{"prescriptions#0 fails (disease <> 'HIV')"},
 	})

@@ -179,17 +179,3 @@ func TestInjectedSinkFaultsRetryAndRecover(t *testing.T) {
 		t.Fatalf("schedule = %v, want 2 fires", fi.Schedule())
 	}
 }
-
-func TestAppendUncheckedFailsOpen(t *testing.T) {
-	w := &flakyWriter{failures: 100}
-	l := NewLog()
-	l.SetSink(w)
-	m := obs.New()
-	l.SetMetrics(m)
-	if seq := l.Append(Event{Kind: "render"}); seq != 0 {
-		t.Fatalf("seq = %d", seq)
-	}
-	if m.Counter("audit.sink_drops").Value() != 1 {
-		t.Fatal("drop must be counted")
-	}
-}

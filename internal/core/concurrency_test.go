@@ -216,8 +216,8 @@ func TestAuditSinkStreams(t *testing.T) {
 	e := New(Config{})
 	var sb strings.Builder
 	e.Audit.SetSink(&sb)
-	e.Audit.Append(auditEvent("a"))
-	e.Audit.Append(auditEvent("b"))
+	_, _ = e.Audit.AppendChecked(context.Background(), auditEvent("a"))
+	_, _ = e.Audit.AppendChecked(context.Background(), auditEvent("b"))
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("sink lines = %d, want 2", len(lines))

@@ -617,6 +617,61 @@ func TestFailedRunCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestRenderAfterDeltaOverBlockedStep: a continue-on-violation run blocks
+// entity resolution; a delta that touches its input and the prescriptions
+// commits, the step stays blocked, and a render reads the delta's insert
+// as a rebuild over the new sources renders it.
+func TestRenderAfterDeltaOverBlockedStep(t *testing.T) {
+	cfg := workload.DefaultConfig(4)
+	cfg.Prescriptions, cfg.Patients, cfg.LabResults = 300, 60, 20
+	e, ds, err := BuildHealthcareEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deny := true
+	p := HealthcarePipeline(e)
+	for i, s := range p.Steps {
+		if s.Name() == "resolve-fd" {
+			p.Steps[i] = revocable{s, &deny}
+		}
+	}
+	if res, err := e.RunETL(p, true); err != nil || len(res.Violations) != 1 {
+		t.Fatalf("continue-on-violation run: %+v, %v", res, err)
+	}
+	fd := sourceTable(t, e, "familydoctors", "familydoctor")
+	if _, err := e.ApplyDelta(context.Background(), etl.Batch{Deltas: []etl.Delta{
+		{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{randRxRow(rand.New(rand.NewSource(5)), ds, 5)}},
+		{Source: "familydoctors", Table: "familydoctor", Inserts: []relation.Row{fd.Row(0).Clone()}},
+	}}); err != nil {
+		t.Fatalf("delta over the blocked step: %v", err)
+	}
+	if _, err := e.etlCtxs[p.Name].Get("familydoctor_resolved"); err == nil {
+		t.Error("the blocked step staged its output")
+	}
+	mirror, err := buildEngineFromTables(
+		sourceTable(t, e, "hospital", "prescriptions").Clone(),
+		sourceTable(t, e, "familydoctors", "familydoctor").Clone(),
+		sourceTable(t, e, "healthagency", "drugcost").Clone(),
+		sourceTable(t, e, "laboratory", "labresults").Clone(),
+		sourceTable(t, e, "municipality", "residents").Clone(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
+	got, err := e.Render("drug-consumption", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mirror.Render("drug-consumption", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Table.String() != want.Table.String() || got.MaskedCells != want.MaskedCells {
+		t.Errorf("render after the delta:\n%s\nrebuild:\n%s", got.Table, want.Table)
+	}
+}
+
 // TestDeltaStationaryBlockRebuildsNothing holds the count the benchmark's
 // etl.delta.steps_rebuilt row shows: one block of the delta-mixed
 // schedule's shapes on the healthcare pipeline — inserts, updates of base

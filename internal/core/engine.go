@@ -52,11 +52,6 @@ type Config struct {
 	Workers int
 	// CacheSize bounds the render plan cache (0: the default).
 	CacheSize int
-	// FailClosed refuses to deliver report data whose render cannot be
-	// recorded in the audit sink: Render returns an error wrapping
-	// audit.ErrAuditUnavailable instead of the enforced table. The default
-	// is fail-open (the drop is counted and delivery proceeds).
-	FailClosed bool
 }
 
 // retryFor returns the policy in force at one site: the per-site
@@ -767,7 +762,9 @@ func (e *Engine) CheckReportComplianceContext(ctx context.Context, reportID stri
 }
 
 // Render renders a report with full enforcement for the consumer,
-// recording the render and every decision in the audit log.
+// recording the render and every decision in the audit log. A render
+// whose events do not all reach the audit sink is refused with an error
+// wrapping audit.ErrAuditUnavailable and counted as render.audit_blocked.
 func (e *Engine) Render(reportID string, c report.Consumer) (*enforce.Enforced, error) {
 	return e.RenderContext(context.Background(), reportID, c)
 }
@@ -816,25 +813,20 @@ func (e *Engine) RenderContext(ctx context.Context, reportID string, c report.Co
 	m.Counter("render.rows").Add(uint64(enf.Table.NumRows()))
 	m.Counter("render.masked_cells").Add(uint64(enf.MaskedCells))
 	m.Counter("render.suppressed_rows").Add(uint64(enf.SuppressedRows))
-	// The render and its decisions must reach the audit trail; under the
-	// fail-closed policy an un-auditable render is not delivered (§2 iv:
-	// no data release without a monitorable trace).
-	var sinkErr error
-	if _, err := e.Audit.AppendChecked(ctx, audit.Event{Kind: "render", Actor: c.Name, Object: reportID,
+	// The render event, then its decisions, must reach the audit trail
+	// before the table is delivered (§2 iv: no data release without a
+	// monitorable trace); the first the sink refuses refuses the render.
+	_, err = e.Audit.AppendChecked(ctx, audit.Event{Kind: "render", Actor: c.Name, Object: reportID,
 		Detail: fmt.Sprintf("role=%s purpose=%s rows=%d masked=%d suppressed=%d",
 			c.Role, c.Purpose, enf.Table.NumRows(), enf.MaskedCells, enf.SuppressedRows),
-		Trace: span.ID()}); err != nil {
-		sinkErr = err
+		Trace: span.ID()})
+	for i := 0; err == nil && i < len(enf.Decisions); i++ {
+		_, err = e.Audit.DecisionTracedChecked(ctx, c.Name, reportID, span.ID(), enf.Decisions[i])
 	}
-	for _, dec := range enf.Decisions {
-		if _, err := e.Audit.DecisionTracedChecked(ctx, c.Name, reportID, span.ID(), dec); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
-	}
-	if sinkErr != nil && e.cfg.FailClosed {
+	if err != nil {
 		m.Counter("render.audit_blocked").Inc()
 		span.Set("decision", "audit-blocked")
-		return nil, fmt.Errorf("core: render %q blocked fail-closed: %w", reportID, sinkErr)
+		return nil, fmt.Errorf("core: render %q blocked: %w", reportID, err)
 	}
 	return enf, nil
 }

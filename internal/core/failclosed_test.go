@@ -30,14 +30,14 @@ func fastRetry() fault.RetryPolicy {
 
 func TestRenderFailClosedBlocksWhenAuditDown(t *testing.T) {
 	r := fastRetry()
-	e := buildConcurrencyEngine(t, Config{Retry: &r, FailClosed: true})
+	e := buildConcurrencyEngine(t, Config{Retry: &r})
 	w := &downWriter{}
 	e.Audit.SetSink(w)
 
 	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
 	_, err := e.Render("drug-consumption", c)
 	if !errors.Is(err, audit.ErrAuditUnavailable) {
-		t.Fatalf("fail-closed render must block on ErrAuditUnavailable, got %v", err)
+		t.Fatalf("render over a dead sink must block on ErrAuditUnavailable, got %v", err)
 	}
 	if w.writes == 0 {
 		t.Fatal("sink never consulted")
@@ -57,21 +57,31 @@ func TestRenderFailClosedBlocksWhenAuditDown(t *testing.T) {
 	}
 }
 
-func TestRenderFailOpenByDefaultWhenAuditDown(t *testing.T) {
+// TestRefusedRenderStopsAtFirstUnauditedEvent: a render is refused at the
+// first of its events the sink does not take. The render event goes first,
+// so a dead sink sees exactly the retry policy's attempts at it and none
+// at the render's decisions.
+func TestRefusedRenderStopsAtFirstUnauditedEvent(t *testing.T) {
 	r := fastRetry()
 	e := buildConcurrencyEngine(t, Config{Retry: &r})
-	e.Audit.SetSink(&downWriter{})
-
 	c := report.Consumer{Name: "ana", Role: "analyst", Purpose: "quality"}
-	if _, err := e.Render("drug-consumption", c); err != nil {
-		t.Fatalf("fail-open render must serve despite sink loss, got %v", err)
+	enf, err := e.Render("drug-consumption", c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The event is still recorded in memory and the drop is counted.
-	if len(e.Audit.ByKind("render")) == 0 {
-		t.Fatal("render event missing from in-memory log")
+	if len(enf.Decisions) == 0 {
+		t.Fatal("the report carries no decision; the test needs one")
 	}
-	if e.MetricsSnapshot().Counters["audit.sink_drops"] == 0 {
-		t.Fatal("sink drop not counted")
+	w := &downWriter{}
+	e.Audit.SetSink(w)
+	if _, err := e.Render("drug-consumption", c); !errors.Is(err, audit.ErrAuditUnavailable) {
+		t.Fatalf("render over a dead sink: want ErrAuditUnavailable, got %v", err)
+	}
+	if w.writes != r.MaxAttempts {
+		t.Fatalf("sink writes = %d, want the render event's %d attempts", w.writes, r.MaxAttempts)
+	}
+	if got := e.MetricsSnapshot().Counters["audit.sink_drops"]; got != 1 {
+		t.Fatalf("audit.sink_drops = %d, want 1", got)
 	}
 }
 

@@ -214,13 +214,16 @@ type DeltaResult struct {
 // continue-on-violation run blocked stays absent. A step with a changed
 // input runs Run when its output is absent, an input was rebuilt or an
 // earlier step overwrote its output, and its delta rule (Step.Delta)
-// otherwise. A violation stops the delta, even over the context of a run
-// that continued past violations.
+// otherwise. A violation of a step that had output stops the delta, even
+// over the context of a run that continued past violations. A step that had
+// none — a continue-on-violation run blocked it — stays blocked: the
+// violation is recorded as the run recorded it, the step's readers are
+// skipped, and the rest of the delta commits.
 //
 // The application is atomic: on any error — injected fault at the
-// etl.delta site, a violation surfaced by a guard re-check, a
-// validation failure — the staging area is restored to its pre-delta
-// state and the error returned. Callers then retry or apply the delta over
+// etl.delta site, a violation surfaced by a guard re-check of a step that
+// had output, a validation failure — the staging area is restored to its
+// pre-delta state and the error returned. Callers then retry or apply the delta over
 // a fresh Context; the sources are theirs to roll back.
 func (p *Pipeline) ApplyDelta(ctx context.Context, c *Context, changes map[string]Change) (DeltaResult, error) {
 	_, res, err := p.apply(ctx, c, changes, false, false)

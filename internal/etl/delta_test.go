@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -527,6 +528,43 @@ func (g *flipGuard) CheckJoin(l, r string) error {
 }
 func (g *flipGuard) CheckIntegration(string, string) error { return nil }
 
+// TestDeltaSkipsReaderOfBlockedStep: a step whose output a
+// continue-on-violation run left absent, and whose own inputs a delta does
+// not touch, stays untouched; a reader of that output whose other input
+// the delta changes is skipped, not failed, and the delta commits.
+func TestDeltaSkipsReaderOfBlockedStep(t *testing.T) {
+	hosp, fam, agency := sources()
+	p := &Pipeline{Steps: []Step{
+		NewExtract("e1", hosp, "prescriptions", ""),
+		NewExtract("e2", fam, "familydoctor", ""),
+		NewExtract("e3", agency, "drugcost", ""),
+		NewJoin("bad", "prescriptions", "familydoctor",
+			relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
+		NewJoin("reader", "bad_out", "drugcost",
+			relation.Eq(relation.ColRefExpr("l.l_drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "bad_cost"),
+	}}
+	c := NewContext(denyGuard{joinA: "prescriptions", joinB: "familydoctor"})
+	if res, err := p.Run(c, true); err != nil || len(res.Violations) != 1 || res.Skipped != 1 {
+		t.Fatalf("run: %+v, %v", res, err)
+	}
+	var skipped []string
+	c.Observe = func(step, _, _ string, _, _ int, err error) {
+		if IsSkipped(err) {
+			skipped = append(skipped, step)
+		}
+	}
+	cost, _ := agency.Table("drugcost")
+	dr := cost.Row(4).Clone()
+	dr[1] = relation.Int(11)
+	res := applyAndPropagate(t, p, c, agency, &Delta{Source: "healthagency", Table: "drugcost", Updates: []RowUpdate{{Row: 4, Vals: dr}}})
+	if res.StepsUntouched != 3 || !slices.Equal(skipped, []string{"reader"}) {
+		t.Errorf("untouched=%d skipped=%v, want e1, e2 and bad untouched and reader skipped", res.StepsUntouched, skipped)
+	}
+	if _, err := c.Get("bad_cost"); err == nil {
+		t.Error("bad_cost staged although its input stays blocked")
+	}
+}
+
 // TestWrappedStepPlacedIncrementally: a step that embeds a built-in, as a
 // tracing harness does, forwards its delta rule with the embedding, so a
 // wrapped filter and join place an update and a delete in the outputs they
@@ -587,11 +625,13 @@ func TestWrappedStepPlacedIncrementally(t *testing.T) {
 }
 
 // TestDeltaAfterContinuedRunStopsAtViolation: a delta over the context of
-// a run that continued past violations still stops at the first one and
-// restores the staging area — a join whose permission was revoked since
-// the run, as a join the run blocked, whose input the delta touches — and
-// the same delta, once the join is allowed again, converges to a run over
-// the new sources. A delta that touches no blocked step commits.
+// a run that continued past violations still stops at the first violation
+// of a step that had output, and restores the staging area — a join whose
+// permission was revoked since the run — and the same delta, once the join
+// is allowed again, converges to a run over the new sources. A join the run
+// blocked stays blocked when a delta touches its input: it is recorded as a
+// violation again, its reader is skipped, and the rest of the delta commits,
+// equal to a continue-on-violation run over the new sources.
 func TestDeltaAfterContinuedRunStopsAtViolation(t *testing.T) {
 	hosp := NewSource("hospital", "hospital", workload.PrescriptionsFixture())
 	agency := NewSource("healthagency", "healthagency", workload.DrugCostFixture())
@@ -631,37 +671,72 @@ func TestDeltaAfterContinuedRunStopsAtViolation(t *testing.T) {
 		}
 	}
 
-	// A join the run blocked: a delta of its left side re-runs it and stops.
+	// A join the run blocked: a delta of its left side re-runs it, and it
+	// stays blocked while the rest of the delta commits.
+	blocked := func(hosp, fam, agency *Source) *Pipeline {
+		return &Pipeline{Steps: []Step{
+			NewExtract("e1", hosp, "prescriptions", ""),
+			NewExtract("e2", fam, "familydoctor", ""),
+			NewExtract("e3", agency, "drugcost", ""),
+			NewJoin("bad", "prescriptions", "familydoctor",
+				relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
+			NewProject("reader", "bad_out", "slim", "l_patient"),
+			NewJoin("good", "prescriptions", "drugcost",
+				relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "good_out"),
+		}}
+	}
+	guard2 := denyGuard{joinA: "prescriptions", joinB: "familydoctor"}
 	hosp2, fam, agency2 := sources()
-	p = &Pipeline{Steps: []Step{
-		NewExtract("e1", hosp2, "prescriptions", ""),
-		NewExtract("e2", fam, "familydoctor", ""),
-		NewExtract("e3", agency2, "drugcost", ""),
-		NewJoin("bad", "prescriptions", "familydoctor",
-			relation.Eq(relation.ColRefExpr("l.patient"), relation.ColRefExpr("r.patient")), relation.InnerJoin, "bad_out"),
-		NewProject("reader", "bad_out", "slim", "l_patient"),
-		NewJoin("good", "prescriptions", "drugcost",
-			relation.Eq(relation.ColRefExpr("l.drug"), relation.ColRefExpr("r.drug")), relation.InnerJoin, "good_out"),
-	}}
-	c = NewContext(denyGuard{joinA: "prescriptions", joinB: "familydoctor"})
+	p = blocked(hosp2, fam, agency2)
+	c = NewContext(guard2)
 	if res, err := p.Run(c, true); err != nil || len(res.Violations) != 1 || res.Skipped != 1 {
 		t.Fatalf("run: %+v, %v", res, err)
 	}
 	goodBefore, _ := c.Get("good_out")
+	var events []string
+	c.Observe = func(step, _, _ string, _, _ int, err error) {
+		switch {
+		case IsViolation(err):
+			events = append(events, step+" violation")
+		case IsSkipped(err):
+			events = append(events, step+" skipped")
+		}
+	}
 	rx, _ := hosp2.Table("prescriptions")
 	next, ch, _ = (&Delta{Source: "hospital", Table: "prescriptions", Inserts: []relation.Row{rx.Row(2).Clone()}}).Apply(rx)
 	hosp2.Tables["prescriptions"] = next
-	if _, err := p.ApplyDelta(context.Background(), c, map[string]Change{"hospital.prescriptions": ch}); !IsViolation(err) {
-		t.Fatalf("delta into the blocked join: want a violation, got %v", err)
+	res, err := p.ApplyDelta(context.Background(), c, map[string]Change{"hospital.prescriptions": ch})
+	if err != nil {
+		t.Fatalf("delta into the blocked join: %v", err)
 	}
-	if got, _ := c.Get("good_out"); got != goodBefore {
-		t.Error("the stopped delta left its placement in good_out")
+	if want := []string{"bad violation", "reader skipped"}; !slices.Equal(events, want) {
+		t.Errorf("delta recorded %v, want %v", events, want)
 	}
-	hosp2.Tables["prescriptions"] = rx
+	if got, _ := c.Get("good_out"); got.NumRows() != goodBefore.NumRows()+1 || res.StepsIncremental == 0 {
+		t.Errorf("good_out did not place the insert: %d rows (had %d), incremental=%d", got.NumRows(), goodBefore.NumRows(), res.StepsIncremental)
+	}
+	for _, name := range []string{"bad_out", "slim"} {
+		if _, err := c.Get(name); err == nil {
+			t.Errorf("%s staged after the delta; its step stays blocked", name)
+		}
+	}
+	_, famT, agencyT := sources()
+	mirror := NewContext(guard2)
+	if _, err := blocked(NewSource("hospital", "hospital", next), famT, agencyT).Run(mirror, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Staging) != len(mirror.Staging) {
+		t.Errorf("staging holds %d tables, a continue-on-violation run %d", len(c.Staging), len(mirror.Staging))
+	}
+	for name, w := range mirror.Staging {
+		if got, err := c.Get(name); err != nil || dump(got) != dump(w) {
+			t.Errorf("%s diverges from a continue-on-violation run over the new sources", name)
+		}
+	}
 	cost, _ := agency2.Table("drugcost")
 	dr := cost.Row(4).Clone()
 	dr[1] = relation.Int(11)
-	res := applyAndPropagate(t, p, c, agency2, &Delta{Source: "healthagency", Table: "drugcost", Updates: []RowUpdate{{Row: 4, Vals: dr}}})
+	res = applyAndPropagate(t, p, c, agency2, &Delta{Source: "healthagency", Table: "drugcost", Updates: []RowUpdate{{Row: 4, Vals: dr}}})
 	if res.StepsRebuilt != 1 || res.StepsUntouched != 4 {
 		t.Errorf("drugcost delta: rebuilt=%d untouched=%d, want the good join rebuilt and the rest untouched", res.StepsRebuilt, res.StepsUntouched)
 	}

@@ -332,10 +332,13 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 
 	done := make([]bool, n) // step recorded (success, violation, skip or untouched)
 	// blockedOut marks staging relations whose producer was blocked by a
-	// violation (or skipped downstream of one) without leaving any output.
-	// A ready step reading such a relation cannot run — its Get would fail
-	// with an operational "staging table not found" error and abort a
-	// continue-on-violation run — so it is skipped and recorded instead.
+	// violation (or skipped downstream of one) without leaving any output:
+	// true when that happened in this pass, false when an untouched step
+	// left its output absent as an earlier run blocked it. A step that
+	// would run and reads such a relation cannot — its Get would fail with
+	// an operational "staging table not found" error and abort the pass —
+	// so it is skipped and recorded instead. A relation blocked in this
+	// pass counts as a change of its readers.
 	blockedOut := map[string]bool{}
 	completed := 0
 	for completed < n {
@@ -352,39 +355,43 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 				continue
 			}
 			s := p.Steps[i]
-			if up := slices.IndexFunc(s.Inputs(), func(in string) bool {
+			out := strings.ToLower(s.Output())
+			_, have := c.rows(out)
+			_, clobbered := dres.Changed[out]
+			ins, rerun, changed := s.Inputs(), fresh || clobbered, false
+			for _, in := range ins {
+				ch := dres.Changed[strings.ToLower(in)]
+				changed = changed || !ch.Empty() || blockedOut[strings.ToLower(in)]
+				rerun = rerun || ch.Rebuilt
+			}
+			if !rerun && !changed {
+				dres.StepsUntouched++
+				if !have {
+					blockedOut[out] = false
+				}
+				done[i] = true
+				completed++
+				continue
+			}
+			if up := slices.IndexFunc(ins, func(in string) bool {
+				_, blocked := blockedOut[strings.ToLower(in)]
 				_, ok := c.rows(in)
-				return blockedOut[strings.ToLower(in)] && !ok
+				return blocked && !ok
 			}); up >= 0 {
-				serr := &SkippedError{Step: s.Name(), Upstream: s.Inputs()[up]}
+				serr := &SkippedError{Step: s.Name(), Upstream: ins[up]}
 				if c.Observe != nil {
 					c.Observe(s.Name(), s.Op(), s.Output(), 0, 0, serr)
 				}
 				res.Skipped++
 				c.Metrics.Counter("etl.skipped").Inc()
-				if _, ok := c.rows(s.Output()); !ok {
-					blockedOut[strings.ToLower(s.Output())] = true
+				if !have {
+					blockedOut[out] = true
 				}
 				done[i] = true
 				completed++
 				continue
 			}
-			_, clobbered := dres.Changed[strings.ToLower(s.Output())]
-			ins, rerun, changed := s.Inputs(), fresh || clobbered, false
-			for _, in := range ins {
-				ch := dres.Changed[strings.ToLower(in)]
-				changed = changed || !ch.Empty()
-				rerun = rerun || ch.Rebuilt
-			}
-			if !rerun && !changed {
-				dres.StepsUntouched++
-				done[i] = true
-				completed++
-				continue
-			}
-			if _, have := c.rows(s.Output()); !have {
-				rerun = true
-			}
+			rerun = rerun || !have
 			wave = append(wave, i)
 			outcomes = append(outcomes, stepOutcome{rowsIn: countRows(c, ins), rerun: rerun})
 		}
@@ -428,7 +435,10 @@ func (p *Pipeline) apply(ctx context.Context, c *Context, changes map[string]Cha
 					if ve := violationOf(o.err); ve != nil && ve.Rule != "" {
 						c.Metrics.Counter("etl.block." + ve.Rule).Inc()
 					}
-					if continueOnViolation {
+					// A delta's step that had no output before it stays
+					// blocked, as the run that continued past it left it.
+					_, had := snap[strings.ToLower(s.Output())]
+					if continueOnViolation || (!fresh && !had) {
 						done[si] = true
 						completed++
 						// A blocked step that produced no output poisons its

@@ -54,9 +54,8 @@ type TenantConfig struct {
 	RateRPS   float64 `json:"rate_rps,omitempty"`
 	RateBurst float64 `json:"rate_burst,omitempty"`
 	// Engine tuning, passed through to the plabi options.
-	CacheSize  int  `json:"cache_size,omitempty"`
-	Workers    int  `json:"workers,omitempty"`
-	FailClosed bool `json:"fail_closed,omitempty"`
+	CacheSize int `json:"cache_size,omitempty"`
+	Workers   int `json:"workers,omitempty"`
 	// AllowExpansion lets a reload through even when pladiff finds
 	// error-severity privilege expansions between the running engine and
 	// the staged one. Off by default: expansions are refused unless the
@@ -158,7 +157,6 @@ func (t *TenantConfig) bundleFingerprint() string {
 		AuditPath     string
 		CacheSize     int
 		Workers       int
-		FailClosed    bool
-	}{t.Scenario, t.Seed, t.Prescriptions, t.ExtraPLAs, t.AuditPath, t.CacheSize, t.Workers, t.FailClosed})
+	}{t.Scenario, t.Seed, t.Prescriptions, t.ExtraPLAs, t.AuditPath, t.CacheSize, t.Workers})
 	return string(b)
 }

@@ -55,6 +55,16 @@ func TestParseManifestRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseManifestRejectsFailClosed: every tenant refuses a render its
+// audit trail does not take, so the manifest has no switch for it and the
+// strict decoder rejects one.
+func TestParseManifestRejectsFailClosed(t *testing.T) {
+	_, err := ParseManifest([]byte(`{"tenants":[{"name":"a","tokens":["t"],"fail_closed":true}]}`))
+	if err == nil || !strings.Contains(err.Error(), "fail_closed") {
+		t.Fatalf("fail_closed accepted: %v", err)
+	}
+}
+
 func TestBundleFingerprint(t *testing.T) {
 	base := validTenant("alpha", "t1")
 	same := base

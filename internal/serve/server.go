@@ -477,7 +477,7 @@ func engineError(op string, err error) *apiv1.Error {
 		return &apiv1.Error{Code: apiv1.CodeUnknownReport, Message: err.Error()}
 	case errors.Is(err, plabi.ErrAuditUnavailable):
 		return &apiv1.Error{Code: apiv1.CodeAuditUnavailable,
-			Message: "audit sink unavailable; fail-closed tenant refuses un-audited delivery"}
+			Message: "audit sink unavailable; a render is not released without its audit trail"}
 	default:
 		return &apiv1.Error{Code: apiv1.CodeInternal, Message: err.Error()}
 	}

@@ -178,6 +178,23 @@ func TestRenderSuccessAndCache(t *testing.T) {
 	}
 }
 
+// TestRenderRefusedWhenAuditSinkFull: a tenant whose audit sink refuses
+// every write answers a render with 503 audit_unavailable.
+func TestRenderRefusedWhenAuditSinkFull(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	m := &Manifest{Tenants: []TenantConfig{{Name: "alpha", Tokens: []string{"alpha-tok"},
+		Scenario: "healthcare", Seed: 1, Prescriptions: 240, AuditPath: "/dev/full"}}}
+	_, ts := newTestServer(t, m, Options{})
+	_, apiErr := call(t, "POST", ts.URL+"/v1/tenants/alpha/render", "alpha-tok",
+		apiv1.RenderRequest{Report: "drug-consumption",
+			Consumer: apiv1.Consumer{Role: "analyst", Purpose: "quality"}}, nil)
+	if apiErr == nil || apiErr.Code != apiv1.CodeAuditUnavailable || apiErr.HTTP != http.StatusServiceUnavailable {
+		t.Fatalf("render over a full audit sink: %+v, want audit_unavailable/503", apiErr)
+	}
+}
+
 func TestRenderTruncationAndOmitRows(t *testing.T) {
 	_, ts := newTestServer(t, testManifest(), Options{})
 	req := apiv1.RenderRequest{Report: "drug-consumption", MaxRows: 1,

@@ -96,9 +96,6 @@ func buildInstance(cfg TenantConfig, version int, auditDir string) (*instance, e
 	if cfg.Workers > 0 {
 		opts = append(opts, plabi.WithWorkers(cfg.Workers))
 	}
-	if cfg.FailClosed {
-		opts = append(opts, plabi.WithFailClosed())
-	}
 	eng, err := plabi.OpenHealthcare(plabi.HealthcareConfig{
 		Seed: cfg.Seed, Prescriptions: cfg.Prescriptions,
 	}, opts...)

@@ -69,9 +69,6 @@ func LintFiles(paths ...string) ([]LintFinding, error) {
 	return lint.Run(&lint.Pass{PLAs: plas, Registry: reg}), nil
 }
 
-// LintAnalyzers lists the registered analyzers, ordered by code.
-func LintAnalyzers() []LintAnalyzer { return lint.Analyzers() }
-
 // MaxLintSeverity returns the highest severity among the findings, and
 // false when there are none.
 func MaxLintSeverity(fs []LintFinding) (LintSeverity, bool) { return lint.MaxSeverity(fs) }

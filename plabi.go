@@ -2,7 +2,6 @@ package plabi
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,8 +33,8 @@ var (
 	// ErrPLAViolation is the sentinel behind every enforcement refusal.
 	ErrPLAViolation = enforce.ErrPLAViolation
 	// ErrAuditUnavailable marks an audit-sink write that failed past the
-	// retry budget; under WithFailClosed, Render errors wrap it instead
-	// of delivering un-audited data.
+	// retry budget: Render refuses a report whose events do not reach the
+	// sink with an error wrapping it, never delivering un-audited data.
 	ErrAuditUnavailable = audit.ErrAuditUnavailable
 	// ErrInternal is the sentinel behind recovered worker panics; the
 	// concrete site and stack are recovered with errors.As on
@@ -126,20 +125,11 @@ type (
 	CompiledReport = enforce.Program
 )
 
-// NewMetrics returns an empty observability registry, for sharing one
-// registry across engines or publishing it before Open.
-func NewMetrics() *Metrics { return obs.New() }
-
 // NewFaultInjector returns an injector with no enabled sites. Enable
 // sites with Enable or EnableSpec and attach it with WithFaultInjector
 // (or Engine-level wiring in internal harnesses). A fixed seed replays
 // the same fault schedule.
 func NewFaultInjector(seed int64) *FaultInjector { return fault.NewInjector(seed) }
-
-// FaultSites lists the canonical injection-site names the engine
-// consults: etl.extract, etl.step, etl.delta, render.worker,
-// audit.sink.write, release.source, relation.segment.read.
-func FaultSites() []string { return fault.Sites() }
 
 // DefaultRetryPolicy is the engine-wide default for retryable sites:
 // 4 attempts, 5ms base backoff doubling to a 200ms cap, half-width
@@ -242,20 +232,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMetrics attaches an observability registry at Open time, replacing
-// the registry every engine otherwise creates for itself. Use it to share
-// one registry across engines or to pre-publish it (expvar, /metrics).
-// A nil registry is misuse: omit the option for a fresh one.
-func WithMetrics(m *Metrics) Option {
-	return func(o *options) error {
-		if m == nil {
-			return fmt.Errorf("plabi: WithMetrics(nil): registry cannot be nil; pass NewMetrics() or omit the option")
-		}
-		o.cfg.Metrics = m
-		return nil
-	}
-}
-
 // WithRetryPolicy replaces the default bounded-backoff policy applied at
 // the engine's retryable sites (audit-sink writes, ETL source reads,
 // segment partition reads). The zero policy disables retries entirely.
@@ -272,11 +248,10 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // WithRetryPolicyFor overrides the retry policy at one retryable site
 // (etl.extract, audit.sink.write, relation.segment.read), leaving the
 // default — or a WithRetryPolicy replacement — in force everywhere else.
-// A fail-closed deployment typically retries audit.sink.write far harder
-// than etl.extract, because an unavailable sink blocks every render:
+// A deployment typically retries audit.sink.write far harder than
+// etl.extract, because a sink that stays unavailable refuses every render:
 //
 //	plabi.Open(
-//	    plabi.WithFailClosed(),
 //	    plabi.WithRetryPolicyFor("audit.sink.write", plabi.RetryPolicy{
 //	        MaxAttempts: 10, Base: 5 * time.Millisecond, Max: time.Second}),
 //	)
@@ -296,15 +271,6 @@ func WithRetryPolicyFor(site string, p RetryPolicy) Option {
 		o.cfg.RetrySites[site] = p
 		return nil
 	}
-}
-
-// WithFailClosed makes audit unavailability block delivery: when the
-// audit sink stays down past the retry budget, Render returns an error
-// wrapping ErrAuditUnavailable instead of serving data whose release
-// would leave no trace. The default is fail-open (drops are counted in
-// audit.sink_drops and delivery proceeds).
-func WithFailClosed() Option {
-	return func(o *options) error { o.cfg.FailClosed = true; return nil }
 }
 
 // WithSegmentStore roots the engine's out-of-core columnar storage at
@@ -386,7 +352,7 @@ type HealthcareConfig struct {
 // approved meta-reports.
 //
 // Option misuse is returned as an error before any data flows: negative
-// WithWorkers, WithCacheSize or WithSpillThreshold values, WithMetrics(nil),
+// WithWorkers, WithCacheSize or WithSpillThreshold values,
 // WithFaultInjector(nil), WithSegmentStore(""), retry policies with
 // negative durations or jitter outside [0, 1], and WithRetryPolicyFor
 // overrides naming a site that never retries.
@@ -537,17 +503,6 @@ func RunComplianceTests(tests []ComplianceTest, produced *Table) []string {
 	return metareport.RunTests(tests, produced)
 }
 
-// RenderUnenforced executes a report's query with no PLA enforcement —
-// the "buggy implementation" a compliance suite is meant to catch. Not
-// audited. Unknown ids wrap ErrUnknownReport.
-func (e *Engine) RenderUnenforced(reportID string) (*Table, error) {
-	d, ok := e.core.Reports.Get(reportID)
-	if !ok {
-		return nil, fmt.Errorf("plabi: %w %q", ErrUnknownReport, reportID)
-	}
-	return d.Render(e.core.Catalog)
-}
-
 // ResolveDispute reconstructs, for one cell of a rendered table, the
 // source cells it derives from, the transformation chain, and the PLAs
 // in force — the paper's provenance-backed dispute resolution.
@@ -617,19 +572,6 @@ func (e *Engine) Faults() *FaultInjector { return e.core.Faults() }
 // The engine stays queryable after Close (in-memory audit log, metrics,
 // tables); only sink streaming stops. Close is idempotent.
 func (e *Engine) Close() error { return e.core.Close() }
-
-// IsBlocked reports whether err is an enforcement refusal and returns
-// the blocking decisions.
-func IsBlocked(err error) ([]Decision, bool) {
-	var be *BlockedError
-	if errors.As(err, &be) {
-		return be.Decisions, true
-	}
-	if errors.Is(err, ErrPLAViolation) {
-		return nil, true
-	}
-	return nil, false
-}
 
 // FormatTable renders a table for terminal display.
 func FormatTable(title string, t *Table) string { return report.FormatTable(title, t) }

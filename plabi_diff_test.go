@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plabi"
+	"plabi/internal/diff"
 )
 
 // betaMask restricts the drug-consumption report: the drug column, the
@@ -86,7 +87,7 @@ func TestDiffMaskAsymmetry(t *testing.T) {
 			t.Errorf("expansion output missing %q:\n%s", want, out)
 		}
 	}
-	if got := plabi.MaxImpactSeverity(widen); got != plabi.LintError {
+	if got := diff.MaxSeverity(widen); got != plabi.LintError {
 		t.Errorf("max severity of a widening diff = %v, want %v", got, plabi.LintError)
 	}
 	if kept := plabi.FilterImpacts(widen, plabi.LintError); len(kept) != len(exp) {

@@ -47,10 +47,14 @@ func TestWithFaultInjectorDrivesPublicRenders(t *testing.T) {
 	}
 }
 
-func TestWithFailClosedBlocksOnDeadSink(t *testing.T) {
+// TestRenderRefusedOnDeadSink: an engine opened with no option refuses a
+// render whose audit events cannot reach its sink, under the default retry
+// policy, and delivers it again once the sink recovers.
+func TestRenderRefusedOnDeadSink(t *testing.T) {
 	sink := &failingSink{failures: 1000}
-	e := Open(WithAuditSink(sink), WithFailClosed(), WithRetryPolicy(microRetry()))
+	e := Open()
 	seedQuickScenario(t, e)
+	e.Audit().SetSink(sink)
 
 	_, err := e.Render(context.Background(), "rx-list", Consumer{Role: "analyst"})
 	if !errors.Is(err, ErrAuditUnavailable) {
@@ -74,7 +78,7 @@ func TestOpenHealthcareWithFaultOptions(t *testing.T) {
 	}
 	fi.Enable(fault.SiteETLExtract, FaultConfig{ErrorRate: 1, Transient: true, Times: 2})
 	e, err := OpenHealthcare(HealthcareConfig{Seed: 3, Prescriptions: 300},
-		WithRetryPolicy(microRetry()), WithFailClosed(), WithFaultInjector(fi))
+		WithRetryPolicy(microRetry()), WithFaultInjector(fi))
 	if err != nil {
 		t.Fatalf("build must survive transient extract faults within the retry budget: %v", err)
 	}
@@ -108,7 +112,7 @@ func TestInternalErrorExposesSiteAndStack(t *testing.T) {
 
 func TestFaultSitesStable(t *testing.T) {
 	want := []string{"etl.extract", "etl.step", "etl.delta", "render.worker", "audit.sink.write", "release.source", "relation.segment.read"}
-	got := FaultSites()
+	got := fault.Sites()
 	if len(got) != len(want) {
 		t.Fatalf("sites = %v", got)
 	}

@@ -2,6 +2,7 @@ package plabi
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -48,7 +49,9 @@ func (c *closeTracker) Close() error {
 func TestEngineCloseFlushesAndClosesSink(t *testing.T) {
 	sink := &closeTracker{}
 	e := Open(WithAuditSink(sink))
-	e.Audit().Append(AuditEvent{Kind: "render", Object: "r1"})
+	if _, err := e.Audit().AppendChecked(context.Background(), AuditEvent{Kind: "render", Object: "r1"}); err != nil {
+		t.Fatal(err)
+	}
 	if sink.buf.Len() == 0 {
 		t.Fatal("expected event streamed to sink before Close")
 	}
@@ -63,7 +66,9 @@ func TestEngineCloseFlushesAndClosesSink(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	before := sink.buf.Len()
-	e.Audit().Append(AuditEvent{Kind: "render", Object: "r2"})
+	if _, err := e.Audit().AppendChecked(context.Background(), AuditEvent{Kind: "render", Object: "r2"}); err != nil {
+		t.Fatal(err)
+	}
 	if sink.buf.Len() != before {
 		t.Fatal("append after Close reached the closed sink")
 	}
@@ -81,7 +86,6 @@ var optionMisuse = []struct {
 }{
 	{"negative workers", WithWorkers(-2), "WithWorkers"},
 	{"negative cache", WithCacheSize(-1), "WithCacheSize"},
-	{"nil metrics", WithMetrics(nil), "WithMetrics(nil)"},
 	{"nil injector", WithFaultInjector(nil), "WithFaultInjector(nil)"},
 	{"bad jitter", WithRetryPolicy(RetryPolicy{Jitter: 2}), "jitter"},
 	{"negative backoff", WithRetryPolicy(RetryPolicy{Base: -time.Second}), "negative"},
@@ -170,7 +174,9 @@ func TestWithRetryPolicyForAuditSiteOverride(t *testing.T) {
 		WithRetryPolicyFor("audit.sink.write", RetryPolicy{
 			MaxAttempts: 5, Base: time.Microsecond, Max: 10 * time.Microsecond}),
 	)
-	e.Audit().Append(AuditEvent{Kind: "render", Object: "r1"})
+	if _, err := e.Audit().AppendChecked(context.Background(), AuditEvent{Kind: "render", Object: "r1"}); err != nil {
+		t.Fatalf("event dropped despite per-site retry override: %v", err)
+	}
 	if got := sink.buf.Len(); got == 0 {
 		t.Fatal("event dropped despite per-site retry override")
 	}
@@ -181,7 +187,9 @@ func TestWithRetryPolicyForAuditSiteOverride(t *testing.T) {
 	// Control: without the override the zero policy gives up immediately.
 	sink2 := &flakySink{fail: 3}
 	e2 := Open(WithAuditSink(sink2), WithRetryPolicy(RetryPolicy{}))
-	e2.Audit().Append(AuditEvent{Kind: "render", Object: "r1"})
+	if _, err := e2.Audit().AppendChecked(context.Background(), AuditEvent{Kind: "render", Object: "r1"}); !errors.Is(err, ErrAuditUnavailable) {
+		t.Fatalf("zero policy: want ErrAuditUnavailable, got %v", err)
+	}
 	if sink2.buf.Len() != 0 {
 		t.Fatal("zero policy unexpectedly retried the sink write")
 	}

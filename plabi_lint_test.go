@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"plabi/internal/lint"
 )
 
 func TestLintFilesSample(t *testing.T) {
@@ -40,7 +42,7 @@ func TestLintHealthcareEngine(t *testing.T) {
 	if !strings.Contains(b.String(), "PL004") {
 		t.Errorf("expected the PL004 always-blocked warning in %s", b.String())
 	}
-	if got := len(LintAnalyzers()); got != 7 {
+	if got := len(lint.Analyzers()); got != 7 {
 		t.Errorf("analyzers = %d, want 7", got)
 	}
 }

@@ -3,6 +3,7 @@ package plabi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +36,7 @@ func TestBlockedRenderObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := e.Render(context.Background(), "rx-list", Consumer{Name: "u", Role: "analyst"})
-	if _, ok := IsBlocked(err); !ok {
+	if !errors.Is(err, ErrPLAViolation) {
 		t.Fatalf("render was not blocked: %v", err)
 	}
 
